@@ -1,15 +1,17 @@
 // Command specsync-perf-bench measures the system's hot paths and emits the
 // committed perf-trajectory report (BENCH_perf.json): PushReq wire
 // marshal/unmarshal ns/op + allocs/op + msgs/sec, parameter-server apply
-// ns/push, and DES throughput (events/sec, delivered msgs/sec) on a
-// reference cluster run. ROADMAP item 3 gates hot-path work on these
+// ns/push, the scheduler's notify path, epoch retune and straggler scoring at
+// 8, 64 and 512 workers, and DES throughput (events/sec, delivered msgs/sec)
+// on a reference cluster run. ROADMAP item 3 gates hot-path work on these
 // numbers; `specsync-bench -compare` diffs two reports and fails CI on
 // regression.
 //
 //	specsync-perf-bench -out BENCH_perf.json
 //
-// It exits nonzero if the wire pool's alloc guarantee breaks or the DES run
-// goes empty — a perf smoke test for CI.
+// It exits nonzero if the wire pool's alloc guarantee breaks, the scheduler's
+// notify path or the straggler detector allocates, or the DES run goes empty
+// — a perf smoke test for CI.
 package main
 
 import (
@@ -18,10 +20,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
 	"specsync/internal/cluster"
+	"specsync/internal/core"
 	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/obs"
@@ -47,6 +51,19 @@ type serverBench struct {
 	ApplyAllocsPerPush float64 `json:"apply_allocs_per_push"`
 }
 
+// schedulerBench is the scheduler's cost at one fleet size: a steady-state
+// notify that closes no epoch (telemetry attached, nobody reading /clusterz),
+// one adaptive retune over a full history, and one straggler-detector
+// observation.
+type schedulerBench struct {
+	Name                     string  `json:"name"`
+	Workers                  int     `json:"workers"`
+	NotifyNsOp               float64 `json:"notify_ns_op"`
+	NotifyAllocsOp           float64 `json:"notify_allocs_op"`
+	TuneNsOp                 float64 `json:"tune_ns_op"`
+	StragglerObserveAllocsOp float64 `json:"straggler_observe_allocs_op"`
+}
+
 type desBench struct {
 	Workers        int     `json:"workers"`
 	Steps          float64 `json:"steps"`
@@ -58,11 +75,12 @@ type desBench struct {
 }
 
 type report struct {
-	Schema string      `json:"schema"`
-	Dim    int         `json:"dim"`
-	Wire   wireBench   `json:"wire"`
-	Server serverBench `json:"server"`
-	DES    desBench    `json:"des"`
+	Schema    string           `json:"schema"`
+	Dim       int              `json:"dim"`
+	Wire      wireBench        `json:"wire"`
+	Server    serverBench      `json:"server"`
+	Scheduler []schedulerBench `json:"scheduler"`
+	DES       desBench         `json:"des"`
 }
 
 func main() {
@@ -93,6 +111,13 @@ func run(args []string) error {
 	if rep.Server, err = benchServerApply(*dim); err != nil {
 		return err
 	}
+	for _, m := range []int{8, 64, 512} {
+		sb, err := benchScheduler(m)
+		if err != nil {
+			return err
+		}
+		rep.Scheduler = append(rep.Scheduler, sb)
+	}
 	if rep.DES, err = benchDES(*workers, *seed); err != nil {
 		return err
 	}
@@ -103,6 +128,12 @@ func run(args []string) error {
 	if rep.Wire.MarshalAllocsOp > 4 {
 		return fmt.Errorf("PushReq marshal costs %.0f allocs/op (want <= 4): wire pool regressed",
 			rep.Wire.MarshalAllocsOp)
+	}
+	for _, sb := range rep.Scheduler {
+		if sb.NotifyAllocsOp > 0 || sb.StragglerObserveAllocsOp > 0 {
+			return fmt.Errorf("scheduler at %d workers: %.0f allocs/notify, %.0f allocs/straggler observation (want 0 and 0)",
+				sb.Workers, sb.NotifyAllocsOp, sb.StragglerObserveAllocsOp)
+		}
 	}
 	if rep.DES.Steps == 0 || rep.DES.DeliveredMsgs == 0 {
 		return fmt.Errorf("DES reference run did no work (steps=%.0f delivered=%.0f)",
@@ -223,6 +254,103 @@ func benchServerApply(dim int) (serverBench, error) {
 	return serverBench{
 		ApplyNsPerPush:     float64(res.NsPerOp()),
 		ApplyAllocsPerPush: float64(res.AllocsPerOp()),
+	}, nil
+}
+
+// benchScheduler measures the scheduler at m workers. The notify stream comes
+// from m-1 workers in turn, so the epoch never closes and every measured
+// message takes the plain path: span estimate, straggler score, history
+// append and trim, window counting.
+func benchScheduler(m int) (schedulerBench, error) {
+	const iterTime = 100 * time.Millisecond
+	sched, err := core.NewScheduler(core.SchedulerConfig{
+		Workers: m, InitialSpan: iterTime, Obs: obs.New(obs.Options{}).Scheduler(),
+		Scheme: scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
+	})
+	if err != nil {
+		return schedulerBench{}, err
+	}
+	sched.Init(&benchCtx{})
+	ids := make([]node.ID, m-1)
+	for i := range ids {
+		ids[i] = node.WorkerID(i)
+	}
+	var n msg.Notify
+	k := 0
+	notify := func() {
+		n.Iter = int64(k / len(ids))
+		sched.Receive(ids[k%len(ids)], &n)
+		k++
+	}
+	for i := 0; i < 3*32*m; i++ { // past the history bound, every reporter scored
+		notify()
+	}
+	notifyRes := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			notify()
+		}
+	})
+
+	// One epoch's retune input: a full history of evenly paced workers with
+	// jittered phases, the last round as the epoch, and the search bounds the
+	// cluster harness derives from the iteration time.
+	rng := rand.New(rand.NewSource(3))
+	start := time.Unix(1_700_000_000, 0)
+	history := make([]core.PushRecord, 0, 32*m)
+	lastPull := make([]time.Time, m)
+	spans := make([]time.Duration, m)
+	for round := 0; round < 32; round++ {
+		for _, w := range rng.Perm(m) {
+			at := start.Add(time.Duration(round)*iterTime + time.Duration(rng.Int63n(int64(iterTime))))
+			history = append(history, core.PushRecord{At: at, Worker: w})
+		}
+		sort.Slice(history[round*m:], func(i, j int) bool {
+			return history[round*m+i].At.Before(history[round*m+j].At)
+		})
+	}
+	for _, p := range history {
+		lastPull[p.Worker] = p.At
+	}
+	for i := range spans {
+		spans[i] = iterTime
+	}
+	tcfg := core.TunerConfig{Workers: m, MinAbort: time.Millisecond, MaxAbort: iterTime / 8, MaxCandidates: 512}
+	if _, err := core.Tune(tcfg, history, history[31*m:], lastPull, spans); err != nil {
+		return schedulerBench{}, err
+	}
+	tuneRes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Tune(tcfg, history, history[31*m:], lastPull, spans); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	so := obs.New(obs.Options{}).Scheduler()
+	at := start
+	observe := func(i int) {
+		at = at.Add(time.Millisecond)
+		so.WorkerSpan(at, i%m, iterTime)
+	}
+	for i := 0; i < 4*m; i++ {
+		observe(i)
+	}
+	observeRes := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			observe(i)
+		}
+	})
+	return schedulerBench{
+		Name:                     fmt.Sprintf("m%d", m),
+		Workers:                  m,
+		NotifyNsOp:               float64(notifyRes.NsPerOp()),
+		NotifyAllocsOp:           float64(notifyRes.AllocsPerOp()),
+		TuneNsOp:                 float64(tuneRes.NsPerOp()),
+		StragglerObserveAllocsOp: float64(observeRes.AllocsPerOp()),
 	}, nil
 }
 

@@ -72,7 +72,7 @@ func (s *Scheduler) Snapshot() SchedulerSnapshot {
 		Rates:           append([]float64(nil), s.rates...),
 		SpanEWMA:        append([]time.Duration(nil), s.spanEWMA...),
 		LastNotify:      append([]time.Time(nil), s.lastNotify...),
-		History:         append([]PushRecord(nil), s.history...),
+		History:         append([]PushRecord(nil), s.history.Items()...),
 		Tunes:           s.tunes,
 		NotifyCount:     append([]int64(nil), s.notifyCount...),
 		Pushed:          append([]bool(nil), s.pushed...),
@@ -117,7 +117,11 @@ func (s *Scheduler) Restore(snap SchedulerSnapshot) error {
 	copy(s.rates, snap.Rates)
 	copy(s.spanEWMA, snap.SpanEWMA)
 	copy(s.lastNotify, snap.LastNotify)
-	s.history = append(s.history[:0], snap.History...)
+	s.history.Reset(snap.History)
+	clear(s.histCount)
+	for _, rec := range snap.History {
+		s.histCount[rec.Worker]++
+	}
 	s.tunes = snap.Tunes
 	copy(s.notifyCount, snap.NotifyCount)
 	copy(s.pushed, snap.Pushed)

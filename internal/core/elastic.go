@@ -107,7 +107,7 @@ func (s *Scheduler) handleJoinReq(from node.ID) {
 	}
 	s.ctx.Logf("scheduler: worker %d joined (membership epoch %d, %d alive)", i, epoch, s.aliveN)
 	s.sendJoinAck(i)
-	s.publishCluster(now)
+	s.viewAt = now
 }
 
 func (s *Scheduler) sendJoinAck(i int) {
@@ -187,7 +187,7 @@ func (s *Scheduler) retireWorker(i int) {
 		s.barrierN--
 	}
 	s.dropFromCoordination(i, now)
-	s.publishCluster(now)
+	s.viewAt = now
 }
 
 // startMigration freezes the involved servers and hands each its precomputed

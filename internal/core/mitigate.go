@@ -154,6 +154,8 @@ func (s *Scheduler) mitigateEvery() time.Duration {
 // armMitigate schedules the next mitigation pass.
 func (s *Scheduler) armMitigate() {
 	s.ctx.After(s.mitigateEvery(), func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.mitigateTick(s.ctx.Now())
 		s.armMitigate()
 	})
@@ -346,11 +348,7 @@ func (s *Scheduler) handleCloneNotify(slot int, n *msg.Notify) {
 	}
 	s.notifyCount[target] = n.Iter + 1
 
-	s.history = append(s.history, PushRecord{At: now, Worker: target})
-	if len(s.history) > s.cfg.HistoryLimit {
-		drop := len(s.history) - s.cfg.HistoryLimit
-		s.history = append(s.history[:0], s.history[drop:]...)
-	}
+	s.recordPush(target, now)
 
 	if !s.pushed[target] {
 		s.pushed[target] = true
@@ -379,5 +377,5 @@ func (s *Scheduler) handleCloneNotify(slot int, n *msg.Notify) {
 		}
 		s.broadcastMinClock()
 	}
-	s.publishCluster(now)
+	s.viewAt = now
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,8 +62,8 @@ type SchedulerConfig struct {
 	LivenessTimeout time.Duration
 	// Faults, if non-nil, receives eviction/re-admission counts.
 	Faults *metrics.Faults
-	// Obs, if non-nil, receives re-sync/epoch/membership telemetry and
-	// publishes the aggregated cluster snapshot served at /clusterz.
+	// Obs, if non-nil, receives re-sync/epoch/membership telemetry and is
+	// handed the source the /clusterz view is built from at request time.
 	Obs *obs.SchedulerObs
 	// Generation is this scheduler's incarnation number. Zero is the
 	// original process; a positive value marks a post-crash restart, which
@@ -107,6 +108,14 @@ type SchedulerConfig struct {
 // (Algorithm 1), and implements the BSP barrier and SSP clock services for
 // the baseline schemes.
 type Scheduler struct {
+	// mu is held across every entry point — Init, Receive and the timer
+	// callbacks, which the runtime already serializes — so that the one
+	// outside reader, clusterView on a /clusterz request's goroutine, sees
+	// consistent state. Uncontended unless somebody is reading. The config's
+	// hooks (OnTune, OnRouting, the Mitigate callbacks) run under it and must
+	// not ask Obs for the cluster view.
+	mu sync.Mutex
+
 	ctx node.Context
 	cfg SchedulerConfig
 	m   int
@@ -117,14 +126,18 @@ type Scheduler struct {
 	rates       []float64
 	windows     []specWindow
 
-	// Push history and epoch tracking.
-	history    []PushRecord
-	lastNotify []time.Time
-	spanEWMA   []time.Duration
-	pushed     []bool
-	pushedN    int
-	epoch      atomic.Int64
-	epochStart time.Time
+	// Push history and epoch tracking. histCount[i] is worker i's number of
+	// records in history, kept as records enter and leave; epochPushes is
+	// retune's scratch.
+	history     Tail[PushRecord]
+	histCount   []int
+	epochPushes []PushRecord
+	lastNotify  []time.Time
+	spanEWMA    []time.Duration
+	pushed      []bool
+	pushedN     int
+	epoch       atomic.Int64
+	epochStart  time.Time
 
 	// notifyCount[i] is the number of completed iterations worker i has
 	// reported via Notify (== last Notify.Iter + 1). A restarted scheduler
@@ -183,6 +196,10 @@ type Scheduler struct {
 	tunes        int64
 	stateReports int64
 	restored     bool // booted from a checkpoint snapshot
+
+	// viewAt stamps the /clusterz view: the time of the last notify, state
+	// report or membership change handled. Zero until there is one.
+	viewAt time.Time
 }
 
 // specWindow tracks one worker's open speculation window.
@@ -240,6 +257,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:         cfg,
 		m:           cfg.Workers,
+		histCount:   make([]int, cfg.Workers),
 		lastNotify:  make([]time.Time, cfg.Workers),
 		spanEWMA:    make([]time.Duration, cfg.Workers),
 		pushed:      make([]bool, cfg.Workers),
@@ -312,8 +330,11 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 // SchedulerHello so workers answer with StateReports and the barrier /
 // clock / epoch state rebuilds.
 func (s *Scheduler) Init(ctx node.Context) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.ctx = ctx
 	now := ctx.Now()
+	s.cfg.Obs.ClusterSource(s.clusterView)
 	if s.epochStart.IsZero() || !s.restored {
 		s.epochStart = now
 	}
@@ -349,7 +370,7 @@ func (s *Scheduler) Init(ctx node.Context) {
 				s.resendScheme(i, now)
 			}
 		}
-		s.publishCluster(now)
+		s.viewAt = now
 		return
 	}
 	for i := 0; i < s.cfg.ActiveWorkers; i++ {
@@ -360,6 +381,8 @@ func (s *Scheduler) Init(ctx node.Context) {
 // armBeacon schedules the periodic scheduler liveness beacon.
 func (s *Scheduler) armBeacon() {
 	s.ctx.After(s.cfg.BeaconEvery, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		for i := 0; i < s.m; i++ {
 			s.ctx.Send(node.WorkerID(i), &msg.SchedulerBeacon{Gen: s.cfg.Generation})
 		}
@@ -371,6 +394,8 @@ func (s *Scheduler) armBeacon() {
 // half the timeout bounds detection latency to 1.5x LivenessTimeout.
 func (s *Scheduler) armLivenessSweep() {
 	s.ctx.After(s.cfg.LivenessTimeout/2, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.sweepLiveness(s.ctx.Now())
 		s.armLivenessSweep()
 	})
@@ -466,6 +491,8 @@ func (s *Scheduler) dropFromCoordination(i int, now time.Time) {
 
 // Receive implements node.Handler.
 func (s *Scheduler) Receive(from node.ID, m wire.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch mm := m.(type) {
 	case *msg.Notify:
 		s.handleNotify(from, mm)
@@ -538,12 +565,7 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 	}
 	s.lastNotify[i] = now
 
-	// Push history (bounded).
-	s.history = append(s.history, PushRecord{At: now, Worker: i})
-	if len(s.history) > s.cfg.HistoryLimit {
-		drop := len(s.history) - s.cfg.HistoryLimit
-		s.history = append(s.history[:0], s.history[drop:]...)
-	}
+	s.recordPush(i, now)
 
 	// Completed-iteration count, for post-restart epoch rebuilds.
 	if c := n.Iter + 1; c > s.notifyCount[i] {
@@ -604,7 +626,19 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 		s.broadcastMinClock()
 	}
 
-	s.publishCluster(now)
+	s.viewAt = now
+}
+
+// recordPush appends one push to the bounded history.
+func (s *Scheduler) recordPush(worker int, now time.Time) {
+	s.history.Push(PushRecord{At: now, Worker: worker})
+	s.histCount[worker]++
+	if drop := s.history.Len() - s.cfg.HistoryLimit; drop > 0 {
+		for _, rec := range s.history.Items()[:drop] {
+			s.histCount[rec.Worker]--
+		}
+		s.history.Drop(drop)
+	}
 }
 
 // handleNotifyV2 consumes the dynamic-run notify: the worker's self-measured
@@ -631,28 +665,28 @@ func (s *Scheduler) handleNotifyV2(from node.ID, n *msg.NotifyV2) {
 	s.handleNotify(from, &msg.Notify{Iter: n.Iter})
 }
 
-// publishCluster refreshes the /clusterz snapshot: per-worker push rates over
-// the retained history window, the current speculation hyperparameters, and
-// each worker's spec-window state. Nothing is sent and no timer is scheduled,
-// so publishing cannot perturb simulated runs.
-func (s *Scheduler) publishCluster(now time.Time) {
-	if s.cfg.Obs == nil {
-		return
-	}
-	counts := make([]int, s.m)
-	for _, rec := range s.history {
-		counts[rec.Worker]++
+// clusterView builds the /clusterz payload: per-worker push rates over the
+// retained history window, the current speculation hyperparameters, and each
+// worker's spec-window state. It is the source handed to Obs at Init and runs
+// on the reader's goroutine, so it takes the lock; the notify path pays
+// nothing for a view nobody asks for. ok is false until the scheduler has
+// handled its first notify or state report.
+func (s *Scheduler) clusterView() (obs.ClusterSnapshot, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.viewAt.IsZero() {
+		return obs.ClusterSnapshot{}, false
 	}
 	var window time.Duration
-	if len(s.history) > 0 {
-		window = now.Sub(s.history[0].At)
+	if hist := s.history.Items(); len(hist) > 0 {
+		window = s.viewAt.Sub(hist[0].At)
 	}
 	workers := make([]obs.WorkerState, s.m)
 	for i := range workers {
 		w := &s.windows[i]
 		rate := 0.0
 		if window > 0 {
-			rate = float64(counts[i]) / window.Seconds()
+			rate = float64(s.histCount[i]) / window.Seconds()
 		}
 		workers[i] = obs.WorkerState{
 			Index:           i,
@@ -665,8 +699,8 @@ func (s *Scheduler) publishCluster(now time.Time) {
 			WindowThreshold: int(math.Ceil(w.threshold)),
 		}
 	}
-	s.cfg.Obs.PublishCluster(obs.ClusterSnapshot{
-		At:               now,
+	return obs.ClusterSnapshot{
+		At:               s.viewAt,
 		Epoch:            s.epoch.Load(),
 		MembershipEpoch:  s.membershipEpoch.Load(),
 		SpecEnabled:      s.specEnabled,
@@ -681,7 +715,7 @@ func (s *Scheduler) publishCluster(now time.Time) {
 		SchemeSwitches:   s.switches.Load(),
 		LastSwitchReason: s.lastSwitchWhy,
 		LastSwitchAt:     s.lastSwitchAt,
-	})
+	}, true
 }
 
 // releaseBarrier opens the BSP barrier for the next round.
@@ -758,7 +792,7 @@ func (s *Scheduler) handleStateReport(i int, r *msg.StateReport) {
 		}
 	}
 
-	s.publishCluster(now)
+	s.viewAt = now
 }
 
 // broadcastMinClock recomputes the SSP min-clock over live members and
@@ -803,6 +837,8 @@ func (s *Scheduler) armWindow(i int, abortIter int64, now time.Time) {
 		threshold: float64(s.aliveN) * rate,
 	}
 	w.cancel = s.ctx.After(s.abortTime, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.expireWindow(i, abortIter)
 	})
 }
@@ -884,29 +920,26 @@ func (s *Scheduler) epochBoundary(now time.Time) {
 }
 
 func (s *Scheduler) retune(now time.Time) {
-	// Pushes of the finished epoch drive candidate generation.
-	var epochPushes []PushRecord
-	for _, rec := range s.history {
+	// Pushes of the finished epoch drive candidate generation. Tune only
+	// reads its inputs, so the scheduler's own slices go in uncopied.
+	history := s.history.Items()
+	s.epochPushes = s.epochPushes[:0]
+	for _, rec := range history {
 		if rec.At.After(s.epochStart) && !rec.At.After(now) {
-			epochPushes = append(epochPushes, rec)
+			s.epochPushes = append(s.epochPushes, rec)
 		}
 	}
-	lastPull := make([]time.Time, s.m)
-	copy(lastPull, s.lastNotify)
-	spans := make([]time.Duration, s.m)
-	copy(spans, s.spanEWMA)
 
 	tcfg := s.cfg.Tuner
 	if s.aliveN < s.m {
-		tcfg.Alive = make([]bool, s.m)
-		copy(tcfg.Alive, s.alive)
+		tcfg.Alive = s.alive
 	}
 	if tcfg.MaxAbort == 0 {
 		// Default ceiling: half the mean iteration span of live members,
 		// mirroring the paper's grid-search bound.
 		var sum time.Duration
 		n := 0
-		for i, sp := range spans {
+		for i, sp := range s.spanEWMA {
 			if s.alive[i] {
 				sum += sp
 				n++
@@ -917,7 +950,7 @@ func (s *Scheduler) retune(now time.Time) {
 		}
 	}
 
-	tuning, err := Tune(tcfg, s.history, epochPushes, lastPull, spans)
+	tuning, err := Tune(tcfg, history, s.epochPushes, s.lastNotify, s.spanEWMA)
 	if err != nil {
 		s.ctx.Logf("scheduler: tuner error: %v; speculation paused", err)
 		s.specEnabled = false

@@ -6,7 +6,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -72,6 +73,11 @@ type Tuning struct {
 // The freshness gain estimate is u~_i(Delta) = number of pushes by peers in
 // (lastPull_i, lastPull_i + Delta] (Eq. 5, using the previous epoch as the
 // predictor), and the loss estimate is Delta * (m-1) / T_i (Eq. 6).
+//
+// Internally every time is an offset from the first epoch push (At.Sub, so
+// monotonic-clock readings are honoured the same way Before/After honour
+// them). Times are assumed to be either all wall-clock or all carrying
+// monotonic readings of one process, which is what a node.Context hands out.
 func Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []time.Time, iterSpan []time.Duration) (Tuning, error) {
 	m := cfg.Workers
 	if m < 2 {
@@ -98,8 +104,10 @@ func Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []time.Ti
 			return Tuning{}, fmt.Errorf("core: worker %d has non-positive iteration span %v", i, span)
 		}
 	}
-	if !sort.SliceIsSorted(history, func(i, j int) bool { return history[i].At.Before(history[j].At) }) {
-		return Tuning{}, fmt.Errorf("core: history not sorted by time")
+	for k := 1; k < len(history); k++ {
+		if history[k].At.Before(history[k-1].At) {
+			return Tuning{}, fmt.Errorf("core: history not sorted by time")
+		}
 	}
 
 	candidates := candidateWindows(cfg, epochPushes, lastPull)
@@ -107,35 +115,61 @@ func Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []time.Ti
 		return Tuning{Enabled: false, Candidates: 0}, nil
 	}
 
-	// Index pushes for O(log n) window counting: all pushes and per-worker.
-	// Pushes from evicted workers predict no future gain and are excluded.
-	allTimes := make([]time.Time, 0, len(history))
-	perWorker := make(map[int][]time.Time, m)
+	// Index pushes for window counting, as ascending offsets: all of them,
+	// and each member's own. Pushes from evicted workers predict no future
+	// gain and are excluded.
+	base := epochPushes[0].At
+	all := make([]time.Duration, 0, len(history))
+	own := make([][]time.Duration, m)
 	for _, p := range history {
-		if p.Worker >= 0 && p.Worker < m && !alive(p.Worker) {
+		member := p.Worker >= 0 && p.Worker < m
+		if member && !alive(p.Worker) {
 			continue
 		}
-		allTimes = append(allTimes, p.At)
-		perWorker[p.Worker] = append(perWorker[p.Worker], p.At)
+		at := p.At.Sub(base)
+		all = append(all, at)
+		if member {
+			own[p.Worker] = append(own[p.Worker], at)
+		}
 	}
 
-	countIn := func(ts []time.Time, after, upTo time.Time) int {
-		lo := sort.Search(len(ts), func(i int) bool { return ts[i].After(after) })
-		hi := sort.Search(len(ts), func(i int) bool { return ts[i].After(upTo) })
-		return hi - lo
+	// One cursor per live worker, in worker order (the order the float sum
+	// below accumulates in). The window's lower end — the pushes at or before
+	// lastPull_i — does not depend on Delta and is located once; the upper
+	// end only ever moves forward, because candidates ascend.
+	type cursor struct {
+		pull         time.Duration
+		span         float64
+		own          []time.Duration
+		allLo, allHi int
+		ownLo, ownHi int
+	}
+	cursors := make([]cursor, 0, aliveN)
+	for i := 0; i < m; i++ {
+		if !alive(i) {
+			continue
+		}
+		c := cursor{pull: lastPull[i].Sub(base), span: float64(iterSpan[i]), own: own[i]}
+		c.allLo = advance(all, 0, c.pull)
+		c.ownLo = advance(c.own, 0, c.pull)
+		c.allHi, c.ownHi = c.allLo, c.ownLo
+		cursors = append(cursors, c)
 	}
 
 	best := Tuning{Enabled: false, Candidates: len(candidates)}
 	for _, delta := range candidates {
+		lossNum := float64(delta) * float64(aliveN-1)
 		var f float64
-		for i := 0; i < m; i++ {
-			if !alive(i) {
-				continue
+		for k := range cursors {
+			c := &cursors[k]
+			hi := c.pull + delta
+			if hi < c.pull {
+				hi = math.MaxInt64
 			}
-			hi := lastPull[i].Add(delta)
-			gain := countIn(allTimes, lastPull[i], hi) - countIn(perWorker[i], lastPull[i], hi)
-			loss := float64(delta) * float64(aliveN-1) / float64(iterSpan[i])
-			f += float64(gain) - loss
+			c.allHi = advance(all, c.allHi, hi)
+			c.ownHi = advance(c.own, c.ownHi, hi)
+			gain := (c.allHi - c.allLo) - (c.ownHi - c.ownLo)
+			f += float64(gain) - lossNum/c.span
 		}
 		if !best.Enabled || f > best.Improvement {
 			best.Enabled = true
@@ -159,43 +193,85 @@ func Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []time.Ti
 	return best, nil
 }
 
+// advance returns the first index k >= from with ts[k] > x, given ascending
+// ts and everything before from already <= x. A step that crosses no push —
+// the common one — costs a comparison, inlined at the call site.
+func advance(ts []time.Duration, from int, x time.Duration) int {
+	if from == len(ts) || ts[from] > x {
+		return from
+	}
+	return gallop(ts, from, x)
+}
+
+// gallop is advance for ts[from] <= x: it doubles its stride until it
+// overshoots, then bisects the last stride, so a jump over n entries costs
+// O(log n).
+func gallop(ts []time.Duration, from int, x time.Duration) int {
+	step := 1
+	for from+step < len(ts) && ts[from+step] <= x {
+		from += step
+		step *= 2
+	}
+	lo, hi := from+1, min(from+step, len(ts))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ts[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // candidateWindows produces the distinct gaps between each epoch push and
-// each worker's last pull, clamped and optionally sub-sampled. The gain
-// estimate u~_i(Delta) is a step function that increments exactly when
+// each worker's last pull, clamped and optionally sub-sampled, ascending. The
+// gain estimate u~_i(Delta) is a step function that increments exactly when
 // lastPull_i + Delta crosses a push time, while the loss is linear in Delta,
 // so the optimum right-aligns some worker's window with some push — i.e. it
 // lies in this set. (Paper Algorithm 1 uses pairwise push gaps, which is the
 // same set under its pull-follows-push proxy; using push-pull gaps keeps the
 // search exact even when the two diverge.)
 func candidateWindows(cfg TunerConfig, pushes []PushRecord, lastPull []time.Time) []time.Duration {
+	if len(pushes) == 0 {
+		return nil
+	}
 	alive := func(i int) bool { return cfg.Alive == nil || cfg.Alive[i] }
-	set := make(map[time.Duration]struct{})
+	base := pushes[0].At
+	pulls := make([]time.Duration, 0, len(lastPull))
+	for w, lp := range lastPull {
+		if alive(w) {
+			pulls = append(pulls, lp.Sub(base))
+		}
+	}
+	lo, hi := time.Duration(1), time.Duration(math.MaxInt64)
+	if cfg.MinAbort > lo {
+		lo = cfg.MinAbort
+	}
+	if cfg.MaxAbort > 0 {
+		hi = cfg.MaxAbort
+	}
+	var out []time.Duration
 	for _, p := range pushes {
 		if p.Worker >= 0 && p.Worker < len(lastPull) && !alive(p.Worker) {
 			continue
 		}
-		for w, lp := range lastPull {
-			if !alive(w) {
-				continue
+		at := p.At.Sub(base)
+		for _, pull := range pulls {
+			d := at - pull
+			if pull < 0 && (d < at || pull == math.MinInt64) {
+				// The pull lies further back than a Duration can span (a
+				// worker that never notified has the zero time): the offset
+				// or the gap overflowed, so clamp as Time.Sub does.
+				d = math.MaxInt64
 			}
-			d := p.At.Sub(lp)
-			if d <= 0 {
-				continue
+			if d >= lo && d <= hi {
+				out = append(out, d)
 			}
-			if cfg.MinAbort > 0 && d < cfg.MinAbort {
-				continue
-			}
-			if cfg.MaxAbort > 0 && d > cfg.MaxAbort {
-				continue
-			}
-			set[d] = struct{}{}
 		}
 	}
-	out := make([]time.Duration, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	out = slices.Compact(out)
 	if cfg.MaxCandidates > 0 && len(out) > cfg.MaxCandidates {
 		sampled := make([]time.Duration, 0, cfg.MaxCandidates)
 		step := float64(len(out)-1) / float64(cfg.MaxCandidates-1)

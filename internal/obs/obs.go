@@ -36,9 +36,9 @@ type Options struct {
 	Stragglers StragglerOptions
 }
 
-// Obs bundles the metrics registry, the optional span log, and the latest
-// scheduler cluster snapshot. A nil *Obs yields nil handles, so wiring is
-// optional at every layer.
+// Obs bundles the metrics registry, the optional span log, and the sources
+// of the /clusterz view. A nil *Obs yields nil handles, so wiring is optional
+// at every layer.
 type Obs struct {
 	reg        *Registry
 	spans      *SpanLog
@@ -51,16 +51,17 @@ type Obs struct {
 	restartH *Histogram
 	staleH   *Histogram
 
+	// cluster is the fleet-level view a job manager composes and publishes;
+	// single-job runs leave it nil and serve clusterSrc[""] instead.
 	cluster atomic.Pointer[ClusterSnapshot]
 
 	// schedLease is the most recent leader report from SchedulerRole, so
 	// /healthz can expose who is serving and at which term.
 	schedLease atomic.Pointer[leaderLease]
 
-	// jobClusters holds one scheduler-published snapshot per job in a
-	// multi-tenant fleet (keyed by job label); the fleet-level view in
-	// cluster is composed by the job manager.
-	jobClusters sync.Map // string -> *ClusterSnapshot
+	// clusterSrc holds, per job label ("" outside a multi-tenant fleet), the
+	// function its scheduler registered to build that job's view on request.
+	clusterSrc sync.Map // string -> func() (ClusterSnapshot, bool)
 }
 
 // New builds an Obs with the standard SpecSync metric families registered.
@@ -196,20 +197,20 @@ func (o *Obs) SetTracer(t trace.Tracer) {
 	o.stragglers.setTracer(t)
 }
 
-// ClusterSnapshot returns the most recent scheduler-published cluster view.
+// ClusterSnapshot returns the cluster view: the fleet-level one a job manager
+// published, or else the scheduler's, built now from its current state.
 func (o *Obs) ClusterSnapshot() (ClusterSnapshot, bool) {
 	if o == nil {
 		return ClusterSnapshot{}, false
 	}
-	p := o.cluster.Load()
-	if p == nil {
-		return ClusterSnapshot{}, false
+	if p := o.cluster.Load(); p != nil {
+		return *p, true
 	}
-	return *p, true
+	return o.JobClusterSnapshot("")
 }
 
 // PublishCluster stores a cluster view directly (fleet-level composition by
-// the job manager; single-job runs publish through SchedulerObs instead).
+// the job manager; a scheduler registers a ClusterSource instead).
 func (o *Obs) PublishCluster(snap ClusterSnapshot) {
 	if o == nil {
 		return
@@ -217,24 +218,29 @@ func (o *Obs) PublishCluster(snap ClusterSnapshot) {
 	o.cluster.Store(&snap)
 }
 
-// JobClusterSnapshot returns the latest snapshot published by one job's
-// scheduler in a multi-tenant fleet.
+// JobClusterSnapshot builds one job's scheduler view from the source that
+// scheduler registered, decorating each worker row with its straggler score
+// and flag level. ok is false until the scheduler has something to show.
 func (o *Obs) JobClusterSnapshot(job string) (ClusterSnapshot, bool) {
 	if o == nil {
 		return ClusterSnapshot{}, false
 	}
-	p, ok := o.jobClusters.Load(job)
+	src, ok := o.clusterSrc.Load(job)
 	if !ok {
 		return ClusterSnapshot{}, false
 	}
-	return *p.(*ClusterSnapshot), true
+	snap, ok := src.(func() (ClusterSnapshot, bool))()
+	if ok {
+		o.stragglers.decorate(job, snap.Workers)
+	}
+	return snap, ok
 }
 
 // JobView namespaces handles for one tenant of a multi-job fleet: every
 // series its Worker/Server/Scheduler handles create carries an extra
 // ("job", name) label pair, so two jobs' worker 0 do not collide in the
-// shared registry, and the per-job scheduler publishes its cluster view into
-// a per-job slot instead of the fleet-level one. Summary still totals across
+// shared registry, and the per-job scheduler registers its cluster view under
+// the job's name instead of as the fleet-level one. Summary still totals across
 // all jobs (SumCounters ignores labels).
 type JobView struct {
 	o   *Obs
@@ -724,26 +730,16 @@ func (s *SchedulerObs) AliveWorkers(n int) {
 	s.alive.Set(float64(n))
 }
 
-// PublishCluster stores the latest cluster snapshot for /clusterz, first
-// decorating each worker row with its straggler score and flag level. A
-// job-scoped handle publishes into its job's slot (JobClusterSnapshot); the
-// fleet-level view is composed by the job manager, not by any one tenant.
-func (s *SchedulerObs) PublishCluster(snap ClusterSnapshot) {
+// ClusterSource registers the function that builds this scheduler's cluster
+// view; /clusterz and JobClusterSnapshot call it at request time, from the
+// reader's goroutine. A later incarnation's registration replaces an earlier
+// one's. The fleet-level view is composed by the job manager, not by any one
+// tenant.
+func (s *SchedulerObs) ClusterSource(src func() (ClusterSnapshot, bool)) {
 	if s == nil {
 		return
 	}
-	for i := range snap.Workers {
-		w := &snap.Workers[i]
-		if score, level, ok := s.o.stragglers.Flag(s.job, w.Index); ok {
-			w.StragglerScore = score
-			w.Straggler = level.String()
-		}
-	}
-	if s.job != "" {
-		s.o.jobClusters.Store(s.job, &snap)
-		return
-	}
-	s.o.cluster.Store(&snap)
+	s.o.clusterSrc.Store(s.job, src)
 }
 
 // ServerObs instruments one parameter-server shard. Nil-safe.

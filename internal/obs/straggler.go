@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -133,8 +134,12 @@ type stragglerWorker struct {
 }
 
 type stragglerJob struct {
-	name       string
-	workers    map[int]*stragglerWorker
+	name    string
+	workers map[int]*stragglerWorker
+	// spans is the scored population — the span estimate of every worker
+	// with at least MinSamples observations — kept ascending by ObserveSpan,
+	// so the fleet median is read off its middle.
+	spans      []float64
 	flaggedG   *Gauge
 	sustainedG *Gauge
 	// truth is the injected-straggler ground truth a plan registered for
@@ -220,7 +225,7 @@ func (d *StragglerDetector) workerLocked(j *stragglerJob, index int) *stragglerW
 // scheduler's notify-interval EWMA) and re-scores that worker against its
 // job's median.
 func (d *StragglerDetector) ObserveSpan(job string, worker int, at time.Time, spanSeconds float64) {
-	if d == nil || spanSeconds <= 0 {
+	if d == nil || !(spanSeconds > 0) {
 		return
 	}
 	d.mu.Lock()
@@ -236,6 +241,12 @@ func (d *StragglerDetector) ObserveSpan(job string, worker int, at time.Time, sp
 				w.rate = (1-d.opts.Alpha)*w.rate + d.opts.Alpha*inst
 			}
 		}
+	}
+	switch {
+	case w.samples >= d.opts.MinSamples:
+		moveSorted(j.spans, w.span, spanSeconds)
+	case w.samples+1 == d.opts.MinSamples:
+		j.spans = insertSorted(j.spans, spanSeconds)
 	}
 	w.span = spanSeconds
 	w.samples++
@@ -279,18 +290,12 @@ func (d *StragglerDetector) scoreLocked(j *stragglerJob, w *stragglerWorker, at 
 	if w.samples < d.opts.MinSamples {
 		return
 	}
-	eligible := make([]float64, 0, len(j.workers))
-	for _, p := range j.workers {
-		if p.samples >= d.opts.MinSamples {
-			eligible = append(eligible, p.span)
-		}
-	}
+	eligible := j.spans
 	if len(eligible) < 2 {
 		w.score = 1
 		w.scoreG.Set(1)
 		return
 	}
-	sort.Float64s(eligible)
 	var median float64
 	if n := len(eligible); n%2 == 1 {
 		median = eligible[n/2]
@@ -438,8 +443,48 @@ func (d *StragglerDetector) EverSustained(job string) []int {
 	return out
 }
 
+// insertSorted adds v to ascending xs.
+func insertSorted(xs []float64, v float64) []float64 {
+	return slices.Insert(xs, sort.SearchFloat64s(xs, v), v)
+}
+
+// moveSorted replaces one occurrence of old in ascending xs with v, shifting
+// only the entries between the two positions.
+func moveSorted(xs []float64, old, v float64) {
+	from := sort.SearchFloat64s(xs, old)
+	if v >= old {
+		to := from + sort.SearchFloat64s(xs[from+1:], v)
+		copy(xs[from:to], xs[from+1:to+1])
+		xs[to] = v
+	} else {
+		to := sort.SearchFloat64s(xs[:from], v)
+		copy(xs[to+1:from+1], xs[to:from])
+		xs[to] = v
+	}
+}
+
+// decorate fills the straggler score and flag level into one job's /clusterz
+// worker rows (rows of workers not yet scored are left alone).
+func (d *StragglerDetector) decorate(job string, rows []WorkerState) {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j, ok := d.jobs[job]
+	if !ok {
+		return
+	}
+	for i := range rows {
+		if w, ok := j.workers[rows[i].Index]; ok && w.samples >= d.opts.MinSamples {
+			rows[i].StragglerScore = w.score
+			rows[i].Straggler = w.level.String()
+		}
+	}
+}
+
 // Flag returns the current score and level for one worker (ok=false when the
-// worker has never been scored). Used to decorate /clusterz rows.
+// worker has never been scored).
 func (d *StragglerDetector) Flag(job string, worker int) (score float64, level StragglerLevel, ok bool) {
 	if d == nil {
 		return 0, StragglerOK, false

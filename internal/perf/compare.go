@@ -199,7 +199,9 @@ func Compare(oldJSON, newJSON []byte, opts Options) (*Result, error) {
 	sort.Strings(res.NewOnly)
 	for _, k := range keys {
 		d := Delta{Key: k, Old: oldM[k], New: newM[k], Direction: Classify(k)}
-		if d.Direction != Informational && d.Old != 0 {
+		switch {
+		case d.Direction == Informational:
+		case d.Old != 0:
 			switch d.Direction {
 			case LowerIsBetter:
 				d.WorseFrac = (d.New - d.Old) / d.Old
@@ -217,6 +219,12 @@ func Compare(oldJSON, newJSON []byte, opts Options) (*Result, error) {
 				d.Tolerance = opts.AllocTolerance
 			}
 			d.Regressed = d.WorseFrac > d.Tolerance
+		case isAllocKey(k) && d.New > 0:
+			// A pinned zero has no fraction to worsen by: any allocation on
+			// a path the baseline ran alloc-free is a regression.
+			d.Tolerance = opts.AllocTolerance
+			d.WorseFrac = math.Inf(1)
+			d.Regressed = true
 		}
 		res.Deltas = append(res.Deltas, d)
 	}

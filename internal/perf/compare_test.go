@@ -85,6 +85,20 @@ func TestCompareAllocTolerance(t *testing.T) {
 	}
 }
 
+// TestCompareZeroAllocBaselineGates: a path pinned at zero allocs/op has no
+// fractional slack — one allocation fails the gate, zero still passes.
+func TestCompareZeroAllocBaselineGates(t *testing.T) {
+	zero := strings.Replace(baseline, `"marshal_allocs_op": 2`, `"marshal_allocs_op": 0`, 1)
+	if regs := mustCompare(t, zero, zero, Options{}).Regressions(); len(regs) != 0 {
+		t.Errorf("zero against zero regressed: %+v", regs)
+	}
+	one := strings.Replace(baseline, `"marshal_allocs_op": 2`, `"marshal_allocs_op": 1`, 1)
+	regs := mustCompare(t, zero, one, Options{}).Regressions()
+	if len(regs) != 1 || regs[0].Key != "wire.marshal_allocs_op" {
+		t.Fatalf("regressions = %+v, want the 0 -> 1 allocs/op", regs)
+	}
+}
+
 // TestCompareInformationalKeysNeverGate: workers/wall_seconds style keys are
 // context, not gates — even a wild swing passes.
 func TestCompareInformationalKeysNeverGate(t *testing.T) {

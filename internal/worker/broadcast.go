@@ -42,18 +42,16 @@ func (wk *Worker) handlePushNotice(from node.ID) {
 	now := wk.ctx.Now()
 	if abortTime, _ := wk.localSpecParams(); abortTime > 0 {
 		cutoff := now.Add(-abortTime)
-		keep := 0
-		for keep < len(wk.peerPushes) && !wk.peerPushes[keep].After(cutoff) {
-			keep++
+		pushes := wk.peerPushes.Items()
+		stale := 0
+		for stale < len(pushes) && !pushes[stale].After(cutoff) {
+			stale++
 		}
-		if keep > 0 {
-			wk.peerPushes = append(wk.peerPushes[:0], wk.peerPushes[keep:]...)
-		}
+		wk.peerPushes.Drop(stale)
 	}
-	wk.peerPushes = append(wk.peerPushes, now)
-	if len(wk.peerPushes) > broadcastPushHistoryLimit {
-		drop := len(wk.peerPushes) - broadcastPushHistoryLimit
-		wk.peerPushes = append(wk.peerPushes[:0], wk.peerPushes[drop:]...)
+	wk.peerPushes.Push(now)
+	if over := wk.peerPushes.Len() - broadcastPushHistoryLimit; over > 0 {
+		wk.peerPushes.Drop(over)
 	}
 }
 
@@ -81,8 +79,9 @@ func (wk *Worker) checkLocalResync(start, deadline time.Time, iter int64) {
 		return
 	}
 	cnt := 0
-	for j := len(wk.peerPushes) - 1; j >= 0; j-- {
-		at := wk.peerPushes[j]
+	pushes := wk.peerPushes.Items()
+	for j := len(pushes) - 1; j >= 0; j-- {
+		at := pushes[j]
 		if !at.After(start) {
 			break
 		}

@@ -315,7 +315,7 @@ type Worker struct {
 
 	// Decentralized-speculation state: local copy of peer push times. Also
 	// used by the degraded-mode failover when the scheduler is lost.
-	peerPushes []time.Time
+	peerPushes core.Tail[time.Time]
 
 	// Scheduler failure-detector state. degraded is atomic only so
 	// live-mode monitors can read it; all writes happen on the worker's
