@@ -1,12 +1,16 @@
 // Command specsync-codec-bench measures the codec layer and emits a JSON
-// report (BENCH_codec.json in CI): per-codec encode/decode ns/op and payload
-// bytes on a fixed block, plus bytes-per-push from short simulated runs so
-// the wire-level effect of each codec is tracked alongside the microbench.
+// report (BENCH_codec.json in CI): per-codec encode/decode ns/op, allocs/op
+// and payload bytes at two block sizes (-block, and the 8192-value shard of
+// the tcp_topk benchmark workload), plus bytes-per-push from short simulated
+// runs so the wire-level effect of each codec is tracked alongside the
+// microbench.
 //
 //	specsync-codec-bench -out BENCH_codec.json
 //
-// It exits nonzero if the lossy codecs fail to beat raw on bytes-per-push —
-// a compression smoke test for CI.
+// It exits nonzero if the lossy codecs fail to beat raw on bytes-per-push (a
+// compression smoke test for CI), if top-k allocates in the steady state, or
+// if top-k's encode costs more than maxTopKOverRaw raw encodes measured in
+// the same process — a ratio, so it holds on any machine.
 package main
 
 import (
@@ -26,11 +30,26 @@ import (
 )
 
 type codecBench struct {
-	Name         string  `json:"name"`
-	EncodeNsOp   float64 `json:"encode_ns_op"`
-	DecodeNsOp   float64 `json:"decode_ns_op"`
-	PayloadBytes int     `json:"payload_bytes"`
+	Name           string  `json:"name"`
+	BlockLen       int     `json:"block_len"`
+	EncodeNsOp     float64 `json:"encode_ns_op"`
+	DecodeNsOp     float64 `json:"decode_ns_op"`
+	EncodeAllocsOp int64   `json:"encode_allocs_op"`
+	DecodeAllocsOp int64   `json:"decode_allocs_op"`
+	PayloadBytes   int     `json:"payload_bytes"`
 }
+
+// maxTopKOverRaw gates top-k's encode time as a multiple of raw's. The full
+// sort it replaced ran at 113x; selection runs at 5-8x.
+const maxTopKOverRaw = 25
+
+// tcpTopKShard is the block the tcp_topk benchmark workload encodes.
+const tcpTopKShard = 8192
+
+// benchBlocks is how many distinct blocks a microbenchmark cycles through:
+// re-encoding one block lets the branch predictor learn the selection's
+// comparisons and halves top-k's apparent cost.
+const benchBlocks = 16
 
 type pushBench struct {
 	Codec        string  `json:"codec"`
@@ -57,53 +76,23 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("specsync-codec-bench", flag.ContinueOnError)
 	var (
 		out      = fs.String("out", "BENCH_codec.json", "output JSON path (\"-\" for stdout)")
-		blockLen = fs.Int("block", 4096, "values per microbenchmark block")
+		blockLen = fs.Int("block", 4096, "values per microbenchmark block (8192, the tcp_topk shard, is always measured too)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	rep := report{BlockLen: *blockLen}
-
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]float64, *blockLen)
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * 0.1
+	sizes := []int{*blockLen}
+	if *blockLen != tcpTopKShard {
+		sizes = append(sizes, tcpTopKShard)
 	}
-	codecs := []codec.Codec{codec.Raw{}, codec.TopK{Frac: codec.DefaultTopKFrac}, codec.Q8{Block: codec.DefaultQ8Block}, codec.Delta{}}
-	for _, c := range codecs {
-		c := c
-		var encRNG *rand.Rand
-		if c.ID() == codec.IDQ8 {
-			encRNG = rand.New(rand.NewSource(2))
+	for _, n := range sizes {
+		rows, err := benchCodecs(n)
+		if err != nil {
+			return err
 		}
-		payload := codec.EncodePayload(c, vals, nil, nil, encRNG)
-		encRes := testing.Benchmark(func(b *testing.B) {
-			recon := make([]float64, len(vals))
-			w := wire.NewWriter(len(vals) * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Reset()
-				c.Encode(w, vals, nil, recon, encRNG)
-			}
-		})
-		decRes := testing.Benchmark(func(b *testing.B) {
-			dst := make([]float64, len(vals))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := wire.NewReader(payload)
-				c.Decode(r, dst)
-				if err := r.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rep.Codecs = append(rep.Codecs, codecBench{
-			Name:         c.Name(),
-			EncodeNsOp:   float64(encRes.NsPerOp()),
-			DecodeNsOp:   float64(decRes.NsPerOp()),
-			PayloadBytes: len(payload),
-		})
+		rep.Codecs = append(rep.Codecs, rows...)
 	}
 
 	// Short simulated runs for bytes-per-push on the wire.
@@ -168,4 +157,65 @@ func run(args []string) error {
 	}
 	fmt.Printf("wrote %s (%d codecs, %d DES arms)\n", *out, len(rep.Codecs), len(rep.DESPushes))
 	return nil
+}
+
+// benchCodecs measures every codec on blocks of n values and applies the
+// top-k gates.
+func benchCodecs(n int) ([]codecBench, error) {
+	rng := rand.New(rand.NewSource(1))
+	blocks := make([][]float64, benchBlocks)
+	for i := range blocks {
+		blocks[i] = make([]float64, n)
+		for j := range blocks[i] {
+			blocks[i][j] = rng.NormFloat64() * 0.1
+		}
+	}
+	var rows []codecBench
+	encodeNs := make(map[codec.ID]float64)
+	for _, c := range []codec.Codec{codec.Raw{}, codec.TopK{Frac: codec.DefaultTopKFrac}, codec.Q8{Block: codec.DefaultQ8Block}, codec.Delta{}} {
+		var encRNG *rand.Rand
+		if c.ID() == codec.IDQ8 {
+			encRNG = rand.New(rand.NewSource(2))
+		}
+		payloads := make([][]byte, len(blocks))
+		for i, vals := range blocks {
+			payloads[i] = codec.EncodePayload(c, vals, nil, nil, encRNG)
+		}
+		encRes := testing.Benchmark(func(b *testing.B) {
+			recon := make([]float64, n)
+			w := wire.NewWriter(n * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Reset()
+				c.Encode(w, blocks[i%len(blocks)], nil, recon, encRNG)
+			}
+		})
+		decRes := testing.Benchmark(func(b *testing.B) {
+			dst := make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := codec.DecodePayload(c.ID(), payloads[i%len(payloads)], dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		row := codecBench{
+			Name:           c.Name(),
+			BlockLen:       n,
+			EncodeNsOp:     float64(encRes.NsPerOp()),
+			DecodeNsOp:     float64(decRes.NsPerOp()),
+			EncodeAllocsOp: encRes.AllocsPerOp(),
+			DecodeAllocsOp: decRes.AllocsPerOp(),
+			PayloadBytes:   len(payloads[0]),
+		}
+		rows = append(rows, row)
+		encodeNs[c.ID()] = row.EncodeNsOp
+		if c.ID() == codec.IDTopK && (row.EncodeAllocsOp > 0 || row.DecodeAllocsOp > 0) {
+			return nil, fmt.Errorf("topk at %d values: %d encode and %d decode allocs/op in the steady state, want 0", n, row.EncodeAllocsOp, row.DecodeAllocsOp)
+		}
+	}
+	if ratio := encodeNs[codec.IDTopK] / encodeNs[codec.IDRaw]; ratio > maxTopKOverRaw {
+		return nil, fmt.Errorf("topk at %d values: encode costs %.1f raw encodes (%.0f / %.0f ns), limit %d", n, ratio, encodeNs[codec.IDTopK], encodeNs[codec.IDRaw], maxTopKOverRaw)
+	}
+	return rows, nil
 }

@@ -24,8 +24,10 @@ package codec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"specsync/internal/wire"
 )
@@ -75,7 +77,8 @@ type Codec interface {
 	//     pre-filled with base.
 	//   - recon, when non-nil (length len(vals)), is filled with the exact
 	//     values Decode will reconstruct, so callers can maintain
-	//     error-feedback residuals without a decode round-trip.
+	//     error-feedback residuals without a decode round-trip. It is the
+	//     encoder's scratch until Encode returns, so it must not alias vals.
 	//   - rng feeds stochastic codecs (q8's stochastic rounding);
 	//     deterministic codecs ignore it, and a nil rng falls back to
 	//     deterministic rounding.
@@ -91,21 +94,21 @@ type Codec interface {
 // with the given ID into dst. It rejects unknown IDs, short or trailing
 // bytes, and length mismatches.
 func DecodePayload(id ID, payload []byte, dst []float64) error {
-	var c Codec
+	// Concrete receivers keep the Reader on the stack; through the Codec
+	// interface it would escape, one allocation per payload.
+	r := wire.NewReader(payload)
 	switch id {
 	case IDRaw:
-		c = Raw{}
+		Raw{}.Decode(r, dst)
 	case IDTopK:
-		c = TopK{}
+		TopK{}.Decode(r, dst)
 	case IDQ8:
-		c = Q8{}
+		Q8{}.Decode(r, dst)
 	case IDDelta:
-		c = Delta{}
+		Delta{}.Decode(r, dst)
 	default:
 		return fmt.Errorf("codec: unknown codec id %d", uint8(id))
 	}
-	r := wire.NewReader(payload)
-	c.Decode(r, dst)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("codec: decoding %s payload: %w", id, err)
 	}
@@ -128,15 +131,58 @@ func EncodePayload(c Codec, vals, base, recon []float64, rng *rand.Rand) []byte 
 
 // blockLen reads and validates the leading element count every codec writes.
 func blockLen(r *wire.Reader, dst []float64) (int, bool) {
-	n := int(r.Uvarint())
+	n := r.Uvarint()
 	if r.Err() != nil {
 		return 0, false
 	}
-	if n != len(dst) {
+	if n != uint64(len(dst)) {
 		r.Fail(fmt.Errorf("codec: payload is for %d values, want %d", n, len(dst)))
 		return 0, false
 	}
-	return n, true
+	return len(dst), true
+}
+
+// decodeSparse reads the body topk and delta share — a count, that many
+// delta-coded ascending indices, then that many values — and stores each
+// value at its index. The indices are validated in one pass before dst is
+// touched (zeroed first when zero is set), then replayed by a second cursor
+// beside the values, so nothing is materialised. name labels errors.
+func decodeSparse(r *wire.Reader, dst []float64, name string, zero bool) {
+	n, ok := blockLen(r, dst)
+	if !ok {
+		return
+	}
+	count := r.Uvarint()
+	if r.Err() != nil {
+		return
+	}
+	if count > uint64(n) {
+		r.Fail(fmt.Errorf("codec: %s lists %d of %d values", name, count, n))
+		return
+	}
+	idx := *r // the second cursor: a Reader is its buffer plus an offset
+	pos := 0
+	for i := uint64(0); i < count; i++ {
+		d := r.Uvarint()
+		if r.Err() != nil {
+			return
+		}
+		// Bounding the delta, not the sum, keeps a delta >= 2^63 from
+		// wrapping pos negative and slipping under the range check.
+		if d >= uint64(n-pos) {
+			r.Fail(fmt.Errorf("codec: %s index %d+%d out of range %d", name, pos, d, n))
+			return
+		}
+		pos += int(d)
+	}
+	if zero {
+		clear(dst)
+	}
+	pos = 0
+	for i := uint64(0); i < count && r.Err() == nil; i++ {
+		pos += int(idx.Uvarint())
+		dst[pos] = r.Float64()
+	}
 }
 
 // Raw is the passthrough codec: full float64 blocks, no loss.
@@ -170,7 +216,10 @@ func (Raw) Decode(r *wire.Reader, dst []float64) {
 }
 
 // TopK keeps only the Frac·n entries of largest magnitude (at least one).
-// The selection is deterministic: ties break toward the lower index.
+// The kept set is exact and deterministic: every entry whose magnitude
+// exceeds the k-th largest, plus the lowest-indexed entries that equal it.
+// NaN ranks as +Inf, so the order is total and a poisoned gradient is sent
+// (as raw sends it) instead of living on in the sender's residual.
 type TopK struct {
 	// Frac is the fraction of entries kept; zero means DefaultTopKFrac.
 	Frac float64
@@ -185,7 +234,19 @@ func (TopK) Name() string { return "topk" }
 // Lossless implements Codec.
 func (TopK) Lossless() bool { return false }
 
-// Encode implements Codec.
+// magnitude is top-k's sort key.
+func magnitude(v float64) float64 {
+	if math.IsNaN(v) {
+		return math.Inf(1)
+	}
+	return math.Abs(v)
+}
+
+// scratchPool lends TopK.Encode a selection buffer when the caller has none.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// Encode implements Codec. The selection runs in place on recon, which is
+// overwritten anyway; only a caller without one borrows a pooled buffer.
 func (c TopK) Encode(w *wire.Writer, vals, _, recon []float64, _ *rand.Rand) {
 	frac := c.Frac
 	if frac == 0 {
@@ -199,72 +260,122 @@ func (c TopK) Encode(w *wire.Writer, vals, _, recon []float64, _ *rand.Rand) {
 	if k > n {
 		k = n
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := math.Abs(vals[order[a]]), math.Abs(vals[order[b]])
-		if va != vb {
-			return va > vb
-		}
-		return order[a] < order[b]
-	})
-	kept := order[:k]
-	sort.Ints(kept)
-
 	w.Uvarint(uint64(n))
 	w.Uvarint(uint64(k))
-	if recon != nil {
-		for i := range recon {
-			recon[i] = 0
+	if n == 0 {
+		return
+	}
+
+	mags := recon
+	if mags == nil {
+		pooled := scratchPool.Get().(*[]float64)
+		defer scratchPool.Put(pooled)
+		*pooled = slices.Grow((*pooled)[:0], n)
+		mags = (*pooled)[:n]
+	}
+	for i, v := range vals {
+		mags[i] = magnitude(v)
+	}
+	// t is the k-th largest magnitude; the k-1 above it sit in mags[n-k+1:].
+	t := selectRank(mags, n-k, 2*bits.Len(uint(n)))
+	ties := k
+	for _, m := range mags[n-k+1:] {
+		if m > t {
+			ties--
 		}
 	}
-	prev := 0
-	for _, idx := range kept {
-		w.Uvarint(uint64(idx - prev)) // delta-coded ascending indices
-		prev = idx
+
+	// One ascending pass keeps "above t, or one of the first ties equal to
+	// t" and writes the index deltas; the values (and recon) then follow by
+	// replaying those deltas from w itself, k steps instead of n.
+	start, prev := w.Len(), 0
+	for i, v := range vals {
+		m := magnitude(v)
+		if m < t {
+			continue
+		}
+		if m == t {
+			if ties == 0 {
+				continue
+			}
+			ties--
+		}
+		w.Uvarint(uint64(i - prev)) // delta-coded ascending indices
+		prev = i
 	}
-	for _, idx := range kept {
-		w.Float64(vals[idx])
+	clear(recon)
+	idx := wire.NewReader(w.Bytes()[start:]) // stays valid if w reallocates
+	for i, pos := 0, 0; i < k; i++ {
+		pos += int(idx.Uvarint())
+		w.Float64(vals[pos])
 		if recon != nil {
-			recon[idx] = vals[idx]
+			recon[pos] = vals[pos]
 		}
 	}
 }
 
+// selectRank reorders a so that a[rank] is the element an ascending sort
+// would put there, with nothing larger before it and nothing smaller after,
+// and returns it. a must hold no NaN. Hoare's FIND: equal keys are swapped,
+// not skipped, so heavily tied input still halves. A range shorter than the
+// pivot sample is sorted outright, and so is whatever is left after budget
+// partitions (introselect), which bounds the worst case at O(n log n).
+func selectRank(a []float64, rank, budget int) float64 {
+	lo, hi := 0, len(a)-1
+	for ; lo < hi; budget-- {
+		if budget <= 0 || hi-lo < pivotSample {
+			slices.Sort(a[lo : hi+1])
+			break
+		}
+		p := pivotNear(a[lo:hi+1], rank-lo)
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo:j+1] <= p <= a[i:hi+1], and anything between j and i equals p.
+		switch {
+		case rank <= j:
+			hi = j
+		case rank >= i:
+			lo = i
+		default:
+			return a[rank]
+		}
+	}
+	return a[rank]
+}
+
+// pivotSample is how many evenly spaced elements pivotNear sorts.
+const pivotSample = 33
+
+// pivotNear returns an element of a (at least pivotSample long) expected to
+// sort close to position rank: the matching quantile of a sorted sample. That
+// shrinks the range about pivotSample-fold per partition and, with top-k's
+// rank near one end, makes the partition's comparisons predictable. Never the
+// sample's extremes: on sorted input they are the range's, which would then
+// shrink by one.
+func pivotNear(a []float64, rank int) float64 {
+	var sample [pivotSample]float64
+	for i := range sample {
+		sample[i] = a[i*(len(a)-1)/(pivotSample-1)]
+	}
+	slices.Sort(sample[:])
+	return sample[min(max(rank*pivotSample/len(a), 1), pivotSample-2)]
+}
+
 // Decode implements Codec. Dropped entries are zeroed.
 func (TopK) Decode(r *wire.Reader, dst []float64) {
-	n, ok := blockLen(r, dst)
-	if !ok {
-		return
-	}
-	k := int(r.Uvarint())
-	if r.Err() != nil {
-		return
-	}
-	if k < 0 || k > n {
-		r.Fail(fmt.Errorf("codec: topk keeps %d of %d values", k, n))
-		return
-	}
-	idx := make([]int, k)
-	pos := 0
-	for i := range idx {
-		pos += int(r.Uvarint())
-		if pos >= n && r.Err() == nil {
-			r.Fail(fmt.Errorf("codec: topk index %d out of range %d", pos, n))
-		}
-		if r.Err() != nil {
-			return
-		}
-		idx[i] = pos
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, p := range idx {
-		dst[p] = r.Float64()
-	}
+	decodeSparse(r, dst, "topk", true)
 }
 
 // Q8 quantizes each block of Block values to int8 with a shared float64
@@ -411,31 +522,5 @@ func (Delta) Encode(w *wire.Writer, vals, base, recon []float64, _ *rand.Rand) {
 
 // Decode implements Codec.
 func (Delta) Decode(r *wire.Reader, dst []float64) {
-	n, ok := blockLen(r, dst)
-	if !ok {
-		return
-	}
-	changed := int(r.Uvarint())
-	if r.Err() != nil {
-		return
-	}
-	if changed < 0 || changed > n {
-		r.Fail(fmt.Errorf("codec: delta changes %d of %d values", changed, n))
-		return
-	}
-	idx := make([]int, changed)
-	pos := 0
-	for i := range idx {
-		pos += int(r.Uvarint())
-		if pos >= n && r.Err() == nil {
-			r.Fail(fmt.Errorf("codec: delta index %d out of range %d", pos, n))
-		}
-		if r.Err() != nil {
-			return
-		}
-		idx[i] = pos
-	}
-	for _, p := range idx {
-		dst[p] = r.Float64()
-	}
+	decodeSparse(r, dst, "delta", false)
 }

@@ -1,10 +1,64 @@
 package codec
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// wrapIndexPayload is a 4-value sparse block whose single index delta is
+// 2^64-1: added as an int it wrapped the cursor to -1, passed the range
+// check and panicked the receiver with "index out of range [-1]".
+func wrapIndexPayload() []byte {
+	p := binary.AppendUvarint(nil, 4)
+	p = binary.AppendUvarint(p, 1)
+	p = binary.AppendUvarint(p, math.MaxUint64)
+	return binary.LittleEndian.AppendUint64(p, math.Float64bits(1.5))
+}
+
+func TestDecodeRejectsWrappingIndexDelta(t *testing.T) {
+	for _, id := range []ID{IDTopK, IDDelta} {
+		dst := []float64{1, 2, 3, 4}
+		if err := DecodePayload(id, wrapIndexPayload(), dst); err == nil {
+			t.Errorf("%s: index delta 2^64-1 accepted", id)
+		}
+		if dst[0] != 1 || dst[3] != 4 {
+			t.Errorf("%s: rejected payload still wrote dst: %v", id, dst)
+		}
+	}
+}
+
+// FuzzDecodePayload throws arbitrary bytes at every codec ID (and a few
+// unknown ones) with dst lengths 0..64. Payloads arrive from the network, so
+// the only acceptable outcomes are an error or a clean decode that consumed
+// the payload exactly (DecodePayload's own contract) — never a panic.
+func FuzzDecodePayload(f *testing.F) {
+	f.Add(wrapIndexPayload(), uint8(IDTopK), uint8(4))
+	f.Add(wrapIndexPayload(), uint8(IDDelta), uint8(4))
+	vals := []float64{3, -1, 0, 2, math.Inf(-1)}
+	for _, c := range []Codec{Raw{}, TopK{Frac: 0.4}, Q8{Block: 2}, Delta{}} {
+		f.Add(EncodePayload(c, vals, nil, nil, nil), uint8(c.ID()), uint8(len(vals)))
+	}
+	f.Add([]byte{}, uint8(IDQ8), uint8(0))
+	f.Fuzz(func(t *testing.T, payload []byte, id, n uint8) {
+		dst := make([]float64, int(n)%65)
+		first := DecodePayload(ID(id%5), payload, dst)
+		if first != nil {
+			return
+		}
+		// A payload that decodes once decodes the same way again.
+		again := make([]float64, len(dst))
+		if err := DecodePayload(ID(id%5), payload, again); err != nil {
+			t.Fatalf("second decode of an accepted payload failed: %v", err)
+		}
+		for i := range dst {
+			if math.Float64bits(dst[i]) != math.Float64bits(again[i]) {
+				t.Fatalf("decode is not deterministic at %d: %g then %g", i, dst[i], again[i])
+			}
+		}
+	})
+}
 
 // FuzzCodecRoundTrip feeds randomized blocks through every codec and asserts
 // each one's reconstruction contract:

@@ -1,0 +1,251 @@
+package codec
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"specsync/internal/wire"
+)
+
+// oracleTopKEncode is TopK.Encode as it stood before the selection rewrite
+// (full sort.Slice over all n entries), kept verbatim as the reference the
+// new encoder must match byte for byte.
+func oracleTopKEncode(c TopK, w *wire.Writer, vals, recon []float64) {
+	frac := c.Frac
+	if frac == 0 {
+		frac = DefaultTopKFrac
+	}
+	n := len(vals)
+	k := int(math.Ceil(frac * float64(n)))
+	if k < 1 {
+		k = 1
+	}
+	if k > n {
+		k = n
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		va, vb := math.Abs(vals[order[a]]), math.Abs(vals[order[b]])
+		if va != vb {
+			return va > vb
+		}
+		return order[a] < order[b]
+	})
+	kept := order[:k]
+	sort.Ints(kept)
+
+	w.Uvarint(uint64(n))
+	w.Uvarint(uint64(k))
+	if recon != nil {
+		for i := range recon {
+			recon[i] = 0
+		}
+	}
+	prev := 0
+	for _, idx := range kept {
+		w.Uvarint(uint64(idx - prev)) // delta-coded ascending indices
+		prev = idx
+	}
+	for _, idx := range kept {
+		w.Float64(vals[idx])
+		if recon != nil {
+			recon[idx] = vals[idx]
+		}
+	}
+}
+
+// oracleBlock draws one block of the given shape. Every shape is NaN-free:
+// the old comparator is not a strict weak order over NaN, so the oracle has
+// no defined answer there (TestTopKNaNRanksAsInf pins the new rule instead).
+func oracleBlock(rng *rand.Rand, shape, n int) []float64 {
+	vals := make([]float64, n)
+	switch shape {
+	case 0: // Gaussian
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+	case 1: // heavily tied: four magnitudes, random signs
+		for i := range vals {
+			vals[i] = float64(rng.Intn(4)) * 0.25
+			if rng.Intn(2) == 0 {
+				vals[i] = -vals[i]
+			}
+		}
+	case 2: // all equal
+		v := rng.NormFloat64()
+		for i := range vals {
+			vals[i] = v
+		}
+	case 3: // all zero
+	case 4: // mostly ±0 with a few nonzeros, fewer than most k
+		for i := range vals {
+			if rng.Intn(2) == 0 {
+				vals[i] = math.Copysign(0, -1)
+			}
+			if rng.Intn(50) == 0 {
+				vals[i] = rng.NormFloat64()
+			}
+		}
+	case 5: // Gaussian salted with ±Inf
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+			if rng.Intn(9) == 0 {
+				vals[i] = math.Inf(rng.Intn(2)*2 - 1)
+			}
+		}
+	case 6: // sorted ascending by magnitude: the pivot rule's bad case
+		for i := range vals {
+			vals[i] = float64(i) * 1e-3
+		}
+	}
+	return vals
+}
+
+const oracleShapes = 7
+
+func TestTopKMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	sizes := []int{1, 2, 17, 4096, 8192}
+	cases := 0
+	for rep := 0; cases < 3000; rep++ {
+		for _, n := range sizes {
+			if n >= 4096 && rep%8 != 0 {
+				continue // the large blocks are slow under the oracle's sort
+			}
+			// k = 1 (1e-9), k = n (1), the default, and a random fraction.
+			fracs := []float64{1e-9, 1, DefaultTopKFrac, rng.Float64()}
+			for shape := 0; shape < oracleShapes; shape++ {
+				vals := oracleBlock(rng, shape, n)
+				for _, frac := range fracs {
+					cases++
+					c := TopK{Frac: frac}
+					wantRecon := make([]float64, n)
+					want := wire.NewWriter(64)
+					oracleTopKEncode(c, want, vals, wantRecon)
+
+					gotRecon := make([]float64, n)
+					for i := range gotRecon {
+						gotRecon[i] = math.NaN() // Encode must overwrite every entry
+					}
+					withRecon := EncodePayload(c, vals, nil, gotRecon, nil)
+					without := EncodePayload(c, vals, nil, nil, nil)
+					if !bytes.Equal(withRecon, want.Bytes()) || !bytes.Equal(without, want.Bytes()) {
+						t.Fatalf("shape %d n %d frac %g: payload differs from the sort oracle", shape, n, frac)
+					}
+					if !reflect.DeepEqual(bitsOf(gotRecon), bitsOf(wantRecon)) {
+						t.Fatalf("shape %d n %d frac %g: recon differs from the sort oracle", shape, n, frac)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bitsOf makes DeepEqual tell -0 from +0.
+func bitsOf(vs []float64) []uint64 {
+	out := make([]uint64, len(vs))
+	for i, v := range vs {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+// TestTopKNaNRanksAsInf pins the one case the old comparator left undefined:
+// NaN sorts with ±Inf (ties toward the lower index), so it is sent rather
+// than kept in the residual.
+func TestTopKNaNRanksAsInf(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		vals []float64
+		frac float64
+		want []float64 // NaN in want means "NaN kept here"
+	}{
+		{[]float64{1, nan, 3, -2}, 0.25, []float64{0, nan, 0, 0}},
+		{[]float64{1, nan, 3, -2}, 0.5, []float64{0, nan, 3, 0}},
+		{[]float64{-inf, nan, 5, nan}, 0.5, []float64{-inf, nan, 0, 0}},
+		{[]float64{nan, -inf, 5, nan}, 0.75, []float64{nan, -inf, 0, nan}},
+		{[]float64{nan, nan, nan}, 0.5, []float64{nan, nan, 0}},
+	}
+	for ci, c := range cases {
+		recon := make([]float64, len(c.vals))
+		payload := EncodePayload(TopK{Frac: c.frac}, c.vals, nil, recon, nil)
+		dst := make([]float64, len(c.vals))
+		if err := DecodePayload(IDTopK, payload, dst); err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
+		for i, w := range c.want {
+			for _, got := range []float64{recon[i], dst[i]} {
+				if math.IsNaN(w) != math.IsNaN(got) || (!math.IsNaN(w) && got != w) {
+					t.Fatalf("case %d: entry %d = %v, want %v (recon %v, decoded %v)", ci, i, got, w, recon, dst)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectRankPlacesRank also drives the budget cut-off: with a budget of
+// 0..2 partitions the sort fallback has to finish the job.
+func TestSelectRankPlacesRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 300; n++ {
+		budget := []int{0, 1, 2, 64}[n%4]
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = float64(rng.Intn(n/3 + 1))
+		}
+		sorted := append([]float64(nil), a...)
+		sort.Float64s(sorted)
+		rank := rng.Intn(n)
+		if got := selectRank(a, rank, budget); got != sorted[rank] || a[rank] != got {
+			t.Fatalf("n %d rank %d: got %g, want %g", n, rank, got, sorted[rank])
+		}
+		for i, v := range a {
+			if (i < rank && v > a[rank]) || (i > rank && v < a[rank]) {
+				t.Fatalf("n %d rank %d: a[%d] = %g on the wrong side of %g", n, rank, i, v, a[rank])
+			}
+		}
+	}
+}
+
+func TestCodecSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 8192)
+	base := make([]float64, len(vals))
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+		if i%3 != 0 {
+			base[i] = vals[i]
+		}
+	}
+	recon := make([]float64, len(vals))
+	dst := make([]float64, len(vals))
+	w := wire.NewWriter(8 * len(vals))
+	topk := TopK{Frac: 0.1}
+	topkPayload := EncodePayload(topk, vals, nil, nil, nil)
+	deltaPayload := EncodePayload(Delta{}, vals, base, nil, nil)
+	// Decoding goes through DecodePayload, as every receiver's does: it calls
+	// the concrete decoders, so the Reader stays off the heap too.
+	decode := func(id ID, payload []byte) func() {
+		return func() {
+			if err := DecodePayload(id, payload, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, f := range map[string]func(){
+		"TopK.Encode":  func() { w.Reset(); topk.Encode(w, vals, nil, recon, nil) },
+		"TopK.Decode":  decode(IDTopK, topkPayload),
+		"Delta.Decode": decode(IDDelta, deltaPayload),
+	} {
+		if allocs := testing.AllocsPerRun(50, f); allocs != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", name, allocs)
+		}
+	}
+}

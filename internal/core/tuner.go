@@ -273,6 +273,11 @@ func candidateWindows(cfg TunerConfig, pushes []PushRecord, lastPull []time.Time
 	slices.Sort(out)
 	out = slices.Compact(out)
 	if cfg.MaxCandidates > 0 && len(out) > cfg.MaxCandidates {
+		if cfg.MaxCandidates == 1 {
+			// The even spacing below divides by MaxCandidates-1; one
+			// candidate is the median.
+			return out[len(out)/2 : len(out)/2+1]
+		}
 		sampled := make([]time.Duration, 0, cfg.MaxCandidates)
 		step := float64(len(out)-1) / float64(cfg.MaxCandidates-1)
 		for i := 0; i < cfg.MaxCandidates; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -182,13 +183,44 @@ func TestCandidateClampAndCap(t *testing.T) {
 	}
 }
 
+func TestCandidateCapTable(t *testing.T) {
+	pushes := []PushRecord{
+		{At: at(0)}, {At: at(10)}, {At: at(20)}, {At: at(500)}, {At: at(5000)},
+	}
+	pulls := []time.Time{at(-7), at(-3)}
+	all := candidateWindows(TunerConfig{Workers: 2}, pushes, pulls)
+	n := len(all)
+	if n != 10 {
+		t.Fatalf("fixture yields %d distinct candidates, want 10", n)
+	}
+	for _, c := range []struct {
+		max  int
+		want []time.Duration
+	}{
+		{1, []time.Duration{all[n/2]}}, // used to divide by zero and panic
+		{2, []time.Duration{all[0], all[n-1]}},
+		{n - 1, append(append([]time.Duration{}, all[:4]...), all[5:]...)}, // step 9/8 rounds past index 4
+		{n, all},
+		{n + 1, all},
+	} {
+		got := candidateWindows(TunerConfig{Workers: 2, MaxCandidates: c.max}, pushes, pulls)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("MaxCandidates %d: got %v, want %v", c.max, got, c.want)
+		}
+		// Tune must survive the same cap end to end.
+		if _, err := Tune(TunerConfig{Workers: 2, MaxCandidates: c.max}, pushes, pushes, pulls, []time.Duration{time.Second, time.Second}); err != nil {
+			t.Errorf("MaxCandidates %d: Tune: %v", c.max, err)
+		}
+	}
+}
+
 func TestTuneAliveFilter(t *testing.T) {
 	// Three workers, but worker 2 is evicted. The tuner must behave exactly
 	// as the two-live-worker problem: worker 2's pushes predict no gain,
 	// its stale pull seeds no candidates, and its rate comes back zero.
 	history := []PushRecord{
 		{At: at(0), Worker: 0},
-		{At: at(50), Worker: 2},  // evicted worker's push: ignored
+		{At: at(50), Worker: 2}, // evicted worker's push: ignored
 		{At: at(100), Worker: 1},
 	}
 	lastPull := []time.Time{at(0), at(100), at(900)} // worker 2's pull is stale

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,8 +22,10 @@ func roundtrip(t *testing.T, m wire.Message) wire.Message {
 	return out
 }
 
-func TestAllMessagesRoundtrip(t *testing.T) {
-	cases := []wire.Message{
+// populatedMessages returns at least one message of every registered kind
+// with every field set (TestUnmarshalCopiesOut checks the coverage).
+func populatedMessages() []wire.Message {
+	return []wire.Message{
 		&PullReq{Seq: 42},
 		&PullResp{Seq: 7, Version: 100, Values: []float64{1, 2, 3}},
 		&PushReq{Seq: 9, Iter: 4, PullVersion: 88, Dense: []float64{0.5, -0.5}},
@@ -63,11 +66,43 @@ func TestAllMessagesRoundtrip(t *testing.T) {
 		&NotifyV2{Iter: 7, Span: 250 * time.Millisecond},
 		&CloneCtl{StartIter: 41, Round: 40, MinClock: 39},
 		&CloneNotice{Slot: 8, Target: 3},
+		WrapJob(5, &PushReq{Seq: 3, Iter: 7, PullVersion: 10, Dense: []float64{1, 2, 3}}),
 	}
-	for _, in := range cases {
+}
+
+func TestAllMessagesRoundtrip(t *testing.T) {
+	for _, in := range populatedMessages() {
 		out := roundtrip(t, in)
 		if !reflect.DeepEqual(in, out) {
 			t.Errorf("%T: roundtrip mismatch:\n in: %+v\nout: %+v", in, in, out)
+		}
+	}
+}
+
+// TestUnmarshalCopiesOut pins the invariant transport.TCP's reused frame
+// buffer rests on: a decoded message shares no memory with the bytes it was
+// decoded from, for every kind on the wire.
+func TestUnmarshalCopiesOut(t *testing.T) {
+	reg := Registry()
+	covered := make(map[wire.Kind]bool)
+	for _, in := range populatedMessages() {
+		covered[in.Kind()] = true
+		want := wire.Marshal(in)
+		src := bytes.Clone(want)
+		out, err := reg.Unmarshal(src)
+		if err != nil {
+			t.Fatalf("%T: %v", in, err)
+		}
+		for i := range src {
+			src[i] = 0xFF
+		}
+		if !bytes.Equal(wire.Marshal(out), want) {
+			t.Errorf("%T: decoded message changed when its source buffer was overwritten", in)
+		}
+	}
+	for _, k := range reg.Kinds() {
+		if !covered[k] {
+			t.Errorf("kind %s has no populated sample", reg.Name(k))
 		}
 	}
 }

@@ -20,6 +20,11 @@ import (
 // maxFrameSize bounds a single frame (64 MiB) as a corruption guard.
 const maxFrameSize = 64 << 20
 
+// maxRetainedFrame bounds the read buffer a connection keeps between frames
+// (wire's writer pool uses the same figure), so one giant frame does not pin
+// its memory for the connection's lifetime.
+const maxRetainedFrame = 1 << 22
+
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("transport: closed")
 
@@ -281,9 +286,14 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
+// readLoop reads every frame of a connection into one buffer. That is safe
+// because a wire.Reader hands a Decode copies, never views of the frame
+// (msg's TestUnmarshalCopiesOut), so the next frame overwrites nothing a
+// delivered message still holds.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer conn.Close()
 	var hdr [4]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			return
@@ -292,7 +302,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if size == 0 || size > maxFrameSize {
 			return
 		}
-		payload := make([]byte, size)
+		if int(size) > cap(buf) || cap(buf) > maxRetainedFrame {
+			buf = make([]byte, size)
+		}
+		payload := buf[:size]
 		if _, err := io.ReadFull(conn, payload); err != nil {
 			return
 		}

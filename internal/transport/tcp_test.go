@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -196,4 +197,80 @@ type recorderFunc func(from, to node.ID, kind wire.Kind, n int, at time.Time)
 
 func (f recorderFunc) RecordTransfer(from, to node.ID, kind wire.Kind, n int, at time.Time) {
 	f(from, to, kind, n, at)
+}
+
+// TestTCPFrameBufferReuseKeepsMessagesIntact streams large and small frames
+// alternately over one connection while the receiver retains every message,
+// then compares each against what was sent. readLoop reuses one frame buffer
+// per connection; a message still pointing into it would now hold a later
+// frame's bytes. One frame exceeds maxRetainedFrame, so the drop path runs.
+func TestTCPFrameBufferReuseKeepsMessagesIntact(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		got []wire.Message
+	)
+	recv, err := ListenTCP(TCPConfig{
+		ID: node.ServerID(0), ListenAddr: "127.0.0.1:0", Registry: msg.Registry(),
+		OnMessage: func(_ node.ID, m wire.Message) {
+			mu.Lock()
+			got = append(got, m)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := ListenTCP(TCPConfig{
+		ID: node.WorkerID(0), Registry: msg.Registry(),
+		Peers:     map[node.ID]string{node.ServerID(0): recv.Addr()},
+		OnMessage: func(node.ID, wire.Message) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+
+	var sent []wire.Message
+	for i := 0; i < 60; i++ {
+		var m wire.Message
+		switch i % 4 {
+		case 0:
+			payload := make([]byte, 20_000+i*500)
+			for j := range payload {
+				payload[j] = byte(i + j)
+			}
+			m = &msg.PushReqV2{Seq: uint64(i), Iter: int64(i), Codec: 1, Payload: payload}
+		case 1:
+			m = &msg.Notify{Iter: int64(i)}
+		case 2:
+			n := 3_000
+			if i == 30 {
+				n = maxRetainedFrame/8 + 1
+			}
+			vals := make([]float64, n)
+			for j := range vals {
+				vals[j] = float64(i*1_000_000 + j)
+			}
+			m = &msg.PullResp{Seq: uint64(i), Version: int64(i), Values: vals}
+		case 3:
+			m = &msg.PushReq{Seq: uint64(i), IsSparse: true, SparseIdx: []int32{int32(i), int32(i + 1)}, SparseVal: []float64{float64(i), -float64(i)}}
+		}
+		sent = append(sent, m)
+		if err := send.Send(node.ServerID(0), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == len(sent)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range sent {
+		if !bytes.Equal(wire.Marshal(got[i]), wire.Marshal(sent[i])) {
+			t.Fatalf("message %d (%T) was altered after delivery", i, sent[i])
+		}
+	}
 }

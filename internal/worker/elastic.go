@@ -108,7 +108,7 @@ func (wk *Worker) installRouting(epoch int64, lo, hi, srv []int32, force bool) b
 	}
 	wk.pushAcked = make([]bool, len(newShards))
 	if wk.pushCodec != nil {
-		wk.pushPayloads = make([][]byte, len(newShards))
+		wk.pushEnc = make([]wire.Writer, len(newShards))
 		maxLen := 0
 		for _, r := range newShards {
 			if r.Len() > maxLen {
@@ -151,9 +151,9 @@ func (wk *Worker) remapResidual(oldShards, newShards []ps.Range, oldAcked []bool
 		for j, v := range res {
 			flat[r.Lo+j] += v
 		}
-		if wk.st == statePushing && !oldAcked[si] && len(wk.pushPayloads[si]) > 0 {
+		if wk.st == statePushing && !oldAcked[si] && wk.pushEnc[si].Len() > 0 {
 			seg := scratch[:r.Len()]
-			if err := codec.DecodePayload(wk.pushCodec.ID(), wk.pushPayloads[si], seg); err != nil {
+			if err := codec.DecodePayload(wk.pushCodec.ID(), wk.pushEnc[si].Bytes(), seg); err != nil {
 				wk.ctx.Logf("worker: recovering unacked push for shard %d: %v", si, err)
 				continue
 			}
@@ -179,7 +179,7 @@ func (wk *Worker) resumePush(oldShards []ps.Range, oldAcked []bool) {
 		// payloads back into the (re-chunked) residual, so a residual-only
 		// encode re-derives exactly the outstanding mass — the gradient must
 		// not be folded a second time.
-		wk.encodeResidualOnly()
+		wk.encodeResiduals()
 		wk.sendPush()
 		return
 	}
@@ -201,26 +201,6 @@ func (wk *Worker) resumePush(oldShards []ps.Range, oldAcked []bool) {
 		return
 	}
 	wk.sendPush()
-}
-
-// encodeResidualOnly encodes one payload per shard from the residual alone
-// (no gradient fold), debiting what each encoding captured.
-func (wk *Worker) encodeResidualOnly() {
-	for si, r := range wk.shards {
-		res := wk.residual.Residuals[si]
-		recon := wk.recon[:r.Len()]
-		w := wire.GetWriter()
-		wk.pushCodec.Encode(w, res, nil, recon, wk.ctx.Rand())
-		wk.pushPayloads[si] = append(wk.pushPayloads[si][:0], w.Bytes()...)
-		encBytes := w.Len()
-		wire.PutWriter(w)
-		for j := range res {
-			res[j] -= recon[j]
-		}
-		if wk.cfg.CodecStats != nil {
-			wk.cfg.CodecStats.RecordEncode(wk.pushCodec.ID(), 8*r.Len(), encBytes)
-		}
-	}
 }
 
 // coveredByAcked reports whether [r.Lo, r.Hi) lies entirely inside old ranges

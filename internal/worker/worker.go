@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -287,10 +288,11 @@ type Worker struct {
 	// recon is encode scratch: the decoder-side reconstruction of the block
 	// just encoded, sized to the largest shard.
 	recon []float64
-	// pushPayloads holds this iteration's encoded per-shard payloads so
-	// retries resend identical bytes instead of re-encoding (which would
-	// double-count the residual).
-	pushPayloads [][]byte
+	// pushEnc holds this iteration's encoded per-shard payloads so retries
+	// resend identical bytes instead of re-encoding (which would
+	// double-count the residual). Each shard's writer is encoded into
+	// directly and keeps its capacity across iterations.
+	pushEnc []wire.Writer
 	// havePulled marks shards pulled at least once by this incarnation;
 	// until then delta pulls advertise Have = -1 (no base).
 	havePulled []bool
@@ -478,7 +480,7 @@ func New(cfg Config) (*Worker, error) {
 		}
 		wk.residual = codec.NewState(lens)
 		wk.recon = make([]float64, maxLen)
-		wk.pushPayloads = make([][]byte, len(shards))
+		wk.pushEnc = make([]wire.Writer, len(shards))
 	}
 	return wk, nil
 }
@@ -829,31 +831,42 @@ func (wk *Worker) finishCompute() {
 // encodePush folds this iteration's gradient into the error-feedback
 // residuals and encodes one payload per shard. Encoding happens exactly once
 // per iteration — retries resend the stored payloads — because the residual
-// update (residual = accumulated - reconstructed) must be applied once.
+// update (residual = accumulated - reconstructed) must be applied once. The
+// steady state allocates nothing: see encodeResiduals.
 func (wk *Worker) encodePush() {
 	for si, r := range wk.shards {
 		res := wk.residual.Residuals[si]
 		if wk.pushUpdate.IsSparse() {
-			part := wk.pushUpdate.Sparse.Slice(int32(r.Lo), int32(r.Hi))
-			for j, idx := range part.Idx {
-				res[idx] += part.Val[j]
+			sp := wk.pushUpdate.Sparse
+			j := sort.Search(len(sp.Idx), func(i int) bool { return int(sp.Idx[i]) >= r.Lo })
+			for ; j < len(sp.Idx) && int(sp.Idx[j]) < r.Hi; j++ {
+				res[int(sp.Idx[j])-r.Lo] += sp.Val[j]
 			}
 		} else {
 			for j, v := range wk.pushUpdate.Dense[r.Lo:r.Hi] {
 				res[j] += v
 			}
 		}
+	}
+	wk.encodeResiduals()
+}
+
+// encodeResiduals encodes one payload per shard from the residual as it
+// stands, debiting what each encoding captured. It writes into the shard's
+// own writer and hands the codec wk.recon as scratch, so nothing is
+// allocated once the writers have grown to the payload size.
+func (wk *Worker) encodeResiduals() {
+	for si, r := range wk.shards {
+		res := wk.residual.Residuals[si]
 		recon := wk.recon[:r.Len()]
-		w := wire.GetWriter()
+		w := &wk.pushEnc[si]
+		w.Reset()
 		wk.pushCodec.Encode(w, res, nil, recon, wk.ctx.Rand())
-		wk.pushPayloads[si] = append(wk.pushPayloads[si][:0], w.Bytes()...)
-		encBytes := w.Len()
-		wire.PutWriter(w)
 		for j := range res {
 			res[j] -= recon[j]
 		}
 		if wk.cfg.CodecStats != nil {
-			wk.cfg.CodecStats.RecordEncode(wk.pushCodec.ID(), 8*r.Len(), encBytes)
+			wk.cfg.CodecStats.RecordEncode(wk.pushCodec.ID(), 8*r.Len(), w.Len())
 		}
 	}
 }
@@ -875,7 +888,7 @@ func (wk *Worker) sendPush() {
 				Iter:        wk.iter,
 				PullVersion: wk.pullVersions[si],
 				Codec:       uint8(wk.pushCodec.ID()),
-				Payload:     wk.pushPayloads[si],
+				Payload:     wk.pushEnc[si].Bytes(),
 			})
 			continue
 		}

@@ -13,6 +13,7 @@ import (
 	"specsync/internal/node"
 	"specsync/internal/ps"
 	"specsync/internal/scheme"
+	"specsync/internal/sparse"
 	"specsync/internal/trace"
 	"specsync/internal/wire"
 )
@@ -377,5 +378,32 @@ func TestWorkerCodecStateCheckpointRoundTrip(t *testing.T) {
 	}
 	if err := raw.w.RestoreCodecState(restored); err == nil {
 		t.Error("raw worker accepted a residual restore")
+	}
+}
+
+// TestEncodePushSteadyStateAllocs pins the once-per-iteration encode at zero
+// heap allocations, for a dense and a sparse gradient: the codec selects in
+// the worker's recon scratch, each shard's payload is written into its own
+// retained writer, and the sparse fold walks the gradient in place.
+func TestEncodePushSteadyStateAllocs(t *testing.T) {
+	for _, isSparse := range []bool{false, true} {
+		h := newHarness(t, func(c *Config) {
+			c.Codec = codec.Config{Name: "topk", TopKFrac: 0.25}
+			c.CodecStats = codec.NewStats(nil)
+		})
+		h.start()
+		h.sim.RunFor(2500 * time.Millisecond) // two pushes: the writers have grown
+		if h.srv.pushes < 2 {
+			t.Fatalf("only %d pushes completed", h.srv.pushes)
+		}
+		if isSparse {
+			h.w.pushUpdate = model.Update{Sparse: &sparse.Vec{Idx: []int32{1, 2, 5}, Val: []float64{1, -2, 3}}}
+		}
+		if h.w.pushUpdate.IsSparse() != isSparse {
+			t.Fatalf("fixture: IsSparse = %v, want %v", h.w.pushUpdate.IsSparse(), isSparse)
+		}
+		if allocs := testing.AllocsPerRun(100, h.w.encodePush); allocs != 0 {
+			t.Errorf("sparse=%v: encodePush allocates %v times per call, want 0", isSparse, allocs)
+		}
 	}
 }
