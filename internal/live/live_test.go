@@ -47,20 +47,17 @@ func TestQueueFIFOAndClose(t *testing.T) {
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		if !q.push(func() { got = append(got, i) }) {
+		if !q.push(item{fn: func() { got = append(got, i) }}) {
 			t.Fatal("push on open queue failed")
 		}
 	}
 	q.close()
-	if q.push(func() {}) {
+	if q.push(item{fn: func() {}}) {
 		t.Error("push after close should fail")
 	}
-	for {
-		f, ok := q.pop()
-		if !ok {
-			break
-		}
-		f()
+	q.run(nil) // drains what was queued before close, then returns
+	if len(got) != 5 {
+		t.Fatalf("drained %d of 5 items", len(got))
 	}
 	for i, v := range got {
 		if v != i {

@@ -133,18 +133,18 @@ func (n *Network) Start() {
 	for _, ln := range nodes {
 		ln := ln
 		gen := ln.currentGen()
-		ln.inbox.push(func() {
+		ln.inbox.push(item{fn: func() {
 			if h, ok := ln.alive(gen); ok {
 				h.Init(ln)
 			}
-		})
+		}})
 	}
 	for _, ln := range nodes {
 		ln := ln
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			ln.loop()
+			ln.inbox.run(nil) // every entry is a func
 		}()
 	}
 }
@@ -177,20 +177,20 @@ func (n *Network) Join(id node.ID, h node.Handler) error {
 	n.mu.Unlock()
 
 	gen := ln.currentGen()
-	ln.inbox.push(func() {
+	ln.inbox.push(item{fn: func() {
 		if h2, ok := ln.alive(gen); ok {
 			h2.Init(ln)
 		}
-	})
+	}})
 	go func() {
 		defer n.wg.Done()
-		ln.loop()
+		ln.inbox.run(nil)
 	}()
 	return nil
 }
 
 // Close stops all mailboxes and waits for their goroutines to exit. Pending
-// timers are stopped.
+// timers fire into the closed mailboxes and are dropped.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -205,7 +205,6 @@ func (n *Network) Close() {
 	n.mu.Unlock()
 
 	for _, ln := range nodes {
-		ln.stopTimers()
 		ln.inbox.close()
 	}
 	n.wg.Wait()
@@ -226,17 +225,17 @@ func (n *Network) Inject(from, to node.ID, m wire.Message) error {
 		return fmt.Errorf("live: inject: %w", err)
 	}
 	gen := dst.currentGen()
-	dst.inbox.push(func() {
+	dst.inbox.push(item{fn: func() {
 		if h, ok := dst.alive(gen); ok {
 			h.Receive(from, decoded)
 		}
-	})
+	}})
 	return nil
 }
 
-// Crash marks a node as failed: its pending timers are stopped, messages
-// addressed to it are lost, and queued deliveries to the old incarnation are
-// discarded when the mailbox reaches them. Revive it with Restart.
+// Crash marks a node as failed: messages addressed to it are lost, and its
+// pending timers and queued deliveries to the old incarnation are discarded
+// when the mailbox reaches them. Revive it with Restart.
 func (n *Network) Crash(id node.ID) error {
 	n.mu.RLock()
 	ln, ok := n.nodes[id]
@@ -252,7 +251,6 @@ func (n *Network) Crash(id node.ID) error {
 	ln.down = true
 	ln.gen++
 	ln.stateMu.Unlock()
-	ln.stopTimers()
 	return nil
 }
 
@@ -279,11 +277,11 @@ func (n *Network) Restart(id node.ID, h node.Handler) error {
 	ln.gen++
 	gen := ln.gen
 	ln.stateMu.Unlock()
-	ln.inbox.push(func() {
+	ln.inbox.push(item{fn: func() {
 		if h2, ok := ln.alive(gen); ok {
 			h2.Init(ln)
 		}
-	})
+	}})
 	return nil
 }
 
@@ -300,7 +298,7 @@ func (n *Network) Quiesce(id node.ID) error {
 		return fmt.Errorf("live: Quiesce(%s): unknown node", id)
 	}
 	done := make(chan struct{})
-	if !ln.inbox.push(func() { close(done) }) {
+	if !ln.inbox.push(item{fn: func() { close(done) }}) {
 		return nil // queue closed: the loop has already drained and exited
 	}
 	<-done
@@ -362,7 +360,7 @@ func (n *Network) send(from, to node.ID, m wire.Message) {
 func (ln *liveNode) enqueue(from, to node.ID, data []byte, n *Network) {
 	gen := ln.currentGen()
 	n.metMailbox.Add(1)
-	ln.inbox.push(func() {
+	ln.inbox.push(item{fn: func() {
 		n.metMailbox.Add(-1)
 		h, ok := ln.alive(gen)
 		if !ok {
@@ -377,7 +375,7 @@ func (ln *liveNode) enqueue(from, to node.ID, data []byte, n *Network) {
 		}
 		n.metDelivered.Inc()
 		h.Receive(from, decoded)
-	})
+	}})
 }
 
 // liveNode implements node.Context over a mailbox and real timers.
@@ -394,9 +392,6 @@ type liveNode struct {
 	handler node.Handler
 	down    bool
 	gen     uint64
-
-	timerMu sync.Mutex
-	timers  map[*time.Timer]struct{}
 }
 
 // currentGen reads the node's incarnation counter.
@@ -427,79 +422,16 @@ func (ln *liveNode) Send(to node.ID, m wire.Message) {
 }
 
 func (ln *liveNode) After(d time.Duration, f func()) node.CancelFunc {
-	if d < 0 {
-		d = 0
-	}
 	gen := ln.currentGen()
-	var canceled bool
-	var mu sync.Mutex // guards canceled and t
-	var t *time.Timer
-	mu.Lock()
-	t = time.AfterFunc(d, func() {
-		mu.Lock()
-		tt := t
-		mu.Unlock()
-		ln.forgetTimer(tt)
-		ln.inbox.push(func() {
-			if _, ok := ln.alive(gen); !ok {
-				return // timer from a crashed (or previous) incarnation
-			}
-			mu.Lock()
-			c := canceled
-			mu.Unlock()
-			if !c {
-				f()
-			}
-		})
-	})
-	mu.Unlock()
-	ln.rememberTimer(t)
-	return func() {
-		mu.Lock()
-		canceled = true
-		mu.Unlock()
-		if t.Stop() {
-			ln.forgetTimer(t)
+	return ln.inbox.after(d, func() {
+		if _, ok := ln.alive(gen); ok { // else: a crashed or previous incarnation's timer
+			f()
 		}
-	}
+	})
 }
 
 func (ln *liveNode) Logf(format string, args ...any) {
 	if ln.net.cfg.Debug {
 		fmt.Fprintf(os.Stderr, "[live] %-10s "+format+"\n", append([]any{ln.id}, args...)...)
 	}
-}
-
-func (ln *liveNode) loop() {
-	for {
-		f, ok := ln.inbox.pop()
-		if !ok {
-			return
-		}
-		f()
-	}
-}
-
-func (ln *liveNode) rememberTimer(t *time.Timer) {
-	ln.timerMu.Lock()
-	defer ln.timerMu.Unlock()
-	if ln.timers == nil {
-		ln.timers = make(map[*time.Timer]struct{})
-	}
-	ln.timers[t] = struct{}{}
-}
-
-func (ln *liveNode) forgetTimer(t *time.Timer) {
-	ln.timerMu.Lock()
-	defer ln.timerMu.Unlock()
-	delete(ln.timers, t)
-}
-
-func (ln *liveNode) stopTimers() {
-	ln.timerMu.Lock()
-	defer ln.timerMu.Unlock()
-	for t := range ln.timers {
-		t.Stop()
-	}
-	ln.timers = nil
 }

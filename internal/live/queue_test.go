@@ -1,0 +1,268 @@
+package live
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"specsync/internal/msg"
+	"specsync/internal/node"
+	"specsync/internal/wire"
+)
+
+// TestQueueSteadyStateAllocatesNothing: once the two batch slices have grown
+// to the traffic's depth, push and take only swap them.
+func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
+	q := newQueue()
+	var m wire.Message = &msg.Notify{Iter: 1}
+	var batch []item
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			q.push(item{from: "worker/0", msg: m})
+		}
+		batch, _ = q.take(batch)
+		if len(batch) != 8 {
+			t.Fatalf("took %d of 8 items", len(batch))
+		}
+		clear(batch)
+	}
+	cycle()
+	cycle() // both slices are now grown
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("push/take in steady state: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+func TestQueueDropsAnOversizedSpareBatch(t *testing.T) {
+	q := newQueue()
+	q.push(item{fn: func() {}})
+	batch, ok := q.take(make([]item, 0, maxSpareItems+1))
+	if !ok || len(batch) != 1 {
+		t.Fatalf("take = %d items, ok %v", len(batch), ok)
+	}
+	if cap(q.pending) > maxSpareItems {
+		t.Errorf("the queue kept a spare batch of cap %d", cap(q.pending))
+	}
+}
+
+// signalHandler reports every Receive on a channel.
+type signalHandler struct{ got chan int64 }
+
+func (*signalHandler) Init(node.Context) {}
+func (h *signalHandler) Receive(_ node.ID, m wire.Message) {
+	h.got <- m.(*msg.Notify).Iter
+}
+
+func newTestHost(t testing.TB, id node.ID, h node.Handler) *TCPHost {
+	t.Helper()
+	host, err := NewTCPHost(TCPHostConfig{ID: id, Handler: h, ListenAddr: "127.0.0.1:0", Registry: msg.Registry(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return host
+}
+
+// TestTCPHostInjectToReceiveAllocatesNothing pins the typed mailbox entry:
+// handing a decoded message to the handler costs no closure.
+func TestTCPHostInjectToReceiveAllocatesNothing(t *testing.T) {
+	h := &signalHandler{got: make(chan int64, 1)}
+	host := newTestHost(t, node.ServerID(0), h)
+	defer host.Close()
+	var m wire.Message = &msg.Notify{Iter: 3}
+	from := node.WorkerID(0)
+	handoff := func() {
+		host.Inject(from, m)
+		<-h.got
+	}
+	handoff()
+	if allocs := testing.AllocsPerRun(500, handoff); allocs != 0 {
+		t.Errorf("Inject -> Receive: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// orderHandler checks that each sender's messages arrive in the order sent
+// and that nothing runs once closed is set.
+type orderHandler struct {
+	t      *testing.T
+	ctx    node.Context
+	closed atomic.Bool
+	next   map[node.ID]int64 // mailbox goroutine only
+	total  atomic.Int64
+	timers atomic.Int64
+}
+
+func (h *orderHandler) Init(ctx node.Context) { h.ctx = ctx }
+
+func (h *orderHandler) Receive(from node.ID, m wire.Message) {
+	if h.closed.Load() {
+		h.t.Error("Receive ran after Close returned")
+	}
+	n := m.(*msg.Notify).Iter
+	if n != h.next[from] {
+		h.t.Errorf("%s: got message %d, want %d", from, n, h.next[from])
+	}
+	h.next[from] = n + 1
+	h.total.Add(1)
+	if n%16 == 0 { // timers armed and cancelled from the mailbox goroutine
+		cancel := h.ctx.After(time.Duration(n%3)*time.Millisecond, h.onTimer)
+		if n%32 == 0 {
+			cancel()
+		}
+	}
+}
+
+func (h *orderHandler) onTimer() {
+	if h.closed.Load() {
+		h.t.Error("a timer ran after Close returned")
+	}
+	h.timers.Add(1)
+}
+
+// TestTCPHostConcurrentSendersDoAfterAndClose: eight hosts send to one over
+// real sockets while other goroutines call Do and After on the receiver.
+// Per-sender FIFO order must hold, and a Close in the middle of the traffic
+// must return (no sender, Do or timer may wedge it) and deliver nothing after.
+func TestTCPHostConcurrentSendersDoAfterAndClose(t *testing.T) {
+	const senders, perSender = 8, 400
+	h := &orderHandler{t: t, next: map[node.ID]int64{}}
+	recv := newTestHost(t, node.ServerID(0), h)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < senders; i++ {
+		s := newTestHost(t, node.WorkerID(i), &signalHandler{got: make(chan int64, 1)})
+		defer s.Close()
+		s.AddPeer(node.ServerID(0), recv.Addr())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Phase one is counted; after it the sender keeps the socket
+			// busy until the receiver is closed under it.
+			for n := int64(0); ; n++ {
+				if n >= perSender {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+				s.Send(node.ServerID(0), &msg.Notify{Iter: n})
+			}
+		}()
+	}
+	var dos atomic.Int64
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				recv.Do(func() {
+					if h.closed.Load() {
+						t.Error("Do ran its func after Close returned")
+					}
+					dos.Add(1)
+				})
+				recv.After(time.Millisecond, h.onTimer)
+			}
+		}()
+	}
+
+	waitUntil(t, func() bool { return h.total.Load() >= senders*perSender && dos.Load() > 0 && h.timers.Load() > 0 })
+
+	closed := make(chan struct{})
+	go func() {
+		recv.Close()
+		h.closed.Store(true)
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return while senders, Do and After were active")
+	}
+	time.Sleep(20 * time.Millisecond) // timers armed before Close fire into the closed mailbox
+	close(stop)
+	wg.Wait()
+}
+
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestTimerCancelledAfterFiringDoesNotRun: a cancel that loses the race with
+// the wall-clock timer but beats the mailbox must still win — handlers cancel
+// a timeout from the very callback that makes it moot.
+func TestTimerCancelledAfterFiringDoesNotRun(t *testing.T) {
+	q := newQueue()
+	ran := false
+	cancel := q.after(0, func() { ran = true })
+	deadline := time.Now().Add(5 * time.Second)
+	for { // wait for the timer to land in the mailbox
+		q.mu.Lock()
+		n := len(q.pending)
+		q.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timer never fired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	q.close()
+	q.run(nil)
+	if ran {
+		t.Error("a cancelled timer's callback ran")
+	}
+}
+
+// TestAfterAllocations pins an armed-then-cancelled timer at four objects:
+// the timer entry, its fire and cancel funcs, and the runtime's time.Timer
+// (it was six, seven once fired, plus a slot in the host's timer map).
+func TestAfterAllocations(t *testing.T) {
+	q := newQueue()
+	f := func() {}
+	if allocs := testing.AllocsPerRun(200, func() { q.after(time.Hour, f)() }); allocs > 4 {
+		t.Errorf("after + cancel: %.1f allocs/op, want at most 4", allocs)
+	}
+}
+
+// BenchmarkMailboxHandoff measures TCPHost's socket-side hand-off without the
+// socket: Inject on one goroutine to Receive on the mailbox goroutine, one
+// message at a time (the wake-up cost) and in bursts (the batch swap).
+func BenchmarkMailboxHandoff(b *testing.B) {
+	for _, burst := range []int{1, 64} {
+		b.Run(fmt.Sprintf("burst%d", burst), func(b *testing.B) {
+			h := &signalHandler{got: make(chan int64, burst)}
+			host := newTestHost(b, node.ServerID(0), h)
+			defer host.Close()
+			var m wire.Message = &msg.Notify{Iter: 1}
+			from := node.WorkerID(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += burst {
+				for i := 0; i < burst; i++ {
+					host.Inject(from, m)
+				}
+				for i := 0; i < burst; i++ {
+					<-h.got
+				}
+			}
+		})
+	}
+}

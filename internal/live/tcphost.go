@@ -49,10 +49,6 @@ type TCPHost struct {
 	rng   *rand.Rand
 	wg    sync.WaitGroup
 
-	timerMu sync.Mutex
-	timers  map[*time.Timer]struct{}
-	closed  bool
-
 	// Optional transport telemetry (TCPHostConfig.Metrics).
 	metReceived *obs.Counter
 	metMailbox  *obs.Gauge
@@ -71,10 +67,9 @@ func NewTCPHost(cfg TCPHostConfig) (*TCPHost, error) {
 		return nil, fmt.Errorf("live: config requires a wire registry")
 	}
 	h := &TCPHost{
-		cfg:    cfg,
-		inbox:  newQueue(),
-		rng:    rand.New(rand.NewSource(node.RandSeed(cfg.Seed, cfg.ID))),
-		timers: make(map[*time.Timer]struct{}),
+		cfg:   cfg,
+		inbox: newQueue(),
+		rng:   rand.New(rand.NewSource(node.RandSeed(cfg.Seed, cfg.ID))),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		h.metReceived = reg.Counter("specsync_live_delivered_total", "Messages delivered to the node mailbox.")
@@ -94,17 +89,11 @@ func NewTCPHost(cfg TCPHostConfig) (*TCPHost, error) {
 	}
 	h.tr = tr
 
-	h.inbox.push(func() { cfg.Handler.Init(h) })
+	h.inbox.push(item{fn: func() { cfg.Handler.Init(h) }})
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		for {
-			f, ok := h.inbox.pop()
-			if !ok {
-				return
-			}
-			f()
-		}
+		h.inbox.run(h.receive)
 	}()
 	return h, nil
 }
@@ -120,11 +109,14 @@ func (h *TCPHost) AddPeer(id node.ID, addr string) { h.tr.AddPeer(id, addr) }
 // the mailbox-depth gauge and delivered counter see every message.
 func (h *TCPHost) enqueue(from node.ID, m wire.Message) {
 	h.metMailbox.Add(1)
-	h.inbox.push(func() {
-		h.metMailbox.Add(-1)
-		h.metReceived.Inc()
-		h.cfg.Handler.Receive(from, m)
-	})
+	h.inbox.push(item{from: from, msg: m})
+}
+
+// receive is enqueue's other half, run by the mailbox goroutine.
+func (h *TCPHost) receive(from node.ID, m wire.Message) {
+	h.metMailbox.Add(-1)
+	h.metReceived.Inc()
+	h.cfg.Handler.Receive(from, m)
 }
 
 // Inject enqueues a message onto this node's mailbox as if sent by from.
@@ -134,26 +126,17 @@ func (h *TCPHost) Inject(from node.ID, m wire.Message) {
 
 // Do runs f on the mailbox goroutine, serialized with message handling, and
 // waits for it to finish. Checkpointing uses this to snapshot handler state
-// without racing the message loop.
+// without racing the message loop. After Close it returns without running f.
 func (h *TCPHost) Do(f func()) {
 	done := make(chan struct{})
-	h.inbox.push(func() {
-		f()
-		close(done)
-	})
-	<-done
+	if h.inbox.push(item{fn: func() { f(); close(done) }}) {
+		<-done
+	}
 }
 
-// Close stops the mailbox, timers, and transport.
+// Close stops the mailbox and the transport. Nothing is delivered after it
+// returns: a timer still pending fires into the closed mailbox.
 func (h *TCPHost) Close() {
-	h.timerMu.Lock()
-	h.closed = true
-	for t := range h.timers {
-		t.Stop()
-	}
-	h.timers = nil
-	h.timerMu.Unlock()
-
 	h.inbox.close()
 	h.wg.Wait()
 	h.tr.Close()
@@ -190,37 +173,7 @@ func (h *TCPHost) Send(to node.ID, m wire.Message) {
 
 // After implements node.Context.
 func (h *TCPHost) After(d time.Duration, f func()) node.CancelFunc {
-	if d < 0 {
-		d = 0
-	}
-	var canceled bool
-	var mu sync.Mutex // guards canceled and t
-	var t *time.Timer
-	mu.Lock()
-	t = time.AfterFunc(d, func() {
-		mu.Lock()
-		tt := t
-		mu.Unlock()
-		h.forgetTimer(tt)
-		h.inbox.push(func() {
-			mu.Lock()
-			c := canceled
-			mu.Unlock()
-			if !c {
-				f()
-			}
-		})
-	})
-	mu.Unlock()
-	h.rememberTimer(t)
-	return func() {
-		mu.Lock()
-		canceled = true
-		mu.Unlock()
-		if t.Stop() {
-			h.forgetTimer(t)
-		}
-	}
+	return h.inbox.after(d, f)
 }
 
 // Logf implements node.Context.
@@ -228,20 +181,4 @@ func (h *TCPHost) Logf(format string, args ...any) {
 	if h.cfg.Debug {
 		fmt.Fprintf(os.Stderr, "[tcp] %-10s "+format+"\n", append([]any{h.cfg.ID}, args...)...)
 	}
-}
-
-func (h *TCPHost) rememberTimer(t *time.Timer) {
-	h.timerMu.Lock()
-	defer h.timerMu.Unlock()
-	if h.closed {
-		t.Stop()
-		return
-	}
-	h.timers[t] = struct{}{}
-}
-
-func (h *TCPHost) forgetTimer(t *time.Timer) {
-	h.timerMu.Lock()
-	defer h.timerMu.Unlock()
-	delete(h.timers, t)
 }

@@ -2,9 +2,18 @@
 // nodes run as separate processes. Frames are length-prefixed; each frame
 // carries the sender's node ID and one wire-encoded message. Connections are
 // dialed lazily per destination and writes are serialized per connection.
+//
+// A frame is
+//
+//	uint32 big-endian n | uvarint len(sender) | sender | uint16 kind | body
+//	                    '------------------- n bytes -------------------'
+//
+// and costs one syscall each way: the sender hands the whole frame to one
+// conn.Write, the receiver reads through one buffered window per connection.
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,8 +26,16 @@ import (
 	"specsync/internal/wire"
 )
 
+// frameHeaderLen is the length prefix that starts every frame.
+const frameHeaderLen = 4
+
 // maxFrameSize bounds a single frame (64 MiB) as a corruption guard.
 const maxFrameSize = 64 << 20
+
+// readBufSize is each connection's read window. A frame that fits in it
+// (every control message) is decoded where it lies; one read fills it with
+// the header, the payload and whatever frames are queued behind them.
+const readBufSize = 4096
 
 // maxRetainedFrame bounds the read buffer a connection keeps between frames
 // (wire's writer pool uses the same figure), so one giant frame does not pin
@@ -27,6 +44,11 @@ const maxRetainedFrame = 1 << 22
 
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("transport: closed")
+
+// ErrFrameTooLarge is returned by Send for a message that encodes to more
+// than maxFrameSize bytes. Nothing is written and nothing is retried: the
+// receiver would drop the connection on the header alone.
+var ErrFrameTooLarge = errors.New("transport: frame too large")
 
 // TransferRecorder observes sent frames for byte accounting.
 type TransferRecorder interface {
@@ -84,6 +106,13 @@ type TCP struct {
 type peerConn struct {
 	mu   sync.Mutex // serializes writes
 	conn net.Conn
+}
+
+// Write sends one whole frame; frames of concurrent senders do not interleave.
+func (pc *peerConn) Write(frame []byte) (int, error) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.conn.Write(frame)
 }
 
 // ListenTCP opens the endpoint and starts its accept loop (when ListenAddr
@@ -160,7 +189,7 @@ func (t *TCP) Send(to node.ID, m wire.Message) error {
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = t.sendOnce(to, m)
-		if err == nil || errors.Is(err, ErrClosed) || attempt >= attempts {
+		if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrFrameTooLarge) || attempt >= attempts {
 			return err
 		}
 		if t.cfg.OnRetry != nil {
@@ -180,30 +209,37 @@ func (t *TCP) sendOnce(to node.ID, m wire.Message) error {
 	if err != nil {
 		return err
 	}
-
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	w.String(string(t.cfg.ID))
-	wire.AppendMessage(w, m)
-	payload := w.Bytes()
-
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if _, err := pc.conn.Write(hdr[:]); err != nil {
+	n, err := writeFrame(pc, w, t.cfg.ID, m)
+	if err != nil {
+		if errors.Is(err, ErrFrameTooLarge) {
+			return err // nothing was written; the connection is still good
+		}
 		t.dropConn(to, pc)
-		return fmt.Errorf("transport: write header to %s: %w", to, err)
-	}
-	if _, err := pc.conn.Write(payload); err != nil {
-		t.dropConn(to, pc)
-		return fmt.Errorf("transport: write payload to %s: %w", to, err)
+		return fmt.Errorf("transport: write to %s: %w", to, err)
 	}
 	if t.cfg.Transfer != nil {
-		t.cfg.Transfer.RecordTransfer(t.cfg.ID, to, m.Kind(), len(payload)+4, time.Now())
+		t.cfg.Transfer.RecordTransfer(t.cfg.ID, to, m.Kind(), n, time.Now())
 	}
 	return nil
+}
+
+// writeFrame encodes m as one frame into the empty writer w and hands it to
+// dst in a single Write: the length is reserved at the front of w, the
+// payload encoded behind it and the length patched in, so header and payload
+// leave in one syscall with no copy, and no torn frame can sit between them.
+func writeFrame(dst io.Writer, w *wire.Writer, from node.ID, m wire.Message) (int, error) {
+	w.Uint32(0)
+	w.String(string(from))
+	wire.AppendMessage(w, m)
+	frame := w.Bytes()
+	size := len(frame) - frameHeaderLen
+	if size > maxFrameSize {
+		return 0, fmt.Errorf("%w: kind %d is %d bytes, limit %d", ErrFrameTooLarge, m.Kind(), size, maxFrameSize)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	return dst.Write(frame)
 }
 
 func (t *TCP) conn(to node.ID) (*peerConn, error) {
@@ -286,41 +322,84 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// readLoop reads every frame of a connection into one buffer. That is safe
-// because a wire.Reader hands a Decode copies, never views of the frame
-// (msg's TestUnmarshalCopiesOut), so the next frame overwrites nothing a
-// delivered message still holds.
+// readLoop decodes a connection's frames. Reads go through one buffered
+// window, so a header, its payload and any frames queued behind them arrive in
+// one read. A frame that fits the window is decoded in place; a larger one is
+// read straight into buf, the connection's one frame buffer, so its bytes are
+// still copied once. Both are overwritten by later frames. That is safe
+// because a wire.Reader hands a Decode copies, never views of its input
+// (msg's TestUnmarshalCopiesOut): a delivered message aliases neither.
+//
+// OnMessage must not block on the network: live.TCPHost only appends to an
+// unbounded mailbox, which is what lets two nodes stuck in Write to each
+// other keep draining their sockets (live/queue.go).
 func (t *TCP) readLoop(conn net.Conn) {
 	defer conn.Close()
-	var hdr [4]byte
-	var buf []byte
+	br := bufio.NewReaderSize(conn, readBufSize)
+	var (
+		buf  []byte
+		from node.ID     // last sender; a connection nearly always has one
+		rd   wire.Reader // one per connection, Reset per frame
+	)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		hdr, err := br.Peek(frameHeaderLen)
+		if err != nil {
 			return
 		}
-		size := binary.BigEndian.Uint32(hdr[:])
+		size := binary.BigEndian.Uint32(hdr)
 		if size == 0 || size > maxFrameSize {
 			return
 		}
-		if int(size) > cap(buf) || cap(buf) > maxRetainedFrame {
-			buf = make([]byte, size)
+		var payload []byte
+		windowed := frameHeaderLen+int(size) <= readBufSize
+		if windowed {
+			frame, err := br.Peek(frameHeaderLen + int(size))
+			if err != nil {
+				return
+			}
+			payload = frame[frameHeaderLen:]
+		} else {
+			br.Discard(frameHeaderLen) // cannot fail: Peek just buffered it
+			if int(size) > cap(buf) {
+				buf = make([]byte, size)
+			}
+			payload = buf[:size]
+			if _, err := io.ReadFull(br, payload); err != nil {
+				return
+			}
 		}
-		payload := buf[:size]
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		body, ok := splitSender(payload, &from)
+		if !ok {
 			return
 		}
-		r := wire.NewReader(payload)
-		from := node.ID(r.String())
-		if r.Err() != nil {
-			return
-		}
-		m, err := t.cfg.Registry.Unmarshal(payload[len(payload)-r.Remaining():])
+		rd.Reset(body)
+		m, err := t.cfg.Registry.UnmarshalFrom(&rd)
 		if err != nil {
 			// A decode failure means protocol corruption; drop the conn.
 			return
 		}
+		if windowed {
+			br.Discard(frameHeaderLen + int(size))
+		} else if cap(buf) > maxRetainedFrame {
+			buf = nil
+		}
 		t.cfg.OnMessage(from, m)
 	}
+}
+
+// splitSender parses the sender ID that leads a frame payload and returns the
+// message bytes behind it. *last holds the connection's previous sender: a
+// repeated ID costs a compare instead of a string allocation per frame.
+func splitSender(payload []byte, last *node.ID) (body []byte, ok bool) {
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return nil, false
+	}
+	end := k + int(n)
+	if id := payload[k:end]; string(id) != string(*last) {
+		*last = node.ID(id)
+	}
+	return payload[end:], true
 }
 
 // Close shuts the listener and all connections and waits for reader

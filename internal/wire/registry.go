@@ -103,7 +103,13 @@ func AppendMessage(w *Writer, m Message) {
 // Unmarshal decodes a message previously produced by Marshal. It fails on
 // unknown kinds, decode errors, and trailing bytes.
 func (r *Registry) Unmarshal(data []byte) (Message, error) {
-	rd := NewReader(data)
+	return r.UnmarshalFrom(NewReader(data))
+}
+
+// UnmarshalFrom is Unmarshal over everything rd has left to read. A caller
+// that decodes many frames (the TCP read loop) passes the same Reader, Reset
+// per frame, instead of allocating one per message.
+func (r *Registry) UnmarshalFrom(rd *Reader) (Message, error) {
 	k := Kind(rd.Uint16())
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("wire: reading kind: %w", err)

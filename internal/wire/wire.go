@@ -153,6 +153,10 @@ func NewReader(buf []byte) *Reader {
 	return &Reader{buf: buf}
 }
 
+// Reset points r at buf and clears its offset and sticky error, so one
+// Reader value can decode a stream of frames without a Reader per frame.
+func (r *Reader) Reset(buf []byte) { *r = Reader{buf: buf} }
+
 // Err returns the first error encountered, or nil.
 func (r *Reader) Err() error { return r.err }
 

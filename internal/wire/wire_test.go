@@ -262,6 +262,25 @@ func TestRegistryTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestUnmarshalFromReusedReader: one Reader, Reset per frame, decodes a run of
+// frames the way the TCP read loop does — a failed frame's sticky error and
+// offset must not leak into the next.
+func TestUnmarshalFromReusedReader(t *testing.T) {
+	reg := testRegistry()
+	good := Marshal(&testMsg{A: 7, B: "ok", V: []float64{3}})
+	var rd Reader
+	for i, frame := range [][]byte{good, good[:len(good)-1], append(append([]byte(nil), good...), 0), good} {
+		rd.Reset(frame)
+		m, err := reg.UnmarshalFrom(&rd)
+		if wantErr := i == 1 || i == 2; (err != nil) != wantErr {
+			t.Fatalf("frame %d: err = %v, want error %v", i, err, wantErr)
+		}
+		if err == nil && (m.(*testMsg).A != 7 || rd.Remaining() != 0) {
+			t.Errorf("frame %d decoded as %+v with %d bytes left", i, m, rd.Remaining())
+		}
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
