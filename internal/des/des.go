@@ -151,7 +151,8 @@ type Sim struct {
 	netRand  *rand.Rand
 	started  bool
 	stopped  bool
-	delivers uint64 // count of delivered messages, for stats/tests
+	delivers uint64      // count of delivered messages, for stats/tests
+	rd       wire.Reader // decodes every delivery; events never nest
 	fault    FaultHook
 	// linkPenalty, if non-nil, scales per-link transfer time (straggler
 	// congestion profiles). Unlike the fault hook it is a pure function —
@@ -430,18 +431,22 @@ func (s *Sim) send(from, to node.ID, m wire.Message) {
 		s.logf(from, "fault: dropped %s to %s", s.cfg.Registry.Name(m.Kind()), to)
 		return
 	}
-	data := wire.Marshal(m)
 	copies := 1
 	if act.Duplicate {
 		copies = 2
 	}
 	for c := 0; c < copies; c++ {
-		s.transmit(from, to, dst, m.Kind(), data, act.Delay)
+		// Each copy is encoded into its own pooled writer, which goes back
+		// when that copy's delivery event has run.
+		w := wire.GetWriter()
+		wire.AppendMessage(w, m)
+		s.transmit(from, to, dst, m.Kind(), w, act.Delay)
 	}
 }
 
 // transmit sends one copy of an encoded message through the network model.
-func (s *Sim) transmit(from, to node.ID, dst *simContext, kind wire.Kind, data []byte, extraDelay time.Duration) {
+func (s *Sim) transmit(from, to node.ID, dst *simContext, kind wire.Kind, w *wire.Writer, extraDelay time.Duration) {
+	data := w.Bytes()
 	if s.cfg.Transfer != nil {
 		s.cfg.Transfer.RecordTransfer(from, to, kind, len(data), s.now)
 	}
@@ -473,6 +478,7 @@ func (s *Sim) transmit(from, to node.ID, dst *simContext, kind wire.Kind, data [
 	kindName := s.cfg.Registry.Name(kind)
 	gen := dst.gen
 	s.scheduleAt(arrive, func() {
+		defer wire.PutWriter(w)
 		if dst.down || dst.gen != gen {
 			// The destination crashed (or restarted as a new incarnation)
 			// while the message was in flight: it is lost, exactly as a
@@ -480,7 +486,8 @@ func (s *Sim) transmit(from, to node.ID, dst *simContext, kind wire.Kind, data [
 			s.deadDrops++
 			return
 		}
-		decoded, err := s.cfg.Registry.Unmarshal(data)
+		s.rd.Reset(data)
+		decoded, err := s.cfg.Registry.UnmarshalFrom(&s.rd)
 		if err != nil {
 			// A decode failure under the simulator is a codec bug; surface
 			// it loudly rather than silently dropping.
@@ -489,6 +496,7 @@ func (s *Sim) transmit(from, to node.ID, dst *simContext, kind wire.Kind, data [
 		s.delivers++
 		s.metDelivered.Inc()
 		dst.handler.Receive(from, decoded)
+		s.cfg.Registry.Recycle(decoded)
 	})
 }
 

@@ -79,6 +79,7 @@ func (h *ServerHost) Receive(from node.ID, m wire.Message) {
 			return
 		}
 		t.h.Receive(from, inner)
+		h.reg.Recycle(inner) // decoded here, so taken back here (node.Handler)
 		return
 	}
 	if t := h.tenants[0]; t != nil {

@@ -375,6 +375,7 @@ func (ln *liveNode) enqueue(from, to node.ID, data []byte, n *Network) {
 		}
 		n.metDelivered.Inc()
 		h.Receive(from, decoded)
+		n.cfg.Registry.Recycle(decoded)
 	}})
 }
 

@@ -11,12 +11,14 @@ import (
 
 // item is one mailbox entry: a message for the handler's Receive, a timer
 // armed with queue.after, or (fn) anything else that must run on the mailbox
-// goroutine — Init, Do, and everything the in-memory Network queues.
+// goroutine — Init, Do, and everything the in-memory Network queues. decoded
+// marks a message the runtime decoded itself and takes back after Receive.
 type item struct {
-	from  node.ID
-	msg   wire.Message
-	timer *timer
-	fn    func()
+	from    node.ID
+	msg     wire.Message
+	decoded bool
+	timer   *timer
+	fn      func()
 }
 
 // maxSpareItems bounds the drained batch a queue keeps for reuse, so one
@@ -83,7 +85,7 @@ func (q *queue) take(spare []item) (batch []item, ok bool) {
 
 // run is the consumer loop: it executes every item in order, messages through
 // receive, until the queue is closed and drained.
-func (q *queue) run(receive func(from node.ID, m wire.Message)) {
+func (q *queue) run(receive func(from node.ID, m wire.Message, decoded bool)) {
 	var batch []item
 	for {
 		var ok bool
@@ -101,7 +103,7 @@ func (q *queue) run(receive func(from node.ID, m wire.Message)) {
 					it.timer.f()
 				}
 			default:
-				receive(it.from, it.msg)
+				receive(it.from, it.msg, it.decoded)
 			}
 		}
 	}

@@ -82,7 +82,7 @@ func NewTCPHost(cfg TCPHostConfig) (*TCPHost, error) {
 		Peers:      cfg.Peers,
 		Registry:   cfg.Registry,
 		Transfer:   cfg.Transfer,
-		OnMessage:  h.enqueue,
+		OnMessage:  func(from node.ID, m wire.Message) { h.enqueue(from, m, true) },
 	})
 	if err != nil {
 		return nil, err
@@ -106,22 +106,29 @@ func (h *TCPHost) AddPeer(id node.ID, addr string) { h.tr.AddPeer(id, addr) }
 
 // enqueue is the single instrumented path onto the mailbox: transport
 // deliveries, loopback sends, and injected messages all pass through here so
-// the mailbox-depth gauge and delivered counter see every message.
-func (h *TCPHost) enqueue(from node.ID, m wire.Message) {
+// the mailbox-depth gauge and delivered counter see every message. decoded is
+// true for the first two, whose message this host's registry produced.
+func (h *TCPHost) enqueue(from node.ID, m wire.Message, decoded bool) {
 	h.metMailbox.Add(1)
-	h.inbox.push(item{from: from, msg: m})
+	h.inbox.push(item{from: from, msg: m, decoded: decoded})
 }
 
-// receive is enqueue's other half, run by the mailbox goroutine.
-func (h *TCPHost) receive(from node.ID, m wire.Message) {
+// receive is enqueue's other half, run by the mailbox goroutine. A decoded
+// message goes back to its pool once the handler returns (node.Handler).
+func (h *TCPHost) receive(from node.ID, m wire.Message, decoded bool) {
 	h.metMailbox.Add(-1)
 	h.metReceived.Inc()
 	h.cfg.Handler.Receive(from, m)
+	if decoded {
+		h.cfg.Registry.Recycle(m)
+	}
 }
 
-// Inject enqueues a message onto this node's mailbox as if sent by from.
+// Inject enqueues a message onto this node's mailbox as if sent by from. The
+// message stays the caller's: it may alias the caller's buffers, so it is not
+// recycled.
 func (h *TCPHost) Inject(from node.ID, m wire.Message) {
-	h.enqueue(from, m)
+	h.enqueue(from, m, false)
 }
 
 // Do runs f on the mailbox goroutine, serialized with message handling, and
@@ -161,7 +168,7 @@ func (h *TCPHost) Send(to node.ID, m wire.Message) {
 			h.Logf("loopback decode: %v", err)
 			return
 		}
-		h.enqueue(h.cfg.ID, decoded)
+		h.enqueue(h.cfg.ID, decoded, true)
 		return
 	}
 	if err := h.tr.Send(to, m); err != nil {

@@ -19,6 +19,7 @@ type LinReg struct {
 	truth     tensor.Vec
 	shards    [][]regSample
 	eval      []regSample
+	grads     densePool
 }
 
 var _ Model = (*LinReg)(nil)
@@ -125,13 +126,13 @@ func (l *LinReg) Grad(w tensor.Vec, b Batch) Update {
 	if !ok {
 		panic(fmt.Sprintf("model: linreg got batch type %T", b))
 	}
-	g := tensor.NewVec(l.dim)
+	u := l.grads.get(l.dim)
 	inv := 1.0 / float64(len(rb.samples))
 	for _, s := range rb.samples {
 		e := tensor.Dot(w, s.x) - s.y
-		tensor.Axpy(g, 2*e*inv, s.x)
+		tensor.Axpy(u.Dense, 2*e*inv, s.x)
 	}
-	return Update{Dense: g}
+	return u
 }
 
 // BatchLoss implements Model.

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"specsync/internal/data"
 	"specsync/internal/sparse"
@@ -27,6 +28,16 @@ type MF struct {
 	shards    [][]data.Rating
 	eval      []data.Rating
 	initScale float64
+	grads     sync.Pool // of *mfGrad
+}
+
+// mfGrad is the storage behind one sparse gradient: the accumulator, the
+// vector it builds into, and the factor-row scratch.
+type mfGrad struct {
+	builder *sparse.Builder
+	vec     sparse.Vec
+	row     []float64
+	release func()
 }
 
 var _ Model = (*MF)(nil)
@@ -129,9 +140,13 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 	if !ok {
 		panic(fmt.Sprintf("model: MF got batch type %T", b))
 	}
-	builder := sparse.NewBuilder()
+	g, _ := m.grads.Get().(*mfGrad)
+	if g == nil {
+		g = &mfGrad{builder: sparse.NewBuilder(), row: make([]float64, m.rank)}
+		g.release = func() { m.grads.Put(g) }
+	}
+	builder, rowBuf := g.builder, g.row
 	inv := 1.0 / float64(len(rb.ratings))
-	rowBuf := make([]float64, m.rank)
 	for _, rt := range rb.ratings {
 		ub := m.userRow(rt.User)
 		ib := m.itemRow(rt.Item)
@@ -148,8 +163,8 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 		}
 		builder.AddSpan(int32(ib), rowBuf)
 	}
-	v := builder.Build()
-	return Update{Sparse: &v}
+	g.vec = builder.BuildInto(g.vec)
+	return Update{Sparse: &g.vec, release: g.release}
 }
 
 // BatchLoss implements Model.

@@ -28,6 +28,7 @@ type MLP struct {
 	l2        float64
 	shards    [][]data.Sample
 	eval      []data.Sample
+	grads     densePool
 }
 
 var _ Model = (*MLP)(nil)
@@ -150,7 +151,8 @@ func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
 	if !ok {
 		panic(fmt.Sprintf("model: MLP got batch type %T", b))
 	}
-	g := tensor.NewVec(m.Dim())
+	u := m.grads.get(m.Dim())
+	g := u.Dense
 	g1 := m.w1(g)
 	g2 := m.w2(g)
 	w2 := m.w2(w)
@@ -202,7 +204,7 @@ func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
 	if m.l2 > 0 {
 		tensor.Axpy(g, m.l2, w)
 	}
-	return Update{Dense: g}
+	return u
 }
 
 // BatchLoss implements Model.

@@ -11,6 +11,7 @@ package model
 
 import (
 	"math/rand"
+	"sync"
 
 	"specsync/internal/sparse"
 	"specsync/internal/tensor"
@@ -26,10 +27,44 @@ type Batch interface{}
 type Update struct {
 	Dense  tensor.Vec
 	Sparse *sparse.Vec
+	// release returns the storage behind Dense or Sparse to the model that
+	// computed the update; nil for an update built by hand.
+	release func()
 }
 
 // IsSparse reports whether the update uses the sparse representation.
 func (u Update) IsSparse() bool { return u.Sparse != nil }
+
+// Release hands the update's storage back to the model that computed it,
+// which reuses it for a later Grad: call it at most once, and do not touch
+// Dense or Sparse afterwards. Releasing is optional — an update that is never
+// released is left to the GC — and does nothing for an update built by hand.
+func (u Update) Release() {
+	if u.release != nil {
+		u.release()
+	}
+}
+
+// densePool hands out one model's dense gradients, zeroed, and takes them
+// back through Update.Release. The zero value is ready to use; models that
+// embed it must not be copied.
+type densePool struct{ pool sync.Pool }
+
+type denseGrad struct {
+	vec     tensor.Vec
+	release func() // made once per vector, so Grad allocates nothing
+}
+
+func (p *densePool) get(dim int) Update {
+	g, _ := p.pool.Get().(*denseGrad)
+	if g == nil {
+		g = &denseGrad{vec: tensor.NewVec(dim)}
+		g.release = func() { p.pool.Put(g) }
+	} else {
+		g.vec.Zero()
+	}
+	return Update{Dense: g.vec, release: g.release}
+}
 
 // Model is a trainable workload bound to its (sharded) dataset.
 type Model interface {

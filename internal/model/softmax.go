@@ -20,6 +20,7 @@ type Softmax struct {
 	shards    [][]data.Sample
 	eval      []data.Sample
 	initScale float64
+	grads     densePool
 }
 
 var _ Model = (*Softmax)(nil)
@@ -118,7 +119,8 @@ func (s *Softmax) Grad(w tensor.Vec, b Batch) Update {
 	if !ok {
 		panic(fmt.Sprintf("model: softmax got batch type %T", b))
 	}
-	g := tensor.NewVec(s.Dim())
+	u := s.grads.get(s.Dim())
+	g := u.Dense
 	probs := tensor.NewVec(s.classes)
 	stride := s.dim + 1
 	inv := 1.0 / float64(len(sb.samples))
@@ -141,7 +143,7 @@ func (s *Softmax) Grad(w tensor.Vec, b Batch) Update {
 	if s.l2 > 0 {
 		tensor.Axpy(g, s.l2, w)
 	}
-	return Update{Dense: g}
+	return u
 }
 
 // BatchLoss implements Model.

@@ -12,6 +12,8 @@
 package msg
 
 import (
+	"sync"
+
 	"specsync/internal/sparse"
 	"specsync/internal/wire"
 )
@@ -83,7 +85,7 @@ func (m *PullResp) Encode(w *wire.Writer) {
 func (m *PullResp) Decode(r *wire.Reader) {
 	m.Seq = r.Uint64()
 	m.Version = r.Varint()
-	m.Values = r.Float64s()
+	m.Values = r.Float64sInto(m.Values)
 }
 
 // PushReq delivers a gradient block for one shard. Exactly one of Dense or
@@ -124,10 +126,12 @@ func (m *PushReq) Decode(r *wire.Reader) {
 	m.PullVersion = r.Varint()
 	m.IsSparse = r.Bool()
 	if m.IsSparse {
-		m.SparseIdx = r.Ints32()
-		m.SparseVal = r.Float64s()
+		m.SparseIdx = r.Ints32Into(m.SparseIdx)
+		m.SparseVal = r.Float64sInto(m.SparseVal)
+		m.Dense = nil
 	} else {
-		m.Dense = r.Float64s()
+		m.Dense = r.Float64sInto(m.Dense)
+		m.SparseIdx, m.SparseVal = nil, nil
 	}
 }
 
@@ -440,7 +444,7 @@ func (m *PullRespV2) Decode(r *wire.Reader) {
 	m.Version = r.Varint()
 	m.Base = r.Varint()
 	m.Codec = r.Uint8()
-	m.Payload = r.Bytes()
+	m.Payload = r.BytesInto(m.Payload)
 }
 
 // PushReqV2 delivers one shard's gradient block as a codec payload (the
@@ -473,15 +477,24 @@ func (m *PushReqV2) Decode(r *wire.Reader) {
 	m.Iter = r.Varint()
 	m.PullVersion = r.Varint()
 	m.Codec = r.Uint8()
-	m.Payload = r.Bytes()
+	m.Payload = r.BytesInto(m.Payload)
 }
 
-// Registry returns a fresh registry covering every protocol message.
+// Pools of the recycled kinds: the four that carry a parameter or gradient
+// block on every iteration. A runtime that decoded one hands it back through
+// wire.Registry.Recycle after Handler.Receive returns (see node.Handler), and
+// the next Decode of the kind refills its slices. ReplApply and ShardState
+// carry blocks too but stay unpooled: ps.Server parks them (pendingRepl,
+// early) past the Receive that delivered them.
+var pullRespPool, pushReqPool, pullRespV2Pool, pushReqV2Pool sync.Pool
+
+// Registry returns a fresh registry covering every protocol message. All
+// registries share the recycled kinds' pools.
 func Registry() *wire.Registry {
 	return wire.NewRegistry([]wire.RegistryEntry{
 		{Kind: KindPullReq, Name: "PullReq", New: func() wire.Message { return &PullReq{} }},
-		{Kind: KindPullResp, Name: "PullResp", New: func() wire.Message { return &PullResp{} }},
-		{Kind: KindPushReq, Name: "PushReq", New: func() wire.Message { return &PushReq{} }},
+		{Kind: KindPullResp, Name: "PullResp", New: func() wire.Message { return &PullResp{} }, Pool: &pullRespPool},
+		{Kind: KindPushReq, Name: "PushReq", New: func() wire.Message { return &PushReq{} }, Pool: &pushReqPool},
 		{Kind: KindPushAck, Name: "PushAck", New: func() wire.Message { return &PushAck{} }},
 		{Kind: KindNotify, Name: "Notify", New: func() wire.Message { return &Notify{} }},
 		{Kind: KindReSync, Name: "ReSync", New: func() wire.Message { return &ReSync{} }},
@@ -496,8 +509,8 @@ func Registry() *wire.Registry {
 		{Kind: KindStateReport, Name: "StateReport", New: func() wire.Message { return &StateReport{} }},
 		{Kind: KindSchedulerBeacon, Name: "SchedulerBeacon", New: func() wire.Message { return &SchedulerBeacon{} }},
 		{Kind: KindPullReqV2, Name: "PullReqV2", New: func() wire.Message { return &PullReqV2{} }},
-		{Kind: KindPullRespV2, Name: "PullRespV2", New: func() wire.Message { return &PullRespV2{} }},
-		{Kind: KindPushReqV2, Name: "PushReqV2", New: func() wire.Message { return &PushReqV2{} }},
+		{Kind: KindPullRespV2, Name: "PullRespV2", New: func() wire.Message { return &PullRespV2{} }, Pool: &pullRespV2Pool},
+		{Kind: KindPushReqV2, Name: "PushReqV2", New: func() wire.Message { return &PushReqV2{} }, Pool: &pushReqV2Pool},
 		{Kind: KindJoinReq, Name: "JoinReq", New: func() wire.Message { return &JoinReq{} }},
 		{Kind: KindJoinAck, Name: "JoinAck", New: func() wire.Message { return &JoinAck{} }},
 		{Kind: KindRoutingUpdate, Name: "RoutingUpdate", New: func() wire.Message { return &RoutingUpdate{} }},

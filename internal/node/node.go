@@ -119,6 +119,8 @@ type Context interface {
 	// Send delivers m to the destination node asynchronously. Sends to
 	// unknown nodes are dropped (and logged), matching UDP-like fire-and-
 	// forget semantics; the protocols built on top are request/response.
+	// m is encoded before Send returns, so it may alias buffers the caller
+	// goes on to reuse (a shard's parameters, a received message's slices).
 	Send(to ID, m wire.Message)
 	// After schedules f to run on this node's executor after d. The returned
 	// cancel function stops an unfired timer.
@@ -137,6 +139,14 @@ type Handler interface {
 	Init(ctx Context)
 	// Receive is called for each incoming message, serialized with all other
 	// callbacks of this node.
+	//
+	// A message the runtime decoded belongs to the handler until Receive
+	// returns and to the runtime afterwards: the runtime recycles it
+	// (wire.Registry.Recycle), and the next message of the kind is decoded
+	// into the same slices. A handler that needs a field longer copies it out
+	// before returning; forwarding through Context.Send counts as done,
+	// because every Send encodes before it returns. Messages a driver injects
+	// (TCPHost.Inject) stay the driver's and are never recycled.
 	Receive(from ID, m wire.Message)
 }
 

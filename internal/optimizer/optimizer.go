@@ -95,6 +95,9 @@ type SGD struct {
 	clip     float64 // max gradient L2 norm, 0 = off
 	velocity tensor.Vec
 	step     int64
+	// clipped holds the scaled copy of a gradient over the clip norm, so the
+	// caller's buffer is never mutated and no push allocates.
+	clipped tensor.Vec
 }
 
 // SGDConfig configures an SGD optimizer instance.
@@ -138,10 +141,11 @@ func (o *SGD) ApplyDense(w, g tensor.Vec) {
 	lr := o.sched.LR(o.step)
 	o.step++
 	if o.clip > 0 {
-		// Clip a copy so the caller's gradient buffer is not mutated.
+		// Clip a copy so the caller's gradient buffer is not mutated (a
+		// replicated primary forwards it afterwards).
 		n := tensor.Norm2(g)
 		if n > o.clip {
-			g = g.Clone()
+			g = o.scratch(g)
 			tensor.Scale(g, o.clip/n)
 		}
 	}
@@ -155,6 +159,12 @@ func (o *SGD) ApplyDense(w, g tensor.Vec) {
 	tensor.Axpy(w, -lr, g)
 }
 
+// scratch returns a copy of vals in the optimizer's reused clip buffer.
+func (o *SGD) scratch(vals []float64) tensor.Vec {
+	o.clipped = append(o.clipped[:0], vals...)
+	return o.clipped
+}
+
 // ApplySparse performs the sparse analogue of ApplyDense. With momentum, the
 // velocity decay is applied lazily only on touched coordinates would be the
 // fully correct treatment; for simplicity and because the MF workload runs
@@ -165,7 +175,7 @@ func (o *SGD) ApplySparse(w tensor.Vec, g sparse.Vec) {
 	o.step++
 	if o.clip > 0 {
 		if n2 := g.Norm2Sq(); n2 > o.clip*o.clip {
-			g = g.Clone()
+			g.Val = o.scratch(g.Val) // the indices are only read
 			g.Scale(o.clip / math.Sqrt(n2))
 		}
 	}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -192,5 +193,68 @@ func TestQuickSGDReducesQuadratic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// clippedBlock is a 64 KiB gradient whose norm is far over the clip.
+func clippedBlock() tensor.Vec {
+	g := tensor.NewVec(8192)
+	for i := range g {
+		g[i] = float64(i%17) - 8
+	}
+	return g
+}
+
+// TestClippedApplyAllocatesNothing: every push on the dense ledger workload
+// is clipped, so the scaled copy lives in scratch the optimizer keeps. It
+// must stay a copy (a replicated primary forwards the caller's buffer after
+// the apply) and give bit-for-bit what scaling a clone gave, dense and sparse.
+func TestClippedApplyAllocatesNothing(t *testing.T) {
+	o, err := NewSGD(SGDConfig{Schedule: Const(0.01), Clip: 50}, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := clippedBlock(), tensor.NewVec(8192)
+	o.ApplyDense(w, g)
+	if allocs := testing.AllocsPerRun(50, func() { o.ApplyDense(w, g) }); allocs != 0 {
+		t.Errorf("clipped ApplyDense: %.1f allocs/op, want 0", allocs)
+	}
+	sp := sparse.FromDense(g)
+	if allocs := testing.AllocsPerRun(50, func() { o.ApplySparse(w, sp) }); allocs != 0 {
+		t.Errorf("clipped ApplySparse: %.1f allocs/op, want 0", allocs)
+	}
+
+	// Against scaling a clone, from the same starting point.
+	want := clippedBlock()
+	scaled := want.Clone()
+	tensor.Scale(scaled, 50/tensor.Norm2(want))
+	wantW, gotW := tensor.NewVec(8192), tensor.NewVec(8192)
+	tensor.Axpy(wantW, -0.01, scaled)
+	o.ApplyDense(gotW, g)
+	for i := range want {
+		if g[i] != want[i] {
+			t.Fatalf("the caller's gradient was mutated at %d", i)
+		}
+		if math.Float64bits(gotW[i]) != math.Float64bits(wantW[i]) {
+			t.Fatalf("param %d = %v, scaling a clone gives %v", i, gotW[i], wantW[i])
+		}
+	}
+	if spWant := sparse.FromDense(want); !reflect.DeepEqual(sp, spWant) {
+		t.Error("the caller's sparse gradient was mutated")
+	}
+}
+
+func BenchmarkApplyDenseClipped(b *testing.B) {
+	o, err := NewSGD(SGDConfig{Schedule: Const(0.01), Clip: 50}, 8192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, w := clippedBlock(), tensor.NewVec(8192)
+	o.ApplyDense(w, g) // the clip scratch now exists
+	b.SetBytes(8 * 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.ApplyDense(w, g)
 	}
 }

@@ -91,7 +91,10 @@ func (s *Server) noteApplied(worker int32, iter int64) {
 
 // forward ships one applied push to every backup, stamped with the version
 // acknowledge just assigned. Send marshals synchronously, so aliasing the
-// request's gradient buffers into the ReplApply is safe.
+// request's gradient buffers into the ReplApply is safe — and it has to stay
+// so: the request goes back to its pool when this Receive returns
+// (node.Handler), so a ReplApply that outlived the call would be overwritten
+// by the next push decoded.
 func (s *Server) forward(worker int32, iter int64, body func() *msg.ReplApply) {
 	if len(s.backups) == 0 {
 		return
@@ -139,7 +142,12 @@ func (s *Server) applyRepl(req *msg.ReplApply) {
 	s.cfg.Optimizer.SetStep(req.Version - 1)
 	switch req.Body {
 	case msg.ReplBodySparse:
-		s.cfg.Optimizer.ApplySparse(s.params, sparse.Vec{Idx: req.Idx, Val: req.Grad})
+		g := sparse.Vec{Idx: req.Idx, Val: req.Grad}
+		if err := g.Validate(s.cfg.Range.Len()); err != nil {
+			s.ctx.Logf("server: repl-apply v%d: %v; dropped", req.Version, err)
+			return
+		}
+		s.cfg.Optimizer.ApplySparse(s.params, g)
 	case msg.ReplBodyDense:
 		if len(req.Dense) != s.cfg.Range.Len() {
 			s.ctx.Logf("server: repl-apply v%d has %d values, want %d; dropped",

@@ -232,6 +232,10 @@ func (s *Server) apply(from node.ID, req *msg.PushReq) {
 	// Key the LR schedule on this shard's total push count.
 	s.cfg.Optimizer.SetStep(s.version.Load())
 	if req.IsSparse {
+		if err := req.Sparse().Validate(s.cfg.Range.Len()); err != nil {
+			s.ctx.Logf("server: push from %s: %v; dropped", from, err)
+			return
+		}
 		s.cfg.Optimizer.ApplySparse(s.params, req.Sparse())
 	} else {
 		if len(req.Dense) != s.cfg.Range.Len() {

@@ -118,8 +118,17 @@ type client struct {
 	resps []wire.Message
 }
 
-func (c *client) Init(ctx node.Context)             { c.ctx = ctx }
-func (c *client) Receive(_ node.ID, m wire.Message) { c.resps = append(c.resps, m) }
+func (c *client) Init(ctx node.Context) { c.ctx = ctx }
+
+// Receive keeps a copy: the delivered message goes back to the runtime when
+// this returns (node.Handler).
+func (c *client) Receive(_ node.ID, m wire.Message) {
+	kept, err := msg.Registry().Unmarshal(wire.Marshal(m))
+	if err != nil {
+		panic(err)
+	}
+	c.resps = append(c.resps, kept)
+}
 
 type stalenessLog struct {
 	vals []int64

@@ -7,6 +7,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"specsync/internal/tensor"
@@ -100,33 +101,34 @@ func (b *Builder) AddSpan(base int32, values []float64) {
 // Len returns the number of distinct indices accumulated so far.
 func (b *Builder) Len() int { return len(b.vals) }
 
-// Build produces the canonical sorted vector and resets the builder.
-func (b *Builder) Build() Vec {
-	idx := make([]int32, 0, len(b.vals))
+// BuildInto produces the canonical sorted vector in dst's storage, which it
+// grows as needed, and resets the builder. The builder keeps its capacity too,
+// so a Builder and a Vec that are reused together stop allocating.
+func (b *Builder) BuildInto(dst Vec) Vec {
+	idx, val := dst.Idx[:0], dst.Val[:0]
 	for ix := range b.vals {
 		idx = append(idx, ix)
 	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	val := make([]float64, len(idx))
-	for i, ix := range idx {
-		val[i] = b.vals[ix]
+	slices.Sort(idx)
+	for _, ix := range idx {
+		val = append(val, b.vals[ix])
 	}
-	b.vals = make(map[int32]float64)
+	clear(b.vals)
 	return Vec{Idx: idx, Val: val}
 }
 
-// Slice returns the sub-vector of v whose indices fall in [lo, hi), with
-// indices rebased to lo. Parameter-server shards use this to route one sparse
-// push to the shard that owns each index range.
-func (v Vec) Slice(lo, hi int32) Vec {
+// SliceInto returns the sub-vector of v whose indices fall in [lo, hi), with
+// indices rebased to lo, in dst's storage (grown as needed). Workers use it to
+// route one sparse push to the shard that owns each index range, into scratch
+// they keep per shard.
+func (v Vec) SliceInto(dst Vec, lo, hi int32) Vec {
 	start := sort.Search(len(v.Idx), func(i int) bool { return v.Idx[i] >= lo })
 	end := sort.Search(len(v.Idx), func(i int) bool { return v.Idx[i] >= hi })
-	out := Vec{Idx: make([]int32, end-start), Val: make([]float64, end-start)}
-	for i := start; i < end; i++ {
-		out.Idx[i-start] = v.Idx[i] - lo
-		out.Val[i-start] = v.Val[i]
+	dst.Idx, dst.Val = dst.Idx[:0], append(dst.Val[:0], v.Val[start:end]...)
+	for _, ix := range v.Idx[start:end] {
+		dst.Idx = append(dst.Idx, ix-lo)
 	}
-	return out
+	return dst
 }
 
 // FromDense extracts the non-zero entries of a dense vector. Mostly a test

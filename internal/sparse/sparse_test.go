@@ -13,7 +13,7 @@ func TestBuilderMergesDuplicates(t *testing.T) {
 	b.Add(5, 1.5)
 	b.Add(2, 1)
 	b.Add(5, 0.5)
-	v := b.Build()
+	v := b.BuildInto(Vec{})
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", v.Len())
 	}
@@ -35,7 +35,7 @@ func TestAddSpan(t *testing.T) {
 	b := NewBuilder()
 	b.AddSpan(10, []float64{1, 2, 3})
 	b.AddSpan(11, []float64{10})
-	v := b.Build()
+	v := b.BuildInto(Vec{})
 	d := v.ToDense(20)
 	if d[10] != 1 || d[11] != 12 || d[12] != 3 {
 		t.Errorf("dense = %v", d[10:13])
@@ -59,7 +59,7 @@ func TestValidateCatchesBadVectors(t *testing.T) {
 
 func TestSlice(t *testing.T) {
 	v := Vec{Idx: []int32{1, 5, 9, 15}, Val: []float64{1, 5, 9, 15}}
-	s := v.Slice(5, 10)
+	s := v.SliceInto(Vec{}, 5, 10)
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
 	}
@@ -69,7 +69,7 @@ func TestSlice(t *testing.T) {
 	if s.Val[0] != 5 || s.Val[1] != 9 {
 		t.Errorf("Val = %v", s.Val)
 	}
-	if empty := v.Slice(20, 30); empty.Len() != 0 {
+	if empty := v.SliceInto(Vec{}, 20, 30); empty.Len() != 0 {
 		t.Errorf("out-of-range slice not empty: %v", empty)
 	}
 }
@@ -85,7 +85,7 @@ func TestQuickSliceRoundtrip(t *testing.T) {
 		for i := 0; i < rng.Intn(40); i++ {
 			b.Add(int32(rng.Intn(dim)), rng.NormFloat64())
 		}
-		v := b.Build()
+		v := b.BuildInto(Vec{})
 
 		nshards := rng.Intn(4) + 1
 		per := (dim + nshards - 1) / nshards
@@ -96,7 +96,7 @@ func TestQuickSliceRoundtrip(t *testing.T) {
 			if hi > dim {
 				hi = dim
 			}
-			part := v.Slice(lo, hi)
+			part := v.SliceInto(Vec{}, lo, hi)
 			if err := part.Validate(int(hi - lo)); err != nil {
 				return false
 			}

@@ -328,7 +328,11 @@ func (t *TCP) acceptLoop() {
 // read straight into buf, the connection's one frame buffer, so its bytes are
 // still copied once. Both are overwritten by later frames. That is safe
 // because a wire.Reader hands a Decode copies, never views of its input
-// (msg's TestUnmarshalCopiesOut): a delivered message aliases neither.
+// (msg's TestUnmarshalCopiesOut): a delivered message aliases neither. What
+// the copies land in is the runtime's, not the handler's: the recycled kinds
+// (msg.Registry) are decoded into a pooled message here, before any handler
+// has accepted the frame and while one may be reading its own state, and
+// whoever OnMessage hands it to gives it back after Handler.Receive.
 //
 // OnMessage must not block on the network: live.TCPHost only appends to an
 // unbounded mailbox, which is what lets two nodes stuck in Write to each

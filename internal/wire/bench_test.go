@@ -12,10 +12,14 @@ func benchVec(n int) []float64 {
 	return vs
 }
 
+// blockLen is one shard's block on the dense ledger workload (64 KiB).
+const blockLen = 8192
+
 func BenchmarkFloat64sEncode(b *testing.B) {
-	vs := benchVec(42000) // MF-sized parameter pull
-	w := NewWriter(42000*8 + 16)
+	vs := benchVec(blockLen)
+	w := NewWriter(blockLen*8 + 16)
 	b.SetBytes(int64(len(vs) * 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
@@ -24,15 +28,18 @@ func BenchmarkFloat64sEncode(b *testing.B) {
 }
 
 func BenchmarkFloat64sDecode(b *testing.B) {
-	vs := benchVec(42000)
+	vs := benchVec(blockLen)
 	w := NewWriter(0)
 	w.Float64s(vs)
 	data := w.Bytes()
+	var r Reader
+	out := make([]float64, blockLen) // a recycled destination
 	b.SetBytes(int64(len(vs) * 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewReader(data)
-		if out := r.Float64s(); len(out) != len(vs) {
+		r.Reset(data)
+		if out = r.Float64sInto(out); len(out) != len(vs) {
 			b.Fatal("bad decode")
 		}
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Kind identifies a message type on the wire. Kinds are assigned statically
@@ -23,8 +24,15 @@ type Message interface {
 
 // Registry maps message kinds to factories so transports can decode frames.
 // A Registry is immutable after construction and safe for concurrent use.
+//
+// Kinds registered with a Pool are recycled: Unmarshal draws the message from
+// the pool and its Decode fills the slices the message already holds, and
+// whoever called Unmarshal hands the message back with Recycle once nothing
+// reads it any more (node.Handler states when that is). A caller that never
+// recycles only leaves the message to the GC.
 type Registry struct {
 	factories map[Kind]func() Message
+	pools     map[Kind]*sync.Pool
 	names     map[Kind]string
 }
 
@@ -33,6 +41,10 @@ type RegistryEntry struct {
 	Kind Kind
 	Name string
 	New  func() Message
+	// Pool, if non-nil, makes the kind recycled: New is only called when the
+	// pool is empty. The pool outlives the Registry, so every registry built
+	// from the same table shares it, and the GC trims it like any sync.Pool.
+	Pool *sync.Pool
 }
 
 // NewRegistry builds a Registry from entries. It panics on duplicate kinds,
@@ -40,6 +52,7 @@ type RegistryEntry struct {
 func NewRegistry(entries []RegistryEntry) *Registry {
 	r := &Registry{
 		factories: make(map[Kind]func() Message, len(entries)),
+		pools:     make(map[Kind]*sync.Pool),
 		names:     make(map[Kind]string, len(entries)),
 	}
 	for _, e := range entries {
@@ -50,9 +63,31 @@ func NewRegistry(entries []RegistryEntry) *Registry {
 			panic(fmt.Sprintf("wire: nil factory for kind %d (%s)", e.Kind, e.Name))
 		}
 		r.factories[e.Kind] = e.New
+		if pool, fresh := e.Pool, e.New; pool != nil {
+			r.pools[e.Kind] = pool
+			r.factories[e.Kind] = func() Message {
+				if m, ok := pool.Get().(Message); ok {
+					return m
+				}
+				return fresh()
+			}
+		}
 		r.names[e.Kind] = e.Name
 	}
 	return r
+}
+
+// Recycle takes back a message this registry decoded. The caller must be the
+// one that decoded it and must be done with it: the next Unmarshal of the kind
+// overwrites its slices. Kinds without a pool are left alone, so a runtime
+// recycles every message it delivered without looking at the kind. Builds with
+// the race detector on scribble over the message first, so a handler that
+// kept one fails loudly in every test that runs under -race.
+func (r *Registry) Recycle(m Message) {
+	if pool := r.pools[m.Kind()]; pool != nil {
+		poison(m)
+		pool.Put(m)
+	}
 }
 
 // Name returns the registered name for a kind, or a numeric placeholder.
@@ -73,7 +108,8 @@ func (r *Registry) Kinds() []Kind {
 	return ks
 }
 
-// New instantiates an empty message of the given kind.
+// New returns a message of the given kind for Decode to fill: an empty one,
+// or for a recycled kind one that may still hold what it last decoded.
 func (r *Registry) New(k Kind) (Message, error) {
 	f, ok := r.factories[k]
 	if !ok {

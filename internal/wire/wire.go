@@ -120,15 +120,23 @@ func (w *Writer) Bytes2(b []byte) {
 }
 
 // Float64s appends a length-prefixed slice of doubles. The payload is
-// written in one pre-grown block: parameter pulls and pushes are the hot
-// path of the whole system.
+// written in one pre-grown block, four values per step with the bounds checks
+// hoisted: parameter pulls and pushes are the hot path of the whole system.
 func (w *Writer) Float64s(vs []float64) {
 	w.Uvarint(uint64(len(vs)))
 	off := len(w.buf)
 	need := len(vs) * 8
 	w.buf = slices.Grow(w.buf, need)[:off+need]
+	b := w.buf[off:]
+	for len(vs) >= 4 && len(b) >= 32 {
+		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(vs[0]))
+		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(vs[1]))
+		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(vs[2]))
+		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(vs[3]))
+		vs, b = vs[4:], b[32:]
+	}
 	for i, v := range vs {
-		binary.LittleEndian.PutUint64(w.buf[off+i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
 	}
 }
 
@@ -288,19 +296,36 @@ func (r *Reader) String() string {
 }
 
 // Bytes reads a length-prefixed byte slice. The result is a copy.
-func (r *Reader) Bytes() []byte {
+func (r *Reader) Bytes() []byte { return r.BytesInto(nil) }
+
+// BytesInto is Bytes decoding into dst's storage when it is large enough (and
+// into a fresh slice when it is not, or dst is nil). The result never aliases
+// the Reader's input; it is nil after an error.
+func (r *Reader) BytesInto(dst []byte) []byte {
 	n := r.sliceLen()
 	b := r.take(n)
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return append(sized(dst, n), b...)
+}
+
+// sized returns dst emptied when n values fit in its storage, else an empty
+// slice that does — never nil, so a zero-length slice decodes empty, not nil,
+// whatever dst was. The lengths it is given are backed by bytes already seen,
+// so a lying length prefix cannot make it allocate.
+func sized[T any](dst []T, n int) []T {
+	if dst == nil || cap(dst) < n {
+		return make([]T, 0, n)
+	}
+	return dst[:0]
 }
 
 // Float64s reads a length-prefixed slice of doubles.
-func (r *Reader) Float64s() []float64 {
+func (r *Reader) Float64s() []float64 { return r.Float64sInto(nil) }
+
+// Float64sInto is Float64s decoding into dst's storage; see BytesInto.
+func (r *Reader) Float64sInto(dst []float64) []float64 {
 	n := r.sliceLen()
 	if r.err != nil {
 		return nil
@@ -309,30 +334,47 @@ func (r *Reader) Float64s() []float64 {
 	if b == nil {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	out := sized(dst, n)[:n]
+	vs := out
+	for len(vs) >= 4 && len(b) >= 32 {
+		vs[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[0:8]))
+		vs[1] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:16]))
+		vs[2] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:24]))
+		vs[3] = math.Float64frombits(binary.LittleEndian.Uint64(b[24:32]))
+		vs, b = vs[4:], b[32:]
+	}
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out
 }
 
 // Ints32 reads a length-prefixed slice of int32 values.
-func (r *Reader) Ints32() []int32 {
+func (r *Reader) Ints32() []int32 { return r.Ints32Into(nil) }
+
+// Ints32Into is Ints32 decoding into dst's storage; see BytesInto. Every
+// entry takes at least one byte, so a length beyond what is left to read is
+// refused before anything is allocated, and decoding stops at the first error.
+func (r *Reader) Ints32Into(dst []int32) []int32 {
 	n := r.sliceLen()
 	if r.err != nil {
 		return nil
 	}
-	out := make([]int32, n)
-	for i := range out {
+	if n > r.Remaining() {
+		r.fail(ErrShortBuffer)
+		return nil
+	}
+	out := sized(dst, n)
+	for i := 0; i < n; i++ {
 		v := r.Varint()
+		if r.err != nil {
+			return nil
+		}
 		if v < math.MinInt32 || v > math.MaxInt32 {
 			r.fail(fmt.Errorf("wire: int32 out of range: %d", v))
 			return nil
 		}
-		out[i] = int32(v)
-	}
-	if r.err != nil {
-		return nil
+		out = append(out, int32(v))
 	}
 	return out
 }

@@ -27,6 +27,7 @@ import (
 	"specsync/internal/obs"
 	"specsync/internal/ps"
 	"specsync/internal/scheme"
+	"specsync/internal/sparse"
 	"specsync/internal/tensor"
 	"specsync/internal/trace"
 	"specsync/internal/wire"
@@ -293,6 +294,9 @@ type Worker struct {
 	// double-count the residual). Each shard's writer is encoded into
 	// directly and keeps its capacity across iterations.
 	pushEnc []wire.Writer
+	// pushPart is the raw sparse path's counterpart of pushEnc: per-shard
+	// scratch the gradient's entries are rebased into on every send.
+	pushPart []sparse.Vec
 	// havePulled marks shards pulled at least once by this incarnation;
 	// until then delta pulls advertise Have = -1 (no base).
 	havePulled []bool
@@ -490,6 +494,7 @@ func New(cfg Config) (*Worker, error) {
 func (wk *Worker) setShards(shards []ps.Range, shardSrv []int) {
 	wk.shards = shards
 	wk.shardSrv = shardSrv
+	wk.pushPart = make([]sparse.Vec, len(shards))
 	wk.srvToShard = make(map[int]int, len(shardSrv))
 	for i, s := range shardSrv {
 		wk.srvToShard[s] = i
@@ -898,7 +903,8 @@ func (wk *Worker) sendPush() {
 			PullVersion: wk.pullVersions[si],
 		}
 		if wk.pushUpdate.IsSparse() {
-			part := wk.pushUpdate.Sparse.Slice(int32(r.Lo), int32(r.Hi))
+			part := wk.pushUpdate.Sparse.SliceInto(wk.pushPart[si], int32(r.Lo), int32(r.Hi))
+			wk.pushPart[si] = part
 			req.IsSparse = true
 			req.SparseIdx = part.Idx
 			req.SparseVal = part.Val
@@ -939,6 +945,9 @@ func (wk *Worker) handlePushAck(from node.ID, ack *msg.PushAck) {
 // pull for the next iteration is issued immediately, so the notify timestamp
 // doubles as the pull-time proxy the tuner uses).
 func (wk *Worker) finishPush() {
+	// Every Send of the gradient has encoded it; the model may have it back.
+	wk.pushUpdate.Release()
+	wk.pushUpdate = model.Update{}
 	if wk.pushBackoff != nil {
 		wk.pushBackoff.Reset()
 	}

@@ -396,11 +396,16 @@ func TestEncodePushSteadyStateAllocs(t *testing.T) {
 		if h.srv.pushes < 2 {
 			t.Fatalf("only %d pushes completed", h.srv.pushes)
 		}
+		// The pushes above completed, so the worker released their gradient:
+		// the fixture brings its own.
 		if isSparse {
 			h.w.pushUpdate = model.Update{Sparse: &sparse.Vec{Idx: []int32{1, 2, 5}, Val: []float64{1, -2, 3}}}
-		}
-		if h.w.pushUpdate.IsSparse() != isSparse {
-			t.Fatalf("fixture: IsSparse = %v, want %v", h.w.pushUpdate.IsSparse(), isSparse)
+		} else {
+			g := make([]float64, h.w.cfg.Model.Dim())
+			for i := range g {
+				g[i] = float64(i%7) - 3
+			}
+			h.w.pushUpdate = model.Update{Dense: g}
 		}
 		if allocs := testing.AllocsPerRun(100, h.w.encodePush); allocs != 0 {
 			t.Errorf("sparse=%v: encodePush allocates %v times per call, want 0", isSparse, allocs)
