@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -170,12 +171,30 @@ type gatedPush struct {
 func (g *pushGate) send(to node.ID, kind wire.Kind, out wire.Message) {
 	if g.inflight >= g.max {
 		g.s.acct.throttled.Add(1)
-		g.queue = append(g.queue, gatedPush{to: to, kind: kind, out: out})
+		g.queue = append(g.queue, gatedPush{to: to, kind: kind, out: owned(out)})
 		return
 	}
 	g.inflight++
 	g.s.acct.inflight.Store(int64(g.inflight))
 	g.s.deliver(to, kind, out)
+}
+
+// owned returns a message that is safe to park. Job 0's pushes travel bare and
+// their slices alias the worker's gradient and encoder buffers, which the
+// worker reuses once the iteration ends, so a parked one gets its own copies;
+// a tenant's envelope was marshaled when it was wrapped.
+func owned(m wire.Message) wire.Message {
+	switch p := m.(type) {
+	case *msg.PushReq:
+		c := *p
+		c.Dense, c.SparseIdx, c.SparseVal = slices.Clone(p.Dense), slices.Clone(p.SparseIdx), slices.Clone(p.SparseVal)
+		return &c
+	case *msg.PushReqV2:
+		c := *p
+		c.Payload = slices.Clone(p.Payload)
+		return &c
+	}
+	return m
 }
 
 func (g *pushGate) release() {

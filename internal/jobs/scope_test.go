@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -207,6 +209,50 @@ func TestPushGate(t *testing.T) {
 	inner.ctx.Send(node.ServerID(0), &msg.PullReq{})
 	if len(ctx.sends) != 5 {
 		t.Errorf("pull was gated")
+	}
+}
+
+// TestPushGateParksACopy: a job-0 push parked by the gate travels bare, and the
+// worker reuses the gradient and encoder buffers behind it as soon as the
+// iteration ends — before the ack that releases it. What is delivered then
+// must be what was sent, not what the buffers hold by then.
+func TestPushGateParksACopy(t *testing.T) {
+	forms := map[string]func() (wire.Message, func()){
+		"raw dense": func() (wire.Message, func()) {
+			m := &msg.PushReq{Seq: 2, Iter: 7, PullVersion: 3, Dense: []float64{1, 2, 3}}
+			return m, func() { m.Dense[0], m.Dense[2] = math.NaN(), math.NaN() }
+		},
+		"raw sparse": func() (wire.Message, func()) {
+			m := &msg.PushReq{Seq: 2, Iter: 7, IsSparse: true, SparseIdx: []int32{4, 9}, SparseVal: []float64{1, 2}}
+			return m, func() { m.SparseIdx[0], m.SparseVal[1] = 5, math.NaN() }
+		},
+		"codec": func() (wire.Message, func()) {
+			m := &msg.PushReqV2{Seq: 2, Iter: 7, Codec: 1, Payload: []byte{1, 2, 3, 4}}
+			return m, func() { m.Payload[0], m.Payload[3] = 0xFF, 0xFF }
+		},
+	}
+	for name, form := range forms {
+		inner := &echoHandler{}
+		s := WrapWorker(0, inner, NewAcct(), 1)
+		ctx := &fakeCtx{self: node.WorkerID(0)}
+		s.Init(ctx)
+
+		twin, _ := form()
+		want := wire.Marshal(twin)
+		parked, scribble := form()
+		inner.ctx.Send(node.ServerID(0), &msg.PushReq{Seq: 1})
+		inner.ctx.Send(node.ServerID(0), parked)
+		if len(ctx.sends) != 1 {
+			t.Fatalf("%s: %d sends with cap 1, want the second push parked", name, len(ctx.sends))
+		}
+		scribble()
+		s.Receive(node.ServerID(0), &msg.PushAck{})
+		if len(ctx.sends) != 2 {
+			t.Fatalf("%s: the ack released nothing", name)
+		}
+		if got := wire.Marshal(ctx.sends[1].m); !bytes.Equal(got, want) {
+			t.Errorf("%s: released push encodes to % x, sent % x", name, got, want)
+		}
 	}
 }
 

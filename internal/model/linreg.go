@@ -120,19 +120,43 @@ func (l *LinReg) SampleBatch(shard int, rng *rand.Rand) Batch {
 	return regBatch{samples: out}
 }
 
+// residuals returns w.x - y for the samples in blk, a full block through the
+// blocked kernel and a shorter tail one sample at a time.
+func residuals(w tensor.Vec, blk []regSample) (e [block]float64) {
+	if len(blk) == block {
+		e[0], e[1], e[2], e[3] = tensor.Dot4(w, blk[0].x, blk[1].x, blk[2].x, blk[3].x)
+	} else {
+		for j, s := range blk {
+			e[j] = tensor.Dot(w, s.x)
+		}
+	}
+	for j, s := range blk {
+		e[j] -= s.y
+	}
+	return e
+}
+
 // Grad implements Model: d/dw mean (w.x - y)^2 = mean 2 (w.x - y) x.
 func (l *LinReg) Grad(w tensor.Vec, b Batch) Update {
 	rb, ok := b.(regBatch)
 	if !ok {
 		panic(fmt.Sprintf("model: linreg got batch type %T", b))
 	}
-	u := l.grads.get(l.dim)
+	pooled := l.grads.get(l.dim, 0)
+	g := pooled.vec
 	inv := 1.0 / float64(len(rb.samples))
-	for _, s := range rb.samples {
-		e := tensor.Dot(w, s.x) - s.y
-		tensor.Axpy(u.Dense, 2*e*inv, s.x)
+	for i := 0; i < len(rb.samples); i += block {
+		blk := rb.samples[i:min(i+block, len(rb.samples))]
+		e := residuals(w, blk)
+		if len(blk) == block {
+			tensor.Axpy4(g, 2*e[0]*inv, blk[0].x, 2*e[1]*inv, blk[1].x, 2*e[2]*inv, blk[2].x, 2*e[3]*inv, blk[3].x)
+			continue
+		}
+		for j, s := range blk {
+			tensor.Axpy(g, 2*e[j]*inv, s.x)
+		}
 	}
-	return u
+	return pooled.update()
 }
 
 // BatchLoss implements Model.
@@ -149,9 +173,12 @@ func (l *LinReg) EvalLoss(w tensor.Vec) float64 { return l.mse(w, l.eval) }
 
 func (l *LinReg) mse(w tensor.Vec, samples []regSample) float64 {
 	var total float64
-	for _, s := range samples {
-		e := tensor.Dot(w, s.x) - s.y
-		total += e * e
+	for i := 0; i < len(samples); i += block {
+		blk := samples[i:min(i+block, len(samples))]
+		e := residuals(w, blk)
+		for j := range blk {
+			total += e[j] * e[j]
+		}
 	}
 	return total / float64(len(samples))
 }

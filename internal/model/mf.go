@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"specsync/internal/data"
@@ -31,12 +32,12 @@ type MF struct {
 	grads     sync.Pool // of *mfGrad
 }
 
-// mfGrad is the storage behind one sparse gradient: the accumulator, the
-// vector it builds into, and the factor-row scratch.
+// mfGrad is the storage behind one sparse gradient: the vector, each rating's
+// error, and the (factor row, position in the batch) sort keys.
 type mfGrad struct {
-	builder *sparse.Builder
 	vec     sparse.Vec
-	row     []float64
+	errs    []float64
+	keys    []uint64
 	release func()
 }
 
@@ -134,7 +135,10 @@ func (m *MF) predict(w tensor.Vec, u, i int) float64 {
 //
 //	d/dp_u = 2 e q_i + 2 lambda p_u,   d/dq_i = 2 e p_u + 2 lambda q_i
 //
-// averaged over the batch and accumulated sparsely.
+// averaged over the batch and accumulated sparsely: the batch's 2 x len factor
+// rows are sorted by row and then by position in the batch, and each distinct
+// row becomes rank consecutive entries that start at 0 and take that row's
+// contributions in batch order.
 func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 	rb, ok := b.(ratingBatch)
 	if !ok {
@@ -142,28 +146,41 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 	}
 	g, _ := m.grads.Get().(*mfGrad)
 	if g == nil {
-		g = &mfGrad{builder: sparse.NewBuilder(), row: make([]float64, m.rank)}
+		g = &mfGrad{}
 		g.release = func() { m.grads.Put(g) }
 	}
-	builder, rowBuf := g.builder, g.row
-	inv := 1.0 / float64(len(rb.ratings))
-	for _, rt := range rb.ratings {
-		ub := m.userRow(rt.User)
-		ib := m.itemRow(rt.Item)
-		pu := w[ub : ub+m.rank]
-		qi := w[ib : ib+m.rank]
-		e := tensor.Dot(pu, qi) - rt.Value
-
-		for r := 0; r < m.rank; r++ {
-			rowBuf[r] = (2*e*qi[r] + 2*m.l2*pu[r]) * inv
-		}
-		builder.AddSpan(int32(ub), rowBuf)
-		for r := 0; r < m.rank; r++ {
-			rowBuf[r] = (2*e*pu[r] + 2*m.l2*qi[r]) * inv
-		}
-		builder.AddSpan(int32(ib), rowBuf)
+	errs, keys := g.errs[:0], g.keys[:0]
+	for i, rt := range rb.ratings {
+		ub, ib := m.userRow(rt.User), m.itemRow(rt.Item)
+		errs = append(errs, tensor.Dot(w[ub:ub+m.rank], w[ib:ib+m.rank])-rt.Value)
+		keys = append(keys, uint64(ub)<<32|uint64(i), uint64(ib)<<32|uint64(i))
 	}
-	g.vec = builder.BuildInto(g.vec)
+	slices.Sort(keys)
+
+	idx, val := g.vec.Idx[:0], g.vec.Val[:0]
+	inv := 1.0 / float64(len(rb.ratings))
+	for _, key := range keys {
+		base, i := int(key>>32), int(uint32(key))
+		if len(idx) == 0 || idx[len(idx)-m.rank] != int32(base) {
+			for r := 0; r < m.rank; r++ {
+				idx = append(idx, int32(base+r))
+				val = append(val, 0)
+			}
+		}
+		// A user's row was multiplied with the item's, and the other way round.
+		ob := m.itemRow(rb.ratings[i].Item)
+		if ob == base {
+			ob = m.userRow(rb.ratings[i].User)
+		}
+		own, other := w[base:base+m.rank], w[ob:ob+m.rank]
+		acc, e := val[len(val)-m.rank:], errs[i]
+		for r := range acc {
+			// The conversion rounds the contribution before it is added, on
+			// every architecture: a fused multiply-add would not.
+			acc[r] += float64((2*e*other[r] + 2*m.l2*own[r]) * inv)
+		}
+	}
+	g.errs, g.keys, g.vec = errs, keys, sparse.Vec{Idx: idx, Val: val}
 	return Update{Sparse: &g.vec, release: g.release}
 }
 

@@ -121,90 +121,103 @@ func (m *MLP) SampleBatch(shard int, rng *rand.Rand) Batch {
 	return sampleBatch{samples: out}
 }
 
-// forward computes hidden pre-activations, activations and logits for one
-// sample into the provided scratch buffers.
-func (m *MLP) forward(w tensor.Vec, x []float64, hPre, hAct, logits tensor.Vec) {
-	w1 := m.w1(w)
-	for h := 0; h < m.hidden; h++ {
-		row := w1.Row(h)
-		var z float64
-		for d, xv := range x {
-			z += row[d] * xv
-		}
-		hPre[h] = z + row[m.dim]
-	}
-	tensor.Relu(hPre, hAct)
-	w2 := m.w2(w)
-	for k := 0; k < m.classes; k++ {
-		row := w2.Row(k)
-		var z float64
-		for h := 0; h < m.hidden; h++ {
-			z += row[h] * hAct[h]
-		}
-		logits[k] = z + row[m.hidden]
-	}
+// mlpScratch holds one block's forward pass: sample j's hidden
+// pre-activations, activations and logits are the j-th piece of each vector.
+// dHidden is the backward pass's one row.
+type mlpScratch struct{ hPre, hAct, logits, dHidden tensor.Vec }
+
+func (m *MLP) scratchLen() int { return block*(2*m.hidden+m.classes) + m.hidden }
+
+func (m *MLP) scratch(buf tensor.Vec) mlpScratch {
+	h, c := block*m.hidden, block*m.classes
+	return mlpScratch{hPre: buf[:h], hAct: buf[h : 2*h], logits: buf[2*h : 2*h+c], dHidden: buf[2*h+c:]}
 }
 
-// Grad implements Model via manual backprop.
+// at returns sample j's piece of each forward-pass vector.
+func (s mlpScratch) at(m *MLP, j int) (hPre, hAct, logits tensor.Vec) {
+	h, c := j*m.hidden, j*m.classes
+	return s.hPre[h : h+m.hidden], s.hAct[h : h+m.hidden], s.logits[c : c+m.classes]
+}
+
+// forward runs up to block samples through both layers into s.
+func (m *MLP) forward(w tensor.Vec, blk []data.Sample, s mlpScratch) {
+	var buf [block]tensor.Vec
+	xs := buf[:len(blk)]
+	for j, smp := range blk {
+		xs[j] = smp.X
+	}
+	affine(m.w1(w), xs, s.hPre)
+	n := len(blk) * m.hidden
+	tensor.Relu(s.hPre[:n], s.hAct[:n])
+	for j := range xs {
+		xs[j] = s.hAct[j*m.hidden : (j+1)*m.hidden]
+	}
+	affine(m.w2(w), xs, s.logits)
+}
+
+// Grad implements Model via manual backprop: the forward pass a block of
+// samples at a time, the backward pass one sample at a time in batch order,
+// which is the order the gradient's elements are summed in.
 func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
 	sb, ok := b.(sampleBatch)
 	if !ok {
 		panic(fmt.Sprintf("model: MLP got batch type %T", b))
 	}
-	u := m.grads.get(m.Dim())
-	g := u.Dense
+	pooled := m.grads.get(m.Dim(), m.scratchLen())
+	g := pooled.vec
 	g1 := m.w1(g)
 	g2 := m.w2(g)
 	w2 := m.w2(w)
-
-	hPre := tensor.NewVec(m.hidden)
-	hAct := tensor.NewVec(m.hidden)
-	logits := tensor.NewVec(m.classes)
-	dHidden := tensor.NewVec(m.hidden)
+	s := m.scratch(pooled.scratch)
+	dHidden := s.dHidden
 	inv := 1.0 / float64(len(sb.samples))
 
-	for _, smp := range sb.samples {
-		m.forward(w, smp.X, hPre, hAct, logits)
-		tensor.Softmax(logits, logits)
-		logits[smp.Y] -= 1 // dL/dlogits = p - onehot
+	for i := 0; i < len(sb.samples); i += block {
+		blk := sb.samples[i:min(i+block, len(sb.samples))]
+		m.forward(w, blk, s)
+		for j, smp := range blk {
+			hPre, hAct, logits := s.at(m, j)
+			tensor.Softmax(logits, logits)
+			logits[smp.Y] -= 1 // dL/dlogits = p - onehot
 
-		// Output layer gradient and hidden backprop.
-		dHidden.Zero()
-		for k := 0; k < m.classes; k++ {
-			dk := logits[k] * inv
-			if dk == 0 {
-				continue
+			// Output layer gradient and hidden backprop.
+			dHidden.Zero()
+			for k := 0; k < m.classes; k++ {
+				dk := logits[k] * inv
+				if dk == 0 {
+					continue
+				}
+				row := g2.Row(k)
+				for h := 0; h < m.hidden; h++ {
+					row[h] += dk * hAct[h]
+				}
+				row[m.hidden] += dk
+				tensor.Axpy(dHidden, dk, w2.Row(k)[:m.hidden])
 			}
-			row := g2.Row(k)
+			// ReLU gate.
 			for h := 0; h < m.hidden; h++ {
-				row[h] += dk * hAct[h]
+				if hPre[h] <= 0 {
+					dHidden[h] = 0
+				}
 			}
-			row[m.hidden] += dk
-			tensor.Axpy(dHidden, dk, w2.Row(k)[:m.hidden])
-		}
-		// ReLU gate.
-		for h := 0; h < m.hidden; h++ {
-			if hPre[h] <= 0 {
-				dHidden[h] = 0
+			// Input layer gradient.
+			for h := 0; h < m.hidden; h++ {
+				dh := dHidden[h]
+				if dh == 0 {
+					continue
+				}
+				row := g1.Row(h)
+				for d, xv := range smp.X {
+					row[d] += dh * xv
+				}
+				row[m.dim] += dh
 			}
-		}
-		// Input layer gradient.
-		for h := 0; h < m.hidden; h++ {
-			dh := dHidden[h]
-			if dh == 0 {
-				continue
-			}
-			row := g1.Row(h)
-			for d, xv := range smp.X {
-				row[d] += dh * xv
-			}
-			row[m.dim] += dh
 		}
 	}
 	if m.l2 > 0 {
 		tensor.Axpy(g, m.l2, w)
 	}
-	return u
+	return pooled.update()
 }
 
 // BatchLoss implements Model.
@@ -220,13 +233,15 @@ func (m *MLP) BatchLoss(w tensor.Vec, b Batch) float64 {
 func (m *MLP) EvalLoss(w tensor.Vec) float64 { return m.meanLoss(w, m.eval) }
 
 func (m *MLP) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
-	hPre := tensor.NewVec(m.hidden)
-	hAct := tensor.NewVec(m.hidden)
-	logits := tensor.NewVec(m.classes)
+	s := m.scratch(tensor.NewVec(m.scratchLen()))
 	var total float64
-	for _, smp := range samples {
-		m.forward(w, smp.X, hPre, hAct, logits)
-		total += tensor.LogSumExp(logits) - logits[smp.Y]
+	for i := 0; i < len(samples); i += block {
+		blk := samples[i:min(i+block, len(samples))]
+		m.forward(w, blk, s)
+		for j, smp := range blk {
+			_, _, logits := s.at(m, j)
+			total += tensor.LogSumExp(logits) - logits[smp.Y]
+		}
 	}
 	loss := total / float64(len(samples))
 	if m.l2 > 0 {
@@ -237,14 +252,15 @@ func (m *MLP) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
 
 // EvalAccuracy implements Accuracier.
 func (m *MLP) EvalAccuracy(w tensor.Vec) float64 {
-	hPre := tensor.NewVec(m.hidden)
-	hAct := tensor.NewVec(m.hidden)
-	logits := tensor.NewVec(m.classes)
+	s := m.scratch(tensor.NewVec(m.scratchLen()))
 	correct := 0
-	for _, smp := range m.eval {
-		m.forward(w, smp.X, hPre, hAct, logits)
-		if tensor.Argmax(logits) == smp.Y {
-			correct++
+	for i := 0; i < len(m.eval); i += block {
+		blk := m.eval[i:min(i+block, len(m.eval))]
+		m.forward(w, blk, s)
+		for j, smp := range blk {
+			if _, _, logits := s.at(m, j); tensor.Argmax(logits) == smp.Y {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(m.eval))

@@ -45,25 +45,60 @@ func (u Update) Release() {
 	}
 }
 
-// densePool hands out one model's dense gradients, zeroed, and takes them
-// back through Update.Release. The zero value is ready to use; models that
-// embed it must not be copied.
+// densePool hands out one model's dense gradients, zeroed, together with the
+// forward-pass scratch of the Grad that fills them, and takes both back
+// through Update.Release. The zero value is ready to use; models that embed it
+// must not be copied.
 type densePool struct{ pool sync.Pool }
 
 type denseGrad struct {
-	vec     tensor.Vec
+	vec tensor.Vec
+	// scratch comes back as the last Grad left it: a model writes every
+	// element it is going to read.
+	scratch tensor.Vec
 	release func() // made once per vector, so Grad allocates nothing
 }
 
-func (p *densePool) get(dim int) Update {
+func (p *densePool) get(dim, scratch int) *denseGrad {
 	g, _ := p.pool.Get().(*denseGrad)
 	if g == nil {
-		g = &denseGrad{vec: tensor.NewVec(dim)}
+		g = &denseGrad{vec: tensor.NewVec(dim), scratch: tensor.NewVec(scratch)}
 		g.release = func() { p.pool.Put(g) }
 	} else {
 		g.vec.Zero()
 	}
-	return Update{Dense: g.vec, release: g.release}
+	return g
+}
+
+func (g *denseGrad) update() Update { return Update{Dense: g.vec, release: g.release} }
+
+// block is how many samples a forward pass takes at once: the width of
+// tensor.Dot4.
+const block = 4
+
+// affine applies one layer to up to block inputs: out[j*w.Rows+r] is row r of
+// w times [xs[j]; 1], the last column of w being the bias. A full block goes
+// through Dot4, a batch's tail of 1-3 samples through Dot; every model's
+// forward pass is made of these and of nothing else that multiplies.
+func affine(w tensor.Mat, xs []tensor.Vec, out tensor.Vec) {
+	in := w.Cols - 1
+	if len(xs) == block {
+		o0, o1, o2, o3 := out[:w.Rows], out[w.Rows:2*w.Rows], out[2*w.Rows:3*w.Rows], out[3*w.Rows:4*w.Rows]
+		for r := range o0 {
+			row := w.Row(r)
+			z0, z1, z2, z3 := tensor.Dot4(row[:in], xs[0], xs[1], xs[2], xs[3])
+			b := row[in]
+			o0[r], o1[r], o2[r], o3[r] = z0+b, z1+b, z2+b, z3+b
+		}
+		return
+	}
+	for j, x := range xs {
+		o := out[j*w.Rows : (j+1)*w.Rows]
+		for r := range o {
+			row := w.Row(r)
+			o[r] = tensor.Dot(row[:in], x) + row[in]
+		}
+	}
 }
 
 // Model is a trainable workload bound to its (sharded) dataset.

@@ -99,17 +99,14 @@ func (s *Softmax) SampleBatch(shard int, rng *rand.Rand) Batch {
 	return sampleBatch{samples: out}
 }
 
-// logits computes W x + b for one sample into out (length classes).
-func (s *Softmax) logits(w tensor.Vec, x []float64, out tensor.Vec) {
-	stride := s.dim + 1
-	for k := 0; k < s.classes; k++ {
-		row := w[k*stride : (k+1)*stride]
-		var z float64
-		for d, xv := range x {
-			z += row[d] * xv
-		}
-		out[k] = z + row[s.dim] // bias
+// logits computes W x + b for up to block samples: sample j's logits are the
+// j-th classes-sized piece of out.
+func (s *Softmax) logits(w tensor.Vec, blk []data.Sample, out tensor.Vec) {
+	var xs [block]tensor.Vec
+	for j, smp := range blk {
+		xs[j] = smp.X
 	}
+	affine(tensor.MatOver(s.classes, s.dim+1, w), xs[:len(blk)], out)
 }
 
 // Grad implements Model. The gradient of cross-entropy through softmax is
@@ -119,31 +116,34 @@ func (s *Softmax) Grad(w tensor.Vec, b Batch) Update {
 	if !ok {
 		panic(fmt.Sprintf("model: softmax got batch type %T", b))
 	}
-	u := s.grads.get(s.Dim())
-	g := u.Dense
-	probs := tensor.NewVec(s.classes)
+	pooled := s.grads.get(s.Dim(), block*s.classes)
+	g := pooled.vec
 	stride := s.dim + 1
 	inv := 1.0 / float64(len(sb.samples))
-	for _, smp := range sb.samples {
-		s.logits(w, smp.X, probs)
-		tensor.Softmax(probs, probs)
-		probs[smp.Y] -= 1 // p - onehot
-		for k := 0; k < s.classes; k++ {
-			c := probs[k] * inv
-			if c == 0 {
-				continue
+	for i := 0; i < len(sb.samples); i += block {
+		blk := sb.samples[i:min(i+block, len(sb.samples))]
+		s.logits(w, blk, pooled.scratch)
+		for j, smp := range blk {
+			probs := pooled.scratch[j*s.classes : (j+1)*s.classes]
+			tensor.Softmax(probs, probs)
+			probs[smp.Y] -= 1 // p - onehot
+			for k := 0; k < s.classes; k++ {
+				c := probs[k] * inv
+				if c == 0 {
+					continue
+				}
+				row := g[k*stride : (k+1)*stride]
+				for d, xv := range smp.X {
+					row[d] += c * xv
+				}
+				row[s.dim] += c
 			}
-			row := g[k*stride : (k+1)*stride]
-			for d, xv := range smp.X {
-				row[d] += c * xv
-			}
-			row[s.dim] += c
 		}
 	}
 	if s.l2 > 0 {
 		tensor.Axpy(g, s.l2, w)
 	}
-	return u
+	return pooled.update()
 }
 
 // BatchLoss implements Model.
@@ -159,11 +159,15 @@ func (s *Softmax) BatchLoss(w tensor.Vec, b Batch) float64 {
 func (s *Softmax) EvalLoss(w tensor.Vec) float64 { return s.meanLoss(w, s.eval) }
 
 func (s *Softmax) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
-	logits := tensor.NewVec(s.classes)
+	out := tensor.NewVec(block * s.classes)
 	var total float64
-	for _, smp := range samples {
-		s.logits(w, smp.X, logits)
-		total += tensor.LogSumExp(logits) - logits[smp.Y]
+	for i := 0; i < len(samples); i += block {
+		blk := samples[i:min(i+block, len(samples))]
+		s.logits(w, blk, out)
+		for j, smp := range blk {
+			logits := out[j*s.classes : (j+1)*s.classes]
+			total += tensor.LogSumExp(logits) - logits[smp.Y]
+		}
 	}
 	loss := total / float64(len(samples))
 	if s.l2 > 0 {
@@ -174,12 +178,15 @@ func (s *Softmax) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
 
 // EvalAccuracy implements Accuracier.
 func (s *Softmax) EvalAccuracy(w tensor.Vec) float64 {
-	logits := tensor.NewVec(s.classes)
+	out := tensor.NewVec(block * s.classes)
 	correct := 0
-	for _, smp := range s.eval {
-		s.logits(w, smp.X, logits)
-		if tensor.Argmax(logits) == smp.Y {
-			correct++
+	for i := 0; i < len(s.eval); i += block {
+		blk := s.eval[i:min(i+block, len(s.eval))]
+		s.logits(w, blk, out)
+		for j, smp := range blk {
+			if tensor.Argmax(out[j*s.classes:(j+1)*s.classes]) == smp.Y {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(s.eval))

@@ -7,7 +7,6 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"specsync/internal/tensor"
@@ -69,52 +68,6 @@ func (v *Vec) Scale(a float64) {
 	for i := range v.Val {
 		v.Val[i] *= a
 	}
-}
-
-// Builder accumulates scattered (index, value) contributions and produces a
-// canonical sparse vector, merging duplicate indices by summation. It is the
-// tool gradient code uses: MF touches the same factor row many times per
-// batch.
-type Builder struct {
-	vals map[int32]float64
-}
-
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{vals: make(map[int32]float64)}
-}
-
-// Add accumulates value at index.
-func (b *Builder) Add(index int32, value float64) {
-	b.vals[index] += value
-}
-
-// AddSpan accumulates a contiguous block of values starting at base. This is
-// how a factor-row gradient (rank consecutive floats) is scattered into the
-// flat parameter index space.
-func (b *Builder) AddSpan(base int32, values []float64) {
-	for i, v := range values {
-		b.vals[base+int32(i)] += v
-	}
-}
-
-// Len returns the number of distinct indices accumulated so far.
-func (b *Builder) Len() int { return len(b.vals) }
-
-// BuildInto produces the canonical sorted vector in dst's storage, which it
-// grows as needed, and resets the builder. The builder keeps its capacity too,
-// so a Builder and a Vec that are reused together stop allocating.
-func (b *Builder) BuildInto(dst Vec) Vec {
-	idx, val := dst.Idx[:0], dst.Val[:0]
-	for ix := range b.vals {
-		idx = append(idx, ix)
-	}
-	slices.Sort(idx)
-	for _, ix := range idx {
-		val = append(val, b.vals[ix])
-	}
-	clear(b.vals)
-	return Vec{Idx: idx, Val: val}
 }
 
 // SliceInto returns the sub-vector of v whose indices fall in [lo, hi), with

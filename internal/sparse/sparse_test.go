@@ -8,40 +8,6 @@ import (
 	"specsync/internal/tensor"
 )
 
-func TestBuilderMergesDuplicates(t *testing.T) {
-	b := NewBuilder()
-	b.Add(5, 1.5)
-	b.Add(2, 1)
-	b.Add(5, 0.5)
-	v := b.BuildInto(Vec{})
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", v.Len())
-	}
-	if v.Idx[0] != 2 || v.Idx[1] != 5 {
-		t.Errorf("Idx = %v", v.Idx)
-	}
-	if v.Val[1] != 2.0 {
-		t.Errorf("Val[1] = %v, want 2", v.Val[1])
-	}
-	if err := v.Validate(10); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-	if b.Len() != 0 {
-		t.Error("Build must reset builder")
-	}
-}
-
-func TestAddSpan(t *testing.T) {
-	b := NewBuilder()
-	b.AddSpan(10, []float64{1, 2, 3})
-	b.AddSpan(11, []float64{10})
-	v := b.BuildInto(Vec{})
-	d := v.ToDense(20)
-	if d[10] != 1 || d[11] != 12 || d[12] != 3 {
-		t.Errorf("dense = %v", d[10:13])
-	}
-}
-
 func TestValidateCatchesBadVectors(t *testing.T) {
 	bad := []Vec{
 		{Idx: []int32{1}, Val: []float64{}},        // length mismatch
@@ -81,11 +47,11 @@ func TestQuickSliceRoundtrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const dim = 64
-		b := NewBuilder()
+		scattered := tensor.NewVec(dim)
 		for i := 0; i < rng.Intn(40); i++ {
-			b.Add(int32(rng.Intn(dim)), rng.NormFloat64())
+			scattered[rng.Intn(dim)] += rng.NormFloat64()
 		}
-		v := b.BuildInto(Vec{})
+		v := FromDense(scattered)
 
 		nshards := rng.Intn(4) + 1
 		per := (dim + nshards - 1) / nshards

@@ -32,15 +32,33 @@ func BenchmarkDot(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkMatVec(b *testing.B) {
-	m := NewMat(96, 129) // CIFAR-like MLP first layer
-	rng := rand.New(rand.NewSource(3))
-	RandNormal(m.V, 1, rng)
-	x, out := randVec(129, 4), NewVec(96)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVec(m, x, out)
-	}
+// BenchmarkDotRows is one 96x64 layer applied to four samples: 384 inner
+// products, taken one Dot at a time or four to a Dot4.
+func BenchmarkDotRows(b *testing.B) {
+	const rows, cols = 96, 64
+	m := MatOver(rows, cols, randVec(rows*cols, 3))
+	x := [4]Vec{randVec(cols, 4), randVec(cols, 5), randVec(cols, 6), randVec(cols, 7)}
+	var sink float64
+	b.Run("Dot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, xj := range x {
+				for r := 0; r < rows; r++ {
+					sink += Dot(m.Row(r), xj)
+				}
+			}
+		}
+	})
+	b.Run("Dot4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < rows; r++ {
+				s0, s1, s2, s3 := Dot4(m.Row(r), x[0], x[1], x[2], x[3])
+				sink += s0 + s1 + s2 + s3
+			}
+		}
+	})
+	_ = sink
 }
 
 func BenchmarkSoftmax(b *testing.B) {

@@ -13,11 +13,6 @@ type Mat struct {
 	V          Vec // len == Rows*Cols, row-major
 }
 
-// NewMat allocates a zeroed Rows x Cols matrix.
-func NewMat(rows, cols int) Mat {
-	return Mat{Rows: rows, Cols: cols, V: NewVec(rows * cols)}
-}
-
 // MatOver wraps an existing buffer as a Rows x Cols matrix. It panics when
 // the buffer length does not match.
 func MatOver(rows, cols int, v Vec) Mat {
@@ -30,44 +25,6 @@ func MatOver(rows, cols int, v Vec) Mat {
 // Row returns row i as a subslice (no copy).
 func (m Mat) Row(i int) Vec {
 	return m.V[i*m.Cols : (i+1)*m.Cols]
-}
-
-// At returns element (i, j).
-func (m Mat) At(i, j int) float64 { return m.V[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m Mat) Set(i, j int, x float64) { m.V[i*m.Cols+j] = x }
-
-// MatVec computes out = M * x where x has length Cols and out length Rows.
-func MatVec(m Mat, x, out Vec) {
-	if len(x) != m.Cols || len(out) != m.Rows {
-		panic(fmt.Sprintf("tensor: MatVec dims %dx%d * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-}
-
-// MatTVec computes out = M^T * x where x has length Rows and out length Cols.
-func MatTVec(m Mat, x, out Vec) {
-	if len(x) != m.Rows || len(out) != m.Cols {
-		panic(fmt.Sprintf("tensor: MatTVec dims (%dx%d)^T * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
-	}
-	out.Zero()
-	for i := 0; i < m.Rows; i++ {
-		Axpy(out, x[i], m.Row(i))
-	}
-}
-
-// AddOuter accumulates M += a * x*y^T where x has length Rows and y length
-// Cols. This is the rank-1 update at the heart of backprop weight gradients.
-func AddOuter(m Mat, a float64, x, y Vec) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddOuter dims %d x %d into %dx%d", len(x), len(y), m.Rows, m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		Axpy(m.Row(i), a*x[i], y)
-	}
 }
 
 // LogSumExp returns log(sum_i exp(v_i)) computed stably.

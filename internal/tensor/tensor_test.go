@@ -93,87 +93,6 @@ func TestHasNaN(t *testing.T) {
 	}
 }
 
-func TestMatVecAndTranspose(t *testing.T) {
-	m := MatOver(2, 3, Vec{1, 2, 3, 4, 5, 6})
-	out := NewVec(2)
-	MatVec(m, Vec{1, 0, -1}, out)
-	if out[0] != -2 || out[1] != -2 {
-		t.Errorf("MatVec = %v", out)
-	}
-	tout := NewVec(3)
-	MatTVec(m, Vec{1, 1}, tout)
-	if tout[0] != 5 || tout[1] != 7 || tout[2] != 9 {
-		t.Errorf("MatTVec = %v", tout)
-	}
-}
-
-func TestQuickMatVecLinearity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r, c := rng.Intn(8)+1, rng.Intn(8)+1
-		m := NewMat(r, c)
-		RandNormal(m.V, 1, rng)
-		x, y := NewVec(c), NewVec(c)
-		RandNormal(x, 1, rng)
-		RandNormal(y, 1, rng)
-		a := rng.NormFloat64()
-
-		// M(x + a*y) == Mx + a*My
-		xy := x.Clone()
-		Axpy(xy, a, y)
-		lhs := NewVec(r)
-		MatVec(m, xy, lhs)
-
-		mx, my := NewVec(r), NewVec(r)
-		MatVec(m, x, mx)
-		MatVec(m, y, my)
-		Axpy(mx, a, my)
-
-		for i := range lhs {
-			if !almostEq(lhs[i], mx[i], 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickMatTVecAdjoint(t *testing.T) {
-	// <Mx, y> == <x, M^T y> for all x, y.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r, c := rng.Intn(8)+1, rng.Intn(8)+1
-		m := NewMat(r, c)
-		RandNormal(m.V, 1, rng)
-		x, y := NewVec(c), NewVec(r)
-		RandNormal(x, 1, rng)
-		RandNormal(y, 1, rng)
-
-		mx := NewVec(r)
-		MatVec(m, x, mx)
-		mty := NewVec(c)
-		MatTVec(m, y, mty)
-		return almostEq(Dot(mx, y), Dot(x, mty), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAddOuter(t *testing.T) {
-	m := NewMat(2, 2)
-	AddOuter(m, 2, Vec{1, 2}, Vec{3, 4})
-	want := []float64{6, 8, 12, 16}
-	for i, w := range want {
-		if m.V[i] != w {
-			t.Errorf("AddOuter V[%d] = %v, want %v", i, m.V[i], w)
-		}
-	}
-}
-
 func TestSoftmax(t *testing.T) {
 	v := Vec{1, 2, 3}
 	out := NewVec(3)
@@ -222,15 +141,6 @@ func TestArgmaxRelu(t *testing.T) {
 	Relu(v, v)
 	if v[0] != 0 || v[1] != 2 || v[2] != 0 {
 		t.Errorf("Relu = %v", v)
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	if MaxAbs(Vec{}) != 0 {
-		t.Error("empty MaxAbs")
-	}
-	if MaxAbs(Vec{-5, 3}) != 5 {
-		t.Error("MaxAbs wrong")
 	}
 }
 

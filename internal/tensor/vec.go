@@ -3,6 +3,13 @@
 // by the parameter-server update path. Everything operates on flat []float64
 // buffers so parameter vectors can be sharded and shipped over the wire
 // without conversion.
+//
+// Per output element, the order of floating-point additions is the
+// specification: Dot sums in index order from zero into one accumulator, Axpy
+// adds one product to each element. The blocked kernels (Dot4, Axpy4) only
+// interleave independent elements, so they return what the one-at-a-time calls
+// return bit for bit, and the golden digests and the simulator's twin runs
+// do not depend on which of the two a model took.
 package tensor
 
 import (
@@ -74,6 +81,42 @@ func Dot(a, b Vec) float64 {
 	return s
 }
 
+// Dot4 returns Dot(a, b0) ... Dot(a, b3) from one pass over a: four
+// independent accumulators, so a multiply-add does not wait for the one before
+// it as it does in Dot. Four columns against one row is the widest block the
+// compiler keeps in registers.
+func Dot4(a, b0, b1, b2, b3 Vec) (s0, s1, s2, s3 float64) {
+	n := len(a)
+	if len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
+		panic(fmt.Sprintf("tensor: dot4 length mismatch %d != %d/%d/%d/%d", n, len(b0), len(b1), len(b2), len(b3)))
+	}
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n] // one bounds check each, none in the loop
+	for i, av := range a {
+		s0 += av * b0[i]
+		s1 += av * b1[i]
+		s2 += av * b2[i]
+		s3 += av * b3[i]
+	}
+	return
+}
+
+// Axpy4 leaves in y what Axpy(y, a0, x0) ... Axpy(y, a3, x3) would, in one
+// pass over y: y[i] = (((y[i] + a0*x0[i]) + a1*x1[i]) + a2*x2[i]) + a3*x3[i].
+func Axpy4(y Vec, a0 float64, x0 Vec, a1 float64, x1 Vec, a2 float64, x2 Vec, a3 float64, x3 Vec) {
+	n := len(y)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic(fmt.Sprintf("tensor: axpy4 length mismatch %d != %d/%d/%d/%d", n, len(x0), len(x1), len(x2), len(x3)))
+	}
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
+	for i, yv := range y {
+		yv += a0 * x0[i]
+		yv += a1 * x1[i]
+		yv += a2 * x2[i]
+		yv += a3 * x3[i]
+		y[i] = yv
+	}
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v Vec) float64 {
 	var s float64
@@ -81,17 +124,6 @@ func Norm2(v Vec) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element of v, or 0 for an empty vector.
-func MaxAbs(v Vec) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // RandNormal fills v with independent N(0, sigma^2) draws from rng.
