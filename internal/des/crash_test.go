@@ -174,7 +174,7 @@ func TestFaultHookDropDuplicateDelay(t *testing.T) {
 	s.Init()
 	send := func(seq int) {
 		nc := s.nodes[node.WorkerID(0)]
-		s.send(nc.id, node.WorkerID(1), &ping{Seq: seq})
+		s.send(nc, node.WorkerID(1), &ping{Seq: seq})
 	}
 
 	mode = "drop"

@@ -7,9 +7,9 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -108,46 +108,106 @@ type Config struct {
 	Debug io.Writer
 }
 
-type event struct {
-	at  time.Time
-	seq uint64 // tie-break for determinism
-	fn  func()
-}
+// vtime is virtual time in nanoseconds since the simulation epoch. The clock,
+// event times, link busy-until and hiccup windows are all vtimes; time.Time
+// only appears where the package hands the clock out.
+type vtime = int64
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// after returns t+d, saturating: a deadline of "now + the largest Duration"
+// must mean never, not a time before now.
+func after(t vtime, d time.Duration) vtime {
+	if u := t + int64(d); d <= 0 || u >= t {
+		return u
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return math.MaxInt64
 }
 
-type linkKey struct {
-	from, to node.ID
+// eventKey is what the queue orders. seq is unique, so (at, seq) is a total
+// order: the sequence of pops is a function of the pushes alone, whatever the
+// queue's shape. That is the simulator's determinism contract.
+type eventKey struct {
+	at   vtime
+	seq  uint64
+	slot int32 // the event's body in Sim.slab
+}
+
+func (k eventKey) before(o eventKey) bool {
+	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
+}
+
+// eventQueue is a binary min-heap of keys.
+type eventQueue []eventKey
+
+func (q *eventQueue) push(k eventKey) {
+	h := append(*q, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !k.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = k
+	*q = h
+}
+
+func (q *eventQueue) pop() eventKey {
+	h := *q
+	n := len(h) - 1
+	top, k := h[0], h[n]
+	h = h[:n]
+	*q = h
+	// Sift the hole at the root down to where the last key fits.
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(k) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = k
+	}
+	return top
+}
+
+// event is the body of a pending event, held in Sim.slab while its key is
+// queued. It is either a delivery (w != nil) or a timer (fn, nil once
+// cancelled).
+type event struct {
+	seq uint64 // names this occupant of the slot to its cancel handle
+	fn  func()
+	// ctx is a delivery's destination, or the node whose timer this is (nil
+	// for Sim.Schedule); gen is its incarnation when the event was made, and
+	// the event is void if the node has crashed or restarted since.
+	ctx  *simContext
+	gen  uint64
+	from node.ID      // delivery: the sender
+	w    *wire.Writer // delivery: the encoded message, returned to the pool when run
+	kind wire.Kind
 }
 
 // Sim is the simulator. It is not safe for concurrent use: build it, add
 // nodes, then drive it from a single goroutine.
 type Sim struct {
-	cfg      Config
-	now      time.Time
-	start    time.Time
-	queue    eventHeap
+	cfg   Config
+	start time.Time
+	now   vtime
+	nowT  time.Time // start.Add(now), recomputed only when the clock advances
+	// Pending events: keys in the queue, bodies in the slab, vacated slab
+	// slots on the free stack.
+	queue    eventQueue
+	slab     []event
+	free     []int32
 	seq      uint64
 	nodes    map[node.ID]*simContext
-	links    map[linkKey]time.Time // per-link busy-until for bandwidth model
+	links    map[uint64]vtime // per-link busy-until for bandwidth model, keyed sender idx<<32 | receiver idx
 	netRand  *rand.Rand
 	started  bool
 	stopped  bool
@@ -167,7 +227,7 @@ type Sim struct {
 	// that extends them (independent of other randomness for determinism).
 	hiccups     []window
 	hiccupRand  *rand.Rand
-	hiccupFront time.Time // schedule generated up to here
+	hiccupFront vtime // schedule generated up to here
 
 	// Optional simulator telemetry (Config.Metrics).
 	metSteps     *obs.Counter
@@ -177,7 +237,7 @@ type Sim struct {
 }
 
 type window struct {
-	start, end time.Time
+	start, end vtime
 }
 
 // New builds an empty simulation.
@@ -196,15 +256,14 @@ func New(cfg Config) (*Sim, error) {
 		start = time.Unix(0, 0).UTC()
 	}
 	s := &Sim{
-		cfg:         cfg,
-		now:         start,
-		start:       start,
-		nodes:       make(map[node.ID]*simContext),
-		links:       make(map[linkKey]time.Time),
-		netRand:     rand.New(rand.NewSource(cfg.Seed ^ 0x5ec5)),
-		hiccupRand:  rand.New(rand.NewSource(cfg.Seed ^ 0x41cc)),
-		hiccupFront: start,
-		fault:       cfg.Fault,
+		cfg:        cfg,
+		start:      start,
+		nowT:       start,
+		nodes:      make(map[node.ID]*simContext),
+		links:      make(map[uint64]vtime),
+		netRand:    rand.New(rand.NewSource(cfg.Seed ^ 0x5ec5)),
+		hiccupRand: rand.New(rand.NewSource(cfg.Seed ^ 0x41cc)),
+		fault:      cfg.Fault,
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.metSteps = reg.Counter("specsync_sim_steps_total", "Simulator events executed.")
@@ -235,30 +294,29 @@ func (s *Sim) SetLinkPenalty(f LinkPenaltyHook) { s.linkPenalty = f }
 // deferPastHiccup returns the delivery time adjusted for cluster stalls: a
 // message that would arrive during a hiccup window is held until the window
 // ends (it sat in a queue), so co-stalled messages release as a burst.
-func (s *Sim) deferPastHiccup(arrive time.Time) time.Time {
+func (s *Sim) deferPastHiccup(arrive vtime) vtime {
 	h := s.cfg.Net.Hiccups
 	if !h.Enabled() {
 		return arrive
 	}
 	// Extend the schedule deterministically until it covers `arrive`.
-	for !s.hiccupFront.After(arrive) {
-		gap := time.Duration(s.hiccupRand.ExpFloat64() * float64(h.MeanEvery))
-		start := s.hiccupFront.Add(gap)
-		dur := h.MinDur
+	for s.hiccupFront <= arrive {
+		start := s.hiccupFront + int64(s.hiccupRand.ExpFloat64()*float64(h.MeanEvery))
+		end := start + int64(h.MinDur)
 		if span := h.MaxDur - h.MinDur; span > 0 {
-			dur += time.Duration(s.hiccupRand.Int63n(int64(span)))
+			end += s.hiccupRand.Int63n(int64(span))
 		}
-		s.hiccups = append(s.hiccups, window{start: start, end: start.Add(dur)})
-		s.hiccupFront = start.Add(dur)
+		s.hiccups = append(s.hiccups, window{start: start, end: end})
+		s.hiccupFront = end
 	}
 	// Windows are ordered and non-overlapping; binary search would work but
 	// the relevant window is almost always near the end.
 	for i := len(s.hiccups) - 1; i >= 0; i-- {
 		w := s.hiccups[i]
-		if arrive.Before(w.start) {
+		if arrive < w.start {
 			continue
 		}
-		if arrive.Before(w.end) {
+		if arrive < w.end {
 			return w.end
 		}
 		break
@@ -271,19 +329,28 @@ func (s *Sim) AddNode(id node.ID, h node.Handler) error {
 	if s.started {
 		return fmt.Errorf("des: AddNode(%s) after Init", id)
 	}
+	_, err := s.register(id, h)
+	return err
+}
+
+// register adds a node under the next dense index (nodes are never removed,
+// so the count so far is unique).
+func (s *Sim) register(id node.ID, h node.Handler) (*simContext, error) {
 	if _, dup := s.nodes[id]; dup {
-		return fmt.Errorf("des: duplicate node %s", id)
+		return nil, fmt.Errorf("des: duplicate node %s", id)
 	}
 	if h == nil {
-		return fmt.Errorf("des: nil handler for %s", id)
+		return nil, fmt.Errorf("des: nil handler for %s", id)
 	}
-	s.nodes[id] = &simContext{
+	nc := &simContext{
 		sim:     s,
 		id:      id,
+		idx:     uint32(len(s.nodes)),
 		handler: h,
 		rng:     rand.New(rand.NewSource(node.RandSeed(s.cfg.Seed, id))),
 	}
-	return nil
+	s.nodes[id] = nc
+	return nc, nil
 }
 
 // Join registers a handler mid-run (elastic scale-up) and Inits it
@@ -293,19 +360,10 @@ func (s *Sim) Join(id node.ID, h node.Handler) error {
 	if !s.started {
 		return fmt.Errorf("des: Join(%s) before Init; use AddNode", id)
 	}
-	if _, dup := s.nodes[id]; dup {
-		return fmt.Errorf("des: duplicate node %s", id)
+	nc, err := s.register(id, h)
+	if err != nil {
+		return err
 	}
-	if h == nil {
-		return fmt.Errorf("des: nil handler for %s", id)
-	}
-	nc := &simContext{
-		sim:     s,
-		id:      id,
-		handler: h,
-		rng:     rand.New(rand.NewSource(node.RandSeed(s.cfg.Seed, id))),
-	}
-	s.nodes[id] = nc
 	nc.handler.Init(nc)
 	return nil
 }
@@ -328,15 +386,15 @@ func (s *Sim) Init() {
 }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Time { return s.now }
+func (s *Sim) Now() time.Time { return s.nowT }
 
 // Elapsed returns virtual time since the simulation epoch.
-func (s *Sim) Elapsed() time.Duration {
-	start := s.cfg.Start
-	if start.IsZero() {
-		start = time.Unix(0, 0).UTC()
-	}
-	return s.now.Sub(start)
+func (s *Sim) Elapsed() time.Duration { return time.Duration(s.now) }
+
+// advance sets the clock and the time.Time that Now hands out.
+func (s *Sim) advance(to vtime) {
+	s.now = to
+	s.nowT = s.start.Add(time.Duration(to))
 }
 
 // Delivered returns the number of messages delivered so far.
@@ -351,37 +409,61 @@ func (s *Sim) Stopped() bool { return s.stopped }
 // Schedule enqueues a simulator-level event (probes, experiment control)
 // after d. It returns a cancel function like node timers.
 func (s *Sim) Schedule(d time.Duration, f func()) node.CancelFunc {
-	return s.scheduleAt(s.now.Add(d), f)
+	return s.timer(d, event{fn: f})
 }
 
-func (s *Sim) scheduleAt(at time.Time, f func()) node.CancelFunc {
-	if at.Before(s.now) {
-		at = s.now
-	}
-	canceled := false
-	ev := &event{at: at, seq: s.seq, fn: func() {
-		if !canceled {
-			f()
+// timer enqueues a timer after d and returns its cancel handle, which names
+// the slot and the occupant it was issued for: once the timer has run (or
+// been cancelled) the handle matches nothing, whoever holds the slot then.
+func (s *Sim) timer(d time.Duration, ev event) node.CancelFunc {
+	slot := s.enqueue(after(s.now, d), ev)
+	seq := s.slab[slot].seq
+	return func() {
+		if b := &s.slab[slot]; b.seq == seq {
+			b.fn = nil
 		}
-	}}
+	}
+}
+
+// enqueue queues ev at the given time, clamped to now, and returns its slot.
+func (s *Sim) enqueue(at vtime, ev event) int32 {
+	ev.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return func() { canceled = true }
+	slot := int32(len(s.slab))
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+		s.slab[slot] = ev
+	} else {
+		s.slab = append(s.slab, ev)
+	}
+	s.queue.push(eventKey{at: max(at, s.now), seq: ev.seq, slot: slot})
+	return slot
 }
 
 // Step executes the next pending event. It reports false when the queue is
-// empty or the simulation is stopped.
+// empty or the simulation is stopped. A cancelled event is still an event: it
+// advances the clock and counts as a step.
 func (s *Sim) Step() bool {
-	if s.stopped || s.queue.Len() == 0 {
+	if s.stopped || len(s.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*event)
-	if ev.at.After(s.now) {
-		s.now = ev.at
+	k := s.queue.pop()
+	// The body leaves the slab before it runs: what it runs may schedule, and
+	// scheduling may move the slab or hand this slot to a new event.
+	ev := s.slab[k.slot]
+	s.slab[k.slot] = event{}
+	s.free = append(s.free, k.slot)
+	if k.at > s.now {
+		s.advance(k.at)
 	}
-	ev.fn()
+	switch {
+	case ev.w != nil:
+		s.deliver(&ev)
+	case ev.fn != nil && (ev.ctx == nil || ev.ctx.alive(ev.gen)):
+		ev.fn()
+	}
 	s.metSteps.Inc()
-	s.metQueue.Set(float64(s.queue.Len()))
+	s.metQueue.Set(float64(len(s.queue)))
 	s.metVirtual.Set(s.Elapsed().Seconds())
 	return true
 }
@@ -389,25 +471,25 @@ func (s *Sim) Step() bool {
 // RunFor advances virtual time by d, executing every event due in the
 // window. If the queue drains early, time still advances to the deadline.
 func (s *Sim) RunFor(d time.Duration) {
-	deadline := s.now.Add(d)
-	for !s.stopped && s.queue.Len() > 0 && !s.queue[0].at.After(deadline) {
+	deadline := after(s.now, d)
+	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 	}
-	if !s.stopped && s.now.Before(deadline) {
-		s.now = deadline
+	if !s.stopped && s.now < deadline {
+		s.advance(deadline)
 	}
 }
 
 // RunUntilIdle executes events until none remain or maxVirtual elapses,
 // whichever comes first. It returns the reason it stopped.
 func (s *Sim) RunUntilIdle(maxVirtual time.Duration) string {
-	deadline := s.now.Add(maxVirtual)
+	deadline := after(s.now, maxVirtual)
 	for !s.stopped {
-		if s.queue.Len() == 0 {
+		if len(s.queue) == 0 {
 			return "idle"
 		}
-		if s.queue[0].at.After(deadline) {
-			s.now = deadline
+		if s.queue[0].at > deadline {
+			s.advance(deadline)
 			return "deadline"
 		}
 		s.Step()
@@ -416,19 +498,19 @@ func (s *Sim) RunUntilIdle(maxVirtual time.Duration) string {
 }
 
 // send routes a marshaled message through the fault hook and network model.
-func (s *Sim) send(from, to node.ID, m wire.Message) {
+func (s *Sim) send(from *simContext, to node.ID, m wire.Message) {
 	dst, ok := s.nodes[to]
 	if !ok {
-		s.logf(from, "send to unknown node %s dropped (kind %s)", to, s.cfg.Registry.Name(m.Kind()))
+		s.logf(from.id, "send to unknown node %s dropped (kind %s)", to, s.cfg.Registry.Name(m.Kind()))
 		return
 	}
 	var act FaultAction
 	if s.fault != nil {
-		act = s.fault(from, to, m.Kind(), s.now)
+		act = s.fault(from.id, to, m.Kind(), s.nowT)
 	}
 	if act.Drop {
 		s.faultDrops++
-		s.logf(from, "fault: dropped %s to %s", s.cfg.Registry.Name(m.Kind()), to)
+		s.logf(from.id, "fault: dropped %s to %s", s.cfg.Registry.Name(m.Kind()), to)
 		return
 	}
 	copies := 1
@@ -440,64 +522,61 @@ func (s *Sim) send(from, to node.ID, m wire.Message) {
 		// when that copy's delivery event has run.
 		w := wire.GetWriter()
 		wire.AppendMessage(w, m)
-		s.transmit(from, to, dst, m.Kind(), w, act.Delay)
+		s.transmit(from, dst, m.Kind(), w, act.Delay)
 	}
 }
 
 // transmit sends one copy of an encoded message through the network model.
-func (s *Sim) transmit(from, to node.ID, dst *simContext, kind wire.Kind, w *wire.Writer, extraDelay time.Duration) {
-	data := w.Bytes()
+func (s *Sim) transmit(from, dst *simContext, kind wire.Kind, w *wire.Writer, extraDelay time.Duration) {
 	if s.cfg.Transfer != nil {
-		s.cfg.Transfer.RecordTransfer(from, to, kind, len(data), s.now)
+		s.cfg.Transfer.RecordTransfer(from.id, dst.id, kind, w.Len(), s.nowT)
 	}
 
 	mult := 1.0
 	if s.linkPenalty != nil {
-		if m := s.linkPenalty(from, to, s.now.Sub(s.start)); m > 1 {
+		if m := s.linkPenalty(from.id, dst.id, s.Elapsed()); m > 1 {
 			mult = m
 		}
 	}
 	arrive := s.now
 	if bps := s.cfg.Net.BytesPerSec; bps > 0 {
-		key := linkKey{from: from, to: to}
-		start := s.now
-		if busy, ok := s.links[key]; ok && busy.After(start) {
-			start = busy
-		}
-		tx := time.Duration(float64(len(data)) / bps * float64(time.Second) * mult)
-		s.links[key] = start.Add(tx)
-		arrive = start.Add(tx)
+		link := uint64(from.idx)<<32 | uint64(dst.idx)
+		arrive = max(arrive, s.links[link])
+		arrive += int64(float64(w.Len()) / bps * float64(time.Second) * mult)
+		s.links[link] = arrive
 	}
-	arrive = arrive.Add(time.Duration(float64(s.cfg.Net.Latency) * mult))
+	arrive += int64(float64(s.cfg.Net.Latency) * mult)
 	if j := s.cfg.Net.Jitter; j > 0 {
-		arrive = arrive.Add(time.Duration(s.netRand.Int63n(int64(j))))
+		arrive += s.netRand.Int63n(int64(j))
 	}
-	arrive = arrive.Add(extraDelay)
-	arrive = s.deferPastHiccup(arrive)
+	arrive += int64(extraDelay)
+	s.enqueue(s.deferPastHiccup(arrive), event{ctx: dst, gen: dst.gen, from: from.id, w: w, kind: kind})
+}
 
-	kindName := s.cfg.Registry.Name(kind)
-	gen := dst.gen
-	s.scheduleAt(arrive, func() {
-		defer wire.PutWriter(w)
-		if dst.down || dst.gen != gen {
-			// The destination crashed (or restarted as a new incarnation)
-			// while the message was in flight: it is lost, exactly as a
-			// closed TCP connection would lose it.
-			s.deadDrops++
-			return
-		}
-		s.rd.Reset(data)
-		decoded, err := s.cfg.Registry.UnmarshalFrom(&s.rd)
-		if err != nil {
-			// A decode failure under the simulator is a codec bug; surface
-			// it loudly rather than silently dropping.
-			panic(fmt.Sprintf("des: decode %s from %s to %s: %v", kindName, from, to, err))
-		}
-		s.delivers++
-		s.metDelivered.Inc()
-		dst.handler.Receive(from, decoded)
-		s.cfg.Registry.Recycle(decoded)
-	})
+// deliver runs a delivery event. It is the one place a message reaches a
+// handler and the one place deliveries are counted.
+func (s *Sim) deliver(ev *event) {
+	dst := ev.ctx
+	if !dst.alive(ev.gen) {
+		// The destination crashed (or restarted as a new incarnation)
+		// while the message was in flight: it is lost, exactly as a
+		// closed TCP connection would lose it.
+		s.deadDrops++
+		wire.PutWriter(ev.w)
+		return
+	}
+	s.rd.Reset(ev.w.Bytes())
+	decoded, err := s.cfg.Registry.UnmarshalFrom(&s.rd)
+	if err != nil {
+		// A decode failure under the simulator is a codec bug; surface
+		// it loudly rather than silently dropping.
+		panic(fmt.Sprintf("des: decode %s from %s to %s: %v", s.cfg.Registry.Name(ev.kind), ev.from, dst.id, err))
+	}
+	s.delivers++
+	s.metDelivered.Inc()
+	dst.handler.Receive(ev.from, decoded)
+	s.cfg.Registry.Recycle(decoded)
+	wire.PutWriter(ev.w)
 }
 
 // Crash marks a node as failed. While down, every message addressed to it is
@@ -548,26 +627,16 @@ func (s *Sim) Down(id node.ID) bool {
 
 // Inject delivers a message to a node as if sent by from, bypassing the
 // network model (mirrors live.Network.Inject). Fault injectors use it to
-// re-issue Start to restarted workers.
+// re-issue Start to restarted workers. From there it is a delivery like any
+// other: decoded when it arrives, counted, lost if the node is down by then.
 func (s *Sim) Inject(from, to node.ID, m wire.Message) error {
 	dst, ok := s.nodes[to]
 	if !ok {
 		return fmt.Errorf("des: inject: unknown node %s", to)
 	}
-	data := wire.Marshal(m)
-	decoded, err := s.cfg.Registry.Unmarshal(data)
-	if err != nil {
-		return fmt.Errorf("des: inject: %w", err)
-	}
-	gen := dst.gen
-	s.scheduleAt(s.now, func() {
-		if dst.down || dst.gen != gen {
-			s.deadDrops++
-			return
-		}
-		s.delivers++
-		dst.handler.Receive(from, decoded)
-	})
+	w := wire.GetWriter()
+	wire.AppendMessage(w, m)
+	s.enqueue(s.now, event{ctx: dst, gen: dst.gen, from: from, w: w, kind: m.Kind()})
 	return nil
 }
 
@@ -586,6 +655,7 @@ func (s *Sim) logf(id node.ID, format string, args ...any) {
 type simContext struct {
 	sim     *Sim
 	id      node.ID
+	idx     uint32 // dense index, half of a link key
 	handler node.Handler
 	rng     *rand.Rand
 	// down marks the node crashed; gen counts incarnations. Timers and
@@ -598,25 +668,19 @@ type simContext struct {
 var _ node.Context = (*simContext)(nil)
 
 func (c *simContext) Self() node.ID    { return c.id }
-func (c *simContext) Now() time.Time   { return c.sim.now }
+func (c *simContext) Now() time.Time   { return c.sim.nowT }
 func (c *simContext) Rand() *rand.Rand { return c.rng }
 
 func (c *simContext) Send(to node.ID, m wire.Message) {
-	c.sim.send(c.id, to, m)
+	c.sim.send(c, to, m)
 }
 
 func (c *simContext) After(d time.Duration, f func()) node.CancelFunc {
-	if d < 0 {
-		d = 0
-	}
-	gen := c.gen
-	return c.sim.scheduleAt(c.sim.now.Add(d), func() {
-		if c.down || c.gen != gen {
-			return // timer from a crashed (or previous) incarnation
-		}
-		f()
-	})
+	return c.sim.timer(d, event{fn: f, ctx: c, gen: c.gen})
 }
+
+// alive reports whether the node is up and still the incarnation gen.
+func (c *simContext) alive(gen uint64) bool { return !c.down && c.gen == gen }
 
 func (c *simContext) Logf(format string, args ...any) {
 	c.sim.logf(c.id, format, args...)

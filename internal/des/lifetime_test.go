@@ -3,7 +3,6 @@ package des
 import (
 	"math"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -106,7 +105,7 @@ func TestSendEncodesBeforeReturning(t *testing.T) {
 }
 
 // TestSendDeliverAllocatesNoBlock: a 64 KiB push through the simulator costs
-// its event and closures, not a marshalled copy and a decoded block.
+// neither a marshalled copy nor a decoded block.
 func TestSendDeliverAllocatesNoBlock(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a migration between Ps would miss the pool once
 	s, ctx, _ := pushSim(t, nil)
@@ -117,18 +116,8 @@ func TestSendDeliverAllocatesNoBlock(t *testing.T) {
 	}
 	op()
 	op()
-	// The median, because sync.Pool may drop a Put (it does so at random under
-	// the race detector) and that one operation then pays for a block.
-	var costs []uint64
-	for i := 0; i < 51; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		op()
-		runtime.ReadMemStats(&after)
-		costs = append(costs, after.TotalAlloc-before.TotalAlloc)
-	}
-	slices.Sort(costs)
-	if per := costs[len(costs)/2]; per >= 1<<10 {
+	bytes := func(m *runtime.MemStats) uint64 { return m.TotalAlloc }
+	if per := fastQuartile(51, op, bytes); per >= 1<<10 {
 		t.Errorf("send -> deliver of a 64 KiB push allocates %d B/op, want < 1 KiB", per)
 	}
 }
