@@ -9,19 +9,11 @@
 // fig10, fig11, fig12, fig13, table2, staleness, ablations, codecs, elastic,
 // multijob, failover, schemes, stragglers. The schemes id is the scheme-zoo
 // shootout and stragglers the straggler-mitigation matrix (scheme × slowdown
-// profile × {none, clone, rebalance}); both additionally write a JSON report
-// (-schemes-out / -stragglers-out, BENCH_*.json by default) and fail if any
-// cell's double-run trace digests diverge.
-//
-// It also gates the perf trajectory: -compare diffs two BENCH_*.json
-// reports (any pair emitted by the bench tools) and exits nonzero when a
-// gated metric regressed beyond tolerance:
-//
-//	specsync-bench -compare BENCH_perf.json /tmp/BENCH_perf.new.json
+// profile × {none, clone, rebalance}); both fail if any cell's double-run
+// trace digests diverge.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +24,6 @@ import (
 
 	"specsync/internal/cluster"
 	"specsync/internal/experiments"
-	"specsync/internal/perf"
 )
 
 func main() {
@@ -40,58 +31,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "specsync-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// runCompare diffs two bench reports and fails on gated regressions, so CI
-// can hold every PR against the committed BENCH_*.json baselines.
-func runCompare(paths []string, tolerance, allocTol float64) error {
-	if len(paths) != 2 {
-		return fmt.Errorf("-compare needs exactly two report paths (old.json new.json), got %d", len(paths))
-	}
-	oldB, err := os.ReadFile(paths[0])
-	if err != nil {
-		return err
-	}
-	newB, err := os.ReadFile(paths[1])
-	if err != nil {
-		return err
-	}
-	res, err := perf.Compare(oldB, newB, perf.Options{
-		TimeTolerance:  tolerance,
-		AllocTolerance: allocTol,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("comparing %s (baseline) vs %s\n\n", paths[0], paths[1])
-	res.Render(os.Stdout)
-	if regs := res.Regressions(); len(regs) > 0 {
-		return fmt.Errorf("%d metric(s) regressed beyond tolerance", len(regs))
-	}
-	fmt.Println("\nno regressions beyond tolerance")
-	return nil
-}
-
-// writeReport emits a matrix experiment's JSON report for the CI compare
-// gate (the BENCH_*.json baselines live at the repository root).
-func writeReport(r any, out string, cells int, reproducible bool) error {
-	if out == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d cells, reproducible=%v)\n", out, cells, reproducible)
-	return nil
 }
 
 // csvOpener creates files under dir, making the directory on first use.
@@ -114,30 +53,24 @@ func run(args []string) error {
 		maxVirtual = fs.Duration("max", 6*time.Hour, "virtual time budget per training run")
 		quiet      = fs.Bool("quiet", false, "suppress per-run progress lines")
 		csvDir     = fs.String("csv", "", "also export learning/transfer curves as CSV into this directory")
-		compare    = fs.Bool("compare", false, "compare two BENCH_*.json reports (args: old.json new.json) and exit nonzero on regression")
-		tolerance  = fs.Float64("tolerance", 0.5, "allowed fractional regression on time/throughput metrics in -compare mode")
-		allocTol   = fs.Float64("alloc-tolerance", 0.25, "allowed fractional regression on allocation metrics in -compare mode")
 
-		replicas      = fs.Int("replicas", 2, "failover experiment: shard backups per range")
-		standbySched  = fs.Int("standby-schedulers", 1, "failover experiment: standby scheduler incarnations")
-		schemesOut    = fs.String("schemes-out", "BENCH_schemes.json", "schemes experiment: JSON report path (\"-\" for stdout, \"\" to skip)")
-		stragglersOut = fs.String("stragglers-out", "BENCH_stragglers.json", "stragglers experiment: JSON report path (\"-\" for stdout, \"\" to skip)")
+		replicas     = fs.Int("replicas", 2, "failover experiment: shard backups per range")
+		standbySched = fs.Int("standby-schedulers", 1, "failover experiment: standby scheduler incarnations")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *compare {
-		return runCompare(fs.Args(), *tolerance, *allocTol)
+	sz, err := cluster.SizeByName(*size)
+	if err != nil {
+		return err
 	}
 	opts := experiments.Options{
 		Workers:    *workers,
 		Seed:       *seed,
+		Size:       sz,
 		MaxVirtual: *maxVirtual,
 		Verbose:    !*quiet,
 		Out:        os.Stderr,
-	}
-	if *size == "small" {
-		opts.Size = cluster.SizeSmall
 	}
 
 	ids := strings.Split(*runWhat, ",")
@@ -183,7 +116,6 @@ func run(args []string) error {
 			}
 			r.Render(os.Stdout)
 		case "fig8":
-			var err error
 			if fig8 == nil {
 				if fig8, err = experiments.RunFig8(opts); err != nil {
 					return err
@@ -196,7 +128,6 @@ func run(args []string) error {
 				}
 			}
 		case "fig9":
-			var err error
 			if fig8 == nil {
 				if fig8, err = experiments.RunFig8(opts); err != nil {
 					return err
@@ -216,7 +147,6 @@ func run(args []string) error {
 			}
 			r.Render(os.Stdout)
 		case "fig12":
-			var err error
 			if fig12 == nil {
 				if fig12, err = experiments.Fig12(opts); err != nil {
 					return err
@@ -229,7 +159,6 @@ func run(args []string) error {
 				}
 			}
 		case "fig13":
-			var err error
 			if fig12 == nil {
 				if fig12, err = experiments.Fig12(opts); err != nil {
 					return err
@@ -284,9 +213,6 @@ func run(args []string) error {
 				return err
 			}
 			r.Render(os.Stdout)
-			if err := writeReport(r, *schemesOut, len(r.Cells), r.Reproducible); err != nil {
-				return err
-			}
 			// The shootout doubles as the determinism smoke test: a dynamic
 			// scheme that switches differently on a re-run is a bug, not noise.
 			if !r.Reproducible {
@@ -298,9 +224,6 @@ func run(args []string) error {
 				return err
 			}
 			r.Render(os.Stdout)
-			if err := writeReport(r, *stragglersOut, len(r.Cells), r.Reproducible); err != nil {
-				return err
-			}
 			// Mitigation must never cost determinism: a clone race or a member
 			// swap that lands differently on a re-run is a bug, not noise.
 			if !r.Reproducible {

@@ -80,9 +80,9 @@ func run(args []string) error {
 		metaScheme = fs.Bool("meta-scheme", false, "straggler-driven BSP↔SSP policy (must match across nodes; requires a plain -scheme asp/bsp/ssp)")
 
 		stragglerPlanPath = fs.String("straggler-plan", "", "JSON straggler-plan file (see internal/stragglers); workers run their scripted slowdowns, the scheduler scores its detector against the plan")
-		iterTime   = fs.Duration("iter", 500*time.Millisecond, "nominal compute time per iteration")
-		maxIters   = fs.Int64("iters", 200, "worker iterations before stopping (0 = run forever)")
-		debug      = fs.Bool("debug", false, "verbose node logging")
+		iterTime          = fs.Duration("iter", 500*time.Millisecond, "nominal compute time per iteration")
+		maxIters          = fs.Int64("iters", 200, "worker iterations before stopping (0 = run forever)")
+		debug             = fs.Bool("debug", false, "verbose node logging")
 
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /clusterz, /stragglerz and /debugz on this address (\":0\" picks a port)")
 		pprofOn     = fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")

@@ -56,9 +56,9 @@ func run(args []string) error {
 		return err
 	}
 
-	sz := cluster.SizeFull
-	if *size == "small" {
-		sz = cluster.SizeSmall
+	sz, err := cluster.SizeByName(*size)
+	if err != nil {
+		return err
 	}
 	wl, err := buildWorkload(*workloadName, sz, *workers, *seed)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +67,15 @@ func TestParseFloats(t *testing.T) {
 	}
 	if _, err := parseFloats("abc"); err == nil {
 		t.Error("expected parse error")
+	}
+}
+
+// TestRunRejectsUnknownSize: a typo in -size must fail before any run starts,
+// not fall through to the hours-long full-size workload.
+func TestRunRejectsUnknownSize(t *testing.T) {
+	err := run([]string{"-workload", "tiny", "-size", "smal"})
+	if err == nil || !strings.Contains(err.Error(), `unknown size "smal"`) {
+		t.Errorf("run with -size smal: err = %v, want an unknown-size error", err)
 	}
 }
 

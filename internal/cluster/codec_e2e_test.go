@@ -12,9 +12,9 @@ import (
 
 // TestTopKShrinksPushesAndShiftsTiming asserts the two observable effects a
 // push codec must have in the DES: measurably fewer push bytes on the wire
-// (the counter the ISSUE requires a test to check), and a different push
-// schedule — transfer time derives from encoded size, so smaller pushes land
-// earlier and the run takes a different trajectory.
+// (for top-k and q8 alike), and a different push schedule — transfer time
+// derives from encoded size, so smaller pushes land earlier and the run takes
+// a different trajectory.
 func TestTopKShrinksPushesAndShiftsTiming(t *testing.T) {
 	wl, err := NewMF(SizeSmall, 4, 3)
 	if err != nil {
@@ -39,6 +39,20 @@ func TestTopKShrinksPushesAndShiftsTiming(t *testing.T) {
 	}
 	if r := topkRes.Codec.Ratio(codec.IDTopK); r >= 0.5 {
 		t.Errorf("topk compression ratio %.3f, want < 0.5", r)
+	}
+
+	// The other lossy push codec must shrink pushes too.
+	wl3, err := NewMF(SizeSmall, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, q8Res := runDigest(t, wl3, 3, codec.Config{Name: "q8"})
+	q8PushBytes, q8Pushes := q8Res.Codec.KindBytes(msg.KindPushReqV2, "q8")
+	if q8Pushes == 0 {
+		t.Fatal("missing q8 push traffic")
+	}
+	if q8PerPush := float64(q8PushBytes) / float64(q8Pushes); q8PerPush >= rawPerPush {
+		t.Errorf("q8 bytes/push = %.0f, not below raw %.0f", q8PerPush, rawPerPush)
 	}
 
 	// Timing shift: smaller pushes transfer faster, so the topk trace must

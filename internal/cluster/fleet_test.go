@@ -449,7 +449,10 @@ func TestFleetValidation(t *testing.T) {
 	}{
 		{"no jobs", func(c *FleetConfig) { c.Jobs = nil }},
 		{"no deadline", func(c *FleetConfig) { c.MaxVirtual = 0 }},
-		{"decentralized", func(c *FleetConfig) { c.Jobs[0].Scheme.Decentralized = true; c.Jobs[0].Scheme.Spec = scheme.SpecAdaptive }},
+		{"decentralized", func(c *FleetConfig) {
+			c.Jobs[0].Scheme.Decentralized = true
+			c.Jobs[0].Scheme.Spec = scheme.SpecAdaptive
+		}},
 		{"zero workers", func(c *FleetConfig) { c.Jobs[0].Workers = 0 }},
 		{"bad speeds", func(c *FleetConfig) { c.Jobs[0].Speeds = []float64{1} }},
 		{"negative submit", func(c *FleetConfig) { c.Jobs[0].SubmitAt = -time.Second }},

@@ -123,8 +123,8 @@ func TestLiveElasticGrowShrink(t *testing.T) {
 		150*time.Millisecond, 450*time.Millisecond)
 	var joiner *worker.Worker
 	inj, err := elastic.NewLive(elastic.LiveOptions{
-		Plan:    plan,
-		Servers: servers,
+		Plan:      plan,
+		Servers:   servers,
 		NewWorker: func(i int) (node.Handler, error) { return makeWorker(i, true) },
 		NewServer: func(slot int) (node.Handler, error) {
 			return ps.NewJoining(ps.Config{NewOptimizer: newOptimizer})

@@ -11,6 +11,18 @@ import (
 // strings (the jobs gateway, CLIs). The names match the cmd/specsync flag
 // vocabulary; "-small" suffixes select the reduced scale.
 
+// SizeByName resolves a -size flag value.
+func SizeByName(name string) (Size, error) {
+	switch name {
+	case "full":
+		return SizeFull, nil
+	case "small":
+		return SizeSmall, nil
+	default:
+		return 0, fmt.Errorf("unknown size %q (want full or small)", name)
+	}
+}
+
 // WorkloadByName builds a workload from its string name.
 func WorkloadByName(name string, workers int, seed int64) (Workload, error) {
 	switch name {

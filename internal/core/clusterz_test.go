@@ -102,21 +102,21 @@ func (c *quietContext) After(time.Duration, func()) node.CancelFunc {
 	return func() {}
 }
 
-// TestNotifyPathDoesNotAllocate pins the cost model of the notify path at
-// fleet scale: with Obs attached (so the straggler detector scores every
-// notify) but nobody reading /clusterz, a steady-state notify that closes no
-// epoch touches no heap. One worker never reports, which keeps the epoch open
-// and adaptive speculation paused — arming a window allocates its timer by
-// design, and is not what this pins.
-func TestNotifyPathDoesNotAllocate(t *testing.T) {
-	const m = 512
-	o := obs.New(obs.Options{})
+// steadyNotifier builds an adaptive scheduler at m workers with o's telemetry
+// attached and returns a notify that advances the clock 200 us and delivers
+// the next worker's Notify. Worker m-1 never reports, which keeps the first
+// epoch open and adaptive speculation paused — arming a window allocates its
+// timer by design. The warm-up fills the history past its bound (32 m
+// records) so trimming is in steady state, and gives every reporting worker a
+// scored span.
+func steadyNotifier(tb testing.TB, m int, o *obs.Obs) (notify func()) {
+	tb.Helper()
 	sched, err := NewScheduler(SchedulerConfig{
 		Workers: m, InitialSpan: 100 * time.Millisecond, Obs: o.Scheduler(),
 		Scheme: scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx := &quietContext{now: time.Unix(1_700_000_000, 0)}
 	sched.Init(ctx)
@@ -126,20 +126,29 @@ func TestNotifyPathDoesNotAllocate(t *testing.T) {
 	}
 	var n msg.Notify
 	k := 0
-	notify := func() {
+	notify = func() {
 		ctx.now = ctx.now.Add(200 * time.Microsecond)
 		n.Iter = int64(k / len(ids))
 		sched.Receive(ids[k%len(ids)], &n)
 		k++
 	}
-	// Fill the history past its bound (32 m records) so trimming is in steady
-	// state, and give every reporting worker a scored span.
 	for i := 0; i < 3*32*m; i++ {
 		notify()
 	}
 	if sched.Epoch() != 0 {
-		t.Fatalf("epoch %d: the warm-up was meant to leave the first epoch open", sched.Epoch())
+		tb.Fatalf("epoch %d: the warm-up was meant to leave the first epoch open", sched.Epoch())
 	}
+	return notify
+}
+
+// TestNotifyPathDoesNotAllocate pins the cost model of the notify path at
+// fleet scale: with Obs attached (so the straggler detector scores every
+// notify) but nobody reading /clusterz, a steady-state notify that closes no
+// epoch touches no heap.
+func TestNotifyPathDoesNotAllocate(t *testing.T) {
+	const m = 512
+	o := obs.New(obs.Options{})
+	notify := steadyNotifier(t, m, o)
 	if allocs := testing.AllocsPerRun(5000, notify); allocs != 0 {
 		t.Errorf("steady-state notify allocates %v times per message at m = %d", allocs, m)
 	}

@@ -19,33 +19,33 @@ import (
 // both produced the identical event trace (the elasticity protocol must not
 // introduce nondeterminism into the DES).
 type ElasticResult struct {
-	Workers   int `json:"workers"`
-	GrowTo    int `json:"grow_to"`
-	Servers   int `json:"servers"`
-	ServersTo int `json:"servers_to"`
+	Workers   int
+	GrowTo    int
+	Servers   int
+	ServersTo int
 
-	Joins          int64 `json:"joins"`
-	Leaves         int64 `json:"leaves"`
-	Migrations     int64 `json:"migrations"`
-	MigrationBytes int64 `json:"migration_bytes"`
+	Joins          int64
+	Leaves         int64
+	Migrations     int64
+	MigrationBytes int64
 	// MeanRebalance / MaxRebalance are freeze-to-commit times: how long data
 	// traffic on the involved shards stalled per migration.
-	MeanRebalance time.Duration `json:"mean_rebalance_ns"`
-	MaxRebalance  time.Duration `json:"max_rebalance_ns"`
+	MeanRebalance time.Duration
+	MaxRebalance  time.Duration
 
 	// Throughput in fully-acked pushes per virtual second, in the three
 	// phases of the plan: before the scale-up, while doubled, and after the
 	// scale-down.
-	ThroughputBefore float64 `json:"throughput_before"`
-	ThroughputDuring float64 `json:"throughput_during"`
-	ThroughputAfter  float64 `json:"throughput_after"`
+	ThroughputBefore float64
+	ThroughputDuring float64
+	ThroughputAfter  float64
 
-	TotalIters   int64   `json:"total_iters"`
-	ServerPushes int64   `json:"server_pushes"`
-	FinalLoss    float64 `json:"final_loss"`
+	TotalIters   int64
+	ServerPushes int64
+	FinalLoss    float64
 
-	Digest       string `json:"trace_digest"`
-	Reproducible bool   `json:"reproducible"`
+	Digest       string
+	Reproducible bool
 }
 
 // Elastic runs the elasticity benchmark: an MF cluster doubles its workers

@@ -21,40 +21,37 @@ import (
 // produced byte-identical event traces (the determinism bar applies to the
 // dynamic schemes — switches and all — exactly as it does to the static ones).
 type SchemeCell struct {
-	// Name is "scheme/scenario" — the stable key the perf-compare gate uses
-	// to match cells across reports.
-	Name     string `json:"name"`
-	Scheme   string `json:"scheme"`
-	Scenario string `json:"scenario"`
+	// Name is "scheme/scenario", the cell's key in tests.
+	Name     string
+	Scheme   string
+	Scenario string
 
-	Converged bool `json:"converged"`
-	// ConvergeTime is the virtual time to the convergence target, or the
-	// cell's full MaxVirtual budget when the run never converged — so the
-	// perf-compare gate reads a scheme that stops converging as a time
-	// regression rather than a miraculous drop to zero.
-	ConvergeTime time.Duration `json:"converge_time_ns"`
-	TotalIters   int64         `json:"total_iters"`
-	FinalLoss    float64       `json:"final_loss"`
+	Converged bool
+	// ConvergeTime is the virtual time to the convergence target (zero when
+	// the run never converged).
+	ConvergeTime time.Duration
+	TotalIters   int64
+	FinalLoss    float64
 
 	// Switches counts SchemeSwitch broadcasts the run issued; FinalScheme is
 	// the discipline the fleet ended under (they differ from the configured
 	// scheme only for the dynamic entries).
-	Switches    int64  `json:"scheme_switches"`
-	FinalScheme string `json:"final_scheme"`
+	Switches    int64
+	FinalScheme string
 
-	Digest       string `json:"trace_digest"`
-	Reproducible bool   `json:"reproducible"`
+	Digest       string
+	Reproducible bool
 }
 
 // SchemesResult is the scheme-zoo shootout: every synchronization discipline
 // in the zoo — static bases, SpecSync, and the dynamic variants — run under
 // every cluster condition in the scenario matrix.
 type SchemesResult struct {
-	Workers   int          `json:"workers"`
-	Scenarios []string     `json:"scenarios"`
-	Cells     []SchemeCell `json:"cells"`
+	Workers   int
+	Scenarios []string
+	Cells     []SchemeCell
 	// Reproducible is the AND over all cells.
-	Reproducible bool `json:"reproducible"`
+	Reproducible bool
 }
 
 // schemeEntry is one roster row: a display name, the scheme config, and an
@@ -214,16 +211,12 @@ func runSchemeCell(o Options, se schemeEntry, sn schemeScenario) (*SchemeCell, e
 	if err != nil {
 		return nil, err
 	}
-	ct := res.ConvergeTime
-	if !res.Converged {
-		ct = o.MaxVirtual
-	}
 	return &SchemeCell{
 		Name:         se.name + "/" + sn.name,
 		Scheme:       se.name,
 		Scenario:     sn.name,
 		Converged:    res.Converged,
-		ConvergeTime: ct,
+		ConvergeTime: res.ConvergeTime,
 		TotalIters:   res.TotalIters,
 		FinalLoss:    res.FinalLoss,
 		Switches:     res.SchemeSwitches,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,11 +13,14 @@ func TestSchemesQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
+	// The budget is one every scheme needs on the steady fleet (BSP converges
+	// at 18m46s), so which cells miss it is the finding under test.
 	o := Options{
-		Workers:    4,
+		Workers:    6,
 		Seed:       1,
 		Size:       cluster.SizeSmall,
-		MaxVirtual: 8 * time.Minute,
+		MaxVirtual: 20 * time.Minute,
 	}
 	r, err := Schemes(o)
 	if err != nil {
@@ -35,11 +39,29 @@ func TestSchemesQuick(t *testing.T) {
 		t.Fatal("shootout is not deterministic")
 	}
 	byName := map[string]SchemeCell{}
+	var missed []string
 	for _, c := range r.Cells {
 		byName[c.Name] = c
 		if c.TotalIters == 0 {
 			t.Errorf("cell %s did no iterations", c.Name)
 		}
+		if !c.Converged {
+			missed = append(missed, c.Name)
+		}
+	}
+	// Virtual time is deterministic, so the set of cells that converge is
+	// exact: the schemes that shed or outrun the straggler converge through
+	// it, the barrier-bound ones do not, and within this budget no scheme
+	// reaches the target on the elastic fleet. A cell that stops converging,
+	// or starts to, fails here.
+	wantMissed := []string{
+		"BSP/straggler", "SSP(s=3)/straggler", "ABS/straggler", "Meta(BSP↔SSP)/straggler",
+	}
+	for _, se := range schemesRoster() {
+		wantMissed = append(wantMissed, se.name+"/elastic")
+	}
+	if !slices.Equal(missed, wantMissed) {
+		t.Errorf("cells that missed the target\n %q\nwant\n %q", missed, wantMissed)
 	}
 	// The dynamic entries must actually act: Sync-Switch hands over exactly
 	// once everywhere, and the meta-scheme degrades (once, without flapping

@@ -24,42 +24,41 @@ const stragglerSpares = 2
 // matrix. Every cell runs twice with the same seed; Reproducible reports
 // byte-identical event traces.
 type StragglerCell struct {
-	// Name is "scheme/profile/mitigation" — the stable perf-compare key.
-	Name       string `json:"name"`
-	Scheme     string `json:"scheme"`
-	Profile    string `json:"profile"`
-	Mitigation string `json:"mitigation"`
+	// Name is "scheme/profile/mitigation", the cell's key in tests.
+	Name       string
+	Scheme     string
+	Profile    string
+	Mitigation string
 
-	Converged bool `json:"converged"`
-	// ConvergeTime is the virtual time to the convergence target, or the full
-	// MaxVirtual budget when the run never converged (so the compare gate
-	// reads a lost convergence as a regression, not an improvement).
-	ConvergeTime time.Duration `json:"converge_time_ns"`
-	TotalIters   int64         `json:"total_iters"`
-	FinalLoss    float64       `json:"final_loss"`
+	Converged bool
+	// ConvergeTime is the virtual time to the convergence target (zero when
+	// the run never converged).
+	ConvergeTime time.Duration
+	TotalIters   int64
+	FinalLoss    float64
 
 	// Detector scoring against the profile's ground truth.
-	Precision float64 `json:"precision"`
-	Recall    float64 `json:"recall"`
+	Precision float64
+	Recall    float64
 
 	// Mitigation accounting.
-	Clones       int64 `json:"clones,omitempty"`
-	CloneDeduped int64 `json:"clone_deduped,omitempty"`
-	Rebalances   int64 `json:"rebalances,omitempty"`
+	Clones       int64
+	CloneDeduped int64
+	Rebalances   int64
 
-	Digest       string `json:"trace_digest"`
-	Reproducible bool   `json:"reproducible"`
+	Digest       string
+	Reproducible bool
 }
 
 // StragglersResult is the straggler-mitigation matrix: every scheme under
 // every slowdown profile, unmitigated and under each mitigation.
 type StragglersResult struct {
-	Workers    int             `json:"workers"`
-	Profiles   []string        `json:"profiles"`
-	Schemes    []string        `json:"schemes"`
-	Cells      []StragglerCell `json:"cells"`
+	Workers  int
+	Profiles []string
+	Schemes  []string
+	Cells    []StragglerCell
 	// Reproducible is the AND over all cells.
-	Reproducible bool `json:"reproducible"`
+	Reproducible bool
 }
 
 // stragglerProfile is one row of the profile axis: a named plan builder
@@ -222,17 +221,13 @@ func runStragglerCell(o Options, se schemeEntry, p stragglerProfile, mit straggl
 	if err != nil {
 		return nil, err
 	}
-	ct := res.ConvergeTime
-	if !res.Converged {
-		ct = o.MaxVirtual
-	}
 	cell := &StragglerCell{
 		Name:         se.name + "/" + p.name + "/" + mitigationName(mit),
 		Scheme:       se.name,
 		Profile:      p.name,
 		Mitigation:   mitigationName(mit),
 		Converged:    res.Converged,
-		ConvergeTime: ct,
+		ConvergeTime: res.ConvergeTime,
 		TotalIters:   res.TotalIters,
 		FinalLoss:    res.FinalLoss,
 		Digest:       digest,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,11 +13,14 @@ func TestStragglersQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
+	// The budget covers the slowest unmitigated convergence (SSP under the
+	// congested link, 39m26s), so a mitigation's effect shows as a time.
 	o := Options{
-		Workers:    4,
+		Workers:    6,
 		Seed:       1,
 		Size:       cluster.SizeSmall,
-		MaxVirtual: 20 * time.Minute,
+		MaxVirtual: 40 * time.Minute,
 	}
 	r, err := Stragglers(o)
 	if err != nil {
@@ -35,6 +39,7 @@ func TestStragglersQuick(t *testing.T) {
 		t.Fatal("matrix is not deterministic")
 	}
 	byName := map[string]StragglerCell{}
+	var missed []string
 	for _, c := range r.Cells {
 		byName[c.Name] = c
 		if c.TotalIters == 0 {
@@ -43,6 +48,15 @@ func TestStragglersQuick(t *testing.T) {
 		if c.Recall != 1 {
 			t.Errorf("cell %s: detector recall %.2f, want 1 (missed a planned straggler)", c.Name, c.Recall)
 		}
+		if !c.Converged {
+			missed = append(missed, c.Name)
+		}
+	}
+	// Virtual time is deterministic, so the set of cells that converge is
+	// exact: every cell but unmitigated BSP behind the congested link. A
+	// mitigation that costs convergence fails here.
+	if want := []string{"BSP/congest/none"}; !slices.Equal(missed, want) {
+		t.Errorf("cells that missed the target %q, want %q", missed, want)
 	}
 	// The mitigations must actually act on every profile: clone cells race at
 	// least one backup (deduping the loser's pushes), rebalance cells swap at

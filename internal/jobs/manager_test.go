@@ -16,12 +16,12 @@ import (
 // fakeRunner drives a Manager without a simulator: a sorted timer queue
 // advanced by hand, plus spawn/halt/cleanup/probe journals.
 type fakeRunner struct {
-	now     time.Duration
-	timers  []fakeTimer
-	spawned []int
-	halted  []int
-	cleaned []int
-	loss    map[int]float64
+	now      time.Duration
+	timers   []fakeTimer
+	spawned  []int
+	halted   []int
+	cleaned  []int
+	loss     map[int]float64
 	spawnErr map[int]error
 	allDone  bool
 }

@@ -74,8 +74,8 @@ type fakeSend struct {
 	m  wire.Message
 }
 
-func (c *fakeCtx) Self() node.ID                { return c.self }
-func (c *fakeCtx) Now() time.Time               { return time.Unix(0, 0) }
+func (c *fakeCtx) Self() node.ID  { return c.self }
+func (c *fakeCtx) Now() time.Time { return time.Unix(0, 0) }
 func (c *fakeCtx) Send(to node.ID, m wire.Message) {
 	c.sends = append(c.sends, fakeSend{to: to, m: m})
 }
@@ -90,7 +90,7 @@ type echoHandler struct {
 	msgs  []wire.Message
 }
 
-func (h *echoHandler) Init(ctx node.Context)             { h.ctx = ctx }
+func (h *echoHandler) Init(ctx node.Context) { h.ctx = ctx }
 func (h *echoHandler) Receive(from node.ID, m wire.Message) {
 	h.froms = append(h.froms, from)
 	h.msgs = append(h.msgs, m)

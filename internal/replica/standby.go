@@ -62,9 +62,11 @@ type Standby struct {
 	lastIndex int64
 	lastTerm  int64
 	lastSnap  []byte
-	// Candidate vote tally for term voteTerm.
+	// Candidate vote tally for term voteTerm: the distinct standbys (this one
+	// included) that granted a vote. A set, not a count, because a VoteResp
+	// can arrive twice (a duplicating fault, a transport retry).
 	voteTerm int64
-	votes    int
+	voters   map[node.ID]bool
 
 	electionCancel node.CancelFunc
 
@@ -109,7 +111,7 @@ func (sb *Standby) Receive(from node.ID, m wire.Message) {
 	case *msg.VoteReq:
 		sb.handleVoteReq(from, mm)
 	case *msg.VoteResp:
-		sb.handleVoteResp(mm)
+		sb.handleVoteResp(from, mm)
 	case *msg.LeaderAnnounce:
 		// Another incarnation won: stand down and restart the failure
 		// detector against the new leader.
@@ -169,13 +171,13 @@ func (sb *Standby) handleVoteReq(from node.ID, mm *msg.VoteReq) {
 	sb.ctx.Send(from, &msg.VoteResp{Term: mm.Term, Granted: grant})
 }
 
-// handleVoteResp tallies votes for the current candidacy.
-func (sb *Standby) handleVoteResp(mm *msg.VoteResp) {
+// handleVoteResp tallies votes for the current candidacy, one per voter.
+func (sb *Standby) handleVoteResp(from node.ID, mm *msg.VoteResp) {
 	if sb.Role() != RoleCandidate || !mm.Granted || mm.Term != sb.voteTerm {
 		return
 	}
-	sb.votes++
-	if sb.votes >= majority(sb.cfg.Standbys) {
+	sb.voters[from] = true
+	if len(sb.voters) >= majority(sb.cfg.Standbys) {
 		sb.becomeLeader()
 	}
 }
@@ -206,9 +208,9 @@ func (sb *Standby) onElectionTimeout() {
 	sb.cfg.Obs.SchedulerRole(string(sb.ctx.Self()), RoleCandidate.String(), term)
 	sb.votedTerm = term // self-vote
 	sb.voteTerm = term
-	sb.votes = 1
+	sb.voters = map[node.ID]bool{sb.ctx.Self(): true}
 	sb.ctx.Logf("standby %d: leader silent; starting election for term %d", sb.cfg.Index, term)
-	if sb.votes >= majority(sb.cfg.Standbys) {
+	if len(sb.voters) >= majority(sb.cfg.Standbys) {
 		sb.becomeLeader()
 		return
 	}
@@ -221,7 +223,7 @@ func (sb *Standby) onElectionTimeout() {
 // becomeFollower stands a candidate down.
 func (sb *Standby) becomeFollower() {
 	sb.role.Store(int32(RoleFollower))
-	sb.votes = 0
+	sb.voters = nil
 	sb.cfg.Obs.SchedulerRole(string(sb.ctx.Self()), RoleFollower.String(), sb.term.Load())
 }
 

@@ -142,11 +142,11 @@ func TestLinkPenalty(t *testing.T) {
 		at       time.Duration
 		want     float64
 	}{
-		{w1, srv, 5 * time.Second, 1},              // before the window
-		{w1, srv, 12 * time.Second, 2},             // first episode only
-		{srv, w1, 12 * time.Second, 2},             // direction-agnostic
-		{w1, srv, 16 * time.Second, 8},             // overlap composes: 2 * 4
-		{w1, srv, 25 * time.Second, 4},             // first closed, open-ended persists
+		{w1, srv, 5 * time.Second, 1},                // before the window
+		{w1, srv, 12 * time.Second, 2},               // first episode only
+		{srv, w1, 12 * time.Second, 2},               // direction-agnostic
+		{w1, srv, 16 * time.Second, 8},               // overlap composes: 2 * 4
+		{w1, srv, 25 * time.Second, 4},               // first closed, open-ended persists
 		{node.WorkerID(2), srv, 16 * time.Second, 1}, // untouched link
 	}
 	for _, c := range cases {

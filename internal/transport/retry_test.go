@@ -37,10 +37,10 @@ func TestSendRetriesAcrossRestart(t *testing.T) {
 	var retries atomic.Int64
 	var retryErrs sync.Map
 	send, err := ListenTCP(TCPConfig{
-		ID:       node.WorkerID(0),
-		Peers:    map[node.ID]string{node.ServerID(0): addr},
-		Registry: reg,
-		OnMessage: func(node.ID, wire.Message) {},
+		ID:           node.WorkerID(0),
+		Peers:        map[node.ID]string{node.ServerID(0): addr},
+		Registry:     reg,
+		OnMessage:    func(node.ID, wire.Message) {},
 		MaxAttempts:  8,
 		RetryBackoff: 10 * time.Millisecond,
 		MaxBackoff:   80 * time.Millisecond,
