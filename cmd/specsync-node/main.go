@@ -1,34 +1,33 @@
 // Command specsync-node runs one SpecSync cluster node (server shard,
-// worker, or scheduler) as a standalone process over TCP — the deployment
-// shape of the paper's MXNet implementation. Every process is given the
-// same topology flags so it can derive the shard layout and peer address
-// book deterministically.
+// worker, scheduler, standby scheduler or shard replica) as a standalone
+// process over TCP — the deployment shape of the paper's MXNet
+// implementation. Every process loads the same run spec, from which it
+// derives the shard layout and the peer address book, and -id names the
+// node it plays.
 //
-// Example 2-worker cluster on one machine (run each in its own terminal):
+// A 2-worker cluster on one machine (each in its own terminal):
 //
-//	specsync-node -role server -index 0 -workers 2 -servers 1 -base-port 7000
-//	specsync-node -role scheduler        -workers 2 -servers 1 -base-port 7000
-//	specsync-node -role worker -index 0  -workers 2 -servers 1 -base-port 7000
-//	specsync-node -role worker -index 1  -workers 2 -servers 1 -base-port 7000
+//	specsync-node -spec examples/specs/live-tcp.json -id server/0
+//	specsync-node -spec examples/specs/live-tcp.json -id worker/0
+//	specsync-node -spec examples/specs/live-tcp.json -id worker/1
+//	specsync-node -spec examples/specs/live-tcp.json -id scheduler
 //
-// Ports are assigned as base-port+0..servers-1 for servers, then workers,
-// then the scheduler, then standby schedulers (-standby-schedulers), then
-// shard replicas (-replicas, shard-major). The scheduler broadcasts Start
-// once it boots, so start it after the servers and workers are listening
-// (or restart stragglers — workers also begin on the first Start they see).
+// Ports run consecutively from -base-port: servers, workers, the
+// scheduler, the spec's standby schedulers ("scheduler/1", ...), then its
+// shard replicas, shard-major ("replica/0/1", ...). The scheduler
+// broadcasts Start once it boots, so start it after the servers and workers
+// are listening (or restart stragglers — workers also begin on the first
+// Start they see).
 //
-// High availability: give every process the same -standby-schedulers and
-// -replicas counts, then additionally run
-//
-//	specsync-node -role standby -index 1 ... -standby-schedulers 1
-//	specsync-node -role replica -index 0 -replica 1 ... -replicas 1
-//
-// The scheduler ships its state to the standbys and each server forwards
-// acknowledged pushes to its replicas; if the scheduler process dies, a
-// standby elects itself, announces the new term, and the workers follow it.
+// High availability: a spec with replication adds standby and replica
+// processes. The scheduler ships its state to the standbys and each server
+// forwards acknowledged pushes to its replicas; if the scheduler process
+// dies, a standby elects itself, announces the new term, and the workers
+// follow it.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -50,9 +49,7 @@ import (
 	"specsync/internal/optimizer"
 	"specsync/internal/ps"
 	"specsync/internal/replica"
-	"specsync/internal/scheme"
 	"specsync/internal/stragglers"
-	"specsync/internal/switcher"
 	"specsync/internal/worker"
 )
 
@@ -63,140 +60,89 @@ func main() {
 	}
 }
 
+// addresses is the spec's address book: every node of its topology on
+// consecutive ports from basePort, in the order servers, workers, the
+// scheduler, standby schedulers, shard replicas (shard-major).
+func addresses(cfg cluster.Config, host string, basePort int) map[node.ID]string {
+	var all []node.ID
+	for i := 0; i < cfg.Servers; i++ {
+		all = append(all, node.ServerID(i))
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		all = append(all, node.WorkerID(i))
+	}
+	all = append(all, node.Scheduler)
+	for i := 1; i <= cfg.Replication.StandbySchedulers; i++ {
+		all = append(all, node.StandbyID(i))
+	}
+	for s := 0; s < cfg.Servers; s++ {
+		for r := 1; r <= cfg.Replication.Replicas; r++ {
+			all = append(all, node.ReplicaID(s, r))
+		}
+	}
+	peers := make(map[node.ID]string, len(all))
+	for i, id := range all {
+		peers[id] = fmt.Sprintf("%s:%d", host, basePort+i)
+	}
+	return peers
+}
+
+// resolveID checks that s names a node of the address book.
+func resolveID(peers map[node.ID]string, s string) (node.ID, error) {
+	id := node.ID(s)
+	if err := node.Validate(id); err != nil || id == node.ProbeID {
+		return "", fmt.Errorf("-id %q: want server/<i>, worker/<i>, scheduler, scheduler/<i> or replica/<shard>/<r>", s)
+	}
+	if _, ok := peers[id]; !ok {
+		return "", fmt.Errorf("-id %s is not a node of the spec's topology", id)
+	}
+	return id, nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("specsync-node", flag.ContinueOnError)
 	var (
-		role       = fs.String("role", "", "node role: server, worker, or scheduler")
-		index      = fs.Int("index", 0, "index within the role (server/worker)")
-		workers    = fs.Int("workers", 2, "total number of workers")
-		servers    = fs.Int("servers", 1, "total number of server shards")
-		basePort   = fs.Int("base-port", 7000, "first port of the contiguous port block")
-		host       = fs.String("host", "127.0.0.1", "host all nodes share")
-		seed       = fs.Int64("seed", 1, "master seed (must match across nodes)")
-		workload   = fs.String("workload", "tiny", "workload: mf, cifar10, imagenet, tiny")
-		schemeName = fs.String("scheme", "adaptive", "scheme (must match across nodes): asp, bsp, ssp, adaptive, cherry, sync-switch, abs, psp")
-		switchAt   = fs.Int("switch-at", 5, "sync-switch scheme: epoch of the BSP→ASP handover")
-		pspBeta    = fs.Float64("psp-beta", 0.75, "psp scheme: barrier quorum as a fraction of live workers")
-		metaScheme = fs.Bool("meta-scheme", false, "straggler-driven BSP↔SSP policy (must match across nodes; requires a plain -scheme asp/bsp/ssp)")
-
-		stragglerPlanPath = fs.String("straggler-plan", "", "JSON straggler-plan file (see internal/stragglers); workers run their scripted slowdowns, the scheduler scores its detector against the plan")
-		iterTime          = fs.Duration("iter", 500*time.Millisecond, "nominal compute time per iteration")
-		maxIters          = fs.Int64("iters", 200, "worker iterations before stopping (0 = run forever)")
-		debug             = fs.Bool("debug", false, "verbose node logging")
-
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /clusterz, /stragglerz and /debugz on this address (\":0\" picks a port)")
-		pprofOn     = fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")
-
-		codecName = fs.String("codec", "raw", "gradient codec (must match across nodes): "+codec.Names)
-		topkFrac  = fs.Float64("topk", codec.DefaultTopKFrac, "topk codec: fraction of entries kept")
-		q8Block   = fs.Int("q8-block", codec.DefaultQ8Block, "q8 codec: values per quantization block")
-
-		checkpointDir   = fs.String("checkpoint-dir", "", "server/scheduler role: directory for checkpoints; restored on boot if present")
-		checkpointEvery = fs.Duration("checkpoint-every", 10*time.Second, "server/scheduler role: checkpoint period (0 disables; needs -checkpoint-dir)")
-		heartbeatEvery  = fs.Duration("heartbeat", 0, "worker role: liveness heartbeat period (0 disables)")
-		retryAfter      = fs.Duration("retry-after", 0, "worker role: re-issue pulls/pushes unanswered for this long (0 disables)")
-		livenessTimeout = fs.Duration("liveness-timeout", 0, "scheduler role: evict workers silent for this long (0 disables)")
-		schedTimeout    = fs.Duration("scheduler-timeout", 0, "worker role: enter degraded mode when the scheduler is silent this long (0 disables)")
-		beaconEvery     = fs.Duration("beacon-every", 0, "scheduler role: broadcast liveness beacons on this period (0 disables)")
-		generation      = fs.Int64("generation", 0, "scheduler role: incarnation number; >0 means this process replaces a crashed scheduler and asks workers for state")
-
-		standbySched   = fs.Int("standby-schedulers", 0, "standby scheduler incarnations in the topology (every process must agree); the scheduler ships state snapshots to them and a standby takes over if it dies")
-		replicas       = fs.Int("replicas", 0, "warm backups per parameter shard in the topology (every process must agree); servers forward acknowledged pushes to them")
-		replicaSlot    = fs.Int("replica", 1, "replica role: 1-based backup slot within shard -index")
-		replicateEvery = fs.Duration("replicate-every", 250*time.Millisecond, "scheduler/standby roles: snapshot-shipping period, doubling as the leader liveness heartbeat")
-		electionAfter  = fs.Duration("election-timeout", 2*time.Second, "standby role: base leader-silence timeout before calling an election (randomized to [T,2T))")
+		specPath      = fs.String("spec", "", "run spec (JSON, see examples/specs); every process of the cluster loads the same one")
+		idFlag        = fs.String("id", "", "the node this process plays: server/<i>, worker/<i>, scheduler, scheduler/<i> (standby) or replica/<shard>/<r>")
+		host          = fs.String("host", "127.0.0.1", "host all nodes share")
+		basePort      = fs.Int("base-port", 7000, "first port of the contiguous port block")
+		debug         = fs.Bool("debug", false, "verbose node logging")
+		metricsAddr   = fs.String("metrics-addr", "", "serve /metrics, /healthz, /clusterz, /stragglerz and /debugz on this address (\":0\" picks a port)")
+		pprofOn       = fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")
+		checkpointDir = fs.String("checkpoint-dir", "", "server, scheduler and lossy-codec worker: checkpoint directory, restored on boot; the spec's checkpoint_every sets the period")
+		generation    = fs.Int64("generation", 0, "scheduler: incarnation number; >0 means this process replaces a crashed scheduler and asks workers for state")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workers < 1 || *servers < 1 {
-		return fmt.Errorf("need at least 1 worker and 1 server")
+	if *specPath == "" {
+		return fmt.Errorf("-spec is required")
 	}
-
-	// Deterministic shared topology.
-	addr := func(id node.ID) string {
-		port := *basePort
-		if i := node.ServerIndex(id); i >= 0 {
-			port += i
-		} else if i := node.WorkerIndex(id); i >= 0 {
-			port += *servers + i
-		} else if i := node.StandbyIndex(id); i >= 1 {
-			port += *servers + *workers + i // scheduler/i follows the leader slot
-		} else if s, r := node.ReplicaOf(id); s >= 0 {
-			port += *servers + *workers + 1 + *standbySched + s*(*replicas) + (r - 1)
-		} else {
-			port += *servers + *workers // scheduler
-		}
-		return fmt.Sprintf("%s:%d", *host, port)
-	}
-	peers := map[node.ID]string{}
-	var all []node.ID
-	for i := 0; i < *servers; i++ {
-		all = append(all, node.ServerID(i))
-	}
-	for i := 0; i < *workers; i++ {
-		all = append(all, node.WorkerID(i))
-	}
-	all = append(all, node.Scheduler)
-	for i := 1; i <= *standbySched; i++ {
-		all = append(all, node.StandbyID(i))
-	}
-	for s := 0; s < *servers; s++ {
-		for r := 1; r <= *replicas; r++ {
-			all = append(all, node.ReplicaID(s, r))
-		}
-	}
-	for _, id := range all {
-		peers[id] = addr(id)
-	}
-
-	wl, err := buildWorkload(*workload, *workers, *seed)
+	cfg, err := cluster.LoadSpec(*specPath)
 	if err != nil {
 		return err
 	}
-	wl.IterTime = *iterTime
-	sc, err := buildScheme(*schemeName, wl, *switchAt, *pspBeta)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Faults != nil || cfg.Churn != nil || !cfg.Scale.Empty() || cfg.Mitigation != stragglers.MitigateNone || cfg.Hetero {
+		return fmt.Errorf("fault, churn and scale plans, straggler mitigation and heterogeneous speeds run only on the simulator (specsync)")
+	}
+	cfg = cfg.WithDefaults()
+	peers := addresses(cfg, *host, *basePort)
+	id, err := resolveID(peers, *idFlag)
 	if err != nil {
 		return err
 	}
-	// Workers self-measure work spans whenever the discipline can change at
-	// runtime or a straggler plan needs detection; every process must agree
-	// or the scheduler would starve.
-	var stragglerPlan *stragglers.Plan
-	var stragglerScripts [][]worker.SpeedWindow
-	if *stragglerPlanPath != "" {
-		data, err := os.ReadFile(*stragglerPlanPath)
-		if err != nil {
-			return err
-		}
-		if stragglerPlan, err = stragglers.ParseJSON(data); err != nil {
-			return err
-		}
-		if stragglerScripts, err = stragglerPlan.Scripts(*workers); err != nil {
-			return err
-		}
-		if stragglerPlan.HasCongest() {
-			// The TCP transport has no bandwidth model to scale; congest
-			// episodes only act under the simulator (link penalty) or an
-			// in-process live.Network (stragglers.LiveHook).
-			fmt.Fprintln(os.Stderr, "specsync-node: warning: congest episodes in the plan are ignored on the TCP transport")
-		}
+	wl, sc := cfg.Workload, cfg.Scheme
+	if cfg.Stragglers.HasCongest() {
+		// The TCP transport has no bandwidth model to scale; congest episodes
+		// only act under the simulator (link penalty) or an in-process
+		// live.Network (stragglers.LiveHook).
+		fmt.Fprintln(os.Stderr, "specsync-node: warning: congest episodes in the plan are ignored on the TCP transport")
 	}
-	dynamicScheme := sc.DynamicBase() || *metaScheme || !stragglerPlan.Empty()
-	if *metaScheme && (sc.Variant != scheme.VariantNone || sc.Spec != scheme.SpecOff) {
-		return fmt.Errorf("-meta-scheme requires a plain base scheme (-scheme asp/bsp/ssp)")
-	}
-	var switcherCfg *switcher.Config
-	if *metaScheme {
-		switcherCfg = &switcher.Config{}
-	}
-	ranges, err := ps.ShardRanges(wl.Model.Dim(), *servers)
+	ranges, err := ps.ShardRanges(wl.Model.Dim(), cfg.Servers)
 	if err != nil {
-		return err
-	}
-
-	ccfg := codec.Config{Name: *codecName, TopKFrac: *topkFrac, Q8Block: *q8Block}
-	if err := ccfg.Validate(); err != nil {
 		return err
 	}
 
@@ -209,216 +155,194 @@ func run(args []string) error {
 	o.Registry().SetCollector("transfer", func(w io.Writer) {
 		transfer.WritePrometheus(w, msg.Registry().Name)
 	})
-	codecStats := codec.NewStats(msg.CodecLabeler(ccfg.PushName(), ccfg.PullName()))
+	codecStats := codec.NewStats(msg.CodecLabeler(cfg.Codec.PushName(), cfg.Codec.PullName()))
 	o.Registry().SetCollector("codec", func(w io.Writer) {
 		codecStats.WritePrometheus(w, msg.Registry().Name)
 	})
 
-	var id node.ID
-	var handler node.Handler
-	var shard *ps.Server      // set for the server role (checkpoint loop)
-	var sched *core.Scheduler // set for the scheduler role (checkpoint loop)
-	var wkr *worker.Worker    // set for the worker role (codec-residual checkpoints)
-	var ckptPath string
-	switch *role {
-	case "server":
-		if *index < 0 || *index >= *servers {
-			return fmt.Errorf("server index %d out of range", *index)
-		}
-		id = node.ServerID(*index)
-		initRng := rand.New(rand.NewSource(*seed ^ 0x1217))
-		initVec := wl.Model.Init(initRng)
+	newShard := func(i int, replica bool) (*ps.Server, error) {
 		opt, err := optimizer.NewSGD(optimizer.SGDConfig{
 			Schedule: wl.Schedule, Momentum: wl.Momentum, Clip: wl.Clip,
-		}, ranges[*index].Len())
+		}, ranges[i].Len())
 		if err != nil {
-			return err
+			return nil, err
 		}
-		shard, err = ps.New(ps.Config{
-			Range:      ranges[*index],
-			Init:       initVec[ranges[*index].Lo:ranges[*index].Hi],
+		initVec := wl.Model.Init(rand.New(rand.NewSource(cfg.Seed ^ 0x1217)))
+		return ps.New(ps.Config{
+			Range:      ranges[i],
+			Init:       initVec[ranges[i].Lo:ranges[i].Hi],
 			Optimizer:  opt,
-			Obs:        o.Server(*index),
-			DeltaPull:  ccfg.UsesDelta(),
+			Replica:    replica,
+			Obs:        o.Server(i),
+			DeltaPull:  cfg.Codec.UsesDelta(),
 			CodecStats: codecStats,
 		})
-		if err != nil {
-			return err
+	}
+	newScheduler := func(gen int64) (*core.Scheduler, error) {
+		if !cfg.Stragglers.Empty() {
+			// Ground truth for /stragglerz detector scoring: precision and
+			// recall are measured against the plan's scripted victims.
+			o.Scheduler().SetStragglerTruth(cfg.Stragglers.Targets())
 		}
-		if *replicas > 0 {
-			var backups []node.ID
-			for r := 1; r <= *replicas; r++ {
-				backups = append(backups, node.ReplicaID(*index, r))
-			}
-			shard.SetBackups(backups)
-		}
-		if *checkpointDir != "" {
-			if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-				return err
-			}
-			ckptPath = filepath.Join(*checkpointDir, fmt.Sprintf("server-%d.ckpt", *index))
-			if v, ok, err := restoreCheckpoint(shard, ckptPath); err != nil {
-				return err
-			} else if ok {
-				fmt.Printf("server/%d: restored checkpoint version %d from %s\n", *index, v, ckptPath)
-			}
-		}
-		handler = shard
-	case "replica":
-		if *index < 0 || *index >= *servers {
-			return fmt.Errorf("replica shard index %d out of range", *index)
-		}
-		if *replicaSlot < 1 || *replicaSlot > *replicas {
-			return fmt.Errorf("replica slot %d out of range 1..%d (set -replicas on every process)", *replicaSlot, *replicas)
-		}
-		id = node.ReplicaID(*index, *replicaSlot)
-		initRng := rand.New(rand.NewSource(*seed ^ 0x1217))
-		initVec := wl.Model.Init(initRng)
-		opt, err := optimizer.NewSGD(optimizer.SGDConfig{
-			Schedule: wl.Schedule, Momentum: wl.Momentum, Clip: wl.Clip,
-		}, ranges[*index].Len())
-		if err != nil {
-			return err
-		}
-		backup, err := ps.New(ps.Config{
-			Range:      ranges[*index],
-			Init:       initVec[ranges[*index].Lo:ranges[*index].Hi],
-			Optimizer:  opt,
-			Replica:    true,
-			Obs:        o.Server(*index),
-			DeltaPull:  ccfg.UsesDelta(),
-			CodecStats: codecStats,
+		return core.NewScheduler(core.SchedulerConfig{
+			Workers:         cfg.Workers,
+			Scheme:          sc,
+			Switcher:        cfg.Switcher,
+			InitialSpan:     wl.IterTime,
+			LivenessTimeout: cfg.LivenessTimeout,
+			Generation:      gen,
+			BeaconEvery:     cfg.BeaconEvery,
+			TrackSpans:      !cfg.Stragglers.Empty(),
+			Obs:             o.Scheduler(),
 		})
+	}
+
+	// Durable state — a shard's parameters, the scheduler's snapshot, a
+	// worker's codec residual under a lossy push codec — is checkpointed
+	// when the role sets snapshot: it runs on the node's event loop (h.Do),
+	// so it never races with applies; restore runs before the host serves.
+	var (
+		handler  node.Handler
+		ckptName string
+		snapshot func() (io.WriterTo, string)
+		restore  func(io.Reader) (string, error)
+	)
+	switch {
+	case node.ServerIndex(id) >= 0:
+		i := node.ServerIndex(id)
+		shard, err := newShard(i, false)
 		if err != nil {
 			return err
 		}
-		handler = backup
-	case "worker":
-		if *index < 0 || *index >= *workers {
-			return fmt.Errorf("worker index %d out of range", *index)
+		var backups []node.ID
+		for r := 1; r <= cfg.Replication.Replicas; r++ {
+			backups = append(backups, node.ReplicaID(i, r))
 		}
-		id = node.WorkerID(*index)
+		shard.SetBackups(backups)
+		handler, ckptName = shard, fmt.Sprintf("server-%d.ckpt", i)
+		snapshot = func() (io.WriterTo, string) {
+			snap := shard.Snapshot()
+			return snap, fmt.Sprintf("version %d", snap.Version)
+		}
+		restore = func(r io.Reader) (string, error) {
+			snap, err := ps.ReadSnapshot(r)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("checkpoint version %d", snap.Version), shard.Restore(snap)
+		}
+	case node.WorkerIndex(id) >= 0:
+		i := node.WorkerIndex(id)
 		// Each worker plays only its own row of the plan's speed scripts;
 		// windows are measured from Init, so co-started processes line up.
-		var script []worker.SpeedWindow
-		if stragglerScripts != nil {
-			script = stragglerScripts[*index]
+		scripts, err := cfg.Stragglers.Scripts(cfg.Workers)
+		if err != nil {
+			return err
 		}
-		wkr, err = worker.New(worker.Config{
-			Index:            *index,
+		wkr, err := worker.New(worker.Config{
+			Index:            i,
 			Shards:           ranges,
 			Model:            wl.Model,
 			Scheme:           sc,
 			Compute:          worker.ComputeModel{Base: wl.IterTime, Speed: 1, JitterSigma: wl.JitterSigma},
-			Script:           script,
-			MaxIters:         *maxIters,
-			NumWorkers:       *workers,
-			HeartbeatEvery:   *heartbeatEvery,
-			RetryAfter:       *retryAfter,
-			SchedulerTimeout: *schedTimeout,
-			Codec:            ccfg,
+			Script:           scripts[i],
+			MaxIters:         cfg.MaxItersPerWorker,
+			NumWorkers:       cfg.Workers,
+			HeartbeatEvery:   cfg.HeartbeatEvery,
+			RetryAfter:       cfg.RetryAfter,
+			SchedulerTimeout: cfg.SchedulerTimeout,
+			Codec:            cfg.Codec,
 			CodecStats:       codecStats,
-			ReportSpans:      dynamicScheme,
-			Obs:              o.Worker(*index),
+			// Every process must agree, or the scheduler would starve.
+			ReportSpans: sc.DynamicBase() || cfg.Switcher != nil || !cfg.Stragglers.Empty(),
+			Obs:         o.Worker(i),
 		})
 		if err != nil {
 			return err
-		}
-		// Lossy push codecs carry an error-feedback residual; checkpoint it so
-		// a restarted worker does not silently drop pending gradient mass.
-		if *checkpointDir != "" && wkr.CodecState() != nil {
-			if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-				return err
-			}
-			ckptPath = filepath.Join(*checkpointDir, fmt.Sprintf("worker-%d.codec.ckpt", *index))
-			if ok, err := restoreResidualCheckpoint(wkr, ckptPath); err != nil {
-				return err
-			} else if ok {
-				fmt.Printf("worker/%d: restored codec residual state from %s\n", *index, ckptPath)
-			}
 		}
 		handler = wkr
-	case "scheduler":
-		id = node.Scheduler
-		if !stragglerPlan.Empty() {
-			// Ground truth for /stragglerz detector scoring: precision and
-			// recall are measured against the plan's scripted victims.
-			o.Scheduler().SetStragglerTruth(stragglerPlan.Targets())
+		// Lossy push codecs carry an error-feedback residual; checkpoint it so
+		// a restarted worker does not silently drop pending gradient mass.
+		if wkr.CodecState() != nil {
+			ckptName = fmt.Sprintf("worker-%d.codec.ckpt", i)
+			snapshot = func() (io.WriterTo, string) {
+				data := wkr.CodecState().Snapshot()
+				return bytes.NewReader(data), fmt.Sprintf("codec residuals (%d bytes)", len(data))
+			}
+			restore = func(r io.Reader) (string, error) {
+				data, err := io.ReadAll(r)
+				if err != nil {
+					return "", err
+				}
+				st, err := codec.RestoreState(data)
+				if err != nil {
+					return "", err
+				}
+				return "codec residual state", wkr.RestoreCodecState(st)
+			}
 		}
-		sched, err = core.NewScheduler(core.SchedulerConfig{
-			Workers:         *workers,
-			Scheme:          sc,
-			Switcher:        switcherCfg,
-			InitialSpan:     wl.IterTime,
-			LivenessTimeout: *livenessTimeout,
-			Generation:      *generation,
-			BeaconEvery:     *beaconEvery,
-			TrackSpans:      !stragglerPlan.Empty(),
-			Obs:             o.Scheduler(),
-		})
+	case id == node.Scheduler:
+		sched, err := newScheduler(*generation)
 		if err != nil {
 			return err
 		}
-		if *checkpointDir != "" {
-			if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-				return err
-			}
-			ckptPath = filepath.Join(*checkpointDir, "scheduler.ckpt")
-			if gen, ok, err := restoreSchedulerCheckpoint(sched, ckptPath); err != nil {
-				return err
-			} else if ok {
-				fmt.Printf("scheduler: restored checkpoint (written by generation %d) from %s\n", gen, ckptPath)
-			}
+		handler, ckptName = sched, "scheduler.ckpt"
+		snapshot = func() (io.WriterTo, string) {
+			snap := sched.Snapshot()
+			return snap, fmt.Sprintf("epoch %d", snap.Epoch)
 		}
-		handler = sched
-		if *standbySched > 0 {
-			ldr, err := replica.NewLeader(replica.LeaderConfig{
+		restore = func(r io.Reader) (string, error) {
+			snap, err := core.ReadSchedulerSnapshot(r)
+			if err != nil {
+				return "", err
+			}
+			// The generation in the file is the writer's; the rebuilt
+			// scheduler keeps its own -generation.
+			return fmt.Sprintf("checkpoint (written by generation %d)", snap.Generation), sched.Restore(snap)
+		}
+		if n := cfg.Replication.StandbySchedulers; n > 0 {
+			if handler, err = replica.NewLeader(replica.LeaderConfig{
 				Sched:          sched,
-				Standbys:       *standbySched,
-				ReplicateEvery: *replicateEvery,
+				Standbys:       n,
+				ReplicateEvery: cfg.Replication.ReplicateEvery,
 				Term:           *generation,
 				Obs:            o,
-			})
-			if err != nil {
+			}); err != nil {
 				return err
 			}
-			handler = ldr
 		}
-	case "standby":
-		if *index < 1 || *index > *standbySched {
-			return fmt.Errorf("standby index %d out of range 1..%d (set -standby-schedulers on every process)", *index, *standbySched)
+	case node.StandbyIndex(id) >= 1:
+		if handler, err = replica.NewStandby(replica.StandbyConfig{
+			Index:           node.StandbyIndex(id),
+			Standbys:        cfg.Replication.StandbySchedulers,
+			Workers:         cfg.Workers,
+			ElectionTimeout: cfg.Replication.ElectionTimeout,
+			ReplicateEvery:  cfg.Replication.ReplicateEvery,
+			MakeScheduler:   newScheduler,
+			Obs:             o,
+		}); err != nil {
+			return err
 		}
-		id = node.StandbyID(*index)
-		sb, err := replica.NewStandby(replica.StandbyConfig{
-			Index:           *index,
-			Standbys:        *standbySched,
-			Workers:         *workers,
-			ElectionTimeout: *electionAfter,
-			ReplicateEvery:  *replicateEvery,
-			MakeScheduler: func(gen int64) (*core.Scheduler, error) {
-				if !stragglerPlan.Empty() {
-					o.Scheduler().SetStragglerTruth(stragglerPlan.Targets())
-				}
-				return core.NewScheduler(core.SchedulerConfig{
-					Workers:         *workers,
-					Scheme:          sc,
-					Switcher:        switcherCfg,
-					InitialSpan:     wl.IterTime,
-					LivenessTimeout: *livenessTimeout,
-					Generation:      gen,
-					BeaconEvery:     *beaconEvery,
-					TrackSpans:      !stragglerPlan.Empty(),
-					Obs:             o.Scheduler(),
-				})
-			},
-			Obs: o,
-		})
+	default: // a shard replica
+		shard, _ := node.ReplicaOf(id)
+		if handler, err = newShard(shard, true); err != nil {
+			return err
+		}
+	}
+
+	var ckptPath string
+	if *checkpointDir != "" && snapshot != nil {
+		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
+			return err
+		}
+		ckptPath = filepath.Join(*checkpointDir, ckptName)
+		what, err := readDurable(ckptPath, restore)
 		if err != nil {
 			return err
 		}
-		handler = sb
-	default:
-		return fmt.Errorf("role must be server, worker, scheduler, standby, or replica (got %q)", *role)
+		if what != "" {
+			fmt.Printf("%s: restored %s from %s\n", id, what, ckptPath)
+		}
 	}
 
 	listen := peers[id]
@@ -429,7 +353,7 @@ func run(args []string) error {
 		ListenAddr: listen,
 		Peers:      peers,
 		Registry:   msg.Registry(),
-		Seed:       *seed,
+		Seed:       cfg.Seed,
 		Transfer:   codecStats.Tap(transfer),
 		Metrics:    o.Registry(),
 		Debug:      *debug,
@@ -439,7 +363,7 @@ func run(args []string) error {
 	}
 	defer h.Close()
 	fmt.Printf("%s listening on %s (%d workers, %d servers, scheme %s, workload %s)\n",
-		id, listen, *workers, *servers, sc.Name(), wl.Name)
+		id, listen, cfg.Workers, cfg.Servers, sc.Name(), wl.Name)
 
 	if *metricsAddr != "" {
 		cfgHTTP := obs.HTTPConfig{
@@ -464,13 +388,9 @@ func run(args []string) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	// Periodic durable checkpoints: server and scheduler state, and the
-	// worker's codec residual when a lossy push codec is active. The snapshot
-	// is taken on the node's event loop (h.Do) so it never races with
-	// applies; only the file write happens out here.
 	var ckptTick <-chan time.Time
-	if ckptPath != "" && *checkpointEvery > 0 {
-		ct := time.NewTicker(*checkpointEvery)
+	if ckptPath != "" && cfg.CheckpointEvery > 0 {
+		ct := time.NewTicker(cfg.CheckpointEvery)
 		defer ct.Stop()
 		ckptTick = ct.C
 	}
@@ -484,31 +404,13 @@ func run(args []string) error {
 			fmt.Println("shutting down")
 			return nil
 		case <-ckptTick:
-			switch {
-			case shard != nil:
-				var snap ps.Snapshot
-				h.Do(func() { snap = shard.Snapshot() })
-				if err := writeCheckpoint(ckptPath, snap); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: checkpoint failed: %v\n", id, err)
-				} else if *debug {
-					fmt.Printf("%s: checkpointed version %d\n", id, snap.Version)
-				}
-			case sched != nil:
-				var snap core.SchedulerSnapshot
-				h.Do(func() { snap = sched.Snapshot() })
-				if err := writeSchedulerCheckpoint(ckptPath, snap); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: checkpoint failed: %v\n", id, err)
-				} else if *debug {
-					fmt.Printf("%s: checkpointed epoch %d\n", id, snap.Epoch)
-				}
-			case wkr != nil:
-				var data []byte
-				h.Do(func() { data = wkr.CodecState().Snapshot() })
-				if err := writeBytesCheckpoint(ckptPath, data); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: codec checkpoint failed: %v\n", id, err)
-				} else if *debug {
-					fmt.Printf("%s: checkpointed codec residuals (%d bytes)\n", id, len(data))
-				}
+			var snap io.WriterTo
+			var what string
+			h.Do(func() { snap, what = snapshot() })
+			if err := writeDurable(ckptPath, snap); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: checkpoint failed: %v\n", id, err)
+			} else if *debug {
+				fmt.Printf("%s: checkpointed %s\n", id, what)
 			}
 		case <-ticker.C:
 			switch n := handler.(type) {
@@ -609,169 +511,52 @@ func healthFunc(id node.ID, handler node.Handler) func() obs.Health {
 	}
 }
 
-// restoreCheckpoint loads a prior checkpoint into the shard if one exists.
-// Called before the host starts serving, so no locking is needed.
-func restoreCheckpoint(shard *ps.Server, path string) (version int64, ok bool, err error) {
+// writeDurable writes w to path so that a crash at any point leaves either
+// the previous file or the new one, whole: a temp file in the same
+// directory, fsync, rename, then an fsync of the directory so the rename
+// itself survives.
+func writeDurable(path string, w io.WriterTo) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // fails harmlessly once renamed
+	_, err = w.WriteTo(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// readDurable hands the file at path to restore and returns what it
+// restored; a missing file restores nothing and is no error.
+func readDurable(path string, restore func(io.Reader) (string, error)) (string, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, false, nil
+		return "", nil
 	}
 	if err != nil {
-		return 0, false, err
+		return "", err
 	}
 	defer f.Close()
-	snap, err := ps.ReadSnapshot(f)
+	what, err := restore(f)
 	if err != nil {
-		return 0, false, fmt.Errorf("reading %s: %w", path, err)
+		return "", fmt.Errorf("reading %s: %w", path, err)
 	}
-	if err := shard.Restore(snap); err != nil {
-		return 0, false, err
-	}
-	return snap.Version, true, nil
-}
-
-// restoreSchedulerCheckpoint loads a prior scheduler checkpoint if one
-// exists; the generation in the file is the writer's (the rebuilt scheduler
-// keeps its own -generation flag).
-func restoreSchedulerCheckpoint(sched *core.Scheduler, path string) (gen int64, ok bool, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	snap, err := core.ReadSchedulerSnapshot(f)
-	if err != nil {
-		return 0, false, fmt.Errorf("reading %s: %w", path, err)
-	}
-	if err := sched.Restore(snap); err != nil {
-		return 0, false, err
-	}
-	return snap.Generation, true, nil
-}
-
-// restoreResidualCheckpoint loads a worker's codec residual checkpoint if one
-// exists. Called before the host starts serving, so no locking is needed.
-func restoreResidualCheckpoint(wk *worker.Worker, path string) (ok bool, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	st, err := codec.RestoreState(data)
-	if err != nil {
-		return false, fmt.Errorf("reading %s: %w", path, err)
-	}
-	if err := wk.RestoreCodecState(st); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// writeBytesCheckpoint writes an opaque snapshot durably with the same
-// temp-fsync-rename discipline as writeCheckpoint.
-func writeBytesCheckpoint(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// writeSchedulerCheckpoint mirrors writeCheckpoint for the scheduler role.
-func writeSchedulerCheckpoint(path string, snap core.SchedulerSnapshot) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := snap.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// writeCheckpoint writes the snapshot durably: temp file in the same
-// directory, fsync, then rename, so a crash mid-write never clobbers the
-// previous good checkpoint.
-func writeCheckpoint(path string, snap ps.Snapshot) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := snap.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func buildWorkload(name string, workers int, seed int64) (cluster.Workload, error) {
-	switch name {
-	case "mf":
-		return cluster.NewMF(cluster.SizeSmall, workers, seed)
-	case "cifar10":
-		return cluster.NewCIFAR(cluster.SizeSmall, workers, seed)
-	case "imagenet":
-		return cluster.NewImageNet(cluster.SizeSmall, workers, seed)
-	case "tiny":
-		return cluster.NewTiny(workers, seed)
-	default:
-		return cluster.Workload{}, fmt.Errorf("unknown workload %q", name)
-	}
-}
-
-func buildScheme(name string, wl cluster.Workload, switchAt int, pspBeta float64) (scheme.Config, error) {
-	switch name {
-	case "asp":
-		return scheme.Config{Base: scheme.ASP}, nil
-	case "bsp":
-		return scheme.Config{Base: scheme.BSP}, nil
-	case "ssp":
-		return scheme.Config{Base: scheme.SSP, Staleness: 3}, nil
-	case "adaptive":
-		return scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}, nil
-	case "cherry":
-		return scheme.Config{Base: scheme.ASP, Spec: scheme.SpecFixed, AbortTime: wl.IterTime / 4, AbortRate: 0.22}, nil
-	case "sync-switch":
-		return scheme.Config{Variant: scheme.VariantSyncSwitch, SwitchAt: switchAt}, nil
-	case "abs":
-		return scheme.Config{Variant: scheme.VariantABS}, nil
-	case "psp":
-		return scheme.Config{Variant: scheme.VariantPSP, PSPBeta: pspBeta}, nil
-	default:
-		return scheme.Config{}, fmt.Errorf("unknown scheme %q", name)
-	}
+	return what, nil
 }

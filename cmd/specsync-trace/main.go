@@ -1,8 +1,9 @@
 // Command specsync-trace records and analyzes training event traces.
 //
-// Record a trace (one simulated run, events as JSONL):
+// Record a trace (one simulated run from a run spec, events as JSONL; a
+// spec with "target_loss": 0 records its whole max_virtual horizon):
 //
-//	specsync-trace record -workload cifar10 -scheme asp -workers 40 -out trace.jsonl
+//	specsync-trace record -spec examples/specs/trace-cifar10-asp.json -out trace.jsonl
 //
 // Analyze the pushes-after-pull distribution (paper Sec. III-A / Fig. 3):
 //
@@ -27,12 +28,9 @@ import (
 	"time"
 
 	"specsync/internal/cluster"
-	"specsync/internal/codec"
-	"specsync/internal/elastic"
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/obs"
-	"specsync/internal/scheme"
 	"specsync/internal/trace"
 	"specsync/internal/wire"
 )
@@ -64,79 +62,22 @@ func main() {
 func record(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	var (
-		workloadName = fs.String("workload", "cifar10", "workload: mf, cifar10, imagenet, tiny")
-		schemeName   = fs.String("scheme", "asp", "scheme: asp, adaptive, cherry")
-		workers      = fs.Int("workers", 40, "number of workers")
-		seed         = fs.Int64("seed", 1, "master seed")
-		maxVirtual   = fs.Duration("max", 30*time.Minute, "virtual duration to record")
-		out          = fs.String("out", "trace.jsonl", "output JSONL path")
-		spanOut      = fs.String("span-out", "", "also write Chrome trace-event JSON spans to this file")
-		codecName    = fs.String("codec", "raw", "gradient codec: "+codec.Names)
-		topkFrac     = fs.Float64("topk", codec.DefaultTopKFrac, "topk codec: fraction of entries kept")
-		q8Block      = fs.Int("q8-block", codec.DefaultQ8Block, "q8 codec: values per quantization block")
-		scalePlan    = fs.String("scale-plan", "", "JSON scale-plan file: record an elastic run (see internal/elastic)")
+		specPath = fs.String("spec", "", "run spec (JSON, see examples/specs)")
+		out      = fs.String("out", "trace.jsonl", "output JSONL path")
+		spanOut  = fs.String("span-out", "", "also write Chrome trace-event JSON spans to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	var plan *elastic.Plan
-	if *scalePlan != "" {
-		data, err := os.ReadFile(*scalePlan)
-		if err != nil {
-			return err
-		}
-		plan, err = elastic.ParseJSON(data)
-		if err != nil {
-			return err
-		}
+	if *specPath == "" {
+		return fmt.Errorf("record: -spec is required")
 	}
-	wlWorkers := *workers
-	if plan != nil {
-		wlWorkers = plan.MaxWorkers(*workers)
-	}
-
-	var wl cluster.Workload
-	var err error
-	switch *workloadName {
-	case "mf":
-		wl, err = cluster.NewMF(cluster.SizeFull, wlWorkers, *seed)
-	case "cifar10":
-		wl, err = cluster.NewCIFAR(cluster.SizeFull, wlWorkers, *seed)
-	case "imagenet":
-		wl, err = cluster.NewImageNet(cluster.SizeFull, wlWorkers, *seed)
-	case "tiny":
-		wl, err = cluster.NewTiny(wlWorkers, *seed)
-	default:
-		return fmt.Errorf("unknown workload %q", *workloadName)
-	}
+	cfg, err := cluster.LoadSpec(*specPath)
 	if err != nil {
 		return err
 	}
-	wl.TargetLoss = 0 // record the full horizon
-
-	var sc scheme.Config
-	switch *schemeName {
-	case "asp":
-		sc = scheme.Config{Base: scheme.ASP}
-	case "adaptive":
-		sc = scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}
-	case "cherry":
-		sc = scheme.Config{Base: scheme.ASP, Spec: scheme.SpecFixed, AbortTime: wl.IterTime / 8, AbortRate: 0.22}
-	default:
-		return fmt.Errorf("unknown scheme %q", *schemeName)
-	}
-
-	res, err := cluster.Run(cluster.Config{
-		Workload:   wl,
-		Scheme:     sc,
-		Workers:    *workers,
-		Seed:       *seed,
-		Codec:      codec.Config{Name: *codecName, TopKFrac: *topkFrac, Q8Block: *q8Block},
-		Scale:      plan,
-		MaxVirtual: *maxVirtual,
-		KeepTrace:  true,
-	})
+	cfg.KeepTrace = true
+	res, err := cluster.Run(cfg)
 	if err != nil {
 		return err
 	}

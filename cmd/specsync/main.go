@@ -1,10 +1,12 @@
-// Command specsync runs one simulated distributed-training job and prints
-// its learning curve and summary — the quickest way to see SpecSync work:
+// Command specsync runs one simulated distributed-training job from a run
+// spec and prints its learning curve and summary — the quickest way to see
+// SpecSync work:
 //
-//	specsync -workload cifar10 -scheme adaptive -workers 40
-//	specsync -workload mf -scheme asp -hetero
-//	specsync -workload mf -scheme bsp -meta-scheme -hetero
-//	specsync -workload mf -scheme psp -psp-beta 0.75 -hetero
+//	specsync -spec examples/specs/cifar10-adaptive.json
+//	specsync -spec examples/specs/tiny-adaptive.json -tuning -span-out spans.json
+//
+// A spec is the JSON form of cluster.Config (see cluster.DecodeSpec and
+// examples/specs/); the flags only choose what is printed or exported.
 package main
 
 import (
@@ -16,13 +18,9 @@ import (
 	"specsync/internal/cluster"
 	"specsync/internal/codec"
 	"specsync/internal/core"
-	"specsync/internal/elastic"
-	"specsync/internal/faults"
 	"specsync/internal/metrics"
 	"specsync/internal/obs"
 	"specsync/internal/scheme"
-	"specsync/internal/stragglers"
-	"specsync/internal/switcher"
 )
 
 func main() {
@@ -35,261 +33,24 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("specsync", flag.ContinueOnError)
 	var (
-		workloadName = fs.String("workload", "cifar10", "workload: mf, cifar10, imagenet, tiny")
-		schemeName   = fs.String("scheme", "adaptive", "scheme: asp, bsp, ssp, naive, cherry, adaptive, sync-switch, abs, psp")
-		switchAt     = fs.Int("switch-at", 5, "sync-switch scheme: epoch at which the fleet hands over from BSP to ASP")
-		pspBeta      = fs.Float64("psp-beta", 0.75, "psp scheme: fraction of live workers whose arrival releases each barrier")
-		metaScheme   = fs.Bool("meta-scheme", false, "enable the straggler-driven meta-scheme policy (BSP while homogeneous, SSP while degraded; requires a plain -scheme asp/bsp/ssp)")
-		decentral    = fs.Bool("decentralized", false, "decentralized speculation: workers broadcast push notices and abort locally, no scheduler tuning (requires -scheme cherry)")
-		workers      = fs.Int("workers", 40, "number of workers")
-		servers      = fs.Int("servers", 0, "number of parameter shards (0 = auto)")
-		seed         = fs.Int64("seed", 1, "master seed")
-		hetero       = fs.Bool("hetero", false, "heterogeneous instance mix (paper Cluster 2)")
-		maxVirtual   = fs.Duration("max", 4*time.Hour, "virtual time budget")
-		staleness    = fs.Int("staleness", 3, "SSP staleness bound")
-		naiveWait    = fs.Duration("wait", time.Second, "naive-waiting delay")
-		curvePoints  = fs.Int("curve", 15, "learning-curve rows to print")
-		verboseTune  = fs.Bool("tuning", false, "print adaptive tuning decisions")
-		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /healthz, /clusterz, /stragglerz and /debugz on this address while running")
-		pprofOn      = fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")
-		spanOut      = fs.String("span-out", "", "write iteration spans as Chrome trace-event JSON to this file")
-		codecName    = fs.String("codec", "raw", "gradient codec: "+codec.Names)
-		topkFrac     = fs.Float64("topk", codec.DefaultTopKFrac, "topk codec: fraction of entries kept")
-		q8Block      = fs.Int("q8-block", codec.DefaultQ8Block, "q8 codec: values per quantization block")
-
-		faultPlanPath = fs.String("fault-plan", "", "JSON fault-plan file to inject (see internal/faults)")
-		churn         = fs.Int("churn", 0, "generate this many random crash/restart events")
-		churnHorizon  = fs.Duration("churn-horizon", 5*time.Minute, "window in which generated crashes land")
-		churnDowntime = fs.Duration("churn-downtime", 30*time.Second, "mean downtime of generated crashes")
-		schedCrashes  = fs.Int("churn-scheduler", 0, "generated churn also crashes the scheduler this many times")
-		schedTimeout  = fs.Duration("scheduler-timeout", 0, "worker-side scheduler failure-detector timeout (0 = auto when the plan crashes the scheduler)")
-		beaconEvery   = fs.Duration("beacon-every", 0, "scheduler liveness beacon period (0 = auto when the plan crashes the scheduler)")
-
-		replicas     = fs.Int("replicas", 0, "parameter-shard backups per range (primary-backup replication; crash-server promotes a backup with zero lost pushes)")
-		standbySched = fs.Int("standby-schedulers", 0, "standby scheduler incarnations (term-based election; crash-scheduler fails over instead of degrading)")
-
-		stragglerPlanPath = fs.String("straggler-plan", "", "JSON straggler-plan file: scripted pause/degrade/congest/rack slowdowns (see internal/stragglers)")
-		stragglerSpecs    = fs.String("stragglers", "", "comma-separated straggler specs, e.g. 'pause:3@10s, degrade:2x0.4@30s, congest:1x0.25, rack:0-3x0.5'")
-		mitigate          = fs.String("mitigate", "", "straggler mitigation: none, clone (backup-worker racing), rebalance (swap via elastic join/retire); requires -straggler-plan/-stragglers")
-		spares            = fs.Int("spares", 0, "spare worker slots reserved for -mitigate actions (0 = default 2)")
-
-		scalePlanPath = fs.String("scale-plan", "", "JSON scale-plan file: workers/servers join and leave mid-run (see internal/elastic)")
-		elasticN      = fs.Int("elastic", 0, "grow the cluster by this many workers (and servers/4, rounded up) mid-run, then shrink back")
-		elasticUpAt   = fs.Duration("elastic-up", 30*time.Second, "-elastic: when the extra nodes join (virtual time)")
-		elasticDownAt = fs.Duration("elastic-down", 2*time.Minute, "-elastic: when they leave again (0 = stay)")
+		specPath    = fs.String("spec", "", "run spec (JSON, see examples/specs)")
+		curvePoints = fs.Int("curve", 15, "learning-curve rows to print")
+		verboseTune = fs.Bool("tuning", false, "print adaptive tuning decisions")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /clusterz, /stragglerz and /debugz on this address while running")
+		pprofOn     = fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")
+		spanOut     = fs.String("span-out", "", "write iteration spans as Chrome trace-event JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Fail fast on mutually exclusive flag combinations, before any file or
-	// workload is touched. Each pair is excluded by design, not by accident:
-	// the reasons are in DESIGN.md (Elasticity, Fault tolerance, Scheme
-	// switching).
-	scaling := *scalePlanPath != "" || *elasticN > 0
-	faulty := *faultPlanPath != "" || *churn > 0 || *schedCrashes > 0
-	replicated := *replicas > 0 || *standbySched > 0
-	dynamicScheme := *schemeName == "sync-switch" || *schemeName == "abs" || *schemeName == "psp"
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	switch {
-	case explicit["switch-at"] && *schemeName != "sync-switch":
-		return fmt.Errorf("-switch-at is only meaningful with -scheme sync-switch")
-	case explicit["psp-beta"] && *schemeName != "psp":
-		return fmt.Errorf("-psp-beta is only meaningful with -scheme psp")
-	case *metaScheme && dynamicScheme:
-		return fmt.Errorf("-meta-scheme cannot be combined with -scheme %s: the policy owns the switching decision and a self-switching variant would fight it (see DESIGN.md, Scheme switching)", *schemeName)
-	case *metaScheme && *schemeName != "asp" && *schemeName != "bsp" && *schemeName != "ssp":
-		return fmt.Errorf("-meta-scheme requires a plain base scheme (-scheme asp/bsp/ssp): speculation retunes against a fixed discipline and cannot ride a moving one (see DESIGN.md, Scheme switching)")
-	case *metaScheme && *decentral:
-		return fmt.Errorf("-meta-scheme cannot be combined with -decentralized: the policy lives in the scheduler")
-	case dynamicScheme && *decentral:
-		return fmt.Errorf("-decentralized cannot be combined with -scheme %s: scheme switches are scheduler broadcasts", *schemeName)
+	if *specPath == "" {
+		return fmt.Errorf("-spec is required")
 	}
-	switch {
-	case replicated && scaling:
-		return fmt.Errorf("replication (-replicas/-standby-schedulers) cannot be combined with -scale-plan/-elastic: migrations re-cut shard ranges under the backups (see DESIGN.md, Replication)")
-	case *standbySched > 0 && *decentral:
-		return fmt.Errorf("-decentralized cannot be combined with -standby-schedulers: there is no scheduler to replicate")
-	case *scalePlanPath != "" && *elasticN > 0:
-		return fmt.Errorf("use either -scale-plan or -elastic, not both")
-	case *faultPlanPath != "" && (*churn > 0 || *schedCrashes > 0):
-		return fmt.Errorf("use either -fault-plan or -churn/-churn-scheduler, not both")
-	case scaling && faulty:
-		return fmt.Errorf("scale plans (-scale-plan/-elastic) cannot be combined with fault injection (-fault-plan/-churn): migrations assume live shard owners (see DESIGN.md, Elasticity)")
-	case scaling && *decentral:
-		return fmt.Errorf("-decentralized cannot be combined with -scale-plan/-elastic: decentralized workers have no scheduler to commit routing changes")
-	case *decentral && *schemeName != "cherry":
-		return fmt.Errorf("-decentralized requires -scheme cherry (fixed speculation; adaptive tuning needs the central scheduler)")
-	}
-	straggling := *stragglerPlanPath != "" || *stragglerSpecs != ""
-	switch {
-	case *stragglerPlanPath != "" && *stragglerSpecs != "":
-		return fmt.Errorf("use either -straggler-plan or -stragglers, not both")
-	case straggling && faulty:
-		return fmt.Errorf("straggler plans (-straggler-plan/-stragglers) cannot be combined with fault injection (-fault-plan/-churn): restarts rebuild the workers the profile scripts (see DESIGN.md, Straggler scenarios)")
-	case straggling && scaling:
-		return fmt.Errorf("straggler plans (-straggler-plan/-stragglers) cannot be combined with -scale-plan/-elastic: the plan indexes a fixed worker set (see DESIGN.md, Straggler scenarios)")
-	case *mitigate != "" && *mitigate != "none" && !straggling:
-		return fmt.Errorf("-mitigate %s requires a straggler plan (-straggler-plan or -stragglers)", *mitigate)
-	case explicit["spares"] && *mitigate == "":
-		return fmt.Errorf("-spares is only meaningful with -mitigate clone/rebalance")
-	}
-	var scalePlan *elastic.Plan
-	if *scalePlanPath != "" {
-		data, err := os.ReadFile(*scalePlanPath)
-		if err != nil {
-			return err
-		}
-		scalePlan, err = elastic.ParseJSON(data)
-		if err != nil {
-			return err
-		}
-	}
-	if *elasticN > 0 {
-		nsrv := *servers
-		if nsrv == 0 {
-			nsrv = *workers
-			if nsrv > 8 {
-				nsrv = 8
-			}
-			*servers = nsrv
-		}
-		extraSrv := (*elasticN + 3) / 4
-		scalePlan = elastic.GrowShrink(*workers, *elasticN, nsrv, extraSrv, *elasticUpAt, *elasticDownAt)
-	}
-	wlWorkers := *workers
-	if scalePlan != nil {
-		wlWorkers = scalePlan.MaxWorkers(*workers)
-	}
-
-	var wl cluster.Workload
-	var err error
-	switch *workloadName {
-	case "mf":
-		wl, err = cluster.NewMF(cluster.SizeFull, wlWorkers, *seed)
-	case "cifar10":
-		wl, err = cluster.NewCIFAR(cluster.SizeFull, wlWorkers, *seed)
-	case "imagenet":
-		wl, err = cluster.NewImageNet(cluster.SizeFull, wlWorkers, *seed)
-	case "tiny":
-		wl, err = cluster.NewTiny(wlWorkers, *seed)
-	default:
-		return fmt.Errorf("unknown workload %q", *workloadName)
-	}
+	cfg, err := cluster.LoadSpec(*specPath)
 	if err != nil {
 		return err
 	}
-
-	var sc scheme.Config
-	switch *schemeName {
-	case "asp":
-		sc = scheme.Config{Base: scheme.ASP}
-	case "bsp":
-		sc = scheme.Config{Base: scheme.BSP}
-	case "ssp":
-		sc = scheme.Config{Base: scheme.SSP, Staleness: *staleness}
-	case "naive":
-		sc = scheme.Config{Base: scheme.ASP, NaiveWait: *naiveWait}
-	case "cherry":
-		sc = scheme.Config{Base: scheme.ASP, Spec: scheme.SpecFixed, AbortTime: wl.IterTime / 4, AbortRate: 0.22, Decentralized: *decentral}
-	case "adaptive":
-		sc = scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}
-	case "sync-switch":
-		sc = scheme.Config{Variant: scheme.VariantSyncSwitch, SwitchAt: *switchAt}
-	case "abs":
-		sc = scheme.Config{Variant: scheme.VariantABS}
-	case "psp":
-		sc = scheme.Config{Variant: scheme.VariantPSP, PSPBeta: *pspBeta}
-	default:
-		return fmt.Errorf("unknown scheme %q", *schemeName)
-	}
-
-	cfg := cluster.Config{
-		Workload:   wl,
-		Scheme:     sc,
-		Workers:    *workers,
-		Servers:    *servers,
-		Seed:       *seed,
-		Codec:      codec.Config{Name: *codecName, TopKFrac: *topkFrac, Q8Block: *q8Block},
-		MaxVirtual: *maxVirtual,
-	}
-	if *hetero {
-		cfg.Speeds = cluster.InstanceSpeeds(*workers)
-	}
-	if *metaScheme {
-		cfg.Switcher = &switcher.Config{}
-	}
-	cfg.Replication = cluster.Replication{Replicas: *replicas, StandbySchedulers: *standbySched}
-	cfg.SchedulerTimeout = *schedTimeout
-	cfg.BeaconEvery = *beaconEvery
-	if *faultPlanPath != "" && (*churn > 0 || *schedCrashes > 0) {
-		return fmt.Errorf("use either -fault-plan or -churn/-churn-scheduler, not both")
-	}
-	if *faultPlanPath != "" {
-		data, err := os.ReadFile(*faultPlanPath)
-		if err != nil {
-			return err
-		}
-		cfg.Faults, err = faults.ParseJSON(data)
-		if err != nil {
-			return err
-		}
-	}
-	if *churn > 0 || *schedCrashes > 0 {
-		nsrv := *servers
-		if nsrv == 0 {
-			nsrv = *workers
-			if nsrv > 8 {
-				nsrv = 8
-			}
-		}
-		plan, err := faults.Generate(*seed, faults.ChurnConfig{
-			Workers:          *workers,
-			Servers:          nsrv,
-			Crashes:          *churn,
-			Horizon:          *churnHorizon,
-			Downtime:         *churnDowntime,
-			ServerFraction:   0.25,
-			SchedulerCrashes: *schedCrashes,
-		})
-		if err != nil {
-			return err
-		}
-		cfg.Faults = plan
-	}
-	if scalePlan != nil {
-		if cfg.Faults != nil {
-			return fmt.Errorf("scale plans cannot be combined with -fault-plan/-churn (see DESIGN.md, Elasticity)")
-		}
-		cfg.Scale = scalePlan
-	}
-	if straggling {
-		var plan *stragglers.Plan
-		if *stragglerPlanPath != "" {
-			data, err := os.ReadFile(*stragglerPlanPath)
-			if err != nil {
-				return err
-			}
-			plan, err = stragglers.ParseJSON(data)
-			if err != nil {
-				return err
-			}
-		} else {
-			var err error
-			plan, err = stragglers.ParseSpecs(*stragglerSpecs)
-			if err != nil {
-				return err
-			}
-		}
-		mit, err := stragglers.ParseMitigation(*mitigate)
-		if err != nil {
-			return err
-		}
-		cfg.Stragglers = plan
-		cfg.Mitigation = mit
-		cfg.Spares = *spares
-	}
+	wl, sc := cfg.Workload, cfg.Scheme
 	if *verboseTune {
 		cfg.OnTune = func(epoch int, t core.Tuning) {
 			if t.Enabled {
@@ -338,7 +99,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("workload=%s scheme=%s workers=%d params=%d target=%.4f\n",
-		wl.Name, sc.Name(), *workers, wl.Model.Dim(), wl.TargetLoss)
+		wl.Name, sc.Name(), cfg.Workers, wl.Model.Dim(), wl.TargetLoss)
 	start := time.Now()
 	res, err := cluster.Run(cfg)
 	if err != nil {
@@ -370,11 +131,11 @@ func run(args []string) error {
 			res.ConvergeTime.Round(time.Second), res.ItersAtConverge)
 	} else {
 		fmt.Printf("did not reach target %.4f within %v (final loss %.4f)\n",
-			wl.TargetLoss, *maxVirtual, res.FinalLoss)
+			wl.TargetLoss, cfg.MaxVirtual, res.FinalLoss)
 	}
 	fmt.Printf("iterations=%d aborts=%d resyncs=%d epochs=%d\n",
 		res.TotalIters, res.Aborts, res.ReSyncs, res.Epochs)
-	if *metaScheme || dynamicScheme {
+	if cfg.Switcher != nil || sc.Variant != scheme.VariantNone {
 		fmt.Printf("scheme: %d live switches, finished under %s\n", res.SchemeSwitches, res.FinalScheme)
 	}
 	if res.Faults != nil {
@@ -427,7 +188,7 @@ func run(args []string) error {
 	fmt.Printf("transfer: data %s, control %s (%.4f%% control)\n",
 		metrics.HumanBytes(data), metrics.HumanBytes(control),
 		100*float64(control)/float64(data+control))
-	if *codecName != "" && *codecName != "raw" && res.Codec != nil {
+	if !cfg.Codec.IsRaw() && res.Codec != nil {
 		push, _, _ := codec.Build(cfg.Codec)
 		if push != nil {
 			_, enc, blocks := res.Codec.EncodeTotals(push.ID())

@@ -1,63 +1,38 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestFlagExclusions pins the fail-fast validation: every mutually exclusive
-// flag combination is rejected before any workload or plan file is touched
-// (the bogus file paths would error later if parsing got that far).
-func TestFlagExclusions(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"scale-plan x elastic",
-			[]string{"-scale-plan", "nope.json", "-elastic", "4"},
-			"either -scale-plan or -elastic"},
-		{"fault-plan x churn",
-			[]string{"-fault-plan", "nope.json", "-churn", "3"},
-			"either -fault-plan or -churn"},
-		{"fault-plan x churn-scheduler",
-			[]string{"-fault-plan", "nope.json", "-churn-scheduler", "1"},
-			"either -fault-plan or -churn"},
-		{"scale-plan x fault-plan",
-			[]string{"-scale-plan", "nope.json", "-fault-plan", "other.json"},
-			"cannot be combined with fault injection"},
-		{"elastic x churn",
-			[]string{"-elastic", "4", "-churn", "3"},
-			"cannot be combined with fault injection"},
-		{"elastic x decentralized",
-			[]string{"-elastic", "4", "-scheme", "cherry", "-decentralized"},
-			"-decentralized cannot be combined"},
-		{"scale-plan x decentralized",
-			[]string{"-scale-plan", "nope.json", "-scheme", "cherry", "-decentralized"},
-			"-decentralized cannot be combined"},
-		{"decentralized without cherry",
-			[]string{"-scheme", "adaptive", "-decentralized"},
-			"-decentralized requires -scheme cherry"},
+// TestBadNames checks that a spec with an unknown workload or scheme name,
+// or a misspelled key, fails cleanly before any run starts.
+func TestBadNames(t *testing.T) {
+	dir := t.TempDir()
+	for i, tc := range []struct{ doc, want string }{
+		{`{"workload": {"name": "nope"}, "scheme": {"base": "ASP"}, "workers": 4, "seed": 1, "max_virtual": 1}`, "unknown workload"},
+		{`{"workload": {"name": "tiny"}, "scheme": {"base": "nope"}, "workers": 4, "seed": 1, "max_virtual": 1}`, "unknown scheme"},
+		{`{"workload": {"name": "tiny"}, "scheme": {"base": "ASP"}, "wrokers": 4, "seed": 1, "max_virtual": 1}`, "unknown field"},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("spec%d.json", i))
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-spec", path}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.doc, err, tc.want)
+		}
 	}
-	for _, tc := range cases {
-		err := run(tc.args)
-		if err == nil {
-			t.Errorf("%s: accepted, want error", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
+	if err := run(nil); err == nil || !strings.Contains(err.Error(), "-spec is required") {
+		t.Errorf("no -spec: err %v", err)
 	}
 }
 
-// TestBadNames checks that unknown workload/scheme names still error cleanly
-// after the exclusion block.
-func TestBadNames(t *testing.T) {
-	if err := run([]string{"-workload", "nope"}); err == nil || !strings.Contains(err.Error(), "unknown workload") {
-		t.Errorf("bad workload: %v", err)
-	}
-	if err := run([]string{"-workload", "tiny", "-scheme", "nope"}); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
-		t.Errorf("bad scheme: %v", err)
+// TestCommittedSpecRuns drives the binary end to end on the quickstart spec.
+func TestCommittedSpecRuns(t *testing.T) {
+	if err := run([]string{"-spec", filepath.Join("..", "..", "examples", "specs", "tiny-adaptive.json"), "-curve", "0"}); err != nil {
+		t.Fatal(err)
 	}
 }

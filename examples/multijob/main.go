@@ -53,12 +53,13 @@ func run() error {
 	}
 
 	// The jobs gateway is plain net/http: POST /jobs, GET /jobs[/{id}],
-	// DELETE /jobs/{id}. Submit a third job by name over it — it is admitted
-	// at the fleet's first control tick.
+	// DELETE /jobs/{id}. Submit a third job over it (workload by name, scheme
+	// in the run spec's form) — it is admitted at the fleet's first control
+	// tick.
 	gw := httptest.NewServer(jobs.NewGateway(fleet.Manager(), fleet.SubmitRequest))
 	defer gw.Close()
 	resp, err := http.Post(gw.URL+"/jobs", "application/json",
-		strings.NewReader(`{"name":"posted","workload":"tiny","scheme":"ssp","workers":3,"seed":13,"max_inflight_push":2}`))
+		strings.NewReader(`{"name":"posted","workload":"tiny","scheme":{"base":"SSP","staleness":3},"workers":3,"seed":13,"max_inflight_push":2}`))
 	if err != nil {
 		return err
 	}

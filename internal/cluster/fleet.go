@@ -240,34 +240,21 @@ func (c *FleetConfig) applyDefaults() error {
 	return nil
 }
 
-func validateJobSpec(s *JobSpec, fleetServers int) error {
-	if err := s.Workload.Validate(); err != nil {
-		return err
+// validateJobSpec checks one job: the single-job rules through
+// Config.Validate, then what a shared fleet adds.
+func validateJobSpec(s *JobSpec, fleet *FleetConfig) error {
+	cfg := Config{
+		Workload: s.Workload, Scheme: s.Scheme, Workers: s.Workers, Servers: s.Servers,
+		Seed: s.Seed, Codec: s.Codec, Speeds: s.Speeds, MaxVirtual: fleet.MaxVirtual,
 	}
-	if err := s.Scheme.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if s.Scheme.Decentralized {
 		return fmt.Errorf("cluster: fleet jobs cannot use decentralized speculation (single-job feature)")
 	}
-	if s.Workers < 1 {
-		return fmt.Errorf("cluster: job needs at least 1 worker")
-	}
-	if s.Workload.Model.NumShards() < s.Workers {
-		return fmt.Errorf("cluster: job workload has %d data shards for %d workers",
-			s.Workload.Model.NumShards(), s.Workers)
-	}
-	if s.Speeds != nil && len(s.Speeds) != s.Workers {
-		return fmt.Errorf("cluster: job has %d speeds for %d workers", len(s.Speeds), s.Workers)
-	}
-	if err := s.Codec.Validate(); err != nil {
-		return err
-	}
-	if s.Servers < 1 || s.Servers > fleetServers {
-		return fmt.Errorf("cluster: job wants %d shard slots, fleet has %d", s.Servers, fleetServers)
-	}
-	if dim := s.Workload.Model.Dim(); dim < s.Servers {
-		return fmt.Errorf("cluster: job model dim %d smaller than %d shard slots", dim, s.Servers)
+	if s.Servers < 1 || s.Servers > fleet.Servers {
+		return fmt.Errorf("cluster: job wants %d shard slots, fleet has %d", s.Servers, fleet.Servers)
 	}
 	if s.SubmitAt < 0 || s.MaxInflightPush < 0 || s.ByteBudget < 0 {
 		return fmt.Errorf("cluster: job has negative SubmitAt/quota")
@@ -361,11 +348,11 @@ func (f *Fleet) Submit(spec JobSpec) (int, error) {
 	return f.submit(func(int) (JobSpec, error) { return spec, nil })
 }
 
-// SubmitRequest resolves a gateway submission (workload and scheme by name)
-// into a JobSpec and queues it. A zero request seed defaults to fleet seed +
-// job ID, resolved once before the workload is built, so the workload's data
-// order and the job's runtime seed agree and seedless submissions still get
-// distinct seeds per job.
+// SubmitRequest resolves a gateway submission (workload by name, scheme as
+// the run spec's scheme object) into a JobSpec and queues it. A zero request
+// seed defaults to fleet seed + job ID, resolved once before the workload is
+// built, so the workload's data order and the job's runtime seed agree and
+// seedless submissions still get distinct seeds per job.
 func (f *Fleet) SubmitRequest(req jobs.SubmitRequest) (int, error) {
 	if req.Workers < 1 {
 		return 0, fmt.Errorf("cluster: job needs at least 1 worker")
@@ -379,14 +366,10 @@ func (f *Fleet) SubmitRequest(req jobs.SubmitRequest) (int, error) {
 		if err != nil {
 			return JobSpec{}, err
 		}
-		sc, err := SchemeByName(req.Scheme, wl.IterTime)
-		if err != nil {
-			return JobSpec{}, err
-		}
 		return JobSpec{
 			Name:            req.Name,
 			Workload:        wl,
-			Scheme:          sc,
+			Scheme:          req.Scheme,
 			Workers:         req.Workers,
 			Servers:         req.Servers,
 			Seed:            seed,
@@ -417,7 +400,7 @@ func (f *Fleet) submit(build func(id int) (JobSpec, error)) (int, error) {
 				spec.Servers = f.cfg.Servers
 			}
 		}
-		if err := validateJobSpec(&spec, f.cfg.Servers); err != nil {
+		if err := validateJobSpec(&spec, &f.cfg); err != nil {
 			return err
 		}
 		if spec.Seed == 0 {

@@ -244,8 +244,8 @@ func TestFleetGateway(t *testing.T) {
 	srv := httptest.NewServer(gw)
 	defer srv.Close()
 
-	// Submit a second job over HTTP (name-resolved workload and scheme).
-	body := `{"name":"posted","workload":"tiny","scheme":"ssp","workers":3,"seed":11}`
+	// Submit a second job over HTTP (name-resolved workload, spec-form scheme).
+	body := `{"name":"posted","workload":"tiny","scheme":{"base":"SSP","staleness":3},"workers":3,"seed":11}`
 	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /jobs: %v", err)
@@ -264,19 +264,23 @@ func TestFleetGateway(t *testing.T) {
 		t.Fatalf("posted job id = %d, want 1", accepted.ID)
 	}
 
-	// Bad submissions are rejected before they reach the queue.
-	for _, bad := range []string{
-		`{"workload":"nope","scheme":"ssp","workers":2}`,
-		`{"workload":"tiny","scheme":"nope","workers":2}`,
-		`{"workload":"tiny","scheme":"ssp","workers":0}`,
+	// Bad submissions are rejected before they reach the queue: a body that
+	// does not decode (an unknown scheme name, a misspelled key) with 400,
+	// a job that fails validation with 422.
+	for bad, want := range map[string]int{
+		`{"workload":"tiny","scheme":{"base":"nope"},"workers":2}`: http.StatusBadRequest,
+		`{"workload":"tiny","scheme":{"base":"SSP"},"wrokers":2}`:  http.StatusBadRequest,
+		`{"workload":"nope","scheme":{"base":"SSP"},"workers":2}`:  http.StatusUnprocessableEntity,
+		`{"workload":"tiny","scheme":{},"workers":2}`:              http.StatusUnprocessableEntity,
+		`{"workload":"tiny","scheme":{"base":"SSP"},"workers":0}`:  http.StatusUnprocessableEntity,
 	} {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatalf("POST /jobs: %v", err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("bad submission %s: status %d, want 422", bad, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("bad submission %s: status %d, want %d", bad, resp.StatusCode, want)
 		}
 	}
 
@@ -325,6 +329,7 @@ func TestFleetGateway(t *testing.T) {
 // and the job's runtime seed agree), and distinct seedless submissions get
 // distinct seeds.
 func TestFleetSeedResolution(t *testing.T) {
+	ssp := scheme.Config{Base: scheme.SSP, Staleness: 3}
 	wl, err := NewTiny(4, 7)
 	if err != nil {
 		t.Fatalf("workload: %v", err)
@@ -337,11 +342,11 @@ func TestFleetSeedResolution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
 	}
-	id1, err := f.SubmitRequest(jobs.SubmitRequest{Workload: "tiny", Scheme: "ssp", Workers: 2})
+	id1, err := f.SubmitRequest(jobs.SubmitRequest{Workload: "tiny", Scheme: ssp, Workers: 2})
 	if err != nil {
 		t.Fatalf("submit 1: %v", err)
 	}
-	id2, err := f.SubmitRequest(jobs.SubmitRequest{Workload: "tiny", Scheme: "ssp", Workers: 2})
+	id2, err := f.SubmitRequest(jobs.SubmitRequest{Workload: "tiny", Scheme: ssp, Workers: 2})
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
@@ -353,7 +358,7 @@ func TestFleetSeedResolution(t *testing.T) {
 		}
 	}
 	// An explicit seed passes through untouched.
-	id3, err := f.SubmitRequest(jobs.SubmitRequest{Workload: "tiny", Scheme: "ssp", Workers: 2, Seed: 99})
+	id3, err := f.SubmitRequest(jobs.SubmitRequest{Workload: "tiny", Scheme: ssp, Workers: 2, Seed: 99})
 	if err != nil {
 		t.Fatalf("submit 3: %v", err)
 	}

@@ -1,15 +1,10 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"specsync/internal/scheme"
-)
-
-// Name-based resolvers for surfaces that receive workload/scheme choices as
-// strings (the jobs gateway, CLIs). The names match the cmd/specsync flag
-// vocabulary; "-small" suffixes select the reduced scale.
+// Name-based resolvers for surfaces that receive workload choices as
+// strings (run specs, the jobs gateway, specsync-bench's -size). A "-small"
+// suffix selects the reduced scale.
 
 // SizeByName resolves a -size flag value.
 func SizeByName(name string) (Size, error) {
@@ -42,26 +37,5 @@ func WorkloadByName(name string, workers int, seed int64) (Workload, error) {
 		return NewImageNet(SizeSmall, workers, seed)
 	default:
 		return Workload{}, fmt.Errorf("unknown workload %q (want tiny, mf[-small], cifar10[-small], imagenet[-small])", name)
-	}
-}
-
-// SchemeByName builds a scheme config from its string name. iterTime scales
-// the fixed-speculation preset ("cherry"); pass the workload's IterTime.
-func SchemeByName(name string, iterTime time.Duration) (scheme.Config, error) {
-	switch name {
-	case "asp":
-		return scheme.Config{Base: scheme.ASP}, nil
-	case "bsp":
-		return scheme.Config{Base: scheme.BSP}, nil
-	case "ssp":
-		return scheme.Config{Base: scheme.SSP, Staleness: 3}, nil
-	case "naive":
-		return scheme.Config{Base: scheme.ASP, NaiveWait: time.Second}, nil
-	case "cherry":
-		return scheme.Config{Base: scheme.ASP, Spec: scheme.SpecFixed, AbortTime: iterTime / 4, AbortRate: 0.22}, nil
-	case "adaptive", "specsync":
-		return scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}, nil
-	default:
-		return scheme.Config{}, fmt.Errorf("unknown scheme %q (want asp, bsp, ssp, naive, cherry, adaptive)", name)
 	}
 }

@@ -31,70 +31,81 @@ import (
 	"specsync/internal/worker"
 )
 
-// Config describes one simulated training run.
+// Config describes one simulated training run. Its JSON form is the run
+// spec every binary loads (DecodeSpec); fields no spec sets are tagged "-".
+// Validate is the one place a cross-subsystem exclusion lives.
 type Config struct {
-	// Workload is the model + training profile (build with NewMF etc.).
-	Workload Workload
+	// Workload is the model + training profile (build with NewMF etc.; a
+	// spec names it and may override a few fields).
+	Workload Workload `json:"workload"`
 	// Scheme is the synchronization scheme under test.
-	Scheme scheme.Config
+	Scheme scheme.Config `json:"scheme"`
 	// Workers is the cluster size m.
-	Workers int
+	Workers int `json:"workers"`
 	// Servers is the number of parameter shards; zero means min(Workers, 8).
-	Servers int
+	Servers int `json:"servers,omitempty"`
 	// Seed drives all randomness (data order, jitter, init).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Codec selects the gradient/parameter compression codecs
 	// (internal/codec). The zero value is raw: the legacy v1 wire layouts,
 	// byte-identical to a run without the codec layer. Because the
 	// simulator derives transfer times from encoded byte counts, a
 	// compressing codec shifts push timing and speculation dynamics, not
 	// just byte totals.
-	Codec codec.Config
+	Codec codec.Config `json:"codec"`
 	// Net is the simulated network; zero value means the EC2-like default
 	// (250 us latency, 1 Gbps links, 100 us jitter, and transient
 	// cluster-wide stalls scaled to the workload's iteration time).
-	Net des.NetModel
+	Net des.NetModel `json:"-"`
 	// DisableHiccups removes the transient-stall process from the default
 	// network model (ablation; ignored when Net is set explicitly).
-	DisableHiccups bool
+	DisableHiccups bool `json:"disable_hiccups,omitempty"`
 	// Speeds are per-worker compute speed factors; nil means homogeneous.
-	Speeds []float64
+	Speeds []float64 `json:"-"`
+	// Hetero, when Speeds is nil, uses the heterogeneous instance mix of
+	// paper Cluster 2 (InstanceSpeeds).
+	Hetero bool `json:"hetero,omitempty"`
 	// MaxVirtual bounds the simulated duration. Required.
-	MaxVirtual time.Duration
+	MaxVirtual time.Duration `json:"max_virtual"`
 	// ConsecutiveBelow is the convergence streak length; zero means the
 	// paper's 5.
-	ConsecutiveBelow int
+	ConsecutiveBelow int `json:"-"`
 	// RunPastConverge keeps simulating this long after convergence is
 	// detected (to extend learning curves); zero stops immediately.
-	RunPastConverge time.Duration
+	RunPastConverge time.Duration `json:"-"`
 	// KeepTrace retains the full event trace in the result.
-	KeepTrace bool
+	KeepTrace bool `json:"-"`
 	// AbortLateFrac overrides the workers' too-late-to-abort threshold
 	// (zero keeps the worker default of 0.9; 1 disables the cutoff).
-	AbortLateFrac float64
+	AbortLateFrac float64 `json:"-"`
 	// MaxAbortFrac caps the adaptive speculation window as a fraction of
 	// the iteration time (zero means the default 0.125; the paper grid
 	// upper bound).
-	MaxAbortFrac float64
+	MaxAbortFrac float64 `json:"-"`
 	// RateMargin forwards core.SchedulerConfig.RateMargin (zero = default).
-	RateMargin float64
+	RateMargin float64 `json:"-"`
 	// CheckAtExpiryOnly forwards the paper-literal expiry-check mode.
-	CheckAtExpiryOnly bool
+	CheckAtExpiryOnly bool `json:"-"`
 	// RecordAccuracy also samples classification accuracy at each probe.
-	RecordAccuracy bool
+	RecordAccuracy bool `json:"-"`
 	// MaxItersPerWorker stops each worker after completing this many
 	// iterations; zero means run until convergence or MaxVirtual. A fixed
 	// per-worker budget makes two runs end after the identical applied
 	// update sequence, which is what the zero-loss digest comparison needs.
-	MaxItersPerWorker int64
+	MaxItersPerWorker int64 `json:"max_iters_per_worker,omitempty"`
 	// Debug, if non-nil, receives node logs.
-	Debug io.Writer
+	Debug io.Writer `json:"-"`
 	// OnTune forwards scheduler tuning decisions.
-	OnTune func(epoch int, t core.Tuning)
+	OnTune func(epoch int, t core.Tuning) `json:"-"`
 	// Faults, if non-nil, injects the plan's crashes, partitions, and
 	// message faults into the run. Restarted workers come back with blank
 	// training state; restarted shards restore the latest checkpoint.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"faults,omitempty"`
+	// Churn, if non-nil, generates Faults at run start (faults.Generate,
+	// seeded by Seed, over the run's worker and server counts, with a
+	// quarter of the crashes on server shards). Mutually exclusive with
+	// Faults.
+	Churn *faults.ChurnConfig `json:"churn,omitempty"`
 	// Scale, if non-nil and non-empty, schedules elastic membership events:
 	// workers join and leave the running cluster, and parameter shards
 	// migrate live across a changing server set (internal/elastic). An empty
@@ -102,53 +113,54 @@ type Config struct {
 	// path, byte for byte. Mutually exclusive with Faults (restarts rebuild
 	// nodes at the static initial shape, which a migration invalidates; see
 	// DESIGN.md, Elasticity).
-	Scale *elastic.Plan
+	Scale *elastic.Plan `json:"scale,omitempty"`
 	// CheckpointEvery is the server snapshot period when Faults is set
 	// (zero means 4x the workload iteration time).
-	CheckpointEvery time.Duration
+	CheckpointEvery time.Duration `json:"checkpoint_every,omitempty"`
 	// LivenessTimeout overrides the scheduler's failure-detector timeout.
 	// Zero means 4x IterTime when Faults is set, detector off otherwise.
-	LivenessTimeout time.Duration
+	LivenessTimeout time.Duration `json:"liveness_timeout,omitempty"`
 	// HeartbeatEvery overrides the worker heartbeat period. Zero means
 	// IterTime/2 when Faults is set, heartbeats off otherwise.
-	HeartbeatEvery time.Duration
+	HeartbeatEvery time.Duration `json:"heartbeat_every,omitempty"`
 	// RetryAfter overrides the worker pull/push retry timeout (requests
 	// lost to a crashed shard are re-issued after this long). Zero means
 	// 2x IterTime when Faults is set, retries off otherwise.
-	RetryAfter time.Duration
+	RetryAfter time.Duration `json:"retry_after,omitempty"`
 	// SchedulerTimeout overrides the workers' scheduler failure-detector
 	// timeout (silence longer than this flips a worker into degraded mode).
 	// Zero means 4x IterTime when the fault plan crashes the scheduler,
 	// detector off otherwise — so plans that never touch the scheduler keep
 	// their exact event schedules.
-	SchedulerTimeout time.Duration
+	SchedulerTimeout time.Duration `json:"scheduler_timeout,omitempty"`
 	// BeaconEvery overrides the scheduler's liveness beacon period. Zero
 	// means IterTime when the fault plan crashes the scheduler, beacons off
 	// otherwise.
-	BeaconEvery time.Duration
+	BeaconEvery time.Duration `json:"beacon_every,omitempty"`
 	// Obs, if non-nil, receives runtime telemetry (latency histograms, span
 	// traces, the /clusterz snapshot). Nil builds an internal registry-only
 	// instance so Result.Obs is always populated; pass obs.New with
 	// Options{Spans: true} to also retain span traces for export.
-	Obs *obs.Obs
+	Obs *obs.Obs `json:"-"`
 	// Replication configures the replicated control and data planes. The
 	// zero value disables both. Mutually exclusive with Scale (promotion
 	// and election rebuild nodes at the static initial shape), and requires
 	// any fault plan to be crash-only (a dropped replication message would
 	// silently stall a backup; see DESIGN.md, Replication).
-	Replication Replication
+	Replication Replication `json:"replication"`
 	// Switcher, if non-nil, enables the meta-scheme: the scheduler consumes
 	// straggler telemetry at every epoch boundary and live-switches the
 	// whole fleet between BSP (homogeneous) and SSP (sustained straggler),
 	// with hysteresis. Requires a plain centralized scheme without
 	// speculation (Base set, Variant none, Decentralized false, SpecOff).
-	Switcher *switcher.Config
+	// A spec enables it with the policy defaults: "meta_scheme": {}.
+	Switcher *switcher.Config `json:"meta_scheme,omitempty"`
 	// Slowdowns scripts transient per-worker compute slowdowns: entry i
 	// applies to worker i, zero-Factor entries are ignored. A scripted
 	// window draws no randomness, so an empty list leaves runs
 	// byte-identical; the scheme-switching tests use one to stage a
 	// sustained straggler that later recovers.
-	Slowdowns []worker.Slowdown
+	Slowdowns []worker.Slowdown `json:"-"`
 	// Stragglers, if non-nil and non-empty, injects the straggler-scenario
 	// plan (internal/stragglers): pause/degrade/rack episodes compile into
 	// per-worker speed scripts, congest episodes into a deterministic
@@ -156,21 +168,21 @@ type Config struct {
 	// ground truth in Result.Stragglers. An empty plan behaves exactly like
 	// nil. Mutually exclusive with Faults and Scale (both rebuild or resize
 	// the worker set the profile indexes into).
-	Stragglers *stragglers.Plan
+	Stragglers *stragglers.Plan `json:"stragglers,omitempty"`
 	// Mitigation selects the scheduler's response to detected stragglers
 	// (requires Stragglers): MitigateNone observes and scores only,
 	// MitigateClone races flagged workers against backup clones on spare
 	// slots, MitigateRebalance swaps them out through the elastic join /
 	// retire machinery.
-	Mitigation stragglers.Mitigation
+	Mitigation stragglers.Mitigation `json:"mitigation,omitempty"`
 	// Spares is the number of spare worker slots reserved for mitigation;
 	// zero means 2 when a mitigation mode is set.
-	Spares int
+	Spares int `json:"spares,omitempty"`
 	// SpareSpeed is the compute speed factor of spawned spare workers
 	// (clones and rebalance replacements); zero means 1 (a healthy host).
 	// The clone-safety tests set it well below the degraded original's
 	// speed so every race resolves the same way.
-	SpareSpeed float64
+	SpareSpeed float64 `json:"-"`
 }
 
 // Replication configures scheduler standbys and parameter-shard backups.
@@ -180,21 +192,21 @@ type Replication struct {
 	// backups in the same step that acknowledges it, so a crash-server
 	// event promotes a backup with zero lost pushes instead of rolling the
 	// shard back to a checkpoint.
-	Replicas int
+	Replicas int `json:"replicas,omitempty"`
 	// StandbySchedulers is the number of standby scheduler incarnations
 	// (S). The serving leader ships its durable snapshot to all S standbys
 	// every ReplicateEvery; a crash-scheduler event then ends in a
 	// term-based election among the standbys instead of degraded broadcast
 	// mode, with workers redirected by LeaderAnnounce.
-	StandbySchedulers int
+	StandbySchedulers int `json:"standby_schedulers,omitempty"`
 	// ReplicateEvery is the leader's snapshot-shipping period, which
 	// doubles as its liveness heartbeat. Zero means IterTime/2.
-	ReplicateEvery time.Duration
+	ReplicateEvery time.Duration `json:"replicate_every,omitempty"`
 	// ElectionTimeout is the standbys' election-timeout base (each standby
 	// randomizes into [T, 2T)). Zero means IterTime — short enough that a
 	// successor is elected before any worker's own SchedulerTimeout (4x
 	// IterTime) trips it into degraded mode.
-	ElectionTimeout time.Duration
+	ElectionTimeout time.Duration `json:"election_timeout,omitempty"`
 }
 
 // Enabled reports whether any replication is configured.
@@ -219,12 +231,27 @@ type ReplicationStats struct {
 	SnapshotsShipped int64
 }
 
+// servers is the shard count with its default applied.
+func (c Config) servers() int {
+	if c.Servers > 0 {
+		return c.Servers
+	}
+	return min(c.Workers, 8)
+}
+
+// WithDefaults returns c with the zero fields Run derives from the rest of
+// the config filled in (shard count, speeds, timeouts, replication periods,
+// network model). The live node applies the same defaults, so a spec means
+// one thing on both runtimes.
+func (c Config) WithDefaults() Config {
+	c.applyDefaults()
+	return c
+}
+
 func (c *Config) applyDefaults() {
-	if c.Servers == 0 {
-		c.Servers = c.Workers
-		if c.Servers > 8 {
-			c.Servers = 8
-		}
+	c.Servers = c.servers()
+	if c.Hetero && c.Speeds == nil {
+		c.Speeds = InstanceSpeeds(c.Workers)
 	}
 	if c.ConsecutiveBelow == 0 {
 		c.ConsecutiveBelow = 5
@@ -400,140 +427,161 @@ type StragglerStats struct {
 	CloneDeduped, CloneDropped int64
 }
 
-// Run executes one simulated training job to convergence (or MaxVirtual).
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Workload.Validate(); err != nil {
-		return nil, err
+// Validate reports configuration errors, every combination of subsystems a
+// run does not support among them: it is the one place such an exclusion
+// lives. Run calls it before it builds anything. Empty scale and straggler
+// plans count as absent.
+func (c Config) Validate() error {
+	if err := c.Workload.Validate(); err != nil {
+		return err
 	}
-	if err := cfg.Scheme.Validate(); err != nil {
-		return nil, err
+	if err := c.Scheme.Validate(); err != nil {
+		return err
 	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 worker")
+	if c.Workers < 1 {
+		return fmt.Errorf("cluster: need at least 1 worker")
 	}
-	if cfg.Workload.Model.NumShards() < cfg.Workers {
-		return nil, fmt.Errorf("cluster: workload has %d data shards for %d workers",
-			cfg.Workload.Model.NumShards(), cfg.Workers)
+	mdl := c.Workload.Model
+	if mdl.NumShards() < c.Workers {
+		return fmt.Errorf("cluster: workload has %d data shards for %d workers", mdl.NumShards(), c.Workers)
 	}
-	if cfg.MaxVirtual <= 0 {
-		return nil, fmt.Errorf("cluster: MaxVirtual must be positive")
+	if c.MaxVirtual <= 0 {
+		return fmt.Errorf("cluster: MaxVirtual must be positive")
 	}
-	if cfg.Speeds != nil && len(cfg.Speeds) != cfg.Workers {
-		return nil, fmt.Errorf("cluster: %d speeds for %d workers", len(cfg.Speeds), cfg.Workers)
+	if c.Speeds != nil && len(c.Speeds) != c.Workers {
+		return fmt.Errorf("cluster: %d speeds for %d workers", len(c.Speeds), c.Workers)
 	}
-	if err := cfg.Codec.Validate(); err != nil {
-		return nil, err
+	if err := c.Codec.Validate(); err != nil {
+		return err
 	}
-	if cfg.Scale.Empty() {
-		// An empty plan is indistinguishable from no plan: the run stays on
-		// the legacy fixed-shard path with zero routing overhead.
-		cfg.Scale = nil
+	if c.Replication.Replicas < 0 || c.Replication.StandbySchedulers < 0 {
+		return fmt.Errorf("cluster: negative replication counts")
 	}
-	if cfg.Scale != nil {
-		if err := cfg.Scale.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Faults != nil {
-			return nil, fmt.Errorf("cluster: Scale cannot be combined with Faults (restarts assume the static cluster shape; see DESIGN.md, Elasticity)")
-		}
-		if cfg.Scheme.Decentralized {
-			return nil, fmt.Errorf("cluster: Scale cannot be combined with decentralized speculation (the peer list is static)")
-		}
+	if err := c.Mitigation.Validate(); err != nil {
+		return err
 	}
-	if cfg.Replication.Replicas < 0 || cfg.Replication.StandbySchedulers < 0 {
-		return nil, fmt.Errorf("cluster: negative replication counts")
-	}
-	if cfg.Switcher != nil {
-		if err := cfg.Switcher.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Scheme.Variant != scheme.VariantNone {
-			return nil, fmt.Errorf("cluster: the meta-scheme cannot be combined with scheme variant %s (both rewrite the discipline mid-run)", cfg.Scheme.Variant)
-		}
-		if cfg.Scheme.Decentralized {
-			return nil, fmt.Errorf("cluster: the meta-scheme requires the centralized scheduler (Decentralized unsupported)")
-		}
-		if cfg.Scheme.Spec != scheme.SpecOff {
-			return nil, fmt.Errorf("cluster: the meta-scheme cannot be combined with speculation (a switch into BSP would leave speculation windows with nothing to abort)")
-		}
-		if cfg.Scheme.NaiveWait != 0 {
-			return nil, fmt.Errorf("cluster: the meta-scheme is incompatible with NaiveWait")
-		}
-	}
-	for i, sd := range cfg.Slowdowns {
+	for i, sd := range c.Slowdowns {
 		if sd.Factor == 0 && sd.From == 0 && sd.Until == 0 {
 			continue // unscripted slot
 		}
 		if err := sd.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: slowdown for worker %d: %w", i, err)
+			return fmt.Errorf("cluster: slowdown for worker %d: %w", i, err)
 		}
 	}
-	if len(cfg.Slowdowns) > cfg.Workers {
-		return nil, fmt.Errorf("cluster: %d slowdown entries for %d workers", len(cfg.Slowdowns), cfg.Workers)
+	if len(c.Slowdowns) > c.Workers {
+		return fmt.Errorf("cluster: %d slowdown entries for %d workers", len(c.Slowdowns), c.Workers)
 	}
-	if cfg.Replication.Enabled() {
-		if cfg.Scale != nil {
-			return nil, fmt.Errorf("cluster: Replication cannot be combined with Scale (promotion and election rebuild nodes at the static cluster shape)")
-		}
-		if cfg.Faults != nil && !cfg.Faults.CrashOnly() {
-			return nil, fmt.Errorf("cluster: Replication requires a crash-only fault plan (a dropped or partitioned replication message would silently stall a backup; see DESIGN.md, Replication)")
+	if c.Faults != nil {
+		if err := c.Faults.Validate(); err != nil {
+			return err
 		}
 	}
-	if cfg.Stragglers.Empty() {
-		// An empty plan is indistinguishable from no plan: no speed scripts,
-		// no link hook, no detection timer — byte-identical to the seed path.
-		cfg.Stragglers = nil
+	scaling, straggling := !c.Scale.Empty(), !c.Stragglers.Empty()
+	if scaling {
+		if err := c.Scale.Validate(); err != nil {
+			return err
+		}
 	}
-	if err := cfg.Mitigation.Validate(); err != nil {
+	if straggling {
+		if err := c.Stragglers.Validate(); err != nil {
+			return err
+		}
+		if mw := c.Stragglers.MaxWorker(); mw >= c.Workers {
+			return fmt.Errorf("cluster: straggler plan targets worker %d but the cluster has %d", mw, c.Workers)
+		}
+	}
+	if c.Switcher != nil {
+		if err := c.Switcher.Validate(); err != nil {
+			return err
+		}
+	}
+
+	faulty := c.Faults != nil || c.Churn != nil
+	mitigating := c.Mitigation != stragglers.MitigateNone
+	sc := c.Scheme
+	switch {
+	case c.Faults != nil && c.Churn != nil:
+		return fmt.Errorf("cluster: Faults cannot be combined with Churn (churn generates the fault plan)")
+	case scaling && faulty:
+		return fmt.Errorf("cluster: Scale cannot be combined with Faults (restarts assume the static cluster shape; see DESIGN.md, Elasticity)")
+	case scaling && sc.Decentralized:
+		return fmt.Errorf("cluster: Scale cannot be combined with decentralized speculation (the peer list is static)")
+	case c.Replication.Enabled() && scaling:
+		return fmt.Errorf("cluster: Replication cannot be combined with Scale (promotion and election rebuild nodes at the static cluster shape)")
+	case c.Replication.Enabled() && c.Faults != nil && !c.Faults.CrashOnly():
+		return fmt.Errorf("cluster: Replication requires a crash-only fault plan (a dropped or partitioned replication message would silently stall a backup; see DESIGN.md, Replication)")
+	case c.Replication.StandbySchedulers > 0 && sc.Decentralized:
+		return fmt.Errorf("cluster: standby schedulers cannot be combined with decentralized speculation (there is no scheduler to replicate)")
+	case straggling && faulty:
+		return fmt.Errorf("cluster: Stragglers cannot be combined with Faults (restarts re-anchor the profile's speed windows mid-run)")
+	case straggling && scaling:
+		return fmt.Errorf("cluster: Stragglers cannot be combined with Scale (the profile indexes a fixed worker set)")
+	case mitigating && !straggling:
+		return fmt.Errorf("cluster: mitigation %q without a straggler plan", c.Mitigation)
+	case mitigating && sc.Decentralized:
+		return fmt.Errorf("cluster: straggler mitigation requires the centralized scheduler (Decentralized unsupported)")
+	case mitigating && c.Switcher != nil:
+		return fmt.Errorf("cluster: straggler mitigation cannot be combined with the meta-scheme (both act on the same detector)")
+	case mitigating && c.Replication.Enabled():
+		return fmt.Errorf("cluster: straggler mitigation cannot be combined with Replication (clone dedup and the replicated-path dedup would fight over push watermarks)")
+	case c.Switcher != nil && sc.Variant != scheme.VariantNone:
+		return fmt.Errorf("cluster: the meta-scheme cannot be combined with scheme variant %s (both rewrite the discipline mid-run)", sc.Variant)
+	case c.Switcher != nil && sc.Decentralized:
+		return fmt.Errorf("cluster: the meta-scheme requires the centralized scheduler (Decentralized unsupported)")
+	case c.Switcher != nil && sc.Spec != scheme.SpecOff:
+		return fmt.Errorf("cluster: the meta-scheme cannot be combined with speculation (a switch into BSP would leave speculation windows with nothing to abort)")
+	case c.Switcher != nil && sc.NaiveWait != 0:
+		return fmt.Errorf("cluster: the meta-scheme is incompatible with NaiveWait")
+	}
+
+	dim, servers := mdl.Dim(), c.servers()
+	if dim < servers {
+		return fmt.Errorf("cluster: model dim %d is smaller than %d server shards; every shard needs at least one parameter (use fewer servers or a larger model)", dim, servers)
+	}
+	if scaling {
+		if maxServers := c.Scale.MaxServers(servers); dim < maxServers {
+			return fmt.Errorf("cluster: model dim %d is smaller than the %d server shards the scale plan grows to", dim, maxServers)
+		}
+		if maxWorkers := c.Scale.MaxWorkers(c.Workers); mdl.NumShards() < maxWorkers {
+			return fmt.Errorf("cluster: workload has %d data shards for the %d workers the scale plan grows to", mdl.NumShards(), maxWorkers)
+		}
+	}
+	return nil
+}
+
+// Run executes one simulated training job to convergence (or MaxVirtual).
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Stragglers == nil && cfg.Mitigation != stragglers.MitigateNone {
-		return nil, fmt.Errorf("cluster: mitigation %q without a straggler plan", cfg.Mitigation)
+	// An empty plan is indistinguishable from no plan: the run stays on the
+	// legacy fixed-shard path with zero routing overhead, and without speed
+	// scripts, link hook or detection timer.
+	if cfg.Scale.Empty() {
+		cfg.Scale = nil
 	}
-	if cfg.Stragglers != nil {
-		if err := cfg.Stragglers.Validate(); err != nil {
+	if cfg.Stragglers.Empty() {
+		cfg.Stragglers = nil
+	}
+	if cfg.Churn != nil {
+		churn := *cfg.Churn
+		churn.Workers, churn.Servers, churn.ServerFraction = cfg.Workers, cfg.servers(), 0.25
+		plan, err := faults.Generate(cfg.Seed, churn)
+		if err != nil {
 			return nil, err
 		}
-		if mw := cfg.Stragglers.MaxWorker(); mw >= cfg.Workers {
-			return nil, fmt.Errorf("cluster: straggler plan targets worker %d but the cluster has %d", mw, cfg.Workers)
-		}
-		if cfg.Faults != nil {
-			return nil, fmt.Errorf("cluster: Stragglers cannot be combined with Faults (restarts re-anchor the profile's speed windows mid-run)")
-		}
-		if cfg.Scale != nil {
-			return nil, fmt.Errorf("cluster: Stragglers cannot be combined with Scale (the profile indexes a fixed worker set)")
-		}
-	}
-	if cfg.Mitigation != stragglers.MitigateNone {
-		if cfg.Scheme.Decentralized {
-			return nil, fmt.Errorf("cluster: straggler mitigation requires the centralized scheduler (Decentralized unsupported)")
-		}
-		if cfg.Switcher != nil {
-			return nil, fmt.Errorf("cluster: straggler mitigation cannot be combined with the meta-scheme (both act on the same detector)")
-		}
-		if cfg.Replication.Enabled() {
-			return nil, fmt.Errorf("cluster: straggler mitigation cannot be combined with Replication (clone dedup and the replicated-path dedup would fight over push watermarks)")
-		}
+		cfg.Faults, cfg.Churn = plan, nil
 	}
 	cfg.applyDefaults()
 
 	mdl := cfg.Workload.Model
 	dim := mdl.Dim()
-	if dim < cfg.Servers {
-		return nil, fmt.Errorf("cluster: model dim %d is smaller than %d server shards; every shard needs at least one parameter (use fewer servers or a larger model)", dim, cfg.Servers)
-	}
 	// Capacity: the slots the cluster may grow into under the scale plan.
 	// Without a plan both equal the initial shape.
 	maxWorkers, maxServers := cfg.Workers, cfg.Servers
 	if cfg.Scale != nil {
 		maxWorkers = cfg.Scale.MaxWorkers(cfg.Workers)
 		maxServers = cfg.Scale.MaxServers(cfg.Servers)
-		if dim < maxServers {
-			return nil, fmt.Errorf("cluster: model dim %d is smaller than the %d server shards the scale plan grows to", dim, maxServers)
-		}
-		if mdl.NumShards() < maxWorkers {
-			return nil, fmt.Errorf("cluster: workload has %d data shards for the %d workers the scale plan grows to", mdl.NumShards(), maxWorkers)
-		}
 	}
 	cloneMode := cfg.Mitigation == stragglers.MitigateClone
 	rebalanceMode := cfg.Mitigation == stragglers.MitigateRebalance

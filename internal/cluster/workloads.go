@@ -14,31 +14,32 @@ import (
 	"specsync/internal/optimizer"
 )
 
-// Workload bundles a model with its training profile.
+// Workload bundles a model with its training profile. In a run spec it is a
+// name (WorkloadByName) plus optional overrides of the four tagged fields.
 type Workload struct {
 	// Name identifies the workload ("mf", "cifar10", "imagenet").
-	Name string
+	Name string `json:"name"`
 	// Model is the trainable workload, pre-sharded for the worker count.
-	Model model.Model
+	Model model.Model `json:"-"`
 	// IterTime is the nominal compute time per iteration (Table I).
-	IterTime time.Duration
+	IterTime time.Duration `json:"iter_time"`
 	// JitterSigma is the default lognormal compute-time variation.
-	JitterSigma float64
+	JitterSigma float64 `json:"jitter_sigma"`
 	// Schedule is the server-side learning-rate schedule.
-	Schedule optimizer.Schedule
+	Schedule optimizer.Schedule `json:"-"`
 	// Momentum is the server-side momentum (0 for sparse MF).
-	Momentum float64
+	Momentum float64 `json:"momentum"`
 	// Clip is the per-push gradient-norm clip (0 = off).
-	Clip float64
+	Clip float64 `json:"-"`
 	// TargetLoss defines convergence: eval loss below this for 5
 	// consecutive probes.
-	TargetLoss float64
+	TargetLoss float64 `json:"target_loss"`
 	// EvalEvery is the probe interval.
-	EvalEvery time.Duration
+	EvalEvery time.Duration `json:"-"`
 	// DatasetSize is the number of training samples/ratings (Table I).
-	DatasetSize int
+	DatasetSize int `json:"-"`
 	// BatchSize is the per-iteration minibatch size (Table I).
-	BatchSize int
+	BatchSize int `json:"-"`
 }
 
 // Validate reports profile errors.

@@ -11,7 +11,7 @@ const (
 	DefaultQ8Block = 256
 )
 
-// Names lists the accepted -codec flag values.
+// Names lists the accepted codec names.
 const Names = "raw, topk, q8, delta"
 
 // Config selects the wire codecs for one run. The zero value means raw: the
@@ -23,12 +23,12 @@ const Names = "raw, topk, q8, delta"
 // and leaves pushes on the legacy path.
 type Config struct {
 	// Name is one of Names; empty means "raw".
-	Name string
+	Name string `json:"name,omitempty"`
 	// TopKFrac is topk's kept fraction in (0, 1]; zero means
 	// DefaultTopKFrac.
-	TopKFrac float64
+	TopKFrac float64 `json:"topk_frac,omitempty"`
 	// Q8Block is q8's values-per-scale block; zero means DefaultQ8Block.
-	Q8Block int
+	Q8Block int `json:"q8_block,omitempty"`
 }
 
 // Validate reports configuration errors.

@@ -45,7 +45,7 @@ type AblationResult struct {
 // Ablations runs all three studies on the CIFAR-like workload.
 func Ablations(o Options) (*AblationResult, error) {
 	o = o.normalize()
-	wl, err := buildWorkload(WorkloadCIFAR, o)
+	wl, err := o.workload(WorkloadCIFAR)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func Codecs(o Options) (*CodecResult, error) {
 	for _, wid := range []WorkloadID{WorkloadMF, WorkloadCIFAR} {
 		for _, cc := range codecConfigs() {
 			cc := cc
-			wl, err := buildWorkload(wid, o)
+			wl, err := o.workload(wid)
 			if err != nil {
 				return nil, err
 			}

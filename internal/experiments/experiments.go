@@ -86,18 +86,13 @@ const (
 // AllWorkloads lists the Table I workloads in paper order.
 var AllWorkloads = []WorkloadID{WorkloadMF, WorkloadCIFAR, WorkloadImageNet}
 
-// buildWorkload constructs the named workload at the option scale.
-func buildWorkload(id WorkloadID, o Options) (cluster.Workload, error) {
-	switch id {
-	case WorkloadMF:
-		return cluster.NewMF(o.Size, o.Workers, o.Seed)
-	case WorkloadCIFAR:
-		return cluster.NewCIFAR(o.Size, o.Workers, o.Seed)
-	case WorkloadImageNet:
-		return cluster.NewImageNet(o.Size, o.Workers, o.Seed)
-	default:
-		return cluster.Workload{}, fmt.Errorf("experiments: unknown workload %q", id)
+// workload builds the named workload at the option scale.
+func (o Options) workload(id WorkloadID) (cluster.Workload, error) {
+	name := string(id)
+	if o.Size == cluster.SizeSmall {
+		name += "-small"
 	}
+	return cluster.WorkloadByName(name, o.Workers, o.Seed)
 }
 
 // CherrypickParams returns the grid-searched SpecSync-Cherrypick

@@ -22,7 +22,7 @@ type Fig10Result struct {
 // Fig10 runs the four configurations.
 func Fig10(o Options) (*Fig10Result, error) {
 	o = o.normalize()
-	wl, err := buildWorkload(WorkloadCIFAR, o)
+	wl, err := o.workload(WorkloadCIFAR)
 	if err != nil {
 		return nil, err
 	}

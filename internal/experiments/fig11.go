@@ -31,7 +31,7 @@ func Fig11(o Options) (*Fig11Result, error) {
 	for _, m := range sizes {
 		oo := o
 		oo.Workers = m
-		wl, err := buildWorkload(WorkloadCIFAR, oo)
+		wl, err := oo.workload(WorkloadCIFAR)
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ func Fig12(o Options) (*Fig12Result, error) {
 	o = o.normalize()
 	res := &Fig12Result{}
 	for _, id := range AllWorkloads {
-		wl, err := buildWorkload(id, o)
+		wl, err := o.workload(id)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ func Fig3(o Options) (*Fig3Result, error) {
 	o = o.normalize()
 	res := &Fig3Result{}
 	for _, id := range []WorkloadID{WorkloadCIFAR, WorkloadMF} {
-		wl, err := buildWorkload(id, o)
+		wl, err := o.workload(id)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func Fig5(o Options) (*Fig5Result, error) {
 	o = o.normalize()
 	res := &Fig5Result{}
 	for _, id := range []WorkloadID{WorkloadCIFAR, WorkloadMF} {
-		wl, err := buildWorkload(id, o)
+		wl, err := o.workload(id)
 		if err != nil {
 			return nil, err
 		}

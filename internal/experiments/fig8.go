@@ -36,7 +36,7 @@ func RunFig8(o Options) (*Fig8Result, error) {
 	o = o.normalize()
 	res := &Fig8Result{}
 	for _, id := range AllWorkloads {
-		wl, err := buildWorkload(id, o)
+		wl, err := o.workload(id)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ type StalenessResult struct {
 // staleness.
 func Staleness(o Options) (*StalenessResult, error) {
 	o = o.normalize()
-	wl, err := buildWorkload(WorkloadCIFAR, o)
+	wl, err := o.workload(WorkloadCIFAR)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func TableI(o Options) (*TableIResult, error) {
 		WorkloadImageNet: "synthetic many-class blobs (ImageNet sub)",
 	}
 	for _, id := range AllWorkloads {
-		wl, err := buildWorkload(id, o)
+		wl, err := o.workload(id)
 		if err != nil {
 			return nil, err
 		}

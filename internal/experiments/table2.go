@@ -32,7 +32,7 @@ func TableII(o Options) (*TableIIResult, error) {
 	timeTrials := map[WorkloadID]int{WorkloadMF: 5, WorkloadCIFAR: 7, WorkloadImageNet: 10}
 	res := &TableIIResult{}
 	for _, id := range AllWorkloads {
-		wl, err := buildWorkload(id, o)
+		wl, err := o.workload(id)
 		if err != nil {
 			return nil, err
 		}

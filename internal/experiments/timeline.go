@@ -31,7 +31,7 @@ type TimelineRow struct {
 func Timeline(o Options) (*TimelineResult, error) {
 	o = o.normalize()
 	o.Workers = 4
-	wl, err := buildWorkload(WorkloadCIFAR, o)
+	wl, err := o.workload(WorkloadCIFAR)
 	if err != nil {
 		return nil, err
 	}

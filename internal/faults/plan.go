@@ -186,22 +186,24 @@ func ParseJSON(data []byte) (*Plan, error) {
 
 // ChurnConfig parameterizes Generate.
 type ChurnConfig struct {
-	// Workers and Servers are the cluster shape.
-	Workers, Servers int
+	// Workers and Servers are the cluster shape (a run spec's churn block
+	// takes them, and its ServerFraction, from cluster.Run).
+	Workers int `json:"-"`
+	Servers int `json:"-"`
 	// Crashes is the number of crash events to schedule.
-	Crashes int
+	Crashes int `json:"crashes"`
 	// Horizon is the time span over which crashes are spread.
-	Horizon time.Duration
+	Horizon time.Duration `json:"horizon"`
 	// Downtime is the mean restart delay (uniform in [Downtime/2,
 	// 3*Downtime/2)); zero leaves crashed nodes down.
-	Downtime time.Duration
+	Downtime time.Duration `json:"downtime,omitempty"`
 	// ServerFraction is the fraction of crashes that hit server shards
 	// (default 0: workers only).
-	ServerFraction float64
+	ServerFraction float64 `json:"-"`
 	// SchedulerCrashes is the number of additional scheduler crash/restart
 	// events to schedule (default 0). They share the horizon and downtime
 	// distribution with worker/server crashes.
-	SchedulerCrashes int
+	SchedulerCrashes int `json:"scheduler_crashes,omitempty"`
 }
 
 // Generate builds a deterministic churn plan: Crashes crash/restart events

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"specsync/internal/scheme"
 )
 
 // SubmitRequest is the POST /jobs payload. The runner (cluster.Fleet) turns
@@ -14,8 +16,9 @@ type SubmitRequest struct {
 	Name string `json:"name"`
 	// Workload selects the training profile ("tiny", "mf-small", ...).
 	Workload string `json:"workload"`
-	// Scheme selects synchronization ("bsp", "ssp", "asp", "specsync", ...).
-	Scheme string `json:"scheme"`
+	// Scheme is the job's synchronization scheme, in the run spec's form
+	// ({"base": "SSP", "staleness": 3}).
+	Scheme scheme.Config `json:"scheme"`
 	// Workers is the job's cluster size.
 	Workers int `json:"workers"`
 	// Servers is the number of shard slots the job spreads over (0 = auto).
@@ -63,7 +66,9 @@ func NewGateway(m *Manager, submit func(SubmitRequest) (int, error)) http.Handle
 			return
 		}
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -7,6 +7,7 @@ package scheme
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -38,6 +39,14 @@ func (b Base) String() string {
 	}
 }
 
+// MarshalText writes the base's name, so a spec reads "base": "SSP".
+func (b Base) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+
+// UnmarshalText parses a base name (case-insensitive).
+func (b *Base) UnmarshalText(text []byte) error {
+	return parseName(text, "base", []Base{ASP, BSP, SSP}, b)
+}
+
 // Spec selects the speculation layer.
 type Spec int
 
@@ -65,6 +74,14 @@ func (s Spec) String() string {
 	default:
 		return fmt.Sprintf("Spec(%d)", int(s))
 	}
+}
+
+// MarshalText writes the mode's name, so a spec reads "spec": "Adaptive".
+func (s Spec) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a mode name (case-insensitive).
+func (s *Spec) UnmarshalText(text []byte) error {
+	return parseName(text, "spec mode", []Spec{SpecOff, SpecFixed, SpecAdaptive}, s)
 }
 
 // Variant selects one of the composite schemes layered on top of the base
@@ -109,6 +126,27 @@ func (v Variant) String() string {
 	}
 }
 
+// MarshalText writes the variant's name, so a spec reads "variant": "PSP".
+func (v Variant) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
+
+// UnmarshalText parses a variant name (case-insensitive).
+func (v *Variant) UnmarshalText(text []byte) error {
+	return parseName(text, "variant", []Variant{VariantNone, VariantSyncSwitch, VariantABS, VariantPSP}, v)
+}
+
+// parseName sets *out to the value in values whose String matches text.
+func parseName[T fmt.Stringer](text []byte, what string, values []T, out *T) error {
+	names := make([]string, len(values))
+	for i, v := range values {
+		if strings.EqualFold(string(text), v.String()) {
+			*out = v
+			return nil
+		}
+		names[i] = v.String()
+	}
+	return fmt.Errorf("scheme: unknown scheme %s %q (want one of %s)", what, text, strings.Join(names, ", "))
+}
+
 // Default ABS bound clamp, used when the config leaves ABSMin/ABSMax zero.
 const (
 	DefaultABSMin = 1
@@ -118,41 +156,41 @@ const (
 // Config fully describes a synchronization scheme.
 type Config struct {
 	// Base is the underlying model. Required.
-	Base Base
+	Base Base `json:"base,omitempty"`
 	// Staleness is the SSP bound (ignored otherwise).
-	Staleness int
+	Staleness int `json:"staleness,omitempty"`
 	// NaiveWait, when positive, delays every pull request by this amount
 	// (the naïve-waiting strategy of paper Sec. III-B).
-	NaiveWait time.Duration
+	NaiveWait time.Duration `json:"naive_wait,omitempty"`
 	// Spec selects the speculation layer. Speculation is incompatible with
 	// BSP (there is nothing to speculate about behind a barrier).
-	Spec Spec
+	Spec Spec `json:"spec,omitempty"`
 	// AbortTime is the fixed speculation window for SpecFixed.
-	AbortTime time.Duration
+	AbortTime time.Duration `json:"abort_time,omitempty"`
 	// AbortRate is the fixed push-rate threshold for SpecFixed, as a
 	// fraction of the worker count (paper: cnt >= m * ABORT_RATE).
-	AbortRate float64
+	AbortRate float64 `json:"abort_rate,omitempty"`
 	// Decentralized switches SpecFixed to the broadcast design the paper
 	// rejects (Sec. V-A): every worker announces each push to all peers and
 	// runs its own speculation check, with no scheduler involvement. It
 	// exists to measure the all-to-all control-traffic blowup.
-	Decentralized bool
+	Decentralized bool `json:"decentralized,omitempty"`
 
 	// Variant selects a composite scheme. When set, Base must be zero (the
 	// variant determines its own effective base) and Decentralized must be
 	// false — variants rely on the centralized scheduler to issue
 	// SchemeSwitch retargets.
-	Variant Variant
+	Variant Variant `json:"variant,omitempty"`
 	// SwitchAt is the epoch at which VariantSyncSwitch hands the fleet from
 	// BSP to ASP. Required (>= 1) for that variant.
-	SwitchAt int
+	SwitchAt int `json:"switch_at,omitempty"`
 	// PSPBeta is the VariantPSP barrier quorum as a fraction of live
 	// workers, in (0, 1); β = 1 would be plain BSP.
-	PSPBeta float64
+	PSPBeta float64 `json:"psp_beta,omitempty"`
 	// ABSMin / ABSMax clamp the VariantABS staleness bound. Zero values
 	// default to DefaultABSMin / DefaultABSMax.
-	ABSMin int
-	ABSMax int
+	ABSMin int `json:"-"`
+	ABSMax int `json:"-"`
 }
 
 // Runtime is the dynamically-switchable portion of a scheme: what the
@@ -240,6 +278,12 @@ func (c Config) Validate() error {
 		}
 		if c.NaiveWait != 0 {
 			return fmt.Errorf("scheme: variant %s is incompatible with NaiveWait", c.Variant)
+		}
+		if c.SwitchAt != 0 && c.Variant != VariantSyncSwitch {
+			return fmt.Errorf("scheme: SwitchAt is a Sync-Switch parameter (variant is %s)", c.Variant)
+		}
+		if c.PSPBeta != 0 && c.Variant != VariantPSP {
+			return fmt.Errorf("scheme: PSPBeta is a PSP parameter (variant is %s)", c.Variant)
 		}
 		switch c.Variant {
 		case VariantSyncSwitch:

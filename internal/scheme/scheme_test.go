@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -50,6 +51,8 @@ func TestValidate(t *testing.T) {
 		{Variant: VariantPSP, PSPBeta: 0.5, Spec: SpecAdaptive}, // PSP × speculation
 		{Base: BSP, PSPBeta: 0.5},                               // variant params without Variant
 		{Base: BSP, SwitchAt: 3},
+		{Variant: VariantABS, SwitchAt: 3},                      // a Sync-Switch parameter on ABS
+		{Variant: VariantSyncSwitch, SwitchAt: 3, PSPBeta: 0.5}, // a PSP parameter on Sync-Switch
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -123,5 +126,38 @@ func TestStringers(t *testing.T) {
 	}
 	if SpecOff.String() != "Off" || SpecFixed.String() != "Cherrypick" || SpecAdaptive.String() != "Adaptive" {
 		t.Error("spec stringer broken")
+	}
+}
+
+// TestJSON pins the spec form of a scheme: enums travel as their names, in
+// any case, and every field a spec can set survives a round trip.
+func TestJSON(t *testing.T) {
+	var c Config
+	if err := json.Unmarshal([]byte(`{"base":"ssp","staleness":3,"spec":"Adaptive"}`), &c); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Config{Base: SSP, Staleness: 3, Spec: SpecAdaptive}); c != want {
+		t.Errorf("decoded %+v, want %+v", c, want)
+	}
+	for _, c := range []Config{
+		{Base: ASP, NaiveWait: time.Second},
+		{Base: ASP, Spec: SpecFixed, AbortTime: time.Second, AbortRate: 0.2, Decentralized: true},
+		{Variant: VariantSyncSwitch, SwitchAt: 5},
+		{Variant: VariantABS, Spec: SpecAdaptive},
+		{Variant: VariantPSP, PSPBeta: 0.7},
+	} {
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Config
+		if err := json.Unmarshal(data, &back); err != nil || back != c {
+			t.Errorf("%s round-tripped to %+v (%v)", data, back, err)
+		}
+	}
+	for _, bad := range []string{`{"base":"nope"}`, `{"spec":"fast"}`, `{"variant":"SSP"}`} {
+		if err := json.Unmarshal([]byte(bad), &c); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+			t.Errorf("%s: err %v, want an unknown-scheme error", bad, err)
+		}
 	}
 }

@@ -24,7 +24,8 @@ const (
 	MitigateRebalance Mitigation = "rebalance"
 )
 
-// ParseMitigation parses the CLI -mitigate value.
+// ParseMitigation parses a mitigation name; "none" and "" both mean
+// MitigateNone.
 func ParseMitigation(s string) (Mitigation, error) {
 	switch Mitigation(s) {
 	case MitigateNone, MitigateClone, MitigateRebalance:
@@ -34,6 +35,16 @@ func ParseMitigation(s string) (Mitigation, error) {
 	default:
 		return "", fmt.Errorf("stragglers: unknown mitigation %q (want clone, rebalance, or none)", s)
 	}
+}
+
+// UnmarshalText parses a run spec's mitigation name (ParseMitigation).
+func (m *Mitigation) UnmarshalText(text []byte) error {
+	v, err := ParseMitigation(string(text))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
 }
 
 // Validate rejects unknown mitigation values from config structs.

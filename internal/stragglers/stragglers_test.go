@@ -1,6 +1,7 @@
 package stragglers
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -159,33 +160,6 @@ func TestLinkPenalty(t *testing.T) {
 	}
 }
 
-func TestParseSpecs(t *testing.T) {
-	p, err := ParseSpecs("pause:3@10s, degrade:2x0.4@30s, congest:1x0.25, rack:0-3x0.5@1m")
-	if err != nil {
-		t.Fatalf("ParseSpecs: %v", err)
-	}
-	want := []Event{
-		{Kind: KindPause, Worker: 3, At: 10 * time.Second, Duration: DefaultPauseDuration},
-		{Kind: KindDegrade, Worker: 2, Speed: 0.4, At: 30 * time.Second},
-		{Kind: KindCongest, Worker: 1, Speed: 0.25},
-		{Kind: KindRack, Workers: []int{0, 1, 2, 3}, Speed: 0.5, At: time.Minute},
-	}
-	if !reflect.DeepEqual(p.Events, want) {
-		t.Errorf("events\n got %+v\nwant %+v", p.Events, want)
-	}
-	if p, err := ParseSpecs("pause:0@5s+45s"); err != nil || p.Events[0].Duration != 45*time.Second {
-		t.Errorf("explicit pause duration: %+v, %v", p, err)
-	}
-	for _, bad := range []string{
-		"", "pause:3", "pause:x@10s", "degrade:2", "degrade:2x1.5", "rack:3-0x0.5",
-		"rack:0-2", "melt:1x0.5", "degrade:2x0.4@nonsense",
-	} {
-		if _, err := ParseSpecs(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-}
-
 func TestParseMitigation(t *testing.T) {
 	for s, want := range map[string]Mitigation{
 		"": MitigateNone, "none": MitigateNone, "clone": MitigateClone, "rebalance": MitigateRebalance,
@@ -200,6 +174,14 @@ func TestParseMitigation(t *testing.T) {
 	}
 	if err := Mitigation("retry").Validate(); err == nil {
 		t.Error("unknown mitigation validated")
+	}
+	var axis []Mitigation
+	if err := json.Unmarshal([]byte(`["none", "clone", "rebalance"]`), &axis); err != nil ||
+		!reflect.DeepEqual(axis, []Mitigation{MitigateNone, MitigateClone, MitigateRebalance}) {
+		t.Errorf("spec mitigations decoded to %q, %v", axis, err)
+	}
+	if err := json.Unmarshal([]byte(`"retry"`), new(Mitigation)); err == nil {
+		t.Error("unknown spec mitigation decoded")
 	}
 }
 

@@ -28,25 +28,26 @@ import (
 	"specsync/internal/scheme"
 )
 
-// Config tunes the meta-scheme policy.
+// Config tunes the meta-scheme policy. A run spec enables the policy with
+// its defaults ("meta_scheme": {}); the tuning fields stay Go-only.
 type Config struct {
 	// DegradeSustained is the number of sustained stragglers that triggers
 	// the BSP→SSP degrade. Default 1.
-	DegradeSustained int
+	DegradeSustained int `json:"-"`
 	// HoldEpochs is how many consecutive epoch-boundary evaluations a
 	// condition (degrade or recover) must hold before the policy acts.
 	// Default 2.
-	HoldEpochs int
+	HoldEpochs int `json:"-"`
 	// MinDwell is the minimum virtual time between two switches. Default
 	// 10s.
-	MinDwell time.Duration
+	MinDwell time.Duration `json:"-"`
 	// Staleness is the SSP bound used while degraded. Default 3.
-	Staleness int
+	Staleness int `json:"-"`
 	// RecoverScore is the worst per-worker slowdown score the fleet may
 	// carry and still count as recovered. It must sit strictly below the
 	// detector's flag threshold (1.5 by default) to form a dead band.
 	// Default 1.25.
-	RecoverScore float64
+	RecoverScore float64 `json:"-"`
 }
 
 func (c Config) withDefaults() Config {

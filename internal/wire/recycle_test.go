@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,27 +15,39 @@ import (
 // TestInts32LyingLengthIsRefused: a length prefix is believed only as far as
 // the bytes behind it. Six bytes used to buy a 1 GiB allocation and 2^28
 // no-op loop iterations on the connection's reader goroutine.
+//
+// Other goroutines of the test binary allocate too, so one TotalAlloc window
+// can read their bytes: the pin takes the fast quartile of 51 refusals, run
+// on one P.
 func TestInts32LyingLengthIsRefused(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := NewWriter(0)
 	w.Uvarint(maxSliceLen)
 	w.Uint8(2) // one entry where 2^28 are claimed
-	r := NewReader(w.Bytes())
+	frame := w.Bytes()
 
+	allocs := make([]uint64, 51)
+	took := make([]time.Duration, len(allocs))
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	got := r.Ints32()
-	took := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	if got != nil || !errors.Is(r.Err(), ErrShortBuffer) {
-		t.Fatalf("Ints32 = %d entries, err %v; want nil, ErrShortBuffer", len(got), r.Err())
+	for i := range allocs {
+		r := NewReader(frame)
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		got := r.Ints32()
+		took[i] = time.Since(start)
+		runtime.ReadMemStats(&after)
+		if got != nil || !errors.Is(r.Err(), ErrShortBuffer) {
+			t.Fatalf("Ints32 = %d entries, err %v; want nil, ErrShortBuffer", len(got), r.Err())
+		}
+		allocs[i] = after.TotalAlloc - before.TotalAlloc
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<10 {
+	slices.Sort(allocs)
+	slices.Sort(took)
+	if n := allocs[len(allocs)/4]; n >= 4<<10 {
 		t.Errorf("refusing the frame allocated %d bytes, want < 4 KiB", n)
 	}
-	if took > time.Second {
-		t.Errorf("refusing the frame took %v", took)
+	if d := took[len(took)/4]; d > time.Second {
+		t.Errorf("refusing the frame took %v", d)
 	}
 }
 
