@@ -149,7 +149,8 @@ func run(args []string) error {
 	// One observability instance per process; role-specific handles feed the
 	// same registry that -metrics-addr exposes. Outbound wire bytes are
 	// accounted per message kind with wall-clock throughput windows, and the
-	// codec tap adds per-{kind,codec} bytes-on-wire counters.
+	// codec stats read per-{kind,codec} bytes-on-wire series from the same
+	// ledger.
 	o := obs.New(obs.Options{})
 	transfer := metrics.NewTransfer(msg.IsControl)
 	o.Registry().SetCollector("transfer", func(w io.Writer) {

@@ -427,7 +427,7 @@ func (f *Fleet) submit(build func(id int) (JobSpec, error)) (int, error) {
 		j.Quota = jobs.Quota{MaxInflightPush: spec.MaxInflightPush, ByteBudget: spec.ByteBudget}
 
 		cs := codec.NewStats(msg.CodecLabeler(spec.Codec.PushName(), spec.Codec.PullName()))
-		j.Acct.SetRecorder(cs.Tap(j.Acct.Transfer))
+		cs.Tap(j.Acct.Transfer)
 		j.Payload = &fleetJob{
 			spec:       spec,
 			codecStats: cs,

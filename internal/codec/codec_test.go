@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"specsync/internal/metrics"
 	"specsync/internal/node"
 	"specsync/internal/wire"
 )
@@ -283,7 +284,10 @@ func TestStatsAccounting(t *testing.T) {
 		}
 		return "none"
 	})
-	rec := s.Tap(nil)
+	if rows := s.Rows(func(k wire.Kind) string { return "" }); len(rows) != 0 {
+		t.Errorf("unbound Stats has wire rows %v", rows)
+	}
+	rec := s.Tap(metrics.NewTransfer(nil))
 	rec.RecordTransfer(node.WorkerID(0), node.ServerID(0), wire.Kind(19), 100, time.Time{})
 	rec.RecordTransfer(node.WorkerID(0), node.ServerID(0), wire.Kind(19), 50, time.Time{})
 	rec.RecordTransfer(node.ServerID(0), node.WorkerID(0), wire.Kind(18), 800, time.Time{})
@@ -291,6 +295,9 @@ func TestStatsAccounting(t *testing.T) {
 
 	if b, m := s.KindBytes(wire.Kind(19), "topk"); b != 150 || m != 2 {
 		t.Errorf("KindBytes(19,topk) = %d,%d; want 150,2", b, m)
+	}
+	if b, m := s.KindBytes(wire.Kind(19), "raw"); b != 0 || m != 0 {
+		t.Errorf("KindBytes(19,raw) = %d,%d; kind 19 is labeled topk", b, m)
 	}
 	if got := s.LabelBytes("raw"); got != 800 {
 		t.Errorf("LabelBytes(raw) = %d, want 800", got)

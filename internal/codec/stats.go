@@ -5,22 +5,16 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
-	"specsync/internal/node"
+	"specsync/internal/metrics"
 	"specsync/internal/wire"
 )
 
-// TransferRecorder mirrors des.TransferRecorder / transport.TransferRecorder
-// so Stats can tap the byte stream of either stack without importing them.
-type TransferRecorder interface {
-	RecordTransfer(from, to node.ID, kind wire.Kind, bytes int, at time.Time)
-}
-
-// Stats accumulates the codec layer's byte accounting:
+// Stats is the codec layer's byte accounting:
 //
-//   - bytes/messages on the wire per {message kind, codec label}, fed by
-//     tapping the run's transfer recorder (Tap), and
+//   - bytes/messages on the wire per {message kind, codec label}, read from
+//     the run's transfer ledger (Tap) through the labeler, and
 //   - encode-site compression ratios per codec (RecordEncode), comparing
 //     each payload against the 8·n bytes a dense float64 block would cost.
 //
@@ -28,19 +22,9 @@ type TransferRecorder interface {
 // form (WritePrometheus) for the obs registry.
 type Stats struct {
 	mu      sync.Mutex
-	wire    map[wireKey]*wireCell
 	enc     map[ID]*encCell
 	labelOf func(wire.Kind) string
-}
-
-type wireKey struct {
-	kind  wire.Kind
-	label string
-}
-
-type wireCell struct {
-	bytes int64
-	msgs  int64
+	ledger  atomic.Pointer[metrics.Transfer]
 }
 
 type encCell struct {
@@ -49,48 +33,34 @@ type encCell struct {
 	blocks int64
 }
 
-// NewStats builds a Stats whose wire tap labels each message kind with a
+// NewStats builds a Stats whose wire series label each message kind with a
 // codec name (use msg.CodecLabeler for the protocol's kinds).
 func NewStats(labelOf func(wire.Kind) string) *Stats {
 	if labelOf == nil {
 		labelOf = func(wire.Kind) string { return "none" }
 	}
 	return &Stats{
-		wire:    make(map[wireKey]*wireCell),
 		enc:     make(map[ID]*encCell),
 		labelOf: labelOf,
 	}
 }
 
-// Tap returns a recorder that forwards every transfer to inner (which may be
-// nil) and accumulates per-{kind,codec} byte counters here. It changes no
-// behavior of the tapped stack — pure accounting — so a raw-codec run with a
-// tap in place stays byte- and schedule-identical.
-func (s *Stats) Tap(inner TransferRecorder) TransferRecorder {
-	return &tap{stats: s, inner: inner}
+// Tap binds the Stats' wire series to t, the run's transfer ledger, and
+// returns t for the runtime to record into. Every kind carries one codec
+// label, so the per-{kind, codec} series are t's per-kind counters read
+// through the labeler; nothing is recorded twice. Until Tap the wire series
+// are empty.
+func (s *Stats) Tap(t *metrics.Transfer) *metrics.Transfer {
+	s.ledger.Store(t)
+	return t
 }
 
-type tap struct {
-	stats *Stats
-	inner TransferRecorder
-}
-
-// RecordTransfer implements TransferRecorder.
-func (t *tap) RecordTransfer(from, to node.ID, kind wire.Kind, bytes int, at time.Time) {
-	if t.inner != nil {
-		t.inner.RecordTransfer(from, to, kind, bytes, at)
+// wireRows returns the bound ledger's per-kind bytes and message counts.
+func (s *Stats) wireRows() map[wire.Kind]struct{ Bytes, Msgs int64 } {
+	if t := s.ledger.Load(); t != nil {
+		return t.Breakdown()
 	}
-	s := t.stats
-	key := wireKey{kind: kind, label: s.labelOf(kind)}
-	s.mu.Lock()
-	cell, ok := s.wire[key]
-	if !ok {
-		cell = &wireCell{}
-		s.wire[key] = cell
-	}
-	cell.bytes += int64(bytes)
-	cell.msgs++
-	s.mu.Unlock()
+	return nil
 }
 
 // RecordEncode records one encoded block: rawBytes is the dense float64 cost
@@ -111,23 +81,20 @@ func (s *Stats) RecordEncode(id ID, rawBytes, encBytes int) {
 // KindBytes returns the on-wire bytes and message count recorded for one
 // {kind, codec label} pair.
 func (s *Stats) KindBytes(kind wire.Kind, label string) (bytes, msgs int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cell, ok := s.wire[wireKey{kind: kind, label: label}]; ok {
-		return cell.bytes, cell.msgs
+	t := s.ledger.Load()
+	if t == nil || s.labelOf(kind) != label {
+		return 0, 0
 	}
-	return 0, 0
+	return t.KindBytes(kind)
 }
 
 // LabelBytes sums on-wire bytes across all kinds carrying the given codec
 // label.
 func (s *Stats) LabelBytes(label string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var total int64
-	for key, cell := range s.wire {
-		if key.label == label {
-			total += cell.bytes
+	for kind, c := range s.wireRows() {
+		if s.labelOf(kind) == label {
+			total += c.Bytes
 		}
 	}
 	return total
@@ -168,17 +135,16 @@ type Row struct {
 // Rows snapshots the wire counters, kinds named by kindName, sorted by kind
 // then codec for deterministic output.
 func (s *Stats) Rows(kindName func(wire.Kind) string) []Row {
-	s.mu.Lock()
-	out := make([]Row, 0, len(s.wire))
-	for key, cell := range s.wire {
+	cells := s.wireRows()
+	out := make([]Row, 0, len(cells))
+	for kind, c := range cells {
 		out = append(out, Row{
-			Kind:  kindName(key.kind),
-			Codec: key.label,
-			Bytes: cell.bytes,
-			Msgs:  cell.msgs,
+			Kind:  kindName(kind),
+			Codec: s.labelOf(kind),
+			Bytes: c.Bytes,
+			Msgs:  c.Msgs,
 		})
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {
 			return out[i].Kind < out[j].Kind

@@ -127,11 +127,12 @@ type Scheduler struct {
 	windows     []specWindow
 
 	// Push history and epoch tracking. histCount[i] is worker i's number of
-	// records in history, kept as records enter and leave; epochPushes is
-	// retune's scratch.
+	// records in history, kept as records enter and leave; epochPushes and
+	// tuner are retune's scratch.
 	history     Tail[PushRecord]
 	histCount   []int
 	epochPushes []PushRecord
+	tuner       Tuner
 	lastNotify  []time.Time
 	spanEWMA    []time.Duration
 	pushed      []bool
@@ -950,7 +951,7 @@ func (s *Scheduler) retune(now time.Time) {
 		}
 	}
 
-	tuning, err := Tune(tcfg, history, s.epochPushes, s.lastNotify, s.spanEWMA)
+	tuning, err := s.tuner.Tune(tcfg, history, s.epochPushes, s.lastNotify, s.spanEWMA)
 	if err != nil {
 		s.ctx.Logf("scheduler: tuner error: %v; speculation paused", err)
 		s.specEnabled = false

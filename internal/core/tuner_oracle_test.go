@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -244,14 +246,18 @@ func genTuneCase(rng *rand.Rand, mono bool) tuneCase {
 // TestTuneMatchesOracle requires the cursor tuner to reproduce the reference
 // bit for bit — Improvement included, so the float accumulation order over
 // workers cannot have changed — on generated inputs, wall-clock and monotonic.
+// One Tuner serves every case, so nothing a call leaves in its buffers may
+// leak into the next.
 func TestTuneMatchesOracle(t *testing.T) {
 	const cases = 3000
 	enabled := 0
+	var tu Tuner
 	for seed := int64(0); seed < cases; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := genTuneCase(rng, seed%2 == 1)
 		want, wantErr := oracleTune(c.cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
-		got, gotErr := Tune(c.cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
+		got, gotErr := tu.Tune(c.cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
+		got.RunnerUp = Candidate{} // not in the oracle; TestRunnerUpMatchesBruteForce checks it
 		if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
 			t.Fatalf("seed %d: error %v, oracle %v", seed, gotErr, wantErr)
 		}
@@ -263,7 +269,7 @@ func TestTuneMatchesOracle(t *testing.T) {
 			enabled++
 		}
 		wantC := oracleCandidateWindows(c.cfg, c.epochPushes, c.lastPull)
-		gotC := candidateWindows(c.cfg, c.epochPushes, c.lastPull)
+		gotC := tu.candidates(c.cfg, c.epochPushes, c.lastPull)
 		if len(wantC)+len(gotC) > 0 && !reflect.DeepEqual(gotC, wantC) {
 			t.Fatalf("seed %d: candidates differ:\n got  %v\n want %v", seed, gotC, wantC)
 		}
@@ -271,5 +277,160 @@ func TestTuneMatchesOracle(t *testing.T) {
 	// The generator must not drift into inputs the tuner always declines.
 	if enabled < cases/10 {
 		t.Errorf("only %d of %d generated cases enabled speculation", enabled, cases)
+	}
+}
+
+// candidateWindowsOracle is the candidate search as it stood before the
+// sorted-range rewrite, kept verbatim: every (push, pull) gap is formed and
+// clamped, then the list is sorted, de-duplicated and sub-sampled into a
+// fresh slice. TestCandidatesMatchOracle compares the Tuner's search with it.
+//
+// candidateWindowsOracle produces the distinct gaps between each epoch push and
+// each worker's last pull, clamped and optionally sub-sampled, ascending. The
+// gain estimate u~_i(Delta) is a step function that increments exactly when
+// lastPull_i + Delta crosses a push time, while the loss is linear in Delta,
+// so the optimum right-aligns some worker's window with some push — i.e. it
+// lies in this set. (Paper Algorithm 1 uses pairwise push gaps, which is the
+// same set under its pull-follows-push proxy; using push-pull gaps keeps the
+// search exact even when the two diverge.)
+func candidateWindowsOracle(cfg TunerConfig, pushes []PushRecord, lastPull []time.Time) []time.Duration {
+	if len(pushes) == 0 {
+		return nil
+	}
+	alive := func(i int) bool { return cfg.Alive == nil || cfg.Alive[i] }
+	base := pushes[0].At
+	pulls := make([]time.Duration, 0, len(lastPull))
+	for w, lp := range lastPull {
+		if alive(w) {
+			pulls = append(pulls, lp.Sub(base))
+		}
+	}
+	lo, hi := time.Duration(1), time.Duration(math.MaxInt64)
+	if cfg.MinAbort > lo {
+		lo = cfg.MinAbort
+	}
+	if cfg.MaxAbort > 0 {
+		hi = cfg.MaxAbort
+	}
+	var out []time.Duration
+	for _, p := range pushes {
+		if p.Worker >= 0 && p.Worker < len(lastPull) && !alive(p.Worker) {
+			continue
+		}
+		at := p.At.Sub(base)
+		for _, pull := range pulls {
+			d := at - pull
+			if pull < 0 && (d < at || pull == math.MinInt64) {
+				// The pull lies further back than a Duration can span (a
+				// worker that never notified has the zero time): the offset
+				// or the gap overflowed, so clamp as Time.Sub does.
+				d = math.MaxInt64
+			}
+			if d >= lo && d <= hi {
+				out = append(out, d)
+			}
+		}
+	}
+	slices.Sort(out)
+	out = slices.Compact(out)
+	if cfg.MaxCandidates > 0 && len(out) > cfg.MaxCandidates {
+		if cfg.MaxCandidates == 1 {
+			// The even spacing below divides by MaxCandidates-1; one
+			// candidate is the median.
+			return out[len(out)/2 : len(out)/2+1]
+		}
+		sampled := make([]time.Duration, 0, cfg.MaxCandidates)
+		step := float64(len(out)-1) / float64(cfg.MaxCandidates-1)
+		for i := 0; i < cfg.MaxCandidates; i++ {
+			sampled = append(sampled, out[int(float64(i)*step+0.5)])
+		}
+		out = sampled
+	}
+	return out
+}
+
+// TestCandidatesMatchOracle requires the sorted-range search to return
+// exactly what the all-pairs search returns, on inputs steered into each
+// corner the search treats specially; the test fails if a corner was never
+// drawn. One Tuner serves every case.
+func TestCandidatesMatchOracle(t *testing.T) {
+	const cases = 4000
+	var tu Tuner
+	seen := map[string]int{}
+	for seed := int64(0); seed < cases; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := genTuneCase(rng, seed%2 == 1)
+		m := c.cfg.Workers
+		c.cfg.MaxCandidates = []int{0, 1, 2, 3 + rng.Intn(60)}[rng.Intn(4)]
+		if rng.Intn(3) == 0 {
+			c.cfg.MaxAbort = 0
+		}
+		if len(c.epochPushes) > 0 {
+			first := c.epochPushes[0].At
+			for i := range c.lastPull {
+				switch rng.Intn(12) {
+				case 0: // never notified: the zero time
+					c.lastPull[i] = time.Time{}
+				case 1: // so far back that gaps to later pushes overflow
+					c.lastPull[i] = first.Add(-math.MaxInt64 + time.Duration(rng.Int63n(int64(time.Second))))
+				case 2, 3: // after the pushes: they come before every pull
+					c.lastPull[i] = first.Add(time.Duration(rng.Int63n(int64(time.Second))))
+				}
+			}
+		}
+		want := candidateWindowsOracle(c.cfg, c.epochPushes, c.lastPull)
+		got := tu.candidates(c.cfg, c.epochPushes, c.lastPull)
+		if len(want)+len(got) > 0 && !slices.Equal(got, want) {
+			t.Fatalf("seed %d (m=%d, %d epoch pushes, cfg %+v):\n got  %v\n want %v",
+				seed, m, len(c.epochPushes), c.cfg, got, want)
+		}
+
+		if len(c.epochPushes) == 0 {
+			continue
+		}
+		base := c.epochPushes[0].At
+		earliestPush, gaps, distinct := c.epochPushes[0].At, 0, map[time.Duration]bool{}
+		for _, p := range c.epochPushes {
+			if p.At.Before(earliestPush) {
+				earliestPush = p.At
+			}
+		}
+		allLater := true
+		for i, lp := range c.lastPull {
+			if c.cfg.Alive != nil && !c.cfg.Alive[i] {
+				seen["evicted"]++
+				continue
+			}
+			if lp.IsZero() {
+				seen["zero-time pull"]++
+			} else if lp.Sub(base) < -math.MaxInt64/2 {
+				seen["overflowing pull"]++
+			}
+			allLater = allLater && !lp.Before(earliestPush)
+			for _, p := range c.epochPushes {
+				if d := p.At.Sub(lp); d > 0 {
+					gaps++
+					distinct[d] = true
+				}
+			}
+		}
+		if allLater {
+			seen["pushes before every pull"]++
+		}
+		if gaps > len(distinct) {
+			seen["duplicate gaps"]++
+		}
+		if c.cfg.MaxAbort == 0 && len(want) > 0 && want[len(want)-1] == math.MaxInt64 {
+			seen["MaxAbort 0, clamped gap"]++
+		}
+		if len(want) > 0 {
+			seen[fmt.Sprintf("MaxCandidates %d", min(c.cfg.MaxCandidates, 3))]++
+		}
+	}
+	for _, corner := range []string{"evicted", "zero-time pull", "overflowing pull", "pushes before every pull",
+		"duplicate gaps", "MaxAbort 0, clamped gap", "MaxCandidates 0", "MaxCandidates 1", "MaxCandidates 2", "MaxCandidates 3"} {
+		if seen[corner] == 0 {
+			t.Errorf("no generated case covered %q", corner)
+		}
 	}
 }

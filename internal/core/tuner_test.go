@@ -101,12 +101,20 @@ func evalF(m int, history []PushRecord, lastPull []time.Time, spans []time.Durat
 	return f
 }
 
-// TestTuneMatchesBruteForce verifies the candidate-set argument (paper
-// Sec. IV-B): because the gain estimate is a step function that only jumps
-// when a window boundary crosses a push, evaluating pairwise push gaps finds
-// an optimum at least as good as a dense grid search.
-func TestTuneMatchesBruteForce(t *testing.T) {
+// bruteForceCase is one small random tuner input: m workers, a push history
+// over 10 s that is also the epoch, and random pulls and spans.
+type bruteForceCase struct {
+	m        int
+	history  []PushRecord
+	lastPull []time.Time
+	spans    []time.Duration
+}
+
+// bruteForceCases draws the inputs TestTuneMatchesBruteForce and
+// TestRunnerUpMatchesBruteForce check.
+func bruteForceCases() []bruteForceCase {
 	rng := rand.New(rand.NewSource(99))
+	var out []bruteForceCase
 	for trial := 0; trial < 40; trial++ {
 		m := 3 + rng.Intn(5)
 		// Random push history over 10 seconds.
@@ -122,7 +130,18 @@ func TestTuneMatchesBruteForce(t *testing.T) {
 			lastPull[i] = at(rng.Intn(10000))
 			spans[i] = time.Duration(500+rng.Intn(3000)) * time.Millisecond
 		}
+		out = append(out, bruteForceCase{m: m, history: history, lastPull: lastPull, spans: spans})
+	}
+	return out
+}
 
+// TestTuneMatchesBruteForce verifies the candidate-set argument (paper
+// Sec. IV-B): because the gain estimate is a step function that only jumps
+// when a window boundary crosses a push, evaluating pairwise push gaps finds
+// an optimum at least as good as a dense grid search.
+func TestTuneMatchesBruteForce(t *testing.T) {
+	for trial, c := range bruteForceCases() {
+		m, history, lastPull, spans := c.m, c.history, c.lastPull, c.spans
 		got, err := Tune(TunerConfig{Workers: m}, history, history, lastPull, spans)
 		if err != nil {
 			t.Fatal(err)
@@ -152,6 +171,72 @@ func TestTuneMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestRunnerUpMatchesBruteForce evaluates Eq. (7) directly at every distinct
+// positive push-to-pull gap and requires the tuner's choice to be the first
+// maximum and its RunnerUp the best of the rest (the smallest window on
+// ties), on TestTuneMatchesBruteForce's inputs and on one with a tie below the
+// best: worker 0 pulls at 0 and worker 1 pushes at u, 2u, 11u and 19u (u =
+// 2^26 ns, spans 2^30 ns), so the windows score 0.875, 1.75, 1.625 and 1.625
+// exactly.
+func TestRunnerUpMatchesBruteForce(t *testing.T) {
+	const u = time.Duration(1) << 26
+	tie := bruteForceCase{m: 2, lastPull: []time.Time{time.Unix(0, 0), time.Unix(0, 0).Add(30 * u)}, spans: []time.Duration{16 * u, 16 * u}}
+	for _, k := range []time.Duration{1, 2, 11, 19} {
+		tie.history = append(tie.history, PushRecord{At: time.Unix(0, 0).Add(k * u), Worker: 1})
+	}
+	withRunnerUp, tied := 0, 0
+	for trial, c := range append(bruteForceCases(), tie) {
+		got, err := Tune(TunerConfig{Workers: c.m}, c.history, c.history, c.lastPull, c.spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gaps []time.Duration
+		for _, p := range c.history {
+			for _, lp := range c.lastPull {
+				if d := p.At.Sub(lp); d > 0 {
+					gaps = append(gaps, d)
+				}
+			}
+		}
+		slices.Sort(gaps)
+		gaps = slices.Compact(gaps)
+		evals := make([]Candidate, len(gaps))
+		first := 0
+		for i, d := range gaps {
+			evals[i] = Candidate{AbortTime: d, Improvement: evalF(c.m, c.history, c.lastPull, c.spans, d)}
+			if evals[i].Improvement > evals[first].Improvement {
+				first = i
+			}
+		}
+		var want Candidate
+		if len(evals) >= 2 && evals[first].Improvement > 0 {
+			second := -1
+			for i, e := range evals {
+				if i != first && (second < 0 || e.Improvement > evals[second].Improvement) {
+					second = i
+				}
+			}
+			want = evals[second]
+			withRunnerUp++
+			for i, e := range evals {
+				if i != first && i != second && e.Improvement == want.Improvement {
+					tied++
+					break
+				}
+			}
+			if got.AbortTime != evals[first].AbortTime {
+				t.Errorf("trial %d: AbortTime %v, brute force %v", trial, got.AbortTime, evals[first].AbortTime)
+			}
+		}
+		if got.RunnerUp != want {
+			t.Errorf("trial %d: RunnerUp %+v, brute force %+v", trial, got.RunnerUp, want)
+		}
+	}
+	if withRunnerUp == 0 || tied == 0 {
+		t.Errorf("%d trials had a runner-up, %d of them tied with another window; want some of each", withRunnerUp, tied)
+	}
+}
+
 func sortPushes(ps []PushRecord) {
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && ps[j].At.Before(ps[j-1].At); j-- {
@@ -165,13 +250,13 @@ func TestCandidateClampAndCap(t *testing.T) {
 		{At: at(0)}, {At: at(10)}, {At: at(20)}, {At: at(500)}, {At: at(5000)},
 	}
 	pulls := []time.Time{at(0), at(10), at(20), at(500), at(5000)}
-	cands := candidateWindows(TunerConfig{Workers: 2, MinAbort: 15 * time.Millisecond, MaxAbort: time.Second}, pushes, pulls)
+	cands := new(Tuner).candidates(TunerConfig{Workers: 2, MinAbort: 15 * time.Millisecond, MaxAbort: time.Second}, pushes, pulls)
 	for _, d := range cands {
 		if d < 15*time.Millisecond || d > time.Second {
 			t.Errorf("candidate %v escapes clamp", d)
 		}
 	}
-	capped := candidateWindows(TunerConfig{Workers: 2, MaxCandidates: 3}, pushes, pulls)
+	capped := new(Tuner).candidates(TunerConfig{Workers: 2, MaxCandidates: 3}, pushes, pulls)
 	if len(capped) > 3 {
 		t.Errorf("cap ignored: %d candidates", len(capped))
 	}
@@ -188,7 +273,7 @@ func TestCandidateCapTable(t *testing.T) {
 		{At: at(0)}, {At: at(10)}, {At: at(20)}, {At: at(500)}, {At: at(5000)},
 	}
 	pulls := []time.Time{at(-7), at(-3)}
-	all := candidateWindows(TunerConfig{Workers: 2}, pushes, pulls)
+	all := new(Tuner).candidates(TunerConfig{Workers: 2}, pushes, pulls)
 	n := len(all)
 	if n != 10 {
 		t.Fatalf("fixture yields %d distinct candidates, want 10", n)
@@ -203,7 +288,7 @@ func TestCandidateCapTable(t *testing.T) {
 		{n, all},
 		{n + 1, all},
 	} {
-		got := candidateWindows(TunerConfig{Workers: 2, MaxCandidates: c.max}, pushes, pulls)
+		got := new(Tuner).candidates(TunerConfig{Workers: 2, MaxCandidates: c.max}, pushes, pulls)
 		if !slices.Equal(got, c.want) {
 			t.Errorf("MaxCandidates %d: got %v, want %v", c.max, got, c.want)
 		}

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"fmt"
 	"time"
 
+	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/wire"
 )
@@ -43,6 +45,13 @@ func (s *FaultSender) Send(to node.ID, m wire.Message) error {
 		copies = 2
 	}
 	if act.Delay > 0 {
+		// The caller may reuse m once Send returns (node.Context.Send), so
+		// the timer writes a decoded copy.
+		detached, err := msg.Registry().Unmarshal(wire.Marshal(m))
+		if err != nil {
+			return fmt.Errorf("faults: delay %s: %w", to, err)
+		}
+		m = detached
 		for c := 0; c < copies; c++ {
 			time.AfterFunc(act.Delay, func() { _ = s.inner.Send(to, m) })
 		}

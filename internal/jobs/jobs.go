@@ -79,13 +79,6 @@ type Quota struct {
 	ByteBudget int64
 }
 
-// TransferRecorder is the byte-accounting sink (metrics.Transfer or a codec
-// tap around one); declared locally so this package needs no simulator
-// dependency.
-type TransferRecorder interface {
-	RecordTransfer(from, to node.ID, kind wire.Kind, bytes int, at time.Time)
-}
-
 // Acct is one job's live resource accounting. The Transfer accumulates every
 // message the job's nodes send (recorded under the inner message kind but
 // with envelope bytes, so per-job totals sum exactly to the fleet total);
@@ -95,26 +88,20 @@ type Acct struct {
 	// Transfer is the per-kind byte accounting for this job.
 	Transfer *metrics.Transfer
 
-	rec       TransferRecorder
 	inflight  atomic.Int64
 	throttled atomic.Int64
 }
 
 // NewAcct builds accounting around a fresh per-job Transfer.
 func NewAcct() *Acct {
-	t := metrics.NewTransfer(msg.IsControl)
-	return &Acct{Transfer: t, rec: t}
+	return &Acct{Transfer: metrics.NewTransfer(msg.IsControl)}
 }
 
-// SetRecorder replaces the recording sink, e.g. with a codec tap wrapped
-// around Transfer so the job also gets per-codec bytes-on-wire series.
-func (a *Acct) SetRecorder(r TransferRecorder) { a.rec = r }
-
 func (a *Acct) record(from, to node.ID, kind wire.Kind, bytes int, at time.Time) {
-	if a == nil || a.rec == nil {
+	if a == nil || a.Transfer == nil {
 		return
 	}
-	a.rec.RecordTransfer(from, to, kind, bytes, at)
+	a.Transfer.RecordTransfer(from, to, kind, bytes, at)
 }
 
 // Bytes returns the job's total bytes on wire so far.

@@ -197,10 +197,11 @@ func Mean(values []float64) float64 {
 
 // Transfer accumulates wire bytes by message kind. It implements
 // des.TransferRecorder and is safe for concurrent use (the live TCP
-// transport records from multiple goroutines).
+// transport records from multiple goroutines). It is the run's one byte
+// ledger: codec.Stats reads its per-{kind, codec} series from it.
 type Transfer struct {
 	mu      sync.Mutex
-	byKind  map[wire.Kind]*kindStats
+	cells   []kindStats // indexed by kind; a cell with msgs == 0 is unseen
 	total   int64
 	classOf func(wire.Kind) bool // true = control
 }
@@ -212,34 +213,40 @@ type kindStats struct {
 	// simulator, wall time live.
 	first time.Time
 	last  time.Time
-	seen  bool
 }
 
 // NewTransfer builds a Transfer; isControl classifies kinds into control vs
 // data traffic (use msg.IsControl).
 func NewTransfer(isControl func(wire.Kind) bool) *Transfer {
-	return &Transfer{byKind: make(map[wire.Kind]*kindStats), classOf: isControl}
+	return &Transfer{classOf: isControl}
 }
 
 // RecordTransfer implements des.TransferRecorder.
 func (t *Transfer) RecordTransfer(from, to node.ID, kind wire.Kind, bytes int, at time.Time) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	ks, ok := t.byKind[kind]
-	if !ok {
-		ks = &kindStats{}
-		t.byKind[kind] = ks
+	if int(kind) >= len(t.cells) {
+		t.cells = append(t.cells, make([]kindStats, int(kind)+1-len(t.cells))...)
+	}
+	ks := &t.cells[kind]
+	if ks.msgs == 0 || at.Before(ks.first) {
+		ks.first = at
+	}
+	if ks.msgs == 0 || at.After(ks.last) {
+		ks.last = at
 	}
 	ks.bytes += int64(bytes)
 	ks.msgs++
-	if !ks.seen || at.Before(ks.first) {
-		ks.first = at
-	}
-	if !ks.seen || at.After(ks.last) {
-		ks.last = at
-	}
-	ks.seen = true
 	t.total += int64(bytes)
+	t.mu.Unlock()
+}
+
+// cell returns kind's stats, or nil when it has never been recorded. The
+// caller holds mu.
+func (t *Transfer) cell(kind wire.Kind) *kindStats {
+	if int(kind) >= len(t.cells) || t.cells[kind].msgs == 0 {
+		return nil
+	}
+	return &t.cells[kind]
 }
 
 // TotalBytes returns all bytes recorded so far.
@@ -253,11 +260,10 @@ func (t *Transfer) TotalBytes() int64 {
 func (t *Transfer) KindBytes(kind wire.Kind) (bytes, msgs int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ks, ok := t.byKind[kind]
-	if !ok {
-		return 0, 0
+	if ks := t.cell(kind); ks != nil {
+		return ks.bytes, ks.msgs
 	}
-	return ks.bytes, ks.msgs
+	return 0, 0
 }
 
 // KindWindow returns the first/last record timestamps for one kind; ok is
@@ -265,8 +271,8 @@ func (t *Transfer) KindBytes(kind wire.Kind) (bytes, msgs int64) {
 func (t *Transfer) KindWindow(kind wire.Kind) (first, last time.Time, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ks, found := t.byKind[kind]
-	if !found || !ks.seen {
+	ks := t.cell(kind)
+	if ks == nil {
 		return time.Time{}, time.Time{}, false
 	}
 	return ks.first, ks.last, true
@@ -278,11 +284,11 @@ func (t *Transfer) KindWindow(kind wire.Kind) (first, last time.Time, ok bool) {
 func (t *Transfer) KindThroughput(kind wire.Kind) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.byKind[kind].throughput()
+	return t.cell(kind).throughput()
 }
 
 func (ks *kindStats) throughput() float64 {
-	if ks == nil || !ks.seen {
+	if ks == nil {
 		return 0
 	}
 	window := ks.last.Sub(ks.first)
@@ -296,21 +302,17 @@ func (ks *kindStats) throughput() float64 {
 // the Prometheus text format, sorted by kind number for deterministic output.
 // name maps a wire kind to its registered label (use msg.Registry().Name).
 func (t *Transfer) WritePrometheus(w io.Writer, name func(wire.Kind) string) {
-	t.mu.Lock()
-	kinds := make([]wire.Kind, 0, len(t.byKind))
-	for k := range t.byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	type row struct {
 		label       string
 		bytes, msgs int64
 		bytesPerSec float64
 	}
-	rows := make([]row, 0, len(kinds))
-	for _, k := range kinds {
-		ks := t.byKind[k]
-		rows = append(rows, row{label: name(k), bytes: ks.bytes, msgs: ks.msgs, bytesPerSec: ks.throughput()})
+	t.mu.Lock()
+	var rows []row
+	for k := range t.cells {
+		if ks := &t.cells[k]; ks.msgs > 0 {
+			rows = append(rows, row{label: name(wire.Kind(k)), bytes: ks.bytes, msgs: ks.msgs, bytesPerSec: ks.throughput()})
+		}
 	}
 	t.mu.Unlock()
 
@@ -335,11 +337,11 @@ func (t *Transfer) WritePrometheus(w io.Writer, name func(wire.Kind) string) {
 func (t *Transfer) Split() (dataBytes, controlBytes int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for kind, ks := range t.byKind {
-		if t.classOf != nil && t.classOf(kind) {
-			controlBytes += ks.bytes
+	for k := range t.cells {
+		if t.classOf != nil && t.classOf(wire.Kind(k)) {
+			controlBytes += t.cells[k].bytes
 		} else {
-			dataBytes += ks.bytes
+			dataBytes += t.cells[k].bytes
 		}
 	}
 	return dataBytes, controlBytes
@@ -349,9 +351,11 @@ func (t *Transfer) Split() (dataBytes, controlBytes int64) {
 func (t *Transfer) Breakdown() map[wire.Kind]struct{ Bytes, Msgs int64 } {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[wire.Kind]struct{ Bytes, Msgs int64 }, len(t.byKind))
-	for k, ks := range t.byKind {
-		out[k] = struct{ Bytes, Msgs int64 }{Bytes: ks.bytes, Msgs: ks.msgs}
+	out := make(map[wire.Kind]struct{ Bytes, Msgs int64 })
+	for k, ks := range t.cells {
+		if ks.msgs > 0 {
+			out[wire.Kind(k)] = struct{ Bytes, Msgs int64 }{Bytes: ks.bytes, Msgs: ks.msgs}
+		}
 	}
 	return out
 }

@@ -301,3 +301,14 @@ func TestTransferWritePrometheus(t *testing.T) {
 		t.Error("two exposition writes differ")
 	}
 }
+
+// BenchmarkRecordTransfer is the per-message cost of the byte ledger: every
+// simulated or live send records once.
+func BenchmarkRecordTransfer(b *testing.B) {
+	tr := NewTransfer(func(k wire.Kind) bool { return k > 8 })
+	at := time.Unix(0, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.RecordTransfer("worker/0", "server/0", wire.Kind(i&15), 220, at)
+	}
+}

@@ -55,13 +55,13 @@ func densePusher(tb testing.TB, dim int) (push func()) {
 	}
 }
 
-// TestDensePushAllocatesOnlyTheAck: applying a dense push allocates one
-// object, the PushAck handed to Send.
-func TestDensePushAllocatesOnlyTheAck(t *testing.T) {
+// TestDensePushAllocatesNothing: applying a dense push allocates nothing in
+// the shard; even the PushAck handed to Send is the shard's held reply.
+func TestDensePushAllocatesNothing(t *testing.T) {
 	push := densePusher(t, 4096)
 	push()
-	if allocs := testing.AllocsPerRun(100, push); allocs > 1 {
-		t.Errorf("a dense push allocates %v objects in the shard, want at most 1 (the ack)", allocs)
+	if allocs := testing.AllocsPerRun(100, push); allocs != 0 {
+		t.Errorf("a dense push allocates %v objects in the shard, want 0", allocs)
 	}
 }
 

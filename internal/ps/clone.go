@@ -55,7 +55,7 @@ func (s *Server) cloneCheck(from node.ID, seq uint64, iter int64) bool {
 	}
 	if last, seen := s.lastPushIter[eff]; seen && iter <= last {
 		s.cloneDeduped.Add(1)
-		s.ctx.Send(from, &msg.PushAck{Seq: seq, Version: s.version.Load(), Staleness: 0})
+		s.ack(from, seq, s.version.Load(), 0)
 		return true
 	}
 	return false

@@ -73,7 +73,7 @@ func (s *Server) dedupPush(from node.ID, seq uint64, iter int64) bool {
 		return false
 	}
 	s.replDeduped.Add(1)
-	s.ctx.Send(from, &msg.PushAck{Seq: seq, Version: s.version.Load(), Staleness: 0})
+	s.ack(from, seq, s.version.Load(), 0)
 	return true
 }
 

@@ -118,6 +118,10 @@ type Server struct {
 	pullCache map[node.ID]*pullCacheEntry
 	// scratch receives decoded v2 push payloads.
 	scratch tensor.Vec
+	// Sender-held replies, refilled for every send: Send encodes before it
+	// returns (DESIGN "Message lifetime").
+	pullResp msg.PullResp
+	pushAck  msg.PushAck
 
 	// Migration state (see migrate.go). While frozen the shard drops data
 	// traffic; workers retry until the routing commit re-routes them.
@@ -192,11 +196,8 @@ func (s *Server) Receive(from node.ID, m wire.Message) {
 		case *msg.PullReq:
 			s.pulls.Add(1)
 			s.cfg.Obs.Pull()
-			s.ctx.Send(from, &msg.PullResp{
-				Seq:     req.Seq,
-				Version: s.version.Load(),
-				Values:  s.params, // Send marshals synchronously; no aliasing escapes
-			})
+			s.pullResp = msg.PullResp{Seq: req.Seq, Version: s.version.Load(), Values: s.params}
+			s.ctx.Send(from, &s.pullResp)
 		case *msg.PushReq:
 			s.apply(from, req)
 		case *msg.PullReqV2:
@@ -274,7 +275,13 @@ func (s *Server) acknowledge(from node.ID, seq uint64, pullVersion int64) {
 	if s.cfg.Staleness != nil {
 		s.cfg.Staleness.ObserveStaleness(from, staleness, s.ctx.Now())
 	}
-	s.ctx.Send(from, &msg.PushAck{Seq: seq, Version: version, Staleness: staleness})
+	s.ack(from, seq, version, staleness)
+}
+
+// ack sends one PushAck from the held reply.
+func (s *Server) ack(to node.ID, seq uint64, version, staleness int64) {
+	s.pushAck = msg.PushAck{Seq: seq, Version: version, Staleness: staleness}
+	s.ctx.Send(to, &s.pushAck)
 }
 
 // applyV2 decodes a codec-tagged push payload into a dense scratch block and

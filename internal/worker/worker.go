@@ -253,10 +253,10 @@ type Worker struct {
 	shard int
 
 	// Routing view: the parameter ranges this worker pulls/pushes and the
-	// server slot owning each. Legacy runs use the identity mapping over
+	// server owning each. Legacy runs use the identity mapping over
 	// cfg.Shards; elastic runs re-derive these on every RoutingUpdate.
 	shards       []ps.Range
-	shardSrv     []int
+	shardIDs     []node.ID
 	srvToShard   map[int]int
 	routingEpoch int64
 
@@ -300,6 +300,16 @@ type Worker struct {
 	// havePulled marks shards pulled at least once by this incarnation;
 	// until then delta pulls advertise Have = -1 (no base).
 	havePulled []bool
+
+	// Sender-held per-iteration messages, refilled for every send: Send encodes
+	// before it returns, so the worker may reuse them at once (DESIGN
+	// "Message lifetime").
+	pullReq   msg.PullReq
+	pullReqV2 msg.PullReqV2
+	pushReq   msg.PushReq
+	pushReqV2 msg.PushReqV2
+	notify    msg.Notify
+	notifyV2  msg.NotifyV2
 
 	// SSP state.
 	minClock int64
@@ -493,10 +503,11 @@ func New(cfg Config) (*Worker, error) {
 // owning each.
 func (wk *Worker) setShards(shards []ps.Range, shardSrv []int) {
 	wk.shards = shards
-	wk.shardSrv = shardSrv
+	wk.shardIDs = make([]node.ID, len(shardSrv))
 	wk.pushPart = make([]sparse.Vec, len(shards))
 	wk.srvToShard = make(map[int]int, len(shardSrv))
 	for i, s := range shardSrv {
+		wk.shardIDs[i] = node.ServerID(s)
 		wk.srvToShard[s] = i
 	}
 }
@@ -672,9 +683,11 @@ func (wk *Worker) startPull() {
 			if wk.havePulled[i] {
 				have = wk.pullVersions[i]
 			}
-			wk.ctx.Send(node.ServerID(wk.shardSrv[i]), &msg.PullReqV2{Seq: wk.pullSeq, Have: have})
+			wk.pullReqV2 = msg.PullReqV2{Seq: wk.pullSeq, Have: have}
+			wk.ctx.Send(wk.shardIDs[i], &wk.pullReqV2)
 		} else {
-			wk.ctx.Send(node.ServerID(wk.shardSrv[i]), &msg.PullReq{Seq: wk.pullSeq})
+			wk.pullReq = msg.PullReq{Seq: wk.pullSeq}
+			wk.ctx.Send(wk.shardIDs[i], &wk.pullReq)
 		}
 	}
 	if wk.pullBackoff != nil {
@@ -888,16 +901,18 @@ func (wk *Worker) sendPush() {
 		}
 		wk.acksPending++
 		if wk.pushCodec != nil {
-			wk.ctx.Send(node.ServerID(wk.shardSrv[si]), &msg.PushReqV2{
+			wk.pushReqV2 = msg.PushReqV2{
 				Seq:         wk.pushSeq,
 				Iter:        wk.iter,
 				PullVersion: wk.pullVersions[si],
 				Codec:       uint8(wk.pushCodec.ID()),
 				Payload:     wk.pushEnc[si].Bytes(),
-			})
+			}
+			wk.ctx.Send(wk.shardIDs[si], &wk.pushReqV2)
 			continue
 		}
-		req := &msg.PushReq{
+		req := &wk.pushReq
+		*req = msg.PushReq{
 			Seq:         wk.pushSeq,
 			Iter:        wk.iter,
 			PullVersion: wk.pullVersions[si],
@@ -911,7 +926,7 @@ func (wk *Worker) sendPush() {
 		} else {
 			req.Dense = wk.pushUpdate.Dense[r.Lo:r.Hi]
 		}
-		wk.ctx.Send(node.ServerID(wk.shardSrv[si]), req)
+		wk.ctx.Send(wk.shardIDs[si], req)
 	}
 	if wk.pushBackoff != nil {
 		seq := wk.pushSeq
@@ -998,10 +1013,12 @@ func (wk *Worker) finishPush() {
 // notify cadence (see Config.ReportSpans).
 func (wk *Worker) sendNotify() {
 	if wk.cfg.ReportSpans {
-		wk.ctx.Send(wk.schedID, &msg.NotifyV2{Iter: wk.iter, Span: wk.ctx.Now().Sub(wk.workStart)})
+		wk.notifyV2 = msg.NotifyV2{Iter: wk.iter, Span: wk.ctx.Now().Sub(wk.workStart)}
+		wk.ctx.Send(wk.schedID, &wk.notifyV2)
 		return
 	}
-	wk.ctx.Send(wk.schedID, &msg.Notify{Iter: wk.iter})
+	wk.notify = msg.Notify{Iter: wk.iter}
+	wk.ctx.Send(wk.schedID, &wk.notify)
 }
 
 // handleSchemeSwitch retargets this worker onto the scheduler's new
