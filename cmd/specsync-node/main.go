@@ -188,12 +188,11 @@ func run(args []string) error {
 		return core.NewScheduler(core.SchedulerConfig{
 			Workers:         cfg.Workers,
 			Scheme:          sc,
-			Switcher:        cfg.Switcher,
 			InitialSpan:     wl.IterTime,
 			LivenessTimeout: cfg.LivenessTimeout,
 			Generation:      gen,
 			BeaconEvery:     cfg.BeaconEvery,
-			TrackSpans:      !cfg.Stragglers.Empty(),
+			ReportSpans:     cfg.ReportSpans(),
 			Obs:             o.Scheduler(),
 		})
 	}
@@ -254,9 +253,8 @@ func run(args []string) error {
 			SchedulerTimeout: cfg.SchedulerTimeout,
 			Codec:            cfg.Codec,
 			CodecStats:       codecStats,
-			// Every process must agree, or the scheduler would starve.
-			ReportSpans: sc.DynamicBase() || cfg.Switcher != nil || !cfg.Stragglers.Empty(),
-			Obs:         o.Worker(i),
+			ReportSpans:      cfg.ReportSpans(),
+			Obs:              o.Worker(i),
 		})
 		if err != nil {
 			return err

@@ -34,7 +34,7 @@ func TestParseSchemes(t *testing.T) {
 			{"base": "ASP", "naive_wait": 1000000000},
 			{"base": "ASP", "spec": "Cherrypick", "abort_time": 500000000, "abort_rate": 0.25},
 			{"base": "SSP", "staleness": 2, "spec": "Adaptive"},
-			{"variant": "PSP", "psp_beta": 0.75}
+			{"base": "BSP", "quorum": 0.75}
 		],
 		"lrs": [0.05, 0.1]}`))
 	if err != nil {
@@ -46,7 +46,7 @@ func TestParseSchemes(t *testing.T) {
 		{Base: scheme.ASP, NaiveWait: time.Second},
 		{Base: scheme.ASP, Spec: scheme.SpecFixed, AbortTime: 500 * time.Millisecond, AbortRate: 0.25},
 		{Base: scheme.SSP, Staleness: 2, Spec: scheme.SpecAdaptive},
-		{Variant: scheme.VariantPSP, PSPBeta: 0.75},
+		{Base: scheme.BSP, Quorum: 0.75},
 	}
 	if len(cells) != 2*len(want) {
 		t.Fatalf("got %d runs, want %d", len(cells), 2*len(want))

@@ -135,7 +135,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("iterations=%d aborts=%d resyncs=%d epochs=%d\n",
 		res.TotalIters, res.Aborts, res.ReSyncs, res.Epochs)
-	if cfg.Switcher != nil || sc.Variant != scheme.VariantNone {
+	if sc.Policy != scheme.PolicyNone {
 		fmt.Printf("scheme: %d live switches, finished under %s\n", res.SchemeSwitches, res.FinalScheme)
 	}
 	if res.Faults != nil {

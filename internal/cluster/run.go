@@ -25,7 +25,6 @@ import (
 	"specsync/internal/replica"
 	"specsync/internal/scheme"
 	"specsync/internal/stragglers"
-	"specsync/internal/switcher"
 	"specsync/internal/tensor"
 	"specsync/internal/trace"
 	"specsync/internal/worker"
@@ -148,18 +147,11 @@ type Config struct {
 	// any fault plan to be crash-only (a dropped replication message would
 	// silently stall a backup; see DESIGN.md, Replication).
 	Replication Replication `json:"replication"`
-	// Switcher, if non-nil, enables the meta-scheme: the scheduler consumes
-	// straggler telemetry at every epoch boundary and live-switches the
-	// whole fleet between BSP (homogeneous) and SSP (sustained straggler),
-	// with hysteresis. Requires a plain centralized scheme without
-	// speculation (Base set, Variant none, Decentralized false, SpecOff).
-	// A spec enables it with the policy defaults: "meta_scheme": {}.
-	Switcher *switcher.Config `json:"meta_scheme,omitempty"`
 	// Slowdowns scripts transient per-worker compute slowdowns: entry i
 	// applies to worker i, zero-Factor entries are ignored. A scripted
 	// window draws no randomness, so an empty list leaves runs
-	// byte-identical; the scheme-switching tests use one to stage a
-	// sustained straggler that later recovers.
+	// byte-identical; the gate-policy tests use one to stage a sustained
+	// straggler that later recovers.
 	Slowdowns []worker.Slowdown `json:"-"`
 	// Stragglers, if non-nil and non-empty, injects the straggler-scenario
 	// plan (internal/stragglers): pause/degrade/rack episodes compile into
@@ -237,6 +229,13 @@ func (c Config) servers() int {
 		return c.Servers
 	}
 	return min(c.Workers, 8)
+}
+
+// ReportSpans reports whether the run's workers send NotifyV2 work spans:
+// a gate policy or a straggler plan reads them, and every process of a live
+// cluster must agree or the scheduler would starve.
+func (c Config) ReportSpans() bool {
+	return c.Scheme.Policy != scheme.PolicyNone || !c.Stragglers.Empty()
 }
 
 // WithDefaults returns c with the zero fields Run derives from the rest of
@@ -398,8 +397,8 @@ type Result struct {
 	// was enabled.
 	Replication *ReplicationStats
 	// SchemeSwitches counts the SchemeSwitch retargets the scheduler issued
-	// (scheme variants and the meta-scheme; always 0 on static runs), and
-	// FinalScheme names the discipline the fleet ended the run under.
+	// (always 0 without a gate policy), and FinalScheme names the gate the
+	// fleet ended the run under.
 	SchemeSwitches int64
 	FinalScheme    string
 	// ParamsDigest is the hex SHA-256 over the final assembled parameter
@@ -490,11 +489,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: straggler plan targets worker %d but the cluster has %d", mw, c.Workers)
 		}
 	}
-	if c.Switcher != nil {
-		if err := c.Switcher.Validate(); err != nil {
-			return err
-		}
-	}
 
 	faulty := c.Faults != nil || c.Churn != nil
 	mitigating := c.Mitigation != stragglers.MitigateNone
@@ -520,18 +514,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: mitigation %q without a straggler plan", c.Mitigation)
 	case mitigating && sc.Decentralized:
 		return fmt.Errorf("cluster: straggler mitigation requires the centralized scheduler (Decentralized unsupported)")
-	case mitigating && c.Switcher != nil:
-		return fmt.Errorf("cluster: straggler mitigation cannot be combined with the meta-scheme (both act on the same detector)")
+	case mitigating && sc.Policy == scheme.PolicyMeta:
+		return fmt.Errorf("cluster: straggler mitigation cannot be combined with the meta-scheme policy (both act on the same detector)")
 	case mitigating && c.Replication.Enabled():
 		return fmt.Errorf("cluster: straggler mitigation cannot be combined with Replication (clone dedup and the replicated-path dedup would fight over push watermarks)")
-	case c.Switcher != nil && sc.Variant != scheme.VariantNone:
-		return fmt.Errorf("cluster: the meta-scheme cannot be combined with scheme variant %s (both rewrite the discipline mid-run)", sc.Variant)
-	case c.Switcher != nil && sc.Decentralized:
-		return fmt.Errorf("cluster: the meta-scheme requires the centralized scheduler (Decentralized unsupported)")
-	case c.Switcher != nil && sc.Spec != scheme.SpecOff:
-		return fmt.Errorf("cluster: the meta-scheme cannot be combined with speculation (a switch into BSP would leave speculation windows with nothing to abort)")
-	case c.Switcher != nil && sc.NaiveWait != 0:
-		return fmt.Errorf("cluster: the meta-scheme is incompatible with NaiveWait")
 	}
 
 	dim, servers := mdl.Dim(), c.servers()
@@ -734,7 +720,7 @@ func Run(cfg Config) (*Result, error) {
 			Faults:           faultM,
 			Codec:            cfg.Codec,
 			CodecStats:       codecStats,
-			ReportSpans:      cfg.Scheme.DynamicBase() || cfg.Switcher != nil || cfg.Stragglers != nil,
+			ReportSpans:      cfg.ReportSpans(),
 		}
 		if i < len(cfg.Slowdowns) && cfg.Slowdowns[i].Factor >= 1 {
 			sd := cfg.Slowdowns[i]
@@ -918,8 +904,7 @@ func Run(cfg Config) (*Result, error) {
 			RateMargin:        cfg.RateMargin,
 			CheckAtExpiryOnly: cfg.CheckAtExpiryOnly,
 			LivenessTimeout:   cfg.LivenessTimeout,
-			Switcher:          cfg.Switcher,
-			TrackSpans:        cfg.Stragglers != nil,
+			ReportSpans:       cfg.ReportSpans(),
 			Mitigate:          mitCfg,
 			Generation:        gen,
 			BeaconEvery:       cfg.BeaconEvery,
@@ -1187,7 +1172,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Epochs = maxEpochs
 	}
 	res.SchemeSwitches = sched.SchemeSwitches()
-	res.FinalScheme = sched.Runtime().String()
+	res.FinalScheme = sched.Gate().String()
 	res.FinalLoss = res.Loss.Last().V
 	if t, ok := res.Loss.TimeToConverge(cfg.Workload.TargetLoss, cfg.ConsecutiveBelow); ok {
 		res.ConvergeTime = t

@@ -14,7 +14,6 @@ import (
 	"specsync/internal/model"
 	"specsync/internal/scheme"
 	"specsync/internal/stragglers"
-	"specsync/internal/switcher"
 	"specsync/internal/tensor"
 )
 
@@ -85,7 +84,7 @@ func TestSpecRejectsUnknownKeys(t *testing.T) {
 		{`"base": "ASP"`, `"base": "ASP", "stalenes": 3`},
 		{`"seed": 1`, `"seed": 1, "replication": {"replica": 1}`},
 		{`"seed": 1`, `"seed": 1, "faults": {"events": [{"kind": "crash-worker", "at": 1, "restart-after": 1}]}`},
-		{`"seed": 1`, `"seed": 1, "meta_scheme": {"staleness": 3}`},
+		{`"base": "ASP"`, `"base": "BSP", "quorom": 0.75`},
 	} {
 		doc := strings.Replace(good, typo.from, typo.to, 1)
 		if _, err := DecodeSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
@@ -187,19 +186,15 @@ func TestConfigValidateExclusions(t *testing.T) {
 			c.Stragglers, c.Mitigation, c.Scheme = slow, stragglers.MitigateClone, broadcast
 		}, "centralized scheduler"},
 		{"mitigation x meta-scheme", func(c *Config) {
-			c.Stragglers, c.Mitigation, c.Scheme, c.Switcher = slow, stragglers.MitigateRebalance, scheme.Config{Base: scheme.BSP}, &switcher.Config{}
+			c.Stragglers, c.Mitigation, c.Scheme = slow, stragglers.MitigateRebalance, scheme.Config{Base: scheme.BSP, Policy: scheme.PolicyMeta}
 		}, "mitigation cannot be combined with the meta-scheme"},
 		{"mitigation x replication", func(c *Config) {
 			c.Stragglers, c.Mitigation, c.Replication.StandbySchedulers = slow, stragglers.MitigateClone, 1
 		}, "mitigation cannot be combined with Replication"},
-		{"meta-scheme x variant", func(c *Config) {
-			c.Switcher, c.Scheme = &switcher.Config{}, scheme.Config{Variant: scheme.VariantABS}
-		}, "meta-scheme cannot be combined with scheme variant"},
-		{"meta-scheme x decentralized", func(c *Config) { c.Switcher, c.Scheme = &switcher.Config{}, broadcast }, "meta-scheme requires the centralized scheduler"},
-		{"meta-scheme x speculation", func(c *Config) { c.Switcher, c.Scheme = &switcher.Config{}, cherry }, "meta-scheme cannot be combined with speculation"},
-		{"meta-scheme x naive wait", func(c *Config) {
-			c.Switcher, c.Scheme = &switcher.Config{}, scheme.Config{Base: scheme.ASP, NaiveWait: time.Second}
-		}, "NaiveWait"},
+		{"policy x decentralized", func(c *Config) {
+			c.Scheme = scheme.Config{Base: scheme.SSP, Staleness: 2, Spec: scheme.SpecFixed, AbortTime: time.Second,
+				AbortRate: 0.2, Decentralized: true, Policy: scheme.PolicyMeta}
+		}, "policy meta requires the centralized scheduler"},
 		{"standby schedulers x decentralized", func(c *Config) {
 			c.Replication.StandbySchedulers, c.Scheme = 1, broadcast
 		}, "standby schedulers cannot be combined with decentralized"},

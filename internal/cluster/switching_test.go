@@ -10,7 +10,6 @@ import (
 
 	"specsync/internal/obs"
 	"specsync/internal/scheme"
-	"specsync/internal/switcher"
 	"specsync/internal/trace"
 	"specsync/internal/worker"
 )
@@ -20,6 +19,10 @@ import (
 // t=30s to t=100s, then recovers. The policy must switch BSP→SSP once the
 // slowdown sustains, and back exactly once after recovery.
 func metaSchemeRun(t *testing.T, seed int64) (*obs.Obs, *Result) {
+	return metaSchemeRunSpec(t, seed, scheme.SpecOff)
+}
+
+func metaSchemeRunSpec(t *testing.T, seed int64, spec scheme.Spec) (*obs.Obs, *Result) {
 	t.Helper()
 	wl, err := NewTiny(4, seed)
 	if err != nil {
@@ -29,8 +32,7 @@ func metaSchemeRun(t *testing.T, seed int64) (*obs.Obs, *Result) {
 	o := obs.New(obs.Options{})
 	res, err := Run(Config{
 		Workload:       wl,
-		Scheme:         scheme.Config{Base: scheme.BSP},
-		Switcher:       &switcher.Config{},
+		Scheme:         scheme.Config{Base: scheme.BSP, Policy: scheme.PolicyMeta, Spec: spec},
 		Workers:        4,
 		Seed:           seed,
 		Obs:            o,
@@ -133,6 +135,32 @@ func TestMetaSchemeReproducible(t *testing.T) {
 	}
 }
 
+// TestMetaSchemeSpeculatesOnlyWhenLoose: the meta policy composes with
+// adaptive speculation. While the gate's bound is 0 no speculation window
+// opens, so no ReSync goes out; once the policy loosens the gate, the
+// scheduler speculates again.
+func TestMetaSchemeSpeculatesOnlyWhenLoose(t *testing.T) {
+	_, res := metaSchemeRunSpec(t, 7, scheme.SpecAdaptive)
+	if res.SchemeSwitches == 0 {
+		t.Fatal("the meta policy never loosened the gate")
+	}
+	bound0, loose := true, 0
+	for _, ev := range res.Trace.Events() {
+		switch ev.Kind {
+		case trace.KindSchemeSwitch:
+			bound0 = scheme.Base(ev.Value) == scheme.BSP
+		case trace.KindReSync:
+			if bound0 {
+				t.Fatalf("re-sync for worker %d at %v while the bound is 0", ev.Worker, ev.At)
+			}
+			loose++
+		}
+	}
+	if loose == 0 {
+		t.Error("no re-sync while the gate was loose: speculation never resumed")
+	}
+}
+
 // TestMetaSchemeHoldsUnderPersistentStraggler pins the anti-flap dead band:
 // once degraded to SSP, a persistently slow worker no longer contends with
 // the healthy majority at the servers and its slowdown score settles just
@@ -146,8 +174,7 @@ func TestMetaSchemeHoldsUnderPersistentStraggler(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Workload:   wl,
-		Scheme:     scheme.Config{Base: scheme.BSP},
-		Switcher:   &switcher.Config{},
+		Scheme:     scheme.Config{Base: scheme.BSP, Policy: scheme.PolicyMeta},
 		Workers:    6,
 		Seed:       1,
 		Speeds:     []float64{1, 1, 1, 1, 1, 0.55},
@@ -164,8 +191,9 @@ func TestMetaSchemeHoldsUnderPersistentStraggler(t *testing.T) {
 	}
 }
 
-// TestVariantRuns smoke-tests each scheme-zoo variant end to end under the
-// DES and checks the discipline it ends the run under.
+// TestVariantRuns smoke-tests each scheme-zoo variant — a gate policy or a
+// quorum — end to end under the DES and checks the gate it ends the run
+// under.
 func TestVariantRuns(t *testing.T) {
 	hetero := []float64{1, 1, 1, 0.55}
 	cases := []struct {
@@ -176,14 +204,14 @@ func TestVariantRuns(t *testing.T) {
 		minSwitches int64
 	}{
 		// Sync-Switch must hand over to ASP exactly once at the scheduled epoch.
-		{"sync-switch", scheme.Config{Variant: scheme.VariantSyncSwitch, SwitchAt: 5}, nil, "ASP", 1},
+		{"sync-switch", scheme.Config{Base: scheme.BSP, Policy: scheme.PolicySyncSwitch, SwitchAt: 5}, nil, "ASP", 1},
 		// A homogeneous ABS fleet stays at the minimum bound (no switches
 		// guaranteed; the bound may never move).
-		{"abs-homogeneous", scheme.Config{Variant: scheme.VariantABS}, nil, "SSP(s=1)", 0},
+		{"abs-homogeneous", scheme.Config{Base: scheme.SSP, Staleness: 1, Policy: scheme.PolicyABS}, nil, "SSP(s=1)", 0},
 		// A 0.55x straggler should loosen the ABS bound above the minimum.
-		{"abs-hetero", scheme.Config{Variant: scheme.VariantABS}, hetero, "", 1},
-		// PSP is static: β rides in the runtime, no switches ever.
-		{"psp", scheme.Config{Variant: scheme.VariantPSP, PSPBeta: 0.75}, hetero, "PSP(β=0.75)", 0},
+		{"abs-hetero", scheme.Config{Base: scheme.SSP, Staleness: 1, Policy: scheme.PolicyABS}, hetero, "", 1},
+		// PSP is a static gate: β is its quorum, no switches ever.
+		{"psp", scheme.Config{Base: scheme.BSP, Quorum: 0.75}, hetero, "PSP(β=0.75)", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,7 +252,9 @@ func TestVariantRuns(t *testing.T) {
 }
 
 // TestMetaSchemeConfigRejections mirrors the CLI fail-fast checks at the
-// cluster layer: impossible compositions are rejected before any node boots.
+// cluster layer: impossible compositions are rejected before any node boots,
+// and the compositions a single gate makes possible — a policy over a quorum
+// or under speculation — are accepted.
 func TestMetaSchemeConfigRejections(t *testing.T) {
 	wl, err := NewTiny(4, 7)
 	if err != nil {
@@ -232,38 +262,33 @@ func TestMetaSchemeConfigRejections(t *testing.T) {
 	}
 	base := Config{Workload: wl, Workers: 4, Seed: 7, MaxVirtual: time.Minute}
 	cases := []struct {
-		name string
-		mut  func(*Config)
+		name   string
+		sc     scheme.Config
+		slow   []worker.Slowdown
+		reject bool
 	}{
-		{"meta+variant", func(c *Config) {
-			c.Scheme = scheme.Config{Variant: scheme.VariantPSP, PSPBeta: 0.5}
-			c.Switcher = &switcher.Config{}
-		}},
-		{"meta+decentralized", func(c *Config) {
-			c.Scheme = scheme.Config{Base: scheme.ASP, Spec: scheme.SpecFixed,
-				AbortTime: 100 * time.Millisecond, AbortRate: 0.22, Decentralized: true}
-			c.Switcher = &switcher.Config{}
-			c.Workers = 4
-		}},
-		{"meta+spec", func(c *Config) {
-			c.Scheme = scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}
-			c.Switcher = &switcher.Config{}
-		}},
-		{"bad-slowdown", func(c *Config) {
-			c.Scheme = scheme.Config{Base: scheme.BSP}
-			c.Slowdowns = []worker.Slowdown{{Factor: 0.5, From: 0, Until: time.Second}}
-		}},
-		{"psp+spec", func(c *Config) {
-			c.Scheme = scheme.Config{Variant: scheme.VariantPSP, PSPBeta: 0.5, Spec: scheme.SpecAdaptive}
-		}},
-		{"sync-switch+spec", func(c *Config) {
-			c.Scheme = scheme.Config{Variant: scheme.VariantSyncSwitch, SwitchAt: 3, Spec: scheme.SpecAdaptive}
-		}},
+		// Meta over the PSP gate: the policy moves the bound, the quorum stays.
+		{"meta+variant", scheme.Config{Base: scheme.BSP, Quorum: 0.5, Policy: scheme.PolicyMeta}, nil, false},
+		{"meta+decentralized", scheme.Config{Base: scheme.SSP, Staleness: 2, Spec: scheme.SpecFixed,
+			AbortTime: 100 * time.Millisecond, AbortRate: 0.22, Decentralized: true, Policy: scheme.PolicyMeta}, nil, true},
+		// Speculation idles while the meta policy holds the bound at 0.
+		{"meta+spec", scheme.Config{Base: scheme.BSP, Spec: scheme.SpecAdaptive, Policy: scheme.PolicyMeta}, nil, false},
+		{"bad-slowdown", scheme.Config{Base: scheme.BSP}, []worker.Slowdown{{Factor: 0.5, From: 0, Until: time.Second}}, true},
+		// A static bound of 0 never arms a speculation window.
+		{"psp+spec", scheme.Config{Base: scheme.BSP, Quorum: 0.5, Spec: scheme.SpecAdaptive}, nil, true},
+		// Speculation starts once the handover releases the gate.
+		{"sync-switch+spec", scheme.Config{Base: scheme.BSP, Policy: scheme.PolicySyncSwitch, SwitchAt: 3, Spec: scheme.SpecAdaptive}, nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
-			tc.mut(&cfg)
+			cfg.Scheme, cfg.Slowdowns = tc.sc, tc.slow
+			if !tc.reject {
+				if err := cfg.Validate(); err != nil {
+					t.Errorf("Validate rejected a composition the gate supports: %v", err)
+				}
+				return
+			}
 			if _, err := Run(cfg); err == nil {
 				t.Errorf("Run accepted an impossible composition")
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -10,16 +11,15 @@ import (
 )
 
 // Scheduler checkpoint support, mirroring ps.Server's: the coordinator's
-// speculation, epoch, membership, and BSP/SSP clock state serializes through
-// the wire codec so a restarted incarnation resumes warm instead of
-// rebuilding everything from worker StateReports. The BSP barrier count and
-// the open speculation windows are deliberately NOT checkpointed — both are
-// in-flight state that the post-restart SchedulerHello handshake rebuilds
-// from live traffic.
+// speculation, epoch, membership and gate state serializes through the wire
+// codec so a restarted incarnation resumes warm instead of rebuilding
+// everything from worker StateReports. The open speculation windows are
+// deliberately NOT checkpointed — they are in-flight state that the
+// post-restart SchedulerHello handshake rebuilds from live traffic.
 
 const (
 	schedCheckpointMagic   uint32 = 0x53505348 // "SPSH"
-	schedCheckpointVersion uint8  = 2
+	schedCheckpointVersion uint8  = 3
 )
 
 // SchedulerSnapshot is a point-in-time copy of the scheduler's durable state.
@@ -38,31 +38,26 @@ type SchedulerSnapshot struct {
 	History     []PushRecord
 	Tunes       int64
 
-	// Epoch / membership progress.
+	// Epoch / membership progress; NotifyCount holds the gate's clocks.
 	NotifyCount []int64
 	Pushed      []bool
 	Alive       []bool
 
-	// BSP / SSP clocks.
-	Round     int64
-	Completed []int64
-	MinClock  int64
-
-	// Active discipline (scheme zoo). A restarted incarnation must resume
-	// under the scheme the fleet is already running, not the configured
-	// initial one, or a mid-run switch would silently revert.
-	SchemeBase      int
-	SchemeStaleness int
-	SchemeBeta      float64
-	SchemeEpoch     int64
-	LastSwitchWhy   string
-	LastSwitchAt    time.Time
+	// The gate. A restarted incarnation must resume under the gate the fleet
+	// is already running, not the configured initial one, or a mid-run
+	// switch would silently revert.
+	Released      int64
+	GateBound     int
+	GateQuorum    float64
+	SchemeEpoch   int64
+	LastSwitchWhy string
+	LastSwitchAt  time.Time
 }
 
 // Snapshot captures the scheduler's current state. Call it only from the
 // scheduler's own execution context (or after the runtime has stopped).
 func (s *Scheduler) Snapshot() SchedulerSnapshot {
-	snap := SchedulerSnapshot{
+	return SchedulerSnapshot{
 		Generation:      s.cfg.Generation,
 		Epoch:           s.epoch.Load(),
 		MembershipEpoch: s.membershipEpoch.Load(),
@@ -77,24 +72,21 @@ func (s *Scheduler) Snapshot() SchedulerSnapshot {
 		NotifyCount:     append([]int64(nil), s.notifyCount...),
 		Pushed:          append([]bool(nil), s.pushed...),
 		Alive:           append([]bool(nil), s.alive...),
-		Round:           s.round,
-		Completed:       append([]int64(nil), s.completed...),
-		MinClock:        s.minClock,
-		SchemeBase:      int(s.cur.Base),
-		SchemeStaleness: s.cur.Staleness,
-		SchemeBeta:      s.cur.Beta,
+		Released:        s.released,
+		GateBound:       s.cur.Bound,
+		GateQuorum:      s.cur.Quorum,
 		SchemeEpoch:     s.schemeEpoch,
 		LastSwitchWhy:   s.lastSwitchWhy,
 		LastSwitchAt:    s.lastSwitchAt,
 	}
-	return snap
 }
 
 // Restore overwrites the scheduler's state from a snapshot. It must run
-// before Init. The worker count must match; counters derived from the
-// restored slices (pushedN, aliveN) are recomputed, and in-flight state
-// (speculation windows, the barrier count) starts empty — the restart
-// handshake rebuilds it.
+// before Init. The worker count must match and every worker index and gate
+// parameter must be in range — a snapshot is read from disk or the network,
+// so a corrupt one is refused, never trusted. Counters derived from the
+// restored slices (pushedN, aliveN, histCount) are recomputed, and the
+// speculation windows start empty — the restart handshake rebuilds them.
 func (s *Scheduler) Restore(snap SchedulerSnapshot) error {
 	for name, n := range map[string]int{
 		"Rates":       len(snap.Rates),
@@ -103,11 +95,18 @@ func (s *Scheduler) Restore(snap SchedulerSnapshot) error {
 		"NotifyCount": len(snap.NotifyCount),
 		"Pushed":      len(snap.Pushed),
 		"Alive":       len(snap.Alive),
-		"Completed":   len(snap.Completed),
 	} {
 		if n != s.m {
 			return fmt.Errorf("core: snapshot %s has %d entries, scheduler has %d workers", name, n, s.m)
 		}
+	}
+	for _, rec := range snap.History {
+		if rec.Worker < 0 || rec.Worker >= s.m {
+			return fmt.Errorf("core: snapshot history names worker %d, scheduler has %d workers", rec.Worker, s.m)
+		}
+	}
+	if snap.GateBound < scheme.Unbounded || !(snap.GateQuorum > 0 && snap.GateQuorum <= 1) {
+		return fmt.Errorf("core: snapshot gate (bound %d, quorum %v) out of range", snap.GateBound, snap.GateQuorum)
 	}
 	s.epoch.Store(snap.Epoch)
 	s.membershipEpoch.Store(snap.MembershipEpoch)
@@ -126,20 +125,12 @@ func (s *Scheduler) Restore(snap SchedulerSnapshot) error {
 	copy(s.notifyCount, snap.NotifyCount)
 	copy(s.pushed, snap.Pushed)
 	copy(s.alive, snap.Alive)
-	s.round = snap.Round
-	copy(s.completed, snap.Completed)
-	s.minClock = snap.MinClock
-	if snap.SchemeBase != 0 {
-		s.cur = scheme.Runtime{
-			Base:      scheme.Base(snap.SchemeBase),
-			Staleness: snap.SchemeStaleness,
-			Beta:      snap.SchemeBeta,
-		}
-		s.schemeEpoch = snap.SchemeEpoch
-		s.lastSwitchWhy = snap.LastSwitchWhy
-		s.lastSwitchAt = snap.LastSwitchAt
-		s.switches.Store(snap.SchemeEpoch)
-	}
+	s.released = snap.Released
+	s.cur = scheme.Gate{Bound: snap.GateBound, Quorum: snap.GateQuorum}
+	s.schemeEpoch = snap.SchemeEpoch
+	s.lastSwitchWhy = snap.LastSwitchWhy
+	s.lastSwitchAt = snap.LastSwitchAt
+	s.switches.Store(snap.SchemeEpoch)
 
 	s.pushedN, s.aliveN = 0, 0
 	for i := 0; i < s.m; i++ {
@@ -149,9 +140,7 @@ func (s *Scheduler) Restore(snap SchedulerSnapshot) error {
 		if snap.Alive[i] {
 			s.aliveN++
 		}
-		s.waitingBSP[i] = false
 	}
-	s.barrierN = 0
 	s.restored = true
 	return nil
 }
@@ -181,6 +170,14 @@ func readTime(r *wire.Reader) time.Time {
 
 // WriteTo serializes the snapshot.
 func (snap SchedulerSnapshot) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(snap.encode())
+	if err != nil {
+		return int64(n), fmt.Errorf("core: writing scheduler checkpoint: %w", err)
+	}
+	return int64(n), nil
+}
+
+func (snap SchedulerSnapshot) encode() []byte {
 	buf := wire.NewWriter(64 + 32*len(snap.Rates) + 16*len(snap.History))
 	buf.Uint32(schedCheckpointMagic)
 	buf.Uint8(schedCheckpointVersion)
@@ -217,26 +214,20 @@ func (snap SchedulerSnapshot) WriteTo(w io.Writer) (int64, error) {
 	for _, b := range snap.Alive {
 		buf.Bool(b)
 	}
-	buf.Varint(snap.Round)
-	buf.Int(len(snap.Completed))
-	for _, c := range snap.Completed {
-		buf.Varint(c)
-	}
-	buf.Varint(snap.MinClock)
-	buf.Int(snap.SchemeBase)
-	buf.Int(snap.SchemeStaleness)
-	buf.Float64(snap.SchemeBeta)
+	buf.Varint(snap.Released)
+	buf.Int(snap.GateBound)
+	buf.Float64(snap.GateQuorum)
 	buf.Varint(snap.SchemeEpoch)
 	buf.String(snap.LastSwitchWhy)
 	writeTime(buf, snap.LastSwitchAt)
-	n, err := w.Write(buf.Bytes())
-	if err != nil {
-		return int64(n), fmt.Errorf("core: writing scheduler checkpoint: %w", err)
-	}
-	return int64(n), nil
+	return buf.Bytes()
 }
 
-// ReadSchedulerSnapshot deserializes a snapshot written by WriteTo.
+// ReadSchedulerSnapshot deserializes a snapshot written by WriteTo. Every
+// length prefix is bounded by the bytes left to read before anything is
+// allocated, and a file that decodes but is not exactly what WriteTo would
+// write for the decoded snapshot (an overlong varint, a boolean byte other
+// than 0 or 1) is refused as corrupt.
 func ReadSchedulerSnapshot(r io.Reader) (SchedulerSnapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -258,9 +249,11 @@ func ReadSchedulerSnapshot(r io.Reader) (SchedulerSnapshot, error) {
 	snap.AbortTime = rd.Duration()
 	snap.Rates = rd.Float64s()
 	corrupt := false
+	// readLen bounds a count by the bytes left: every element takes at
+	// least one.
 	readLen := func() int {
 		n := rd.Int()
-		if n < 0 || n > len(data) {
+		if n < 0 || n > rd.Remaining() {
 			corrupt = true
 			return 0
 		}
@@ -304,17 +297,9 @@ func ReadSchedulerSnapshot(r io.Reader) (SchedulerSnapshot, error) {
 			snap.Alive[i] = rd.Bool()
 		}
 	}
-	snap.Round = rd.Varint()
-	if n := readLen(); n > 0 {
-		snap.Completed = make([]int64, n)
-		for i := range snap.Completed {
-			snap.Completed[i] = rd.Varint()
-		}
-	}
-	snap.MinClock = rd.Varint()
-	snap.SchemeBase = rd.Int()
-	snap.SchemeStaleness = rd.Int()
-	snap.SchemeBeta = rd.Float64()
+	snap.Released = rd.Varint()
+	snap.GateBound = rd.Int()
+	snap.GateQuorum = rd.Float64()
 	snap.SchemeEpoch = rd.Varint()
 	snap.LastSwitchWhy = rd.String()
 	snap.LastSwitchAt = readTime(rd)
@@ -326,6 +311,9 @@ func ReadSchedulerSnapshot(r io.Reader) (SchedulerSnapshot, error) {
 	}
 	if rd.Remaining() != 0 {
 		return SchedulerSnapshot{}, fmt.Errorf("core: scheduler checkpoint has %d trailing bytes", rd.Remaining())
+	}
+	if !bytes.Equal(snap.encode(), data) {
+		return SchedulerSnapshot{}, fmt.Errorf("core: scheduler checkpoint is not in canonical form")
 	}
 	return snap, nil
 }

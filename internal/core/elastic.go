@@ -8,7 +8,6 @@ import (
 
 	"specsync/internal/msg"
 	"specsync/internal/node"
-	"specsync/internal/scheme"
 	"specsync/internal/trace"
 )
 
@@ -94,9 +93,6 @@ func (s *Scheduler) handleJoinReq(from node.ID) {
 	if s.cfg.LivenessTimeout > 0 {
 		s.lastSeen[i] = now
 	}
-	// Seed the joiner's clocks so it never drags the SSP min or the BSP
-	// barrier backwards: it starts at the cluster's current position.
-	s.completed[i] = s.minClock
 	epoch := s.membershipEpoch.Add(1)
 	s.scale.joins.Add(1)
 	s.cfg.Obs.Join(now, i, epoch)
@@ -110,22 +106,16 @@ func (s *Scheduler) handleJoinReq(from node.ID) {
 	s.viewAt = now
 }
 
+// sendJoinAck admits worker i at the released clock: it starts there and
+// adopts it as released, so it never drags the gate backwards.
 func (s *Scheduler) sendJoinAck(i int) {
-	var startIter int64
-	switch s.cur.Base {
-	case scheme.BSP:
-		startIter = s.round
-	case scheme.SSP:
-		startIter = s.minClock
-	}
 	lo, hi, srv := TableToWire(s.routing)
 	s.ctx.Send(node.WorkerID(i), &msg.JoinAck{
-		Epoch:     s.routing.Epoch,
-		Lo:        lo,
-		Hi:        hi,
-		Srv:       srv,
-		StartIter: startIter,
-		MinClock:  s.minClock,
+		Epoch: s.routing.Epoch,
+		Lo:    lo,
+		Hi:    hi,
+		Srv:   srv,
+		Clock: s.released,
 	})
 	// A joiner boots under the configured scheme; bring it up to the active
 	// discipline (it ignores scheme epochs it has already applied).
@@ -180,12 +170,6 @@ func (s *Scheduler) retireWorker(i int) {
 		s.cfg.Tracer.Record(trace.Event{At: now, Worker: i, Kind: trace.KindLeave, Value: epoch})
 	}
 	s.ctx.Logf("scheduler: worker %d retired (membership epoch %d, %d alive)", i, epoch, s.aliveN)
-	// Unlike a crash eviction the retired worker was healthy: if it is
-	// parked in the barrier its count must leave with it.
-	if s.waitingBSP[i] {
-		s.waitingBSP[i] = false
-		s.barrierN--
-	}
 	s.dropFromCoordination(i, now)
 	s.viewAt = now
 }

@@ -204,22 +204,36 @@ func TestSchedulerHeartbeatPreventsEviction(t *testing.T) {
 
 func TestSchedulerBSPBarrierSurvivesEviction(t *testing.T) {
 	// Under BSP a dead worker would stall the barrier forever; eviction must
-	// release the waiting workers.
+	// release the waiting workers. The parked workers send nothing after
+	// their notifies, so the sweep at 450ms evicts all three, worker 2's
+	// clock pinning the gate at 0 until it is the last member. When the two
+	// parked workers come back (a partition heals), re-admission must
+	// release them.
 	ws := []*scriptWorker{
 		{notifies: []time.Duration{100 * time.Millisecond}},
 		{notifies: []time.Duration{120 * time.Millisecond}},
 		{}, // never reaches the barrier
 	}
-	sim, _ := buildSim(t, SchedulerConfig{
+	sim, sched := buildSim(t, SchedulerConfig{
 		Workers:         3,
 		Scheme:          scheme.Config{Base: scheme.BSP},
 		InitialSpan:     time.Second,
 		LivenessTimeout: 300 * time.Millisecond,
 	}, ws)
 	sim.RunFor(2 * time.Second)
-	if len(ws[0].releases) == 0 || len(ws[1].releases) == 0 {
-		t.Errorf("barrier never released after eviction: releases = %v / %v",
-			ws[0].releases, ws[1].releases)
+	if alive := sched.Alive(); alive[0] || alive[1] || alive[2] {
+		t.Fatalf("membership = %v, want every worker evicted", alive)
+	}
+	for i := 0; i < 2; i++ {
+		if err := sim.Inject(node.WorkerID(i), node.Scheduler, &msg.Heartbeat{Iter: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.RunFor(100 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if got := ws[i].releases; len(got) == 0 || got[len(got)-1] != 1 {
+			t.Errorf("worker %d releases = %v, want clock 1 after re-admission", i, got)
+		}
 	}
 }
 
@@ -240,4 +254,32 @@ func buildMixedSim(t *testing.T, sched *Scheduler, workers []node.Handler) *des.
 	}
 	sim.Init()
 	return sim
+}
+
+// TestReadmissionResendsRelease: a worker evicted while the gate moved on
+// without it may have missed those releases (a partition drops them); on
+// re-admission it is sent the current one.
+func TestReadmissionResendsRelease(t *testing.T) {
+	ws := []*scriptWorker{
+		{notifies: mkDur(100, 200, 300, 400)},
+		{notifies: mkDur(120)}, // then silent until the heartbeat below
+	}
+	sim, sched := buildSim(t, SchedulerConfig{
+		Workers:         2,
+		Scheme:          scheme.Config{Base: scheme.SSP, Staleness: 5},
+		InitialSpan:     time.Second,
+		LivenessTimeout: 300 * time.Millisecond,
+	}, ws)
+	sim.RunFor(600 * time.Millisecond)
+	if alive := sched.Alive(); !alive[0] || alive[1] {
+		t.Fatalf("membership = %v, want worker 1 alone evicted", alive)
+	}
+	before := len(ws[1].releases)
+	if err := sim.Inject(node.WorkerID(1), node.Scheduler, &msg.Heartbeat{Iter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(100 * time.Millisecond)
+	if got := ws[1].releases; len(got) != before+1 || got[len(got)-1] != 4 {
+		t.Errorf("worker 1 releases = %v, want one more, of clock 4, after re-admission", got)
+	}
 }

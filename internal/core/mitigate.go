@@ -8,7 +8,6 @@ import (
 	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/obs"
-	"specsync/internal/scheme"
 	"specsync/internal/trace"
 )
 
@@ -22,8 +21,8 @@ import (
 //     acknowledge the loser without applying it (ps clone dedup), so the
 //     model trajectory is exactly what one worker would have produced. The
 //     clone's notifies reach the scheduler from its spare slot and are
-//     translated onto the target (handleCloneNotify) so the barrier, the SSP
-//     clock, and the epoch all see the target progressing.
+//     translated onto the target (handleCloneNotify) so the gate and the
+//     epoch both see the target progressing.
 //
 //   - rebalance: membership surgery. The straggler is retired through the
 //     elastic machinery (the planned-leave path) and a fresh worker is
@@ -277,11 +276,7 @@ func (s *Scheduler) startClone(target int, now time.Time) {
 	for _, srv := range s.cfg.Mitigate.Servers {
 		s.ctx.Send(srv, &msg.CloneNotice{Slot: int32(slot), Target: int32(target)})
 	}
-	s.ctx.Send(node.WorkerID(slot), &msg.CloneCtl{
-		StartIter: fromIter,
-		Round:     s.round,
-		MinClock:  s.minClock,
-	})
+	s.ctx.Send(node.WorkerID(slot), &msg.CloneCtl{StartIter: fromIter, Released: s.released})
 	s.mit.cloneOf[slot-s.cfg.Mitigate.Base] = target
 	s.mit.cloneFor[target] = slot
 	s.mit.clones++
@@ -358,24 +353,6 @@ func (s *Scheduler) handleCloneNotify(slot int, n *msg.Notify) {
 		}
 	}
 	s.countIntoWindows(target, now)
-
-	if s.cur.Base == scheme.BSP {
-		if n.Iter > s.round {
-			s.round = n.Iter
-		}
-		if n.Iter >= s.round && !s.waitingBSP[target] {
-			s.waitingBSP[target] = true
-			s.barrierN++
-			if s.barrierN >= s.barrierNeed() {
-				s.releaseBarrier()
-			}
-		}
-	}
-	if s.cur.Base == scheme.SSP {
-		if c := n.Iter + 1; c > s.completed[target] {
-			s.completed[target] = c
-		}
-		s.broadcastMinClock()
-	}
+	s.advanceGate()
 	s.viewAt = now
 }

@@ -12,7 +12,6 @@ import (
 	"specsync/internal/node"
 	"specsync/internal/obs"
 	"specsync/internal/scheme"
-	"specsync/internal/switcher"
 	"specsync/internal/trace"
 	"specsync/internal/wire"
 )
@@ -56,9 +55,9 @@ type SchedulerConfig struct {
 	// LivenessTimeout, when positive, enables failure detection: a worker
 	// whose last sign of life (notify or heartbeat) is older than this is
 	// evicted from membership — it stops counting toward epoch boundaries,
-	// speculation thresholds, the BSP barrier, and SSP min-clock, and the
-	// tuner ignores its history. Any later message re-admits it. Zero
-	// disables liveness tracking (every worker is a permanent member).
+	// speculation thresholds and the gate's released clock, and the tuner
+	// ignores its history. Any later message re-admits it. Zero disables
+	// liveness tracking (every worker is a permanent member).
 	LivenessTimeout time.Duration
 	// Faults, if non-nil, receives eviction/re-admission counts.
 	Faults *metrics.Faults
@@ -77,7 +76,7 @@ type SchedulerConfig struct {
 	// ActiveWorkers is how many of the Workers capacity slots start in
 	// membership (zero means all). Elastic runs size Workers to the scale
 	// plan's maximum and start the rest unjoined: those slots are not
-	// started, not counted by the tuner/barrier/epoch logic, and enter via
+	// started, not counted by the tuner/gate/epoch logic, and enter via
 	// JoinReq.
 	ActiveWorkers int
 	// Routing, when non-nil, enables elastic membership: the scheduler owns
@@ -87,26 +86,22 @@ type SchedulerConfig struct {
 	// OnRouting, if non-nil, is invoked with a copy of the table after each
 	// commit (the harness re-aims its probe assembly).
 	OnRouting func(*RoutingTable)
-	// Switcher, when non-nil, enables the meta-scheme: the policy is
-	// evaluated at every epoch boundary with the straggler telemetry from
-	// Obs and its decisions are executed as live scheme switches. Requires
-	// a plain (non-variant, non-speculative, centralized) scheme.
-	Switcher *switcher.Config
-	// TrackSpans feeds worker-reported NotifyV2 work spans to the straggler
-	// detector even on plain static schemes (straggler-profile runs force it
-	// on: notify intervals synchronize under a barrier, so only self-measured
-	// spans can tell a straggler from the fleet it stalls).
-	TrackSpans bool
+	// ReportSpans says the workers send NotifyV2 work spans (the harness
+	// passes cluster.Config.ReportSpans, the rule the workers also read); the
+	// scheduler then feeds the straggler detector and the gate policies those
+	// spans instead of notify intervals, which synchronize under a barrier
+	// and cannot tell a straggler from the fleet it stalls.
+	ReportSpans bool
 	// Mitigate, when non-nil, arms the periodic straggler-mitigation pass
-	// (see mitigate.go). Implies TrackSpans.
+	// (see mitigate.go). Implies ReportSpans.
 	Mitigate *MitigateConfig
 }
 
 // Scheduler is the central coordinator (paper Fig. 7): it observes notify
 // messages from workers, runs the speculation check for each worker
 // (Algorithm 2, scheduler side), retunes hyperparameters each epoch
-// (Algorithm 1), and implements the BSP barrier and SSP clock services for
-// the baseline schemes.
+// (Algorithm 1), and releases the clock gate (scheme.Gate) the baseline
+// schemes wait on.
 type Scheduler struct {
 	// mu is held across every entry point — Init, Receive and the timer
 	// callbacks, which the runtime already serializes — so that the one
@@ -140,22 +135,19 @@ type Scheduler struct {
 	epoch       atomic.Int64
 	epochStart  time.Time
 
-	// notifyCount[i] is the number of completed iterations worker i has
-	// reported via Notify (== last Notify.Iter + 1). A restarted scheduler
-	// compares it against StateReport.Iter to detect pushes it missed while
-	// down and rebuild the pushed-this-epoch bitmap.
+	// notifyCount[i] is worker i's clock: the number of completed
+	// iterations it has reported via Notify (== last Notify.Iter + 1). The
+	// gate releases on these clocks, and a restarted scheduler compares them
+	// against StateReport.Iter to detect pushes it missed while down.
 	notifyCount []int64
 
-	// BSP barrier state. waitingBSP marks workers already counted into the
-	// current barrier round (via Notify or a post-restart StateReport), so
-	// the rebuild never double-counts; it resets on every release.
-	barrierN   int
-	round      int64
-	waitingBSP []bool
-
-	// SSP clock state.
-	completed []int64
-	minClock  int64
+	// The gate (see gate.go): cur is the active gate, released the clock R
+	// it has released (never regressing), clocks gateClock's buffer and
+	// release the sender-held broadcast (Send encodes before it returns).
+	cur      scheme.Gate
+	released int64
+	clocks   []int64
+	release  msg.Release
 
 	// Membership / liveness state (LivenessTimeout > 0).
 	alive           []bool
@@ -178,16 +170,15 @@ type Scheduler struct {
 	pendingOps  []*msg.ScaleCmd
 	scale       scaleCounters
 
-	// Dynamic scheme state (see switch.go). cur is the active discipline;
-	// plain schemes never change it, variants and the meta-scheme rewrite
-	// it through switchTo. workSpan is the EWMA of NotifyV2-reported work
-	// spans, allocated only on dynamic runs.
-	cur           scheme.Runtime
+	// Gate policy state (see switch.go). Runs without a policy never
+	// switch; a policy moves cur through switchTo. metaStreak is the meta
+	// policy's hysteresis count. workSpan is the EWMA of NotifyV2-reported
+	// work spans, allocated only on dynamic or span-tracking runs.
 	schemeEpoch   int64
 	switches      atomic.Int64
 	lastSwitchAt  time.Time
 	lastSwitchWhy string
-	policy        *switcher.Policy
+	metaStreak    int
 	workSpan      []time.Duration
 
 	// Straggler-mitigation state (cfg.Mitigate != nil; see mitigate.go).
@@ -263,10 +254,9 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		spanEWMA:    make([]time.Duration, cfg.Workers),
 		pushed:      make([]bool, cfg.Workers),
 		notifyCount: make([]int64, cfg.Workers),
-		completed:   make([]int64, cfg.Workers),
+		clocks:      make([]int64, 0, cfg.Workers),
 		rates:       make([]float64, cfg.Workers),
 		windows:     make([]specWindow, cfg.Workers),
-		waitingBSP:  make([]bool, cfg.Workers),
 		alive:       make([]bool, cfg.Workers),
 		joined:      make([]bool, cfg.Workers),
 		aliveN:      cfg.ActiveWorkers,
@@ -275,16 +265,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		s.alive[i] = true
 		s.joined[i] = true
 	}
-	s.cur = cfg.Scheme.InitialRuntime()
-	if cfg.Switcher != nil {
-		if err := cfg.Switcher.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Scheme.Variant != scheme.VariantNone || cfg.Scheme.Spec != scheme.SpecOff || cfg.Scheme.Decentralized {
-			return nil, fmt.Errorf("core: the meta-scheme requires a plain centralized scheme (got %s)", cfg.Scheme.Name())
-		}
-		s.policy = switcher.New(*cfg.Switcher)
-	}
+	s.cur = cfg.Scheme.Gate()
 	if cfg.Mitigate != nil {
 		if err := cfg.Mitigate.validate(cfg.Workers); err != nil {
 			return nil, err
@@ -292,7 +273,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		if cfg.Mitigate.Mode == MitigateRebalance && cfg.Routing == nil {
 			return nil, fmt.Errorf("core: rebalance mitigation requires elastic membership (Routing)")
 		}
-		cfg.TrackSpans = true
+		cfg.ReportSpans = true
 		s.cfg = cfg
 		s.mit = &mitigateState{
 			cloneOf:  make([]int, cfg.Mitigate.Spares),
@@ -304,7 +285,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 			s.mit.cloneOf[i] = -1
 		}
 	}
-	if s.dynamic() || cfg.TrackSpans {
+	if cfg.ReportSpans {
 		s.workSpan = make([]time.Duration, cfg.Workers)
 	}
 	if cfg.Routing != nil {
@@ -328,8 +309,8 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 
 // Init implements node.Handler. The original incarnation launches every
 // worker; a restarted one (Generation > 0) instead announces itself with
-// SchedulerHello so workers answer with StateReports and the barrier /
-// clock / epoch state rebuilds.
+// SchedulerHello so workers answer with StateReports and the gate and epoch
+// state rebuilds.
 func (s *Scheduler) Init(ctx node.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,9 +408,14 @@ func (s *Scheduler) touch(i int, now time.Time) {
 		s.cfg.Tracer.Record(trace.Event{At: now, Worker: i, Kind: trace.KindRecover, Value: epoch})
 	}
 	s.ctx.Logf("scheduler: worker %d re-admitted (membership epoch %d)", i, epoch)
-	// A restarted worker boots under the configured scheme; bring it up to
-	// the active discipline.
+	// A restarted worker boots under the configured gate, and any member
+	// may have missed releases while it was out; bring it up to date. When
+	// every member had been evicted nothing released the gate, so the
+	// returning member may move it itself.
 	s.resendScheme(i, now)
+	if !s.advanceGate() {
+		s.resendRelease(i, s.notifyCount[i])
+	}
 }
 
 // sweepLiveness evicts every member whose last sign of life is stale.
@@ -442,8 +428,8 @@ func (s *Scheduler) sweepLiveness(now time.Time) {
 }
 
 // evict removes worker i from membership: its speculation window is torn
-// down, it no longer counts toward epoch boundaries, speculation thresholds,
-// the BSP barrier, or the SSP min-clock, and the tuner ignores its history.
+// down, it no longer counts toward epoch boundaries, speculation thresholds
+// or the gate's released clock, and the tuner ignores its history.
 func (s *Scheduler) evict(i int, now time.Time) {
 	s.alive[i] = false
 	s.aliveN--
@@ -460,15 +446,9 @@ func (s *Scheduler) evict(i int, now time.Time) {
 
 // dropFromCoordination removes a worker that just left membership (eviction
 // or planned retirement) from every coordination structure: speculation
-// window, epoch bitmap, BSP barrier, and SSP min-clock.
+// window, epoch bitmap and the gate.
 func (s *Scheduler) dropFromCoordination(i int, now time.Time) {
-	// Tear down the departed worker's speculation window.
-	w := &s.windows[i]
-	if w.cancel != nil {
-		w.cancel()
-		w.cancel = nil
-	}
-	w.armed = false
+	s.closeWindow(i)
 
 	// The epoch may now be complete without the departed worker's push.
 	if s.pushed[i] {
@@ -479,15 +459,8 @@ func (s *Scheduler) dropFromCoordination(i int, now time.Time) {
 		s.epochBoundary(now)
 	}
 
-	// A BSP barrier waiting on the departed worker must release.
-	if s.cur.Base == scheme.BSP && s.aliveN > 0 && s.barrierN >= s.barrierNeed() {
-		s.releaseBarrier()
-	}
-
-	// The SSP min-clock may have been pinned by the departed straggler.
-	if s.cur.Base == scheme.SSP {
-		s.broadcastMinClock()
-	}
+	// The released clock may have been pinned by the departed worker.
+	s.advanceGate()
 }
 
 // Receive implements node.Handler.
@@ -521,7 +494,7 @@ func (s *Scheduler) Receive(from node.ID, m wire.Message) {
 }
 
 // handleNotify is Algorithm 2's HandleNotification: record the push, start
-// the sender's speculation window, and service epoch/BSP/SSP bookkeeping.
+// the sender's speculation window, and service the epoch and the gate.
 func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 	i := node.WorkerIndex(from)
 	if i < 0 || i >= s.m {
@@ -536,8 +509,8 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 	s.touch(i, now)
 	if s.routing != nil && !s.alive[i] {
 		// A straggling notify from a retired (or not-yet-joined) elastic
-		// slot: counting it into epochs or the barrier would let a
-		// non-member drive coordination.
+		// slot: counting it into epochs or the gate would let a non-member
+		// drive coordination.
 		return
 	}
 	if s.mit != nil {
@@ -568,9 +541,13 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 
 	s.recordPush(i, now)
 
-	// Completed-iteration count, for post-restart epoch rebuilds.
-	if c := n.Iter + 1; c > s.notifyCount[i] {
-		s.notifyCount[i] = c
+	// The sender's clock. A notify that does not advance it is stale — a
+	// duplicate, a race lost to a clone, or a cold-restarted worker
+	// replaying iterations it had reported before the crash.
+	next := n.Iter + 1
+	advanced := next > s.notifyCount[i]
+	if advanced {
+		s.notifyCount[i] = next
 	}
 
 	// Epoch tracking: an epoch completes when every live member pushed at
@@ -588,43 +565,18 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 	s.countIntoWindows(i, now)
 
 	// Open the sender's speculation window (Algorithm 2 lines 5-10,
-	// scheduler side). The iteration the sender is about to compute is
-	// n.Iter+1.
-	if s.specEnabled && s.abortTime > 0 {
-		s.armWindow(i, n.Iter+1, now)
+	// scheduler side) for the iteration it is about to compute. Behind a
+	// bound of 0 nothing is stale, so speculation idles.
+	if s.specEnabled && s.abortTime > 0 && s.cur.Bound != 0 {
+		s.armWindow(i, next, now)
 	}
 
-	// BSP barrier (membership-aware: the barrier waits only on live members).
-	// The round tracks notified iterations (a no-op in healthy runs, where
-	// round == n.Iter at notify time) so a cold-restarted scheduler's next
-	// release carries a round number the waiting workers will accept; the
-	// waitingBSP guard keeps duplicated notifies and post-restart
-	// StateReports from double-counting one worker into the barrier.
-	if s.cur.Base == scheme.BSP {
-		if n.Iter > s.round {
-			s.round = n.Iter
-		}
-		// Under clone mitigation a notify for an iteration older than the
-		// current round is stale — the clone raced this worker through the
-		// round and its barrier already released; counting it would advance
-		// the new barrier on a worker that has not computed in it. Without
-		// mitigation the old behavior (count every first notify per round)
-		// is kept bit-for-bit.
-		if (s.mit == nil || n.Iter >= s.round) && !s.waitingBSP[i] {
-			s.waitingBSP[i] = true
-			s.barrierN++
-			if s.barrierN >= s.barrierNeed() {
-				s.releaseBarrier()
-			}
-		}
-	}
-
-	// SSP clocks (the min is taken over live members only).
-	if s.cur.Base == scheme.SSP {
-		if c := n.Iter + 1; c > s.completed[i] {
-			s.completed[i] = c
-		}
-		s.broadcastMinClock()
+	// The gate: a fresh clock may release the next one; a stale sender may
+	// have missed the release that admits it.
+	if advanced {
+		s.advanceGate()
+	} else {
+		s.resendRelease(i, next)
 	}
 
 	s.viewAt = now
@@ -719,23 +671,9 @@ func (s *Scheduler) clusterView() (obs.ClusterSnapshot, bool) {
 	}, true
 }
 
-// releaseBarrier opens the BSP barrier for the next round.
-func (s *Scheduler) releaseBarrier() {
-	s.barrierN = 0
-	for i := range s.waitingBSP {
-		s.waitingBSP[i] = false
-	}
-	s.round++
-	s.cfg.Obs.BarrierRelease(s.ctx.Now(), s.round, s.m)
-	for w := 0; w < s.m; w++ {
-		s.ctx.Send(node.WorkerID(w), &msg.BarrierRelease{Round: s.round})
-	}
-}
-
 // handleStateReport consumes a worker's answer to SchedulerHello (or to a
-// newer-generation beacon): it rebuilds the membership, epoch,
-// BSP-barrier, and SSP-clock state a restarted scheduler lost or holds
-// stale from its checkpoint.
+// newer-generation beacon): it rebuilds the membership, epoch and gate
+// state a restarted scheduler lost or holds stale from its checkpoint.
 func (s *Scheduler) handleStateReport(i int, r *msg.StateReport) {
 	now := s.ctx.Now()
 	s.touch(i, now)
@@ -756,68 +694,14 @@ func (s *Scheduler) handleStateReport(i int, r *msg.StateReport) {
 		}
 	}
 
-	switch s.cur.Base {
-	case scheme.SSP:
-		if r.Clock > s.completed[i] {
-			s.completed[i] = r.Clock
-		}
-		s.broadcastMinClock()
-		if r.Waiting && s.minClock > 0 {
-			// Re-issue the clock directly in case the worker missed the
-			// last broadcast while the scheduler was down.
-			s.ctx.Send(node.WorkerID(i), &msg.MinClock{Clock: s.minClock})
-		}
-	case scheme.BSP:
-		// A computing reporter (completed Iter pushes) was last released
-		// into round >= Iter; a waiting one only proves round >= Iter-1.
-		min := r.Iter
-		if r.Waiting {
-			min = r.Iter - 1
-		}
-		if min > s.round {
-			s.round = min
-		}
-		if r.Waiting {
-			if s.round >= r.Iter {
-				// The release this worker is parked on already happened
-				// (restored round from a checkpoint, or a missed
-				// broadcast); re-issue it directly.
-				s.ctx.Send(node.WorkerID(i), &msg.BarrierRelease{Round: s.round})
-			} else if !s.waitingBSP[i] {
-				s.waitingBSP[i] = true
-				s.barrierN++
-				if s.barrierN >= s.barrierNeed() {
-					s.releaseBarrier()
-				}
-			}
-		}
+	s.advanceGate()
+	if r.Waiting {
+		// The release this worker is parked on may have gone out while the
+		// scheduler was down (or come from a checkpoint).
+		s.resendRelease(i, r.Iter)
 	}
 
 	s.viewAt = now
-}
-
-// broadcastMinClock recomputes the SSP min-clock over live members and
-// broadcasts it if it advanced. The clock never regresses: a re-admitted
-// straggler re-pins the min only for clocks it has yet to reach.
-func (s *Scheduler) broadcastMinClock() {
-	if s.aliveN == 0 {
-		return
-	}
-	min := int64(-1)
-	for w := 0; w < s.m; w++ {
-		if !s.alive[w] {
-			continue
-		}
-		if min < 0 || s.completed[w] < min {
-			min = s.completed[w]
-		}
-	}
-	if min > s.minClock {
-		s.minClock = min
-		for w := 0; w < s.m; w++ {
-			s.ctx.Send(node.WorkerID(w), &msg.MinClock{Clock: min})
-		}
-	}
 }
 
 // armWindow opens worker i's speculation window. Any previous window is
@@ -885,12 +769,18 @@ func (s *Scheduler) thresholdMet(w *specWindow) bool {
 	return w.cnt >= 1 && float64(w.cnt) >= w.threshold
 }
 
-func (s *Scheduler) fireResync(i int, w *specWindow) {
-	w.armed = false
+// closeWindow tears down worker i's speculation window.
+func (s *Scheduler) closeWindow(i int) {
+	w := &s.windows[i]
 	if w.cancel != nil {
 		w.cancel()
 		w.cancel = nil
 	}
+	w.armed = false
+}
+
+func (s *Scheduler) fireResync(i int, w *specWindow) {
+	s.closeWindow(i)
 	s.resyncsSent.Add(1)
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.Record(trace.Event{At: s.ctx.Now(), Worker: i, Kind: trace.KindReSync, Iter: w.iter, Value: int64(w.cnt)})

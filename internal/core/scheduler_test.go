@@ -19,7 +19,6 @@ type scriptWorker struct {
 	notifies []time.Duration // offsets from start, one Notify{iter} each
 	resyncs  []int64
 	releases []int64
-	clocks   []int64
 	started  bool
 }
 
@@ -39,14 +38,12 @@ func (s *scriptWorker) Receive(from node.ID, m wire.Message) {
 		s.started = true
 	case *msg.ReSync:
 		s.resyncs = append(s.resyncs, mm.Iter)
-	case *msg.BarrierRelease:
-		s.releases = append(s.releases, mm.Round)
-	case *msg.MinClock:
-		s.clocks = append(s.clocks, mm.Clock)
+	case *msg.Release:
+		s.releases = append(s.releases, mm.Clock)
 	}
 }
 
-func buildSim(t *testing.T, cfg SchedulerConfig, workers []*scriptWorker) (*des.Sim, *Scheduler) {
+func buildSim(t testing.TB, cfg SchedulerConfig, workers []*scriptWorker) (*des.Sim, *Scheduler) {
 	t.Helper()
 	sim, err := des.New(des.Config{Seed: 1, Registry: msg.Registry()})
 	if err != nil {
@@ -181,7 +178,7 @@ func TestSchedulerBSPBarrier(t *testing.T) {
 		InitialSpan: time.Second,
 	}, ws)
 	sim.RunUntilIdle(time.Minute)
-	// The release must arrive only after BOTH notifies, i.e. round 1 once.
+	// The release must arrive only after BOTH notifies, i.e. clock 1 once.
 	for i, w := range ws {
 		if len(w.releases) != 1 || w.releases[0] != 1 {
 			t.Errorf("worker %d releases = %v, want [1]", i, w.releases)
@@ -199,14 +196,36 @@ func TestSchedulerSSPMinClock(t *testing.T) {
 		InitialSpan: time.Second,
 	}, ws)
 	sim.RunUntilIdle(time.Minute)
-	// Min clock rises to 1 only when the slow worker finishes its first
-	// iteration at t=3s.
-	if len(ws[0].clocks) == 0 {
-		t.Fatal("no MinClock broadcast")
+	// The released clock rises to 1 only when the slow worker finishes its
+	// first iteration at t=3s.
+	if len(ws[0].releases) == 0 {
+		t.Fatal("no Release broadcast")
 	}
-	last := ws[0].clocks[len(ws[0].clocks)-1]
+	last := ws[0].releases[len(ws[0].releases)-1]
 	if last != 1 {
-		t.Errorf("final min clock = %d, want 1", last)
+		t.Errorf("final released clock = %d, want 1", last)
+	}
+}
+
+func TestSchedulerQuorumRelease(t *testing.T) {
+	// PSP with β = 0.5 over 4 workers releases clock 1 once 2 clocks reach
+	// it, whatever the other two do.
+	ws := []*scriptWorker{
+		{notifies: mkDur(1000)},
+		{notifies: mkDur(2000)},
+		{},
+		{},
+	}
+	sim, _ := buildSim(t, SchedulerConfig{
+		Workers: 4, Scheme: scheme.Config{Base: scheme.BSP, Quorum: 0.5}, InitialSpan: time.Second,
+	}, ws)
+	sim.RunFor(1500 * time.Millisecond)
+	if got := ws[2].releases; len(got) != 0 {
+		t.Fatalf("released %v on one clock of four, want nothing before the quorum", got)
+	}
+	sim.RunFor(time.Second)
+	if got := ws[2].releases; len(got) != 1 || got[0] != 1 {
+		t.Errorf("releases = %v, want [1] once 2 of 4 clocks reach 1", got)
 	}
 }
 
@@ -276,4 +295,55 @@ func mkDur(offsets ...int) []time.Duration {
 		out[i] = time.Duration(o) * time.Millisecond
 	}
 	return out
+}
+
+// TestSchedulerResendsReleaseToStaleNotifier: a notify that does not advance
+// its sender's clock — here a cold-restarted worker reporting iteration 0
+// again — is answered with the release that already admits its next
+// iteration, and only the stale sender gets it.
+func TestSchedulerResendsReleaseToStaleNotifier(t *testing.T) {
+	ws := []*scriptWorker{
+		{notifies: mkDur(1000, 2000)},
+		{notifies: mkDur(1100, 2100)},
+	}
+	sim, _ := buildSim(t, SchedulerConfig{
+		Workers: 2, Scheme: scheme.Config{Base: scheme.BSP}, InitialSpan: time.Second,
+	}, ws)
+	sim.RunFor(3 * time.Second)
+	if err := sim.Inject(node.WorkerID(0), node.Scheduler, &msg.Notify{Iter: 0}); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(time.Second)
+	if got := ws[0].releases; len(got) != 3 || got[2] != 2 {
+		t.Errorf("worker 0 releases = %v, want [1 2 2]", got)
+	}
+	if got := ws[1].releases; len(got) != 2 {
+		t.Errorf("worker 1 releases = %v, want [1 2]", got)
+	}
+}
+
+// TestSwitchToBoundZeroClosesWindows: a switch onto a bound of 0 closes the
+// speculation windows already open, so no re-sync follows it.
+func TestSwitchToBoundZeroClosesWindows(t *testing.T) {
+	// The same pattern as the fixed-speculation re-sync test: without the
+	// switch, worker 0's window opened at 1s is re-synced by the pushes at
+	// 1.2s and 1.4s.
+	ws := []*scriptWorker{
+		{notifies: []time.Duration{time.Second}},
+		{notifies: []time.Duration{1200 * time.Millisecond}},
+		{notifies: []time.Duration{1400 * time.Millisecond}},
+	}
+	sim, sched := buildSim(t, SchedulerConfig{
+		Workers: 3,
+		Scheme: scheme.Config{Base: scheme.SSP, Staleness: 2, Spec: scheme.SpecFixed,
+			AbortTime: time.Second, AbortRate: 0.5},
+		InitialSpan: 10 * time.Second,
+	}, ws)
+	sim.Schedule(1100*time.Millisecond, func() {
+		sched.switchTo(scheme.Gate{Bound: 0, Quorum: 1}, "test", sim.Now())
+	})
+	sim.RunUntilIdle(time.Minute)
+	if got := sched.ReSyncsSent(); got != 0 {
+		t.Errorf("%d re-syncs after the switch to a bound of 0, want none", got)
+	}
 }

@@ -12,7 +12,6 @@ import (
 	"specsync/internal/elastic"
 	"specsync/internal/faults"
 	"specsync/internal/scheme"
-	"specsync/internal/switcher"
 	"specsync/internal/trace"
 )
 
@@ -34,8 +33,8 @@ type SchemeCell struct {
 	FinalLoss    float64
 
 	// Switches counts SchemeSwitch broadcasts the run issued; FinalScheme is
-	// the discipline the fleet ended under (they differ from the configured
-	// scheme only for the dynamic entries).
+	// the gate the fleet ended under (they differ from the configured scheme
+	// only for the policy entries).
 	Switches    int64
 	FinalScheme string
 
@@ -44,7 +43,7 @@ type SchemeCell struct {
 }
 
 // SchemesResult is the scheme-zoo shootout: every synchronization discipline
-// in the zoo — static bases, SpecSync, and the dynamic variants — run under
+// in the zoo — static gates, SpecSync, and the gate policies — run under
 // every cluster condition in the scenario matrix.
 type SchemesResult struct {
 	Workers   int
@@ -54,13 +53,10 @@ type SchemesResult struct {
 	Reproducible bool
 }
 
-// schemeEntry is one roster row: a display name, the scheme config, and an
-// optional config mutator (the meta-scheme entry attaches a switcher policy
-// rather than a scheme variant).
+// schemeEntry is one roster row: a display name and the scheme config.
 type schemeEntry struct {
 	name string
 	sc   scheme.Config
-	mut  func(*cluster.Config)
 }
 
 // schemesRoster returns the shootout roster in table order.
@@ -70,11 +66,13 @@ func schemesRoster() []schemeEntry {
 		{name: "BSP", sc: scheme.Config{Base: scheme.BSP}},
 		{name: "SSP(s=3)", sc: scheme.Config{Base: scheme.SSP, Staleness: 3}},
 		{name: "SpecSync-Adaptive", sc: schemeAdaptive()},
-		{name: "Sync-Switch(@e5)", sc: scheme.Config{Variant: scheme.VariantSyncSwitch, SwitchAt: 5}},
-		{name: "ABS", sc: scheme.Config{Variant: scheme.VariantABS}},
-		{name: "PSP(β=0.75)", sc: scheme.Config{Variant: scheme.VariantPSP, PSPBeta: 0.75}},
-		{name: "Meta(BSP↔SSP)", sc: scheme.Config{Base: scheme.BSP},
-			mut: func(c *cluster.Config) { c.Switcher = &switcher.Config{} }},
+		{name: "Sync-Switch(@e5)", sc: scheme.Config{Base: scheme.BSP, Policy: scheme.PolicySyncSwitch, SwitchAt: 5}},
+		{name: "ABS", sc: scheme.Config{Base: scheme.SSP, Staleness: scheme.ABSMinBound, Policy: scheme.PolicyABS}},
+		{name: "PSP(β=0.75)", sc: scheme.Config{Base: scheme.BSP, Quorum: 0.75}},
+		{name: "Meta(BSP↔SSP)", sc: scheme.Config{Base: scheme.BSP, Policy: scheme.PolicyMeta}},
+		{name: "pSSP(s=3,β=0.75)", sc: scheme.Config{Base: scheme.SSP, Staleness: 3, Quorum: 0.75}},
+		{name: "SpecSync-Adaptive(ABS)", sc: scheme.Config{Base: scheme.SSP, Staleness: scheme.ABSMinBound,
+			Policy: scheme.PolicyABS, Spec: scheme.SpecAdaptive}},
 	}
 }
 
@@ -187,9 +185,6 @@ func runSchemeCell(o Options, se schemeEntry, sn schemeScenario) (*SchemeCell, e
 		}
 		if sn.mut != nil {
 			sn.mut(&cfg, wl, o.Workers)
-		}
-		if se.mut != nil {
-			se.mut(&cfg)
 		}
 		res, err := cluster.Run(cfg)
 		if err != nil {

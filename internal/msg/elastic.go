@@ -38,17 +38,14 @@ func (m *JoinReq) Encode(w *wire.Writer) {}
 func (m *JoinReq) Decode(r *wire.Reader) {}
 
 // JoinAck admits a worker: it carries the committed routing table and the
-// scheduler clocks the joiner must adopt. StartIter is the iteration the
-// joiner begins at (the current BSP round, or the SSP min clock, so it never
-// drags the barrier or the staleness bound backwards); MinClock seeds the
-// joiner's SSP gate.
+// gate's released clock. The joiner begins at that iteration and adopts it
+// as released, so it never drags the gate backwards.
 type JoinAck struct {
-	Epoch     int64
-	Lo        []int32
-	Hi        []int32
-	Srv       []int32
-	StartIter int64
-	MinClock  int64
+	Epoch int64
+	Lo    []int32
+	Hi    []int32
+	Srv   []int32
+	Clock int64
 }
 
 var _ wire.Message = (*JoinAck)(nil)
@@ -62,8 +59,7 @@ func (m *JoinAck) Encode(w *wire.Writer) {
 	w.Ints32(m.Lo)
 	w.Ints32(m.Hi)
 	w.Ints32(m.Srv)
-	w.Varint(m.StartIter)
-	w.Varint(m.MinClock)
+	w.Varint(m.Clock)
 }
 
 // Decode implements wire.Message.
@@ -72,8 +68,7 @@ func (m *JoinAck) Decode(r *wire.Reader) {
 	m.Lo = r.Ints32()
 	m.Hi = r.Ints32()
 	m.Srv = r.Ints32()
-	m.StartIter = r.Varint()
-	m.MinClock = r.Varint()
+	m.Clock = r.Varint()
 }
 
 // RoutingUpdate commits a new routing epoch. Workers re-route (and re-issue

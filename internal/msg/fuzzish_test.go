@@ -21,9 +21,8 @@ func TestTruncationNeverPanics(t *testing.T) {
 		&PushAck{Seq: 1, Version: 2, Staleness: 3},
 		&Notify{Iter: 11},
 		&ReSync{Iter: 12},
-		&BarrierRelease{Round: 4},
-		&MinClock{Clock: 5},
-		&SchemeSwitch{Epoch: 2, Base: 2, Round: 3, Reason: "scheduled"},
+		&Release{Clock: 5},
+		&SchemeSwitch{Epoch: 2, Bound: -1, Quorum: 1, Released: 3, Reason: "scheduled"},
 		&NotifyV2{Iter: 6, Span: 42},
 	}
 	for _, m := range samples {

@@ -6,9 +6,10 @@
 //	server -> worker:    PullResp, PushAck
 //	worker -> scheduler: Notify            (after each completed push)
 //	scheduler -> worker: ReSync            (abort and re-pull), Start, Stop,
-//	                     BarrierRelease    (BSP), MinClock (SSP)
+//	                     Release           (the gate's released clock)
 //
-// Kind values are part of the wire format; never renumber them.
+// Kind values are part of the wire format; never renumber them. Kind 9 (the
+// retired BSP barrier release) is reserved.
 package msg
 
 import (
@@ -28,8 +29,7 @@ const (
 	KindReSync          wire.Kind = 6
 	KindStart           wire.Kind = 7
 	KindStop            wire.Kind = 8
-	KindBarrierRelease  wire.Kind = 9
-	KindMinClock        wire.Kind = 10
+	KindRelease         wire.Kind = 10
 	KindWorkerReady     wire.Kind = 11
 	KindPushNotice      wire.Kind = 12
 	KindHeartbeat       wire.Kind = 13
@@ -229,38 +229,23 @@ func (m *Stop) Encode(*wire.Writer) {}
 // Decode implements wire.Message.
 func (m *Stop) Decode(*wire.Reader) {}
 
-// BarrierRelease releases a BSP worker into iteration Round.
-type BarrierRelease struct {
-	Round int64
-}
-
-var _ wire.Message = (*BarrierRelease)(nil)
-
-// Kind implements wire.Message.
-func (m *BarrierRelease) Kind() wire.Kind { return KindBarrierRelease }
-
-// Encode implements wire.Message.
-func (m *BarrierRelease) Encode(w *wire.Writer) { w.Varint(m.Round) }
-
-// Decode implements wire.Message.
-func (m *BarrierRelease) Decode(r *wire.Reader) { m.Round = r.Varint() }
-
-// MinClock broadcasts the slowest worker's clock under SSP; workers block
-// while their own clock exceeds MinClock + staleness bound.
-type MinClock struct {
+// Release carries the gate's released clock R (scheme.Gate): a worker may
+// start iteration k once k <= R + bound. R never regresses, so a worker keeps
+// the highest it has seen and a stale or duplicated Release changes nothing.
+type Release struct {
 	Clock int64
 }
 
-var _ wire.Message = (*MinClock)(nil)
+var _ wire.Message = (*Release)(nil)
 
 // Kind implements wire.Message.
-func (m *MinClock) Kind() wire.Kind { return KindMinClock }
+func (m *Release) Kind() wire.Kind { return KindRelease }
 
 // Encode implements wire.Message.
-func (m *MinClock) Encode(w *wire.Writer) { w.Varint(m.Clock) }
+func (m *Release) Encode(w *wire.Writer) { w.Varint(m.Clock) }
 
 // Decode implements wire.Message.
-func (m *MinClock) Decode(r *wire.Reader) { m.Clock = r.Varint() }
+func (m *Release) Decode(r *wire.Reader) { m.Clock = r.Varint() }
 
 // WorkerReady reports that a worker finished initialization (live mode uses
 // it to gate the Start broadcast).
@@ -334,13 +319,13 @@ func (m *SchedulerHello) Encode(w *wire.Writer) { w.Varint(m.Gen) }
 func (m *SchedulerHello) Decode(r *wire.Reader) { m.Gen = r.Varint() }
 
 // StateReport is a worker's reply to SchedulerHello: enough of its local
-// state for a restarted scheduler to rebuild membership, epoch progress,
-// the BSP barrier, and the SSP clock vector.
+// state for a restarted scheduler to rebuild membership, epoch progress and
+// the gate's clocks.
 type StateReport struct {
 	Iter     int64 // completed (pushed) iterations so far
 	Pushed   bool  // pushed at least once since the last observed epoch boundary
-	Clock    int64 // SSP clock (== Iter)
-	Waiting  bool  // parked at the BSP barrier / SSP gate awaiting release
+	Clock    int64 // gate clock (== Iter)
+	Waiting  bool  // parked at the gate awaiting a release
 	Degraded bool  // was running broadcast-speculation failover when Hello arrived
 }
 
@@ -500,8 +485,7 @@ func Registry() *wire.Registry {
 		{Kind: KindReSync, Name: "ReSync", New: func() wire.Message { return &ReSync{} }},
 		{Kind: KindStart, Name: "Start", New: func() wire.Message { return &Start{} }},
 		{Kind: KindStop, Name: "Stop", New: func() wire.Message { return &Stop{} }},
-		{Kind: KindBarrierRelease, Name: "BarrierRelease", New: func() wire.Message { return &BarrierRelease{} }},
-		{Kind: KindMinClock, Name: "MinClock", New: func() wire.Message { return &MinClock{} }},
+		{Kind: KindRelease, Name: "Release", New: func() wire.Message { return &Release{} }},
 		{Kind: KindWorkerReady, Name: "WorkerReady", New: func() wire.Message { return &WorkerReady{} }},
 		{Kind: KindPushNotice, Name: "PushNotice", New: func() wire.Message { return &PushNotice{} }},
 		{Kind: KindHeartbeat, Name: "Heartbeat", New: func() wire.Message { return &Heartbeat{} }},

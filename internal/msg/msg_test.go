@@ -35,8 +35,7 @@ func populatedMessages() []wire.Message {
 		&ReSync{Iter: 7},
 		&Start{},
 		&Stop{},
-		&BarrierRelease{Round: 3},
-		&MinClock{Clock: 11},
+		&Release{Clock: 11},
 		&WorkerReady{},
 		&PushNotice{Iter: 2},
 		&Heartbeat{Iter: 8},
@@ -47,7 +46,7 @@ func populatedMessages() []wire.Message {
 		&PullRespV2{Seq: 13, Version: 9, Base: -1, Codec: 0, Payload: []byte{1, 2, 3}},
 		&PushReqV2{Seq: 14, Iter: 5, PullVersion: 9, Codec: 1, Payload: []byte{4, 5}},
 		&JoinReq{},
-		&JoinAck{Epoch: 3, Lo: []int32{0, 12}, Hi: []int32{12, 24}, Srv: []int32{0, 2}, StartIter: 7, MinClock: 5},
+		&JoinAck{Epoch: 3, Lo: []int32{0, 12}, Hi: []int32{12, 24}, Srv: []int32{0, 2}, Clock: 7},
 		&RoutingUpdate{Epoch: 4, Lo: []int32{0}, Hi: []int32{24}, Srv: []int32{1}},
 		&ShardTransfer{Epoch: 4, HasNew: true, NewLo: 0, NewHi: 12, KeepLo: 0, KeepHi: 6, SendLo: []int32{12}, SendHi: []int32{24}, SendTo: []int32{1}, Expect: 1},
 		&ShardTransfer{Epoch: 5, SendLo: []int32{0}, SendHi: []int32{8}, SendTo: []int32{2}},
@@ -62,9 +61,10 @@ func populatedMessages() []wire.Message {
 		&ReplApply{Version: 55, Worker: 3, Iter: 12, Body: ReplBodySparse, Idx: []int32{1, 4}, Grad: []float64{0.5, -1}},
 		&ReplApply{Version: 56, Worker: 0, Iter: 13, Body: ReplBodyDense, Dense: []float64{1, 2, 3}},
 		&ReplApply{Version: 57, Worker: 1, Iter: 14, Body: ReplBodyCodec, Codec: 2, Payload: []byte{9, 9}},
-		&SchemeSwitch{Epoch: 3, Base: 3, Staleness: 4, Beta: 0.7, Round: 12, MinClock: 9, Reason: "sustained-straggler", At: 5 * time.Second},
+		&SchemeSwitch{Epoch: 3, Bound: 4, Quorum: 0.7, Released: 12, Reason: "sustained-straggler", At: 5 * time.Second},
+		&SchemeSwitch{Epoch: 4, Bound: -1, Quorum: 1, Released: 12, Reason: "handover", At: 6 * time.Second}, // the unbounded (ASP) gate
 		&NotifyV2{Iter: 7, Span: 250 * time.Millisecond},
-		&CloneCtl{StartIter: 41, Round: 40, MinClock: 39},
+		&CloneCtl{StartIter: 41, Released: 40},
 		&CloneNotice{Slot: 8, Target: 3},
 		WrapJob(5, &PushReq{Seq: 3, Iter: 7, PullVersion: 10, Dense: []float64{1, 2, 3}}),
 	}
@@ -110,8 +110,8 @@ func TestUnmarshalCopiesOut(t *testing.T) {
 func TestRegistryCoversAllKinds(t *testing.T) {
 	reg := Registry()
 	kinds := reg.Kinds()
-	if len(kinds) != 36 {
-		t.Errorf("registry has %d kinds, want 36", len(kinds))
+	if len(kinds) != 35 {
+		t.Errorf("registry has %d kinds, want 35", len(kinds))
 	}
 	for _, k := range kinds {
 		m, err := reg.New(k)
@@ -173,7 +173,7 @@ func TestIsControlClassification(t *testing.T) {
 			t.Errorf("kind %d misclassified as control", k)
 		}
 	}
-	control := []wire.Kind{KindNotify, KindReSync, KindStart, KindStop, KindBarrierRelease, KindMinClock, KindWorkerReady, KindPushNotice, KindHeartbeat, KindJoinReq, KindJoinAck, KindRoutingUpdate, KindShardTransfer, KindMigrateDone, KindScaleCmd, KindLeaderAnnounce, KindVoteReq, KindVoteResp, KindReplState, KindSchemeSwitch, KindNotifyV2}
+	control := []wire.Kind{KindNotify, KindReSync, KindStart, KindStop, KindRelease, KindWorkerReady, KindPushNotice, KindHeartbeat, KindJoinReq, KindJoinAck, KindRoutingUpdate, KindShardTransfer, KindMigrateDone, KindScaleCmd, KindLeaderAnnounce, KindVoteReq, KindVoteResp, KindReplState, KindSchemeSwitch, KindNotifyV2}
 	for _, k := range control {
 		if !IsControl(k) {
 			t.Errorf("kind %d misclassified as data", k)
@@ -184,7 +184,7 @@ func TestIsControlClassification(t *testing.T) {
 func TestControlMessagesAreTiny(t *testing.T) {
 	// The paper's centralized design relies on control messages being a few
 	// bytes; regression-guard their encoded sizes.
-	small := []wire.Message{&Notify{Iter: 1 << 40}, &ReSync{Iter: 1 << 40}, &Start{}, &Stop{}, &MinClock{Clock: 99}, &Heartbeat{Iter: 1 << 40}, &NotifyV2{Iter: 1 << 40, Span: time.Hour}}
+	small := []wire.Message{&Notify{Iter: 1 << 40}, &ReSync{Iter: 1 << 40}, &Start{}, &Stop{}, &Release{Clock: 99}, &Heartbeat{Iter: 1 << 40}, &NotifyV2{Iter: 1 << 40, Span: time.Hour}}
 	for _, m := range small {
 		if n := wire.EncodedSize(m); n > 16 {
 			t.Errorf("%T encodes to %d bytes, want <= 16", m, n)

@@ -6,7 +6,7 @@ import "specsync/internal/wire"
 // the scheduler flags a sustained straggler and has a spare worker slot, it
 // starts a clone: a worker built with the straggler's data-shard index but
 // its own node ID. CloneCtl seeds the clone with the straggler's current
-// iteration and the cluster clocks; CloneNotice tells every parameter server
+// iteration and the released clock; CloneNotice tells every parameter server
 // that the clone slot impersonates the straggler's worker index, so the
 // (worker, iter) push dedup treats the pair as one logical worker — first
 // push wins, the loser is acked but not applied, and the model digest is
@@ -20,12 +20,11 @@ const (
 
 // CloneCtl starts an idle backup worker as a clone of a straggler. StartIter
 // is the straggler's next iteration (the clone mirrors forward, never
-// re-runs history); Round and MinClock seed the clone's BSP/SSP gates so it
-// does not park behind a barrier released before it existed.
+// re-runs history); Released seeds the clone's gate so it does not park
+// behind a release sent before it existed.
 type CloneCtl struct {
 	StartIter int64
-	Round     int64
-	MinClock  int64
+	Released  int64
 }
 
 var _ wire.Message = (*CloneCtl)(nil)
@@ -36,15 +35,13 @@ func (m *CloneCtl) Kind() wire.Kind { return KindCloneCtl }
 // Encode implements wire.Message.
 func (m *CloneCtl) Encode(w *wire.Writer) {
 	w.Varint(m.StartIter)
-	w.Varint(m.Round)
-	w.Varint(m.MinClock)
+	w.Varint(m.Released)
 }
 
 // Decode implements wire.Message.
 func (m *CloneCtl) Decode(r *wire.Reader) {
 	m.StartIter = r.Varint()
-	m.Round = r.Varint()
-	m.MinClock = r.Varint()
+	m.Released = r.Varint()
 }
 
 // CloneNotice aliases a clone's worker slot to the straggler it mirrors on

@@ -6,18 +6,17 @@ import (
 	"specsync/internal/wire"
 )
 
-// Scheme-switching protocol messages. The scheduler rewrites the fleet's
-// active synchronization discipline mid-run by broadcasting SchemeSwitch:
-// each worker applies the new base/bound at its next iteration boundary,
-// keyed by a monotonically increasing scheme epoch so stale or duplicated
-// switches are ignored. The message carries the barrier round and min-clock
-// baselines the scheduler rebuilt for the incoming scheme, so a worker
-// parked at a barrier or staleness gate of the outgoing scheme can decide
-// immediately whether it is released. NotifyV2 replaces Notify on runs with
-// a dynamic scheme (variant or meta-scheme): it additionally reports the
-// worker's own work span — pull+compute+push, excluding barrier and gate
-// waits — giving the straggler detector a signal that is independent of how
-// tightly the active scheme synchronizes the fleet.
+// Scheme-switching protocol messages. The scheduler moves the fleet's gate
+// (scheme.Gate) mid-run by broadcasting SchemeSwitch: each worker applies the
+// new bound at its next iteration boundary, keyed by a monotonically
+// increasing scheme epoch so stale or duplicated switches are ignored. The
+// message carries the released clock the scheduler rebuilt for the incoming
+// gate, so a worker parked at the outgoing gate can decide immediately
+// whether it may proceed. NotifyV2 replaces Notify on runs with a gate policy
+// or a straggler plan: it additionally reports the worker's own work span —
+// pull+compute+push, excluding gate waits — giving the straggler detector a
+// signal that is independent of how tightly the active gate synchronizes the
+// fleet.
 //
 // Kind values are part of the wire format; never renumber them.
 const (
@@ -25,17 +24,15 @@ const (
 	KindNotifyV2     wire.Kind = 34
 )
 
-// SchemeSwitch atomically retargets a worker onto a new synchronization
-// discipline at its next iteration boundary.
+// SchemeSwitch atomically retargets a worker onto a new gate at its next
+// iteration boundary.
 type SchemeSwitch struct {
-	Epoch     int64         // scheme epoch; workers keep the highest seen
-	Base      uint8         // scheme.Base of the incoming discipline
-	Staleness int64         // SSP bound (meaningful when Base is SSP)
-	Beta      float64       // barrier quorum fraction (BSP family; 0 = full)
-	Round     int64         // barrier round baseline already released
-	MinClock  int64         // SSP min-clock baseline
-	Reason    string        // human-readable trigger, for traces and /clusterz
-	At        time.Duration // scheduler virtual/wall offset when issued (informational)
+	Epoch    int64         // scheme epoch; workers keep the highest seen
+	Bound    int64         // the incoming gate's staleness bound (scheme.Unbounded for ASP)
+	Quorum   float64       // the incoming gate's quorum fraction, in (0, 1]
+	Released int64         // released clock baseline
+	Reason   string        // human-readable trigger, for traces and /clusterz
+	At       time.Duration // scheduler virtual/wall offset when sent (informational)
 }
 
 var _ wire.Message = (*SchemeSwitch)(nil)
@@ -46,11 +43,9 @@ func (m *SchemeSwitch) Kind() wire.Kind { return KindSchemeSwitch }
 // Encode implements wire.Message.
 func (m *SchemeSwitch) Encode(w *wire.Writer) {
 	w.Varint(m.Epoch)
-	w.Uint8(m.Base)
-	w.Varint(m.Staleness)
-	w.Float64(m.Beta)
-	w.Varint(m.Round)
-	w.Varint(m.MinClock)
+	w.Varint(m.Bound)
+	w.Float64(m.Quorum)
+	w.Varint(m.Released)
 	w.String(m.Reason)
 	w.Duration(m.At)
 }
@@ -58,11 +53,9 @@ func (m *SchemeSwitch) Encode(w *wire.Writer) {
 // Decode implements wire.Message.
 func (m *SchemeSwitch) Decode(r *wire.Reader) {
 	m.Epoch = r.Varint()
-	m.Base = r.Uint8()
-	m.Staleness = r.Varint()
-	m.Beta = r.Float64()
-	m.Round = r.Varint()
-	m.MinClock = r.Varint()
+	m.Bound = r.Varint()
+	m.Quorum = r.Float64()
+	m.Released = r.Varint()
 	m.Reason = r.String()
 	m.At = r.Duration()
 }
@@ -71,7 +64,7 @@ func (m *SchemeSwitch) Decode(r *wire.Reader) {
 // iteration just completed.
 type NotifyV2 struct {
 	Iter int64         // iteration just completed
-	Span time.Duration // gate-exit → push-acked duration (no barrier waits)
+	Span time.Duration // gate-exit → push-acked duration (no gate waits)
 }
 
 var _ wire.Message = (*NotifyV2)(nil)

@@ -62,9 +62,9 @@ type ClusterSnapshot struct {
 	RestoredFromCk bool  `json:"restored_from_checkpoint,omitempty"`
 	StateReports   int64 `json:"state_reports,omitempty"`
 
-	// Scheme view: the active synchronization discipline. On dynamic runs
-	// (Sync-Switch, ABS, the meta-scheme) the scheme epoch counts applied
-	// switches and the last-switch fields explain the most recent one.
+	// Scheme view: the active gate. On runs with a gate policy
+	// (sync-switch, abs, meta) the scheme epoch counts applied switches and
+	// the last-switch fields explain the most recent one.
 	Scheme           string    `json:"scheme,omitempty"`
 	SchemeEpoch      int64     `json:"scheme_epoch,omitempty"`
 	SchemeSwitches   int64     `json:"scheme_switches,omitempty"`

@@ -512,7 +512,7 @@ func (o *Obs) scheduler(job string) *SchedulerObs {
 		clusterServers: o.reg.Gauge("specsync_cluster_servers",
 			"Server shards currently in the routing table (elastic runs).", lbl...),
 		schemeSwitches: o.reg.Counter("specsync_scheme_switches_total",
-			"Live synchronization-scheme switches issued by the scheduler (variant schedules and the meta-scheme policy).", lbl...),
+			"Live synchronization-scheme switches the scheduler made (gate policies moving the gate).", lbl...),
 	}
 }
 
@@ -585,14 +585,14 @@ func (s *SchedulerObs) SchemeSwitch(at time.Time, epoch int64, from, to, reason 
 		Iter: epoch, Detail: from + " → " + to + " (" + reason + ")"})
 }
 
-// BarrierRelease records a synchronization barrier opening (BSP/SSP rounds).
-func (s *SchedulerObs) BarrierRelease(at time.Time, round int64, workers int) {
+// BarrierRelease records the gate releasing a new clock.
+func (s *SchedulerObs) BarrierRelease(at time.Time, clock int64, workers int) {
 	if s == nil {
 		return
 	}
 	s.o.flight.Record(FlightEvent{
 		At: at, Kind: "barrier-release", Node: "scheduler", Job: s.job,
-		Iter: round, Value: float64(workers),
+		Iter: clock, Value: float64(workers),
 	})
 }
 
@@ -828,8 +828,7 @@ type Summary struct {
 	// events the ring has since dropped).
 	StragglerFlags int64
 	FlightEvents   uint64
-	// SchemeSwitches counts live discipline retargets (variant schedules and
-	// the meta-scheme policy).
+	// SchemeSwitches counts live gate moves by a gate policy.
 	SchemeSwitches int64
 }
 

@@ -1,8 +1,14 @@
-// Package scheme enumerates the synchronization schemes the paper studies
-// and compares: ASP (MXNet's default asynchronous parallelism, the paper's
+// Package scheme describes the synchronization schemes the paper studies and
+// compares: ASP (MXNet's default asynchronous parallelism, the paper's
 // "Original"), BSP, SSP, naïve waiting (Sec. III), and SpecSync layered on
-// top of ASP or SSP in either Cherrypick (fixed hyperparameters) or Adaptive
-// (Algorithm 1) mode.
+// top in either Cherrypick (fixed hyperparameters) or Adaptive (Algorithm 1)
+// mode.
+//
+// Every barrier discipline is one clock gate (Gate): a staleness bound and a
+// quorum. BSP is (0, 1), SSP is (s, 1), ASP is (∞, ·), PSP is (0, β) and pSSP
+// is (s, β). A Policy moves the gate at epoch boundaries: Sync-Switch
+// releases it on a schedule, ABS re-derives the bound from the push-arrival
+// spread, and the meta policy loosens it while a straggler persists.
 package scheme
 
 import (
@@ -11,7 +17,8 @@ import (
 	"time"
 )
 
-// Base is the underlying synchronization model.
+// Base is the underlying synchronization model; with Staleness and Quorum
+// it sets the run's initial gate.
 type Base int
 
 // Base schemes.
@@ -84,54 +91,59 @@ func (s *Spec) UnmarshalText(text []byte) error {
 	return parseName(text, "spec mode", []Spec{SpecOff, SpecFixed, SpecAdaptive}, s)
 }
 
-// Variant selects one of the composite schemes layered on top of the base
-// models. Unlike Base/Spec combinations, variants change (or sample) their
-// effective synchronization discipline at runtime: the scheduler re-targets
-// workers mid-run through SchemeSwitch control messages.
-type Variant int
+// Policy names the rule that moves the gate at epoch boundaries. The
+// scheduler executes every move as a live switch (SchemeSwitch).
+type Policy int
 
-// Scheme variants.
+// Gate policies.
 const (
-	// VariantNone is a plain Base+Spec scheme (everything that predates the
-	// scheme zoo).
-	VariantNone Variant = iota
-	// VariantSyncSwitch runs BSP until a scheduled epoch, then switches the
-	// whole fleet to ASP (the Sync-Switch hybrid: tight synchronization
-	// early, when gradients are large and noisy, free-running later).
-	VariantSyncSwitch
-	// VariantABS is adaptive bounded staleness: SSP whose bound is
-	// re-derived every epoch from the observed push-arrival spread, so a
-	// homogeneous fleet runs near-BSP and a straggling fleet loosens up.
-	VariantABS
-	// VariantPSP is probabilistic synchronous parallel: each barrier
-	// releases once a β-fraction of the live workers has arrived, so the
-	// sampled quorum — whichever workers finish first — sets the pace and
-	// stragglers never stall the round.
-	VariantPSP
+	// PolicyNone keeps the initial gate for the whole run.
+	PolicyNone Policy = iota
+	// PolicySyncSwitch releases the gate to ASP at epoch SwitchAt (the
+	// Sync-Switch hybrid: tight synchronization early, when gradients are
+	// large and noisy, free-running later).
+	PolicySyncSwitch
+	// PolicyABS is adaptive bounded staleness: the bound is re-derived every
+	// epoch from the observed push-arrival spread, so a homogeneous fleet
+	// runs near-BSP and a straggling fleet loosens up.
+	PolicyABS
+	// PolicyMeta loosens the gate to a fixed bound while the straggler
+	// detector holds a sustained straggler, and restores the initial gate
+	// once the fleet recovers, with hysteresis.
+	PolicyMeta
 )
 
-// String returns the variant's conventional name.
-func (v Variant) String() string {
-	switch v {
-	case VariantNone:
-		return "None"
-	case VariantSyncSwitch:
-		return "Sync-Switch"
-	case VariantABS:
-		return "ABS"
-	case VariantPSP:
-		return "PSP"
+// How far the policies move the gate. ABS clamps its re-derived bound to
+// [ABSMinBound, ABSMaxBound]; the meta policy loosens the bound by
+// MetaBound.
+const (
+	ABSMinBound = 1
+	ABSMaxBound = 8
+	MetaBound   = 3
+)
+
+// String returns the policy's spec name.
+func (p Policy) String() string {
+	switch p {
+	case PolicyNone:
+		return "none"
+	case PolicySyncSwitch:
+		return "sync-switch"
+	case PolicyABS:
+		return "abs"
+	case PolicyMeta:
+		return "meta"
 	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
+		return fmt.Sprintf("Policy(%d)", int(p))
 	}
 }
 
-// MarshalText writes the variant's name, so a spec reads "variant": "PSP".
-func (v Variant) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
+// MarshalText writes the policy's name, so a spec reads "policy": "abs".
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// UnmarshalText parses a variant name (case-insensitive).
-func (v *Variant) UnmarshalText(text []byte) error {
-	return parseName(text, "variant", []Variant{VariantNone, VariantSyncSwitch, VariantABS, VariantPSP}, v)
+// UnmarshalText parses a policy name (case-insensitive).
+func (p *Policy) UnmarshalText(text []byte) error {
+	return parseName(text, "policy", []Policy{PolicyNone, PolicySyncSwitch, PolicyABS, PolicyMeta}, p)
 }
 
 // parseName sets *out to the value in values whose String matches text.
@@ -147,11 +159,56 @@ func parseName[T fmt.Stringer](text []byte, what string, values []T, out *T) err
 	return fmt.Errorf("scheme: unknown scheme %s %q (want one of %s)", what, text, strings.Join(names, ", "))
 }
 
-// Default ABS bound clamp, used when the config leaves ABSMin/ABSMax zero.
-const (
-	DefaultABSMin = 1
-	DefaultABSMax = 8
-)
+// Unbounded is the Gate bound of ASP: no iteration ever waits.
+const Unbounded = -1
+
+// Gate is the one synchronization control every worker and the scheduler
+// agree on. Each worker's clock is its completed-iteration count; the
+// released clock R is the ⌈Quorum·alive⌉-th highest live clock and never
+// regresses. A worker may start iteration k once k <= R + Bound.
+type Gate struct {
+	// Bound is the staleness bound s, or Unbounded.
+	Bound int
+	// Quorum is the fraction β of live workers whose clocks R must cover,
+	// in (0, 1].
+	Quorum float64
+}
+
+// Unbounded reports whether the gate never holds a worker (ASP).
+func (g Gate) Unbounded() bool { return g.Bound < 0 }
+
+// Base is the classic model the gate's bound corresponds to.
+func (g Gate) Base() Base {
+	switch {
+	case g.Bound < 0:
+		return ASP
+	case g.Bound == 0:
+		return BSP
+	default:
+		return SSP
+	}
+}
+
+// String names the gate, e.g. "BSP", "SSP(s=3)", "PSP(β=0.75)",
+// "pSSP(s=3,β=0.75)".
+func (g Gate) String() string {
+	switch {
+	case g.Bound < 0:
+		return "ASP"
+	case g.Quorum < 1 && g.Bound == 0:
+		return fmt.Sprintf("PSP(β=%.2f)", g.Quorum)
+	case g.Quorum < 1:
+		return fmt.Sprintf("pSSP(s=%d,β=%.2f)", g.Bound, g.Quorum)
+	case g.Bound == 0:
+		return "BSP"
+	default:
+		return fmt.Sprintf("SSP(s=%d)", g.Bound)
+	}
+}
+
+// Loosened is the gate the meta policy moves to while a straggler persists:
+// the bound raised by MetaBound, the quorum kept.
+func (g Gate) Loosened() Gate { return Gate{Bound: g.Bound + MetaBound, Quorum: g.Quorum} }
 
 // Config fully describes a synchronization scheme.
 type Config struct {
@@ -159,11 +216,16 @@ type Config struct {
 	Base Base `json:"base,omitempty"`
 	// Staleness is the SSP bound (ignored otherwise).
 	Staleness int `json:"staleness,omitempty"`
+	// Quorum is the fraction of live workers a BSP/SSP release waits for,
+	// in (0, 1]; zero means 1. BSP with a quorum below 1 is PSP, SSP with
+	// one is pSSP.
+	Quorum float64 `json:"quorum,omitempty"`
 	// NaiveWait, when positive, delays every pull request by this amount
 	// (the naïve-waiting strategy of paper Sec. III-B).
 	NaiveWait time.Duration `json:"naive_wait,omitempty"`
-	// Spec selects the speculation layer. Speculation is incompatible with
-	// BSP (there is nothing to speculate about behind a barrier).
+	// Spec selects the speculation layer. Speculation arms a window only
+	// while the active bound is positive (nothing is stale behind a barrier),
+	// so it needs an initial bound above 0 or a policy that moves it there.
 	Spec Spec `json:"spec,omitempty"`
 	// AbortTime is the fixed speculation window for SpecFixed.
 	AbortTime time.Duration `json:"abort_time,omitempty"`
@@ -175,147 +237,33 @@ type Config struct {
 	// runs its own speculation check, with no scheduler involvement. It
 	// exists to measure the all-to-all control-traffic blowup.
 	Decentralized bool `json:"decentralized,omitempty"`
-
-	// Variant selects a composite scheme. When set, Base must be zero (the
-	// variant determines its own effective base) and Decentralized must be
-	// false — variants rely on the centralized scheduler to issue
-	// SchemeSwitch retargets.
-	Variant Variant `json:"variant,omitempty"`
-	// SwitchAt is the epoch at which VariantSyncSwitch hands the fleet from
-	// BSP to ASP. Required (>= 1) for that variant.
+	// Policy moves the gate at epoch boundaries; it needs a bounded initial
+	// gate and the centralized scheduler.
+	Policy Policy `json:"policy,omitempty"`
+	// SwitchAt is the epoch at which PolicySyncSwitch releases the gate to
+	// ASP. Required (>= 1) for that policy.
 	SwitchAt int `json:"switch_at,omitempty"`
-	// PSPBeta is the VariantPSP barrier quorum as a fraction of live
-	// workers, in (0, 1); β = 1 would be plain BSP.
-	PSPBeta float64 `json:"psp_beta,omitempty"`
-	// ABSMin / ABSMax clamp the VariantABS staleness bound. Zero values
-	// default to DefaultABSMin / DefaultABSMax.
-	ABSMin int `json:"-"`
-	ABSMax int `json:"-"`
 }
 
-// Runtime is the dynamically-switchable portion of a scheme: what the
-// scheduler and every worker must agree on at any instant. Plain schemes
-// keep one Runtime for the whole run; variants and the meta-scheme rewrite
-// it through SchemeSwitch messages.
-type Runtime struct {
-	// Base is the active synchronization model.
-	Base Base
-	// Staleness is the active SSP bound (meaningful only when Base is SSP).
-	Staleness int
-	// Beta is the barrier quorum fraction (meaningful only when Base is
-	// BSP); 0 means a full barrier.
-	Beta float64
-}
-
-// String names the active discipline, e.g. "BSP", "SSP(s=3)", "PSP(β=0.70)".
-func (r Runtime) String() string {
-	switch r.Base {
-	case SSP:
-		return fmt.Sprintf("SSP(s=%d)", r.Staleness)
+// Gate is the gate the run starts under.
+func (c Config) Gate() Gate {
+	g := Gate{Bound: Unbounded, Quorum: 1}
+	switch c.Base {
 	case BSP:
-		if r.Beta > 0 && r.Beta < 1 {
-			return fmt.Sprintf("PSP(β=%.2f)", r.Beta)
-		}
-		return "BSP"
+		g.Bound = 0
+	case SSP:
+		g.Bound = c.Staleness
 	default:
-		return r.Base.String()
+		return g
 	}
-}
-
-// EffectiveBase is the base model the scheme starts the run under.
-func (c Config) EffectiveBase() Base {
-	switch c.Variant {
-	case VariantSyncSwitch, VariantPSP:
-		return BSP
-	case VariantABS:
-		return SSP
-	default:
-		return c.Base
+	if c.Quorum > 0 {
+		g.Quorum = c.Quorum
 	}
-}
-
-// ABSBounds returns the ABS staleness clamp with defaults applied.
-func (c Config) ABSBounds() (min, max int) {
-	min, max = c.ABSMin, c.ABSMax
-	if min <= 0 {
-		min = DefaultABSMin
-	}
-	if max <= 0 {
-		max = DefaultABSMax
-	}
-	return min, max
-}
-
-// InitialRuntime is the Runtime the fleet boots under. ABS starts at its
-// tightest bound (near-BSP) and loosens as spread is observed.
-func (c Config) InitialRuntime() Runtime {
-	rt := Runtime{Base: c.EffectiveBase(), Staleness: c.Staleness}
-	switch c.Variant {
-	case VariantABS:
-		rt.Staleness, _ = c.ABSBounds()
-	case VariantPSP:
-		rt.Beta = c.PSPBeta
-	}
-	return rt
-}
-
-// DynamicBase reports whether the scheme rewrites its Runtime mid-run (and
-// therefore needs worker-reported work spans and SchemeSwitch plumbing).
-func (c Config) DynamicBase() bool {
-	return c.Variant == VariantSyncSwitch || c.Variant == VariantABS
+	return g
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	switch c.Variant {
-	case VariantNone:
-	case VariantSyncSwitch, VariantABS, VariantPSP:
-		if c.Base != 0 {
-			return fmt.Errorf("scheme: variant %s determines its own base; leave Base unset (got %s)", c.Variant, c.Base)
-		}
-		if c.Decentralized {
-			return fmt.Errorf("scheme: variant %s requires the centralized scheduler (Decentralized unsupported)", c.Variant)
-		}
-		if c.NaiveWait != 0 {
-			return fmt.Errorf("scheme: variant %s is incompatible with NaiveWait", c.Variant)
-		}
-		if c.SwitchAt != 0 && c.Variant != VariantSyncSwitch {
-			return fmt.Errorf("scheme: SwitchAt is a Sync-Switch parameter (variant is %s)", c.Variant)
-		}
-		if c.PSPBeta != 0 && c.Variant != VariantPSP {
-			return fmt.Errorf("scheme: PSPBeta is a PSP parameter (variant is %s)", c.Variant)
-		}
-		switch c.Variant {
-		case VariantSyncSwitch:
-			if c.Spec != SpecOff {
-				return fmt.Errorf("scheme: speculation is incompatible with Sync-Switch (its BSP phase has nothing to speculate about)")
-			}
-			if c.SwitchAt < 1 {
-				return fmt.Errorf("scheme: Sync-Switch requires SwitchAt >= 1 (the epoch that triggers the BSP→ASP handover), got %d", c.SwitchAt)
-			}
-		case VariantABS:
-			min, max := c.ABSBounds()
-			if min > max {
-				return fmt.Errorf("scheme: ABS bound clamp inverted (min %d > max %d)", min, max)
-			}
-			if c.Spec == SpecFixed && (c.AbortTime <= 0 || c.AbortRate < 0 || c.AbortRate > 1) {
-				return fmt.Errorf("scheme: ABS with SpecFixed requires positive AbortTime and AbortRate in [0,1]")
-			}
-		case VariantPSP:
-			if c.Spec != SpecOff {
-				return fmt.Errorf("scheme: speculation is incompatible with PSP (BSP-family barriers have nothing to speculate about)")
-			}
-			if c.PSPBeta <= 0 || c.PSPBeta >= 1 {
-				return fmt.Errorf("scheme: PSP requires PSPBeta in (0,1), got %v (β=1 is plain BSP)", c.PSPBeta)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("scheme: unknown variant %d", int(c.Variant))
-	}
-	if c.SwitchAt != 0 || c.PSPBeta != 0 || c.ABSMin != 0 || c.ABSMax != 0 {
-		return fmt.Errorf("scheme: SwitchAt/PSPBeta/ABSMin/ABSMax are variant parameters; set Variant")
-	}
 	switch c.Base {
 	case ASP, BSP, SSP:
 	default:
@@ -324,8 +272,37 @@ func (c Config) Validate() error {
 	if c.Base == SSP && c.Staleness < 0 {
 		return fmt.Errorf("scheme: negative SSP staleness %d", c.Staleness)
 	}
+	if c.Quorum < 0 || c.Quorum > 1 {
+		return fmt.Errorf("scheme: quorum %v outside (0,1]", c.Quorum)
+	}
+	if c.Quorum != 0 && c.Base == ASP {
+		return fmt.Errorf("scheme: a quorum needs a bounded base (BSP or SSP)")
+	}
 	if c.NaiveWait < 0 {
 		return fmt.Errorf("scheme: negative naive wait %v", c.NaiveWait)
+	}
+	switch c.Policy {
+	case PolicyNone, PolicyABS, PolicyMeta:
+		if c.SwitchAt != 0 {
+			return fmt.Errorf("scheme: switch_at is a sync-switch parameter (policy is %s)", c.Policy)
+		}
+	case PolicySyncSwitch:
+		if c.SwitchAt < 1 {
+			return fmt.Errorf("scheme: sync-switch requires switch_at >= 1 (the epoch that releases the gate), got %d", c.SwitchAt)
+		}
+	default:
+		return fmt.Errorf("scheme: unknown policy %d", int(c.Policy))
+	}
+	if c.Policy != PolicyNone {
+		if c.Base == ASP {
+			return fmt.Errorf("scheme: policy %s moves a bounded gate; base must be BSP or SSP", c.Policy)
+		}
+		if c.Decentralized {
+			return fmt.Errorf("scheme: policy %s requires the centralized scheduler (Decentralized unsupported)", c.Policy)
+		}
+	}
+	if c.Spec != SpecOff && c.Policy == PolicyNone && c.Gate().Bound == 0 {
+		return fmt.Errorf("scheme: speculation never arms under a bound of 0 (%s); use a positive bound or a policy", c.Gate())
 	}
 	switch c.Spec {
 	case SpecOff:
@@ -333,9 +310,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scheme: Decentralized requires SpecFixed")
 		}
 	case SpecFixed:
-		if c.Base == BSP {
-			return fmt.Errorf("scheme: speculation is incompatible with BSP")
-		}
 		if c.AbortTime <= 0 {
 			return fmt.Errorf("scheme: SpecFixed requires positive AbortTime")
 		}
@@ -343,9 +317,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scheme: AbortRate %v outside [0,1]", c.AbortRate)
 		}
 	case SpecAdaptive:
-		if c.Base == BSP {
-			return fmt.Errorf("scheme: speculation is incompatible with BSP")
-		}
 		if c.Decentralized {
 			// Decentralized adaptive tuning would need every worker to run
 			// Algorithm 1 on its own copy of the push history; the paper's
@@ -361,25 +332,17 @@ func (c Config) Validate() error {
 // Name returns a human-readable scheme name matching the paper's
 // terminology ("Original" is stock asynchronous MXNet).
 func (c Config) Name() string {
-	switch c.Variant {
-	case VariantSyncSwitch:
-		return fmt.Sprintf("Sync-Switch(BSP→ASP@e%d)", c.SwitchAt)
-	case VariantABS:
-		min, max := c.ABSBounds()
-		base := fmt.Sprintf("ABS(s=%d..%d)", min, max)
-		switch c.Spec {
-		case SpecFixed:
-			return fmt.Sprintf("SpecSync-Cherrypick(%s)", base)
-		case SpecAdaptive:
-			return fmt.Sprintf("SpecSync-Adaptive(%s)", base)
-		}
-		return base
-	case VariantPSP:
-		return fmt.Sprintf("PSP(β=%.2f)", c.PSPBeta)
-	}
-	base := c.Base.String()
-	if c.Base == SSP {
+	base := c.Gate().String()
+	if c.Base == SSP && c.Gate().Quorum == 1 {
 		base = fmt.Sprintf("SSP(s=%d)", c.Staleness)
+	}
+	switch c.Policy {
+	case PolicySyncSwitch:
+		base = fmt.Sprintf("Sync-Switch(%s→ASP@e%d)", base, c.SwitchAt)
+	case PolicyABS:
+		base = fmt.Sprintf("ABS(%s, s=%d..%d)", base, ABSMinBound, ABSMaxBound)
+	case PolicyMeta:
+		base = fmt.Sprintf("Meta(%s↔%s)", base, c.Gate().Loosened())
 	}
 	if c.NaiveWait > 0 {
 		base = fmt.Sprintf("%s+NaiveWait(%v)", base, c.NaiveWait)

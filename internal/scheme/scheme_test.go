@@ -16,12 +16,16 @@ func TestValidate(t *testing.T) {
 		{Base: ASP, Spec: SpecFixed, AbortTime: time.Second, AbortRate: 0.2},
 		{Base: ASP, Spec: SpecAdaptive},
 		{Base: SSP, Staleness: 2, Spec: SpecAdaptive},
-		{Variant: VariantSyncSwitch, SwitchAt: 5},
-		{Variant: VariantABS},
-		{Variant: VariantABS, ABSMin: 2, ABSMax: 6},
-		{Variant: VariantABS, Spec: SpecAdaptive},
-		{Variant: VariantABS, Spec: SpecFixed, AbortTime: time.Second, AbortRate: 0.2},
-		{Variant: VariantPSP, PSPBeta: 0.7},
+		{Base: BSP, Quorum: 0.7},                // PSP
+		{Base: SSP, Staleness: 3, Quorum: 0.75}, // pSSP
+		{Base: SSP, Staleness: 3, Quorum: 0.75, Spec: SpecAdaptive},
+		{Base: BSP, Policy: PolicySyncSwitch, SwitchAt: 5},
+		{Base: BSP, Policy: PolicySyncSwitch, SwitchAt: 5, Spec: SpecFixed, AbortTime: time.Second}, // speculation once released
+		{Base: SSP, Staleness: 1, Policy: PolicyABS},
+		{Base: SSP, Staleness: 1, Policy: PolicyABS, Spec: SpecAdaptive},
+		{Base: BSP, Policy: PolicyMeta},
+		{Base: BSP, Policy: PolicyMeta, Spec: SpecAdaptive, NaiveWait: time.Second},
+		{Base: BSP, Quorum: 0.5, Policy: PolicyMeta},
 	}
 	for i, c := range good {
 		if err := c.Validate(); err != nil {
@@ -35,24 +39,19 @@ func TestValidate(t *testing.T) {
 		{Base: ASP, NaiveWait: -time.Second},
 		{Base: BSP, Spec: SpecFixed, AbortTime: time.Second},
 		{Base: BSP, Spec: SpecAdaptive},
+		{Base: BSP, Quorum: 0.5, Spec: SpecAdaptive},                         // PSP never arms a window
 		{Base: ASP, Spec: SpecFixed},                                         // no abort time
 		{Base: ASP, Spec: SpecFixed, AbortTime: time.Second, AbortRate: 1.5}, // rate > 1
 		{Base: ASP, Spec: Spec(77)},
-		{Variant: Variant(99)},
-		{Variant: VariantSyncSwitch},                               // missing SwitchAt
-		{Variant: VariantSyncSwitch, SwitchAt: 5, Base: BSP},       // base must stay unset
-		{Variant: VariantSyncSwitch, SwitchAt: 5, Spec: SpecFixed}, // speculation × switch
-		{Variant: VariantSyncSwitch, SwitchAt: 5, Decentralized: true},
-		{Variant: VariantSyncSwitch, SwitchAt: 5, NaiveWait: time.Second},
-		{Variant: VariantABS, ABSMin: 6, ABSMax: 2},             // inverted clamp
-		{Variant: VariantABS, Spec: SpecFixed},                  // missing abort params
-		{Variant: VariantPSP},                                   // missing beta
-		{Variant: VariantPSP, PSPBeta: 1},                       // β=1 is plain BSP
-		{Variant: VariantPSP, PSPBeta: 0.5, Spec: SpecAdaptive}, // PSP × speculation
-		{Base: BSP, PSPBeta: 0.5},                               // variant params without Variant
-		{Base: BSP, SwitchAt: 3},
-		{Variant: VariantABS, SwitchAt: 3},                      // a Sync-Switch parameter on ABS
-		{Variant: VariantSyncSwitch, SwitchAt: 3, PSPBeta: 0.5}, // a PSP parameter on Sync-Switch
+		{Base: BSP, Quorum: 1.5},
+		{Base: BSP, Quorum: -0.5},
+		{Base: ASP, Quorum: 0.5}, // nothing to release under ASP
+		{Base: BSP, Policy: Policy(99)},
+		{Base: BSP, Policy: PolicySyncSwitch}, // missing switch_at
+		{Base: BSP, SwitchAt: 3},              // switch_at without sync-switch
+		{Base: SSP, Policy: PolicyABS, SwitchAt: 3},
+		{Base: ASP, Policy: PolicyMeta}, // a policy needs a bounded gate
+		{Base: SSP, Staleness: 2, Policy: PolicyABS, Spec: SpecFixed, AbortTime: time.Second, Decentralized: true},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -80,40 +79,39 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// TestVariantRuntime: every variant of the zoo is a gate — a bound and a
+// quorum — that a policy may move.
 func TestVariantRuntime(t *testing.T) {
-	ss := Config{Variant: VariantSyncSwitch, SwitchAt: 5}
-	if ss.EffectiveBase() != BSP || !ss.DynamicBase() {
-		t.Errorf("Sync-Switch should start as dynamic BSP: %+v", ss.InitialRuntime())
+	for _, tc := range []struct {
+		c    Config
+		gate Gate
+		name string
+	}{
+		{Config{Base: ASP}, Gate{Bound: Unbounded, Quorum: 1}, "ASP"},
+		{Config{Base: BSP}, Gate{Bound: 0, Quorum: 1}, "BSP"},
+		{Config{Base: SSP, Staleness: 4}, Gate{Bound: 4, Quorum: 1}, "SSP(s=4)"},
+		{Config{Base: BSP, Quorum: 0.7}, Gate{Bound: 0, Quorum: 0.7}, "PSP(β=0.70)"},
+		{Config{Base: SSP, Staleness: 3, Quorum: 0.75}, Gate{Bound: 3, Quorum: 0.75}, "pSSP(s=3,β=0.75)"},
+	} {
+		if g := tc.c.Gate(); g != tc.gate || g.String() != tc.name {
+			t.Errorf("%+v: gate %+v (%s), want %+v (%s)", tc.c, g, g, tc.gate, tc.name)
+		}
 	}
-	if got := ss.Name(); !strings.Contains(got, "Sync-Switch") || !strings.Contains(got, "e5") {
-		t.Errorf("Sync-Switch name = %q", got)
+	if b := (Gate{Bound: 2, Quorum: 1}).Base(); b != SSP {
+		t.Errorf("a bound of 2 is %s, want SSP", b)
 	}
-
-	abs := Config{Variant: VariantABS}
-	rt := abs.InitialRuntime()
-	if rt.Base != SSP || rt.Staleness != DefaultABSMin || !abs.DynamicBase() {
-		t.Errorf("ABS initial runtime = %+v", rt)
+	if g := (Gate{Bound: 0, Quorum: 0.5}).Loosened(); g != (Gate{Bound: MetaBound, Quorum: 0.5}) {
+		t.Errorf("loosened PSP = %+v", g)
 	}
-	if min, max := abs.ABSBounds(); min != DefaultABSMin || max != DefaultABSMax {
-		t.Errorf("ABS default bounds = %d..%d", min, max)
-	}
-	if got := abs.Name(); !strings.Contains(got, "ABS") {
-		t.Errorf("ABS name = %q", got)
-	}
-
-	psp := Config{Variant: VariantPSP, PSPBeta: 0.7}
-	rt = psp.InitialRuntime()
-	if rt.Base != BSP || rt.Beta != 0.7 || psp.DynamicBase() {
-		t.Errorf("PSP initial runtime = %+v dynamic=%v", rt, psp.DynamicBase())
-	}
-	if got := rt.String(); !strings.Contains(got, "PSP") {
-		t.Errorf("PSP runtime string = %q", got)
-	}
-	if got := (Runtime{Base: SSP, Staleness: 4}).String(); got != "SSP(s=4)" {
-		t.Errorf("SSP runtime string = %q", got)
-	}
-	if got := (Runtime{Base: BSP}).String(); got != "BSP" {
-		t.Errorf("BSP runtime string = %q", got)
+	for c, want := range map[Config]string{
+		{Base: BSP, Policy: PolicySyncSwitch, SwitchAt: 5}:               "Sync-Switch(BSP→ASP@e5)",
+		{Base: SSP, Staleness: 1, Policy: PolicyABS, Spec: SpecAdaptive}: "SpecSync-Adaptive(ABS(SSP(s=1), s=1..8))",
+		{Base: BSP, Policy: PolicyMeta}:                                  "Meta(BSP↔SSP(s=3))",
+		{Base: SSP, Staleness: 3, Quorum: 0.75}:                          "pSSP(s=3,β=0.75)",
+	} {
+		if got := c.Name(); got != want {
+			t.Errorf("Name(%+v) = %q, want %q", c, got, want)
+		}
 	}
 }
 
@@ -142,9 +140,9 @@ func TestJSON(t *testing.T) {
 	for _, c := range []Config{
 		{Base: ASP, NaiveWait: time.Second},
 		{Base: ASP, Spec: SpecFixed, AbortTime: time.Second, AbortRate: 0.2, Decentralized: true},
-		{Variant: VariantSyncSwitch, SwitchAt: 5},
-		{Variant: VariantABS, Spec: SpecAdaptive},
-		{Variant: VariantPSP, PSPBeta: 0.7},
+		{Base: BSP, Policy: PolicySyncSwitch, SwitchAt: 5},
+		{Base: SSP, Staleness: 1, Policy: PolicyABS, Spec: SpecAdaptive},
+		{Base: SSP, Staleness: 3, Quorum: 0.75},
 	} {
 		data, err := json.Marshal(c)
 		if err != nil {
@@ -155,7 +153,7 @@ func TestJSON(t *testing.T) {
 			t.Errorf("%s round-tripped to %+v (%v)", data, back, err)
 		}
 	}
-	for _, bad := range []string{`{"base":"nope"}`, `{"spec":"fast"}`, `{"variant":"SSP"}`} {
+	for _, bad := range []string{`{"base":"nope"}`, `{"spec":"fast"}`, `{"policy":"SSP"}`} {
 		if err := json.Unmarshal([]byte(bad), &c); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
 			t.Errorf("%s: err %v, want an unknown-scheme error", bad, err)
 		}

@@ -59,10 +59,9 @@ const (
 	// KindStragglerClear marks a flagged worker's slowdown score returning
 	// below threshold long enough to clear the flag.
 	KindStragglerClear
-	// KindSchemeSwitch marks the scheduler retargeting the fleet onto a new
-	// synchronization discipline (a scheme variant's schedule or the
-	// meta-scheme policy); Worker is SchedulerNode, Iter holds the scheme
-	// epoch, and Value the incoming scheme.Base.
+	// KindSchemeSwitch marks the scheduler moving the fleet onto a new gate
+	// (a gate policy's decision); Worker is SchedulerNode, Iter holds the
+	// scheme epoch, and Value the base of the incoming gate.
 	KindSchemeSwitch
 	// KindClone marks the scheduler cloning a straggler's iteration onto a
 	// spare worker; Worker is the straggling target, Iter the iteration the

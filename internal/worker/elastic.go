@@ -13,7 +13,7 @@ import (
 // view (which ranges to pull/push and which server owns each) and resumes
 // whatever phase was in flight against the new layout. A worker configured
 // with JoinOnInit introduces itself with a JoinReq and starts training from
-// the JoinAck, seeded with the cluster's current clocks and table.
+// the JoinAck, seeded with the released clock and the table.
 //
 // The invariant the resume logic protects: every computed gradient is applied
 // to the global model exactly once (codec path, via the error-feedback
@@ -35,7 +35,7 @@ func (wk *Worker) sendJoinReq() {
 }
 
 // handleJoinAck starts a joining worker: adopt the committed routing table and
-// the cluster's clocks, then begin the first iteration.
+// the released clock, then begin the first iteration there.
 func (wk *Worker) handleJoinAck(ack *msg.JoinAck) {
 	if wk.started {
 		return // duplicate ack from a retried JoinReq
@@ -44,13 +44,10 @@ func (wk *Worker) handleJoinAck(ack *msg.JoinAck) {
 		wk.ctx.Logf("worker: join ack carried an unusable routing table; waiting for retry")
 		return
 	}
-	wk.iter = ack.StartIter
-	// The joiner enters at the cluster's current BSP round / SSP min-clock:
-	// it has "completed" everything before its start iteration.
-	wk.releasedRound = ack.StartIter
-	if ack.MinClock > wk.minClock {
-		wk.minClock = ack.MinClock
-	}
+	// The joiner enters at the released clock: it has "completed" everything
+	// before it.
+	wk.iter = ack.Clock
+	wk.released = max(wk.released, ack.Clock)
 	wk.started = true
 	wk.beginIteration()
 }
@@ -130,7 +127,7 @@ func (wk *Worker) installRouting(epoch int64, lo, hi, srv []int32, force bool) b
 	case statePushing:
 		wk.resumePush(oldShards, oldAcked)
 	default:
-		// Idle, computing, at a barrier, or stopped: nothing in flight is
+		// Idle, computing, at the gate, or stopped: nothing in flight is
 		// addressed to a server, so the new table simply takes effect on the
 		// next pull/push.
 	}

@@ -13,8 +13,8 @@ import (
 // scheduler failure detector (beacon/notify-silence timeout), degraded-mode
 // failover onto the decentralized broadcast speculation path while the
 // coordinator is down, and the SchedulerHello / StateReport handshake that
-// lets a restarted scheduler incarnation rebuild its barrier, clock, and
-// epoch state from the surviving workers.
+// lets a restarted scheduler incarnation rebuild its gate and epoch state
+// from the surviving workers.
 
 // armSchedulerWatch schedules the periodic scheduler failure-detection pass.
 // As with the scheduler's liveness sweep, checking at half the timeout
@@ -33,17 +33,18 @@ func (wk *Worker) armSchedulerWatch() {
 
 // canBroadcastFailover reports whether this worker can fail over to the
 // broadcast speculation path: there must be a centralized speculation scheme
-// to stand in for, and peers to broadcast to. (The decentralized ablation
-// already runs that path full-time.)
+// to stand in for, a gate bound above 0 for it to act under, and peers to
+// broadcast to. (The decentralized ablation already runs that path
+// full-time.)
 func (wk *Worker) canBroadcastFailover() bool {
-	return wk.cfg.Scheme.Spec != scheme.SpecOff && !wk.cfg.Scheme.Decentralized && wk.cfg.NumWorkers >= 2
+	return wk.cfg.Scheme.Spec != scheme.SpecOff && !wk.cfg.Scheme.Decentralized && wk.gate.Bound != 0 && wk.cfg.NumWorkers >= 2
 }
 
 // enterDegraded marks the scheduler as lost. Under a centralized speculation
 // scheme the worker flips to the broadcast path (PushNotice to peers, local
-// CheckResync); under BSP/SSP there is nothing to fail over to — the worker
-// keeps training (or waiting) and the post-restart handshake re-issues the
-// pending barrier/clock release.
+// CheckResync); under a bounded gate without speculation there is nothing to
+// fail over to — the worker keeps training (or waiting) and the post-restart
+// handshake resends the pending release.
 func (wk *Worker) enterDegraded() {
 	if wk.degraded.Load() {
 		return
@@ -107,8 +108,8 @@ func (wk *Worker) noteSchedulerGen(from node.ID, gen int64) {
 }
 
 // sendStateReport tells the (restarted) scheduler where this worker stands:
-// completed iterations double as the SSP clock, and Waiting flags a pending
-// barrier/clock release the new incarnation must re-issue.
+// completed iterations double as the gate clock, and Waiting flags a pending
+// release the new incarnation must resend.
 func (wk *Worker) sendStateReport() {
 	wk.ctx.Send(wk.schedID, &msg.StateReport{
 		Iter:     wk.iter,

@@ -17,13 +17,13 @@ func TestSSPWithNaiveWait(t *testing.T) {
 	})
 	h.start()
 	h.sim.RunFor(20 * time.Second)
-	// Staleness 1, min clock stuck at 0: iterations 0 and 1 only.
+	// Staleness 1, released clock stuck at 0: iterations 0 and 1 only.
 	if got := h.w.IterationsDone(); got != 2 {
 		t.Fatalf("IterationsDone = %d, want 2", got)
 	}
 	// Each completed iteration paid the naive delay: first iteration cannot
 	// have finished before delay + compute.
-	h.sched.ctx.Send(node.WorkerID(0), &msg.MinClock{Clock: 1})
+	h.sched.ctx.Send(node.WorkerID(0), &msg.Release{Clock: 1})
 	h.sim.RunFor(3 * time.Second)
 	if got := h.w.IterationsDone(); got != 3 {
 		t.Errorf("IterationsDone = %d after clock advance, want 3", got)

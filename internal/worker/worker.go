@@ -1,7 +1,7 @@
 // Package worker implements the training worker of Algorithm 2: the
 // pull / compute / push loop with speculative abort-and-restart, plus the
-// gating required by the baseline schemes (BSP barrier waits, SSP bounded
-// staleness, naïve pull delays).
+// gating required by the baseline schemes (the clock gate of BSP, SSP and
+// PSP, and naïve pull delays).
 //
 // The worker is an event-driven state machine over node.Context, so the
 // identical logic runs under the deterministic simulator and the live
@@ -148,9 +148,9 @@ type Config struct {
 	Routing *core.RoutingTable
 	// JoinOnInit makes the worker introduce itself to the scheduler with a
 	// JoinReq instead of waiting for a Start: it begins training when the
-	// JoinAck arrives, seeded with the cluster's current clocks and routing
-	// table. Requires Routing (the ack carries a table). Used by workers that
-	// join a running elastic cluster.
+	// JoinAck arrives, seeded with the released clock and routing table.
+	// Requires Routing (the ack carries a table). Used by workers that join
+	// a running elastic cluster.
 	JoinOnInit bool
 	// Model is the workload; Grad/SampleBatch run on this worker's shard.
 	Model model.Model
@@ -208,10 +208,10 @@ type Config struct {
 	Faults *metrics.Faults
 	// ReportSpans switches the end-of-iteration notify to msg.NotifyV2,
 	// carrying the worker's self-measured work span (gate-exit to push-acked,
-	// excluding barrier and staleness waits). Dynamic runs (scheme variants,
-	// the meta-scheme) need it: the active discipline synchronizes notify
-	// cadence across the fleet, so scheduler-side arrival intervals stop
-	// distinguishing slow workers from workers waiting at a barrier.
+	// excluding gate waits). Runs with a gate policy or a straggler plan need
+	// it: the gate synchronizes notify cadence across the fleet, so
+	// scheduler-side arrival intervals stop distinguishing slow workers from
+	// workers waiting at the gate.
 	ReportSpans bool
 	// Slowdown, if non-nil, scripts a transient compute slowdown window.
 	Slowdown *Slowdown
@@ -236,7 +236,7 @@ const (
 	statePulling
 	stateComputing
 	statePushing
-	stateBarrier // waiting for BSP release or SSP clock
+	stateBarrier // parked at the gate, waiting for a release
 	stateStopped
 )
 
@@ -311,20 +311,16 @@ type Worker struct {
 	notify    msg.Notify
 	notifyV2  msg.NotifyV2
 
-	// SSP state.
-	minClock int64
-
-	// BSP state.
-	releasedRound int64
-
-	// Active discipline. Static runs pin these to the configured scheme for
-	// the whole run; dynamic runs rewrite them from SchemeSwitch messages,
-	// keyed by a monotonic scheme epoch so stale broadcasts never roll back.
-	curBase      scheme.Base
-	curStaleness int
-	schemeEpoch  int64
-	// workStart is when the current iteration's work began (after any
-	// barrier/staleness wait); ReportSpans runs measure the work span from it.
+	// The gate: iteration k may start once k <= released + gate.Bound.
+	// released is the highest released clock seen. Runs without a policy pin
+	// the gate to the configured one; dynamic runs rewrite it from
+	// SchemeSwitch messages, keyed by a monotonic scheme epoch so stale
+	// broadcasts never roll back.
+	gate        scheme.Gate
+	released    int64
+	schemeEpoch int64
+	// workStart is when the current iteration's work began (after any gate
+	// wait); ReportSpans runs measure the work span from it.
 	workStart time.Time
 	// initAt anchors the Slowdown script's window offsets.
 	initAt time.Time
@@ -476,9 +472,8 @@ func New(cfg Config) (*Worker, error) {
 		pushCodec:    pushCodec,
 		deltaPull:    deltaPull,
 		routingEpoch: routingEpoch,
+		gate:         cfg.Scheme.Gate(),
 	}
-	rt := cfg.Scheme.InitialRuntime()
-	wk.curBase, wk.curStaleness = rt.Base, rt.Staleness
 	wk.setShards(shards, shardSrv)
 	if deltaPull {
 		wk.havePulled = make([]bool, len(shards))
@@ -589,10 +584,8 @@ func (wk *Worker) Receive(from node.ID, m wire.Message) {
 		wk.handlePushAck(from, mm)
 	case *msg.ReSync:
 		wk.handleReSync(mm)
-	case *msg.BarrierRelease:
-		wk.handleBarrierRelease(mm)
-	case *msg.MinClock:
-		wk.handleMinClock(mm)
+	case *msg.Release:
+		wk.handleRelease(mm.Clock)
 	case *msg.SchemeSwitch:
 		wk.handleSchemeSwitch(mm)
 	case *msg.PushNotice:
@@ -627,32 +620,26 @@ func (wk *Worker) stop() {
 // iteration stream. The clone was built with Index = the straggler's index —
 // same data shard, same push attribution — but idles at Init (it never
 // receives a Start); the scheduler's CloneCtl seeds it with the straggler's
-// current iteration and the cluster clocks so it neither re-runs history nor
-// parks forever behind a barrier it never saw released.
+// current iteration and the released clock so it neither re-runs history nor
+// parks forever behind a release it never saw.
 func (wk *Worker) handleCloneCtl(cc *msg.CloneCtl) {
 	if wk.started {
 		return // duplicate ctl
 	}
 	wk.started = true
 	wk.iter = cc.StartIter
-	if cc.Round > wk.releasedRound {
-		wk.releasedRound = cc.Round
-	}
-	if cc.MinClock > wk.minClock {
-		wk.minClock = cc.MinClock
-	}
+	wk.released = max(wk.released, cc.Released)
 	wk.ctx.Logf("worker: cloning worker %d from iteration %d", wk.cfg.Index, cc.StartIter)
 	wk.beginIteration()
 }
 
-// beginIteration applies the scheme's start-of-iteration gating and then
-// issues the pull.
+// beginIteration passes the gate and then sends the pulls; a worker the
+// gate holds parks until a release or a scheme switch admits it.
 func (wk *Worker) beginIteration() {
 	if wk.st == stateStopped {
 		return
 	}
-	// SSP gate: may start iteration k only while k <= minClock + s.
-	if wk.curBase == scheme.SSP && wk.iter > wk.minClock+int64(wk.curStaleness) {
+	if !wk.gate.Unbounded() && wk.iter > wk.released+int64(wk.gate.Bound) {
 		wk.st = stateBarrier
 		return
 	}
@@ -971,10 +958,10 @@ func (wk *Worker) finishPush() {
 	wk.cfg.Obs.PushDone(wk.ctx.Now(), wk.iter, wk.stalenessSum/int64(len(wk.shards)))
 	if wk.cfg.Scheme.Decentralized {
 		// Broadcast design: announce the push to every peer. Under plain
-		// ASP the scheduler is not involved at all; under BSP/SSP it still
-		// needs the notify for its barrier/clock service.
+		// ASP the scheduler is not involved at all; a bounded gate still
+		// needs the notify for its releases.
 		wk.broadcastNotices()
-		if wk.cfg.Scheme.Base != scheme.ASP {
+		if !wk.gate.Unbounded() {
 			wk.ctx.Send(wk.schedID, &msg.Notify{Iter: wk.iter})
 		}
 	} else {
@@ -988,28 +975,16 @@ func (wk *Worker) finishPush() {
 	}
 
 	wk.itersDone.Add(1)
-	done := wk.iter
 	wk.iter++
 	if wk.cfg.MaxIters > 0 && wk.itersDone.Load() >= wk.cfg.MaxIters {
 		wk.stop()
 		return
 	}
-
-	switch wk.curBase {
-	case scheme.BSP:
-		// Wait for the barrier release of the round we just finished.
-		if wk.releasedRound > done {
-			wk.beginIteration()
-		} else {
-			wk.st = stateBarrier
-		}
-	default:
-		wk.beginIteration()
-	}
+	wk.beginIteration()
 }
 
 // sendNotify reports the finished iteration to the scheduler; ReportSpans
-// runs use NotifyV2 so the straggler signal survives barrier-synchronized
+// runs use NotifyV2 so the straggler signal survives gate-synchronized
 // notify cadence (see Config.ReportSpans).
 func (wk *Worker) sendNotify() {
 	if wk.cfg.ReportSpans {
@@ -1021,52 +996,27 @@ func (wk *Worker) sendNotify() {
 	wk.ctx.Send(wk.schedID, &wk.notify)
 }
 
-// handleSchemeSwitch retargets this worker onto the scheduler's new
-// discipline. The message's Round/MinClock carry the scheduler's rebuilt
-// baselines; adopting them (never regressing) lets a worker parked at the
-// outgoing discipline's gate re-evaluate immediately instead of waiting for
-// a release that may never come. In-flight pulls, computes, and pushes are
-// untouched — none of them depend on the scheme.
+// handleSchemeSwitch retargets this worker onto the scheduler's new gate.
+// The message's released clock is the scheduler's rebuilt baseline; a worker
+// parked at the outgoing gate re-evaluates under the incoming one at once.
+// In-flight pulls, computes, and pushes are untouched — none of them depend
+// on the gate.
 func (wk *Worker) handleSchemeSwitch(sw *msg.SchemeSwitch) {
 	if sw.Epoch <= wk.schemeEpoch {
 		return // stale or duplicated broadcast (restart re-announce, resend)
 	}
 	wk.schemeEpoch = sw.Epoch
-	wk.curBase = scheme.Base(sw.Base)
-	wk.curStaleness = int(sw.Staleness)
-	if sw.Round > wk.releasedRound {
-		wk.releasedRound = sw.Round
-	}
-	if sw.MinClock > wk.minClock {
-		wk.minClock = sw.MinClock
-	}
-	wk.ctx.Logf("worker %d: scheme switch #%d → %s (%s)", wk.cfg.Index, sw.Epoch,
-		scheme.Runtime{Base: wk.curBase, Staleness: wk.curStaleness, Beta: sw.Beta}, sw.Reason)
+	wk.gate = scheme.Gate{Bound: int(sw.Bound), Quorum: sw.Quorum}
+	wk.ctx.Logf("worker %d: scheme switch #%d → %s (%s)", wk.cfg.Index, sw.Epoch, wk.gate, sw.Reason)
+	wk.handleRelease(sw.Released)
+}
+
+// handleRelease adopts a released clock (never regressing) and lets a
+// parked worker re-check the gate: a stale or duplicated release — the
+// kind a duplicating or delaying network delivers — leaves it parked.
+func (wk *Worker) handleRelease(clock int64) {
+	wk.released = max(wk.released, clock)
 	if wk.st == stateBarrier {
-		// Parked at the outgoing gate: re-evaluate under the incoming one.
-		// An incoming BSP admits us only once our just-finished round is
-		// released; SSP re-gates inside beginIteration; ASP always proceeds.
-		if wk.curBase == scheme.BSP && wk.releasedRound < wk.iter {
-			return
-		}
-		wk.beginIteration()
-	}
-}
-
-func (wk *Worker) handleBarrierRelease(br *msg.BarrierRelease) {
-	if br.Round > wk.releasedRound {
-		wk.releasedRound = br.Round
-	}
-	if wk.st == stateBarrier && wk.curBase == scheme.BSP {
-		wk.beginIteration()
-	}
-}
-
-func (wk *Worker) handleMinClock(mc *msg.MinClock) {
-	if mc.Clock > wk.minClock {
-		wk.minClock = mc.Clock
-	}
-	if wk.st == stateBarrier && wk.curBase == scheme.SSP {
 		wk.beginIteration()
 	}
 }

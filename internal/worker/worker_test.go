@@ -303,14 +303,36 @@ func TestWorkerBSPWaitsForBarrier(t *testing.T) {
 	h := newHarness(t, func(c *Config) { c.Scheme = scheme.Config{Base: scheme.BSP} })
 	h.start()
 	h.sim.RunFor(5 * time.Second)
-	// No BarrierRelease was ever sent: exactly one iteration.
+	// No Release was ever sent: exactly one iteration.
 	if got := h.w.IterationsDone(); got != 1 {
 		t.Fatalf("IterationsDone = %d, want 1 without releases", got)
 	}
-	h.sched.ctx.Send(node.WorkerID(0), &msg.BarrierRelease{Round: 1})
+	h.sched.ctx.Send(node.WorkerID(0), &msg.Release{Clock: 1})
 	h.sim.RunFor(2 * time.Second)
 	if got := h.w.IterationsDone(); got != 2 {
 		t.Errorf("IterationsDone = %d after release, want 2", got)
+	}
+}
+
+// TestWorkerBSPIgnoresStaleRelease: a parked worker that receives a release
+// older than the iteration it waits to start — what a duplicating or
+// delaying network delivers — must stay parked.
+func TestWorkerBSPIgnoresStaleRelease(t *testing.T) {
+	h := newHarness(t, func(c *Config) { c.Scheme = scheme.Config{Base: scheme.BSP} })
+	h.start()
+	h.sim.RunFor(5 * time.Second)
+	if got := h.w.IterationsDone(); got != 1 {
+		t.Fatalf("IterationsDone = %d, want 1 without releases", got)
+	}
+	h.sched.ctx.Send(node.WorkerID(0), &msg.Release{Clock: 0})
+	h.sim.RunFor(5 * time.Second)
+	if got := h.w.IterationsDone(); got != 1 {
+		t.Fatalf("IterationsDone = %d after a stale release, want 1 (still parked)", got)
+	}
+	h.sched.ctx.Send(node.WorkerID(0), &msg.Release{Clock: 1})
+	h.sim.RunFor(2 * time.Second)
+	if got := h.w.IterationsDone(); got != 2 {
+		t.Errorf("IterationsDone = %d after the covering release, want 2", got)
 	}
 }
 
@@ -318,12 +340,12 @@ func TestWorkerSSPGate(t *testing.T) {
 	h := newHarness(t, func(c *Config) { c.Scheme = scheme.Config{Base: scheme.SSP, Staleness: 2} })
 	h.start()
 	h.sim.RunFor(20 * time.Second)
-	// minClock stays 0 (no MinClock messages): worker may run iterations
-	// 0, 1, 2 and then must block (iter 3 > 0 + 2).
+	// The released clock stays 0 (no Release messages): worker may run
+	// iterations 0, 1, 2 and then must block (iter 3 > 0 + 2).
 	if got := h.w.IterationsDone(); got != 3 {
 		t.Fatalf("IterationsDone = %d, want 3 at staleness bound", got)
 	}
-	h.sched.ctx.Send(node.WorkerID(0), &msg.MinClock{Clock: 1})
+	h.sched.ctx.Send(node.WorkerID(0), &msg.Release{Clock: 1})
 	h.sim.RunFor(2 * time.Second)
 	if got := h.w.IterationsDone(); got != 4 {
 		t.Errorf("IterationsDone = %d after clock advance, want 4", got)
