@@ -137,8 +137,7 @@ func run(args []string) error {
 	wl, sc := cfg.Workload, cfg.Scheme
 	if cfg.Stragglers.HasCongest() {
 		// The TCP transport has no bandwidth model to scale; congest episodes
-		// only act under the simulator (link penalty) or an in-process
-		// live.Network (stragglers.LiveHook).
+		// only act under the simulator, as a link penalty.
 		fmt.Fprintln(os.Stderr, "specsync-node: warning: congest episodes in the plan are ignored on the TCP transport")
 	}
 	ranges, err := ps.ShardRanges(wl.Model.Dim(), cfg.Servers)

@@ -84,7 +84,6 @@ func run() error {
 		iterTime = 150 * time.Millisecond
 		maxIters = 60
 	)
-	reg := msg.Registry()
 	transfer := metrics.NewTransfer(msg.IsControl)
 	sc := scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}
 
@@ -98,38 +97,18 @@ func run() error {
 	}
 	initVec := wl.Model.Init(rand.New(rand.NewSource(seed)))
 
-	// Build every node and host each on its own TCP endpoint.
-	hosts := map[node.ID]*live.TCPHost{}
-	defer func() {
-		for _, h := range hosts {
-			h.Close()
-		}
-	}()
-	addHost := func(id node.ID, h node.Handler) error {
-		host, err := live.NewTCPHost(live.TCPHostConfig{
-			ID: id, Handler: h, ListenAddr: "127.0.0.1:0",
-			Registry: reg, Seed: seed, Transfer: transfer,
-		})
-		if err != nil {
-			return err
-		}
-		hosts[id] = host
-		return nil
-	}
-
-	srvs := make([]*ps.Server, servers)
+	// Build every node; the loopback cluster hosts each on its own TCP
+	// endpoint.
+	handlers := map[node.ID]node.Handler{}
 	for i := 0; i < servers; i++ {
 		opt, err := optimizer.NewSGD(optimizer.SGDConfig{Schedule: wl.Schedule, Clip: wl.Clip}, ranges[i].Len())
 		if err != nil {
 			return err
 		}
-		srvs[i], err = ps.New(ps.Config{
+		handlers[node.ServerID(i)], err = ps.New(ps.Config{
 			Range: ranges[i], Init: initVec[ranges[i].Lo:ranges[i].Hi], Optimizer: opt,
 		})
 		if err != nil {
-			return err
-		}
-		if err := addHost(node.ServerID(i), srvs[i]); err != nil {
 			return err
 		}
 	}
@@ -144,9 +123,7 @@ func run() error {
 			return err
 		}
 		wks[i] = wk
-		if err := addHost(node.WorkerID(i), wk); err != nil {
-			return err
-		}
+		handlers[node.WorkerID(i)] = wk
 	}
 	sched, err := core.NewScheduler(core.SchedulerConfig{
 		Workers: workers, Scheme: sc, InitialSpan: iterTime,
@@ -154,34 +131,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := addHost(node.Scheduler, sched); err != nil {
-		return err
-	}
-
-	// Exchange the address book, then kick off training.
-	for id, h := range hosts {
-		for peer, ph := range hosts {
-			if peer != id {
-				h.AddPeer(peer, ph.Addr())
-			}
-		}
-	}
-	for i := 0; i < workers; i++ {
-		hosts[node.Scheduler].Send(node.WorkerID(i), &msg.Start{})
-	}
-	fmt.Printf("live TCP cluster up: %d servers, %d workers, scheme %s\n", servers, workers, sc.Name())
-
+	handlers[node.Scheduler] = sched
 	// Monitor progress with a probe node that pulls the model over the real
 	// protocol (no cross-goroutine peeking at server state).
 	pr := &probe{ranges: ranges, dim: wl.Model.Dim(), snapshots: make(chan []float64, 1)}
-	if err := addHost(node.ProbeID, pr); err != nil {
+	handlers[node.ProbeID] = pr
+
+	// Every host knows every address before any Init runs, so the
+	// scheduler's Init starts the workers.
+	lb, err := live.NewLoopback(live.TCPHostConfig{Registry: msg.Registry(), Seed: seed, Transfer: transfer}, handlers)
+	if err != nil {
 		return err
 	}
-	for peer, ph := range hosts {
-		if peer != node.ProbeID {
-			hosts[node.ProbeID].AddPeer(peer, ph.Addr())
-		}
-	}
+	defer lb.Close()
+	fmt.Printf("live TCP cluster up: %d servers, %d workers, scheme %s\n", servers, workers, sc.Name())
 
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -194,7 +157,7 @@ func run() error {
 				stopped++
 			}
 		}
-		hosts[node.ProbeID].Inject(node.ProbeID, &msg.Start{}) // trigger a pull round
+		lb.Host(node.ProbeID).Inject(node.ProbeID, &msg.Start{}) // trigger a pull round
 		select {
 		case w := <-pr.snapshots:
 			fmt.Printf("  iterations=%-5d loss=%.4f resyncs=%d epochs=%d\n",

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"specsync/internal/core"
-	"specsync/internal/elastic"
 	"specsync/internal/live"
 	"specsync/internal/msg"
 	"specsync/internal/node"
@@ -17,11 +16,11 @@ import (
 	"specsync/internal/worker"
 )
 
-// TestLiveElasticGrowShrink runs a real 2-worker / 2-server cluster on the
-// live in-process runtime and executes a grow/shrink scale plan against it
-// in wall-clock time: a third worker and a third server shard join mid-run
-// (with a live parameter migration), then both retire (with the migration
-// back). Training must keep making progress through every handoff.
+// TestLiveElasticGrowShrink runs a real 2-worker / 2-server loopback TCP
+// cluster and grows and shrinks it in wall-clock time, the steps a scale plan
+// takes: a third worker and a third server shard join mid-run (with a live
+// parameter migration), then both retire (with the migration back). Training
+// must keep making progress through every handoff.
 func TestLiveElasticGrowShrink(t *testing.T) {
 	const (
 		workers = 2
@@ -101,58 +100,53 @@ func TestLiveElasticGrowShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	net, err := live.NewNetwork(live.NetworkConfig{Registry: msg.Registry(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	handlers := map[node.ID]node.Handler{node.Scheduler: sched}
 	for i, s := range srvs {
-		if err := net.AddNode(node.ServerID(i), s); err != nil {
-			t.Fatal(err)
-		}
+		handlers[node.ServerID(i)] = s
 	}
 	for i, wk := range wks {
-		if err := net.AddNode(node.WorkerID(i), wk); err != nil {
-			t.Fatal(err)
-		}
+		handlers[node.WorkerID(i)] = wk
 	}
-	if err := net.AddNode(node.Scheduler, sched); err != nil {
-		t.Fatal(err)
-	}
-
-	plan := elastic.GrowShrink(workers, 1, servers, 1,
-		150*time.Millisecond, 450*time.Millisecond)
-	var joiner *worker.Worker
-	inj, err := elastic.NewLive(elastic.LiveOptions{
-		Plan:      plan,
-		Servers:   servers,
-		NewWorker: func(i int) (node.Handler, error) { return makeWorker(i, true) },
-		NewServer: func(slot int) (node.Handler, error) {
-			return ps.NewJoining(ps.Config{NewOptimizer: newOptimizer})
-		},
-		OnWorkerAdd: func(i int, h node.Handler) {
-			mu.Lock()
-			joiner = h.(*worker.Worker)
-			mu.Unlock()
-		},
-	})
+	lb, err := live.NewLoopback(live.TCPHostConfig{Registry: msg.Registry(), Seed: 1}, handlers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Start()
-	defer net.Close()
-	inj.Start(net)
-	defer inj.Stop()
+	defer lb.Close()
+	schedHost := lb.Host(node.Scheduler)
+	waitFor(t, "training on the initial cluster", func() bool {
+		return wks[0].IterationsDone() > 0 && wks[1].IterationsDone() > 0
+	})
+
+	// Grow: a joining worker announces itself from its Init; a joining
+	// server slot waits frozen for the migration the scale command starts.
+	joiner, err := makeWorker(workers, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lb.Start(node.WorkerID(workers), joiner); err != nil {
+		t.Fatal(err)
+	}
+	slot, err := ps.NewJoining(ps.Config{NewOptimizer: newOptimizer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lb.Start(node.ServerID(servers), slot); err != nil {
+		t.Fatal(err)
+	}
+	planner := node.ID("scale-plan")
+	schedHost.Inject(planner, &msg.ScaleCmd{Op: msg.ScaleSetServers, Servers: []int32{0, 1, 2}})
 
 	waitFor(t, "the worker join and the scale-up migration", func() bool {
 		st := sched.ScaleStats()
 		return st.Joins == 1 && st.Migrations >= 1
 	})
-	mu.Lock()
-	j := joiner
-	mu.Unlock()
 	waitFor(t, "the joined worker to start iterating", func() bool {
-		return j.IterationsDone() > 0
+		return joiner.IterationsDone() > 0
 	})
+
+	// Shrink: retire the joined worker and hand the third slot's range back.
+	schedHost.Inject(planner, &msg.ScaleCmd{Op: msg.ScaleRetireWorker, Node: workers})
+	schedHost.Inject(planner, &msg.ScaleCmd{Op: msg.ScaleSetServers, Servers: []int32{0, 1}})
 	waitFor(t, "the retirement and the scale-down migration", func() bool {
 		st := sched.ScaleStats()
 		return st.Leaves == 1 && st.Migrations >= 2
@@ -162,9 +156,6 @@ func TestLiveElasticGrowShrink(t *testing.T) {
 		return wks[0].IterationsDone()+wks[1].IterationsDone() > after
 	})
 
-	if errs := inj.Errs(); len(errs) != 0 {
-		t.Fatalf("injector errors: %v", errs)
-	}
 	st := sched.ScaleStats()
 	if st.MigrationBytes <= 0 {
 		t.Errorf("migration bytes = %d, want > 0", st.MigrationBytes)

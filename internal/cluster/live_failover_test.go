@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"specsync/internal/core"
-	"specsync/internal/faults"
 	"specsync/internal/live"
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
@@ -29,11 +27,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestLiveSchedulerDeathAndRecovery runs a real 2-worker cluster on the live
-// in-process runtime, kills the scheduler mid-training, and requires the
-// workers to (1) keep iterating while it is gone, (2) flag degraded mode, and
-// (3) return to the centralized path once a restarted incarnation restores a
-// checkpoint and completes the StateReport handshake.
+// TestLiveSchedulerDeathAndRecovery runs a real 2-worker loopback TCP
+// cluster, kills the scheduler mid-training, and requires the workers to (1)
+// keep iterating while it is gone, (2) flag degraded mode, and (3) return to
+// the centralized path once a restarted incarnation restores a checkpoint and
+// completes the StateReport handshake.
 func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	wl, err := NewTiny(2, 1)
 	if err != nil {
@@ -89,53 +87,20 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	current := sched
-	plan := &faults.Plan{Events: []faults.Event{
-		{Kind: faults.KindCrashScheduler, At: 150 * time.Millisecond, RestartAfter: 400 * time.Millisecond},
-	}}
-	inj, err := faults.NewLive(faults.LiveOptions{
-		Plan:         plan,
-		NumWorkers:   2,
-		NumServers:   1,
-		Faults:       fm,
-		NewScheduler: makeSched,
-		// The crashed incarnation's event loop is stopped, so reading its
-		// state stands in for a checkpoint read from durable storage.
-		SchedulerCheckpoint: func() (core.SchedulerSnapshot, bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			return current.Snapshot(), true
-		},
-		OnSchedulerRestart: func(s *core.Scheduler) {
-			mu.Lock()
-			current = s
-			mu.Unlock()
-		},
+	lb, err := live.NewLoopback(live.TCPHostConfig{Registry: msg.Registry(), Seed: 1}, map[node.ID]node.Handler{
+		node.ServerID(0): srv, node.WorkerID(0): workers[0], node.WorkerID(1): workers[1], node.Scheduler: sched,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lb.Close()
+	waitFor(t, "training under the first scheduler", func() bool {
+		return workers[0].IterationsDone() > 0 && workers[1].IterationsDone() > 0
+	})
 
-	net, err := live.NewNetwork(live.NetworkConfig{Registry: msg.Registry(), Seed: 1, Fault: inj.Hook()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AddNode(node.ServerID(0), srv); err != nil {
-		t.Fatal(err)
-	}
-	for i, wk := range workers {
-		if err := net.AddNode(node.WorkerID(i), wk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := net.AddNode(node.Scheduler, sched); err != nil {
-		t.Fatal(err)
-	}
-	net.Start()
-	defer net.Close()
-	inj.Start(net)
-	defer inj.Stop()
+	// Crash: the scheduler's process dies with its host.
+	lb.Stop(node.Scheduler)
+	fm.RecordSchedulerCrash()
 
 	waitFor(t, "both workers to enter degraded mode", func() bool {
 		return workers[0].Degraded() && workers[1].Degraded()
@@ -147,6 +112,23 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 		}
 		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtDegrade
 	})
+
+	// Restart: a generation-1 incarnation restores the dead one's checkpoint
+	// (its event loop is stopped, so reading its state stands in for reading
+	// durable storage) on a fresh host.
+	next, err := makeSched(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Restore(sched.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	fm.RecordSchedulerRestore()
+	if _, err := lb.Start(node.Scheduler, next); err != nil {
+		t.Fatal(err)
+	}
+	fm.RecordSchedulerRestart()
+
 	waitFor(t, "both workers to recover after the scheduler restart", func() bool {
 		return !workers[0].Degraded() && !workers[1].Degraded()
 	})
@@ -155,9 +137,6 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtRecover
 	})
 
-	if errs := inj.Errs(); len(errs) != 0 {
-		t.Fatalf("injector errors: %v", errs)
-	}
 	st := fm.Stats()
 	if st.SchedulerCrashes != 1 || st.SchedulerRestarts != 1 || st.SchedulerRestores != 1 {
 		t.Errorf("scheduler crashes/restarts/restores = %d/%d/%d, want 1/1/1",

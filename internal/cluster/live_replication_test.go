@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"specsync/internal/core"
-	"specsync/internal/faults"
 	"specsync/internal/live"
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
@@ -19,12 +17,12 @@ import (
 	"specsync/internal/worker"
 )
 
-// TestLiveReplicatedFailover runs the replicated planes on the live
-// (wall-clock, goroutine-per-node) runtime: one shard with one warm backup
-// and a scheduler with one standby. The plan kills the shard primary and
-// then the scheduler for good; the backup must be promoted with zero lost
-// pushes and the standby must win an election and keep serving the workers
-// before any of them trips the degraded-mode failure detector.
+// TestLiveReplicatedFailover runs the replicated planes on a loopback TCP
+// cluster: one shard with one warm backup and a scheduler with one standby.
+// The test kills the shard primary and then the scheduler for good; the
+// backup must be promoted with zero lost pushes and the standby must win an
+// election and keep serving the workers before any of them trips the
+// degraded-mode failure detector.
 func TestLiveReplicatedFailover(t *testing.T) {
 	wl, err := NewTiny(2, 1)
 	if err != nil {
@@ -107,69 +105,48 @@ func TestLiveReplicatedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	serving := primary
-	plan := &faults.Plan{Events: []faults.Event{
-		{Kind: faults.KindCrashServer, Node: 0, At: 150 * time.Millisecond, RestartAfter: 100 * time.Millisecond},
-		// The scheduler stays down; the standby owns recovery.
-		{Kind: faults.KindCrashScheduler, At: 600 * time.Millisecond},
-	}}
-	inj, err := faults.NewLive(faults.LiveOptions{
-		Plan:       plan,
-		NumWorkers: 2,
-		NumServers: 1,
-		Faults:     fm,
-		Replicas:   1,
-		Standbys:   1,
-		Server: func(int) *ps.Server {
-			mu.Lock()
-			defer mu.Unlock()
-			return serving
-		},
-		ReplicaServer: func(int, int) *ps.Server { return backup },
-		OnPromote: func(_ int, srv *ps.Server) {
-			mu.Lock()
-			serving = srv
-			mu.Unlock()
-		},
+	lb, err := live.NewLoopback(live.TCPHostConfig{Registry: msg.Registry(), Seed: 1}, map[node.ID]node.Handler{
+		node.ServerID(0): primary, node.ReplicaID(0, 1): backup,
+		node.WorkerID(0): workers[0], node.WorkerID(1): workers[1],
+		node.Scheduler: leader, node.StandbyID(1): standby,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lb.Close()
+	waitFor(t, "the primary to apply pushes", func() bool { return primary.Version() > 0 })
 
-	net, err := live.NewNetwork(live.NetworkConfig{Registry: msg.Registry(), Seed: 1, Fault: inj.Hook()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AddNode(node.ServerID(0), primary); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AddNode(node.ReplicaID(0, 1), backup); err != nil {
-		t.Fatal(err)
-	}
-	for i, wk := range workers {
-		if err := net.AddNode(node.WorkerID(i), wk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := net.AddNode(node.Scheduler, leader); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AddNode(node.StandbyID(1), standby); err != nil {
-		t.Fatal(err)
-	}
-	net.Start()
-	defer net.Close()
-	inj.Start(net)
-	defer inj.Stop()
+	// Kill the shard primary, pinning the version it had acknowledged.
+	lb.Stop(node.ServerID(0))
+	fm.RecordCrash()
+	acked := primary.Version()
 
-	waitFor(t, "the backup to be promoted to shard primary", func() bool {
-		return fm.Stats().Promotions == 1
-	})
+	// Promote the backup once it has drained the dead primary's replication
+	// stream (what it still lacks after the wait is lost): detach it from its
+	// replica ID, whose closed host runs nothing more on it, and serve it at
+	// the shard's well-known ID on a fresh host.
+	for deadline := time.Now().Add(10 * time.Second); backup.Version() < acked && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	lb.Stop(node.ReplicaID(0, 1))
+	if lost := acked - backup.Version(); lost > 0 {
+		fm.RecordLostPushes(lost)
+	}
+	backup.Promote(nil)
+	if _, err := lb.Start(node.ServerID(0), backup); err != nil {
+		t.Fatal(err)
+	}
+	fm.RecordRestart()
+	fm.RecordPromotion()
+
 	itersAtPromote := workers[0].IterationsDone() + workers[1].IterationsDone()
 	waitFor(t, "training progress on the promoted shard", func() bool {
 		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtPromote
 	})
+
+	// Kill the scheduler for good: the standby owns recovery.
+	lb.Stop(node.Scheduler)
+	fm.RecordSchedulerCrash()
 	waitFor(t, "the standby to win the election", func() bool {
 		return standby.Role() == replica.RoleLeader
 	})
@@ -178,9 +155,6 @@ func TestLiveReplicatedFailover(t *testing.T) {
 		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtElect
 	})
 
-	if errs := inj.Errs(); len(errs) != 0 {
-		t.Fatalf("injector errors: %v", errs)
-	}
 	st := fm.Stats()
 	if st.LostPushes != 0 {
 		t.Errorf("lost pushes = %d, want 0 under replication", st.LostPushes)

@@ -626,9 +626,10 @@ func (s *Sim) Down(id node.ID) bool {
 }
 
 // Inject delivers a message to a node as if sent by from, bypassing the
-// network model (mirrors live.Network.Inject). Fault injectors use it to
-// re-issue Start to restarted workers. From there it is a delivery like any
-// other: decoded when it arrives, counted, lost if the node is down by then.
+// network model, as live.TCPHost.Inject bypasses the socket. Fault injectors
+// use it to re-issue Start to restarted workers. From there it is a delivery
+// like any other: decoded when it arrives, counted, lost if the node is down
+// by then.
 func (s *Sim) Inject(from, to node.ID, m wire.Message) error {
 	dst, ok := s.nodes[to]
 	if !ok {

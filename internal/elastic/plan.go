@@ -1,11 +1,10 @@
 // Package elastic implements declarative scale plans for SpecSync clusters:
-// schedules of worker join/leave and server add/remove events, with injectors
-// for the deterministic simulator (internal/des) and the live runtime
-// (internal/live).
+// schedules of worker join/leave and server add/remove events, with an
+// injector for the deterministic simulator (internal/des).
 //
 // A Plan is pure data (JSON-serializable) and carries no randomness at all —
 // the same plan against the same seeded run is bit-for-bit reproducible. The
-// injectors translate events into runtime actions: new nodes join the running
+// injector translates events into runtime actions: new nodes join the running
 // network and announce themselves (JoinReq), departures and server-set
 // changes are ScaleCmd messages injected into the scheduler, which owns the
 // membership and routing protocol (internal/core/elastic.go).

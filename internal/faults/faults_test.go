@@ -2,14 +2,13 @@ package faults
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
+	"specsync/internal/des"
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
-	"specsync/internal/wire"
 )
 
 func TestPlanValidate(t *testing.T) {
@@ -154,9 +153,9 @@ func TestFilterRatesAndDeterminism(t *testing.T) {
 		{Kind: KindDrop, Rate: 0.5},
 		{Kind: KindDelay, Rate: 0.5, Delay: 10 * time.Millisecond},
 	}}
-	run := func() []Action {
+	run := func() []des.FaultAction {
 		f := NewFilter(p, nil)
-		var out []Action
+		var out []des.FaultAction
 		for i := 0; i < 200; i++ {
 			out = append(out, f.Action("worker/0", "server/0", msg.KindPushReq, time.Duration(i)*time.Millisecond))
 		}
@@ -181,65 +180,5 @@ func TestFilterRatesAndDeterminism(t *testing.T) {
 	}
 	if delays == 0 {
 		t.Error("no delays at rate 0.5")
-	}
-}
-
-// recordSender counts Sends per destination.
-type recordSender struct {
-	mu   sync.Mutex
-	sent []node.ID
-}
-
-func (r *recordSender) Send(to node.ID, m wire.Message) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sent = append(r.sent, to)
-	return nil
-}
-
-func (r *recordSender) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.sent)
-}
-
-func TestFaultSender(t *testing.T) {
-	drop := NewFilter(&Plan{Events: []Event{{Kind: KindDrop}}}, nil)
-	dup := NewFilter(&Plan{Events: []Event{{Kind: KindDuplicate}}}, nil)
-	delay := NewFilter(&Plan{Events: []Event{{Kind: KindDelay, Delay: 10 * time.Millisecond}}}, nil)
-
-	inner := &recordSender{}
-	if err := NewFaultSender(inner, "worker/0", drop).Send("server/0", &msg.Notify{}); err != nil {
-		t.Fatal(err)
-	}
-	if inner.count() != 0 {
-		t.Errorf("dropped send reached inner transport (%d)", inner.count())
-	}
-
-	inner = &recordSender{}
-	if err := NewFaultSender(inner, "worker/0", dup).Send("server/0", &msg.Notify{}); err != nil {
-		t.Fatal(err)
-	}
-	if inner.count() != 2 {
-		t.Errorf("duplicated send reached inner %d times, want 2", inner.count())
-	}
-
-	inner = &recordSender{}
-	start := time.Now()
-	if err := NewFaultSender(inner, "worker/0", delay).Send("server/0", &msg.Notify{}); err != nil {
-		t.Fatal(err)
-	}
-	if inner.count() != 0 {
-		t.Error("delayed send was synchronous")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for inner.count() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if inner.count() != 1 {
-		t.Fatalf("delayed send delivered %d times, want 1", inner.count())
-	}
-	if since := time.Since(start); since < 10*time.Millisecond {
-		t.Errorf("delayed send arrived after %v, want >= 10ms", since)
 	}
 }

@@ -5,26 +5,16 @@ import (
 	"sync"
 	"time"
 
+	"specsync/internal/des"
 	"specsync/internal/metrics"
 	"specsync/internal/node"
 	"specsync/internal/wire"
 )
 
-// Action is the filter's verdict for one message. The zero value delivers
-// normally. It mirrors des.FaultAction / live.FaultAction, which the
-// injectors adapt to, keeping this package free of runtime imports in the
-// hot path.
-type Action struct {
-	Drop      bool
-	Duplicate bool
-	Delay     time.Duration
-}
-
 // Filter evaluates a plan's message faults (partitions, drops, duplicates,
-// delays) against individual sends. It is safe for concurrent use (the live
-// transport calls it from many goroutines); under the single-threaded
-// simulator the lock is uncontended and the decision sequence — and thus the
-// run — is deterministic.
+// delays) against individual sends. It is safe for concurrent use; under the
+// single-threaded simulator the lock is uncontended and the decision
+// sequence — and thus the run — is deterministic.
 type Filter struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -83,15 +73,15 @@ func NewFilter(p *Plan, m *metrics.Faults) *Filter {
 	return f
 }
 
-// Empty reports whether the filter has no message-fault rules at all, so
-// injectors can skip installing a hook.
+// Empty reports whether the filter has no message-fault rules at all, so the
+// injector can skip installing a hook.
 func (f *Filter) Empty() bool { return len(f.rules) == 0 && len(f.parts) == 0 }
 
 // Action evaluates one message sent at `elapsed` since run start. Partition
 // drops are checked first (they are deterministic); probabilistic rules draw
 // from the seeded stream only while their window is open, so rule evaluation
-// order is stable.
-func (f *Filter) Action(from, to node.ID, kind wire.Kind, elapsed time.Duration) Action {
+// order is stable. The zero verdict delivers normally.
+func (f *Filter) Action(from, to node.ID, kind wire.Kind, elapsed time.Duration) des.FaultAction {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
@@ -101,11 +91,11 @@ func (f *Filter) Action(from, to node.ID, kind wire.Kind, elapsed time.Duration)
 		}
 		if (pr.a[from] && pr.b[to]) || (pr.b[from] && pr.a[to]) {
 			f.m.RecordDrop(kind)
-			return Action{Drop: true}
+			return des.FaultAction{Drop: true}
 		}
 	}
 
-	var act Action
+	var act des.FaultAction
 	for _, r := range f.rules {
 		if elapsed < r.from || (r.to > 0 && elapsed >= r.to) {
 			continue
@@ -116,7 +106,7 @@ func (f *Filter) Action(from, to node.ID, kind wire.Kind, elapsed time.Duration)
 		switch r.kind {
 		case KindDrop:
 			f.m.RecordDrop(kind)
-			return Action{Drop: true}
+			return des.FaultAction{Drop: true}
 		case KindDuplicate:
 			if !act.Duplicate {
 				f.m.RecordDuplicate(kind)

@@ -1,13 +1,11 @@
 // Package faults implements deterministic fault injection and recovery for
 // SpecSync clusters: declarative, seedable plans of crash, restart,
-// partition, and message-fault events, with injectors for both the
-// deterministic simulator (internal/des) and the live runtimes
-// (internal/live, internal/transport).
+// partition, and message-fault events, with an injector for the deterministic
+// simulator (internal/des).
 //
-// A Plan is pure data (JSON-serializable); the injectors translate it into
+// A Plan is pure data (JSON-serializable); the injector translates it into
 // runtime actions. All randomness comes from the plan's seed, so a simulated
-// run under a fault plan is bit-for-bit reproducible, and a live run draws
-// the same fault decisions in the same message order.
+// run under a fault plan is bit-for-bit reproducible.
 package faults
 
 import (

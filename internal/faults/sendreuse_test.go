@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"specsync/internal/des"
-	"specsync/internal/faults"
 	"specsync/internal/jobs"
 	"specsync/internal/live"
 	"specsync/internal/msg"
@@ -136,25 +135,6 @@ func (f onInit) Receive(node.ID, wire.Message) {}
 func TestSenderMayReuseItsMessage(t *testing.T) {
 	const sender, receiver = node.ID("worker/0"), node.ID("server/0")
 	reg := msg.Registry()
-	liveNetwork := func(fault live.FaultHook, copies int) func(t *testing.T) {
-		return func(t *testing.T) {
-			rec := newRecorder(2 * copies)
-			n, err := live.NewNetwork(live.NetworkConfig{Registry: reg, Fault: fault})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer n.Close()
-			script := onInit(func(ctx node.Context) { sendRounds(func(m wire.Message) { ctx.Send(receiver, m) }) })
-			if err := n.AddNode(sender, script); err != nil {
-				t.Fatal(err)
-			}
-			if err := n.AddNode(receiver, rec); err != nil {
-				t.Fatal(err)
-			}
-			n.Start()
-			rec.check(t, wantFrames(copies))
-		}
-	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
@@ -176,16 +156,16 @@ func TestSenderMayReuseItsMessage(t *testing.T) {
 			sim.RunUntilIdle(time.Second)
 			rec.check(t, wantFrames(1))
 		}},
-		{"live.Network", liveNetwork(nil, 1)},
-		{"live.Network/Delay", liveNetwork(func(_, _ node.ID, _ wire.Kind) live.FaultAction {
-			return live.FaultAction{Delay: 5 * time.Millisecond}
-		}, 1)},
-		{"live.Network/Duplicate", liveNetwork(func(_, _ node.ID, _ wire.Kind) live.FaultAction {
-			return live.FaultAction{Duplicate: true}
-		}, 2)},
-		{"live.Network/Delay+Duplicate", liveNetwork(func(_, _ node.ID, _ wire.Kind) live.FaultAction {
-			return live.FaultAction{Delay: 5 * time.Millisecond, Duplicate: true}
-		}, 2)},
+		{"live.Loopback", func(t *testing.T) {
+			rec := newRecorder(2)
+			script := onInit(func(ctx node.Context) { sendRounds(func(m wire.Message) { ctx.Send(receiver, m) }) })
+			lb, err := live.NewLoopback(live.TCPHostConfig{Registry: reg}, map[node.ID]node.Handler{sender: script, receiver: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lb.Close()
+			rec.check(t, wantFrames(1))
+		}},
 		{"transport.TCP", func(t *testing.T) {
 			rec := newRecorder(2)
 			dst, err := transport.ListenTCP(transport.TCPConfig{
@@ -209,34 +189,6 @@ func TestSenderMayReuseItsMessage(t *testing.T) {
 				}
 			})
 			rec.check(t, wantFrames(1))
-		}},
-		{"faults.FaultSender/Delay+Duplicate", func(t *testing.T) {
-			rec := newRecorder(4)
-			dst, err := transport.ListenTCP(transport.TCPConfig{
-				ID: receiver, ListenAddr: "127.0.0.1:0", Registry: reg, OnMessage: rec.record,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dst.Close()
-			src, err := transport.ListenTCP(transport.TCPConfig{
-				ID: sender, Registry: reg, Peers: map[node.ID]string{receiver: dst.Addr()},
-				OnMessage: func(node.ID, wire.Message) {},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
-			filter := faults.NewFilter(&faults.Plan{Events: []faults.Event{
-				{Kind: faults.KindDelay, Delay: 5 * time.Millisecond}, {Kind: faults.KindDuplicate},
-			}}, nil)
-			fs := faults.NewFaultSender(src, sender, filter)
-			sendRounds(func(m wire.Message) {
-				if err := fs.Send(receiver, m); err != nil {
-					t.Fatal(err)
-				}
-			})
-			rec.check(t, wantFrames(2))
 		}},
 		{"jobs push gate parks a push", func(t *testing.T) {
 			rec := newRecorder(2)

@@ -150,8 +150,7 @@ func AttachSim(sim *des.Sim, opts SimOptions) (*SimInjector, error) {
 	if !filter.Empty() {
 		start := sim.Now()
 		sim.SetFault(func(from, to node.ID, kind wire.Kind, at time.Time) des.FaultAction {
-			a := filter.Action(from, to, kind, at.Sub(start))
-			return des.FaultAction{Drop: a.Drop, Duplicate: a.Duplicate, Delay: a.Delay}
+			return filter.Action(from, to, kind, at.Sub(start))
 		})
 	}
 

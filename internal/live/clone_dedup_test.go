@@ -59,35 +59,23 @@ func TestLiveCloneDedupNeverDoubleApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	orig, clone, stray := &ackSink{}, &ackSink{}, &ackSink{}
-	for id, h := range map[node.ID]node.Handler{
+	lb := newLoopback(t, TCPHostConfig{Seed: 5}, map[node.ID]node.Handler{
 		node.ServerID(0): srv, node.WorkerID(1): orig, node.WorkerID(4): clone, node.WorkerID(5): stray,
-	} {
-		if err := net.AddNode(id, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net.Start()
-	defer net.Close()
+	})
 
 	// Bind slot 4 onto worker 1 before any clone traffic (FIFO per inbox).
-	if err := net.Inject(node.Scheduler, node.ServerID(0), &msg.CloneNotice{Slot: 4, Target: 1}); err != nil {
-		t.Fatal(err)
-	}
+	lb.Host(node.ServerID(0)).Inject(node.Scheduler, &msg.CloneNotice{Slot: 4, Target: 1})
 
 	grad := func(k int) []float64 {
 		return []float64{1, float64(k % 7), -1, float64(k % 3)}
 	}
+	// Each push leaves its sender's host over its own connection, so the
+	// original's and the clone's race at the server's mailbox.
 	push := func(from node.ID, k int) {
-		if err := net.Inject(from, node.ServerID(0), &msg.PushReq{
+		lb.Host(from).Send(node.ServerID(0), &msg.PushReq{
 			Seq: uint64(k + 1), Iter: int64(k), PullVersion: 0, Dense: grad(k),
-		}); err != nil {
-			t.Error(err)
-		}
+		})
 	}
 	var wg sync.WaitGroup
 	for _, from := range []node.ID{node.WorkerID(1), node.WorkerID(4)} {
@@ -117,6 +105,7 @@ func TestLiveCloneDedupNeverDoubleApplies(t *testing.T) {
 	}
 
 	// Exactly one apply per iteration, whoever won it.
+	lb.Close()
 	if v := srv.Version(); v != iters {
 		t.Errorf("server version %d, want %d applies", v, iters)
 	}

@@ -34,10 +34,6 @@ func TestClusterzReadersRaceLiveScheduler(t *testing.T) {
 		rounds  = 150
 	)
 	o := obs.New(obs.Options{})
-	net, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sched, err := core.NewScheduler(core.SchedulerConfig{
 		Workers: workers, InitialSpan: 2 * time.Millisecond, Obs: o.Scheduler(),
 		Scheme:      scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
@@ -47,16 +43,12 @@ func TestClusterzReadersRaceLiveScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.AddNode(node.Scheduler, sched); err != nil {
-		t.Fatal(err)
-	}
+	handlers := map[node.ID]node.Handler{node.Scheduler: sched}
 	for i := 0; i < workers; i++ {
-		if err := net.AddNode(node.WorkerID(i), sink{}); err != nil {
-			t.Fatal(err)
-		}
+		handlers[node.WorkerID(i)] = sink{}
 	}
-	net.Start()
-	defer net.Close()
+	lb := newLoopback(t, TCPHostConfig{Seed: 5}, handlers)
+	schedHost := lb.Host(node.Scheduler)
 	handler := obs.NewHandler(obs.HTTPConfig{Registry: o.Registry(), Cluster: o.ClusterSnapshot})
 
 	done := make(chan struct{})
@@ -98,11 +90,11 @@ func TestClusterzReadersRaceLiveScheduler(t *testing.T) {
 	}()
 
 	// Every worker notifies once per round, so each round closes an epoch.
+	// Injected in round order: over the workers' own connections a fast
+	// worker's next round could overtake a slow one's current round.
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < workers; i++ {
-			if err := net.Inject(node.WorkerID(i), node.Scheduler, &msg.Notify{Iter: int64(r)}); err != nil {
-				t.Fatal(err)
-			}
+			schedHost.Inject(node.WorkerID(i), &msg.Notify{Iter: int64(r)})
 		}
 		time.Sleep(200 * time.Microsecond) // spread the rounds so timers fire between them
 	}

@@ -25,7 +25,6 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP cluster")
 	}
-	reg := msg.Registry()
 	ccfg := codec.Config{Name: "topk", TopKFrac: 0.25}
 	stats := codec.NewStats(msg.CodecLabeler(ccfg.PushName(), ccfg.PullName()))
 	ledger := stats.Tap(metrics.NewTransfer(msg.IsControl))
@@ -79,36 +78,11 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 		workers[i] = wk
 	}
 
-	hosts := map[node.ID]*TCPHost{}
-	addHost := func(id node.ID, h node.Handler) *TCPHost {
-		t.Helper()
-		host, err := NewTCPHost(TCPHostConfig{
-			ID: id, Handler: h, ListenAddr: "127.0.0.1:0", Registry: reg, Seed: 9,
-			Transfer: ledger,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[id] = host
-		t.Cleanup(host.Close)
-		return host
-	}
-	addHost(node.ServerID(0), srv)
+	handlers := map[node.ID]node.Handler{node.ServerID(0): srv, node.Scheduler: sched}
 	for i, wk := range workers {
-		addHost(node.WorkerID(i), wk)
+		handlers[node.WorkerID(i)] = wk
 	}
-	schedHost := addHost(node.Scheduler, sched)
-
-	for id, h := range hosts {
-		for peer, ph := range hosts {
-			if peer != id {
-				h.AddPeer(peer, ph.Addr())
-			}
-		}
-	}
-	for i := range workers {
-		schedHost.Send(node.WorkerID(i), &msg.Start{})
-	}
+	lb := newLoopback(t, TCPHostConfig{Seed: 9, Transfer: ledger}, handlers)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -153,7 +127,7 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 			continue
 		}
 		hasState := false
-		hosts[node.WorkerID(i)].Do(func() {
+		lb.Host(node.WorkerID(i)).Do(func() {
 			st := wk.CodecState()
 			if hasState = st != nil; !hasState {
 				return

@@ -22,61 +22,46 @@ func waitCond(t *testing.T, cond func() bool) bool {
 	return true
 }
 
+// TestNetworkCrashRestart: a stopped node receives nothing, and a node
+// started again at its ID is a fresh incarnation on a fresh port that its
+// peers reach at once, while the old one stays frozen.
 func TestNetworkCrashRestart(t *testing.T) {
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a := &pingHandler{}
 	b := &pingHandler{}
-	if err := n.AddNode("worker/0", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode("worker/1", b); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Close()
+	lb := newLoopback(t, TCPHostConfig{Seed: 1}, map[node.ID]node.Handler{"worker/0": a, "worker/1": b})
+	sender := lb.Host("worker/0")
 
-	if err := n.Inject("worker/0", "worker/1", &msg.Notify{Iter: 1}); err != nil {
-		t.Fatal(err)
-	}
+	sender.Send("worker/1", &msg.Notify{Iter: 1})
 	if !waitCond(t, func() bool { return b.count() == 1 }) {
 		t.Fatal("pre-crash message never arrived")
 	}
+	oldAddr := lb.Host("worker/1").Addr()
 
-	if err := n.Crash("worker/1"); err != nil {
-		t.Fatal(err)
+	lb.Stop("worker/1")
+	if lb.Host("worker/1") != nil {
+		t.Error("a stopped node still has a host")
 	}
-	if !n.Down("worker/1") {
-		t.Error("Down() false after Crash")
-	}
-	if err := n.Crash("worker/1"); err == nil {
-		t.Error("double Crash succeeded")
-	}
-	// Messages to a down node are lost.
-	if err := n.Inject("worker/0", "worker/1", &msg.Notify{Iter: 2}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond)
+	lb.Stop("worker/1") // stopping a stopped node is a no-op
+	// Messages to a down node are lost; its handler runs nothing once Stop
+	// has returned.
+	sender.Send("worker/1", &msg.Notify{Iter: 2})
 	if c := b.count(); c != 1 {
 		t.Errorf("down node received messages: count=%d", c)
 	}
 
 	// Restart with a fresh handler; old incarnation stays frozen.
 	fresh := &pingHandler{}
-	if err := n.Restart("worker/1", fresh); err != nil {
+	host, err := lb.Start("worker/1", fresh)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Down("worker/1") {
-		t.Error("Down() true after Restart")
+	if host.Addr() == oldAddr {
+		t.Errorf("the restarted node re-bound its old address %s", oldAddr)
 	}
 	if !waitCond(t, func() bool { return fresh.inits.Load() == 1 }) {
 		t.Fatal("restarted handler never initialized")
 	}
-	if err := n.Inject("worker/0", "worker/1", &msg.Notify{Iter: 3}); err != nil {
-		t.Fatal(err)
-	}
+	sender.Send("worker/1", &msg.Notify{Iter: 3})
 	if !waitCond(t, func() bool { return fresh.count() == 1 }) {
 		t.Fatal("post-restart message never arrived")
 	}
@@ -112,32 +97,21 @@ func (h *timerHandler) count() int {
 }
 
 func TestNetworkCrashSilencesTimers(t *testing.T) {
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &timerHandler{}
-	if err := n.AddNode("worker/0", h); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Close()
+	lb := newLoopback(t, TCPHostConfig{Seed: 1}, map[node.ID]node.Handler{"worker/0": h})
 
 	if !waitCond(t, func() bool { return h.count() > 2 }) {
 		t.Fatal("timer never fired")
 	}
-	if err := n.Crash("worker/0"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond)
+	lb.Stop("worker/0")
 	before := h.count()
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(50 * time.Millisecond) // the armed timer fires into the closed mailbox
 	if after := h.count(); after != before {
 		t.Errorf("timers fired while down: %d -> %d", before, after)
 	}
 
 	fresh := &timerHandler{}
-	if err := n.Restart("worker/0", fresh); err != nil {
+	if _, err := lb.Start("worker/0", fresh); err != nil {
 		t.Fatal(err)
 	}
 	if !waitCond(t, func() bool { return fresh.count() > 0 }) {
@@ -145,70 +119,5 @@ func TestNetworkCrashSilencesTimers(t *testing.T) {
 	}
 	if after := h.count(); after != before {
 		t.Errorf("old incarnation's timers resumed: %d -> %d", before, after)
-	}
-}
-
-func TestNetworkFaultHook(t *testing.T) {
-	var mu sync.Mutex
-	mode := ""
-	setMode := func(m string) { mu.Lock(); mode = m; mu.Unlock() }
-	n, err := NewNetwork(NetworkConfig{
-		Registry: msg.Registry(),
-		Seed:     1,
-		Fault: func(from, to node.ID, kind wire.Kind) FaultAction {
-			mu.Lock()
-			defer mu.Unlock()
-			switch mode {
-			case "drop":
-				return FaultAction{Drop: true}
-			case "dup":
-				return FaultAction{Duplicate: true}
-			case "delay":
-				return FaultAction{Delay: 20 * time.Millisecond}
-			}
-			return FaultAction{}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := &pingHandler{}
-	if err := n.AddNode("worker/0", &pingHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode("worker/1", recv); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Close()
-
-	send := func(iter int64) {
-		t.Helper()
-		// Drive through the full send path (fault hook included).
-		nd := n.nodes["worker/0"]
-		nd.Send("worker/1", &msg.Notify{Iter: iter})
-	}
-
-	setMode("drop")
-	send(1)
-	time.Sleep(30 * time.Millisecond)
-	if c := recv.count(); c != 0 {
-		t.Fatalf("dropped message delivered: count=%d", c)
-	}
-
-	setMode("dup")
-	send(2)
-	if !waitCond(t, func() bool { return recv.count() == 2 }) {
-		t.Fatalf("duplicate not delivered twice: count=%d", recv.count())
-	}
-
-	setMode("delay")
-	start := time.Now()
-	send(3)
-	if !waitCond(t, func() bool { return recv.count() == 3 }) {
-		t.Fatalf("delayed message lost: count=%d", recv.count())
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Errorf("delayed message arrived too fast: %v", elapsed)
 	}
 }

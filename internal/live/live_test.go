@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/wire"
@@ -42,6 +43,24 @@ func (p *pingHandler) count() int {
 	return len(p.seen)
 }
 
+// newLoopback starts a loopback cluster that the test closes.
+func newLoopback(t testing.TB, cfg TCPHostConfig, handlers map[node.ID]node.Handler) *Loopback {
+	t.Helper()
+	if cfg.Registry == nil {
+		cfg.Registry = msg.Registry()
+	}
+	lb, err := NewLoopback(cfg, handlers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lb.Close)
+	return lb
+}
+
+// initialized returns once id's Init has run, and makes what it wrote
+// visible to the caller.
+func initialized(lb *Loopback, id node.ID) { lb.Host(id).Do(func() {}) }
+
 func TestQueueFIFOAndClose(t *testing.T) {
 	q := newQueue()
 	var got []int
@@ -66,49 +85,82 @@ func TestQueueFIFOAndClose(t *testing.T) {
 	}
 }
 
+// TestNetworkValidation: a loopback network refuses a missing registry, a nil
+// handler, a malformed ID and a second start of a running node.
 func TestNetworkValidation(t *testing.T) {
-	if _, err := NewNetwork(NetworkConfig{}); err == nil {
+	if _, err := NewLoopback(TCPHostConfig{}, map[node.ID]node.Handler{"worker/0": &pingHandler{}}); err == nil {
 		t.Error("expected registry error")
 	}
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode("worker/0", &pingHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode("worker/0", &pingHandler{}); err == nil {
-		t.Error("expected duplicate error")
-	}
-	if err := n.AddNode("worker/1", nil); err == nil {
+	cfg := TCPHostConfig{Registry: msg.Registry()}
+	if _, err := NewLoopback(cfg, map[node.ID]node.Handler{"worker/0": &pingHandler{}, "worker/1": nil}); err == nil {
 		t.Error("expected nil handler error")
 	}
-	n.Start()
-	defer n.Close()
-	if err := n.AddNode("worker/2", &pingHandler{}); err == nil {
-		t.Error("expected post-start error")
+	if _, err := NewLoopback(cfg, map[node.ID]node.Handler{"bogus": &pingHandler{}}); err == nil {
+		t.Error("expected bad-id error")
+	}
+	lb := newLoopback(t, cfg, map[node.ID]node.Handler{"worker/0": &pingHandler{}})
+	if _, err := lb.Start("worker/0", &pingHandler{}); err == nil {
+		t.Error("expected duplicate error")
+	}
+	if _, err := lb.Start("worker/2", nil); err == nil {
+		t.Error("expected nil handler error on Start")
 	}
 }
 
-func TestNetworkRoundTrip(t *testing.T) {
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: 1})
-	if err != nil {
+// greeter sends a Notify to every peer from its Init.
+type greeter struct {
+	pingHandler
+	peers []node.ID
+}
+
+func (g *greeter) Init(ctx node.Context) {
+	g.pingHandler.Init(ctx)
+	for _, p := range g.peers {
+		ctx.Send(p, &msg.Notify{Iter: 1})
+	}
+}
+
+// TestLoopbackInitReachesEveryPeer: every host has the whole address book
+// before any Init runs, so a send from Init reaches every peer, whatever the
+// start order; the same holds for a node started later.
+func TestLoopbackInitReachesEveryPeer(t *testing.T) {
+	ids := []node.ID{node.Scheduler, node.WorkerID(0), node.ServerID(0), node.ReplicaID(0, 1)}
+	handlers := map[node.ID]node.Handler{}
+	greeters := map[node.ID]*greeter{}
+	for _, id := range ids {
+		g := &greeter{}
+		for _, p := range ids {
+			if p != id {
+				g.peers = append(g.peers, p)
+			}
+		}
+		handlers[id], greeters[id] = g, g
+	}
+	fm := metrics.NewFaults(msg.IsControl)
+	lb := newLoopback(t, TCPHostConfig{Faults: fm}, handlers)
+	late := &greeter{peers: ids}
+	if _, err := lb.Start(node.WorkerID(1), late); err != nil {
 		t.Fatal(err)
 	}
+	for _, id := range ids {
+		g := greeters[id]
+		if !waitCond(t, func() bool { return g.count() == len(ids) }) {
+			t.Errorf("%s received %d greetings, want %d", id, g.count(), len(ids))
+		}
+	}
+	if n := fm.Stats().SendFailures; n != 0 {
+		t.Errorf("%d sends failed", n)
+	}
+}
+
+// TestNetworkRoundTrip: a message injected at one node is answered over the
+// loopback network.
+func TestNetworkRoundTrip(t *testing.T) {
 	a := &pingHandler{}
 	b := &pingHandler{echo: true}
-	if err := n.AddNode("worker/0", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode("worker/1", b); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Close()
+	lb := newLoopback(t, TCPHostConfig{Seed: 1}, map[node.ID]node.Handler{"worker/0": a, "worker/1": b})
 
-	if err := n.Inject("worker/0", "worker/1", &msg.Notify{Iter: 7}); err != nil {
-		t.Fatal(err)
-	}
+	lb.Host("worker/1").Inject("worker/0", &msg.Notify{Iter: 7})
 	deadline := time.Now().Add(2 * time.Second)
 	for a.count() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -123,42 +175,25 @@ func TestNetworkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNetworkInitRunsOnce: Init runs once even when the network closes at
+// once, and a second Close is a no-op.
 func TestNetworkInitRunsOnce(t *testing.T) {
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry()})
+	h := &pingHandler{}
+	lb, err := NewLoopback(TCPHostConfig{Registry: msg.Registry()}, map[node.ID]node.Handler{"worker/0": h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &pingHandler{}
-	if err := n.AddNode("worker/0", h); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	n.Start() // idempotent
-	time.Sleep(10 * time.Millisecond)
-	n.Close()
-	n.Close() // idempotent
+	lb.Close()
+	lb.Close() // idempotent
 	if got := h.inits.Load(); got != 1 {
 		t.Errorf("Init ran %d times", got)
 	}
 }
 
 func TestNetworkTimerAndCancel(t *testing.T) {
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &pingHandler{}
-	if err := n.AddNode("worker/0", h); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Close()
-
-	// Wait for Init to run on the mailbox.
-	deadline := time.Now().Add(time.Second)
-	for h.inits.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	lb := newLoopback(t, TCPHostConfig{}, map[node.ID]node.Handler{"worker/0": h})
+	initialized(lb, "worker/0")
 
 	var fired, canceledFired atomic.Bool
 	done := make(chan struct{})
@@ -183,26 +218,20 @@ func TestNetworkTimerAndCancel(t *testing.T) {
 	}
 }
 
+// TestNetworkUnknownDestinationDropped: a send to a node the network does not
+// have fails without a panic and is counted.
 func TestNetworkUnknownDestinationDropped(t *testing.T) {
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &pingHandler{}
-	if err := n.AddNode("worker/0", h); err != nil {
-		t.Fatal(err)
+	fm := metrics.NewFaults(msg.IsControl)
+	lb := newLoopback(t, TCPHostConfig{Faults: fm}, map[node.ID]node.Handler{"worker/0": h})
+	if lb.Host("worker/99") != nil {
+		t.Error("a node that was never started has a host")
 	}
-	n.Start()
-	defer n.Close()
-	if err := n.Inject("x", "worker/99", &msg.Notify{}); err == nil {
-		t.Error("Inject to unknown node should error")
-	}
-	// Node-to-node send to unknown id must not panic.
-	deadline := time.Now().Add(time.Second)
-	for h.inits.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	initialized(lb, "worker/0")
 	h.ctx.Send("worker/99", &msg.Notify{})
+	if n := fm.Stats().SendFailures; n != 1 {
+		t.Errorf("send failures = %d, want 1", n)
+	}
 }
 
 type byteCounter struct {
@@ -215,24 +244,11 @@ func (b *byteCounter) RecordTransfer(from, to node.ID, kind wire.Kind, n int, at
 
 func TestNetworkTransferAccounting(t *testing.T) {
 	bc := &byteCounter{}
-	n, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Transfer: bc})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, b := &pingHandler{}, &pingHandler{}
-	if err := n.AddNode("worker/0", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddNode("worker/1", b); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Close()
-	deadline := time.Now().Add(time.Second)
-	for a.inits.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	lb := newLoopback(t, TCPHostConfig{Transfer: bc}, map[node.ID]node.Handler{"worker/0": a, "worker/1": b})
+	initialized(lb, "worker/0")
 	a.ctx.Send("worker/1", &msg.Notify{Iter: 1})
+	deadline := time.Now().Add(time.Second)
 	for b.count() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

@@ -17,9 +17,10 @@ import (
 )
 
 // TestNetworkTrainsTinyCluster runs the full training stack (servers,
-// workers, SpecSync scheduler) on the in-process live runtime with real
-// wall-clock timers, and verifies training progresses and loss decreases.
-// This is the same node code the simulator runs — the test pins the
+// workers, SpecSync scheduler) as a loopback cluster, each node its own
+// TCPHost with real wall-clock timers, and verifies that every worker
+// finishes its iterations, the loss halves and the bytes are accounted. This
+// is the same node code the simulator runs — the test pins the
 // two-runtimes-one-logic property.
 func TestNetworkTrainsTinyCluster(t *testing.T) {
 	if testing.Short() {
@@ -28,6 +29,7 @@ func TestNetworkTrainsTinyCluster(t *testing.T) {
 	const (
 		workers  = 3
 		servers  = 2
+		iters    = 40
 		seed     = 21
 		iterTime = 20 * time.Millisecond
 	)
@@ -45,14 +47,9 @@ func TestNetworkTrainsTinyCluster(t *testing.T) {
 	initVec := mdl.Init(rand.New(rand.NewSource(seed)))
 	lossBefore := mdl.EvalLoss(initVec)
 
-	transfer := metrics.NewTransfer(msg.IsControl)
-	net, err := NewNetwork(NetworkConfig{Registry: msg.Registry(), Seed: seed, Transfer: transfer})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	handlers := map[node.ID]node.Handler{}
 	srvs := make([]*ps.Server, servers)
-	for i := 0; i < servers; i++ {
+	for i := range srvs {
 		opt, err := optimizer.NewSGD(optimizer.SGDConfig{Schedule: optimizer.Const(0.05)}, ranges[i].Len())
 		if err != nil {
 			t.Fatal(err)
@@ -63,25 +60,20 @@ func TestNetworkTrainsTinyCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := net.AddNode(node.ServerID(i), srvs[i]); err != nil {
-			t.Fatal(err)
-		}
+		handlers[node.ServerID(i)] = srvs[i]
 	}
 	sc := scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}
 	wks := make([]*worker.Worker, workers)
-	for i := 0; i < workers; i++ {
-		wk, err := worker.New(worker.Config{
+	for i := range wks {
+		wks[i], err = worker.New(worker.Config{
 			Index: i, Shards: ranges, Model: mdl, Scheme: sc,
 			Compute:  worker.ComputeModel{Base: iterTime, Speed: 1, JitterSigma: 0.2},
-			MaxIters: 40,
+			MaxIters: iters,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wks[i] = wk
-		if err := net.AddNode(node.WorkerID(i), wk); err != nil {
-			t.Fatal(err)
-		}
+		handlers[node.WorkerID(i)] = wks[i]
 	}
 	sched, err := core.NewScheduler(core.SchedulerConfig{
 		Workers: workers, Scheme: sc, InitialSpan: iterTime,
@@ -89,12 +81,10 @@ func TestNetworkTrainsTinyCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.AddNode(node.Scheduler, sched); err != nil {
-		t.Fatal(err)
-	}
+	handlers[node.Scheduler] = sched
 
-	net.Start()
-	defer net.Close()
+	transfer := metrics.NewTransfer(msg.IsControl)
+	lb := newLoopback(t, TCPHostConfig{Seed: seed, Transfer: transfer}, handlers)
 
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
@@ -117,15 +107,18 @@ func TestNetworkTrainsTinyCluster(t *testing.T) {
 		}
 		total += wk.IterationsDone()
 	}
-	if total != 40*workers {
-		t.Errorf("total iterations = %d, want %d", total, 40*workers)
+	if total != iters*workers {
+		t.Errorf("total iterations = %d, want %d", total, iters*workers)
 	}
 
-	// Loss must have decreased. Reading shard state after Close is safe:
-	// all mailbox goroutines have exited.
-	net.Close()
+	// Reading shard state after Close is safe: every mailbox goroutine has
+	// exited.
+	lb.Close()
 	final := make([]float64, mdl.Dim())
 	for i, r := range ranges {
+		if v := srvs[i].Version(); v < iters {
+			t.Errorf("server %d applied %d pushes, want at least %d", i, v, iters)
+		}
 		copy(final[r.Lo:r.Hi], srvs[i].Params())
 	}
 	lossAfter := mdl.EvalLoss(final)

@@ -1,3 +1,9 @@
+// Package live runs the same node.Handler state machines that the simulator
+// runs, but on real goroutines, sockets and wall-clock time: a TCPHost hosts
+// one node over the TCP transport, one per process in a deployment
+// (cmd/specsync-node), and a Loopback is a set of them on 127.0.0.1 in one
+// process. Every host gets a mailbox goroutine that serializes its callbacks,
+// preserving the execution model the handlers were written against.
 package live
 
 import (
@@ -30,11 +36,11 @@ type TCPHostConfig struct {
 	// Seed derives this node's RNG stream.
 	Seed int64
 	// Transfer, if non-nil, records outbound bytes.
-	Transfer TransferRecorder
+	Transfer transport.TransferRecorder
 	// Metrics, if non-nil, receives transport counters (frames received,
 	// mailbox depth, send failures).
 	Metrics *obs.Registry
-	// Faults, if non-nil, counts exhausted-retry send failures.
+	// Faults, if non-nil, counts failed sends.
 	Faults *metrics.Faults
 	// Debug enables stderr logging.
 	Debug bool
@@ -60,6 +66,19 @@ var _ node.Context = (*TCPHost)(nil)
 // NewTCPHost opens the transport and starts the mailbox. The handler's Init
 // runs as the first mailbox item.
 func NewTCPHost(cfg TCPHostConfig) (*TCPHost, error) {
+	h, err := listenTCPHost(cfg)
+	if err != nil {
+		return nil, err
+	}
+	h.run()
+	return h, nil
+}
+
+// listenTCPHost opens the transport and queues Init as the first mailbox
+// item, but starts no handler callback: until run, whatever arrives waits in
+// the mailbox behind Init. Loopback binds every host this way before any of
+// them runs, so each Init already has the whole address book.
+func listenTCPHost(cfg TCPHostConfig) (*TCPHost, error) {
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("live: nil handler")
 	}
@@ -74,7 +93,7 @@ func NewTCPHost(cfg TCPHostConfig) (*TCPHost, error) {
 	if reg := cfg.Metrics; reg != nil {
 		h.metReceived = reg.Counter("specsync_live_delivered_total", "Messages delivered to the node mailbox.")
 		h.metMailbox = reg.Gauge("specsync_live_mailbox_depth", "Messages queued in the node mailbox.")
-		h.metSendFail = reg.Counter("specsync_live_send_failures_total", "Sends dropped after exhausting transport retries.")
+		h.metSendFail = reg.Counter("specsync_live_send_failures_total", "Sends the transport failed to deliver.")
 	}
 	tr, err := transport.ListenTCP(transport.TCPConfig{
 		ID:         cfg.ID,
@@ -88,14 +107,17 @@ func NewTCPHost(cfg TCPHostConfig) (*TCPHost, error) {
 		return nil, err
 	}
 	h.tr = tr
-
 	h.inbox.push(item{fn: func() { cfg.Handler.Init(h) }})
+	return h, nil
+}
+
+// run starts the mailbox goroutine.
+func (h *TCPHost) run() {
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
 		h.inbox.run(h.receive)
 	}()
-	return h, nil
 }
 
 // Addr returns the transport's bound address.
@@ -107,10 +129,14 @@ func (h *TCPHost) AddPeer(id node.ID, addr string) { h.tr.AddPeer(id, addr) }
 // enqueue is the single instrumented path onto the mailbox: transport
 // deliveries, loopback sends, and injected messages all pass through here so
 // the mailbox-depth gauge and delivered counter see every message. decoded is
-// true for the first two, whose message this host's registry produced.
+// true for the first two, whose message this host's registry produced. A
+// closed mailbox refuses the message, which then never reaches receive to
+// take its count off the gauge.
 func (h *TCPHost) enqueue(from node.ID, m wire.Message, decoded bool) {
 	h.metMailbox.Add(1)
-	h.inbox.push(item{from: from, msg: m, decoded: decoded})
+	if !h.inbox.push(item{from: from, msg: m, decoded: decoded}) {
+		h.metMailbox.Add(-1)
+	}
 }
 
 // receive is enqueue's other half, run by the mailbox goroutine. A decoded

@@ -9,22 +9,21 @@ import (
 	"specsync/internal/model"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/optimizer"
 	"specsync/internal/ps"
 	"specsync/internal/scheme"
 	"specsync/internal/worker"
 )
 
-// TestTCPClusterEndToEnd runs a real 2-worker training cluster over TCP
-// loopback: scheduler, one server shard, two workers, all in separate
-// TCPHosts. It verifies that iterations complete and notify flow works over
-// the actual wire.
+// TestTCPClusterEndToEnd runs a 2-worker training cluster over TCP loopback:
+// scheduler, one server shard, two workers, each in its own TCPHost. It
+// verifies that iterations complete and pushes reach the server over the
+// actual wire.
 func TestTCPClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP cluster")
 	}
-	reg := msg.Registry()
-
 	mdl, err := model.NewLinReg(model.LinRegConfig{
 		Dim: 16, N: 400, EvalN: 100, Shards: 2, Noise: 0.1, BatchSize: 16, Seed: 5,
 	})
@@ -44,66 +43,31 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	handlers := map[node.ID]node.Handler{node.ServerID(0): srv}
 
+	sc := scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}
 	sched, err := core.NewScheduler(core.SchedulerConfig{
-		Workers: 2,
-		Scheme:  scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
+		Workers: 2, Scheme: sc,
 		// 40ms nominal iterations keep the test fast.
 		InitialSpan: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	handlers[node.Scheduler] = sched
 
 	workers := make([]*worker.Worker, 2)
 	for i := range workers {
-		wk, err := worker.New(worker.Config{
-			Index:   i,
-			Shards:  ranges,
-			Model:   mdl,
-			Scheme:  scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
+		workers[i], err = worker.New(worker.Config{
+			Index: i, Shards: ranges, Model: mdl, Scheme: sc,
 			Compute: worker.ComputeModel{Base: 40 * time.Millisecond, Speed: 1, JitterSigma: 0.2},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers[i] = wk
+		handlers[node.WorkerID(i)] = workers[i]
 	}
-
-	// Start hosts: server first, then workers, then the scheduler (whose
-	// Init broadcasts Start).
-	hosts := map[node.ID]*TCPHost{}
-	addHost := func(id node.ID, h node.Handler) *TCPHost {
-		t.Helper()
-		host, err := NewTCPHost(TCPHostConfig{
-			ID: id, Handler: h, ListenAddr: "127.0.0.1:0", Registry: reg, Seed: 9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[id] = host
-		t.Cleanup(host.Close)
-		return host
-	}
-	addHost(node.ServerID(0), srv)
-	for i, wk := range workers {
-		addHost(node.WorkerID(i), wk)
-	}
-	schedHost := addHost(node.Scheduler, sched)
-
-	// Wire the address book (everyone knows everyone).
-	for id, h := range hosts {
-		for peer, ph := range hosts {
-			if peer != id {
-				h.AddPeer(peer, ph.Addr())
-			}
-		}
-	}
-	// The scheduler broadcast Start during Init, before the address book
-	// was complete; kick the workers again to be safe.
-	for i := range workers {
-		schedHost.Send(node.WorkerID(i), &msg.Start{})
-	}
+	lb := newLoopback(t, TCPHostConfig{Seed: 9}, handlers)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -116,6 +80,9 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Reading node state after Close is safe: every mailbox goroutine has
+	// exited.
+	lb.Close()
 	var total int64
 	for _, wk := range workers {
 		total += wk.IterationsDone()
@@ -125,5 +92,24 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 	if srv.Version() < 20 {
 		t.Errorf("server applied %d pushes", srv.Version())
+	}
+}
+
+// TestTCPHostClosedMailboxKeepsGaugeAtZero: a message the closed mailbox
+// refuses must not stay counted in specsync_live_mailbox_depth, which every
+// host on one registry shares.
+func TestTCPHostClosedMailboxKeepsGaugeAtZero(t *testing.T) {
+	reg := obs.NewRegistry()
+	host, err := NewTCPHost(TCPHostConfig{
+		ID: node.ServerID(0), Handler: &pingHandler{}, ListenAddr: "127.0.0.1:0",
+		Registry: msg.Registry(), Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.Close()
+	host.Inject(node.WorkerID(0), &msg.Notify{Iter: 1})
+	if d := reg.Gauge("specsync_live_mailbox_depth", "").Value(); d != 0 {
+		t.Errorf("mailbox depth after an Inject into a closed host = %v, want 0", d)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Faults accumulates fault-injection and recovery counters: injected message
 // faults (drops, duplicates, delays) with the same message-class accounting
-// as Transfer, transport-level send retries, scheduler membership churn
+// as Transfer, failed transport sends, scheduler membership churn
 // (evictions, readmissions), and checkpoint activity. It is safe for
 // concurrent use; the live TCP stack records from multiple goroutines.
 type Faults struct {
@@ -20,7 +20,6 @@ type Faults struct {
 	delays  map[wire.Kind]int64
 	classOf func(wire.Kind) bool // true = control (as in NewTransfer)
 
-	retries     int64
 	crashes     int64
 	restarts    int64
 	evictions   int64
@@ -83,13 +82,6 @@ func (f *Faults) RecordDelay(kind wire.Kind) {
 	f.mu.Unlock()
 }
 
-// RecordRetry counts one transport send retry.
-func (f *Faults) RecordRetry() {
-	if f != nil {
-		f.add(&f.retries)
-	}
-}
-
 // RecordCrash counts one injected node crash.
 func (f *Faults) RecordCrash() {
 	if f != nil {
@@ -132,8 +124,8 @@ func (f *Faults) RecordRestore() {
 	}
 }
 
-// RecordSendFailure counts one message lost after the transport exhausted
-// its send retries (live mode).
+// RecordSendFailure counts one message the transport failed to send (live
+// mode).
 func (f *Faults) RecordSendFailure() {
 	if f != nil {
 		f.add(&f.sendFailures)
@@ -232,7 +224,6 @@ func (f *Faults) add(p *int64) {
 // FaultStats is a point-in-time copy of the scalar counters.
 type FaultStats struct {
 	Drops, Duplicates, Delays int64
-	Retries                   int64
 	Crashes, Restarts         int64
 	Evictions, Readmissions   int64
 	Checkpoints, Restores     int64
@@ -257,7 +248,6 @@ func (f *Faults) Stats() FaultStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := FaultStats{
-		Retries:      f.retries,
 		Crashes:      f.crashes,
 		Restarts:     f.restarts,
 		Evictions:    f.evictions,

@@ -16,8 +16,8 @@ func TestFaultsCounters(t *testing.T) {
 	f.RecordDrop(wire.Kind(6)) // control
 	f.RecordDuplicate(wire.Kind(3))
 	f.RecordDelay(wire.Kind(6))
-	f.RecordRetry()
-	f.RecordRetry()
+	f.RecordSendFailure()
+	f.RecordSendFailure()
 	f.RecordCrash()
 	f.RecordRestart()
 	f.RecordEviction()
@@ -27,7 +27,7 @@ func TestFaultsCounters(t *testing.T) {
 
 	st := f.Stats()
 	want := FaultStats{
-		Drops: 3, Duplicates: 1, Delays: 1, Retries: 2,
+		Drops: 3, Duplicates: 1, Delays: 1, SendFailures: 2,
 		Crashes: 1, Restarts: 1, Evictions: 1, Readmissions: 1,
 		Checkpoints: 1, Restores: 1,
 	}
@@ -48,7 +48,7 @@ func TestFaultsNilSafe(t *testing.T) {
 	f.RecordDrop(1)
 	f.RecordDuplicate(1)
 	f.RecordDelay(1)
-	f.RecordRetry()
+	f.RecordSendFailure()
 	f.RecordCrash()
 	f.RecordRestart()
 	f.RecordEviction()
@@ -72,13 +72,13 @@ func TestFaultsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				f.RecordDrop(wire.Kind(j % 3))
-				f.RecordRetry()
+				f.RecordSendFailure()
 			}
 		}()
 	}
 	wg.Wait()
 	st := f.Stats()
-	if st.Drops != 800 || st.Retries != 800 {
+	if st.Drops != 800 || st.SendFailures != 800 {
 		t.Errorf("concurrent counts: %+v", st)
 	}
 }

@@ -123,10 +123,10 @@ func (*hugeMsg) Kind() wire.Kind         { return kindHuge }
 func (m *hugeMsg) Encode(w *wire.Writer) { w.Bytes2(zeros[:m.n]) }
 func (m *hugeMsg) Decode(r *wire.Reader) { m.n = len(r.Bytes()) }
 
-// TestOversizeFrameRefusedBeforeTheWire: a message over maxFrameSize used to
-// be written in full, dropped by the receiver on the header, and re-sent on
-// every retry. It must fail with ErrFrameTooLarge without a write, a retry, a
-// transfer record or the loss of the (healthy) connection.
+// TestOversizeFrameRefusedBeforeTheWire: the receiver drops a connection on
+// the header of a frame over maxFrameSize, so Send must fail with
+// ErrFrameTooLarge without a write, a transfer record or the loss of the
+// (healthy) connection.
 func TestOversizeFrameRefusedBeforeTheWire(t *testing.T) {
 	reg := wire.NewRegistry([]wire.RegistryEntry{
 		{Kind: msg.KindNotify, Name: "Notify", New: func() wire.Message { return &msg.Notify{} }},
@@ -152,12 +152,10 @@ func TestOversizeFrameRefusedBeforeTheWire(t *testing.T) {
 	}
 	defer recv.Close()
 
-	var retries, records atomic.Int64
+	var records atomic.Int64
 	send, err := ListenTCP(TCPConfig{
 		ID: node.WorkerID(0), Registry: reg, OnMessage: func(node.ID, wire.Message) {},
-		Peers:       map[node.ID]string{node.ServerID(0): recv.Addr()},
-		MaxAttempts: 4, RetryBackoff: time.Millisecond,
-		OnRetry: func(node.ID, int, error) { retries.Add(1) },
+		Peers: map[node.ID]string{node.ServerID(0): recv.Addr()},
 		Transfer: recorderFunc(func(node.ID, node.ID, wire.Kind, int, time.Time) {
 			records.Add(1)
 		}),
@@ -177,9 +175,6 @@ func TestOversizeFrameRefusedBeforeTheWire(t *testing.T) {
 	err = send.Send(node.ServerID(0), over)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Send(oversize) = %v, want ErrFrameTooLarge", err)
-	}
-	if retries.Load() != 0 {
-		t.Errorf("oversize frame was retried %d times", retries.Load())
 	}
 	if records.Load() != 1 {
 		t.Errorf("transfer recorded %d frames, want 1 (the Notify)", records.Load())

@@ -42,11 +42,14 @@ const readBufSize = 4096
 // its memory for the connection's lifetime.
 const maxRetainedFrame = 1 << 22
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
+
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("transport: closed")
 
 // ErrFrameTooLarge is returned by Send for a message that encodes to more
-// than maxFrameSize bytes. Nothing is written and nothing is retried: the
+// than maxFrameSize bytes. Nothing is written and the connection is kept: the
 // receiver would drop the connection on the header alone.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
 
@@ -72,21 +75,6 @@ type TCPConfig struct {
 	OnMessage func(from node.ID, m wire.Message)
 	// Transfer, if non-nil, records outbound frames.
 	Transfer TransferRecorder
-	// DialTimeout bounds connection establishment; zero means 5 s.
-	DialTimeout time.Duration
-	// MaxAttempts bounds Send attempts per message (initial try + retries
-	// after dial or write failures). Zero or one means no retries,
-	// preserving fail-fast semantics for callers that handle errors
-	// themselves.
-	MaxAttempts int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// attempt up to MaxBackoff. Zero means 50 ms.
-	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. Zero means 2 s.
-	MaxBackoff time.Duration
-	// OnRetry, if non-nil, is invoked (possibly concurrently) before each
-	// retry sleep with the attempt number just failed.
-	OnRetry func(to node.ID, attempt int, err error)
 }
 
 // TCP is one endpoint of the mesh.
@@ -127,9 +115,6 @@ func ListenTCP(cfg TCPConfig) (*TCP, error) {
 	if err := node.Validate(cfg.ID); err != nil {
 		return nil, err
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	t := &TCP{
 		cfg:     cfg,
 		peers:   make(map[node.ID]string, len(cfg.Peers)),
@@ -162,49 +147,26 @@ func (t *TCP) Addr() string {
 	return t.ln.Addr().String()
 }
 
-// AddPeer registers (or updates) a destination address.
+// AddPeer registers (or updates) a destination address. A changed address
+// drops the connection to the old one, so the next Send dials the new one.
 func (t *TCP) AddPeer(id node.ID, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if old, ok := t.peers[id]; ok && old != addr {
+		if pc, ok := t.conns[id]; ok {
+			pc.conn.Close()
+			delete(t.conns, id)
+		}
+	}
 	t.peers[id] = addr
 }
 
-// Send frames and writes m to the destination, dialing on first use. When
-// MaxAttempts > 1, transient dial/write failures are retried with bounded
-// exponential backoff — a worker outliving a server-shard restart keeps
-// training instead of erroring out.
+// Send frames and writes m to the destination in one attempt, dialing on
+// first use. A failed write drops the connection, so the next Send to that
+// peer redials: a peer that restarted is reached again, and the message lost
+// in between is the protocol's to recover (a worker re-sends an unacked push
+// after its RetryAfter).
 func (t *TCP) Send(to node.ID, m wire.Message) error {
-	attempts := t.cfg.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := t.cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	maxBackoff := t.cfg.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 2 * time.Second
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = t.sendOnce(to, m)
-		if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrFrameTooLarge) || attempt >= attempts {
-			return err
-		}
-		if t.cfg.OnRetry != nil {
-			t.cfg.OnRetry(to, attempt, err)
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
-// sendOnce performs a single framed write, dialing if needed.
-func (t *TCP) sendOnce(to node.ID, m wire.Message) error {
 	pc, err := t.conn(to)
 	if err != nil {
 		return err
@@ -258,7 +220,7 @@ func (t *TCP) conn(to node.ID) (*peerConn, error) {
 		return nil, fmt.Errorf("transport: no address for %s", to)
 	}
 
-	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s (%s): %w", to, addr, err)
 	}

@@ -147,10 +147,7 @@ func TestTCPSendAfterClose(t *testing.T) {
 
 func TestTCPDialFailure(t *testing.T) {
 	s := &sink{}
-	a, err := ListenTCP(TCPConfig{
-		ID: node.WorkerID(0), Registry: msg.Registry(), OnMessage: s.on,
-		DialTimeout: 200 * time.Millisecond,
-	})
+	a, err := ListenTCP(TCPConfig{ID: node.WorkerID(0), Registry: msg.Registry(), OnMessage: s.on})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +155,71 @@ func TestTCPDialFailure(t *testing.T) {
 	a.AddPeer(node.ServerID(0), "127.0.0.1:1") // nothing listens there
 	if err := a.Send(node.ServerID(0), &msg.Notify{}); err == nil {
 		t.Error("expected dial error")
+	}
+}
+
+// TestSendRedialsAfterPeerRestart: once the peer endpoint is gone, a failed
+// Send drops the connection, and after the peer is back (a restarted process
+// on a fresh port) a later Send dials it and is delivered. A changed address
+// also retires a connection that still works, so nothing more reaches the
+// old incarnation.
+func TestSendRedialsAfterPeerRestart(t *testing.T) {
+	to := node.ServerID(0)
+	listen := func(s *sink) *TCP {
+		t.Helper()
+		tr, err := ListenTCP(TCPConfig{ID: to, ListenAddr: "127.0.0.1:0", Registry: msg.Registry(), OnMessage: s.on})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		return tr
+	}
+	first, second, third := &sink{}, &sink{}, &sink{}
+	recv := listen(first)
+	send, err := ListenTCP(TCPConfig{
+		ID: node.WorkerID(0), Registry: msg.Registry(), OnMessage: func(node.ID, wire.Message) {},
+		Peers: map[node.ID]string{to: recv.Addr()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	cached := func() bool {
+		send.mu.Lock()
+		defer send.mu.Unlock()
+		_, ok := send.conns[to]
+		return ok
+	}
+	if err := send.Send(to, &msg.Heartbeat{Iter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return first.count() == 1 })
+
+	recv.Close()
+	// A write into a freshly closed peer can succeed locally before the
+	// reset arrives, so the failure may take a few sends to surface.
+	waitFor(t, func() bool { return send.Send(to, &msg.Heartbeat{Iter: 2}) != nil })
+	if cached() {
+		t.Fatal("a failed Send kept its connection")
+	}
+
+	recv = listen(second)
+	send.AddPeer(to, recv.Addr())
+	if err := send.Send(to, &msg.Heartbeat{Iter: 3}); err != nil {
+		t.Fatalf("Send after the peer restarted: %v", err)
+	}
+	waitFor(t, func() bool { return second.count() == 1 })
+
+	send.AddPeer(to, listen(third).Addr())
+	if cached() {
+		t.Fatal("AddPeer kept the connection to the old address")
+	}
+	if err := send.Send(to, &msg.Heartbeat{Iter: 4}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return third.count() == 1 })
+	if n := second.count(); n != 1 {
+		t.Errorf("the old address received %d messages, want 1", n)
 	}
 }
 
