@@ -442,7 +442,7 @@ func run(args []string) error {
 
 // healthFunc builds the role-appropriate /healthz payload. All fields it
 // reads are atomics on the handlers, safe from the HTTP goroutine. Uptime is
-// measured from process setup; a single-node deployment always runs one job.
+// measured from process setup.
 func healthFunc(id node.ID, handler node.Handler) func() obs.Health {
 	name := string(id)
 	start := time.Now()
@@ -451,7 +451,6 @@ func healthFunc(id node.ID, handler node.Handler) func() obs.Health {
 			Status:        "ok",
 			Node:          name,
 			UptimeSeconds: time.Since(start).Seconds(),
-			Jobs:          1,
 		}
 	}
 	switch n := handler.(type) {

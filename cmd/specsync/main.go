@@ -73,7 +73,6 @@ func run(args []string) error {
 					Status:        "ok",
 					Node:          "driver",
 					UptimeSeconds: time.Since(bootAt).Seconds(),
-					Jobs:          1,
 				}
 				if snap, ok := o.ClusterSnapshot(); ok {
 					h.Epoch = snap.Epoch

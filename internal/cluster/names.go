@@ -3,7 +3,7 @@ package cluster
 import "fmt"
 
 // Name-based resolvers for surfaces that receive workload choices as
-// strings (run specs, the jobs gateway, specsync-bench's -size). A "-small"
+// strings (run specs, specsync-bench's -size). A "-small"
 // suffix selects the reduced scale.
 
 // SizeByName resolves a -size flag value.

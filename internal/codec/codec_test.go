@@ -1,9 +1,12 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -273,6 +276,54 @@ func TestRestoreStateRejectsCorruption(t *testing.T) {
 	}
 	if _, err := RestoreState(append(append([]byte{}, good...), 7)); err == nil {
 		t.Error("accepted trailing bytes")
+	}
+}
+
+// lyingStateHeader is an 8-byte state file — magic, version, and a shard
+// count of 2^20 with no shards behind it.
+func lyingStateHeader() []byte {
+	p := binary.LittleEndian.AppendUint32(nil, stateMagic)
+	p = append(p, stateVersion)
+	return binary.AppendUvarint(p, 1<<20)
+}
+
+// TestRestoreStateLyingShardCountIsRefused: every shard takes at least one
+// byte, so a count beyond the bytes left is refused before the shard table is
+// allocated; without that bound eight bytes buy a 25 MB table. The pin takes
+// the fast quartile of 51 refusals on one P, as wire's
+// TestInts32LyingLengthIsRefused does.
+func TestRestoreStateLyingShardCountIsRefused(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	data := lyingStateHeader()
+	if len(data) != 8 {
+		t.Fatalf("header is %d bytes, want 8", len(data))
+	}
+	allocs := make([]uint64, 51)
+	var before, after runtime.MemStats
+	for i := range allocs {
+		runtime.ReadMemStats(&before)
+		st, err := RestoreState(data)
+		runtime.ReadMemStats(&after)
+		if st != nil || err == nil {
+			t.Fatalf("RestoreState accepted a 2^20-shard header with no shards")
+		}
+		allocs[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(allocs)
+	if n := allocs[len(allocs)/4]; n >= 64<<10 {
+		t.Errorf("refusing the header allocated %d bytes, want < 64 KiB", n)
+	}
+}
+
+// TestRestoreStateRefusesNonCanonical: a state file that decodes but is not
+// what Snapshot writes (here an overlong shard-length varint) is refused.
+func TestRestoreStateRefusesNonCanonical(t *testing.T) {
+	good := NewState([]int{0}).Snapshot()
+	// The one shard's length prefix is the last byte, 0x00; 0x80 0x00 decodes
+	// to the same zero.
+	overlong := append(append([]byte{}, good[:len(good)-1]...), 0x80, 0x00)
+	if _, err := RestoreState(overlong); err == nil {
+		t.Error("accepted an overlong varint")
 	}
 }
 

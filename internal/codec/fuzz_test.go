@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -176,5 +177,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				}
 			}
 		})
+	})
+}
+
+// FuzzRestoreState throws arbitrary bytes at the residual-store reader, which
+// reads files from a node's checkpoint directory: it must not panic, and a
+// file it accepts must be exactly what Snapshot writes for what it decoded.
+func FuzzRestoreState(f *testing.F) {
+	st := NewState([]int{3, 0, 5})
+	st.Residuals[0][1] = 1.25
+	st.Residuals[2][4] = math.Copysign(0, -1)
+	st.Residuals[2][0] = math.NaN()
+	f.Add(st.Snapshot())
+	f.Add(lyingStateHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := RestoreState(data)
+		if err != nil {
+			return
+		}
+		if out := st.Snapshot(); !bytes.Equal(out, data) {
+			t.Fatalf("accepted %x but re-encodes to %x", data, out)
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"fmt"
 
 	"specsync/internal/wire"
@@ -47,7 +48,11 @@ func (s *State) Snapshot() []byte {
 	return out
 }
 
-// RestoreState parses a snapshot produced by Snapshot.
+// RestoreState parses a snapshot produced by Snapshot. The shard count is
+// bounded by the bytes left before the shard table is allocated (every shard
+// takes at least one), and a file that decodes but is not exactly what
+// Snapshot would write for the decoded state (an overlong varint) is refused
+// as corrupt.
 func RestoreState(data []byte) (*State, error) {
 	r := wire.NewReader(data)
 	if magic := r.Uint32(); magic != stateMagic {
@@ -60,8 +65,8 @@ func RestoreState(data []byte) (*State, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("codec: state header: %w", err)
 	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("codec: state has %d shards", n)
+	if n < 0 || n > r.Remaining() {
+		return nil, fmt.Errorf("codec: state claims %d shards in %d bytes", n, r.Remaining())
 	}
 	s := &State{Residuals: make([][]float64, n)}
 	for i := range s.Residuals {
@@ -72,6 +77,9 @@ func RestoreState(data []byte) (*State, error) {
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("codec: state has %d trailing bytes", r.Remaining())
+	}
+	if !bytes.Equal(s.Snapshot(), data) {
+		return nil, fmt.Errorf("codec: state is not in canonical form")
 	}
 	return s, nil
 }

@@ -12,16 +12,10 @@ import (
 // parameter range. Epochs are totally ordered: a node ignores any table whose
 // epoch is not newer than the one it holds.
 
-// ShardRoute assigns the parameter range [Lo, Hi) to a server slot. Job
-// namespaces the range: in a multi-tenant fleet every job carves its own
-// [0, dim_j) key space out of the shared server set, so [Lo, Hi) is an offset
-// within job Job's space, not a global one. The zero Job is the single
-// default tenant, which keeps every pre-fleet table meaning exactly what it
-// always did.
+// ShardRoute assigns the parameter range [Lo, Hi) to a server slot.
 type ShardRoute struct {
 	Lo, Hi int
 	Server int
-	Job    int
 }
 
 // Len returns the number of parameters in the route.
@@ -42,100 +36,30 @@ func (t *RoutingTable) Dim() int {
 	return t.Shards[len(t.Shards)-1].Hi
 }
 
-// Validate checks that the shards are non-empty and grouped into per-job
-// blocks in ascending job order, that each job's ranges are contiguous from
-// zero, and that within one job every range goes to a distinct non-negative
-// server slot (a server may host one shard of each job, never two of the
-// same job). A table whose shards all carry the zero Job is exactly the
-// legacy single-tenant check.
+// Validate checks that the table has shards, that their ranges are non-empty
+// and contiguous from zero, and that every range goes to a distinct
+// non-negative server slot. Tables arrive from the network (JoinAck,
+// RoutingUpdate), so this is their shape check.
 func (t *RoutingTable) Validate() error {
 	if len(t.Shards) == 0 {
 		return fmt.Errorf("core: routing table %d has no shards", t.Epoch)
 	}
-	jtag := func(job int) string {
-		if job == 0 {
-			return ""
-		}
-		return fmt.Sprintf(" (job %d)", job)
-	}
 	seen := make(map[int]bool, len(t.Shards))
 	next := 0
-	curJob := t.Shards[0].Job
 	for i, r := range t.Shards {
-		if r.Job < 0 {
-			return fmt.Errorf("core: routing table %d: shard %d has negative job %d", t.Epoch, i, r.Job)
-		}
-		if r.Job != curJob {
-			if r.Job < curJob {
-				return fmt.Errorf("core: routing table %d: shard %d: job %d block out of order after job %d", t.Epoch, i, r.Job, curJob)
-			}
-			curJob = r.Job
-			next = 0
-			seen = make(map[int]bool)
-		}
 		if r.Lo != next || r.Hi <= r.Lo {
-			return fmt.Errorf("core: routing table %d: shard %d range [%d,%d) not contiguous at %d%s", t.Epoch, i, r.Lo, r.Hi, next, jtag(r.Job))
+			return fmt.Errorf("core: routing table %d: shard %d range [%d,%d) not contiguous at %d", t.Epoch, i, r.Lo, r.Hi, next)
 		}
 		if r.Server < 0 {
 			return fmt.Errorf("core: routing table %d: shard %d has negative server %d", t.Epoch, i, r.Server)
 		}
 		if seen[r.Server] {
-			return fmt.Errorf("core: routing table %d: server %d owns two shards%s", t.Epoch, r.Server, jtag(r.Job))
+			return fmt.Errorf("core: routing table %d: server %d owns two shards", t.Epoch, r.Server)
 		}
 		seen[r.Server] = true
 		next = r.Hi
 	}
 	return nil
-}
-
-// Jobs returns the distinct job IDs in the table, in block order.
-func (t *RoutingTable) Jobs() []int {
-	out := make([]int, 0, 1)
-	for _, r := range t.Shards {
-		if len(out) == 0 || out[len(out)-1] != r.Job {
-			out = append(out, r.Job)
-		}
-	}
-	return out
-}
-
-// JobShards returns the shard block belonging to one job (aliasing the
-// table's backing array; callers must not mutate it).
-func (t *RoutingTable) JobShards(job int) []ShardRoute {
-	lo, hi := -1, -1
-	for i, r := range t.Shards {
-		if r.Job == job {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i + 1
-		}
-	}
-	if lo < 0 {
-		return nil
-	}
-	return t.Shards[lo:hi]
-}
-
-// JobDim returns the parameter count of one job's namespaced range (zero for
-// an unknown job).
-func (t *RoutingTable) JobDim(job int) int {
-	s := t.JobShards(job)
-	if len(s) == 0 {
-		return 0
-	}
-	return s[len(s)-1].Hi
-}
-
-// RangeOfJob returns the range the given server slot owns within one job's
-// namespace, or ok=false when it owns nothing there.
-func (t *RoutingTable) RangeOfJob(job, server int) (lo, hi int, ok bool) {
-	for _, r := range t.JobShards(job) {
-		if r.Server == server {
-			return r.Lo, r.Hi, true
-		}
-	}
-	return 0, 0, false
 }
 
 // Clone deep-copies the table.
@@ -192,23 +116,8 @@ func SplitRoutes(dim int, servers []int) ([]ShardRoute, error) {
 	return out, nil
 }
 
-// SplitRoutesJob is SplitRoutes with every route stamped for one job's
-// namespace. SplitRoutesJob(0, ...) is byte-identical to SplitRoutes: the
-// epoch-0 single-job layout must match the static ps.ShardRanges split.
-func SplitRoutesJob(job, dim int, servers []int) ([]ShardRoute, error) {
-	routes, err := SplitRoutes(dim, servers)
-	if err != nil {
-		return nil, err
-	}
-	for i := range routes {
-		routes[i].Job = job
-	}
-	return routes, nil
-}
-
-// TableToWire flattens a single-job table into the parallel int32 slices
-// carried by JoinAck and RoutingUpdate. The Job dimension is not carried;
-// multi-tenant tables travel through TableToWireJobs instead.
+// TableToWire flattens a table into the parallel int32 slices carried by
+// JoinAck and RoutingUpdate.
 func TableToWire(t *RoutingTable) (lo, hi, srv []int32) {
 	lo = make([]int32, len(t.Shards))
 	hi = make([]int32, len(t.Shards))
@@ -227,34 +136,6 @@ func TableFromWire(epoch int64, lo, hi, srv []int32) (*RoutingTable, error) {
 	t := &RoutingTable{Epoch: epoch, Shards: make([]ShardRoute, len(lo))}
 	for i := range lo {
 		t.Shards[i] = ShardRoute{Lo: int(lo[i]), Hi: int(hi[i]), Server: int(srv[i])}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// TableToWireJobs flattens a (possibly multi-tenant) table into four parallel
-// int32 slices, adding the job dimension to the legacy three. For a
-// single-job table the first three slices are byte-identical to TableToWire.
-func TableToWireJobs(t *RoutingTable) (lo, hi, srv, job []int32) {
-	lo, hi, srv = TableToWire(t)
-	job = make([]int32, len(t.Shards))
-	for i, r := range t.Shards {
-		job[i] = int32(r.Job)
-	}
-	return lo, hi, srv, job
-}
-
-// TableFromWireJobs rebuilds a multi-tenant table from wire slices,
-// validating shape and per-job layout.
-func TableFromWireJobs(epoch int64, lo, hi, srv, job []int32) (*RoutingTable, error) {
-	if len(lo) != len(hi) || len(lo) != len(srv) || len(lo) != len(job) {
-		return nil, fmt.Errorf("core: routing wire slices disagree: %d/%d/%d/%d", len(lo), len(hi), len(srv), len(job))
-	}
-	t := &RoutingTable{Epoch: epoch, Shards: make([]ShardRoute, len(lo))}
-	for i := range lo {
-		t.Shards[i] = ShardRoute{Lo: int(lo[i]), Hi: int(hi[i]), Server: int(srv[i]), Job: int(job[i])}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -104,6 +104,14 @@ func TestTableFromWireRejects(t *testing.T) {
 	if _, err := TableFromWire(1, nil, nil, nil); err == nil {
 		t.Error("empty table accepted")
 	}
+	// Negative server slot.
+	if _, err := TableFromWire(1, []int32{0}, []int32{5}, []int32{-1}); err == nil {
+		t.Error("negative server accepted")
+	}
+	// Empty range.
+	if _, err := TableFromWire(1, []int32{0, 5}, []int32{5, 5}, []int32{0, 1}); err == nil {
+		t.Error("empty range accepted")
+	}
 }
 
 func TestIntersect(t *testing.T) {
@@ -124,145 +132,5 @@ func TestIntersect(t *testing.T) {
 			t.Errorf("intersect(%d,%d,%d,%d) = %d,%d,%v; want %d,%d,%v",
 				tc.aLo, tc.aHi, tc.bLo, tc.bHi, lo, hi, ok, tc.lo, tc.hi, tc.ok)
 		}
-	}
-}
-
-func TestSplitRoutesJobZeroParity(t *testing.T) {
-	// The epoch-0 single-job layout is the legacy layout: SplitRoutesJob(0,...)
-	// must match SplitRoutes and ps.ShardRanges exactly, and its wire form
-	// must be byte-identical to the legacy three-slice encoding.
-	for _, tc := range []struct{ dim, n int }{
-		{24, 4}, {10, 3}, {7, 7}, {100, 6}, {5, 1},
-	} {
-		slots := make([]int, tc.n)
-		for i := range slots {
-			slots[i] = i
-		}
-		legacy, err := SplitRoutes(tc.dim, slots)
-		if err != nil {
-			t.Fatalf("SplitRoutes(%d,%d): %v", tc.dim, tc.n, err)
-		}
-		routes, err := SplitRoutesJob(0, tc.dim, slots)
-		if err != nil {
-			t.Fatalf("SplitRoutesJob(0,%d,%d): %v", tc.dim, tc.n, err)
-		}
-		ranges, err := ps.ShardRanges(tc.dim, tc.n)
-		if err != nil {
-			t.Fatalf("ShardRanges(%d,%d): %v", tc.dim, tc.n, err)
-		}
-		for i := range routes {
-			if routes[i] != legacy[i] {
-				t.Errorf("dim=%d n=%d shard %d: job-stamped %+v != legacy %+v", tc.dim, tc.n, i, routes[i], legacy[i])
-			}
-			if routes[i].Lo != ranges[i].Lo || routes[i].Hi != ranges[i].Hi {
-				t.Errorf("dim=%d n=%d shard %d: route %+v vs range %+v", tc.dim, tc.n, i, routes[i], ranges[i])
-			}
-		}
-		tbl := &RoutingTable{Epoch: 0, Shards: routes}
-		lo, hi, srv := TableToWire(&RoutingTable{Epoch: 0, Shards: legacy})
-		jlo, jhi, jsrv, job := TableToWireJobs(tbl)
-		for i := range lo {
-			if jlo[i] != lo[i] || jhi[i] != hi[i] || jsrv[i] != srv[i] || job[i] != 0 {
-				t.Errorf("dim=%d n=%d shard %d: wire (%d,%d,%d,%d) != legacy (%d,%d,%d,0)",
-					tc.dim, tc.n, i, jlo[i], jhi[i], jsrv[i], job[i], lo[i], hi[i], srv[i])
-			}
-		}
-	}
-}
-
-func TestValidateMultiJob(t *testing.T) {
-	mk := func(shards ...ShardRoute) *RoutingTable {
-		return &RoutingTable{Epoch: 1, Shards: shards}
-	}
-	// Two jobs sharing the server set: each carves its own [0, dim_j) space,
-	// and one server may host one shard of each job.
-	good := mk(
-		ShardRoute{Lo: 0, Hi: 5, Server: 0, Job: 0},
-		ShardRoute{Lo: 5, Hi: 10, Server: 1, Job: 0},
-		ShardRoute{Lo: 0, Hi: 4, Server: 1, Job: 2},
-		ShardRoute{Lo: 4, Hi: 8, Server: 0, Job: 2},
-	)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid multi-job table rejected: %v", err)
-	}
-	if jobs := good.Jobs(); len(jobs) != 2 || jobs[0] != 0 || jobs[1] != 2 {
-		t.Errorf("Jobs() = %v, want [0 2]", jobs)
-	}
-	if d := good.JobDim(2); d != 8 {
-		t.Errorf("JobDim(2) = %d, want 8", d)
-	}
-	if d := good.JobDim(7); d != 0 {
-		t.Errorf("JobDim(7) = %d, want 0", d)
-	}
-	if lo, hi, ok := good.RangeOfJob(2, 1); !ok || lo != 0 || hi != 4 {
-		t.Errorf("RangeOfJob(2,1) = %d,%d,%v", lo, hi, ok)
-	}
-	if _, _, ok := good.RangeOfJob(0, 7); ok {
-		t.Error("RangeOfJob(0,7) found a range on an absent server")
-	}
-
-	for name, bad := range map[string]*RoutingTable{
-		"job blocks out of order": mk(
-			ShardRoute{Lo: 0, Hi: 5, Server: 0, Job: 1},
-			ShardRoute{Lo: 0, Hi: 5, Server: 0, Job: 0},
-		),
-		"per-job range not from zero": mk(
-			ShardRoute{Lo: 0, Hi: 5, Server: 0, Job: 0},
-			ShardRoute{Lo: 5, Hi: 9, Server: 0, Job: 1},
-		),
-		"duplicate server within job": mk(
-			ShardRoute{Lo: 0, Hi: 5, Server: 0, Job: 1},
-			ShardRoute{Lo: 5, Hi: 9, Server: 0, Job: 1},
-		),
-		"negative job": mk(
-			ShardRoute{Lo: 0, Hi: 5, Server: 0, Job: -1},
-		),
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestTableWireJobsRoundtrip(t *testing.T) {
-	r0, err := SplitRoutesJob(0, 24, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := SplitRoutesJob(3, 10, []int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := &RoutingTable{Epoch: 4, Shards: append(r0, r3...)}
-	if err := tbl.Validate(); err != nil {
-		t.Fatalf("table invalid: %v", err)
-	}
-	lo, hi, srv, job := TableToWireJobs(tbl)
-	back, err := TableFromWireJobs(tbl.Epoch, lo, hi, srv, job)
-	if err != nil {
-		t.Fatalf("from wire: %v", err)
-	}
-	if back.Epoch != tbl.Epoch || len(back.Shards) != len(tbl.Shards) {
-		t.Fatalf("shape changed: %+v", back)
-	}
-	for i := range tbl.Shards {
-		if back.Shards[i] != tbl.Shards[i] {
-			t.Errorf("shard %d: %+v != %+v", i, back.Shards[i], tbl.Shards[i])
-		}
-	}
-}
-
-func TestTableFromWireJobsRejects(t *testing.T) {
-	// Slice length disagreement (job slice short).
-	if _, err := TableFromWireJobs(1, []int32{0}, []int32{5}, []int32{0}, nil); err == nil {
-		t.Error("mismatched job slice length accepted")
-	}
-	// Job blocks out of order.
-	if _, err := TableFromWireJobs(1, []int32{0, 0}, []int32{5, 5}, []int32{0, 0}, []int32{1, 0}); err == nil {
-		t.Error("out-of-order job blocks accepted")
-	}
-	// Second job's space not starting at zero.
-	if _, err := TableFromWireJobs(1, []int32{0, 5}, []int32{5, 9}, []int32{0, 0}, []int32{0, 1}); err == nil {
-		t.Error("non-zero-based job space accepted")
 	}
 }

@@ -9,7 +9,8 @@
 //	                     Release           (the gate's released clock)
 //
 // Kind values are part of the wire format; never renumber them. Kind 9 (the
-// retired BSP barrier release) is reserved.
+// retired BSP barrier release) and kind 27 (the retired multi-tenant job
+// envelope) are reserved.
 package msg
 
 import (
@@ -502,7 +503,6 @@ func Registry() *wire.Registry {
 		{Kind: KindShardState, Name: "ShardState", New: func() wire.Message { return &ShardState{} }},
 		{Kind: KindMigrateDone, Name: "MigrateDone", New: func() wire.Message { return &MigrateDone{} }},
 		{Kind: KindScaleCmd, Name: "ScaleCmd", New: func() wire.Message { return &ScaleCmd{} }},
-		{Kind: KindJobMsg, Name: "JobMsg", New: func() wire.Message { return &JobMsg{} }},
 		{Kind: KindLeaderAnnounce, Name: "LeaderAnnounce", New: func() wire.Message { return &LeaderAnnounce{} }},
 		{Kind: KindVoteReq, Name: "VoteReq", New: func() wire.Message { return &VoteReq{} }},
 		{Kind: KindVoteResp, Name: "VoteResp", New: func() wire.Message { return &VoteResp{} }},
@@ -523,8 +523,7 @@ func IsControl(k wire.Kind) bool {
 	case KindPullReq, KindPullResp, KindPushReq, KindPushAck,
 		KindPullReqV2, KindPullRespV2, KindPushReqV2,
 		KindShardState, // migrating parameter segments are data, not control
-		KindReplApply,  // replicated push payloads are data, not control
-		KindJobMsg:     // fleet envelope: wraps only worker→server data traffic
+		KindReplApply:  // replicated push payloads are data, not control
 		return false
 	default:
 		return true

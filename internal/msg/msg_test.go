@@ -66,7 +66,6 @@ func populatedMessages() []wire.Message {
 		&NotifyV2{Iter: 7, Span: 250 * time.Millisecond},
 		&CloneCtl{StartIter: 41, Released: 40},
 		&CloneNotice{Slot: 8, Target: 3},
-		WrapJob(5, &PushReq{Seq: 3, Iter: 7, PullVersion: 10, Dense: []float64{1, 2, 3}}),
 	}
 }
 
@@ -110,8 +109,13 @@ func TestUnmarshalCopiesOut(t *testing.T) {
 func TestRegistryCoversAllKinds(t *testing.T) {
 	reg := Registry()
 	kinds := reg.Kinds()
-	if len(kinds) != 35 {
-		t.Errorf("registry has %d kinds, want 35", len(kinds))
+	if len(kinds) != 34 {
+		t.Errorf("registry has %d kinds, want 34", len(kinds))
+	}
+	for _, k := range []wire.Kind{9, 27} { // reserved: retired layouts
+		if _, err := reg.New(k); err == nil {
+			t.Errorf("reserved kind %d is registered", k)
+		}
 	}
 	for _, k := range kinds {
 		m, err := reg.New(k)

@@ -14,7 +14,6 @@ type Health struct {
 	Node            string  `json:"node,omitempty"`
 	UptimeSeconds   float64 `json:"uptime_seconds"` // filled by the handler when zero
 	Generation      int64   `json:"generation,omitempty"`
-	Jobs            int     `json:"jobs,omitempty"`
 	MembershipEpoch int64   `json:"membership_epoch"`
 	Epoch           int64   `json:"epoch,omitempty"`
 	Iterations      int64   `json:"iterations,omitempty"`
@@ -70,41 +69,6 @@ type ClusterSnapshot struct {
 	SchemeSwitches   int64     `json:"scheme_switches,omitempty"`
 	LastSwitchReason string    `json:"last_switch_reason,omitempty"`
 	LastSwitchAt     time.Time `json:"last_switch_at,omitempty"`
-
-	// Jobs is the multi-tenant fleet listing (nil for single-job runs). The
-	// fleet-level snapshot carries one entry per job, each embedding that
-	// job's own scheduler view.
-	Jobs []JobEntry `json:"jobs,omitempty"`
-}
-
-// JobEntry is one job's row in the fleet /clusterz listing and the payload
-// served by the jobs gateway (GET /jobs, GET /jobs/{id}).
-type JobEntry struct {
-	ID         int     `json:"id"`
-	Name       string  `json:"name"`
-	State      string  `json:"state"`
-	Scheme     string  `json:"scheme"`
-	Workers    int     `json:"workers"`
-	Error      string  `json:"error,omitempty"`
-	Iterations int64   `json:"iterations"`
-	Pushes     int64   `json:"pushes"`
-	Loss       float64 `json:"loss"`
-	Converged  bool    `json:"converged"`
-
-	SubmitAtSeconds   float64 `json:"submit_at_seconds"`
-	AdmittedAtSeconds float64 `json:"admitted_at_seconds,omitempty"`
-	FinishedAtSeconds float64 `json:"finished_at_seconds,omitempty"`
-
-	// Quota accounting: bytes on wire vs the job's byte budget, and
-	// in-flight push gating (0 budget / 0 max = unlimited).
-	BytesOnWire     int64 `json:"bytes_on_wire"`
-	ByteBudget      int64 `json:"byte_budget,omitempty"`
-	MaxInflightPush int   `json:"max_inflight_push,omitempty"`
-	InflightPushes  int64 `json:"inflight_pushes,omitempty"`
-	ThrottledPushes int64 `json:"throttled_pushes,omitempty"`
-
-	// Cluster is this job's own scheduler view (nil until first published).
-	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
 }
 
 // HTTPConfig assembles the exposition endpoints.

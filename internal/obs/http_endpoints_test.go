@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,7 +50,7 @@ func TestStragglerAndDebugEndpoints(t *testing.T) {
 	}
 	h := obs.NewHandler(obs.HTTPConfig{
 		Registry:   o.Registry(),
-		Health:     func() obs.Health { return obs.Health{Status: "ok", Node: "driver", Jobs: 1} },
+		Health:     func() obs.Health { return obs.Health{Status: "ok", Node: "driver"} },
 		Cluster:    o.ClusterSnapshot,
 		Stragglers: o.StragglerSnapshot,
 		Flight:     o.FlightDump,
@@ -110,8 +109,8 @@ func TestStragglerAndDebugEndpoints(t *testing.T) {
 	if health.UptimeSeconds <= 0 {
 		t.Errorf("uptime_seconds = %v, want > 0 (auto-filled)", health.UptimeSeconds)
 	}
-	if health.Jobs != 1 {
-		t.Errorf("jobs = %d, want 1", health.Jobs)
+	if health.Node != "driver" {
+		t.Errorf("node = %q, want driver", health.Node)
 	}
 
 	if code, _ = httpGet(t, srv, "/debug/pprof/"); code != 200 {
@@ -125,90 +124,5 @@ func TestStragglerAndDebugEndpoints(t *testing.T) {
 		if code, _ := httpGet(t, bare, path); code != 404 {
 			t.Errorf("%s on bare handler -> %d, want 404", path, code)
 		}
-	}
-}
-
-// TestFleetEndpointsJobLabeled runs a two-job fleet and asserts the telemetry
-// is job-scoped end to end: job-labeled series in /metrics, per-job rows in
-// /stragglerz, and admission events in /debugz.
-func TestFleetEndpointsJobLabeled(t *testing.T) {
-	wlA, err := cluster.NewTiny(4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wlB, err := cluster.NewTiny(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New(obs.Options{})
-	_, err = cluster.RunFleet(cluster.FleetConfig{
-		Jobs: []cluster.JobSpec{
-			{Name: "alpha", Workload: wlA, Scheme: scheme.Config{Base: scheme.ASP}, Workers: 4, Seed: 7},
-			{Name: "beta", Workload: wlB, Scheme: scheme.Config{Base: scheme.ASP}, Workers: 4, Seed: 8,
-				Speeds: []float64{1, 1, 1, 0.4}},
-		},
-		Seed:       7,
-		MaxVirtual: 2 * time.Minute,
-		Obs:        o,
-	})
-	if err != nil {
-		t.Fatalf("fleet: %v", err)
-	}
-
-	srv := httptest.NewServer(obs.NewHandler(obs.HTTPConfig{
-		Registry:   o.Registry(),
-		Stragglers: o.StragglerSnapshot,
-		Flight:     o.FlightDump,
-	}))
-	defer srv.Close()
-
-	code, body := httpGet(t, srv, "/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics -> %d", code)
-	}
-	for _, want := range []string{
-		"specsync_worker_iterations_total",
-		"specsync_worker_phase_seconds_bucket",
-		"specsync_straggler_score",
-		`job="alpha"`,
-		`job="beta"`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %s", want)
-		}
-	}
-
-	code, body = httpGet(t, srv, "/stragglerz")
-	if code != 200 {
-		t.Fatalf("/stragglerz -> %d: %s", code, body)
-	}
-	var snap obs.StragglerSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/stragglerz not JSON: %v", err)
-	}
-	jobsSeen := map[string]int{}
-	for _, w := range snap.Workers {
-		jobsSeen[w.Job]++
-	}
-	if jobsSeen["alpha"] != 4 || jobsSeen["beta"] != 4 {
-		t.Errorf("straggler rows per job = %v, want 4 each for alpha/beta", jobsSeen)
-	}
-
-	code, body = httpGet(t, srv, "/debugz")
-	if code != 200 {
-		t.Fatalf("/debugz -> %d", code)
-	}
-	var dump obs.FlightDump
-	if err := json.Unmarshal([]byte(body), &dump); err != nil {
-		t.Fatalf("/debugz not JSON: %v", err)
-	}
-	admits := map[string]bool{}
-	for _, ev := range dump.Events {
-		if ev.Kind == "job-admit" {
-			admits[ev.Job] = true
-		}
-	}
-	if !admits["alpha"] || !admits["beta"] {
-		t.Errorf("job-admit events for %v, want both alpha and beta", admits)
 	}
 }

@@ -14,7 +14,6 @@ package obs
 
 import (
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,17 +50,13 @@ type Obs struct {
 	restartH *Histogram
 	staleH   *Histogram
 
-	// cluster is the fleet-level view a job manager composes and publishes;
-	// single-job runs leave it nil and serve clusterSrc[""] instead.
-	cluster atomic.Pointer[ClusterSnapshot]
-
 	// schedLease is the most recent leader report from SchedulerRole, so
 	// /healthz can expose who is serving and at which term.
 	schedLease atomic.Pointer[leaderLease]
 
-	// clusterSrc holds, per job label ("" outside a multi-tenant fleet), the
-	// function its scheduler registered to build that job's view on request.
-	clusterSrc sync.Map // string -> func() (ClusterSnapshot, bool)
+	// clusterSrc is the function the scheduler registered to build its
+	// cluster view on request.
+	clusterSrc atomic.Pointer[func() (ClusterSnapshot, bool)]
 }
 
 // New builds an Obs with the standard SpecSync metric families registered.
@@ -119,7 +114,7 @@ func (o *Obs) FlightDump() FlightDump {
 }
 
 // RecordFlight appends one control-plane event to the flight recorder.
-// Components outside obs (the job manager, fault injectors) use this.
+// Components outside obs (fault injectors) use this.
 func (o *Obs) RecordFlight(ev FlightEvent) {
 	if o == nil {
 		return
@@ -197,74 +192,22 @@ func (o *Obs) SetTracer(t trace.Tracer) {
 	o.stragglers.setTracer(t)
 }
 
-// ClusterSnapshot returns the cluster view: the fleet-level one a job manager
-// published, or else the scheduler's, built now from its current state.
+// ClusterSnapshot builds the scheduler's cluster view from the source it
+// registered, decorating each worker row with its straggler score and flag
+// level. ok is false until the scheduler has something to show.
 func (o *Obs) ClusterSnapshot() (ClusterSnapshot, bool) {
 	if o == nil {
 		return ClusterSnapshot{}, false
 	}
-	if p := o.cluster.Load(); p != nil {
-		return *p, true
-	}
-	return o.JobClusterSnapshot("")
-}
-
-// PublishCluster stores a cluster view directly (fleet-level composition by
-// the job manager; a scheduler registers a ClusterSource instead).
-func (o *Obs) PublishCluster(snap ClusterSnapshot) {
-	if o == nil {
-		return
-	}
-	o.cluster.Store(&snap)
-}
-
-// JobClusterSnapshot builds one job's scheduler view from the source that
-// scheduler registered, decorating each worker row with its straggler score
-// and flag level. ok is false until the scheduler has something to show.
-func (o *Obs) JobClusterSnapshot(job string) (ClusterSnapshot, bool) {
-	if o == nil {
+	src := o.clusterSrc.Load()
+	if src == nil {
 		return ClusterSnapshot{}, false
 	}
-	src, ok := o.clusterSrc.Load(job)
-	if !ok {
-		return ClusterSnapshot{}, false
-	}
-	snap, ok := src.(func() (ClusterSnapshot, bool))()
+	snap, ok := (*src)()
 	if ok {
-		o.stragglers.decorate(job, snap.Workers)
+		o.stragglers.decorate(snap.Workers)
 	}
 	return snap, ok
-}
-
-// JobView namespaces handles for one tenant of a multi-job fleet: every
-// series its Worker/Server/Scheduler handles create carries an extra
-// ("job", name) label pair, so two jobs' worker 0 do not collide in the
-// shared registry, and the per-job scheduler registers its cluster view under
-// the job's name instead of as the fleet-level one. Summary still totals across
-// all jobs (SumCounters ignores labels).
-type JobView struct {
-	o   *Obs
-	job string
-}
-
-// Job returns the handle namespace for one job.
-func (o *Obs) Job(name string) JobView { return JobView{o: o, job: name} }
-
-// Worker returns the job-labeled handle for worker i.
-func (v JobView) Worker(i int) *WorkerObs { return v.o.worker(i, v.job) }
-
-// Server returns the job-labeled handle for one shard slot.
-func (v JobView) Server(shard int) *ServerObs { return v.o.server(shard, v.job) }
-
-// Scheduler returns the job-labeled scheduler handle.
-func (v JobView) Scheduler() *SchedulerObs { return v.o.scheduler(v.job) }
-
-// jobLabels appends the ("job", name) pair when the handle is job-scoped.
-func jobLabels(base []string, job string) []string {
-	if job == "" {
-		return base
-	}
-	return append(base, "job", job)
 }
 
 // WorkerObs instruments one worker's iteration lifecycle. Its phase-state
@@ -274,7 +217,6 @@ func jobLabels(base []string, job string) []string {
 type WorkerObs struct {
 	o        *Obs
 	index    int
-	job      string
 	node     string
 	iters    *Counter
 	aborts   *Counter
@@ -300,34 +242,26 @@ type WorkerObs struct {
 
 // Worker returns the handle for worker i. Handles share registry series, so
 // a restarted worker incarnation keeps accumulating into the same metrics.
-func (o *Obs) Worker(i int) *WorkerObs { return o.worker(i, "") }
-
-func (o *Obs) worker(i int, job string) *WorkerObs {
+func (o *Obs) Worker(i int) *WorkerObs {
 	if o == nil {
 		return nil
 	}
 	idx := strconv.Itoa(i)
-	node := "worker/" + idx
-	if job != "" {
-		node = "job/" + job + "/" + node
-	}
 	phaseH := func(phase string) *Histogram {
 		return o.reg.Histogram("specsync_worker_phase_seconds",
 			"Per-worker pull/compute/push phase latency, for straggler quantiles.",
-			LatencyBuckets, jobLabels([]string{"worker", idx, "phase", phase}, job)...)
+			LatencyBuckets, "worker", idx, "phase", phase)
 	}
 	return &WorkerObs{
 		o:     o,
 		index: i,
-		job:   job,
-		node:  node,
+		node:  "worker/" + idx,
 		iters: o.reg.Counter("specsync_worker_iterations_total",
-			"Completed (fully acknowledged) iterations.", jobLabels([]string{"worker", idx}, job)...),
+			"Completed (fully acknowledged) iterations.", "worker", idx),
 		aborts: o.reg.Counter("specsync_worker_aborts_total",
-			"Speculative abort-and-restart events.", jobLabels([]string{"worker", idx}, job)...),
+			"Speculative abort-and-restart events.", "worker", idx),
 		degraded: o.reg.Gauge("specsync_degraded_workers",
-			"Workers currently in broadcast-speculation failover (scheduler unreachable).",
-			jobLabels(nil, job)...),
+			"Workers currently in broadcast-speculation failover (scheduler unreachable)."),
 		pullPhH:    phaseH("pull"),
 		computePhH: phaseH("compute"),
 		pushPhH:    phaseH("push"),
@@ -349,7 +283,7 @@ func (w *WorkerObs) Degraded(at time.Time, on bool) {
 	} else {
 		w.degraded.Add(-1)
 	}
-	w.o.flight.Record(FlightEvent{At: at, Kind: kind, Node: w.node, Job: w.job})
+	w.o.flight.Record(FlightEvent{At: at, Kind: kind, Node: w.node})
 }
 
 // PullStart marks the fan-out of pull requests. Re-issues of an already
@@ -376,7 +310,7 @@ func (w *WorkerObs) PullDone(at time.Time, iter int64) {
 	secs := at.Sub(w.pullStart).Seconds()
 	w.o.pullH.Observe(secs)
 	w.pullPhH.Observe(secs)
-	w.o.stragglers.ObservePhase(w.job, w.index, PhasePull, at, secs)
+	w.o.stragglers.ObservePhase(w.index, PhasePull, at, secs)
 	w.o.spans.Add(Span{Node: w.node, Name: "pull", Start: w.pullStart, End: at, Iter: iter})
 	if w.aborted {
 		w.aborted = false
@@ -413,7 +347,7 @@ func (w *WorkerObs) ComputeDone(at time.Time, iter int64) {
 	secs := at.Sub(w.computeStart).Seconds()
 	w.o.computeH.Observe(secs)
 	w.computePhH.Observe(secs)
-	w.o.stragglers.ObservePhase(w.job, w.index, PhaseCompute, at, secs)
+	w.o.stragglers.ObservePhase(w.index, PhaseCompute, at, secs)
 	w.o.spans.Add(Span{Node: w.node, Name: "compute", Start: w.computeStart, End: at, Iter: iter})
 	w.pushing, w.pushStart = true, at
 }
@@ -429,7 +363,7 @@ func (w *WorkerObs) PushDone(at time.Time, iter int64, staleness int64) {
 	secs := at.Sub(w.pushStart).Seconds()
 	w.o.pushH.Observe(secs)
 	w.pushPhH.Observe(secs)
-	w.o.stragglers.ObservePhase(w.job, w.index, PhasePush, at, secs)
+	w.o.stragglers.ObservePhase(w.index, PhasePush, at, secs)
 	w.o.staleH.Observe(float64(staleness))
 	w.o.spans.Add(Span{Node: w.node, Name: "push", Start: w.pushStart, End: at, Iter: iter, Value: staleness})
 }
@@ -437,7 +371,6 @@ func (w *WorkerObs) PushDone(at time.Time, iter int64, staleness int64) {
 // SchedulerObs instruments the scheduler. All methods are nil-safe.
 type SchedulerObs struct {
 	o            *Obs
-	job          string
 	resyncs      *Counter
 	epochs       *Counter
 	evictions    *Counter
@@ -463,56 +396,52 @@ type SchedulerObs struct {
 }
 
 // Scheduler returns the scheduler handle.
-func (o *Obs) Scheduler() *SchedulerObs { return o.scheduler("") }
-
-func (o *Obs) scheduler(job string) *SchedulerObs {
+func (o *Obs) Scheduler() *SchedulerObs {
 	if o == nil {
 		return nil
 	}
-	lbl := jobLabels(nil, job)
 	return &SchedulerObs{
-		o:   o,
-		job: job,
+		o: o,
 		resyncs: o.reg.Counter("specsync_resyncs_total",
-			"Re-sync instructions issued by the scheduler.", lbl...),
+			"Re-sync instructions issued by the scheduler."),
 		epochs: o.reg.Counter("specsync_epochs_total",
-			"Scheduler epoch boundaries (every alive worker pushed).", lbl...),
+			"Scheduler epoch boundaries (every alive worker pushed)."),
 		evictions: o.reg.Counter("specsync_evictions_total",
-			"Workers evicted from membership by liveness timeout.", lbl...),
+			"Workers evicted from membership by liveness timeout."),
 		readmissions: o.reg.Counter("specsync_readmissions_total",
-			"Evicted workers re-admitted after reappearing.", lbl...),
+			"Evicted workers re-admitted after reappearing."),
 		restarts: o.reg.Counter("specsync_scheduler_restarts_total",
-			"Scheduler incarnations started after a crash.", lbl...),
+			"Scheduler incarnations started after a crash."),
 		stateReports: o.reg.Counter("specsync_scheduler_state_reports_total",
-			"Worker state reports consumed during post-restart state rebuild.", lbl...),
+			"Worker state reports consumed during post-restart state rebuild."),
 		specEnabled: o.reg.Gauge("specsync_spec_enabled",
-			"1 when speculative synchronization is active, 0 when paused.", lbl...),
+			"1 when speculative synchronization is active, 0 when paused."),
 		abortTime: o.reg.Gauge("specsync_abort_time_seconds",
-			"Current ABORT_TIME window length.", lbl...),
+			"Current ABORT_TIME window length."),
 		meanRate: o.reg.Gauge("specsync_abort_rate_mean",
-			"Mean per-worker ABORT_RATE threshold fraction.", lbl...),
+			"Mean per-worker ABORT_RATE threshold fraction."),
 		membership: o.reg.Gauge("specsync_membership_epoch",
-			"Monotonic membership epoch (bumped by evictions and readmissions).", lbl...),
+			"Monotonic membership epoch (bumped by evictions and readmissions)."),
 		alive: o.reg.Gauge("specsync_alive_workers",
-			"Workers currently considered alive.", lbl...),
+			"Workers currently considered alive."),
 		generation: o.reg.Gauge("specsync_scheduler_generation",
-			"Current scheduler incarnation (0 = original process).", lbl...),
+			"Current scheduler incarnation (0 = original process)."),
 		joins: o.reg.Counter("specsync_joins_total",
-			"Workers admitted into a running cluster by the elastic protocol.", lbl...),
+			"Workers admitted into a running cluster by the elastic protocol."),
 		leaves: o.reg.Counter("specsync_leaves_total",
-			"Workers retired from a running cluster by a scale plan.", lbl...),
+			"Workers retired from a running cluster by a scale plan."),
 		migrations: o.reg.Counter("specsync_migrations_total",
-			"Committed shard migrations (routing-epoch bumps).", lbl...),
+			"Committed shard migrations (routing-epoch bumps)."),
 		migrationBytes: o.reg.Counter("specsync_migration_bytes_total",
-			"Parameter bytes moved between servers during shard migrations.", lbl...),
+			"Parameter bytes moved between servers during shard migrations."),
 		migrationH: o.reg.Histogram("specsync_migration_seconds",
-			"Duration of one shard migration (freeze to routing commit).", LatencyBuckets, lbl...),
+			"Duration of one shard migration (freeze to routing commit).", LatencyBuckets),
 		clusterWorkers: o.reg.Gauge("specsync_cluster_workers",
-			"Workers currently in membership (elastic runs).", lbl...),
+			"Workers currently in membership (elastic runs)."),
 		clusterServers: o.reg.Gauge("specsync_cluster_servers",
-			"Server shards currently in the routing table (elastic runs).", lbl...),
+			"Server shards currently in the routing table (elastic runs)."),
 		schemeSwitches: o.reg.Counter("specsync_scheme_switches_total",
-			"Live synchronization-scheme switches the scheduler made (gate policies moving the gate).", lbl...),
+			"Live synchronization-scheme switches the scheduler made (gate policies moving the gate)."),
 	}
 }
 
@@ -523,16 +452,16 @@ func (s *SchedulerObs) WorkerSpan(at time.Time, worker int, span time.Duration) 
 	if s == nil {
 		return
 	}
-	s.o.stragglers.ObserveSpan(s.job, worker, at, span.Seconds())
+	s.o.stragglers.ObserveSpan(worker, at, span.Seconds())
 }
 
-// StragglerCounts exposes the detector's current per-job flag counts and
+// StragglerCounts exposes the detector's current flag counts and
 // median/maximum slowdown scores — the meta-scheme policy's telemetry input.
 func (s *SchedulerObs) StragglerCounts() (flagged, sustained int, median, max float64) {
 	if s == nil {
 		return 0, 0, 0, 0
 	}
-	return s.o.stragglers.Counts(s.job)
+	return s.o.stragglers.Counts()
 }
 
 // StragglerFlag returns the detector's current score and level for one
@@ -542,7 +471,7 @@ func (s *SchedulerObs) StragglerFlag(worker int) (score float64, level Straggler
 	if s == nil {
 		return 0, StragglerOK, false
 	}
-	return s.o.stragglers.Flag(s.job, worker)
+	return s.o.stragglers.Flag(worker)
 }
 
 // MarkStraggler force-flags a worker at sustained level: the mitigation
@@ -552,7 +481,7 @@ func (s *SchedulerObs) MarkStraggler(at time.Time, worker int, score float64) {
 	if s == nil {
 		return
 	}
-	s.o.stragglers.MarkSustained(s.job, worker, at, score)
+	s.o.stragglers.MarkSustained(worker, at, score)
 }
 
 // SetStragglerTruth registers a straggler plan's injected worker set so the
@@ -562,7 +491,7 @@ func (s *SchedulerObs) SetStragglerTruth(workers []int) {
 	if s == nil {
 		return
 	}
-	s.o.stragglers.SetTruth(s.job, workers)
+	s.o.stragglers.SetTruth(workers)
 }
 
 // StragglersDetected returns the sorted worker indices ever held at
@@ -571,7 +500,7 @@ func (s *SchedulerObs) StragglersDetected() []int {
 	if s == nil {
 		return nil
 	}
-	return s.o.stragglers.EverSustained(s.job)
+	return s.o.stragglers.EverSustained()
 }
 
 // SchemeSwitch records a live synchronization-scheme switch.
@@ -581,7 +510,7 @@ func (s *SchedulerObs) SchemeSwitch(at time.Time, epoch int64, from, to, reason 
 	}
 	s.schemeSwitches.Inc()
 	s.o.spans.Add(Span{Node: "scheduler", Name: "scheme-switch", Start: at, Value: epoch})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "scheme-switch", Node: "scheduler", Job: s.job,
+	s.o.flight.Record(FlightEvent{At: at, Kind: "scheme-switch", Node: "scheduler",
 		Iter: epoch, Detail: from + " → " + to + " (" + reason + ")"})
 }
 
@@ -591,7 +520,7 @@ func (s *SchedulerObs) BarrierRelease(at time.Time, clock int64, workers int) {
 		return
 	}
 	s.o.flight.Record(FlightEvent{
-		At: at, Kind: "barrier-release", Node: "scheduler", Job: s.job,
+		At: at, Kind: "barrier-release", Node: "scheduler",
 		Iter: clock, Value: float64(workers),
 	})
 }
@@ -604,7 +533,7 @@ func (s *SchedulerObs) Join(at time.Time, worker int, membershipEpoch int64) {
 	s.joins.Inc()
 	s.membership.Set(float64(membershipEpoch))
 	s.o.spans.Add(Span{Node: "scheduler", Name: "join", Start: at, Value: membershipEpoch})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "join", Node: "scheduler", Job: s.job,
+	s.o.flight.Record(FlightEvent{At: at, Kind: "join", Node: "scheduler",
 		Iter: membershipEpoch, Value: float64(worker)})
 }
 
@@ -616,7 +545,7 @@ func (s *SchedulerObs) Leave(at time.Time, worker int, membershipEpoch int64) {
 	s.leaves.Inc()
 	s.membership.Set(float64(membershipEpoch))
 	s.o.spans.Add(Span{Node: "scheduler", Name: "leave", Start: at, Value: membershipEpoch})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "leave", Node: "scheduler", Job: s.job,
+	s.o.flight.Record(FlightEvent{At: at, Kind: "leave", Node: "scheduler",
 		Iter: membershipEpoch, Value: float64(worker)})
 }
 
@@ -629,7 +558,7 @@ func (s *SchedulerObs) MigrationDone(at time.Time, epoch int64, bytes int64, dur
 	s.migrationBytes.Add(bytes)
 	s.migrationH.Observe(dur.Seconds())
 	s.o.spans.Add(Span{Node: "scheduler", Name: "migrate", Start: at.Add(-dur), End: at, Iter: epoch, Value: bytes})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "migration-commit", Node: "scheduler", Job: s.job,
+	s.o.flight.Record(FlightEvent{At: at, Kind: "migration-commit", Node: "scheduler",
 		Iter: epoch, Value: float64(bytes)})
 }
 
@@ -650,7 +579,7 @@ func (s *SchedulerObs) Restarted(at time.Time, gen int64) {
 	s.restarts.Inc()
 	s.generation.Set(float64(gen))
 	s.o.spans.Add(Span{Node: "scheduler", Name: "restart", Start: at, Value: gen})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "scheduler-restart", Node: "scheduler", Job: s.job,
+	s.o.flight.Record(FlightEvent{At: at, Kind: "scheduler-restart", Node: "scheduler",
 		Value: float64(gen)})
 }
 
@@ -706,7 +635,7 @@ func (s *SchedulerObs) Evict(at time.Time, worker int, membershipEpoch int64) {
 	s.evictions.Inc()
 	s.membership.Set(float64(membershipEpoch))
 	s.o.spans.Add(Span{Node: "scheduler", Name: "evict", Start: at, Value: membershipEpoch})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "evict", Node: "scheduler", Job: s.job,
+	s.o.flight.Record(FlightEvent{At: at, Kind: "evict", Node: "scheduler",
 		Iter: membershipEpoch, Value: float64(worker)})
 }
 
@@ -718,7 +647,7 @@ func (s *SchedulerObs) Readmit(at time.Time, worker int, membershipEpoch int64) 
 	s.readmissions.Inc()
 	s.membership.Set(float64(membershipEpoch))
 	s.o.spans.Add(Span{Node: "scheduler", Name: "readmit", Start: at, Value: membershipEpoch})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "readmit", Node: "scheduler", Job: s.job,
+	s.o.flight.Record(FlightEvent{At: at, Kind: "readmit", Node: "scheduler",
 		Iter: membershipEpoch, Value: float64(worker)})
 }
 
@@ -731,15 +660,14 @@ func (s *SchedulerObs) AliveWorkers(n int) {
 }
 
 // ClusterSource registers the function that builds this scheduler's cluster
-// view; /clusterz and JobClusterSnapshot call it at request time, from the
+// view; /clusterz and ClusterSnapshot call it at request time, from the
 // reader's goroutine. A later incarnation's registration replaces an earlier
-// one's. The fleet-level view is composed by the job manager, not by any one
-// tenant.
+// one's.
 func (s *SchedulerObs) ClusterSource(src func() (ClusterSnapshot, bool)) {
 	if s == nil {
 		return
 	}
-	s.o.clusterSrc.Store(s.job, src)
+	s.o.clusterSrc.Store(&src)
 }
 
 // ServerObs instruments one parameter-server shard. Nil-safe.
@@ -751,23 +679,20 @@ type ServerObs struct {
 }
 
 // Server returns the handle for one shard.
-func (o *Obs) Server(shard int) *ServerObs { return o.server(shard, "") }
-
-func (o *Obs) server(shard int, job string) *ServerObs {
+func (o *Obs) Server(shard int) *ServerObs {
 	if o == nil {
 		return nil
 	}
 	idx := strconv.Itoa(shard)
 	return &ServerObs{
 		pulls: o.reg.Counter("specsync_server_pulls_total",
-			"Parameter pull requests served.", jobLabels([]string{"shard", idx}, job)...),
+			"Parameter pull requests served.", "shard", idx),
 		pushes: o.reg.Counter("specsync_server_pushes_total",
-			"Gradient pushes applied.", jobLabels([]string{"shard", idx}, job)...),
+			"Gradient pushes applied.", "shard", idx),
 		version: o.reg.Gauge("specsync_server_version",
-			"Shard parameter version (applied updates).", jobLabels([]string{"shard", idx}, job)...),
+			"Shard parameter version (applied updates).", "shard", idx),
 		stale: o.reg.Histogram("specsync_server_push_staleness",
-			"Per-shard staleness of each applied push.", StalenessBuckets,
-			jobLabels([]string{"shard", idx}, job)...),
+			"Per-shard staleness of each applied push.", StalenessBuckets, "shard", idx),
 	}
 }
 

@@ -12,15 +12,13 @@ const DefaultFlightCapacity = 4096
 
 // FlightEvent is one structured control-plane decision retained by the
 // flight recorder: admissions, barrier releases, migrations, faults,
-// degraded-mode transitions, quota trips, straggler flags. Timestamps come
-// from node.Context.Now() (or the job manager's epoch clock), so DES runs
-// record deterministic virtual-time stamps.
+// degraded-mode transitions, straggler flags. Timestamps come from
+// node.Context.Now(), so DES runs record deterministic virtual-time stamps.
 type FlightEvent struct {
 	Seq    uint64    `json:"seq"` // monotonic, assigned by the recorder
 	At     time.Time `json:"at"`
 	Kind   string    `json:"kind"`
-	Node   string    `json:"node,omitempty"` // e.g. "scheduler", "worker/3", "jobs"
-	Job    string    `json:"job,omitempty"`
+	Node   string    `json:"node,omitempty"`   // e.g. "scheduler", "worker/3"
 	Iter   int64     `json:"iter,omitempty"`   // kind-specific: round, epoch, iteration
 	Value  float64   `json:"value,omitempty"`  // kind-specific payload
 	Detail string    `json:"detail,omitempty"` // short free-form annotation

@@ -38,7 +38,7 @@ func TestFlightDumpJSONRoundTrip(t *testing.T) {
 	r := obs.NewFlightRecorder(8)
 	r.Record(obs.FlightEvent{
 		At: time.Unix(42, 0).UTC(), Kind: "barrier-release", Node: "scheduler",
-		Job: "jobA", Iter: 7, Value: 4, Detail: "round 7",
+		Iter: 7, Value: 4, Detail: "round 7",
 	})
 	data, err := json.Marshal(r.Dump())
 	if err != nil {
@@ -52,7 +52,7 @@ func TestFlightDumpJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip lost events: %d", len(back.Events))
 	}
 	ev := back.Events[0]
-	if ev.Kind != "barrier-release" || ev.Job != "jobA" || ev.Iter != 7 || ev.Detail != "round 7" {
+	if ev.Kind != "barrier-release" || ev.Node != "scheduler" || ev.Iter != 7 || ev.Detail != "round 7" {
 		t.Fatalf("round-trip mangled event: %+v", ev)
 	}
 }

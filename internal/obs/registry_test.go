@@ -212,8 +212,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 // TestWorkerPhaseHistogramExposition pins the exposition format of the
 // labeled per-worker phase histograms: cumulative le buckets, +Inf, _sum and
-// _count, all carrying the worker/phase (and job) label pairs, so Prometheus
-// can compute phase quantiles per worker.
+// _count, all carrying the worker/phase label pairs, so Prometheus can
+// compute phase quantiles per worker.
 func TestWorkerPhaseHistogramExposition(t *testing.T) {
 	o := New(Options{})
 	w := o.Worker(2)
@@ -223,9 +223,9 @@ func TestWorkerPhaseHistogramExposition(t *testing.T) {
 	w.ComputeDone(base.Add(540*time.Millisecond), 1) // compute: 0.5s
 	w.PushDone(base.Add(590*time.Millisecond), 1, 0) // push: 0.05s
 
-	jw := o.Job("jobA").Worker(0)
-	jw.PullStart(base, 1)
-	jw.PullDone(base.Add(100*time.Millisecond), 1)
+	w0 := o.Worker(0)
+	w0.PullStart(base, 1)
+	w0.PullDone(base.Add(100*time.Millisecond), 1)
 
 	var sb strings.Builder
 	o.Registry().WritePrometheus(&sb)
@@ -239,7 +239,7 @@ func TestWorkerPhaseHistogramExposition(t *testing.T) {
 		`specsync_worker_phase_seconds_count{worker="2",phase="pull"} 1` + "\n",
 		`specsync_worker_phase_seconds_bucket{worker="2",phase="compute",le="0.5"} 1` + "\n",
 		`specsync_worker_phase_seconds_count{worker="2",phase="push"} 1` + "\n",
-		`specsync_worker_phase_seconds_count{worker="0",phase="pull",job="jobA"} 1` + "\n",
+		`specsync_worker_phase_seconds_count{worker="0",phase="pull"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)

@@ -75,7 +75,6 @@ func (o StragglerOptions) withDefaults() StragglerOptions {
 
 // StragglerState is one worker's row in a StragglerSnapshot.
 type StragglerState struct {
-	Job             string  `json:"job,omitempty"`
 	Worker          int     `json:"worker"`
 	State           string  `json:"state"` // "ok" | "transient" | "sustained"
 	Score           float64 `json:"score"` // span / fleet median (1.0 = median pace)
@@ -93,7 +92,7 @@ type StragglerState struct {
 }
 
 // StragglerSnapshot is the /stragglerz payload: every scored worker sorted
-// by job then index, stamped with the detector's last observation time (so
+// by index, stamped with the detector's last observation time (so
 // same-seed DES runs export byte-identical snapshots).
 type StragglerSnapshot struct {
 	At         time.Time        `json:"at"`
@@ -109,7 +108,7 @@ type StragglerSnapshot struct {
 	Recall    float64 `json:"recall,omitempty"`
 }
 
-// stragglerWorker is the detector's per-(job, worker) state. Guarded by the
+// stragglerWorker is the detector's per-worker state. Guarded by the
 // detector mutex.
 type stragglerWorker struct {
 	index   int
@@ -133,20 +132,6 @@ type stragglerWorker struct {
 	flags  *Counter
 }
 
-type stragglerJob struct {
-	name    string
-	workers map[int]*stragglerWorker
-	// spans is the scored population — the span estimate of every worker
-	// with at least MinSamples observations — kept ascending by ObserveSpan,
-	// so the fleet median is read off its middle.
-	spans      []float64
-	flaggedG   *Gauge
-	sustainedG *Gauge
-	// truth is the injected-straggler ground truth a plan registered for
-	// this job (nil = no plan; detector validation off).
-	truth []int
-}
-
 // StragglerDetector scores each worker's iteration span against the fleet
 // median and flags outliers with hysteresis. The scoring signal is the
 // scheduler's per-worker notify-interval EWMA (available in both the DES and
@@ -162,17 +147,28 @@ type StragglerDetector struct {
 	spans  *SpanLog
 	flight *FlightRecorder
 	tracer trace.Tracer
-	jobs   map[string]*stragglerJob
 	lastAt time.Time
+
+	workers map[int]*stragglerWorker
+	// scored is the scored population — the span estimate of every worker
+	// with at least MinSamples observations — kept ascending by ObserveSpan,
+	// so the fleet median is read off its middle.
+	scored []float64
+	// The population gauges are registered on first use (see initLocked).
+	flaggedG   *Gauge
+	sustainedG *Gauge
+	// truth is the injected-straggler ground truth a plan registered (nil =
+	// no plan; detector validation off).
+	truth []int
 }
 
 func newStragglerDetector(opts StragglerOptions, reg *Registry, spans *SpanLog, flight *FlightRecorder) *StragglerDetector {
 	return &StragglerDetector{
-		opts:   opts.withDefaults(),
-		reg:    reg,
-		spans:  spans,
-		flight: flight,
-		jobs:   make(map[string]*stragglerJob),
+		opts:    opts.withDefaults(),
+		reg:     reg,
+		spans:   spans,
+		flight:  flight,
+		workers: make(map[int]*stragglerWorker),
 	}
 }
 
@@ -186,52 +182,47 @@ func (d *StragglerDetector) setTracer(t trace.Tracer) {
 	d.mu.Unlock()
 }
 
-func (d *StragglerDetector) jobLocked(job string) *stragglerJob {
-	j, ok := d.jobs[job]
-	if !ok {
-		lbl := jobLabels(nil, job)
-		j = &stragglerJob{
-			name:    job,
-			workers: make(map[int]*stragglerWorker),
-			flaggedG: d.reg.Gauge("specsync_stragglers_flagged",
-				"Workers currently flagged as stragglers (transient or sustained).", lbl...),
-			sustainedG: d.reg.Gauge("specsync_stragglers_sustained",
-				"Workers currently flagged as sustained stragglers.", lbl...),
-		}
-		d.jobs[job] = j
+// initLocked registers the population gauges the first time the detector
+// hears of a worker or a plan, so a run that feeds it nothing exports none.
+func (d *StragglerDetector) initLocked() {
+	if d.flaggedG != nil {
+		return
 	}
-	return j
+	d.flaggedG = d.reg.Gauge("specsync_stragglers_flagged",
+		"Workers currently flagged as stragglers (transient or sustained).")
+	d.sustainedG = d.reg.Gauge("specsync_stragglers_sustained",
+		"Workers currently flagged as sustained stragglers.")
 }
 
-func (d *StragglerDetector) workerLocked(j *stragglerJob, index int) *stragglerWorker {
-	w, ok := j.workers[index]
+func (d *StragglerDetector) workerLocked(index int) *stragglerWorker {
+	d.initLocked()
+	w, ok := d.workers[index]
 	if !ok {
-		idx := jobLabels([]string{"worker", itoa(index)}, j.name)
+		idx := itoa(index)
 		w = &stragglerWorker{
 			index: index,
 			scoreG: d.reg.Gauge("specsync_straggler_score",
-				"Slowdown score: worker span EWMA over the fleet median (1.0 = median pace).", idx...),
+				"Slowdown score: worker span EWMA over the fleet median (1.0 = median pace).", "worker", idx),
 			stateG: d.reg.Gauge("specsync_straggler_state",
-				"Straggler flag level: 0 ok, 1 transient, 2 sustained.", idx...),
+				"Straggler flag level: 0 ok, 1 transient, 2 sustained.", "worker", idx),
 			flags: d.reg.Counter("specsync_straggler_flags_total",
-				"Times this worker entered a flagged state from ok.", idx...),
+				"Times this worker entered a flagged state from ok.", "worker", idx),
 		}
-		j.workers[index] = w
+		d.workers[index] = w
 	}
 	return w
 }
 
 // ObserveSpan feeds one worker's current iteration-span estimate (the
-// scheduler's notify-interval EWMA) and re-scores that worker against its
-// job's median.
-func (d *StragglerDetector) ObserveSpan(job string, worker int, at time.Time, spanSeconds float64) {
+// scheduler's notify-interval EWMA) and re-scores that worker against the
+// fleet median.
+func (d *StragglerDetector) ObserveSpan(worker int, at time.Time, spanSeconds float64) {
 	if d == nil || !(spanSeconds > 0) {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j := d.jobLocked(job)
-	w := d.workerLocked(j, worker)
+	w := d.workerLocked(worker)
 	if !w.lastAt.IsZero() {
 		if dt := at.Sub(w.lastAt).Seconds(); dt > 0 {
 			inst := 1 / dt
@@ -244,15 +235,15 @@ func (d *StragglerDetector) ObserveSpan(job string, worker int, at time.Time, sp
 	}
 	switch {
 	case w.samples >= d.opts.MinSamples:
-		moveSorted(j.spans, w.span, spanSeconds)
+		moveSorted(d.scored, w.span, spanSeconds)
 	case w.samples+1 == d.opts.MinSamples:
-		j.spans = insertSorted(j.spans, spanSeconds)
+		d.scored = insertSorted(d.scored, spanSeconds)
 	}
 	w.span = spanSeconds
 	w.samples++
 	w.lastAt = at
 	d.lastAt = at
-	d.scoreLocked(j, w, at)
+	d.scoreLocked(w, at)
 }
 
 // Phase indices for ObservePhase.
@@ -265,14 +256,13 @@ const (
 // ObservePhase feeds one completed pull/compute/push duration from the
 // worker lifecycle hooks. Phases refine the snapshot's per-phase EWMAs; they
 // do not trigger scoring (the scheduler span feed does).
-func (d *StragglerDetector) ObservePhase(job string, worker int, phase int, at time.Time, seconds float64) {
+func (d *StragglerDetector) ObservePhase(worker int, phase int, at time.Time, seconds float64) {
 	if d == nil || phase < 0 || phase > PhasePush || seconds < 0 {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j := d.jobLocked(job)
-	w := d.workerLocked(j, worker)
+	w := d.workerLocked(worker)
 	if w.phaseN[phase] == 0 {
 		w.phase[phase] = seconds
 	} else {
@@ -284,13 +274,13 @@ func (d *StragglerDetector) ObservePhase(job string, worker int, phase int, at t
 	}
 }
 
-// scoreLocked recomputes w's slowdown score against its job's median span
-// and walks the hysteresis state machine.
-func (d *StragglerDetector) scoreLocked(j *stragglerJob, w *stragglerWorker, at time.Time) {
+// scoreLocked recomputes w's slowdown score against the median span and
+// walks the hysteresis state machine.
+func (d *StragglerDetector) scoreLocked(w *stragglerWorker, at time.Time) {
 	if w.samples < d.opts.MinSamples {
 		return
 	}
-	eligible := j.spans
+	eligible := d.scored
 	if len(eligible) < 2 {
 		w.score = 1
 		w.scoreG.Set(1)
@@ -329,14 +319,14 @@ func (d *StragglerDetector) scoreLocked(j *stragglerJob, w *stragglerWorker, at 
 		next = StragglerOK
 	}
 	if next != w.level {
-		d.transitionLocked(j, w, next, at)
+		d.transitionLocked(w, next, at)
 	}
 }
 
 // transitionLocked applies a level change and exports it everywhere: state
-// gauge, flag counter, per-job gauges, trace event, span marker, and the
+// gauge, flag counter, population gauges, trace event, span marker, and the
 // flight recorder.
-func (d *StragglerDetector) transitionLocked(j *stragglerJob, w *stragglerWorker, next StragglerLevel, at time.Time) {
+func (d *StragglerDetector) transitionLocked(w *stragglerWorker, next StragglerLevel, at time.Time) {
 	prev := w.level
 	w.level = next
 	if next == StragglerSustained {
@@ -347,7 +337,7 @@ func (d *StragglerDetector) transitionLocked(j *stragglerJob, w *stragglerWorker
 		w.flags.Inc()
 	}
 	var flagged, sustained int
-	for _, p := range j.workers {
+	for _, p := range d.workers {
 		if p.level > StragglerOK {
 			flagged++
 		}
@@ -355,8 +345,8 @@ func (d *StragglerDetector) transitionLocked(j *stragglerJob, w *stragglerWorker
 			sustained++
 		}
 	}
-	j.flaggedG.Set(float64(flagged))
-	j.sustainedG.Set(float64(sustained))
+	d.flaggedG.Set(float64(flagged))
+	d.sustainedG.Set(float64(sustained))
 
 	kind := trace.KindStragglerFlag
 	name := "straggler flag"
@@ -372,7 +362,7 @@ func (d *StragglerDetector) transitionLocked(j *stragglerJob, w *stragglerWorker
 	}
 	d.spans.Add(Span{Node: node, Name: name, Start: at, Value: int64(next)})
 	d.flight.Record(FlightEvent{
-		At: at, Kind: fkind, Node: node, Job: j.name,
+		At: at, Kind: fkind, Node: node,
 		Value:  w.score,
 		Detail: fmt.Sprintf("%s -> %s (score %.2f)", prev, next, w.score),
 	})
@@ -384,14 +374,13 @@ func (d *StragglerDetector) transitionLocked(j *stragglerJob, w *stragglerWorker
 // straggler that hurts most — the silence itself is the signal. The forced
 // flag walks the normal transition path (gauges, trace, flight recorder) and
 // clears through the normal hysteresis once spans resume.
-func (d *StragglerDetector) MarkSustained(job string, worker int, at time.Time, score float64) {
+func (d *StragglerDetector) MarkSustained(worker int, at time.Time, score float64) {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j := d.jobLocked(job)
-	w := d.workerLocked(j, worker)
+	w := d.workerLocked(worker)
 	if score > w.score {
 		w.score = score
 		w.scoreG.Set(w.score)
@@ -402,39 +391,35 @@ func (d *StragglerDetector) MarkSustained(job string, worker int, at time.Time, 
 		d.lastAt = at
 	}
 	if w.level != StragglerSustained {
-		d.transitionLocked(j, w, StragglerSustained, at)
+		d.transitionLocked(w, StragglerSustained, at)
 	}
 }
 
-// SetTruth registers a straggler plan's ground truth for one job: the worker
-// indices the plan actually slows. Snapshot then scores the detector's
+// SetTruth registers a straggler plan's ground truth: the worker indices the
+// plan actually slows. Snapshot then scores the detector's
 // ever-sustained flags against it (precision/recall on /stragglerz).
-func (d *StragglerDetector) SetTruth(job string, workers []int) {
+func (d *StragglerDetector) SetTruth(workers []int) {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j := d.jobLocked(job)
-	j.truth = append([]int(nil), workers...)
-	sort.Ints(j.truth)
+	d.initLocked()
+	d.truth = append([]int(nil), workers...)
+	sort.Ints(d.truth)
 }
 
 // EverSustained returns the sorted worker indices that were ever held at
-// sustained level in one job — the detected set the run result scores
-// against the plan's ground truth.
-func (d *StragglerDetector) EverSustained(job string) []int {
+// sustained level — the detected set the run result scores against the
+// plan's ground truth.
+func (d *StragglerDetector) EverSustained() []int {
 	if d == nil {
 		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j, ok := d.jobs[job]
-	if !ok {
-		return nil
-	}
 	var out []int
-	for i, w := range j.workers {
+	for i, w := range d.workers {
 		if w.everSustained {
 			out = append(out, i)
 		}
@@ -463,20 +448,16 @@ func moveSorted(xs []float64, old, v float64) {
 	}
 }
 
-// decorate fills the straggler score and flag level into one job's /clusterz
+// decorate fills the straggler score and flag level into the /clusterz
 // worker rows (rows of workers not yet scored are left alone).
-func (d *StragglerDetector) decorate(job string, rows []WorkerState) {
+func (d *StragglerDetector) decorate(rows []WorkerState) {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j, ok := d.jobs[job]
-	if !ok {
-		return
-	}
 	for i := range rows {
-		if w, ok := j.workers[rows[i].Index]; ok && w.samples >= d.opts.MinSamples {
+		if w, ok := d.workers[rows[i].Index]; ok && w.samples >= d.opts.MinSamples {
 			rows[i].StragglerScore = w.score
 			rows[i].Straggler = w.level.String()
 		}
@@ -485,24 +466,20 @@ func (d *StragglerDetector) decorate(job string, rows []WorkerState) {
 
 // Flag returns the current score and level for one worker (ok=false when the
 // worker has never been scored).
-func (d *StragglerDetector) Flag(job string, worker int) (score float64, level StragglerLevel, ok bool) {
+func (d *StragglerDetector) Flag(worker int) (score float64, level StragglerLevel, ok bool) {
 	if d == nil {
 		return 0, StragglerOK, false
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j, jok := d.jobs[job]
-	if !jok {
-		return 0, StragglerOK, false
-	}
-	w, wok := j.workers[worker]
+	w, wok := d.workers[worker]
 	if !wok || w.samples < d.opts.MinSamples {
 		return 0, StragglerOK, false
 	}
 	return w.score, w.level, true
 }
 
-// Counts returns one job's flagged/sustained straggler counts and the fleet
+// Counts returns the flagged/sustained straggler counts and the fleet
 // median and maximum slowdown scores. It is the meta-scheme policy's input:
 // pure bookkeeping under the detector lock, no messages or timers, so reading
 // it from the scheduler's execution context stays deterministic under the
@@ -510,18 +487,14 @@ func (d *StragglerDetector) Flag(job string, worker int) (score float64, level S
 // fleet runs SSP a genuine straggler stops contending with the healthy
 // majority and its score can settle just under the flag threshold, so the
 // policy's recover condition needs the raw worst score, not just the flags.
-func (d *StragglerDetector) Counts(job string) (flagged, sustained int, median, max float64) {
+func (d *StragglerDetector) Counts() (flagged, sustained int, median, max float64) {
 	if d == nil {
 		return 0, 0, 0, 0
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j, ok := d.jobs[job]
-	if !ok {
-		return 0, 0, 0, 0
-	}
-	scores := make([]float64, 0, len(j.workers))
-	for _, w := range j.workers {
+	scores := make([]float64, 0, len(d.workers))
+	for _, w := range d.workers {
 		if w.samples < d.opts.MinSamples {
 			continue
 		}
@@ -541,8 +514,8 @@ func (d *StragglerDetector) Counts(job string) (flagged, sustained int, median, 
 	return flagged, sustained, median, max
 }
 
-// Snapshot renders the detector state for /stragglerz, sorted by job then
-// worker index. ok is false until at least one span has been observed.
+// Snapshot renders the detector state for /stragglerz, sorted by worker
+// index. ok is false until at least one span has been observed.
 func (d *StragglerDetector) Snapshot() (StragglerSnapshot, bool) {
 	if d == nil {
 		return StragglerSnapshot{}, false
@@ -550,68 +523,59 @@ func (d *StragglerDetector) Snapshot() (StragglerSnapshot, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	snap := StragglerSnapshot{At: d.lastAt, SlowFactor: d.opts.SlowFactor}
-	names := make([]string, 0, len(d.jobs))
-	for name := range d.jobs {
-		names = append(names, name)
+	idxs := make([]int, 0, len(d.workers))
+	for i := range d.workers {
+		idxs = append(idxs, i)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		j := d.jobs[name]
-		idxs := make([]int, 0, len(j.workers))
-		for i := range j.workers {
-			idxs = append(idxs, i)
+	sort.Ints(idxs)
+	injected := make(map[int]bool, len(d.truth))
+	for _, t := range d.truth {
+		injected[t] = true
+	}
+	for _, i := range idxs {
+		w := d.workers[i]
+		snap.Workers = append(snap.Workers, StragglerState{
+			Worker:          i,
+			State:           w.level.String(),
+			Score:           w.score,
+			IterSpanSeconds: w.span,
+			PushRate:        w.rate,
+			PullSeconds:     w.phase[PhasePull],
+			ComputeSeconds:  w.phase[PhaseCompute],
+			PushSeconds:     w.phase[PhasePush],
+			Samples:         w.samples,
+			EverSustained:   w.everSustained,
+			Injected:        injected[i],
+		})
+		if w.level > StragglerOK {
+			snap.Flagged++
 		}
-		sort.Ints(idxs)
-		injected := make(map[int]bool, len(j.truth))
-		for _, t := range j.truth {
-			injected[t] = true
+		if w.level == StragglerSustained {
+			snap.Sustained++
 		}
-		for _, i := range idxs {
-			w := j.workers[i]
-			snap.Workers = append(snap.Workers, StragglerState{
-				Job:             name,
-				Worker:          i,
-				State:           w.level.String(),
-				Score:           w.score,
-				IterSpanSeconds: w.span,
-				PushRate:        w.rate,
-				PullSeconds:     w.phase[PhasePull],
-				ComputeSeconds:  w.phase[PhaseCompute],
-				PushSeconds:     w.phase[PhasePush],
-				Samples:         w.samples,
-				EverSustained:   w.everSustained,
-				Injected:        injected[i],
-			})
-			if w.level > StragglerOK {
-				snap.Flagged++
+	}
+	if d.truth != nil {
+		snap.Truth = append(snap.Truth, d.truth...)
+		var tp, fp int
+		for i, w := range d.workers {
+			if !w.everSustained {
+				continue
 			}
-			if w.level == StragglerSustained {
-				snap.Sustained++
-			}
-		}
-		if j.truth != nil {
-			snap.Truth = append(snap.Truth, j.truth...)
-			var tp, fp int
-			for i, w := range j.workers {
-				if !w.everSustained {
-					continue
-				}
-				if injected[i] {
-					tp++
-				} else {
-					fp++
-				}
-			}
-			if tp+fp > 0 {
-				snap.Precision = float64(tp) / float64(tp+fp)
+			if injected[i] {
+				tp++
 			} else {
-				snap.Precision = 1
+				fp++
 			}
-			if len(j.truth) > 0 {
-				snap.Recall = float64(tp) / float64(len(j.truth))
-			} else {
-				snap.Recall = 1
-			}
+		}
+		if tp+fp > 0 {
+			snap.Precision = float64(tp) / float64(tp+fp)
+		} else {
+			snap.Precision = 1
+		}
+		if len(d.truth) > 0 {
+			snap.Recall = float64(tp) / float64(len(d.truth))
+		} else {
+			snap.Recall = 1
 		}
 	}
 	return snap, len(snap.Workers) > 0

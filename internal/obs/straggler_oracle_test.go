@@ -12,14 +12,14 @@ import (
 )
 
 // stragglerModel is the detector's scoring rule written the slow, obvious
-// way: every observation recomputes the job's median from scratch by
+// way: every observation recomputes the median from scratch by
 // collecting and sorting the scored workers' spans. The detector keeps that
 // population sorted incrementally; the oracle test below holds the two to the
 // same scores, levels, transitions and counts.
 type stragglerModel struct {
-	opts   obs.StragglerOptions
-	jobs   map[string]map[int]*modelWorker
-	events []trace.Event
+	opts    obs.StragglerOptions
+	workers map[int]*modelWorker
+	events  []trace.Event
 }
 
 type modelWorker struct {
@@ -30,14 +30,11 @@ type modelWorker struct {
 	level       obs.StragglerLevel
 }
 
-func (m *stragglerModel) worker(job string, index int) *modelWorker {
-	if m.jobs[job] == nil {
-		m.jobs[job] = make(map[int]*modelWorker)
-	}
-	w := m.jobs[job][index]
+func (m *stragglerModel) worker(index int) *modelWorker {
+	w := m.workers[index]
 	if w == nil {
 		w = &modelWorker{}
-		m.jobs[job][index] = w
+		m.workers[index] = w
 	}
 	return w
 }
@@ -51,15 +48,15 @@ func (m *stragglerModel) transition(index int, w *modelWorker, next obs.Straggle
 	m.events = append(m.events, trace.Event{At: at, Worker: index, Kind: kind, Value: int64(next)})
 }
 
-func (m *stragglerModel) observe(job string, index int, at time.Time, span float64) {
-	w := m.worker(job, index)
+func (m *stragglerModel) observe(index int, at time.Time, span float64) {
+	w := m.worker(index)
 	w.span = span
 	w.samples++
 	if w.samples < m.opts.MinSamples {
 		return
 	}
 	var eligible []float64
-	for _, p := range m.jobs[job] {
+	for _, p := range m.workers {
 		if p.samples >= m.opts.MinSamples {
 			eligible = append(eligible, p.span)
 		}
@@ -101,8 +98,8 @@ func (m *stragglerModel) observe(job string, index int, at time.Time, span float
 	}
 }
 
-func (m *stragglerModel) markSustained(job string, index int, at time.Time, score float64) {
-	w := m.worker(job, index)
+func (m *stragglerModel) markSustained(index int, at time.Time, score float64) {
+	w := m.worker(index)
 	if score > w.score {
 		w.score = score
 	}
@@ -112,9 +109,9 @@ func (m *stragglerModel) markSustained(job string, index int, at time.Time, scor
 	}
 }
 
-func (m *stragglerModel) counts(job string) (flagged, sustained int, median, max float64) {
+func (m *stragglerModel) counts() (flagged, sustained int, median, max float64) {
 	var scores []float64
-	for _, w := range m.jobs[job] {
+	for _, w := range m.workers {
 		if w.samples < m.opts.MinSamples {
 			continue
 		}
@@ -134,7 +131,7 @@ func (m *stragglerModel) counts(job string) (flagged, sustained int, median, max
 }
 
 // TestStragglerDetectorMatchesRecompute replays random ObserveSpan /
-// MarkSustained streams over two jobs — workers arriving over time, so the
+// MarkSustained streams — workers arriving over time, so the
 // scored population grows across MinSamples mid-stream, and spans drawn from
 // a small set, so the sorted population is full of ties — into the detector
 // and the from-scratch model.
@@ -151,43 +148,39 @@ func TestStragglerDetectorMatchesRecompute(t *testing.T) {
 		var got trace.Collector
 		o.SetTracer(&got)
 		d := o.Stragglers()
-		model := &stragglerModel{opts: opts, jobs: make(map[string]map[int]*modelWorker)}
+		model := &stragglerModel{opts: opts, workers: make(map[int]*modelWorker)}
 
-		jobs := []string{"", "tenant-b"}
 		fleet := 2 + rng.Intn(40)
 		spans := []float64{0.5, 1, 1, 1, 1.25, 1.5, 2, 4}
 		at := time.Unix(1_700_000_000, 0)
 		for op := 0; op < 400; op++ {
 			at = at.Add(time.Duration(rng.Intn(50)) * time.Millisecond)
-			job := jobs[rng.Intn(2)]
 			// The reachable fleet widens as the stream goes on.
 			w := rng.Intn(1 + fleet*(op+40)/440)
 			if rng.Intn(40) == 0 {
 				score := 1 + 4*rng.Float64()
-				d.MarkSustained(job, w, at, score)
-				model.markSustained(job, w, at, score)
+				d.MarkSustained(w, at, score)
+				model.markSustained(w, at, score)
 			} else {
 				span := spans[rng.Intn(len(spans))]
 				if rng.Intn(4) == 0 {
 					span *= 1 + rng.Float64()
 				}
-				d.ObserveSpan(job, w, at, span)
-				model.observe(job, w, at, span)
+				d.ObserveSpan(w, at, span)
+				model.observe(w, at, span)
 			}
 
-			mw := model.jobs[job][w]
-			score, level, ok := d.Flag(job, w)
+			mw := model.workers[w]
+			score, level, ok := d.Flag(w)
 			if wantOK := mw.samples >= opts.MinSamples; ok != wantOK || (ok && (score != mw.score || level != mw.level)) {
-				t.Fatalf("seed %d op %d: Flag(%q, %d) = (%v, %v, %v), model (%v, %v, %v)",
-					seed, op, job, w, score, level, ok, mw.score, mw.level, wantOK)
+				t.Fatalf("seed %d op %d: Flag(%d) = (%v, %v, %v), model (%v, %v, %v)",
+					seed, op, w, score, level, ok, mw.score, mw.level, wantOK)
 			}
-			for _, j := range jobs {
-				f, s, med, max := d.Counts(j)
-				wf, ws, wmed, wmax := model.counts(j)
-				if f != wf || s != ws || med != wmed || max != wmax {
-					t.Fatalf("seed %d op %d: Counts(%q) = (%d, %d, %v, %v), model (%d, %d, %v, %v)",
-						seed, op, j, f, s, med, max, wf, ws, wmed, wmax)
-				}
+			f, s, med, max := d.Counts()
+			wf, ws, wmed, wmax := model.counts()
+			if f != wf || s != ws || med != wmed || max != wmax {
+				t.Fatalf("seed %d op %d: Counts() = (%d, %d, %v, %v), model (%d, %d, %v, %v)",
+					seed, op, f, s, med, max, wf, ws, wmed, wmax)
 			}
 		}
 		if !reflect.DeepEqual(got.Events(), model.events) {
@@ -210,12 +203,12 @@ func TestObserveSpanDoesNotAllocate(t *testing.T) {
 	at := time.Unix(1_700_000_000, 0)
 	observe := func() {
 		at = at.Add(time.Millisecond)
-		d.ObserveSpan("", rng.Intn(m), at, 0.9+0.2*rng.Float64())
+		d.ObserveSpan(rng.Intn(m), at, 0.9+0.2*rng.Float64())
 	}
 	for round := 0; round < 4; round++ {
 		for w := 0; w < m; w++ {
 			at = at.Add(time.Millisecond)
-			d.ObserveSpan("", w, at, 1)
+			d.ObserveSpan(w, at, 1)
 		}
 	}
 	if allocs := testing.AllocsPerRun(2000, observe); allocs != 0 {

@@ -11,7 +11,7 @@ import (
 
 // feedSpans pushes one span observation per worker per round: every worker
 // runs at baseSpan except the ones in slow, which run at slowSpan.
-func feedSpans(d *obs.StragglerDetector, job string, workers, rounds int, slow map[int]bool, baseSpan, slowSpan float64) time.Time {
+func feedSpans(d *obs.StragglerDetector, workers, rounds int, slow map[int]bool, baseSpan, slowSpan float64) time.Time {
 	at := time.Unix(0, 0)
 	for r := 0; r < rounds; r++ {
 		at = at.Add(time.Second)
@@ -20,7 +20,7 @@ func feedSpans(d *obs.StragglerDetector, job string, workers, rounds int, slow m
 			if slow[w] {
 				span = slowSpan
 			}
-			d.ObserveSpan(job, w, at, span)
+			d.ObserveSpan(w, at, span)
 		}
 	}
 	return at
@@ -29,7 +29,7 @@ func feedSpans(d *obs.StragglerDetector, job string, workers, rounds int, slow m
 func TestStragglerDetectorFlagsSlowWorker(t *testing.T) {
 	o := obs.New(obs.Options{})
 	d := o.Stragglers()
-	feedSpans(d, "", 4, 10, map[int]bool{3: true}, 1.0, 2.5)
+	feedSpans(d, 4, 10, map[int]bool{3: true}, 1.0, 2.5)
 
 	snap, ok := d.Snapshot()
 	if !ok {
@@ -55,7 +55,7 @@ func TestStragglerDetectorFlagsSlowWorker(t *testing.T) {
 	}
 
 	// The detector's flags also decorate /clusterz worker rows.
-	score, level, ok := d.Flag("", 3)
+	score, level, ok := d.Flag(3)
 	if !ok || level != obs.StragglerSustained || score < 2 {
 		t.Errorf("Flag(3) = (%.2f, %v, %v), want sustained with score >= 2", score, level, ok)
 	}
@@ -65,33 +65,33 @@ func TestStragglerHysteresisTransientThenClear(t *testing.T) {
 	o := obs.New(obs.Options{})
 	d := o.Stragglers()
 	// Warm everyone up at the same pace: no flags.
-	at := feedSpans(d, "", 4, 5, nil, 1.0, 0)
+	at := feedSpans(d, 4, 5, nil, 1.0, 0)
 	if snap, _ := d.Snapshot(); snap.Flagged != 0 {
 		t.Fatalf("flagged %d workers during homogeneous warmup", snap.Flagged)
 	}
 
 	// One slow evaluation flags worker 2 transient (not yet sustained).
 	at = at.Add(time.Second)
-	d.ObserveSpan("", 2, at, 3.0)
-	if _, level, _ := d.Flag("", 2); level != obs.StragglerTransient {
+	d.ObserveSpan(2, at, 3.0)
+	if _, level, _ := d.Flag(2); level != obs.StragglerTransient {
 		t.Fatalf("after one slow sample: level %v, want transient", level)
 	}
 
 	// Recovering for ClearAfter (default 2) evaluations clears the flag.
 	for i := 0; i < 2; i++ {
 		at = at.Add(time.Second)
-		d.ObserveSpan("", 2, at, 1.0)
+		d.ObserveSpan(2, at, 1.0)
 	}
-	if _, level, _ := d.Flag("", 2); level != obs.StragglerOK {
+	if _, level, _ := d.Flag(2); level != obs.StragglerOK {
 		t.Fatalf("after recovery: level %v, want ok", level)
 	}
 
 	// A sustained slowdown (SustainAfter = 4 consecutive) escalates.
 	for i := 0; i < 4; i++ {
 		at = at.Add(time.Second)
-		d.ObserveSpan("", 2, at, 3.0)
+		d.ObserveSpan(2, at, 3.0)
 	}
-	if _, level, _ := d.Flag("", 2); level != obs.StragglerSustained {
+	if _, level, _ := d.Flag(2); level != obs.StragglerSustained {
 		t.Fatalf("after 4 slow samples: level %v, want sustained", level)
 	}
 }
@@ -101,7 +101,7 @@ func TestStragglerHysteresisTransientThenClear(t *testing.T) {
 func TestStragglerSnapshotDeterministic(t *testing.T) {
 	render := func() []byte {
 		o := obs.New(obs.Options{})
-		feedSpans(o.Stragglers(), "jobA", 4, 12, map[int]bool{1: true}, 1.0, 2.0)
+		feedSpans(o.Stragglers(), 4, 12, map[int]bool{1: true}, 1.0, 2.0)
 		snap, _ := o.StragglerSnapshot()
 		b, err := json.Marshal(snap)
 		if err != nil {
@@ -128,8 +128,8 @@ func TestStragglerConcurrency(t *testing.T) {
 			at := time.Unix(int64(g), 0)
 			for i := 0; i < 200; i++ {
 				at = at.Add(time.Second)
-				d.ObserveSpan("job", i%4, at, 1.0+float64(g))
-				d.ObservePhase("job", i%4, obs.PhasePush, at, 0.1)
+				d.ObserveSpan(i%4, at, 1.0+float64(g))
+				d.ObservePhase(i%4, obs.PhasePush, at, 0.1)
 			}
 		}(g)
 	}
@@ -138,7 +138,7 @@ func TestStragglerConcurrency(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			d.Snapshot()
-			d.Flag("job", i%4)
+			d.Flag(i % 4)
 		}
 	}()
 	wg.Wait()

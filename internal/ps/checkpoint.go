@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -50,6 +51,14 @@ func (s *Server) Restore(snap Snapshot) error {
 
 // WriteTo serializes the snapshot.
 func (snap Snapshot) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(snap.encode())
+	if err != nil {
+		return int64(n), fmt.Errorf("ps: writing checkpoint: %w", err)
+	}
+	return int64(n), nil
+}
+
+func (snap Snapshot) encode() []byte {
 	buf := wire.NewWriter(16 + 8*len(snap.Params))
 	buf.Uint32(checkpointMagic)
 	buf.Uint8(checkpointVersion)
@@ -57,14 +66,12 @@ func (snap Snapshot) WriteTo(w io.Writer) (int64, error) {
 	buf.Int(snap.Range.Hi)
 	buf.Varint(snap.Version)
 	buf.Float64s(snap.Params)
-	n, err := w.Write(buf.Bytes())
-	if err != nil {
-		return int64(n), fmt.Errorf("ps: writing checkpoint: %w", err)
-	}
-	return int64(n), nil
+	return buf.Bytes()
 }
 
-// ReadSnapshot deserializes a snapshot written by WriteTo.
+// ReadSnapshot deserializes a snapshot written by WriteTo. A file that decodes
+// but is not exactly what WriteTo would write for the decoded snapshot (an
+// overlong varint) is refused as corrupt.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -90,6 +97,9 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	}
 	if snap.Range.Len() != len(snap.Params) {
 		return Snapshot{}, fmt.Errorf("ps: checkpoint range %+v does not match %d params", snap.Range, len(snap.Params))
+	}
+	if !bytes.Equal(snap.encode(), data) {
+		return Snapshot{}, fmt.Errorf("ps: checkpoint is not in canonical form")
 	}
 	return snap, nil
 }

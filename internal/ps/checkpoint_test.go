@@ -2,6 +2,7 @@ package ps
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -85,6 +86,9 @@ func TestReadSnapshotCorruption(t *testing.T) {
 		"bad version":   append(append([]byte{}, good[:4]...), append([]byte{99}, good[5:]...)...),
 		"truncated":     good[:len(good)-3],
 		"trailing junk": append(append([]byte{}, good...), 0xff),
+		// Version 5 is the zigzag varint 0x0a at byte 7; 0x8a 0x00 decodes
+		// to the same value but is not what WriteTo writes.
+		"overlong varint": append(append(append([]byte{}, good[:7]...), 0x8a, 0x00), good[8:]...),
 	}
 	for name, data := range cases {
 		if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
@@ -95,4 +99,40 @@ func TestReadSnapshotCorruption(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader(string(good))); err != nil {
 		t.Errorf("good snapshot rejected: %v", err)
 	}
+}
+
+// FuzzReadSnapshot throws arbitrary bytes at the checkpoint reader, which
+// reads files from a node's checkpoint directory: it must not panic, and a
+// file it accepts must be exactly what WriteTo writes for what it decoded.
+func FuzzReadSnapshot(f *testing.F) {
+	srv, err := New(Config{
+		Range:     Range{Lo: 4, Hi: 10},
+		Init:      tensor.Vec{1, -2, 3.5, 0, math.Inf(1), 1e-300},
+		Optimizer: newTestSGD(f, 6),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap := srv.Snapshot()
+	snap.Version = 1234
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// The codec state file's lying header: magic, version, uvarint 1<<20.
+	f.Add([]byte{0x43, 0x44, 0x4f, 0x43, 1, 0x80, 0x80, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := snap.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted %x but re-encodes to %x", data, out.Bytes())
+		}
+	})
 }

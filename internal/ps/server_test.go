@@ -91,7 +91,7 @@ func TestShardRangesCoverExactly(t *testing.T) {
 	}
 }
 
-func newTestSGD(t *testing.T, dim int) *optimizer.SGD {
+func newTestSGD(t testing.TB, dim int) *optimizer.SGD {
 	t.Helper()
 	o, err := optimizer.NewSGD(optimizer.SGDConfig{Schedule: optimizer.Const(0.5)}, dim)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,6 +107,7 @@ func TestSplitSenderRejectsBadLengths(t *testing.T) {
 		{0x80},                   // unterminated uvarint
 		{5, 'a', 'b'},            // length past the payload
 		{0xff, 0xff, 0xff, 0x7f}, // huge length
+		{0, 1, 2},                // empty sender ID
 	} {
 		if _, ok := splitSender(p, &from); ok {
 			t.Errorf("splitSender(%v) accepted", p)
@@ -353,9 +356,10 @@ func TestReadLoopUnderSegmentation(t *testing.T) {
 	}
 }
 
-// TestSenderIDFollowsTheFrame: the per-connection ID cache must not stick to
-// the first sender when frames on one connection name different ones.
-func TestSenderIDFollowsTheFrame(t *testing.T) {
+// TestSenderIDFixedAtFirstFrame: a TCP endpoint stamps every frame with its
+// one ID, so the first frame fixes the connection's sender and a frame naming
+// another one closes the connection before anything behind it is delivered.
+func TestSenderIDFixedAtFirstFrame(t *testing.T) {
 	srv, s := listener(t)
 	conn := dialRaw(t, srv.Addr())
 	var stream []byte
@@ -365,13 +369,16 @@ func TestSenderIDFollowsTheFrame(t *testing.T) {
 	if _, err := conn.Write(stream); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return s.count() == 4 })
+	// The receiver closes its end when it refuses the third frame; the fourth
+	// was already in its buffer, so once EOF arrives nothing more can come.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a sender change: %v, want EOF", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want := []string{"worker/1:*msg.Notify", "worker/1:*msg.Notify", "worker/22:*msg.Notify", "worker/1:*msg.Notify"}
-	for i := range want {
-		if s.msgs[i] != want[i] {
-			t.Errorf("frame %d delivered as %q, want %q", i, s.msgs[i], want[i])
-		}
+	want := []string{"worker/1:*msg.Notify", "worker/1:*msg.Notify"}
+	if !slices.Equal(s.msgs, want) {
+		t.Errorf("delivered %q, want %q", s.msgs, want)
 	}
 }

@@ -304,7 +304,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, readBufSize)
 	var (
 		buf  []byte
-		from node.ID     // last sender; a connection nearly always has one
+		from node.ID     // the connection's sender, fixed by its first frame
 		rd   wire.Reader // one per connection, Reset per frame
 	)
 	for {
@@ -354,16 +354,22 @@ func (t *TCP) readLoop(conn net.Conn) {
 }
 
 // splitSender parses the sender ID that leads a frame payload and returns the
-// message bytes behind it. *last holds the connection's previous sender: a
+// message bytes behind it. *from is the connection's sender: the first frame
+// fixes it (to any non-empty ID; the transport does not authenticate it), and
+// a later frame naming another ID is refused. A TCP endpoint stamps every
+// frame with its one ID, so a legitimate connection never changes sender. A
 // repeated ID costs a compare instead of a string allocation per frame.
-func splitSender(payload []byte, last *node.ID) (body []byte, ok bool) {
+func splitSender(payload []byte, from *node.ID) (body []byte, ok bool) {
 	n, k := binary.Uvarint(payload)
-	if k <= 0 || n > uint64(len(payload)-k) {
+	if k <= 0 || n == 0 || n > uint64(len(payload)-k) {
 		return nil, false
 	}
 	end := k + int(n)
-	if id := payload[k:end]; string(id) != string(*last) {
-		*last = node.ID(id)
+	switch id := payload[k:end]; {
+	case *from == "":
+		*from = node.ID(id)
+	case string(id) != string(*from):
+		return nil, false
 	}
 	return payload[end:], true
 }
