@@ -12,18 +12,19 @@ import (
 	"specsync/internal/trace"
 )
 
-// Golden digests captured from the pre-codec build (SHA-256 over the JSONL
-// serialization of the full event trace). The raw codec is required to be
-// byte-identical to that build: same messages, same simulated timings, same
+// Golden digests (SHA-256 over the JSONL serialization of the full event
+// trace), first captured from the pre-codec build and re-recorded once when
+// push replies began carrying the next pull. The raw codec is required to
+// match them byte for byte: same messages, same simulated timings, same
 // events, same transfer bytes.
 const (
-	goldenTinyDigest = "53abcfe7cbf55e6da032bbd61b2d42cd771e53743a0fd8462f25d867301fd823"
-	goldenTinyEvents = 159
-	goldenTinyBytes  = 27147
+	goldenTinyDigest = "034614cb4cdeaa6cb9b90bc8a31861d2f6d9eeeb7ff246f9fc667274cba4b87a"
+	goldenTinyEvents = 158
+	goldenTinyBytes  = 23448
 
-	goldenMFDigest = "16053559ea46635c0a5c8baf7308ba63341f3e578a7068b616fd73f017ad68a8"
-	goldenMFEvents = 542
-	goldenMFBytes  = 3612969
+	goldenMFDigest = "1764fdb4be0ecf15dd0ad9dbac1ff8496ca026489996a6f5eae1c19c07eab045"
+	goldenMFEvents = 530
+	goldenMFBytes  = 3567584
 )
 
 func runDigest(t *testing.T, wl Workload, seed int64, cc codec.Config) (digest string, events int, bytesOnWire int64, res *Result) {

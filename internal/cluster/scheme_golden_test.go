@@ -17,15 +17,17 @@ import (
 // the scheme-dispatch refactor that made the active scheme a runtime value:
 // same messages, same simulated timings, same events. The hetero cases pin
 // runs with unequal worker speeds so the straggler/span paths are covered
-// too.
+// too. The cells whose pushes fetch the next pull (every one but the BSP
+// pair, which never starts an iteration before a release) were re-recorded
+// when push replies began carrying it; the BSP pair never moved.
 const (
-	goldenSchemeOriginalDigest = "5761e55884661db1bd4aceeb34730c3af839302614a4c06d836c23a525f0e328"
+	goldenSchemeOriginalDigest = "8fd9be64c5a84db8e866d6d47540bd4cdaf3ebcb0bdd536f488c56ced1167855"
 	goldenSchemeBSPDigest      = "ab47754768cae57638594445f37b12fede5abaf86843698be56c5a3a7b24272c"
-	goldenSchemeSSPDigest      = "e54e6ace3286f39fc7c372a0f69ef20c230d2c48f8e5d401d0b304fb27f8dba7"
-	goldenSchemeCherryDigest   = "ee234f4803b7174a376a7c40520fa93cc9a178947610a45abebb870309d283c2"
-	goldenSchemeAdaptiveDigest = "53abcfe7cbf55e6da032bbd61b2d42cd771e53743a0fd8462f25d867301fd823"
+	goldenSchemeSSPDigest      = "c66dd6507b9b9892ce84e3fb5e0c3400088295703cecc1f5087b01804f42c34d"
+	goldenSchemeCherryDigest   = "b96ceb973d4c28eb01cc480b8971fde27229460e9961d3ddf710995c682f9c10"
+	goldenSchemeAdaptiveDigest = "034614cb4cdeaa6cb9b90bc8a31861d2f6d9eeeb7ff246f9fc667274cba4b87a"
 	goldenSchemeHeteroBSP      = "6538e804f4b34ee5ac2b1d898055ee812e36c7ba9bef92d5371f5c51999809f6"
-	goldenSchemeHeteroSSP      = "cdfe0cc8203b9d1e7a89631f5ee59110456ba6284ee5cf56659beb17ba0dce88"
+	goldenSchemeHeteroSSP      = "ce8a07b01abb73dee986b0d2bb7823b72056fabb195140197693284a457e49d2"
 )
 
 func schemeDigest(t *testing.T, sc scheme.Config, speeds []float64) string {

@@ -51,11 +51,12 @@ func TestCommittedSpecs(t *testing.T) {
 	// Digests of `specsync -workload tiny -workers 4 -scheme adaptive -max
 	// 15m`, of `specsync -workload mf -workers 4 -seed 1 -max 10m -stragglers
 	// degrade:3x0.25@10s -mitigate clone`, and of the replicated
-	// combined-kill double run (-replicas 1 -standby-schedulers 1 -fault-plan).
+	// combined-kill double run (-replicas 1 -standby-schedulers 1 -fault-plan),
+	// re-recorded when push replies began carrying the next pull.
 	for name, want := range map[string]string{
-		"tiny-adaptive.json":    "dde14eb27aba36c8434ae689513b53e078231aa3ec491fdfe5940ef3ced0ea52",
-		"stragglers-clone.json": "c7085fdaea411c13c8fe54d399fba4dd2c277d3dc3b674c68fd619704d03d135",
-		"combined-kill.json":    "b765395e2631add03f083b9b8c6197b6069a095a7bdb5893510d9033d773ccdd",
+		"tiny-adaptive.json":    "f557b21a80a06277411fc8ce28ca2e517cbb6d0e584a0dbaf9fa52d00f95ce45",
+		"stragglers-clone.json": "c6ff64c2c36a7fa23050aeae0118b0d1b0f6a65300440548a6d24cf368716760",
+		"combined-kill.json":    "86c969a49ce63632f1e88e2e8cf774ef29ecdb5d2f00dc7c0f67c65353cd1f51",
 	} {
 		cfg, err := LoadSpec(filepath.Join("..", "..", "examples", "specs", name))
 		if err != nil {

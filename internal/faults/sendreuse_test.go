@@ -17,7 +17,8 @@ import (
 )
 
 // reusedPush fills one PushReq value the way a worker refills its held
-// request: round 0 is dense, round 1 sparse, both into the same slices.
+// request: round 0 is dense, round 1 sparse and asking for the shard's block,
+// both into the same slices.
 func reusedPush(req *msg.PushReq, round int) {
 	*req = msg.PushReq{
 		Seq: uint64(10 + round), Iter: int64(20 + round), PullVersion: int64(30 + round),
@@ -27,7 +28,7 @@ func reusedPush(req *msg.PushReq, round int) {
 		req.Dense = append(req.Dense, 1.5, -2.25, 3)
 		return
 	}
-	req.IsSparse = true
+	req.IsSparse, req.Pull = true, true
 	req.SparseIdx = append(req.SparseIdx, 0, 2)
 	req.SparseVal = append(req.SparseVal, 0.5, -4)
 }
@@ -35,7 +36,7 @@ func reusedPush(req *msg.PushReq, round int) {
 // scribble overwrites every field and every slice element of req.
 func scribble(req *msg.PushReq) {
 	req.Seq, req.Iter, req.PullVersion = math.MaxUint64, -1, -1
-	req.IsSparse = !req.IsSparse
+	req.IsSparse, req.Pull = !req.IsSparse, !req.Pull
 	for i := range req.Dense {
 		req.Dense[i] = math.NaN()
 	}
@@ -72,7 +73,7 @@ func wantFrames(copies int) [][]byte {
 }
 
 // recorder keeps the encoding of every PushReq it receives (the message
-// itself goes back to the runtime) and acknowledges it.
+// itself goes back to the runtime) and answers it, as a shard does.
 type recorder struct {
 	ctx    node.Context
 	mu     sync.Mutex
@@ -99,7 +100,7 @@ func (r *recorder) record(from node.ID, m wire.Message) {
 	}
 	r.mu.Unlock()
 	if r.ctx != nil {
-		r.ctx.Send(from, &msg.PushAck{Seq: req.Seq})
+		r.ctx.Send(from, &msg.PullResp{Seq: req.Seq})
 	}
 }
 

@@ -13,17 +13,21 @@ import (
 	"specsync/internal/wire"
 )
 
-// ackSink counts PushAcks delivered to one sender.
+// ackSink counts the push replies delivered to one sender, and those of
+// them that carried the shard's block.
 type ackSink struct {
-	mu   sync.Mutex
-	acks int
+	mu           sync.Mutex
+	acks, blocks int
 }
 
 func (a *ackSink) Init(node.Context) {}
 func (a *ackSink) Receive(_ node.ID, m wire.Message) {
-	if _, ok := m.(*msg.PushAck); ok {
+	if resp, ok := m.(*msg.PullResp); ok {
 		a.mu.Lock()
 		a.acks++
+		if len(resp.Values) > 0 {
+			a.blocks++
+		}
 		a.mu.Unlock()
 	}
 }
@@ -37,8 +41,10 @@ func (a *ackSink) count() int {
 // pushing the same logical (worker, iter) gradients at a live parameter
 // server. Whatever the interleaving, every iteration must be applied exactly
 // once (the duplicate acknowledged without applying), so the final parameters
-// equal a serial single-worker run. Run under -race this also pins the
-// thread-safety of the clone-dedup path on the live runtime.
+// equal a serial single-worker run. The original asks for the block with
+// every push and the clone never does; each gets what it asked for, whether
+// its push won or lost. Run under -race this also pins the thread-safety of
+// the clone-dedup path on the live runtime.
 func TestLiveCloneDedupNeverDoubleApplies(t *testing.T) {
 	const (
 		iters = 50
@@ -74,7 +80,7 @@ func TestLiveCloneDedupNeverDoubleApplies(t *testing.T) {
 	// original's and the clone's race at the server's mailbox.
 	push := func(from node.ID, k int) {
 		lb.Host(from).Send(node.ServerID(0), &msg.PushReq{
-			Seq: uint64(k + 1), Iter: int64(k), PullVersion: 0, Dense: grad(k),
+			Seq: uint64(k + 1), Iter: int64(k), PullVersion: 0, Dense: grad(k), Pull: from == node.WorkerID(1),
 		})
 	}
 	var wg sync.WaitGroup
@@ -102,6 +108,9 @@ func TestLiveCloneDedupNeverDoubleApplies(t *testing.T) {
 	}
 	if orig.count() != iters || clone.count() != iters {
 		t.Fatalf("acks: original %d, clone %d, want %d each", orig.count(), clone.count(), iters)
+	}
+	if orig.blocks != iters || clone.blocks != 0 {
+		t.Errorf("replies with the block: original %d (want %d), clone %d (want 0)", orig.blocks, iters, clone.blocks)
 	}
 
 	// Exactly one apply per iteration, whoever won it.

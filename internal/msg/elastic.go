@@ -26,8 +26,6 @@ const (
 // Init (instead of waiting for Start) and retries until acked.
 type JoinReq struct{}
 
-var _ wire.Message = (*JoinReq)(nil)
-
 // Kind implements wire.Message.
 func (m *JoinReq) Kind() wire.Kind { return KindJoinReq }
 
@@ -47,8 +45,6 @@ type JoinAck struct {
 	Srv   []int32
 	Clock int64
 }
-
-var _ wire.Message = (*JoinAck)(nil)
 
 // Kind implements wire.Message.
 func (m *JoinAck) Kind() wire.Kind { return KindJoinAck }
@@ -80,8 +76,6 @@ type RoutingUpdate struct {
 	Hi    []int32
 	Srv   []int32
 }
-
-var _ wire.Message = (*RoutingUpdate)(nil)
 
 // Kind implements wire.Message.
 func (m *RoutingUpdate) Kind() wire.Kind { return KindRoutingUpdate }
@@ -118,8 +112,6 @@ type ShardTransfer struct {
 	SendTo         []int32
 	Expect         int64
 }
-
-var _ wire.Message = (*ShardTransfer)(nil)
 
 // Kind implements wire.Message.
 func (m *ShardTransfer) Kind() wire.Kind { return KindShardTransfer }
@@ -163,8 +155,6 @@ type ShardState struct {
 	Payload []byte
 }
 
-var _ wire.Message = (*ShardState)(nil)
-
 // Kind implements wire.Message.
 func (m *ShardState) Kind() wire.Kind { return KindShardState }
 
@@ -195,8 +185,6 @@ type MigrateDone struct {
 	Epoch int64
 	Bytes int64
 }
-
-var _ wire.Message = (*MigrateDone)(nil)
 
 // Kind implements wire.Message.
 func (m *MigrateDone) Kind() wire.Kind { return KindMigrateDone }
@@ -231,8 +219,6 @@ type ScaleCmd struct {
 	Node    int32
 	Servers []int32
 }
-
-var _ wire.Message = (*ScaleCmd)(nil)
 
 // Kind implements wire.Message.
 func (m *ScaleCmd) Kind() wire.Kind { return KindScaleCmd }

@@ -18,7 +18,9 @@ func TestTruncationNeverPanics(t *testing.T) {
 		&PullResp{Seq: 8, Version: 3, Values: []float64{1, 2, 3, 4}},
 		&PushReq{Seq: 9, Iter: 2, PullVersion: 1, Dense: []float64{5, 6}},
 		&PushReq{Seq: 9, Iter: 2, IsSparse: true, SparseIdx: []int32{0, 4}, SparseVal: []float64{1, 2}},
-		&PushAck{Seq: 1, Version: 2, Staleness: 3},
+		&PushReq{Seq: 9, Iter: 2, PullVersion: 1, Dense: []float64{5, 6}, Pull: true},
+		&PullResp{Seq: 9, Version: 2, Values: []float64{}},
+		&PushReqV2{Seq: 9, Iter: 2, Codec: 1, Payload: []byte{7}, Pull: true},
 		&Notify{Iter: 11},
 		&ReSync{Iter: 12},
 		&Release{Clock: 5},

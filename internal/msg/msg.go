@@ -2,18 +2,25 @@
 // parameter-server shards and the SpecSync scheduler, with hand-rolled wire
 // encodings. The protocol follows Algorithm 2 of the paper:
 //
-//	worker -> server:    PullReq, PushReq
-//	server -> worker:    PullResp, PushAck
+//	worker -> server:    PullReq, PushReq  (a push may ask for the next pull)
+//	server -> worker:    PullResp          (answers a pull and every push)
 //	worker -> scheduler: Notify            (after each completed push)
 //	scheduler -> worker: ReSync            (abort and re-pull), Start, Stop,
 //	                     Release           (the gate's released clock)
 //
-// Kind values are part of the wire format; never renumber them. Kind 9 (the
-// retired BSP barrier release) and kind 27 (the retired multi-tenant job
-// envelope) are reserved.
+// A push that sets the pull flag is answered with the shard's block as it
+// stands right after the push was applied, so a worker that starts its next
+// iteration at once needs no PullReq: steady-state ASP is PushReq → PullResp
+// per shard plus one Notify.
+//
+// Kind values are part of the wire format; never renumber them. Kind 4 (the
+// retired PushAck; a push is answered by a PullResp), kind 9 (the retired BSP
+// barrier release) and kind 27 (the retired multi-tenant job envelope) are
+// reserved.
 package msg
 
 import (
+	"errors"
 	"sync"
 
 	"specsync/internal/sparse"
@@ -25,7 +32,6 @@ const (
 	KindPullReq         wire.Kind = 1
 	KindPullResp        wire.Kind = 2
 	KindPushReq         wire.Kind = 3
-	KindPushAck         wire.Kind = 4
 	KindNotify          wire.Kind = 5
 	KindReSync          wire.Kind = 6
 	KindStart           wire.Kind = 7
@@ -47,12 +53,11 @@ const (
 
 // PullReq asks a server shard for its current parameter block.
 type PullReq struct {
-	// Seq is the worker's pull sequence number; responses carrying a stale
-	// Seq (from before an abort) are discarded by the worker.
+	// Seq is the worker's request sequence number, shared with its pushes;
+	// responses carrying a stale Seq (from before an abort) are discarded by
+	// the worker.
 	Seq uint64
 }
-
-var _ wire.Message = (*PullReq)(nil)
 
 // Kind implements wire.Message.
 func (m *PullReq) Kind() wire.Kind { return KindPullReq }
@@ -63,14 +68,14 @@ func (m *PullReq) Encode(w *wire.Writer) { w.Uint64(m.Seq) }
 // Decode implements wire.Message.
 func (m *PullReq) Decode(r *wire.Reader) { m.Seq = r.Uint64() }
 
-// PullResp returns a shard's parameters.
+// PullResp returns a shard's parameters. It also answers every push: Version
+// is then the shard's push counter right after the push was applied, and
+// Values is empty unless the push set its pull flag.
 type PullResp struct {
 	Seq     uint64
 	Version int64 // shard's push counter at read time; used for staleness
 	Values  []float64
 }
-
-var _ wire.Message = (*PullResp)(nil)
 
 // Kind implements wire.Message.
 func (m *PullResp) Kind() wire.Kind { return KindPullResp }
@@ -89,19 +94,48 @@ func (m *PullResp) Decode(r *wire.Reader) {
 	m.Values = r.Float64sInto(m.Values)
 }
 
+// Push flags: one byte after PullVersion in PushReq, the trailing byte of
+// PushReqV2, which has no sparse form and may set only pushPull. A flags
+// byte with a bit its message does not define fails the decode.
+const (
+	pushSparse uint8 = 1 << 0 // PushReq's body is SparseIdx/SparseVal
+	pushPull   uint8 = 1 << 1 // answer with the block as it stands after the push
+)
+
+var errPushFlags = errors.New("msg: unknown push flag bits")
+
+func pushFlags(sparse, pull bool) uint8 {
+	var f uint8
+	if sparse {
+		f |= pushSparse
+	}
+	if pull {
+		f |= pushPull
+	}
+	return f
+}
+
+// readPushFlags reads a flags byte, failing r on any bit outside allowed.
+func readPushFlags(r *wire.Reader, allowed uint8) (sparse, pull bool) {
+	f := r.Uint8()
+	if f&^allowed != 0 {
+		r.Fail(errPushFlags)
+	}
+	return f&pushSparse != 0, f&pushPull != 0
+}
+
 // PushReq delivers a gradient block for one shard. Exactly one of Dense or
 // Sparse is populated (Sparse for matrix factorization).
 type PushReq struct {
-	Seq         uint64 // worker's push sequence, echoed in PushAck
+	Seq         uint64 // worker's request sequence, echoed in the PullResp reply
 	Iter        int64  // worker's iteration number
 	PullVersion int64  // shard version the gradient was computed against
 	Dense       []float64
 	SparseIdx   []int32
 	SparseVal   []float64
 	IsSparse    bool
+	Pull        bool // reply with the shard's block after applying the push
 }
-
-var _ wire.Message = (*PushReq)(nil)
 
 // Kind implements wire.Message.
 func (m *PushReq) Kind() wire.Kind { return KindPushReq }
@@ -111,7 +145,7 @@ func (m *PushReq) Encode(w *wire.Writer) {
 	w.Uint64(m.Seq)
 	w.Varint(m.Iter)
 	w.Varint(m.PullVersion)
-	w.Bool(m.IsSparse)
+	w.Uint8(pushFlags(m.IsSparse, m.Pull))
 	if m.IsSparse {
 		w.Ints32(m.SparseIdx)
 		w.Float64s(m.SparseVal)
@@ -125,7 +159,7 @@ func (m *PushReq) Decode(r *wire.Reader) {
 	m.Seq = r.Uint64()
 	m.Iter = r.Varint()
 	m.PullVersion = r.Varint()
-	m.IsSparse = r.Bool()
+	m.IsSparse, m.Pull = readPushFlags(r, pushSparse|pushPull)
 	if m.IsSparse {
 		m.SparseIdx = r.Ints32Into(m.SparseIdx)
 		m.SparseVal = r.Float64sInto(m.SparseVal)
@@ -141,39 +175,11 @@ func (m *PushReq) Sparse() sparse.Vec {
 	return sparse.Vec{Idx: m.SparseIdx, Val: m.SparseVal}
 }
 
-// PushAck confirms a gradient application.
-type PushAck struct {
-	Seq       uint64
-	Version   int64 // shard version after applying this push
-	Staleness int64 // number of pushes applied between the pull and this push
-}
-
-var _ wire.Message = (*PushAck)(nil)
-
-// Kind implements wire.Message.
-func (m *PushAck) Kind() wire.Kind { return KindPushAck }
-
-// Encode implements wire.Message.
-func (m *PushAck) Encode(w *wire.Writer) {
-	w.Uint64(m.Seq)
-	w.Varint(m.Version)
-	w.Varint(m.Staleness)
-}
-
-// Decode implements wire.Message.
-func (m *PushAck) Decode(r *wire.Reader) {
-	m.Seq = r.Uint64()
-	m.Version = r.Varint()
-	m.Staleness = r.Varint()
-}
-
 // Notify tells the scheduler a worker finished an iteration (pushed its
 // update). It triggers the speculation window for the sender (Algorithm 2).
 type Notify struct {
 	Iter int64 // iteration just completed
 }
-
-var _ wire.Message = (*Notify)(nil)
 
 // Kind implements wire.Message.
 func (m *Notify) Kind() wire.Kind { return KindNotify }
@@ -191,8 +197,6 @@ type ReSync struct {
 	Iter int64 // iteration to abort (the one after the triggering Notify)
 }
 
-var _ wire.Message = (*ReSync)(nil)
-
 // Kind implements wire.Message.
 func (m *ReSync) Kind() wire.Kind { return KindReSync }
 
@@ -205,8 +209,6 @@ func (m *ReSync) Decode(r *wire.Reader) { m.Iter = r.Varint() }
 // Start launches a worker's training loop.
 type Start struct{}
 
-var _ wire.Message = (*Start)(nil)
-
 // Kind implements wire.Message.
 func (m *Start) Kind() wire.Kind { return KindStart }
 
@@ -218,8 +220,6 @@ func (m *Start) Decode(*wire.Reader) {}
 
 // Stop halts a worker's training loop after the current callback.
 type Stop struct{}
-
-var _ wire.Message = (*Stop)(nil)
 
 // Kind implements wire.Message.
 func (m *Stop) Kind() wire.Kind { return KindStop }
@@ -237,8 +237,6 @@ type Release struct {
 	Clock int64
 }
 
-var _ wire.Message = (*Release)(nil)
-
 // Kind implements wire.Message.
 func (m *Release) Kind() wire.Kind { return KindRelease }
 
@@ -251,8 +249,6 @@ func (m *Release) Decode(r *wire.Reader) { m.Clock = r.Varint() }
 // WorkerReady reports that a worker finished initialization (live mode uses
 // it to gate the Start broadcast).
 type WorkerReady struct{}
-
-var _ wire.Message = (*WorkerReady)(nil)
 
 // Kind implements wire.Message.
 func (m *WorkerReady) Kind() wire.Kind { return KindWorkerReady }
@@ -268,8 +264,6 @@ func (m *WorkerReady) Decode(*wire.Reader) {}
 type PushNotice struct {
 	Iter int64
 }
-
-var _ wire.Message = (*PushNotice)(nil)
 
 // Kind implements wire.Message.
 func (m *PushNotice) Kind() wire.Kind { return KindPushNotice }
@@ -288,8 +282,6 @@ type Heartbeat struct {
 	Iter int64 // worker's current iteration (diagnostic)
 }
 
-var _ wire.Message = (*Heartbeat)(nil)
-
 // Kind implements wire.Message.
 func (m *Heartbeat) Kind() wire.Kind { return KindHeartbeat }
 
@@ -307,8 +299,6 @@ func (m *Heartbeat) Decode(r *wire.Reader) { m.Iter = r.Varint() }
 type SchedulerHello struct {
 	Gen int64 // scheduler incarnation (0 = original process)
 }
-
-var _ wire.Message = (*SchedulerHello)(nil)
 
 // Kind implements wire.Message.
 func (m *SchedulerHello) Kind() wire.Kind { return KindSchedulerHello }
@@ -329,8 +319,6 @@ type StateReport struct {
 	Waiting  bool  // parked at the gate awaiting a release
 	Degraded bool  // was running broadcast-speculation failover when Hello arrived
 }
-
-var _ wire.Message = (*StateReport)(nil)
 
 // Kind implements wire.Message.
 func (m *StateReport) Kind() wire.Kind { return KindStateReport }
@@ -361,8 +349,6 @@ type SchedulerBeacon struct {
 	Gen int64
 }
 
-var _ wire.Message = (*SchedulerBeacon)(nil)
-
 // Kind implements wire.Message.
 func (m *SchedulerBeacon) Kind() wire.Kind { return KindSchedulerBeacon }
 
@@ -381,8 +367,6 @@ type PullReqV2 struct {
 	Seq  uint64
 	Have int64
 }
-
-var _ wire.Message = (*PullReqV2)(nil)
 
 // Kind implements wire.Message.
 func (m *PullReqV2) Kind() wire.Kind { return KindPullReqV2 }
@@ -409,8 +393,6 @@ type PullRespV2 struct {
 	Codec   uint8 // codec.ID of Payload
 	Payload []byte
 }
-
-var _ wire.Message = (*PullRespV2)(nil)
 
 // Kind implements wire.Message.
 func (m *PullRespV2) Kind() wire.Kind { return KindPullRespV2 }
@@ -441,9 +423,8 @@ type PushReqV2 struct {
 	PullVersion int64
 	Codec       uint8 // codec.ID of Payload
 	Payload     []byte
+	Pull        bool // as PushReq.Pull; the only flag bit a V2 push may set
 }
-
-var _ wire.Message = (*PushReqV2)(nil)
 
 // Kind implements wire.Message.
 func (m *PushReqV2) Kind() wire.Kind { return KindPushReqV2 }
@@ -455,6 +436,7 @@ func (m *PushReqV2) Encode(w *wire.Writer) {
 	w.Varint(m.PullVersion)
 	w.Uint8(m.Codec)
 	w.Bytes2(m.Payload)
+	w.Uint8(pushFlags(false, m.Pull))
 }
 
 // Decode implements wire.Message.
@@ -464,6 +446,7 @@ func (m *PushReqV2) Decode(r *wire.Reader) {
 	m.PullVersion = r.Varint()
 	m.Codec = r.Uint8()
 	m.Payload = r.BytesInto(m.Payload)
+	_, m.Pull = readPushFlags(r, pushPull)
 }
 
 // Pools of the recycled kinds: the four that carry a parameter or gradient
@@ -475,13 +458,13 @@ func (m *PushReqV2) Decode(r *wire.Reader) {
 var pullRespPool, pushReqPool, pullRespV2Pool, pushReqV2Pool sync.Pool
 
 // Registry returns a fresh registry covering every protocol message. All
-// registries share the recycled kinds' pools.
+// registries share the recycled kinds' pools. Each entry's New is also what
+// holds its message type to wire.Message at compile time.
 func Registry() *wire.Registry {
 	return wire.NewRegistry([]wire.RegistryEntry{
 		{Kind: KindPullReq, Name: "PullReq", New: func() wire.Message { return &PullReq{} }},
 		{Kind: KindPullResp, Name: "PullResp", New: func() wire.Message { return &PullResp{} }, Pool: &pullRespPool},
 		{Kind: KindPushReq, Name: "PushReq", New: func() wire.Message { return &PushReq{} }, Pool: &pushReqPool},
-		{Kind: KindPushAck, Name: "PushAck", New: func() wire.Message { return &PushAck{} }},
 		{Kind: KindNotify, Name: "Notify", New: func() wire.Message { return &Notify{} }},
 		{Kind: KindReSync, Name: "ReSync", New: func() wire.Message { return &ReSync{} }},
 		{Kind: KindStart, Name: "Start", New: func() wire.Message { return &Start{} }},
@@ -520,7 +503,7 @@ func Registry() *wire.Registry {
 // transfer into data vs. control bytes.
 func IsControl(k wire.Kind) bool {
 	switch k {
-	case KindPullReq, KindPullResp, KindPushReq, KindPushAck,
+	case KindPullReq, KindPullResp, KindPushReq,
 		KindPullReqV2, KindPullRespV2, KindPushReqV2,
 		KindShardState, // migrating parameter segments are data, not control
 		KindReplApply:  // replicated push payloads are data, not control
@@ -532,8 +515,8 @@ func IsControl(k wire.Kind) bool {
 
 // CodecLabeler returns the labeling function codec.Stats uses for the
 // bytes-on-wire breakdown: push-request kinds carry the run's push codec
-// name, pull-response kinds the pull codec name, and every other kind
-// (acks, control traffic) the label "none".
+// name, pull-response kinds (push replies included) the pull codec name, and
+// every other kind the label "none".
 func CodecLabeler(push, pull string) func(wire.Kind) string {
 	return func(k wire.Kind) string {
 		switch k {

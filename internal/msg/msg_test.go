@@ -28,9 +28,11 @@ func populatedMessages() []wire.Message {
 	return []wire.Message{
 		&PullReq{Seq: 42},
 		&PullResp{Seq: 7, Version: 100, Values: []float64{1, 2, 3}},
+		&PullResp{Seq: 9, Version: 101, Values: []float64{}}, // a push's reply without the block
 		&PushReq{Seq: 9, Iter: 4, PullVersion: 88, Dense: []float64{0.5, -0.5}},
 		&PushReq{Seq: 10, Iter: 5, PullVersion: 89, IsSparse: true, SparseIdx: []int32{1, 7}, SparseVal: []float64{2, 3}},
-		&PushAck{Seq: 9, Version: 101, Staleness: 13},
+		&PushReq{Seq: 11, Iter: 6, PullVersion: 90, Dense: []float64{1.5}, Pull: true},
+		&PushReq{Seq: 12, Iter: 7, PullVersion: 91, IsSparse: true, SparseIdx: []int32{2}, SparseVal: []float64{-1}, Pull: true},
 		&Notify{Iter: 6},
 		&ReSync{Iter: 7},
 		&Start{},
@@ -45,6 +47,7 @@ func populatedMessages() []wire.Message {
 		&PullReqV2{Seq: 13, Have: -1},
 		&PullRespV2{Seq: 13, Version: 9, Base: -1, Codec: 0, Payload: []byte{1, 2, 3}},
 		&PushReqV2{Seq: 14, Iter: 5, PullVersion: 9, Codec: 1, Payload: []byte{4, 5}},
+		&PushReqV2{Seq: 15, Iter: 6, PullVersion: 10, Codec: 2, Payload: []byte{6}, Pull: true},
 		&JoinReq{},
 		&JoinAck{Epoch: 3, Lo: []int32{0, 12}, Hi: []int32{12, 24}, Srv: []int32{0, 2}, Clock: 7},
 		&RoutingUpdate{Epoch: 4, Lo: []int32{0}, Hi: []int32{24}, Srv: []int32{1}},
@@ -109,10 +112,10 @@ func TestUnmarshalCopiesOut(t *testing.T) {
 func TestRegistryCoversAllKinds(t *testing.T) {
 	reg := Registry()
 	kinds := reg.Kinds()
-	if len(kinds) != 34 {
-		t.Errorf("registry has %d kinds, want 34", len(kinds))
+	if len(kinds) != 33 {
+		t.Errorf("registry has %d kinds, want 33", len(kinds))
 	}
-	for _, k := range []wire.Kind{9, 27} { // reserved: retired layouts
+	for _, k := range []wire.Kind{4, 9, 27} { // reserved: retired layouts
 		if _, err := reg.New(k); err == nil {
 			t.Errorf("reserved kind %d is registered", k)
 		}
@@ -136,6 +139,7 @@ func TestQuickPushReqRoundtrip(t *testing.T) {
 			Seq:         rng.Uint64(),
 			Iter:        rng.Int63(),
 			PullVersion: rng.Int63(),
+			Pull:        rng.Intn(2) == 0,
 		}
 		if rng.Intn(2) == 0 {
 			in.Dense = make([]float64, rng.Intn(50))
@@ -171,7 +175,7 @@ func TestPushReqSparseView(t *testing.T) {
 func TestIsControlClassification(t *testing.T) {
 	// ShardState carries migrating parameter payloads, so it rides the data
 	// path like pushes and pulls; the rest of the elastic protocol is control.
-	data := []wire.Kind{KindPullReq, KindPullResp, KindPushReq, KindPushAck, KindShardState, KindReplApply}
+	data := []wire.Kind{KindPullReq, KindPullResp, KindPushReq, KindShardState, KindReplApply}
 	for _, k := range data {
 		if IsControl(k) {
 			t.Errorf("kind %d misclassified as control", k)
@@ -192,6 +196,65 @@ func TestControlMessagesAreTiny(t *testing.T) {
 	for _, m := range small {
 		if n := wire.EncodedSize(m); n > 16 {
 			t.Errorf("%T encodes to %d bytes, want <= 16", m, n)
+		}
+	}
+}
+
+// TestPushReqFlagsByteNeutral: the flags byte sits where PushReq's sparse
+// bool was, so an encoding with only bit 0 in use (dense 0, sparse 1) decodes
+// to the same message and re-encodes to the same bytes.
+func TestPushReqFlagsByteNeutral(t *testing.T) {
+	for _, want := range []*PushReq{
+		{Seq: 3, Iter: 4, PullVersion: 5, Dense: []float64{1, -2}},
+		{Seq: 6, Iter: 7, PullVersion: 8, IsSparse: true, SparseIdx: []int32{0, 9}, SparseVal: []float64{0.5, 3}},
+	} {
+		var w wire.Writer
+		w.Uint16(uint16(KindPushReq))
+		w.Uint64(want.Seq)
+		w.Varint(want.Iter)
+		w.Varint(want.PullVersion)
+		w.Bool(want.IsSparse)
+		if want.IsSparse {
+			w.Ints32(want.SparseIdx)
+			w.Float64s(want.SparseVal)
+		} else {
+			w.Float64s(want.Dense)
+		}
+		got, err := Registry().Unmarshal(w.Bytes())
+		if err != nil {
+			t.Fatalf("sparse=%v: %v", want.IsSparse, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("decoded %+v, want %+v", got, want)
+		}
+		if !bytes.Equal(wire.Marshal(want), w.Bytes()) {
+			t.Errorf("sparse=%v: encoding moved", want.IsSparse)
+		}
+	}
+}
+
+// TestPushFlagsRejectUnknownBits: a push whose flags byte sets a bit this
+// build does not define fails to decode, so the frame is dropped like any
+// malformed one. PushReqV2 has no sparse form, so its bit 0 is unknown too.
+func TestPushFlagsRejectUnknownBits(t *testing.T) {
+	reg := Registry()
+	for _, tc := range []struct {
+		m     wire.Message
+		flags func([]byte) *byte // the flags byte inside the frame
+		bits  []byte
+	}{
+		{&PushReq{Seq: 1, Dense: []float64{2}}, func(b []byte) *byte { return &b[2+8+1+1] }, []byte{1 << 2, 1 << 7, 0xFC}},
+		{&PushReqV2{Seq: 1, Payload: []byte{3}}, func(b []byte) *byte { return &b[len(b)-1] }, []byte{1, 1 << 2, 0xFF}},
+	} {
+		for _, bad := range tc.bits {
+			frame := wire.Marshal(tc.m)
+			*tc.flags(frame) = bad
+			if _, err := reg.Unmarshal(frame); err == nil {
+				t.Errorf("%T with flags %#x decoded", tc.m, bad)
+			}
+		}
+		if _, err := reg.Unmarshal(wire.Marshal(tc.m)); err != nil {
+			t.Errorf("%T: %v", tc.m, err)
 		}
 	}
 }

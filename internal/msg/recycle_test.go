@@ -38,12 +38,13 @@ func TestDecodeIntoRecycledEqualsFresh(t *testing.T) {
 			&PullResp{Seq: 2, Version: 3, Values: []float64{6, 7}},
 			&PullResp{Seq: 3, Version: 4, Values: []float64{}},
 			nil, // a truncated frame
+			&PullResp{Seq: 5, Version: 5, Values: []float64{}},
 			&PullResp{Seq: 4, Version: 5, Values: []float64{8, 9, 10}},
 		},
 		"PushReq": {
 			&PushReq{Seq: 1, Iter: 1, PullVersion: 1, Dense: []float64{1, 2, 3, 4}},
 			&PushReq{Seq: 2, Iter: 2, PullVersion: 2, IsSparse: true, SparseIdx: []int32{0, 3}, SparseVal: []float64{5, 6}},
-			&PushReq{Seq: 3, Iter: 3, PullVersion: 3, Dense: []float64{7, 8, 9, 10, 11, 12}},
+			&PushReq{Seq: 3, Iter: 3, PullVersion: 3, Dense: []float64{7, 8, 9, 10, 11, 12}, Pull: true},
 			&PushReq{Seq: 4, Iter: 4, PullVersion: 4, Dense: []float64{13}},
 			&PushReq{Seq: 5, Iter: 5, PullVersion: 5, Dense: []float64{}},
 			nil,
@@ -59,7 +60,7 @@ func TestDecodeIntoRecycledEqualsFresh(t *testing.T) {
 		},
 		"PushReqV2": {
 			&PushReqV2{Seq: 1, Iter: 1, PullVersion: 1, Codec: 1, Payload: []byte{1, 2, 3, 4}},
-			&PushReqV2{Seq: 2, Iter: 2, PullVersion: 2, Codec: 2, Payload: []byte{5}},
+			&PushReqV2{Seq: 2, Iter: 2, PullVersion: 2, Codec: 2, Payload: []byte{5}, Pull: true},
 			&PushReqV2{Seq: 3, Iter: 3, PullVersion: 3, Codec: 2, Payload: []byte{}},
 			nil,
 			&PushReqV2{Seq: 4, Iter: 4, PullVersion: 4, Codec: 1, Payload: []byte{6, 7, 8}},

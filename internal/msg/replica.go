@@ -29,8 +29,6 @@ type LeaderAnnounce struct {
 	Gen  int64
 }
 
-var _ wire.Message = (*LeaderAnnounce)(nil)
-
 // Kind implements wire.Message.
 func (m *LeaderAnnounce) Kind() wire.Kind { return KindLeaderAnnounce }
 
@@ -55,8 +53,6 @@ type VoteReq struct {
 	Index int64
 }
 
-var _ wire.Message = (*VoteReq)(nil)
-
 // Kind implements wire.Message.
 func (m *VoteReq) Kind() wire.Kind { return KindVoteReq }
 
@@ -78,8 +74,6 @@ type VoteResp struct {
 	Term    int64
 	Granted bool
 }
-
-var _ wire.Message = (*VoteResp)(nil)
 
 // Kind implements wire.Message.
 func (m *VoteResp) Kind() wire.Kind { return KindVoteResp }
@@ -106,8 +100,6 @@ type ReplState struct {
 	Index int64
 	Snap  []byte
 }
-
-var _ wire.Message = (*ReplState)(nil)
 
 // Kind implements wire.Message.
 func (m *ReplState) Kind() wire.Kind { return KindReplState }
@@ -155,8 +147,6 @@ type ReplApply struct {
 	Codec   uint8     // ReplBodyCodec: codec.ID of Payload
 	Payload []byte    // ReplBodyCodec
 }
-
-var _ wire.Message = (*ReplApply)(nil)
 
 // Kind implements wire.Message.
 func (m *ReplApply) Kind() wire.Kind { return KindReplApply }

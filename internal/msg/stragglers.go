@@ -27,8 +27,6 @@ type CloneCtl struct {
 	Released  int64
 }
 
-var _ wire.Message = (*CloneCtl)(nil)
-
 // Kind implements wire.Message.
 func (m *CloneCtl) Kind() wire.Kind { return KindCloneCtl }
 
@@ -51,8 +49,6 @@ type CloneNotice struct {
 	Slot   int32
 	Target int32
 }
-
-var _ wire.Message = (*CloneNotice)(nil)
 
 // Kind implements wire.Message.
 func (m *CloneNotice) Kind() wire.Kind { return KindCloneNotice }

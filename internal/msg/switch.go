@@ -35,8 +35,6 @@ type SchemeSwitch struct {
 	At       time.Duration // scheduler virtual/wall offset when sent (informational)
 }
 
-var _ wire.Message = (*SchemeSwitch)(nil)
-
 // Kind implements wire.Message.
 func (m *SchemeSwitch) Kind() wire.Kind { return KindSchemeSwitch }
 
@@ -66,8 +64,6 @@ type NotifyV2 struct {
 	Iter int64         // iteration just completed
 	Span time.Duration // gate-exit → push-acked duration (no gate waits)
 }
-
-var _ wire.Message = (*NotifyV2)(nil)
 
 // Kind implements wire.Message.
 func (m *NotifyV2) Kind() wire.Kind { return KindNotifyV2 }

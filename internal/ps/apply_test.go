@@ -25,9 +25,10 @@ func (discardCtx) Logf(string, ...any)                         {}
 
 // densePusher builds a plain SGD shard over dim values and returns a push
 // that hands it the next dense push from one worker: Receive dispatch,
-// optimizer apply, version and staleness bookkeeping, and the ack. Like a
-// runtime's decode pool, it reuses one message for every push.
-func densePusher(tb testing.TB, dim int) (push func()) {
+// optimizer apply, version and staleness bookkeeping, and the reply, which
+// carries the block when pull is set. Like a runtime's decode pool, it reuses
+// one message for every push.
+func densePusher(tb testing.TB, dim int, pull bool) (push func()) {
 	tb.Helper()
 	opt, err := optimizer.NewSGD(optimizer.SGDConfig{Schedule: optimizer.Const(0.05)}, dim)
 	if err != nil {
@@ -39,7 +40,7 @@ func densePusher(tb testing.TB, dim int) (push func()) {
 	}
 	srv.Init(discardCtx{})
 	rng := rand.New(rand.NewSource(2))
-	req := &msg.PushReq{Dense: make([]float64, dim)}
+	req := &msg.PushReq{Dense: make([]float64, dim), Pull: pull}
 	for i := range req.Dense {
 		req.Dense[i] = rng.NormFloat64()
 	}
@@ -56,18 +57,21 @@ func densePusher(tb testing.TB, dim int) (push func()) {
 }
 
 // TestDensePushAllocatesNothing: applying a dense push allocates nothing in
-// the shard; even the PushAck handed to Send is the shard's held reply.
+// the shard, whether or not it asks for the block back; even the PullResp
+// handed to Send is the shard's held reply.
 func TestDensePushAllocatesNothing(t *testing.T) {
-	push := densePusher(t, 4096)
-	push()
-	if allocs := testing.AllocsPerRun(100, push); allocs != 0 {
-		t.Errorf("a dense push allocates %v objects in the shard, want 0", allocs)
+	for _, pull := range []bool{false, true} {
+		push := densePusher(t, 4096, pull)
+		push()
+		if allocs := testing.AllocsPerRun(100, push); allocs != 0 {
+			t.Errorf("pull=%v: a dense push allocates %v objects in the shard, want 0", pull, allocs)
+		}
 	}
 }
 
 // BenchmarkServerApply is the server side of one dense 4096-value push.
 func BenchmarkServerApply(b *testing.B) {
-	push := densePusher(b, 4096)
+	push := densePusher(b, 4096, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

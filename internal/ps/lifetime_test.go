@@ -82,18 +82,19 @@ func lifetimeServer(t *testing.T, mut func(*Config)) (*Server, *marshalCtx) {
 
 // TestServerKeepsNothingOfAReceivedMessage: a shard fed a stream of pushes,
 // each overwritten as soon as Receive returns, ends with the parameters and
-// the sent bytes (acks, pull responses, forwarded ReplApplies) of a twin whose
-// messages were left alone — plain, as a replicated primary, and with clone
-// dedup on. This is node.Handler's ownership rule from the handler's side.
+// the sent bytes (push replies with and without the block, pull responses,
+// forwarded ReplApplies) of a twin whose messages were left alone — plain,
+// as a replicated primary, and with clone dedup on. This is node.Handler's
+// ownership rule from the handler's side.
 func TestServerKeepsNothingOfAReceivedMessage(t *testing.T) {
 	rawPayload := codec.EncodePayload(codec.Raw{}, []float64{1, -1, 2, -2}, nil, nil, nil)
 	stream := func() []wire.Message {
 		return []wire.Message{
 			&msg.CloneNotice{Slot: 2, Target: 1},
 			&msg.PushReq{Seq: 1, Iter: 0, Dense: []float64{3, 0, -4, 1}},
-			&msg.PushReq{Seq: 2, Iter: 1, PullVersion: 1, IsSparse: true, SparseIdx: []int32{0, 3}, SparseVal: []float64{5, -6}},
-			&msg.PushReqV2{Seq: 3, Iter: 2, PullVersion: 1, Codec: uint8(codec.IDRaw), Payload: bytes.Clone(rawPayload)},
-			&msg.PushReq{Seq: 4, Iter: 2, PullVersion: 2, Dense: []float64{9, 9, 9, 9}}, // a retry of iter 2: deduped where dedup is on
+			&msg.PushReq{Seq: 2, Iter: 1, PullVersion: 1, IsSparse: true, SparseIdx: []int32{0, 3}, SparseVal: []float64{5, -6}, Pull: true},
+			&msg.PushReqV2{Seq: 3, Iter: 2, PullVersion: 1, Codec: uint8(codec.IDRaw), Payload: bytes.Clone(rawPayload), Pull: true},
+			&msg.PushReq{Seq: 4, Iter: 2, PullVersion: 2, Dense: []float64{9, 9, 9, 9}, Pull: true}, // a retry of iter 2: deduped where dedup is on
 			&msg.PushReq{Seq: 5, Iter: 3, PullVersion: 3, Dense: []float64{0.5, 0.25, 0, -1}},
 			&msg.PullReq{Seq: 6},
 		}

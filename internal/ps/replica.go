@@ -60,7 +60,7 @@ func (s *Server) ReplStats() (forwarded, applied, deduped int64) {
 // and, if so, re-acknowledges it without touching the parameters. Only
 // replicated shards track this: the plain path keeps its at-least-once
 // semantics byte-identical to before.
-func (s *Server) dedupPush(from node.ID, seq uint64, iter int64) bool {
+func (s *Server) dedupPush(from node.ID, seq uint64, iter int64, pull bool) bool {
 	if !s.replicated() {
 		return false
 	}
@@ -73,7 +73,7 @@ func (s *Server) dedupPush(from node.ID, seq uint64, iter int64) bool {
 		return false
 	}
 	s.replDeduped.Add(1)
-	s.ack(from, seq, s.version.Load(), 0)
+	s.reply(from, seq, s.version.Load(), pull)
 	return true
 }
 

@@ -2,7 +2,8 @@
 // deliberately dumb, exactly as in the paper (Sec. V-B: "Servers are
 // agnostic to speculative synchronization... their behaviors remain the same
 // as in the stock MXNet"): they answer pulls with their current parameter
-// block and apply pushed gradients through the server-side optimizer. All
+// block and apply pushed gradients through the server-side optimizer,
+// answering each push with that block too when the push asks for it. All
 // SpecSync logic lives in the scheduler and workers.
 package ps
 
@@ -118,10 +119,9 @@ type Server struct {
 	pullCache map[node.ID]*pullCacheEntry
 	// scratch receives decoded v2 push payloads.
 	scratch tensor.Vec
-	// Sender-held replies, refilled for every send: Send encodes before it
-	// returns (DESIGN "Message lifetime").
-	pullResp msg.PullResp
-	pushAck  msg.PushAck
+	// resp is the sender-held reply to pulls and pushes, refilled for every
+	// send: Send encodes before it returns (DESIGN "Message lifetime").
+	resp msg.PullResp
 
 	// Migration state (see migrate.go). While frozen the shard drops data
 	// traffic; workers retry until the routing commit re-routes them.
@@ -194,10 +194,7 @@ func (s *Server) Receive(from node.ID, m wire.Message) {
 		}
 		switch req := m.(type) {
 		case *msg.PullReq:
-			s.pulls.Add(1)
-			s.cfg.Obs.Pull()
-			s.pullResp = msg.PullResp{Seq: req.Seq, Version: s.version.Load(), Values: s.params}
-			s.ctx.Send(from, &s.pullResp)
+			s.reply(from, req.Seq, s.version.Load(), true)
 		case *msg.PushReq:
 			s.apply(from, req)
 		case *msg.PullReqV2:
@@ -224,10 +221,10 @@ func (s *Server) Receive(from node.ID, m wire.Message) {
 }
 
 func (s *Server) apply(from node.ID, req *msg.PushReq) {
-	if s.dedupPush(from, req.Seq, req.Iter) {
+	if s.dedupPush(from, req.Seq, req.Iter, req.Pull) {
 		return
 	}
-	if s.cloneCheck(from, req.Seq, req.Iter) {
+	if s.cloneCheck(from, req.Seq, req.Iter, req.Pull) {
 		return
 	}
 	// Key the LR schedule on this shard's total push count.
@@ -247,7 +244,7 @@ func (s *Server) apply(from node.ID, req *msg.PushReq) {
 		s.cfg.Optimizer.ApplyDense(s.params, req.Dense)
 	}
 	s.cloneApplied(from, req.Iter)
-	s.acknowledge(from, req.Seq, req.PullVersion)
+	s.acknowledge(from, req.Seq, req.PullVersion, req.Pull)
 	if wi := node.WorkerIndex(from); wi >= 0 && s.replicated() {
 		s.noteApplied(int32(wi), req.Iter)
 		if req.IsSparse {
@@ -263,25 +260,29 @@ func (s *Server) apply(from node.ID, req *msg.PushReq) {
 }
 
 // acknowledge finishes one applied push: version bump, staleness accounting,
-// and the PushAck. Shared by the v1 and codec (v2) apply paths.
-func (s *Server) acknowledge(from node.ID, seq uint64, pullVersion int64) {
+// and the reply. Shared by the v1 and codec (v2) apply paths.
+func (s *Server) acknowledge(from node.ID, seq uint64, pullVersion int64, pull bool) {
 	version := s.version.Add(1)
 	s.pushes.Add(1)
-	staleness := version - 1 - pullVersion // pushes applied since the pull
-	if staleness < 0 {
-		staleness = 0
-	}
+	staleness := max(version-1-pullVersion, 0) // pushes applied since the pull
 	s.cfg.Obs.Push(version, staleness)
 	if s.cfg.Staleness != nil {
 		s.cfg.Staleness.ObserveStaleness(from, staleness, s.ctx.Now())
 	}
-	s.ack(from, seq, version, staleness)
+	s.reply(from, seq, version, pull)
 }
 
-// ack sends one PushAck from the held reply.
-func (s *Server) ack(to node.ID, seq uint64, version, staleness int64) {
-	s.pushAck = msg.PushAck{Seq: seq, Version: version, Staleness: staleness}
-	s.ctx.Send(to, &s.pushAck)
+// reply sends the held PullResp: with the block for a pull or a push that
+// asked for one (counted as a pull), else just Seq and Version, which is how
+// a push is acknowledged.
+func (s *Server) reply(to node.ID, seq uint64, version int64, withBlock bool) {
+	s.resp = msg.PullResp{Seq: seq, Version: version}
+	if withBlock {
+		s.pulls.Add(1)
+		s.cfg.Obs.Pull()
+		s.resp.Values = s.params
+	}
+	s.ctx.Send(to, &s.resp)
 }
 
 // applyV2 decodes a codec-tagged push payload into a dense scratch block and
@@ -296,10 +297,10 @@ func (s *Server) applyV2(from node.ID, req *msg.PushReqV2) {
 		s.ctx.Logf("server: push from %s uses pull-only codec %s; dropped", from, id)
 		return
 	}
-	if s.dedupPush(from, req.Seq, req.Iter) {
+	if s.dedupPush(from, req.Seq, req.Iter, req.Pull) {
 		return
 	}
-	if s.cloneCheck(from, req.Seq, req.Iter) {
+	if s.cloneCheck(from, req.Seq, req.Iter, req.Pull) {
 		return
 	}
 	if s.scratch == nil {
@@ -312,7 +313,7 @@ func (s *Server) applyV2(from node.ID, req *msg.PushReqV2) {
 	s.cfg.Optimizer.SetStep(s.version.Load())
 	s.cfg.Optimizer.ApplyDense(s.params, s.scratch)
 	s.cloneApplied(from, req.Iter)
-	s.acknowledge(from, req.Seq, req.PullVersion)
+	s.acknowledge(from, req.Seq, req.PullVersion, req.Pull)
 	if wi := node.WorkerIndex(from); wi >= 0 && s.replicated() {
 		s.noteApplied(int32(wi), req.Iter)
 		s.forward(int32(wi), req.Iter, func() *msg.ReplApply {
@@ -371,5 +372,6 @@ func (s *Server) Version() int64 { return s.version.Load() }
 // Range returns the shard's parameter range.
 func (s *Server) Range() Range { return s.cfg.Range }
 
-// Stats returns cumulative pull and push counts. Safe for concurrent use.
+// Stats returns cumulative pull and push counts; a push reply that carried
+// the block counts as a pull. Safe for concurrent use.
 func (s *Server) Stats() (pulls, pushes int64) { return s.pulls.Load(), s.pushes.Load() }

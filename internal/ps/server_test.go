@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -182,24 +183,29 @@ func TestServerPullPush(t *testing.T) {
 		t.Fatalf("PullResp = %+v", pr)
 	}
 
-	// Push a gradient computed at version 0: w -= 0.5*g.
-	send(&msg.PushReq{Seq: 1, Iter: 0, PullVersion: 0, Dense: []float64{2, 0, -2}})
-	ack := cl.resps[1].(*msg.PushAck)
-	if ack.Version != 1 || ack.Staleness != 0 {
-		t.Fatalf("PushAck = %+v", ack)
+	// Push a gradient computed at version 0: w -= 0.5*g. The reply is a
+	// PullResp without the block.
+	send(&msg.PushReq{Seq: 2, Iter: 0, PullVersion: 0, Dense: []float64{2, 0, -2}})
+	ack := cl.resps[1].(*msg.PullResp)
+	if ack.Seq != 2 || ack.Version != 1 || len(ack.Values) != 0 {
+		t.Fatalf("push reply = %+v", ack)
 	}
 	if p := srv.Params(); p[0] != 0 || p[2] != 4 {
 		t.Fatalf("params after push = %v", p)
 	}
 
-	// Second push still claiming version 0: staleness 1.
-	send(&msg.PushReq{Seq: 2, Iter: 0, PullVersion: 0, Dense: []float64{0, 0, 0}})
-	ack2 := cl.resps[2].(*msg.PushAck)
-	if ack2.Staleness != 1 {
-		t.Fatalf("staleness = %d, want 1", ack2.Staleness)
+	// Second push still claiming version 0 (staleness 1) asks for the pull:
+	// the reply carries the block as it stands after this push.
+	send(&msg.PushReq{Seq: 3, Iter: 1, PullVersion: 0, Dense: []float64{0, 2, 0}, Pull: true})
+	fused := cl.resps[2].(*msg.PullResp)
+	if fused.Seq != 3 || fused.Version != 2 || !reflect.DeepEqual(fused.Values, []float64{0, 1, 4}) {
+		t.Fatalf("fused push reply = %+v", fused)
 	}
 	if len(slog.vals) != 2 || slog.vals[1] != 1 {
 		t.Fatalf("observer saw %v", slog.vals)
+	}
+	if pulls, pushes := srv.Stats(); pulls != 2 || pushes != 2 {
+		t.Errorf("stats = %d pulls, %d pushes; the fused reply counts as a pull", pulls, pushes)
 	}
 }
 

@@ -17,20 +17,40 @@ import (
 	"specsync/internal/wire"
 )
 
-// sink is a node that takes whatever it is sent and answers nothing.
-type sink struct{}
+// sink is a node that takes whatever it is sent and answers nothing; pulls
+// counts the PullReqs among it.
+type sink struct{ pulls *int }
 
-func (sink) Init(node.Context)             {}
-func (sink) Receive(node.ID, wire.Message) {}
+func (sink) Init(node.Context) {}
+func (s sink) Receive(_ node.ID, m wire.Message) {
+	if _, ok := m.(*msg.PullReq); ok && s.pulls != nil {
+		*s.pulls++
+	}
+}
 
-// TestPushRoundAllocatesNothing pins the worker's held messages: one push
-// round — sendPush to two shards, both acks, the notify and the next
-// iteration's pulls — allocates nothing in the worker or the simulator's
-// send path, for a dense push, a raw sparse push and a top-k push. The
-// simulator delivers to sinks between rounds, outside the measurement. The
-// pin reads the cheapest of 51 rounds: an allocation the round makes every
-// time shows in each of them, while a sync.Pool refill does not (the race
-// detector drops a quarter of pooled writers, and a round sends five).
+// heldTimers is a worker's node.Context with the runtime's send path and a
+// timer that costs nothing to arm and never fires: what arming a compute
+// timer costs is the runtime's, not the worker's.
+type heldTimers struct{ node.Context }
+
+func (heldTimers) After(time.Duration, func()) node.CancelFunc { return func() {} }
+
+// onHeldTimers hosts a worker on a heldTimers context.
+type onHeldTimers struct{ *Worker }
+
+func (h onHeldTimers) Init(ctx node.Context) { h.Worker.Init(heldTimers{ctx}) }
+
+// TestPushRoundAllocatesNothing pins the worker's held messages and its one
+// reply handler: one push round — sendPush to two shards, both replies and
+// the notify — allocates nothing in the worker or the simulator's send path,
+// for a dense push, a raw sparse push and a top-k push. Under ASP the round
+// is fused: the replies carry the blocks and the round ends computing the
+// next iteration with no PullReq sent. Under BSP it is not, and the round
+// ends parked at the gate. The simulator delivers to sinks between rounds,
+// outside the measurement. The pin reads the cheapest of 51 rounds: an
+// allocation the round makes every time shows in each of them, while a
+// sync.Pool refill does not (the race detector drops a quarter of pooled
+// writers, and a round sends three).
 func TestPushRoundAllocatesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a migration between Ps would miss the pools once
 	mdl := testModel(t, 2)
@@ -52,55 +72,76 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 		{"topk", codec.Config{Name: "topk", TopKFrac: 0.5}, model.Update{Dense: dense}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wk, err := New(Config{
-				Shards: ranges, Model: mdl, Codec: tc.codec,
-				Scheme:  scheme.Config{Base: scheme.ASP},
-				Compute: ComputeModel{Base: time.Second, Speed: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim, err := des.New(des.Config{Seed: 1, Registry: msg.Registry(), Net: des.NetModel{Latency: time.Millisecond}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id, h := range map[node.ID]node.Handler{
-				node.WorkerID(0): wk, node.ServerID(0): sink{}, node.ServerID(1): sink{}, node.Scheduler: sink{},
-			} {
-				if err := sim.AddNode(id, h); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sim.Init()
-			acks := make([]msg.PushAck, len(ranges))
-			round := func() {
-				wk.pushUpdate = tc.update
-				if wk.pushCodec != nil {
-					wk.encodePush()
-				}
-				clear(wk.pushAcked)
-				wk.sendPush()
-				for si := range acks {
-					acks[si] = msg.PushAck{Seq: wk.pushSeq}
-					wk.Receive(wk.shardIDs[si], &acks[si])
-				}
-			}
-			costs := make([]uint64, 51)
-			var before, after runtime.MemStats
-			for i := -3; i < len(costs); i++ { // three rounds grow every buffer first
-				sim.RunUntilIdle(time.Second)
-				runtime.ReadMemStats(&before)
-				round()
-				runtime.ReadMemStats(&after)
-				if wk.st != statePulling {
-					t.Fatalf("round %d ended in state %d, want pulling", i, wk.st)
-				}
-				if i >= 0 {
-					costs[i] = after.Mallocs - before.Mallocs
-				}
-			}
-			if least := slices.Min(costs); least != 0 {
-				t.Errorf("every push round allocates (at least %d objects; all %v), want 0", least, costs)
+			for _, base := range []scheme.Base{scheme.ASP, scheme.BSP} {
+				fused := base == scheme.ASP
+				t.Run(base.String(), func(t *testing.T) {
+					wk, err := New(Config{
+						Shards: ranges, Model: mdl, Codec: tc.codec,
+						Scheme:  scheme.Config{Base: base},
+						Compute: ComputeModel{Base: time.Second, Speed: 1},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sim, err := des.New(des.Config{Seed: 1, Registry: msg.Registry(), Net: des.NetModel{Latency: time.Millisecond}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pulls := 0
+					for id, h := range map[node.ID]node.Handler{
+						node.WorkerID(0): onHeldTimers{wk}, node.ServerID(0): sink{&pulls}, node.ServerID(1): sink{&pulls}, node.Scheduler: sink{},
+					} {
+						if err := sim.AddNode(id, h); err != nil {
+							t.Fatal(err)
+						}
+					}
+					sim.Init()
+					replies := make([]msg.PullResp, len(ranges))
+					for si, r := range ranges {
+						if fused {
+							replies[si].Values = dense[r.Lo:r.Hi]
+						}
+					}
+					round := func() {
+						wk.pushUpdate = tc.update
+						if wk.pushCodec != nil {
+							wk.encodePush()
+						}
+						clear(wk.pushAcked)
+						wk.fused = wk.fusable()
+						wk.sendPush()
+						for si := range replies {
+							replies[si].Seq = wk.seq
+							replies[si].Version = wk.pullVersions[si] + 1
+							wk.Receive(wk.shardIDs[si], &replies[si])
+						}
+					}
+					want := stateBarrier
+					if fused {
+						want = stateComputing
+					}
+					costs := make([]uint64, 51)
+					var before, after runtime.MemStats
+					for i := -3; i < len(costs); i++ { // three rounds grow every buffer first
+						sim.RunUntilIdle(time.Second)
+						runtime.ReadMemStats(&before)
+						round()
+						runtime.ReadMemStats(&after)
+						if wk.st != want {
+							t.Fatalf("round %d ended in state %d, want %d", i, wk.st, want)
+						}
+						if i >= 0 {
+							costs[i] = after.Mallocs - before.Mallocs
+						}
+					}
+					sim.RunUntilIdle(time.Second)
+					if pulls != 0 {
+						t.Errorf("%d PullReqs sent, want none", pulls)
+					}
+					if least := slices.Min(costs); least != 0 {
+						t.Errorf("every push round allocates (at least %d objects; all %v), want 0", least, costs)
+					}
+				})
 			}
 		})
 	}

@@ -58,11 +58,12 @@ func scribble(m wire.Message) {
 	}
 }
 
-// TestWorkerKeepsNothingOfAPullResponse: a worker whose pull responses are
+// TestWorkerKeepsNothingOfAPullResponse: a worker whose replies are
 // overwritten as soon as Receive returns holds the parameters, and pushes the
-// gradients, of a twin whose responses were left alone — on the v1 path and on
-// the codec path, where the second pull is a delta against the block kept
-// from the first. This is node.Handler's ownership rule from the worker's side.
+// gradients, of a twin whose replies were left alone — on the v1 path, where
+// the second and third blocks ride the push replies, and on the codec path,
+// where the second pull is a delta against the block kept from the first.
+// This is node.Handler's ownership rule from the worker's side.
 func TestWorkerKeepsNothingOfAPullResponse(t *testing.T) {
 	mdl := testModel(t, 1)
 	dim := mdl.Dim()
@@ -71,24 +72,29 @@ func TestWorkerKeepsNothingOfAPullResponse(t *testing.T) {
 		blocks[0][i] = float64(i) - 2.5
 		blocks[1][i] = blocks[0][i] + float64(i%3)
 	}
-	// pulls builds the two iterations' responses afresh for each twin.
-	pulls := map[string]func() [2]wire.Message{
-		"v1": func() [2]wire.Message {
-			return [2]wire.Message{
-				&msg.PullResp{Seq: 1, Version: 1, Values: append([]float64(nil), blocks[0]...)},
-				&msg.PullResp{Seq: 2, Version: 2, Values: append([]float64(nil), blocks[1]...)},
+	block := func(i int) []float64 { return append([]float64(nil), blocks[i]...) }
+	// replies builds the server's side of two iterations afresh for each
+	// twin, in the order the worker's requests (one Seq counter) ask for it.
+	replies := map[string]func() []wire.Message{
+		"v1": func() []wire.Message {
+			return []wire.Message{
+				&msg.PullResp{Seq: 1, Version: 1, Values: block(0)},
+				&msg.PullResp{Seq: 2, Version: 2, Values: block(1)}, // fused push replies
+				&msg.PullResp{Seq: 3, Version: 3, Values: block(1)},
 			}
 		},
-		"v2 delta": func() [2]wire.Message {
-			return [2]wire.Message{
+		"v2 delta": func() []wire.Message {
+			return []wire.Message{
 				&msg.PullRespV2{Seq: 1, Version: 1, Base: -1, Codec: uint8(codec.IDRaw),
 					Payload: codec.EncodePayload(codec.Raw{}, blocks[0], nil, nil, nil)},
-				&msg.PullRespV2{Seq: 2, Version: 2, Base: 1, Codec: uint8(codec.IDDelta),
+				&msg.PullResp{Seq: 2, Version: 2, Values: []float64{}}, // delta pulls never fuse
+				&msg.PullRespV2{Seq: 3, Version: 2, Base: 1, Codec: uint8(codec.IDDelta),
 					Payload: codec.EncodePayload(codec.Delta{}, blocks[1], blocks[0], nil, nil)},
+				&msg.PullResp{Seq: 4, Version: 3, Values: []float64{}},
 			}
 		},
 	}
-	run := func(responses [2]wire.Message, v2, overwrite bool) (*Worker, *manualCtx) {
+	run := func(script []wire.Message, v2, overwrite bool) (*Worker, *manualCtx) {
 		cfg := Config{
 			Shards: []ps.Range{{Lo: 0, Hi: dim}}, Model: mdl,
 			Scheme:  scheme.Config{Base: scheme.ASP},
@@ -104,17 +110,16 @@ func TestWorkerKeepsNothingOfAPullResponse(t *testing.T) {
 		ctx := &manualCtx{rng: rand.New(rand.NewSource(5))}
 		wk.Init(ctx)
 		wk.Receive(node.Scheduler, &msg.Start{})
-		for i, resp := range responses {
-			wk.Receive(node.ServerID(0), resp)
+		for _, m := range script {
+			wk.Receive(node.ServerID(0), m)
 			if overwrite {
-				scribble(resp)
+				scribble(m)
 			}
-			ctx.fire() // compute done: the gradient is taken at w and pushed
-			wk.Receive(node.ServerID(0), &msg.PushAck{Seq: uint64(i + 1), Version: int64(i + 1)})
+			ctx.fire() // compute done, if it started: the gradient is taken at w and pushed
 		}
 		return wk, ctx
 	}
-	for name, build := range pulls {
+	for name, build := range replies {
 		scribbled, sctx := run(build(), name != "v1", true)
 		intact, ictx := run(build(), name != "v1", false)
 		if scribbled.IterationsDone() != 2 {

@@ -33,7 +33,7 @@ func (s *shardServer) Receive(from node.ID, m wire.Message) {
 		cp := *req
 		s.pushes = append(s.pushes, &cp)
 		s.version++
-		s.ctx.Send(from, &msg.PushAck{Seq: req.Seq, Version: s.version})
+		s.ctx.Send(from, pushReply(req.Seq, s.version, req.Pull, s.params))
 	}
 }
 

@@ -260,23 +260,30 @@ type Worker struct {
 	srvToShard   map[int]int
 	routingEpoch int64
 
+	// seq numbers pull and push rounds alike, so a reply can never be taken
+	// for one from the other phase.
+	seq uint64
+
 	// Pull state.
-	pullSeq      uint64
 	pullsPending int
 	pullVersions []int64
 	w            tensor.Vec
 
-	// Compute state.
+	// Compute state. computeDone is finishCompute, bound once so arming the
+	// compute timer allocates no method value.
 	computeCancel node.CancelFunc
 	computeStart  time.Time
 	computeDur    time.Duration
+	computeDone   func()
 
-	// Push state.
-	pushSeq      uint64
+	// Push state. fused marks a round whose pushes ask every shard for its
+	// block: when it completes, w already holds the next iteration's
+	// parameters and the pull is skipped.
 	acksPending  int
 	stalenessSum int64
 	pushUpdate   model.Update
 	pushAcked    []bool
+	fused        bool
 
 	// Codec state. pushCodec == nil means legacy v1 pushes; deltaPull
 	// false means legacy v1 pulls.
@@ -474,6 +481,7 @@ func New(cfg Config) (*Worker, error) {
 		routingEpoch: routingEpoch,
 		gate:         cfg.Scheme.Gate(),
 	}
+	wk.computeDone = wk.finishCompute
 	wk.setShards(shards, shardSrv)
 	if deltaPull {
 		wk.havePulled = make([]bool, len(shards))
@@ -580,8 +588,6 @@ func (wk *Worker) Receive(from node.ID, m wire.Message) {
 		wk.handlePullResp(from, mm)
 	case *msg.PullRespV2:
 		wk.handlePullRespV2(from, mm)
-	case *msg.PushAck:
-		wk.handlePushAck(from, mm)
 	case *msg.ReSync:
 		wk.handleReSync(mm)
 	case *msg.Release:
@@ -633,17 +639,26 @@ func (wk *Worker) handleCloneCtl(cc *msg.CloneCtl) {
 	wk.beginIteration()
 }
 
-// beginIteration passes the gate and then sends the pulls; a worker the
-// gate holds parks until a release or a scheme switch admits it.
+// beginIteration passes the gate and then sends the pulls, or starts
+// computing at once when the push round just completed fetched every block. A
+// worker the gate holds parks until a release or a scheme switch admits it,
+// and drops a fetched block: it pulls afresh after the release.
 func (wk *Worker) beginIteration() {
 	if wk.st == stateStopped {
 		return
 	}
-	if !wk.gate.Unbounded() && wk.iter > wk.released+int64(wk.gate.Bound) {
+	if !wk.admitted(wk.iter) {
 		wk.st = stateBarrier
+		wk.fused = false
 		return
 	}
 	wk.workStart = wk.ctx.Now()
+	if wk.fused {
+		wk.fused = false
+		wk.cfg.Obs.PullStart(wk.ctx.Now(), wk.iter)
+		wk.pullDone()
+		return
+	}
 	if d := wk.cfg.Scheme.NaiveWait; d > 0 {
 		// Naïve waiting (paper Sec. III-B): delay the pull request itself.
 		wk.st = statePulling
@@ -657,12 +672,17 @@ func (wk *Worker) beginIteration() {
 	wk.startPull()
 }
 
+// admitted reports whether the gate lets iteration k start.
+func (wk *Worker) admitted(k int64) bool {
+	return wk.gate.Unbounded() || k <= wk.released+int64(wk.gate.Bound)
+}
+
 // startPull requests every shard's parameters. Responses from a previous
 // (aborted) pull round carry a stale Seq and are discarded.
 func (wk *Worker) startPull() {
 	wk.st = statePulling
 	wk.cfg.Obs.PullStart(wk.ctx.Now(), wk.iter)
-	wk.pullSeq++
+	wk.seq++
 	wk.pullsPending = len(wk.shards)
 	for i := range wk.shards {
 		if wk.deltaPull {
@@ -670,49 +690,69 @@ func (wk *Worker) startPull() {
 			if wk.havePulled[i] {
 				have = wk.pullVersions[i]
 			}
-			wk.pullReqV2 = msg.PullReqV2{Seq: wk.pullSeq, Have: have}
+			wk.pullReqV2 = msg.PullReqV2{Seq: wk.seq, Have: have}
 			wk.ctx.Send(wk.shardIDs[i], &wk.pullReqV2)
 		} else {
-			wk.pullReq = msg.PullReq{Seq: wk.pullSeq}
+			wk.pullReq = msg.PullReq{Seq: wk.seq}
 			wk.ctx.Send(wk.shardIDs[i], &wk.pullReq)
 		}
 	}
 	if wk.pullBackoff != nil {
-		seq := wk.pullSeq
+		seq := wk.seq
 		wk.ctx.After(wk.pullBackoff.Next(), func() {
 			// Still waiting on this pull round: a shard crashed (or the
 			// responses were dropped). Re-pull everything — reads are
 			// idempotent and the Seq bump invalidates stragglers.
-			if wk.st == statePulling && wk.pullSeq == seq && wk.pullsPending > 0 {
+			if wk.st == statePulling && wk.seq == seq && wk.pullsPending > 0 {
 				wk.startPull()
 			}
 		})
 	}
 }
 
+// handlePullResp takes a shard's reply to the round in flight: a pull's
+// block, or a push's acknowledgement, which carries the block on a fused
+// round. Replies to an earlier round carry a stale Seq and are discarded.
 func (wk *Worker) handlePullResp(from node.ID, resp *msg.PullResp) {
-	if wk.st != statePulling || resp.Seq != wk.pullSeq {
-		return // stale response from before an abort
+	pushing := wk.st == statePushing
+	if resp.Seq != wk.seq || (!pushing && wk.st != statePulling) {
+		return
 	}
 	si := wk.shardIndexOf(from)
 	if si < 0 {
-		wk.ctx.Logf("worker: pull response from unexpected node %s", from)
+		wk.ctx.Logf("worker: reply from unexpected node %s", from)
 		return
 	}
-	r := wk.shards[si]
-	if len(resp.Values) != r.Len() {
-		wk.ctx.Logf("worker: shard %d returned %d values, want %d", si, len(resp.Values), r.Len())
+	if pushing && wk.pushAcked[si] {
+		return // duplicated reply
+	}
+	if r := wk.shards[si]; !pushing || wk.fused {
+		if len(resp.Values) != r.Len() {
+			wk.ctx.Logf("worker: shard %d returned %d values, want %d", si, len(resp.Values), r.Len())
+			return
+		}
+		copy(wk.w[r.Lo:r.Hi], resp.Values)
+	}
+	if !pushing {
+		wk.finishShardPull(si, resp.Version)
 		return
 	}
-	copy(wk.w[r.Lo:r.Hi], resp.Values)
-	wk.finishShardPull(si, resp.Version)
+	wk.stalenessSum += max(resp.Version-1-wk.pullVersions[si], 0) // pushes applied since the pull
+	if wk.fused {
+		wk.pullVersions[si] = resp.Version
+	}
+	wk.pushAcked[si] = true
+	wk.acksPending--
+	if wk.acksPending == 0 {
+		wk.finishPush()
+	}
 }
 
 // handlePullRespV2 is the codec-path sibling of handlePullResp: the payload
 // is a codec block, either full (Base < 0) or a delta against the block this
 // worker last applied for the shard.
 func (wk *Worker) handlePullRespV2(from node.ID, resp *msg.PullRespV2) {
-	if wk.st != statePulling || resp.Seq != wk.pullSeq {
+	if wk.st != statePulling || resp.Seq != wk.seq {
 		return // stale response from before an abort
 	}
 	si := wk.shardIndexOf(from)
@@ -750,13 +790,18 @@ func (wk *Worker) finishShardPull(si int, version int64) {
 	wk.pullVersions[si] = version
 	wk.pullsPending--
 	if wk.pullsPending == 0 {
-		if wk.pullBackoff != nil {
-			wk.pullBackoff.Reset()
-		}
-		wk.record(trace.KindPull, 0)
-		wk.cfg.Obs.PullDone(wk.ctx.Now(), wk.iter)
-		wk.startCompute()
+		wk.pullDone()
 	}
+}
+
+// pullDone starts computing on a complete set of blocks.
+func (wk *Worker) pullDone() {
+	if wk.pullBackoff != nil {
+		wk.pullBackoff.Reset()
+	}
+	wk.record(trace.KindPull, 0)
+	wk.cfg.Obs.PullDone(wk.ctx.Now(), wk.iter)
+	wk.startCompute()
 }
 
 // startCompute samples this attempt's duration and schedules completion.
@@ -785,7 +830,7 @@ func (wk *Worker) startCompute() {
 			wk.computeDur = time.Duration(float64(wk.computeDur) * sw.Factor)
 		}
 	}
-	wk.computeCancel = wk.ctx.After(wk.computeDur, wk.finishCompute)
+	wk.computeCancel = wk.ctx.After(wk.computeDur, wk.computeDone)
 	if wk.cfg.Scheme.Decentralized || (wk.degraded.Load() && wk.canBroadcastFailover()) {
 		wk.armLocalSpeculation()
 	}
@@ -825,12 +870,21 @@ func (wk *Worker) finishCompute() {
 	if wk.pushCodec != nil {
 		wk.encodePush()
 	}
-	for si := range wk.pushAcked {
-		wk.pushAcked[si] = false
-	}
+	clear(wk.pushAcked)
 	wk.stalenessSum = 0
+	wk.fused = wk.fusable()
 	wk.cfg.Obs.ComputeDone(wk.ctx.Now(), wk.iter)
 	wk.sendPush()
+}
+
+// fusable reports whether the next iteration starts the moment this push
+// round is acknowledged — the gate admits it, no naive wait delays its pull,
+// and it is not past MaxIters — so the round's pushes may ask for the blocks
+// and the pull can be skipped. A delta pull keeps its explicit PullReqV2,
+// whose Have the shard needs.
+func (wk *Worker) fusable() bool {
+	return wk.admitted(wk.iter+1) && wk.cfg.Scheme.NaiveWait == 0 && !wk.deltaPull &&
+		(wk.cfg.MaxIters == 0 || wk.itersDone.Load()+1 < wk.cfg.MaxIters)
 }
 
 // encodePush folds this iteration's gradient into the error-feedback
@@ -878,9 +932,10 @@ func (wk *Worker) encodeResiduals() {
 
 // sendPush sends the computed update to every shard that has not yet
 // acknowledged it, and (with RetryAfter set) arms a retry for the round.
+// Every send of a round, retries included, carries the round's fused flag.
 func (wk *Worker) sendPush() {
 	wk.st = statePushing
-	wk.pushSeq++
+	wk.seq++
 	wk.acksPending = 0
 	for si, r := range wk.shards {
 		if wk.pushAcked[si] {
@@ -889,20 +944,22 @@ func (wk *Worker) sendPush() {
 		wk.acksPending++
 		if wk.pushCodec != nil {
 			wk.pushReqV2 = msg.PushReqV2{
-				Seq:         wk.pushSeq,
+				Seq:         wk.seq,
 				Iter:        wk.iter,
 				PullVersion: wk.pullVersions[si],
 				Codec:       uint8(wk.pushCodec.ID()),
 				Payload:     wk.pushEnc[si].Bytes(),
+				Pull:        wk.fused,
 			}
 			wk.ctx.Send(wk.shardIDs[si], &wk.pushReqV2)
 			continue
 		}
 		req := &wk.pushReq
 		*req = msg.PushReq{
-			Seq:         wk.pushSeq,
+			Seq:         wk.seq,
 			Iter:        wk.iter,
 			PullVersion: wk.pullVersions[si],
+			Pull:        wk.fused,
 		}
 		if wk.pushUpdate.IsSparse() {
 			part := wk.pushUpdate.Sparse.SliceInto(wk.pushPart[si], int32(r.Lo), int32(r.Hi))
@@ -916,36 +973,20 @@ func (wk *Worker) sendPush() {
 		wk.ctx.Send(wk.shardIDs[si], req)
 	}
 	if wk.pushBackoff != nil {
-		seq := wk.pushSeq
+		seq := wk.seq
 		wk.ctx.After(wk.pushBackoff.Next(), func() {
-			if wk.st == statePushing && wk.pushSeq == seq && wk.acksPending > 0 {
+			if wk.st == statePushing && wk.seq == seq && wk.acksPending > 0 {
 				wk.sendPush()
 			}
 		})
 	}
 }
 
-func (wk *Worker) handlePushAck(from node.ID, ack *msg.PushAck) {
-	if wk.st != statePushing || ack.Seq != wk.pushSeq {
-		return
-	}
-	si := wk.shardIndexOf(from)
-	if si < 0 || wk.pushAcked[si] {
-		return
-	}
-	wk.pushAcked[si] = true
-	wk.stalenessSum += ack.Staleness
-	wk.acksPending--
-	if wk.acksPending > 0 {
-		return
-	}
-	wk.finishPush()
-}
-
 // finishPush completes one iteration after every shard acknowledged the push:
-// record, notify the scheduler, move on (Algorithm 2 worker lines 8-10; the
-// pull for the next iteration is issued immediately, so the notify timestamp
-// doubles as the pull-time proxy the tuner uses).
+// record, notify the scheduler, move on (Algorithm 2 worker lines 8-10). The
+// next iteration's parameters either arrived with the acknowledgements (a
+// fused round) or are requested right after the notify, so the notify
+// timestamp doubles as the pull-time proxy the tuner uses.
 func (wk *Worker) finishPush() {
 	// Every Send of the gradient has encoded it; the model may have it back.
 	wk.pushUpdate.Release()

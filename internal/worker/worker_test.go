@@ -18,7 +18,7 @@ import (
 	"specsync/internal/wire"
 )
 
-// stubServer acks pulls and pushes instantly and counts them.
+// stubServer answers pulls and pushes instantly and counts them.
 type stubServer struct {
 	ctx     node.Context
 	dim     int
@@ -36,12 +36,22 @@ func (s *stubServer) Receive(from node.ID, m wire.Message) {
 	case *msg.PushReq:
 		s.pushes++
 		s.version++
-		s.ctx.Send(from, &msg.PushAck{Seq: req.Seq, Version: s.version, Staleness: s.version - 1 - req.PullVersion})
+		s.ctx.Send(from, pushReply(req.Seq, s.version, req.Pull, make([]float64, s.dim)))
 	case *msg.PushReqV2:
 		s.pushes++
 		s.version++
-		s.ctx.Send(from, &msg.PushAck{Seq: req.Seq, Version: s.version, Staleness: s.version - 1 - req.PullVersion})
+		s.ctx.Send(from, pushReply(req.Seq, s.version, req.Pull, make([]float64, s.dim)))
 	}
+}
+
+// pushReply is a shard's answer to a push: a PullResp that carries the
+// block only when the push asked for it.
+func pushReply(seq uint64, version int64, pull bool, block []float64) *msg.PullResp {
+	resp := &msg.PullResp{Seq: seq, Version: version}
+	if pull {
+		resp.Values = block
+	}
+	return resp
 }
 
 // stubScheduler records notifies and can inject control messages.
