@@ -28,10 +28,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -42,14 +42,10 @@ import (
 	"specsync/internal/codec"
 	"specsync/internal/core"
 	"specsync/internal/live"
-	"specsync/internal/metrics"
-	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/obs"
-	"specsync/internal/optimizer"
 	"specsync/internal/ps"
 	"specsync/internal/replica"
-	"specsync/internal/stragglers"
 	"specsync/internal/worker"
 )
 
@@ -122,78 +118,35 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := cfg.Validate(); err != nil {
+	warning, err := cfg.ValidateTCP()
+	if err != nil {
 		return err
 	}
-	if cfg.Faults != nil || cfg.Churn != nil || !cfg.Scale.Empty() || cfg.Mitigation != stragglers.MitigateNone || cfg.Hetero {
-		return fmt.Errorf("fault, churn and scale plans, straggler mitigation and heterogeneous speeds run only on the simulator (specsync)")
+	if warning != "" {
+		fmt.Fprintln(os.Stderr, "specsync-node:", warning)
 	}
+	// One observability instance per process: the node's handles feed the
+	// registry -metrics-addr exposes.
+	o := obs.New(obs.Options{})
+	cfg.Obs = o
 	cfg = cfg.WithDefaults()
 	peers := addresses(cfg, *host, *basePort)
 	id, err := resolveID(peers, *idFlag)
 	if err != nil {
 		return err
 	}
-	wl, sc := cfg.Workload, cfg.Scheme
-	if cfg.Stragglers.HasCongest() {
-		// The TCP transport has no bandwidth model to scale; congest episodes
-		// only act under the simulator, as a link penalty.
-		fmt.Fprintln(os.Stderr, "specsync-node: warning: congest episodes in the plan are ignored on the TCP transport")
-	}
-	ranges, err := ps.ShardRanges(wl.Model.Dim(), cfg.Servers)
+	nodes, err := cluster.Build(cfg)
 	if err != nil {
 		return err
 	}
-
-	// One observability instance per process; role-specific handles feed the
-	// same registry that -metrics-addr exposes. Outbound wire bytes are
-	// accounted per message kind with wall-clock throughput windows, and the
-	// codec stats read per-{kind,codec} bytes-on-wire series from the same
-	// ledger.
-	o := obs.New(obs.Options{})
-	transfer := metrics.NewTransfer(msg.IsControl)
-	o.Registry().SetCollector("transfer", func(w io.Writer) {
-		transfer.WritePrometheus(w, msg.Registry().Name)
-	})
-	codecStats := codec.NewStats(msg.CodecLabeler(cfg.Codec.PushName(), cfg.Codec.PullName()))
-	o.Registry().SetCollector("codec", func(w io.Writer) {
-		codecStats.WritePrometheus(w, msg.Registry().Name)
-	})
-
-	newShard := func(i int, replica bool) (*ps.Server, error) {
-		opt, err := optimizer.NewSGD(optimizer.SGDConfig{
-			Schedule: wl.Schedule, Momentum: wl.Momentum, Clip: wl.Clip,
-		}, ranges[i].Len())
-		if err != nil {
-			return nil, err
-		}
-		initVec := wl.Model.Init(rand.New(rand.NewSource(cfg.Seed ^ 0x1217)))
-		return ps.New(ps.Config{
-			Range:      ranges[i],
-			Init:       initVec[ranges[i].Lo:ranges[i].Hi],
-			Optimizer:  opt,
-			Replica:    replica,
-			Obs:        o.Server(i),
-			DeltaPull:  cfg.Codec.UsesDelta(),
-			CodecStats: codecStats,
-		})
+	var handler node.Handler
+	if id == node.Scheduler {
+		handler, err = nodes.Scheduler(*generation)
+	} else {
+		handler, err = nodes.Handler(id)
 	}
-	newScheduler := func(gen int64) (*core.Scheduler, error) {
-		if !cfg.Stragglers.Empty() {
-			// Ground truth for /stragglerz detector scoring: precision and
-			// recall are measured against the plan's scripted victims.
-			o.Scheduler().SetStragglerTruth(cfg.Stragglers.Targets())
-		}
-		return core.NewScheduler(core.SchedulerConfig{
-			Workers:         cfg.Workers,
-			Scheme:          sc,
-			InitialSpan:     wl.IterTime,
-			LivenessTimeout: cfg.LivenessTimeout,
-			Generation:      gen,
-			BeaconEvery:     cfg.BeaconEvery,
-			ReportSpans:     cfg.ReportSpans(),
-			Obs:             o.Scheduler(),
-		})
+	if err != nil {
+		return err
 	}
 
 	// Durable state — a shard's parameters, the scheduler's snapshot, a
@@ -201,26 +154,18 @@ func run(args []string) error {
 	// when the role sets snapshot: it runs on the node's event loop (h.Do),
 	// so it never races with applies; restore runs before the host serves.
 	var (
-		handler  node.Handler
 		ckptName string
 		snapshot func() (io.WriterTo, string)
 		restore  func(io.Reader) (string, error)
 	)
-	switch {
-	case node.ServerIndex(id) >= 0:
-		i := node.ServerIndex(id)
-		shard, err := newShard(i, false)
-		if err != nil {
-			return err
+	switch n := handler.(type) {
+	case *ps.Server:
+		if node.ServerIndex(id) < 0 {
+			break // a shard replica follows its primary instead
 		}
-		var backups []node.ID
-		for r := 1; r <= cfg.Replication.Replicas; r++ {
-			backups = append(backups, node.ReplicaID(i, r))
-		}
-		shard.SetBackups(backups)
-		handler, ckptName = shard, fmt.Sprintf("server-%d.ckpt", i)
+		ckptName = fmt.Sprintf("server-%d.ckpt", node.ServerIndex(id))
 		snapshot = func() (io.WriterTo, string) {
-			snap := shard.Snapshot()
+			snap := n.Snapshot()
 			return snap, fmt.Sprintf("version %d", snap.Version)
 		}
 		restore = func(r io.Reader) (string, error) {
@@ -228,43 +173,15 @@ func run(args []string) error {
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("checkpoint version %d", snap.Version), shard.Restore(snap)
+			return fmt.Sprintf("checkpoint version %d", snap.Version), n.Restore(snap)
 		}
-	case node.WorkerIndex(id) >= 0:
-		i := node.WorkerIndex(id)
-		// Each worker plays only its own row of the plan's speed scripts;
-		// windows are measured from Init, so co-started processes line up.
-		scripts, err := cfg.Stragglers.Scripts(cfg.Workers)
-		if err != nil {
-			return err
-		}
-		wkr, err := worker.New(worker.Config{
-			Index:            i,
-			Shards:           ranges,
-			Model:            wl.Model,
-			Scheme:           sc,
-			Compute:          worker.ComputeModel{Base: wl.IterTime, Speed: 1, JitterSigma: wl.JitterSigma},
-			Script:           scripts[i],
-			MaxIters:         cfg.MaxItersPerWorker,
-			NumWorkers:       cfg.Workers,
-			HeartbeatEvery:   cfg.HeartbeatEvery,
-			RetryAfter:       cfg.RetryAfter,
-			SchedulerTimeout: cfg.SchedulerTimeout,
-			Codec:            cfg.Codec,
-			CodecStats:       codecStats,
-			ReportSpans:      cfg.ReportSpans(),
-			Obs:              o.Worker(i),
-		})
-		if err != nil {
-			return err
-		}
-		handler = wkr
+	case *worker.Worker:
 		// Lossy push codecs carry an error-feedback residual; checkpoint it so
 		// a restarted worker does not silently drop pending gradient mass.
-		if wkr.CodecState() != nil {
-			ckptName = fmt.Sprintf("worker-%d.codec.ckpt", i)
+		if n.CodecState() != nil {
+			ckptName = fmt.Sprintf("worker-%d.codec.ckpt", node.WorkerIndex(id))
 			snapshot = func() (io.WriterTo, string) {
-				data := wkr.CodecState().Snapshot()
+				data := n.CodecState().Snapshot()
 				return bytes.NewReader(data), fmt.Sprintf("codec residuals (%d bytes)", len(data))
 			}
 			restore = func(r io.Reader) (string, error) {
@@ -276,15 +193,15 @@ func run(args []string) error {
 				if err != nil {
 					return "", err
 				}
-				return "codec residual state", wkr.RestoreCodecState(st)
+				return "codec residual state", n.RestoreCodecState(st)
 			}
 		}
-	case id == node.Scheduler:
-		sched, err := newScheduler(*generation)
-		if err != nil {
-			return err
+	case *core.Scheduler, *replica.Leader:
+		sched, ok := n.(*core.Scheduler)
+		if !ok {
+			sched = n.(*replica.Leader).Sched()
 		}
-		handler, ckptName = sched, "scheduler.ckpt"
+		ckptName = "scheduler.ckpt"
 		snapshot = func() (io.WriterTo, string) {
 			snap := sched.Snapshot()
 			return snap, fmt.Sprintf("epoch %d", snap.Epoch)
@@ -297,34 +214,6 @@ func run(args []string) error {
 			// The generation in the file is the writer's; the rebuilt
 			// scheduler keeps its own -generation.
 			return fmt.Sprintf("checkpoint (written by generation %d)", snap.Generation), sched.Restore(snap)
-		}
-		if n := cfg.Replication.StandbySchedulers; n > 0 {
-			if handler, err = replica.NewLeader(replica.LeaderConfig{
-				Sched:          sched,
-				Standbys:       n,
-				ReplicateEvery: cfg.Replication.ReplicateEvery,
-				Term:           *generation,
-				Obs:            o,
-			}); err != nil {
-				return err
-			}
-		}
-	case node.StandbyIndex(id) >= 1:
-		if handler, err = replica.NewStandby(replica.StandbyConfig{
-			Index:           node.StandbyIndex(id),
-			Standbys:        cfg.Replication.StandbySchedulers,
-			Workers:         cfg.Workers,
-			ElectionTimeout: cfg.Replication.ElectionTimeout,
-			ReplicateEvery:  cfg.Replication.ReplicateEvery,
-			MakeScheduler:   newScheduler,
-			Obs:             o,
-		}); err != nil {
-			return err
-		}
-	default: // a shard replica
-		shard, _ := node.ReplicaOf(id)
-		if handler, err = newShard(shard, true); err != nil {
-			return err
 		}
 	}
 
@@ -343,35 +232,27 @@ func run(args []string) error {
 		}
 	}
 
-	listen := peers[id]
+	hcfg := nodes.HostConfig()
+	hcfg.ID, hcfg.Handler, hcfg.ListenAddr, hcfg.Debug = id, handler, peers[id], *debug
 	delete(peers, id)
-	h, err := live.NewTCPHost(live.TCPHostConfig{
-		ID:         id,
-		Handler:    handler,
-		ListenAddr: listen,
-		Peers:      peers,
-		Registry:   msg.Registry(),
-		Seed:       cfg.Seed,
-		Transfer:   codecStats.Tap(transfer),
-		Metrics:    o.Registry(),
-		Debug:      *debug,
-	})
+	hcfg.Peers = peers
+	h, err := live.NewTCPHost(hcfg)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
 	fmt.Printf("%s listening on %s (%d workers, %d servers, scheme %s, workload %s)\n",
-		id, listen, cfg.Workers, cfg.Servers, sc.Name(), wl.Name)
+		id, hcfg.ListenAddr, cfg.Workers, cfg.Servers, cfg.Scheme.Name(), cfg.Workload.Name)
 
+	health := healthFunc(id, handler)
 	if *metricsAddr != "" {
 		cfgHTTP := obs.HTTPConfig{
 			Registry: o.Registry(),
-			Health:   healthFunc(id, handler),
+			Health:   health,
 			Flight:   o.FlightDump,
 			Pprof:    *pprofOn,
 		}
-		switch handler.(type) {
-		case *core.Scheduler, *replica.Leader, *replica.Standby:
+		if id == node.Scheduler || node.StandbyIndex(id) >= 1 {
 			cfgHTTP.Cluster = o.ClusterSnapshot
 			cfgHTTP.Stragglers = o.StragglerSnapshot
 		}
@@ -411,30 +292,12 @@ func run(args []string) error {
 				fmt.Printf("%s: checkpointed %s\n", id, what)
 			}
 		case <-ticker.C:
-			switch n := handler.(type) {
-			case *worker.Worker:
-				fmt.Printf("%s: %d iterations, %d aborts\n", id, n.IterationsDone(), n.Aborts())
-				if n.Stopped() {
-					fmt.Printf("%s: reached max iterations; exiting\n", id)
-					return nil
-				}
-			case *ps.Server:
-				pulls, pushes := n.Stats()
-				fmt.Printf("%s: version %d (%d pulls, %d pushes)\n", id, n.Version(), pulls, pushes)
-			case *core.Scheduler:
-				enabled, abortTime, _ := n.Hyperparameters()
-				fmt.Printf("%s: epoch %d, %d resyncs, spec=%v window=%v\n",
-					id, n.Epoch(), n.ReSyncsSent(), enabled, abortTime.Round(time.Millisecond))
-			case *replica.Leader:
-				fmt.Printf("%s: leader term %d, epoch %d, %d snapshots shipped\n",
-					id, n.Term(), n.Sched().Epoch(), n.Shipped())
-			case *replica.Standby:
-				if s := n.Sched(); s != nil {
-					fmt.Printf("%s: %s term %d, epoch %d, %d snapshots shipped\n",
-						id, n.Role(), n.Term(), s.Epoch(), n.Shipped())
-				} else {
-					fmt.Printf("%s: %s term %d, awaiting leader snapshots\n", id, n.Role(), n.Term())
-				}
+			st := health()
+			line, _ := json.Marshal(st)
+			fmt.Printf("%s: %s\n", id, line)
+			if st.Status == "stopped" {
+				fmt.Printf("%s: reached max iterations; exiting\n", id)
+				return nil
 			}
 		}
 	}
@@ -471,41 +334,37 @@ func healthFunc(id node.ID, handler node.Handler) func() obs.Health {
 		}
 	case *core.Scheduler:
 		return func() obs.Health {
-			h := base()
-			h.Epoch = int64(n.Epoch())
-			h.MembershipEpoch = n.MembershipEpoch()
-			h.Generation = n.Generation()
 			// A standalone scheduler process serves unopposed: it is the
 			// leader by definition, and its generation doubles as the term.
-			h.Role, h.Term, h.Leader = "leader", n.Generation(), name
+			h := serving(base(), n)
+			h.Role, h.Term = "leader", n.Generation()
 			return h
 		}
 	case *replica.Leader:
 		return func() obs.Health {
-			h := base()
-			s := n.Sched()
-			h.Epoch = int64(s.Epoch())
-			h.MembershipEpoch = s.MembershipEpoch()
-			h.Generation = s.Generation()
-			h.Role, h.Term, h.Leader = n.Role().String(), n.Term(), name
+			h := serving(base(), n.Sched())
+			h.Role, h.Term = n.Role().String(), n.Term()
 			return h
 		}
 	case *replica.Standby:
 		return func() obs.Health {
 			h := base()
-			h.Role, h.Term = n.Role().String(), n.Term()
 			if s := n.Sched(); s != nil {
-				// Elected: this incarnation now serves the cluster.
-				h.Epoch = int64(s.Epoch())
-				h.MembershipEpoch = s.MembershipEpoch()
-				h.Generation = s.Generation()
-				h.Leader = name
+				h = serving(h, s) // elected: this incarnation now serves the cluster
 			}
+			h.Role, h.Term = n.Role().String(), n.Term()
 			return h
 		}
 	default:
 		return base
 	}
+}
+
+// serving adds the view of the scheduler s this node serves the cluster
+// with.
+func serving(h obs.Health, s *core.Scheduler) obs.Health {
+	h.Epoch, h.MembershipEpoch, h.Generation, h.Leader = int64(s.Epoch()), s.MembershipEpoch(), s.Generation(), h.Node
+	return h
 }
 
 // writeDurable writes w to path so that a crash at any point leaves either

@@ -75,6 +75,27 @@ func TestResolveID(t *testing.T) {
 	}
 }
 
+// TestAddressesCoverBuild: the address book holds exactly the nodes
+// cluster.Build builds for the spec, so every node has a port and every port
+// a node.
+func TestAddressesCoverBuild(t *testing.T) {
+	cfg := haTopology(t)
+	nodes, err := cluster.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := addresses(cfg, "127.0.0.1", 7000)
+	ids := nodes.IDs()
+	if len(ids) != len(peers) {
+		t.Errorf("Build has %d nodes %v, the address book %d", len(ids), ids, len(peers))
+	}
+	for _, id := range ids {
+		if _, ok := peers[id]; !ok {
+			t.Errorf("%s has no address", id)
+		}
+	}
+}
+
 // failingWriter writes a partial snapshot, then fails.
 type failingWriter struct{}
 

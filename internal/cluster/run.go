@@ -1,13 +1,8 @@
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"time"
 
 	"specsync/internal/codec"
@@ -16,16 +11,12 @@ import (
 	"specsync/internal/elastic"
 	"specsync/internal/faults"
 	"specsync/internal/metrics"
-	"specsync/internal/model"
 	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/obs"
-	"specsync/internal/optimizer"
 	"specsync/internal/ps"
-	"specsync/internal/replica"
 	"specsync/internal/scheme"
 	"specsync/internal/stragglers"
-	"specsync/internal/tensor"
 	"specsync/internal/trace"
 	"specsync/internal/worker"
 )
@@ -231,17 +222,16 @@ func (c Config) servers() int {
 	return min(c.Workers, 8)
 }
 
-// ReportSpans reports whether the run's workers send NotifyV2 work spans:
+// reportSpans reports whether the run's workers send NotifyV2 work spans:
 // a gate policy or a straggler plan reads them, and every process of a live
 // cluster must agree or the scheduler would starve.
-func (c Config) ReportSpans() bool {
+func (c Config) reportSpans() bool {
 	return c.Scheme.Policy != scheme.PolicyNone || !c.Stragglers.Empty()
 }
 
-// WithDefaults returns c with the zero fields Run derives from the rest of
+// WithDefaults returns c with the zero fields Build derives from the rest of
 // the config filled in (shard count, speeds, timeouts, replication periods,
-// network model). The live node applies the same defaults, so a spec means
-// one thing on both runtimes.
+// network model), so a spec means one thing on every runtime.
 func (c Config) WithDefaults() Config {
 	c.applyDefaults()
 	return c
@@ -535,86 +525,43 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Run executes one simulated training job to convergence (or MaxVirtual).
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// ValidateTCP is Validate for the live TCP runtime (specsync-node and
+// RunLoopback). It also refuses what only the simulator models — fault and
+// churn plans, scale plans and straggler mitigation — and returns a warning
+// for what TCP runs but ignores: a straggler plan's congest episodes, since
+// the TCP transport has no bandwidth model to scale.
+func (c Config) ValidateTCP() (warning string, err error) {
+	if err := c.Validate(); err != nil {
+		return "", err
 	}
-	// An empty plan is indistinguishable from no plan: the run stays on the
-	// legacy fixed-shard path with zero routing overhead, and without speed
-	// scripts, link hook or detection timer.
-	if cfg.Scale.Empty() {
-		cfg.Scale = nil
+	switch {
+	case c.Faults != nil || c.Churn != nil:
+		return "", fmt.Errorf("cluster: fault and churn plans run only on the simulator")
+	case !c.Scale.Empty():
+		return "", fmt.Errorf("cluster: scale plans run only on the simulator")
+	case c.Mitigation != stragglers.MitigateNone:
+		return "", fmt.Errorf("cluster: straggler mitigation runs only on the simulator")
 	}
-	if cfg.Stragglers.Empty() {
-		cfg.Stragglers = nil
+	if c.Stragglers.HasCongest() {
+		return "warning: congest episodes in the plan are ignored on the TCP transport", nil
 	}
-	if cfg.Churn != nil {
-		churn := *cfg.Churn
-		churn.Workers, churn.Servers, churn.ServerFraction = cfg.Workers, cfg.servers(), 0.25
-		plan, err := faults.Generate(cfg.Seed, churn)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Faults, cfg.Churn = plan, nil
-	}
-	cfg.applyDefaults()
+	return "", nil
+}
 
-	mdl := cfg.Workload.Model
-	dim := mdl.Dim()
-	// Capacity: the slots the cluster may grow into under the scale plan.
-	// Without a plan both equal the initial shape.
-	maxWorkers, maxServers := cfg.Workers, cfg.Servers
-	if cfg.Scale != nil {
-		maxWorkers = cfg.Scale.MaxWorkers(cfg.Workers)
-		maxServers = cfg.Scale.MaxServers(cfg.Servers)
-	}
-	cloneMode := cfg.Mitigation == stragglers.MitigateClone
-	rebalanceMode := cfg.Mitigation == stragglers.MitigateRebalance
-	if cloneMode || rebalanceMode {
-		// Neither mitigation needs extra data shards for its spare slots: a
-		// clone shares its target's shard, and a rebalance replacement
-		// inherits its retired predecessor's.
-		maxWorkers = cfg.Workers + cfg.Spares
-	}
-	ranges, err := ps.ShardRanges(dim, cfg.Servers)
+// Run executes one simulated training job to convergence (or MaxVirtual):
+// the spec's node set on the discrete-event simulator.
+func Run(cfg Config) (*Result, error) {
+	n, err := Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The committed routing table (elastic runs only): starts as the identity
-	// shard→slot map and is replaced by the scheduler's OnRouting callback at
-	// each migration commit, so joining workers receive the current layout.
-	var curRouting *core.RoutingTable
-	if cfg.Scale != nil || rebalanceMode {
-		shards := make([]core.ShardRoute, len(ranges))
-		for i, r := range ranges {
-			shards[i] = core.ShardRoute{Lo: r.Lo, Hi: r.Hi, Server: i}
-		}
-		curRouting = &core.RoutingTable{Epoch: 0, Shards: shards}
-	}
-
-	transfer := metrics.NewTransfer(msg.IsControl)
-	collector := trace.NewCollector()
-	o := cfg.Obs
-	if o == nil {
-		o = obs.New(obs.Options{})
-	}
-	o.SetTracer(collector)
-	registry := msg.Registry()
-	o.Registry().SetCollector("transfer", func(w io.Writer) {
-		transfer.WritePrometheus(w, registry.Name)
-	})
-	codecStats := codec.NewStats(msg.CodecLabeler(cfg.Codec.PushName(), cfg.Codec.PullName()))
-	o.Registry().SetCollector("codec", func(w io.Writer) {
-		codecStats.WritePrometheus(w, registry.Name)
-	})
-
+	cfg = n.cfg
 	sim, err := des.New(des.Config{
 		Seed:     cfg.Seed,
 		Net:      cfg.Net,
-		Registry: registry,
-		Transfer: codecStats.Tap(transfer),
-		Metrics:  o.Registry(),
+		Registry: msg.Registry(),
+		Transfer: n.codec.Tap(n.transfer),
+		Metrics:  n.obs.Registry(),
 		Debug:    cfg.Debug,
 	})
 	if err != nil {
@@ -625,362 +572,13 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	var stragglerScripts [][]worker.SpeedWindow
-	if cfg.Stragglers != nil {
-		stragglerScripts, err = cfg.Stragglers.Scripts(cfg.Workers)
+	n.join = sim.Join
+	for _, id := range n.IDs() {
+		h, err := n.Handler(id)
 		if err != nil {
 			return nil, err
 		}
-		o.Scheduler().SetStragglerTruth(cfg.Stragglers.Targets())
-	}
-
-	// Identical initial parameters for every scheme at the same seed.
-	initRng := rand.New(rand.NewSource(cfg.Seed ^ 0x1217))
-	initVec := mdl.Init(initRng)
-
-	var faultM *metrics.Faults
-	if cfg.Faults != nil || cfg.Replication.Enabled() {
-		faultM = metrics.NewFaults(msg.IsControl)
-		o.Registry().SetCollector("faults", func(w io.Writer) {
-			faultM.WritePrometheus(w)
-		})
-	}
-
-	// makeServer / makeWorker build a node from scratch; used for initial
-	// construction and again by the fault injector for restarts (a restarted
-	// node is a fresh incarnation with the same static configuration).
-	newOptimizer := func(n int) (*optimizer.SGD, error) {
-		return optimizer.NewSGD(optimizer.SGDConfig{
-			Schedule: cfg.Workload.Schedule,
-			Momentum: cfg.Workload.Momentum,
-			Clip:     cfg.Workload.Clip,
-		}, n)
-	}
-	makeServer := func(shard int) (*ps.Server, error) {
-		r := ranges[shard]
-		opt, err := newOptimizer(r.Len())
-		if err != nil {
-			return nil, err
-		}
-		scfg := ps.Config{
-			Range:      r,
-			Init:       initVec[r.Lo:r.Hi],
-			Optimizer:  opt,
-			Obs:        o.Server(shard),
-			DeltaPull:  cfg.Codec.UsesDelta(),
-			CodecStats: codecStats,
-		}
-		if cfg.Scale != nil {
-			scfg.NewOptimizer = newOptimizer
-		}
-		if cloneMode {
-			scfg.DedupPushes = true
-			scfg.CloneBase = int32(cfg.Workers)
-		}
-		return ps.New(scfg)
-	}
-	// makeJoiningServer builds an empty, frozen shard for a slot added by the
-	// scale plan; a migration hands it state before it serves anything.
-	makeJoiningServer := func(slot int) (*ps.Server, error) {
-		return ps.NewJoining(ps.Config{
-			NewOptimizer: newOptimizer,
-			Obs:          o.Server(slot),
-			DeltaPull:    cfg.Codec.UsesDelta(),
-			CodecStats:   codecStats,
-		})
-	}
-	// makeWorker builds the worker for slot i; shard >= 0 overrides its data
-	// shard (rebalance replacements inherit their retired predecessor's).
-	makeWorker := func(i int, joining bool, shard int) (*worker.Worker, error) {
-		speed := 1.0
-		if cfg.Speeds != nil && i < len(cfg.Speeds) {
-			speed = cfg.Speeds[i]
-		}
-		if i >= cfg.Workers && cfg.SpareSpeed > 0 {
-			speed = cfg.SpareSpeed
-		}
-		wcfg := worker.Config{
-			Index:  i,
-			Shards: ranges,
-			Model:  mdl,
-			Scheme: cfg.Scheme,
-			Compute: worker.ComputeModel{
-				Base:        cfg.Workload.IterTime,
-				Speed:       speed,
-				JitterSigma: cfg.Workload.JitterSigma,
-			},
-			Tracer:           collector,
-			Obs:              o.Worker(i),
-			AbortLateFrac:    cfg.AbortLateFrac,
-			MaxIters:         cfg.MaxItersPerWorker,
-			NumWorkers:       cfg.Workers,
-			HeartbeatEvery:   cfg.HeartbeatEvery,
-			RetryAfter:       cfg.RetryAfter,
-			SchedulerTimeout: cfg.SchedulerTimeout,
-			Faults:           faultM,
-			Codec:            cfg.Codec,
-			CodecStats:       codecStats,
-			ReportSpans:      cfg.ReportSpans(),
-		}
-		if i < len(cfg.Slowdowns) && cfg.Slowdowns[i].Factor >= 1 {
-			sd := cfg.Slowdowns[i]
-			wcfg.Slowdown = &sd
-		}
-		if i < len(stragglerScripts) && len(stragglerScripts[i]) > 0 {
-			wcfg.Script = stragglerScripts[i]
-		}
-		if cfg.Scale != nil || rebalanceMode {
-			wcfg.Shards = nil
-			wcfg.Routing = curRouting.Clone()
-			wcfg.JoinOnInit = joining
-		}
-		if shard >= 0 {
-			wcfg.DataShard = &shard
-		}
-		return worker.New(wcfg)
-	}
-
-	// Slices are sized to the plan's capacity; slots beyond the initial shape
-	// stay nil until the plan adds them.
-	servers := make([]*ps.Server, maxServers)
-	for i := range ranges {
-		srv, err := makeServer(i)
-		if err != nil {
-			return nil, err
-		}
-		servers[i] = srv
-		if err := sim.AddNode(node.ServerID(i), srv); err != nil {
-			return nil, err
-		}
-	}
-
-	// Shard backups: R replicas per shard, each a real ps.Server with the
-	// same initial parameters and optimizer, in replica mode (serves no
-	// worker traffic, applies the primary's version-stamped forward stream).
-	// Starting identical and applying the identical sequence keeps every
-	// backup byte-for-byte in sync with its primary.
-	var shardReplicas [][]*ps.Server
-	if R := cfg.Replication.Replicas; R > 0 {
-		makeReplica := func(shard int) (*ps.Server, error) {
-			r := ranges[shard]
-			opt, err := newOptimizer(r.Len())
-			if err != nil {
-				return nil, err
-			}
-			return ps.New(ps.Config{
-				Range:      r,
-				Init:       initVec[r.Lo:r.Hi],
-				Optimizer:  opt,
-				Replica:    true,
-				Obs:        o.Server(shard),
-				DeltaPull:  cfg.Codec.UsesDelta(),
-				CodecStats: codecStats,
-			})
-		}
-		shardReplicas = make([][]*ps.Server, cfg.Servers)
-		for shard := range ranges {
-			backups := make([]node.ID, R)
-			shardReplicas[shard] = make([]*ps.Server, R)
-			for r := 1; r <= R; r++ {
-				backups[r-1] = node.ReplicaID(shard, r)
-				rep, err := makeReplica(shard)
-				if err != nil {
-					return nil, err
-				}
-				shardReplicas[shard][r-1] = rep
-				if err := sim.AddNode(node.ReplicaID(shard, r), rep); err != nil {
-					return nil, err
-				}
-			}
-			servers[shard].SetBackups(backups)
-		}
-	}
-
-	workers := make([]*worker.Worker, maxWorkers)
-	for i := 0; i < cfg.Workers; i++ {
-		wk, err := makeWorker(i, false, -1)
-		if err != nil {
-			return nil, err
-		}
-		workers[i] = wk
-		if err := sim.AddNode(node.WorkerID(i), wk); err != nil {
-			return nil, err
-		}
-	}
-
-	maxAbortFrac := cfg.MaxAbortFrac
-	if maxAbortFrac == 0 {
-		maxAbortFrac = 0.125
-	}
-
-	// Straggler mitigation: the scheduler's periodic pass calls back into the
-	// harness to materialize spare nodes — a clone sharing its target's data
-	// shard, or a fresh joining replacement. Both enter the sim mid-run.
-	var mitCfg *core.MitigateConfig
-	if cfg.Stragglers != nil {
-		mode := core.MitigateObserve
-		switch cfg.Mitigation {
-		case stragglers.MitigateClone:
-			mode = core.MitigateClone
-		case stragglers.MitigateRebalance:
-			mode = core.MitigateRebalance
-		}
-		mitCfg = &core.MitigateConfig{
-			Mode:   mode,
-			Base:   cfg.Workers,
-			Spares: maxWorkers - cfg.Workers,
-		}
-		if cloneMode {
-			serverIDs := make([]node.ID, cfg.Servers)
-			for i := range serverIDs {
-				serverIDs[i] = node.ServerID(i)
-			}
-			mitCfg.Servers = serverIDs
-			mitCfg.OnClone = func(slot, target int, fromIter int64) error {
-				maxIters := cfg.MaxItersPerWorker
-				if maxIters > 0 {
-					// The clone resumes the target's absolute iteration count,
-					// but MaxIters caps per-incarnation completions.
-					if maxIters -= fromIter; maxIters <= 0 {
-						return fmt.Errorf("cluster: worker %d already spent its iteration budget", target)
-					}
-				}
-				wk, err := worker.New(worker.Config{
-					Index:  target, // the target's data shard; pushes count as its work
-					Shards: ranges,
-					Model:  mdl,
-					Scheme: cfg.Scheme,
-					Compute: worker.ComputeModel{
-						Base:        cfg.Workload.IterTime,
-						Speed:       cfg.SpareSpeed,
-						JitterSigma: cfg.Workload.JitterSigma,
-					},
-					Tracer:        collector,
-					Obs:           o.Worker(target),
-					AbortLateFrac: cfg.AbortLateFrac,
-					MaxIters:      maxIters,
-					NumWorkers:    cfg.Workers,
-					RetryAfter:    cfg.RetryAfter,
-					Faults:        faultM,
-					Codec:         cfg.Codec,
-					CodecStats:    codecStats,
-					ReportSpans:   true,
-				})
-				if err != nil {
-					return err
-				}
-				workers[slot] = wk
-				return sim.Join(node.WorkerID(slot), wk)
-			}
-		}
-		if rebalanceMode {
-			mitCfg.OnSpawn = func(slot, target int) error {
-				// The replacement takes over the retired straggler's data
-				// shard, so the swap changes who computes, not what is
-				// trained on.
-				wk, err := makeWorker(slot, true, target)
-				if err != nil {
-					return err
-				}
-				workers[slot] = wk
-				return sim.Join(node.WorkerID(slot), wk)
-			}
-		}
-	}
-
-	// makeScheduler builds a scheduler incarnation; gen 0 is the initial one,
-	// higher generations are fault-injector restarts (their Init broadcasts
-	// SchedulerHello instead of Start).
-	makeScheduler := func(gen int64) (*core.Scheduler, error) {
-		return core.NewScheduler(core.SchedulerConfig{
-			Workers:           maxWorkers,
-			ActiveWorkers:     cfg.Workers,
-			Routing:           curRouting,
-			OnRouting:         func(t *core.RoutingTable) { curRouting = t },
-			Scheme:            cfg.Scheme,
-			InitialSpan:       cfg.Workload.IterTime,
-			Tracer:            collector,
-			OnTune:            cfg.OnTune,
-			RateMargin:        cfg.RateMargin,
-			CheckAtExpiryOnly: cfg.CheckAtExpiryOnly,
-			LivenessTimeout:   cfg.LivenessTimeout,
-			ReportSpans:       cfg.ReportSpans(),
-			Mitigate:          mitCfg,
-			Generation:        gen,
-			BeaconEvery:       cfg.BeaconEvery,
-			Faults:            faultM,
-			Obs:               o.Scheduler(),
-			Tuner: core.TunerConfig{
-				MinAbort: 4 * cfg.Net.Latency,
-				// With the eager threshold check, an abort costs only the time
-				// elapsed when the push rate crosses the threshold, so windows
-				// up to the paper's grid bound (half an iteration) are usable.
-				MaxAbort:      time.Duration(maxAbortFrac * float64(cfg.Workload.IterTime)),
-				MaxCandidates: 512,
-			},
-		})
-	}
-	sched, err := makeScheduler(0)
-	if err != nil {
-		return nil, err
-	}
-
-	// Iterations and aborts retired by crashed worker incarnations; the
-	// replacement starts its counters from zero. Likewise re-syncs and epochs
-	// retired by crashed (or deposed) scheduler incarnations.
-	var retiredIters, retiredAborts, retiredResyncs int64
-	var maxEpochs int
-
-	// retireScheduler folds the outgoing incarnation's counters into the
-	// retired totals and swaps the accounting reference to its successor.
-	retireScheduler := func(s *core.Scheduler) {
-		retiredResyncs += sched.ReSyncsSent()
-		if e := sched.Epoch(); e > maxEpochs {
-			maxEpochs = e
-		}
-		sched = s
-	}
-
-	// Control-plane replication: the bootstrap scheduler serves behind a
-	// Leader wrapper that ships its snapshot to S standby incarnations; a
-	// crash then ends in an election instead of degraded broadcast mode.
-	var leader *replica.Leader
-	var standbys []*replica.Standby
-	if S := cfg.Replication.StandbySchedulers; S > 0 {
-		leader, err = replica.NewLeader(replica.LeaderConfig{
-			Sched:          sched,
-			Standbys:       S,
-			ReplicateEvery: cfg.Replication.ReplicateEvery,
-			Obs:            o,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := sim.AddNode(node.Scheduler, leader); err != nil {
-			return nil, err
-		}
-		for i := 1; i <= S; i++ {
-			sb, err := replica.NewStandby(replica.StandbyConfig{
-				Index:           i,
-				Standbys:        S,
-				Workers:         maxWorkers,
-				ElectionTimeout: cfg.Replication.ElectionTimeout,
-				ReplicateEvery:  cfg.Replication.ReplicateEvery,
-				MakeScheduler:   makeScheduler,
-				OnPromote:       func(_ *replica.Standby, s *core.Scheduler) { retireScheduler(s) },
-				Faults:          faultM,
-				Obs:             o,
-			})
-			if err != nil {
-				return nil, err
-			}
-			standbys = append(standbys, sb)
-			if err := sim.AddNode(node.StandbyID(i), sb); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if err := sim.AddNode(node.Scheduler, sched); err != nil {
+		if err := sim.AddNode(id, h); err != nil {
 			return nil, err
 		}
 	}
@@ -991,26 +589,24 @@ func Run(cfg Config) (*Result, error) {
 			Plan:            cfg.Faults,
 			NumWorkers:      cfg.Workers,
 			NumServers:      cfg.Servers,
-			Tracer:          collector,
-			Faults:          faultM,
+			Tracer:          n.tracer,
+			Faults:          n.faults,
 			CheckpointEvery: cfg.CheckpointEvery,
-			NewWorker: func(i int) (node.Handler, error) {
-				return makeWorker(i, false, -1)
-			},
-			NewServer:    makeServer,
-			NewScheduler: makeScheduler,
-			Server:       func(shard int) *ps.Server { return servers[shard] },
-			Scheduler:    func() *core.Scheduler { return sched },
-			Replicas:     cfg.Replication.Replicas,
-			Standbys:     cfg.Replication.StandbySchedulers,
+			NewWorker:       func(i int) (node.Handler, error) { return n.newWorker(i, false, -1) },
+			NewServer:       func(shard int) (*ps.Server, error) { return n.newShard(shard, false) },
+			NewScheduler:    n.newScheduler,
+			Server:          func(shard int) *ps.Server { return n.servers[shard] },
+			Scheduler:       func() *core.Scheduler { return n.sched },
+			Replicas:        cfg.Replication.Replicas,
+			Standbys:        cfg.Replication.StandbySchedulers,
 			ReplicaServer: func(shard, r int) *ps.Server {
-				if shardReplicas == nil || r < 1 || r > len(shardReplicas[shard]) {
+				if r < 1 || r > cfg.Replication.Replicas {
 					return nil
 				}
-				return shardReplicas[shard][r-1]
+				return n.replicas[shard][r-1]
 			},
 			OnPromote: func(shard int, srv *ps.Server) {
-				o.RecordFlight(obs.FlightEvent{
+				n.obs.RecordFlight(obs.FlightEvent{
 					At:     sim.Now(),
 					Kind:   "replica-promote",
 					Node:   string(node.ServerID(shard)),
@@ -1018,35 +614,24 @@ func Run(cfg Config) (*Result, error) {
 					Detail: "backup promoted to shard primary",
 				})
 			},
-			OnWorkerRestart: func(i int, h node.Handler) {
-				retiredIters += workers[i].IterationsDone()
-				retiredAborts += workers[i].Aborts()
-				workers[i] = h.(*worker.Worker)
-			},
-			OnServerRestart: func(shard int, srv *ps.Server) {
-				servers[shard] = srv
-			},
-			OnSchedulerRestart: func(s *core.Scheduler) { retireScheduler(s) },
+			OnWorkerRestart:    n.retireWorker,
+			OnServerRestart:    func(shard int, srv *ps.Server) { n.servers[shard] = srv },
+			OnSchedulerRestart: n.retireScheduler,
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-
 	var einj *elastic.SimInjector
 	if cfg.Scale != nil {
 		einj, err = elastic.AttachSim(sim, elastic.SimOptions{
-			Plan:    cfg.Scale,
-			Workers: cfg.Workers,
-			Servers: cfg.Servers,
-			NewWorker: func(i int) (node.Handler, error) {
-				return makeWorker(i, true, -1)
-			},
-			NewServer: func(slot int) (node.Handler, error) {
-				return makeJoiningServer(slot)
-			},
-			OnWorkerAdd: func(i int, h node.Handler) { workers[i] = h.(*worker.Worker) },
-			OnServerAdd: func(slot int, h node.Handler) { servers[slot] = h.(*ps.Server) },
+			Plan:        cfg.Scale,
+			Workers:     cfg.Workers,
+			Servers:     cfg.Servers,
+			NewWorker:   func(i int) (node.Handler, error) { return n.newWorker(i, true, -1) },
+			NewServer:   func(slot int) (node.Handler, error) { return n.newJoiningServer(slot) },
+			OnWorkerAdd: func(i int, h node.Handler) { n.workers[i] = h.(*worker.Worker) },
+			OnServerAdd: func(slot int, h node.Handler) { n.servers[slot] = h.(*ps.Server) },
 		})
 		if err != nil {
 			return nil, err
@@ -1054,77 +639,17 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	sim.Init()
-
-	res := &Result{
-		SchemeName: cfg.Scheme.Name(),
-		Transfer:   transfer,
-		Codec:      codecStats,
-	}
-	accModel, hasAcc := mdl.(model.Accuracier)
-
-	probeVec := tensor.NewVec(dim)
-	assemble := func() tensor.Vec {
-		// Each live shard contributes its committed range. During a migration
-		// the involved shards are frozen (no updates applied), so overlapping
-		// old/staged ranges hold identical values and the copy order does not
-		// matter; retired and not-yet-committed shards own nothing.
-		for _, srv := range servers {
-			if srv == nil || srv.Retired() {
-				continue
-			}
-			p := srv.Params()
-			r := srv.Range()
-			if len(p) == r.Len() && r.Len() > 0 {
-				copy(probeVec[r.Lo:r.Hi], p)
-			}
-		}
-		return probeVec
-	}
-	totalIters := func() int64 {
-		n := retiredIters
-		for _, wk := range workers {
-			if wk != nil {
-				n += wk.IterationsDone()
-			}
-		}
-		return n
-	}
-
-	streak := 0
-	converged := false
-	var stopAt time.Time
+	res := &Result{}
+	c := &curve{n: n, res: res}
 	var probe func()
 	probe = func() {
-		now := sim.Elapsed()
-		w := assemble()
-		loss := mdl.EvalLoss(w)
-		res.Loss.Add(now, loss)
-		res.IterSeries.Add(now, float64(totalIters()))
-		res.TransferSeries.Add(now, float64(transfer.TotalBytes()))
-		if cfg.RecordAccuracy && hasAcc {
-			res.Accuracy.Add(now, accModel.EvalAccuracy(w))
-		}
-		if !converged {
-			if loss < cfg.Workload.TargetLoss {
-				streak++
-			} else {
-				streak = 0
-			}
-			if streak >= cfg.ConsecutiveBelow {
-				converged = true
-				res.Converged = true
-				res.ItersAtConverge = totalIters()
-				stopAt = sim.Now().Add(cfg.RunPastConverge)
-			}
-		}
-		if converged && !sim.Now().Before(stopAt) {
+		if c.observe(sim.Elapsed(), n.assemble()) {
 			sim.Stop()
 			return
 		}
 		sim.Schedule(cfg.Workload.EvalEvery, probe)
 	}
 	sim.Schedule(cfg.Workload.EvalEvery, probe)
-
 	sim.RunUntilIdle(cfg.MaxVirtual)
 
 	if inj != nil {
@@ -1136,112 +661,8 @@ func Run(cfg Config) (*Result, error) {
 		if errs := einj.Errs(); len(errs) > 0 {
 			return nil, fmt.Errorf("cluster: elastic injector: %v", errs[0])
 		}
-		stats := sched.ScaleStats()
-		res.Scale = &stats
-	}
-	if cfg.Stragglers != nil {
-		st := &StragglerStats{
-			Score:      stragglers.ScoreDetection(cfg.Stragglers.Targets(), o.Scheduler().StragglersDetected()),
-			Mitigation: sched.MitigationStats(),
-		}
-		for _, srv := range servers {
-			if srv != nil {
-				d, dr := srv.CloneStats()
-				st.CloneDeduped += d
-				st.CloneDropped += dr
-			}
-		}
-		res.Stragglers = st
-		if rebalanceMode {
-			stats := sched.ScaleStats()
-			res.Scale = &stats
-		}
 	}
 	res.Elapsed = sim.Elapsed()
-	res.TotalIters = totalIters()
-	res.Aborts = retiredAborts
-	for _, wk := range workers {
-		if wk != nil {
-			res.Aborts += wk.Aborts()
-		}
-	}
-	res.Faults = faultM
-	res.ReSyncs = retiredResyncs + sched.ReSyncsSent()
-	res.Epochs = sched.Epoch()
-	if maxEpochs > res.Epochs {
-		res.Epochs = maxEpochs
-	}
-	res.SchemeSwitches = sched.SchemeSwitches()
-	res.FinalScheme = sched.Gate().String()
-	res.FinalLoss = res.Loss.Last().V
-	if t, ok := res.Loss.TimeToConverge(cfg.Workload.TargetLoss, cfg.ConsecutiveBelow); ok {
-		res.ConvergeTime = t
-		res.Converged = true
-	}
-	if cfg.Replication.Enabled() {
-		rs := &ReplicationStats{
-			Replicas:          cfg.Replication.Replicas,
-			StandbySchedulers: cfg.Replication.StandbySchedulers,
-			LeaderNode:        string(node.Scheduler),
-		}
-		if leader != nil {
-			rs.SnapshotsShipped = leader.Shipped()
-		}
-		for i, sb := range standbys {
-			rs.Elections += sb.Elections()
-			rs.SnapshotsShipped += sb.Shipped()
-			if t := sb.Term(); t > rs.FinalTerm {
-				rs.FinalTerm = t
-			}
-			if sb.Role() == replica.RoleLeader {
-				rs.LeaderNode = string(node.StandbyID(i + 1))
-			}
-		}
-		// Replicated-push accounting over the union of every server that ever
-		// served or backed a shard: the promoted backup appears both in
-		// servers and in its replica slot, so dedup by pointer.
-		seen := make(map[*ps.Server]bool)
-		tally := func(srv *ps.Server) {
-			if srv == nil || seen[srv] {
-				return
-			}
-			seen[srv] = true
-			f, a, d := srv.ReplStats()
-			rs.Forwarded += f
-			rs.Applied += a
-			rs.Deduped += d
-		}
-		for _, srv := range servers {
-			tally(srv)
-		}
-		for _, reps := range shardReplicas {
-			for _, rep := range reps {
-				tally(rep)
-			}
-		}
-		if faultM != nil {
-			rs.Promotions = faultM.Stats().Promotions
-		}
-		res.Replication = rs
-	}
-	if cfg.KeepTrace {
-		res.Trace = collector
-	}
-	res.Obs = o.Summary()
-	res.Flight = o.FlightDump()
-	res.ParamsDigest = paramsDigest(assemble())
+	n.result(res)
 	return res, nil
-}
-
-// paramsDigest hashes a parameter vector bit-exactly (IEEE-754 bits, little
-// endian), so two runs share a digest iff their final models are
-// byte-identical.
-func paramsDigest(w tensor.Vec) string {
-	h := sha256.New()
-	var b [8]byte
-	for _, v := range w {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -86,11 +86,11 @@ type SchedulerConfig struct {
 	// OnRouting, if non-nil, is invoked with a copy of the table after each
 	// commit (the harness re-aims its probe assembly).
 	OnRouting func(*RoutingTable)
-	// ReportSpans says the workers send NotifyV2 work spans (the harness
-	// passes cluster.Config.ReportSpans, the rule the workers also read); the
-	// scheduler then feeds the straggler detector and the gate policies those
-	// spans instead of notify intervals, which synchronize under a barrier
-	// and cannot tell a straggler from the fleet it stalls.
+	// ReportSpans says the workers send NotifyV2 work spans (cluster.Build
+	// gives every node of a run the same rule); the scheduler then feeds the
+	// straggler detector and the gate policies those spans instead of notify
+	// intervals, which synchronize under a barrier and cannot tell a
+	// straggler from the fleet it stalls.
 	ReportSpans bool
 	// Mitigate, when non-nil, arms the periodic straggler-mitigation pass
 	// (see mitigate.go). Implies ReportSpans.

@@ -107,7 +107,7 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 						if wk.pushCodec != nil {
 							wk.encodePush()
 						}
-						clear(wk.pushAcked)
+						clear(wk.answered)
 						wk.fused = wk.fusable()
 						wk.sendPush()
 						for si := range replies {

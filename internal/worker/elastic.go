@@ -77,7 +77,7 @@ func (wk *Worker) installRouting(epoch int64, lo, hi, srv []int32, force bool) b
 		wk.ctx.Logf("worker: routing table covers %d params, model has %d; ignored", t.Dim(), wk.cfg.Model.Dim())
 		return false
 	}
-	oldShards, oldAcked, oldVersions := wk.shards, wk.pushAcked, wk.pullVersions
+	oldShards, oldAcked, oldVersions := wk.shards, wk.answered, wk.pullVersions
 	newShards, newSrv := shardsFromRoutes(t.Shards)
 
 	if wk.residual != nil {
@@ -103,7 +103,7 @@ func (wk *Worker) installRouting(epoch int64, lo, hi, srv []int32, force bool) b
 	if wk.havePulled != nil {
 		wk.havePulled = make([]bool, len(newShards))
 	}
-	wk.pushAcked = make([]bool, len(newShards))
+	wk.answered = make([]bool, len(newShards))
 	if wk.pushCodec != nil {
 		wk.pushEnc = make([]wire.Writer, len(newShards))
 		maxLen := 0
@@ -185,10 +185,10 @@ func (wk *Worker) resumePush(oldShards []ps.Range, oldAcked []bool) {
 	// re-sent range and an acknowledged one double-applies that slice
 	// (at-least-once, as with crash retries).
 	for i, r := range wk.shards {
-		wk.pushAcked[i] = coveredByAcked(r, oldShards, oldAcked)
+		wk.answered[i] = coveredByAcked(r, oldShards, oldAcked)
 	}
 	pending := 0
-	for _, acked := range wk.pushAcked {
+	for _, acked := range wk.answered {
 		if !acked {
 			pending++
 		}

@@ -88,19 +88,52 @@ func TestGateParkDropsFusedBlock(t *testing.T) {
 	}
 }
 
-// FuzzPushReply feeds a worker in the middle of a push round arbitrary
-// replies: any sender, a Seq from the previous, current or next round, any
-// Version, and any number of values. cfg picks one to three shards and ASP
-// (a fused round) or BSP (not fused); each four bytes of script are one
-// reply. The worker must not panic, must complete the round only once every
-// shard has answered the round's Seq (with a full-length block when fused),
-// and may only write the answering shard's range of its parameters — and
-// nothing at all once the round is over.
+// TestDuplicatePullRespCountsOnce: a duplicating network delivers shard 0's
+// reply to a pull round twice. The round counts shard 0 once, so a 2-shard
+// worker keeps pulling until shard 1 answers instead of computing on a stale
+// block of shard 1.
+func TestDuplicatePullRespCountsOnce(t *testing.T) {
+	mdl := testModel(t, 1)
+	ranges, err := ps.ShardRanges(mdl.Dim(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, err := New(Config{
+		Shards: ranges, Model: mdl, Scheme: scheme.Config{Base: scheme.ASP},
+		Compute: ComputeModel{Base: time.Second, Speed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk.Init(&manualCtx{rng: rand.New(rand.NewSource(1))})
+	wk.Receive(node.Scheduler, &msg.Start{})
+	for range 2 {
+		wk.Receive(node.ServerID(0), &msg.PullResp{Seq: 1, Version: 1, Values: make([]float64, ranges[0].Len())})
+	}
+	if wk.st != statePulling {
+		t.Fatalf("after shard 0 answered twice: state %d, want still pulling", wk.st)
+	}
+	wk.Receive(node.ServerID(1), &msg.PullResp{Seq: 1, Version: 1, Values: make([]float64, ranges[1].Len())})
+	if wk.st != stateComputing {
+		t.Fatalf("after both shards answered: state %d, want computing", wk.st)
+	}
+}
+
+// FuzzPushReply feeds a worker in the middle of a pull or push round
+// arbitrary replies: any sender, a Seq from the previous, current or next
+// round, any Version, and any number of values. cfg picks one to three
+// shards, ASP (a fused push round) or BSP (not fused), and a pull round or a
+// push round; each four bytes of script are one reply. The worker must not
+// panic, must complete the round only once every shard has answered the
+// round's Seq (with a full-length block on a pull or fused push round), and
+// may only write the answering shard's range of its parameters — and nothing
+// at all once the round is over.
 func FuzzPushReply(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 5, 8})
 	f.Add(uint8(1), []byte{0, 1, 5, 4, 1, 1, 6, 4})
 	f.Add(uint8(2), []byte{2, 1, 0, 2, 1, 1, 7, 3, 0, 1, 7, 3, 0, 2, 1, 3})
 	f.Add(uint8(5), []byte{0, 1, 5, 0, 1, 0, 5, 0, 1, 1, 9, 9, 3, 1, 1, 1})
+	f.Add(uint8(10), []byte{0, 1, 1, 4, 0, 1, 1, 4, 1, 1, 1, 4})
 	f.Fuzz(func(t *testing.T, cfg uint8, script []byte) {
 		mdl := testModel(t, 1)
 		n := 1 + int(cfg%3)
@@ -112,6 +145,7 @@ func FuzzPushReply(f *testing.F) {
 		if cfg&4 != 0 {
 			base = scheme.BSP
 		}
+		pull := cfg&8 != 0
 		wk, err := New(Config{
 			Shards: ranges, Model: mdl, Scheme: scheme.Config{Base: base},
 			Compute: ComputeModel{Base: time.Second, Speed: 1},
@@ -121,15 +155,24 @@ func FuzzPushReply(f *testing.F) {
 		}
 		ctx := &manualCtx{rng: rand.New(rand.NewSource(1))}
 		wk.Init(ctx)
-		wk.Receive(node.Scheduler, &msg.Start{})
-		for si, r := range ranges {
-			wk.Receive(node.ServerID(si), &msg.PullResp{Seq: 1, Version: 1, Values: make([]float64, r.Len())})
+		wk.Receive(node.Scheduler, &msg.Start{}) // the pull round (Seq 1) is in flight
+		if !pull {
+			for si, r := range ranges {
+				wk.Receive(node.ServerID(si), &msg.PullResp{Seq: 1, Version: 1, Values: make([]float64, r.Len())})
+			}
+			ctx.fire() // compute done: the push round (Seq 2) is in flight
+			if wk.st != statePushing || wk.fused != (base == scheme.ASP) {
+				t.Fatalf("state %d fused %v, want a push round in flight, fused under ASP", wk.st, wk.fused)
+			}
 		}
-		ctx.fire() // compute done: the push round (Seq 2) is in flight
-		if wk.st != statePushing || wk.fused != (base == scheme.ASP) {
-			t.Fatalf("state %d fused %v, want a push round in flight, fused under ASP", wk.st, wk.fused)
+		// done reports whether the round under test has completed.
+		done := func() bool {
+			if pull {
+				return wk.st != statePulling
+			}
+			return wk.IterationsDone() > 0
 		}
-		round := wk.seq
+		round, needBlock := wk.seq, pull || wk.fused
 		answered := make([]bool, n)
 		for k := 0; k+4 <= len(script); k += 4 {
 			b := script[k : k+4]
@@ -142,23 +185,23 @@ func FuzzPushReply(f *testing.F) {
 				resp.Values[i] = float64(100 + k)
 			}
 			si := node.ServerIndex(from)
-			if si >= 0 && si < n && resp.Seq == round && (!wk.fused || len(resp.Values) == ranges[si].Len()) {
+			if si >= 0 && si < n && resp.Seq == round && (!needBlock || len(resp.Values) == ranges[si].Len()) {
 				answered[si] = true
 			}
-			doneBefore, w := wk.IterationsDone(), slices.Clone(wk.w)
+			doneBefore, w := done(), slices.Clone(wk.w)
 			wk.Receive(from, resp)
 			if wk.IterationsDone() > 1 {
 				t.Fatalf("reply %d completed a second round", k/4)
 			}
-			if wk.IterationsDone() == 1 && doneBefore == 0 && slices.Contains(answered, false) {
+			if done() && !doneBefore && slices.Contains(answered, false) {
 				t.Fatalf("reply %d completed the round, but shards answered %v", k/4, answered)
 			}
 			for i := range w {
 				if w[i] == wk.w[i] {
 					continue
 				}
-				if doneBefore == 1 || si < 0 || si >= n || i < ranges[si].Lo || i >= ranges[si].Hi {
-					t.Fatalf("reply %d from %s wrote w[%d] (shards %v, round done %v)", k/4, from, i, ranges, doneBefore == 1)
+				if doneBefore || si < 0 || si >= n || i < ranges[si].Lo || i >= ranges[si].Hi {
+					t.Fatalf("reply %d from %s wrote w[%d] (shards %v, round done %v)", k/4, from, i, ranges, doneBefore)
 				}
 			}
 		}

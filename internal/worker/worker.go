@@ -261,11 +261,15 @@ type Worker struct {
 	routingEpoch int64
 
 	// seq numbers pull and push rounds alike, so a reply can never be taken
-	// for one from the other phase.
-	seq uint64
+	// for one from the other phase. answered marks the shards that replied to
+	// the round in flight and pending counts those that have not: each round
+	// clears them when it starts, and a second reply from one shard (a
+	// duplicating network) is dropped.
+	seq      uint64
+	answered []bool
+	pending  int
 
 	// Pull state.
-	pullsPending int
 	pullVersions []int64
 	w            tensor.Vec
 
@@ -279,10 +283,8 @@ type Worker struct {
 	// Push state. fused marks a round whose pushes ask every shard for its
 	// block: when it completes, w already holds the next iteration's
 	// parameters and the pull is skipped.
-	acksPending  int
 	stalenessSum int64
 	pushUpdate   model.Update
-	pushAcked    []bool
 	fused        bool
 
 	// Codec state. pushCodec == nil means legacy v1 pushes; deltaPull
@@ -474,7 +476,7 @@ func New(cfg Config) (*Worker, error) {
 		shard:        shard,
 		schedID:      node.Scheduler,
 		pullVersions: make([]int64, len(shards)),
-		pushAcked:    make([]bool, len(shards)),
+		answered:     make([]bool, len(shards)),
 		w:            tensor.NewVec(cfg.Model.Dim()),
 		pushCodec:    pushCodec,
 		deltaPull:    deltaPull,
@@ -683,7 +685,8 @@ func (wk *Worker) startPull() {
 	wk.st = statePulling
 	wk.cfg.Obs.PullStart(wk.ctx.Now(), wk.iter)
 	wk.seq++
-	wk.pullsPending = len(wk.shards)
+	clear(wk.answered)
+	wk.pending = len(wk.shards)
 	for i := range wk.shards {
 		if wk.deltaPull {
 			have := int64(-1)
@@ -703,7 +706,7 @@ func (wk *Worker) startPull() {
 			// Still waiting on this pull round: a shard crashed (or the
 			// responses were dropped). Re-pull everything — reads are
 			// idempotent and the Seq bump invalidates stragglers.
-			if wk.st == statePulling && wk.seq == seq && wk.pullsPending > 0 {
+			if wk.st == statePulling && wk.seq == seq && wk.pending > 0 {
 				wk.startPull()
 			}
 		})
@@ -723,7 +726,7 @@ func (wk *Worker) handlePullResp(from node.ID, resp *msg.PullResp) {
 		wk.ctx.Logf("worker: reply from unexpected node %s", from)
 		return
 	}
-	if pushing && wk.pushAcked[si] {
+	if wk.answered[si] {
 		return // duplicated reply
 	}
 	if r := wk.shards[si]; !pushing || wk.fused {
@@ -741,9 +744,7 @@ func (wk *Worker) handlePullResp(from node.ID, resp *msg.PullResp) {
 	if wk.fused {
 		wk.pullVersions[si] = resp.Version
 	}
-	wk.pushAcked[si] = true
-	wk.acksPending--
-	if wk.acksPending == 0 {
+	if wk.answer(si) {
 		wk.finishPush()
 	}
 }
@@ -759,6 +760,9 @@ func (wk *Worker) handlePullRespV2(from node.ID, resp *msg.PullRespV2) {
 	if si < 0 {
 		wk.ctx.Logf("worker: pull response from unexpected node %s", from)
 		return
+	}
+	if wk.answered[si] {
+		return // duplicated reply
 	}
 	r := wk.shards[si]
 	block := wk.w[r.Lo:r.Hi]
@@ -788,10 +792,17 @@ func (wk *Worker) handlePullRespV2(from node.ID, resp *msg.PullRespV2) {
 // every shard has answered.
 func (wk *Worker) finishShardPull(si int, version int64) {
 	wk.pullVersions[si] = version
-	wk.pullsPending--
-	if wk.pullsPending == 0 {
+	if wk.answer(si) {
 		wk.pullDone()
 	}
+}
+
+// answer marks shard si as having replied to the round in flight and reports
+// whether that completes the round.
+func (wk *Worker) answer(si int) bool {
+	wk.answered[si] = true
+	wk.pending--
+	return wk.pending == 0
 }
 
 // pullDone starts computing on a complete set of blocks.
@@ -870,7 +881,7 @@ func (wk *Worker) finishCompute() {
 	if wk.pushCodec != nil {
 		wk.encodePush()
 	}
-	clear(wk.pushAcked)
+	clear(wk.answered)
 	wk.stalenessSum = 0
 	wk.fused = wk.fusable()
 	wk.cfg.Obs.ComputeDone(wk.ctx.Now(), wk.iter)
@@ -936,12 +947,12 @@ func (wk *Worker) encodeResiduals() {
 func (wk *Worker) sendPush() {
 	wk.st = statePushing
 	wk.seq++
-	wk.acksPending = 0
+	wk.pending = 0
 	for si, r := range wk.shards {
-		if wk.pushAcked[si] {
+		if wk.answered[si] {
 			continue
 		}
-		wk.acksPending++
+		wk.pending++
 		if wk.pushCodec != nil {
 			wk.pushReqV2 = msg.PushReqV2{
 				Seq:         wk.seq,
@@ -975,7 +986,7 @@ func (wk *Worker) sendPush() {
 	if wk.pushBackoff != nil {
 		seq := wk.seq
 		wk.ctx.After(wk.pushBackoff.Next(), func() {
-			if wk.st == statePushing && wk.seq == seq && wk.acksPending > 0 {
+			if wk.st == statePushing && wk.seq == seq && wk.pending > 0 {
 				wk.sendPush()
 			}
 		})
