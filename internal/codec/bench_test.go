@@ -21,14 +21,14 @@ func benchVals() []float64 {
 
 func benchEncode(b *testing.B, c Codec, rng *rand.Rand) {
 	vals := benchVals()
-	recon := make([]float64, len(vals))
+	debit := make([]float64, len(vals))
 	w := wire.NewWriter(len(vals) * 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var encoded int64
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		c.Encode(w, vals, nil, recon, rng)
+		c.Encode(w, vals, nil, debit, rng)
 		encoded = int64(w.Len())
 	}
 	b.SetBytes(int64(len(vals) * 8))

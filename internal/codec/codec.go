@@ -24,11 +24,11 @@ package codec
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
 
+	"specsync/internal/sparse"
 	"specsync/internal/wire"
 )
 
@@ -68,21 +68,20 @@ type Codec interface {
 	ID() ID
 	// Name returns the codec's human-readable name (used as a metric label).
 	Name() string
-	// Lossless reports whether Decode(Encode(x)) reproduces x exactly.
-	Lossless() bool
 	// Encode appends the coded form of vals to w.
 	//
 	//   - base is the receiver's current copy of the block; only delta uses
 	//     it (nil for the others). Decode must then run against a dst
 	//     pre-filled with base.
-	//   - recon, when non-nil (length len(vals)), is filled with the exact
-	//     values Decode will reconstruct, so callers can maintain
-	//     error-feedback residuals without a decode round-trip. It is the
-	//     encoder's scratch until Encode returns, so it must not alias vals.
+	//   - debit, when non-nil (length len(vals)), has subtracted from each
+	//     entry exactly the value Decode will reconstruct there, so a worker
+	//     passing its error-feedback residual as both vals and debit keeps
+	//     what the encoding dropped. Entries a sparsifying codec drops are
+	//     not touched.
 	//   - rng feeds stochastic codecs (q8's stochastic rounding);
 	//     deterministic codecs ignore it, and a nil rng falls back to
 	//     deterministic rounding.
-	Encode(w *wire.Writer, vals, base, recon []float64, rng *rand.Rand)
+	Encode(w *wire.Writer, vals, base, debit []float64, rng *rand.Rand)
 	// Decode reads one block encoded by Encode into dst, whose length must
 	// equal the original block's. Lossy sparsifying codecs (topk) zero the
 	// entries they dropped; delta leaves unlisted entries at their base
@@ -109,6 +108,26 @@ func DecodePayload(id ID, payload []byte, dst []float64) error {
 	default:
 		return fmt.Errorf("codec: unknown codec id %d", uint8(id))
 	}
+	return payloadErr(id, r)
+}
+
+// DecodeTopK decodes a top-k payload for a block of n values into the entries
+// it carries, reusing dst's storage: the sparse form of what DecodePayload
+// writes densely, accepting exactly the same payloads.
+func DecodeTopK(payload []byte, n int, dst sparse.Vec) (sparse.Vec, error) {
+	r := wire.NewReader(payload)
+	count, idx := sparseBody(r, n, "topk")
+	dst.Idx, dst.Val = slices.Grow(dst.Idx[:0], count), slices.Grow(dst.Val[:0], count)
+	for i, pos := 0, 0; i < count; i++ {
+		pos += int(idx.Uvarint())
+		dst.Idx = append(dst.Idx, int32(pos))
+		dst.Val = append(dst.Val, r.Float64())
+	}
+	return dst, payloadErr(IDTopK, r)
+}
+
+// payloadErr reports a decode's sticky error or the bytes it left unread.
+func payloadErr(id ID, r *wire.Reader) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("codec: decoding %s payload: %w", id, err)
 	}
@@ -120,9 +139,9 @@ func DecodePayload(id ID, payload []byte, dst []float64) error {
 
 // EncodePayload encodes one block into a fresh byte slice using a pooled
 // scratch writer. See Codec.Encode for the parameter contract.
-func EncodePayload(c Codec, vals, base, recon []float64, rng *rand.Rand) []byte {
+func EncodePayload(c Codec, vals, base, debit []float64, rng *rand.Rand) []byte {
 	w := wire.GetWriter()
-	c.Encode(w, vals, base, recon, rng)
+	c.Encode(w, vals, base, debit, rng)
 	out := make([]byte, w.Len())
 	copy(out, w.Bytes())
 	wire.PutWriter(w)
@@ -130,56 +149,56 @@ func EncodePayload(c Codec, vals, base, recon []float64, rng *rand.Rand) []byte 
 }
 
 // blockLen reads and validates the leading element count every codec writes.
-func blockLen(r *wire.Reader, dst []float64) (int, bool) {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return 0, false
+func blockLen(r *wire.Reader, n int) bool {
+	if got := r.Uvarint(); r.Err() == nil && got != uint64(n) {
+		r.Fail(fmt.Errorf("codec: payload is for %d values, want %d", got, n))
 	}
-	if n != uint64(len(dst)) {
-		r.Fail(fmt.Errorf("codec: payload is for %d values, want %d", n, len(dst)))
-		return 0, false
-	}
-	return len(dst), true
+	return r.Err() == nil
 }
 
-// decodeSparse reads the body topk and delta share — a count, that many
-// delta-coded ascending indices, then that many values — and stores each
-// value at its index. The indices are validated in one pass before dst is
-// touched (zeroed first when zero is set), then replayed by a second cursor
-// beside the values, so nothing is materialised. name labels errors.
-func decodeSparse(r *wire.Reader, dst []float64, name string, zero bool) {
-	n, ok := blockLen(r, dst)
-	if !ok {
-		return
+// sparseBody validates the body topk and delta share — the block length n, a
+// count, that many delta-coded ascending indices, then that many values —
+// before anything is stored: every index lies in the block and above the one
+// before it (a zero delta after the first would list an index twice), and
+// the values are all there. It returns the count (0 when r has failed) and a
+// cursor at the first index, and leaves r at the first value. name labels
+// errors.
+func sparseBody(r *wire.Reader, n int, name string) (count int, idx wire.Reader) {
+	if !blockLen(r, n) {
+		return 0, idx
 	}
-	count := r.Uvarint()
-	if r.Err() != nil {
-		return
+	c := r.Uvarint()
+	if c > uint64(n) {
+		r.Fail(fmt.Errorf("codec: %s lists %d of %d values", name, c, n))
 	}
-	if count > uint64(n) {
-		r.Fail(fmt.Errorf("codec: %s lists %d of %d values", name, count, n))
-		return
-	}
-	idx := *r // the second cursor: a Reader is its buffer plus an offset
+	idx = *r // the second cursor: a Reader is its buffer plus an offset
 	pos := 0
-	for i := uint64(0); i < count; i++ {
-		d := r.Uvarint()
-		if r.Err() != nil {
-			return
-		}
+	for i := uint64(0); i < c && r.Err() == nil; i++ {
 		// Bounding the delta, not the sum, keeps a delta >= 2^63 from
 		// wrapping pos negative and slipping under the range check.
-		if d >= uint64(n-pos) {
-			r.Fail(fmt.Errorf("codec: %s index %d+%d out of range %d", name, pos, d, n))
-			return
+		d := r.Uvarint()
+		if r.Err() == nil && (d >= uint64(n-pos) || (d == 0 && i > 0)) {
+			r.Fail(fmt.Errorf("codec: %s index %d+%d out of range %d or repeated", name, pos, d, n))
 		}
 		pos += int(d)
 	}
-	if zero {
+	if r.Err() == nil && uint64(r.Remaining()) < 8*c {
+		r.Fail(fmt.Errorf("codec: %s lists %d values in %d bytes", name, c, r.Remaining()))
+	}
+	if r.Err() != nil {
+		return 0, idx
+	}
+	return int(c), idx
+}
+
+// decodeSparse stores a sparse body's values at their indices in dst, zeroed
+// first when zero is set.
+func decodeSparse(r *wire.Reader, dst []float64, name string, zero bool) {
+	count, idx := sparseBody(r, len(dst), name)
+	if zero && r.Err() == nil {
 		clear(dst)
 	}
-	pos = 0
-	for i := uint64(0); i < count && r.Err() == nil; i++ {
+	for i, pos := 0, 0; i < count; i++ {
 		pos += int(idx.Uvarint())
 		dst[pos] = r.Float64()
 	}
@@ -194,20 +213,24 @@ func (Raw) ID() ID { return IDRaw }
 // Name implements Codec.
 func (Raw) Name() string { return "raw" }
 
-// Lossless implements Codec.
-func (Raw) Lossless() bool { return true }
-
 // Encode implements Codec.
-func (Raw) Encode(w *wire.Writer, vals, _, recon []float64, _ *rand.Rand) {
+func (Raw) Encode(w *wire.Writer, vals, _, debit []float64, _ *rand.Rand) {
 	w.Float64s(vals)
-	if recon != nil {
-		copy(recon, vals)
+	debitAll(debit, vals)
+}
+
+// debitAll debits a lossless encoding: every entry, by its own value.
+func debitAll(debit, vals []float64) {
+	if debit != nil {
+		for i, v := range vals {
+			debit[i] -= v
+		}
 	}
 }
 
 // Decode implements Codec.
 func (Raw) Decode(r *wire.Reader, dst []float64) {
-	if _, ok := blockLen(r, dst); !ok {
+	if !blockLen(r, len(dst)) {
 		return
 	}
 	for i := range dst {
@@ -223,6 +246,9 @@ func (Raw) Decode(r *wire.Reader, dst []float64) {
 type TopK struct {
 	// Frac is the fraction of entries kept; zero means DefaultTopKFrac.
 	Frac float64
+	// scratch is the selection's working memory. Build gives each codec its
+	// own; a TopK without one borrows a pooled scratch per encode.
+	scratch *topkScratch
 }
 
 // ID implements Codec.
@@ -231,146 +257,152 @@ func (TopK) ID() ID { return IDTopK }
 // Name implements Codec.
 func (TopK) Name() string { return "topk" }
 
-// Lossless implements Codec.
-func (TopK) Lossless() bool { return false }
+// infKey is +Inf's magnitude key; NaN's keys, all above it, are clamped to it.
+const infKey = 0x7FF0_0000_0000_0000
 
-// magnitude is top-k's sort key.
-func magnitude(v float64) float64 {
-	if math.IsNaN(v) {
-		return math.Inf(1)
-	}
-	return math.Abs(v)
+// magKey is top-k's sort key: a float64's bits without the sign, which order
+// like magnitudes.
+func magKey(v float64) uint64 { return min(math.Float64bits(v)&^(1<<63), infKey) }
+
+// Top-k's selection first histograms the keys' top topBits (the exponent and
+// one mantissa bit), then narrows the boundary bucket refineBits at a time
+// until at most sortBelow keys are left to sort.
+const (
+	topBits    = 12
+	refineBits = 8
+	sortBelow  = 32
+)
+
+// topkScratch is one encode's working memory, kept so that a warm encode
+// allocates nothing.
+type topkScratch struct {
+	hist [1 << topBits]uint32
+	cand []int32  // candidate indices
+	sel  []uint64 // the boundary bucket's keys, narrowed by kth
 }
 
-// scratchPool lends TopK.Encode a selection buffer when the caller has none.
-var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
 
-// Encode implements Codec. The selection runs in place on recon, which is
-// overwritten anyway; only a caller without one borrows a pooled buffer.
-func (c TopK) Encode(w *wire.Writer, vals, _, recon []float64, _ *rand.Rand) {
+// Encode implements Codec. The k-th largest key t lies in the bucket where a
+// histogram of the keys' top digit, summed from the top, first reaches k.
+// The indices reaching that bucket are the candidates, collected in
+// ascending order; t is selected among the bucket's own keys, and the kept
+// entries are then emitted from the candidates alone.
+func (c TopK) Encode(w *wire.Writer, vals, _, debit []float64, _ *rand.Rand) {
 	frac := c.Frac
 	if frac == 0 {
 		frac = DefaultTopKFrac
 	}
 	n := len(vals)
-	k := int(math.Ceil(frac * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
+	k := min(max(int(math.Ceil(frac*float64(n))), 1), n)
 	w.Uvarint(uint64(n))
 	w.Uvarint(uint64(k))
 	if n == 0 {
 		return
 	}
-
-	mags := recon
-	if mags == nil {
-		pooled := scratchPool.Get().(*[]float64)
-		defer scratchPool.Put(pooled)
-		*pooled = slices.Grow((*pooled)[:0], n)
-		mags = (*pooled)[:n]
-	}
-	for i, v := range vals {
-		mags[i] = magnitude(v)
-	}
-	// t is the k-th largest magnitude; the k-1 above it sit in mags[n-k+1:].
-	t := selectRank(mags, n-k, 2*bits.Len(uint(n)))
-	ties := k
-	for _, m := range mags[n-k+1:] {
-		if m > t {
-			ties--
-		}
+	s := c.scratch
+	if s == nil {
+		s = topkPool.Get().(*topkScratch)
+		defer topkPool.Put(s)
 	}
 
-	// One ascending pass keeps "above t, or one of the first ties equal to
-	// t" and writes the index deltas; the values (and recon) then follow by
-	// replaying those deltas from w itself, k steps instead of n.
-	start, prev := w.Len(), 0
+	const shift = 63 - topBits
+	hist := &s.hist
+	clear(hist[:])
+	for _, v := range vals {
+		hist[magKey(v)>>shift]++
+	}
+	b, above := boundary(hist[:], k)
+	// The loops below keep an entry by advancing a cursor past it, not by
+	// branching on it: the branch would be as random as the data.
+	s.cand = slices.Grow(s.cand[:0], n)[:n]
+	cand, count := s.cand, 0
 	for i, v := range vals {
-		m := magnitude(v)
-		if m < t {
-			continue
+		cand[count] = int32(i)
+		if magKey(v) >= b<<shift {
+			count++
 		}
-		if m == t {
-			if ties == 0 {
-				continue
-			}
+	}
+	cand = cand[:count]
+	s.sel = slices.Grow(s.sel[:0], count)[:count]
+	sel, m := s.sel, 0
+	for _, i := range cand {
+		key := magKey(vals[i])
+		sel[m] = key
+		if key>>shift == b {
+			m++
+		}
+	}
+	t, ties := s.kth(sel[:m], k-above, shift)
+
+	// Keep, in ascending index order, every key above t and the first ties
+	// equal to it: the indices' deltas, then their values.
+	kept := 0
+	for _, i := range cand {
+		key := magKey(vals[i])
+		cand[kept] = i
+		keep := key > t
+		if key == t {
+			keep = ties > 0
 			ties--
 		}
-		w.Uvarint(uint64(i - prev)) // delta-coded ascending indices
-		prev = i
+		if keep {
+			kept++
+		}
 	}
-	clear(recon)
-	idx := wire.NewReader(w.Bytes()[start:]) // stays valid if w reallocates
-	for i, pos := 0, 0; i < k; i++ {
-		pos += int(idx.Uvarint())
-		w.Float64(vals[pos])
-		if recon != nil {
-			recon[pos] = vals[pos]
+	prev := 0
+	for _, i := range cand[:kept] {
+		w.Uvarint(uint64(int(i) - prev))
+		prev = int(i)
+	}
+	for _, i := range cand[:kept] {
+		v := vals[i]
+		w.Float64(v)
+		if debit != nil {
+			debit[i] -= v
 		}
 	}
 }
 
-// selectRank reorders a so that a[rank] is the element an ascending sort
-// would put there, with nothing larger before it and nothing smaller after,
-// and returns it. a must hold no NaN. Hoare's FIND: equal keys are swapped,
-// not skipped, so heavily tied input still halves. A range shorter than the
-// pivot sample is sorted outright, and so is whatever is left after budget
-// partitions (introselect), which bounds the worst case at O(n log n).
-func selectRank(a []float64, rank, budget int) float64 {
-	lo, hi := 0, len(a)-1
-	for ; lo < hi; budget-- {
-		if budget <= 0 || hi-lo < pivotSample {
-			slices.Sort(a[lo : hi+1])
-			break
+// boundary returns the highest bucket b whose count, summed with every
+// bucket above it, reaches r, and that sum without b's own count.
+func boundary(hist []uint32, r int) (b uint64, above int) {
+	for i := len(hist) - 1; ; i-- {
+		h := int(hist[i])
+		if above+h >= r {
+			return uint64(i), above
 		}
-		p := pivotNear(a[lo:hi+1], rank-lo)
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// a[lo:j+1] <= p <= a[i:hi+1], and anything between j and i equals p.
-		switch {
-		case rank <= j:
-			hi = j
-		case rank >= i:
-			lo = i
-		default:
-			return a[rank]
-		}
+		above += h
 	}
-	return a[rank]
 }
 
-// pivotSample is how many evenly spaced elements pivotNear sorts.
-const pivotSample = 33
-
-// pivotNear returns an element of a (at least pivotSample long) expected to
-// sort close to position rank: the matching quantile of a sorted sample. That
-// shrinks the range about pivotSample-fold per partition and, with top-k's
-// rank near one end, makes the partition's comparisons predictable. Never the
-// sample's extremes: on sorted input they are the range's, which would then
-// shrink by one.
-func pivotNear(a []float64, rank int) float64 {
-	var sample [pivotSample]float64
-	for i := range sample {
-		sample[i] = a[i*(len(a)-1)/(pivotSample-1)]
+// kth returns the r-th largest of keys, which agree on every bit from shift
+// up, and how many of the r largest equal it. Each pass histograms the next
+// digit and keeps only the boundary bucket's keys, until few enough remain,
+// or all agree, to sort.
+func (s *topkScratch) kth(keys []uint64, r, shift int) (t uint64, ties int) {
+	for len(keys) > sortBelow && shift > 0 {
+		next := max(shift-refineBits, 0)
+		mask := uint64(1)<<(shift-next) - 1
+		hist := s.hist[:mask+1]
+		clear(hist)
+		for _, key := range keys {
+			hist[key>>next&mask]++
+		}
+		b, above := boundary(hist, r)
+		r -= above
+		kept := keys[:0]
+		for _, key := range keys {
+			if key>>next&mask == b {
+				kept = append(kept, key)
+			}
+		}
+		keys, shift = kept, next
 	}
-	slices.Sort(sample[:])
-	return sample[min(max(rank*pivotSample/len(a), 1), pivotSample-2)]
+	slices.Sort(keys)
+	t = keys[len(keys)-r]
+	gt, _ := slices.BinarySearch(keys, t+1) // keys[gt:] exceed t
+	return t, r - (len(keys) - gt)
 }
 
 // Decode implements Codec. Dropped entries are zeroed.
@@ -394,11 +426,8 @@ func (Q8) ID() ID { return IDQ8 }
 // Name implements Codec.
 func (Q8) Name() string { return "q8" }
 
-// Lossless implements Codec.
-func (Q8) Lossless() bool { return false }
-
 // Encode implements Codec.
-func (c Q8) Encode(w *wire.Writer, vals, _, recon []float64, rng *rand.Rand) {
+func (c Q8) Encode(w *wire.Writer, vals, _, debit []float64, rng *rand.Rand) {
 	block := c.Block
 	if block <= 0 {
 		block = DefaultQ8Block
@@ -407,10 +436,7 @@ func (c Q8) Encode(w *wire.Writer, vals, _, recon []float64, rng *rand.Rand) {
 	w.Uvarint(uint64(n))
 	w.Uvarint(uint64(block))
 	for lo := 0; lo < n; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+block, n)
 		scale := 0.0
 		for _, v := range vals[lo:hi] {
 			if a := math.Abs(v); a > scale {
@@ -431,15 +457,11 @@ func (c Q8) Encode(w *wire.Writer, vals, _, recon []float64, rng *rand.Rand) {
 				} else {
 					q = int(math.Round(f))
 				}
-				if q > 127 {
-					q = 127
-				} else if q < -127 {
-					q = -127
-				}
+				q = min(max(q, -127), 127)
 			}
 			w.Uint8(uint8(int8(q)))
-			if recon != nil {
-				recon[lo+i] = float64(q) * scale / 127
+			if debit != nil {
+				debit[lo+i] -= float64(q) * scale / 127
 			}
 		}
 	}
@@ -447,8 +469,8 @@ func (c Q8) Encode(w *wire.Writer, vals, _, recon []float64, rng *rand.Rand) {
 
 // Decode implements Codec.
 func (Q8) Decode(r *wire.Reader, dst []float64) {
-	n, ok := blockLen(r, dst)
-	if !ok {
+	n := len(dst)
+	if !blockLen(r, n) {
 		return
 	}
 	block := int(r.Uvarint())
@@ -460,10 +482,7 @@ func (Q8) Decode(r *wire.Reader, dst []float64) {
 		return
 	}
 	for lo := 0; lo < n; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+block, n)
 		scale := r.Float64()
 		for i := lo; i < hi; i++ {
 			q := int8(r.Uint8())
@@ -487,11 +506,8 @@ func (Delta) ID() ID { return IDDelta }
 // Name implements Codec.
 func (Delta) Name() string { return "delta" }
 
-// Lossless implements Codec.
-func (Delta) Lossless() bool { return true }
-
 // Encode implements Codec.
-func (Delta) Encode(w *wire.Writer, vals, base, recon []float64, _ *rand.Rand) {
+func (Delta) Encode(w *wire.Writer, vals, base, debit []float64, _ *rand.Rand) {
 	n := len(vals)
 	changed := 0
 	for i, v := range vals {
@@ -515,9 +531,7 @@ func (Delta) Encode(w *wire.Writer, vals, base, recon []float64, _ *rand.Rand) {
 		}
 		w.Float64(v)
 	}
-	if recon != nil {
-		copy(recon, vals)
-	}
+	debitAll(debit, vals)
 }
 
 // Decode implements Codec.

@@ -18,8 +18,13 @@ import (
 
 func roundTrip(t *testing.T, c Codec, vals, base []float64, rng *rand.Rand) (dst, recon []float64, payload []byte) {
 	t.Helper()
+	// Debited from zero, each entry ends up as minus its reconstruction.
+	debit := make([]float64, len(vals))
+	payload = EncodePayload(c, vals, base, debit, rng)
 	recon = make([]float64, len(vals))
-	payload = EncodePayload(c, vals, base, recon, rng)
+	for i, d := range debit {
+		recon[i] = -d
+	}
 	dst = make([]float64, len(vals))
 	if base != nil {
 		copy(dst, base)

@@ -72,24 +72,17 @@ func (c Config) PullName() string {
 }
 
 // Build validates c and returns the push-side codec (nil when pushes use the
-// legacy raw layout) and whether pulls are delta-encoded.
+// legacy raw layout) and whether pulls are delta-encoded. A top-k codec owns
+// its selection scratch, so it must not encode on two goroutines at once.
 func Build(c Config) (push Codec, deltaPull bool, err error) {
 	if err := c.Validate(); err != nil {
 		return nil, false, err
 	}
 	switch c.Name {
 	case "topk":
-		frac := c.TopKFrac
-		if frac == 0 {
-			frac = DefaultTopKFrac
-		}
-		return TopK{Frac: frac}, false, nil
+		return TopK{Frac: c.TopKFrac, scratch: new(topkScratch)}, false, nil
 	case "q8":
-		block := c.Q8Block
-		if block == 0 {
-			block = DefaultQ8Block
-		}
-		return Q8{Block: block}, false, nil
+		return Q8{Block: c.Q8Block}, false, nil
 	case "delta":
 		return nil, true, nil
 	default:

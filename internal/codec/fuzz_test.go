@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"specsync/internal/sparse"
 )
 
 // wrapIndexPayload is a 4-value sparse block whose single index delta is
@@ -30,13 +32,41 @@ func TestDecodeRejectsWrappingIndexDelta(t *testing.T) {
 	}
 }
 
+// repeatedIndexPayload is a 4-value sparse block listing index 2 twice (a
+// zero index delta after the first): the dense decode would keep the second
+// value and a sparse apply would add both.
+func repeatedIndexPayload() []byte {
+	p := binary.AppendUvarint(nil, 4)
+	p = append(p, 2, 2, 0)
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1.5))
+	return binary.LittleEndian.AppendUint64(p, math.Float64bits(2.5))
+}
+
+func TestDecodeRejectsRepeatedIndex(t *testing.T) {
+	for _, id := range []ID{IDTopK, IDDelta} {
+		dst := []float64{1, 2, 3, 4}
+		if err := DecodePayload(id, repeatedIndexPayload(), dst); err == nil {
+			t.Errorf("%s: a repeated index was accepted", id)
+		}
+		if dst[2] != 3 {
+			t.Errorf("%s: rejected payload still wrote dst: %v", id, dst)
+		}
+	}
+	if _, err := DecodeTopK(repeatedIndexPayload(), 4, sparse.Vec{}); err == nil {
+		t.Error("DecodeTopK accepted a repeated index")
+	}
+}
+
 // FuzzDecodePayload throws arbitrary bytes at every codec ID (and a few
 // unknown ones) with dst lengths 0..64. Payloads arrive from the network, so
 // the only acceptable outcomes are an error or a clean decode that consumed
-// the payload exactly (DecodePayload's own contract) — never a panic.
+// the payload exactly (DecodePayload's own contract) — never a panic. A top-k
+// payload decodes to the same entries sparse (DecodeTopK) as dense, and is
+// accepted by both or by neither.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add(wrapIndexPayload(), uint8(IDTopK), uint8(4))
 	f.Add(wrapIndexPayload(), uint8(IDDelta), uint8(4))
+	f.Add(repeatedIndexPayload(), uint8(IDTopK), uint8(4))
 	vals := []float64{3, -1, 0, 2, math.Inf(-1)}
 	for _, c := range []Codec{Raw{}, TopK{Frac: 0.4}, Q8{Block: 2}, Delta{}} {
 		f.Add(EncodePayload(c, vals, nil, nil, nil), uint8(c.ID()), uint8(len(vals)))
@@ -45,6 +75,23 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, id, n uint8) {
 		dst := make([]float64, int(n)%65)
 		first := DecodePayload(ID(id%5), payload, dst)
+		if ID(id%5) == IDTopK {
+			g, err := DecodeTopK(payload, len(dst), sparse.Vec{})
+			if (err == nil) != (first == nil) {
+				t.Fatalf("dense decode error %v, sparse decode error %v", first, err)
+			}
+			if err == nil {
+				expanded := make([]float64, len(dst))
+				for j, ix := range g.Idx {
+					expanded[ix] = g.Val[j]
+				}
+				for i := range dst {
+					if math.Float64bits(dst[i]) != math.Float64bits(expanded[i]) {
+						t.Fatalf("entry %d: dense decode %g, sparse decode %g", i, dst[i], expanded[i])
+					}
+				}
+			}
+		}
 		if first != nil {
 			return
 		}
@@ -69,7 +116,7 @@ func FuzzDecodePayload(f *testing.F) {
 //	             are zero; at least 1 and at most ceil(frac·n) survive
 //	q8         — per-entry error bounded by one quantum (block scale / 127)
 //
-// All codecs must agree with the recon buffer their encoder filled, since the
+// Every codec must debit exactly what its decoder reconstructs, since the
 // error-feedback residual depends on it matching what the server applies.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(int64(1), 8, 0.25, 4)
@@ -101,8 +148,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 		check := func(c Codec, useBase []float64, encRNG *rand.Rand, verify func(dst []float64)) {
 			t.Helper()
-			recon := make([]float64, n)
-			payload := EncodePayload(c, vals, useBase, recon, encRNG)
+			debit := make([]float64, n)
+			payload := EncodePayload(c, vals, useBase, debit, encRNG)
 			dst := make([]float64, n)
 			if useBase != nil {
 				copy(dst, useBase)
@@ -111,8 +158,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("%s: decode: %v", c.Name(), err)
 			}
 			for i := range dst {
-				if dst[i] != recon[i] {
-					t.Fatalf("%s: recon[%d] = %g but decode produced %g", c.Name(), i, recon[i], dst[i])
+				if dst[i] != -debit[i] {
+					t.Fatalf("%s: debited %g at %d but decode produced %g", c.Name(), -debit[i], i, dst[i])
 				}
 			}
 			verify(dst)

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"specsync/internal/sparse"
 	"specsync/internal/wire"
 )
 
@@ -100,15 +102,48 @@ func oracleBlock(rng *rand.Rand, shape, n int) []float64 {
 				vals[i] = math.Inf(rng.Intn(2)*2 - 1)
 			}
 		}
-	case 6: // sorted ascending by magnitude: the pivot rule's bad case
+	case 6: // sorted ascending by magnitude
 		for i := range vals {
 			vals[i] = float64(i) * 1e-3
+		}
+	case 7: // every key in one top-digit bucket, most sharing all but 6 bits
+		for i := range vals {
+			vals[i] = 1 + float64(rng.Intn(64))*0x1p-52
+			if rng.Intn(4) == 0 {
+				vals[i] = 1 + rng.Float64()*0x1p-2
+			}
+		}
+	case 8: // denormals and zeros, random signs
+		for i := range vals {
+			vals[i] = math.Float64frombits(rng.Uint64()&(1<<52-1) | rng.Uint64()&(1<<63))
+			if rng.Intn(8) == 0 {
+				vals[i] = 0
+			}
+		}
+	case 9: // magnitudes spanning the whole exponent range, ±Inf included
+		for i := range vals {
+			vals[i] = math.Float64frombits(rng.Uint64()&^(0x7FF<<52) | uint64(rng.Intn(0x7FF))<<52)
+			if rng.Intn(64) == 0 {
+				vals[i] = math.Inf(rng.Intn(2)*2 - 1)
+			}
+		}
+	case 10: // heavy tail: Cauchy
+		for i := range vals {
+			vals[i] = rng.NormFloat64() / rng.NormFloat64()
+		}
+	case 11: // the default k lands on a bucket edge: exactly k keys in [4, 6)
+		k := int(math.Ceil(DefaultTopKFrac * float64(n)))
+		for i, j := range rng.Perm(n) {
+			vals[j] = 1 + rng.Float64()*0.5
+			if i < k {
+				vals[j] = -(4 + rng.Float64()*2)
+			}
 		}
 	}
 	return vals
 }
 
-const oracleShapes = 7
+const oracleShapes = 12
 
 func TestTopKMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -130,17 +165,25 @@ func TestTopKMatchesSortOracle(t *testing.T) {
 					want := wire.NewWriter(64)
 					oracleTopKEncode(c, want, vals, wantRecon)
 
-					gotRecon := make([]float64, n)
-					for i := range gotRecon {
-						gotRecon[i] = math.NaN() // Encode must overwrite every entry
+					// The debit is the worker's: its own residual, reduced by
+					// what the decoder reconstructs.
+					gotDebit := slices.Clone(vals)
+					wantDebit := slices.Clone(vals)
+					for i := range wantDebit {
+						wantDebit[i] -= wantRecon[i]
 					}
-					withRecon := EncodePayload(c, vals, nil, gotRecon, nil)
+					withDebit := EncodePayload(c, slices.Clone(vals), nil, gotDebit, nil)
 					without := EncodePayload(c, vals, nil, nil, nil)
-					if !bytes.Equal(withRecon, want.Bytes()) || !bytes.Equal(without, want.Bytes()) {
+					if !bytes.Equal(withDebit, want.Bytes()) || !bytes.Equal(without, want.Bytes()) {
 						t.Fatalf("shape %d n %d frac %g: payload differs from the sort oracle", shape, n, frac)
 					}
-					if !reflect.DeepEqual(bitsOf(gotRecon), bitsOf(wantRecon)) {
-						t.Fatalf("shape %d n %d frac %g: recon differs from the sort oracle", shape, n, frac)
+					if !reflect.DeepEqual(bitsOf(gotDebit), bitsOf(wantDebit)) {
+						t.Fatalf("shape %d n %d frac %g: debit differs from the sort oracle's", shape, n, frac)
+					}
+					inPlace := slices.Clone(vals)
+					EncodePayload(c, inPlace, nil, inPlace, nil)
+					if !reflect.DeepEqual(bitsOf(inPlace), bitsOf(wantDebit)) {
+						t.Fatalf("shape %d n %d frac %g: debiting vals in place differs", shape, n, frac)
 					}
 				}
 			}
@@ -174,42 +217,52 @@ func TestTopKNaNRanksAsInf(t *testing.T) {
 		{[]float64{nan, nan, nan}, 0.5, []float64{nan, nan, 0}},
 	}
 	for ci, c := range cases {
-		recon := make([]float64, len(c.vals))
-		payload := EncodePayload(TopK{Frac: c.frac}, c.vals, nil, recon, nil)
+		payload := EncodePayload(TopK{Frac: c.frac}, c.vals, nil, nil, nil)
 		dst := make([]float64, len(c.vals))
 		if err := DecodePayload(IDTopK, payload, dst); err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
 		for i, w := range c.want {
-			for _, got := range []float64{recon[i], dst[i]} {
-				if math.IsNaN(w) != math.IsNaN(got) || (!math.IsNaN(w) && got != w) {
-					t.Fatalf("case %d: entry %d = %v, want %v (recon %v, decoded %v)", ci, i, got, w, recon, dst)
-				}
+			if got := dst[i]; math.IsNaN(w) != math.IsNaN(got) || (!math.IsNaN(w) && got != w) {
+				t.Fatalf("case %d: entry %d = %v, want %v (decoded %v)", ci, i, got, w, dst)
 			}
 		}
 	}
 }
 
-// TestSelectRankPlacesRank also drives the budget cut-off: with a budget of
-// 0..2 partitions the sort fallback has to finish the job.
-func TestSelectRankPlacesRank(t *testing.T) {
+// TestKthRanksLikeSort drives the selector below the encoder with key sets
+// the oracle shapes reach rarely: a few distinct keys repeated many times,
+// keys agreeing on all but their lowest bits, and sets just above and below
+// the sort cut-off, at every rank.
+func TestKthRanksLikeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for n := 1; n <= 300; n++ {
-		budget := []int{0, 1, 2, 64}[n%4]
-		a := make([]float64, n)
-		for i := range a {
-			a[i] = float64(rng.Intn(n/3 + 1))
+	s := new(topkScratch)
+	for rep := 0; rep < 400; rep++ {
+		n := 1 + rng.Intn(3*sortBelow)
+		if rep%4 == 0 {
+			n = 1 + rng.Intn(5000)
 		}
-		sorted := append([]float64(nil), a...)
-		sort.Float64s(sorted)
-		rank := rng.Intn(n)
-		if got := selectRank(a, rank, budget); got != sorted[rank] || a[rank] != got {
-			t.Fatalf("n %d rank %d: got %g, want %g", n, rank, got, sorted[rank])
-		}
-		for i, v := range a {
-			if (i < rank && v > a[rank]) || (i > rank && v < a[rank]) {
-				t.Fatalf("n %d rank %d: a[%d] = %g on the wrong side of %g", n, rank, i, v, a[rank])
+		prefix := rng.Uint64() & (infKey - 1) &^ (1<<(63-topBits) - 1)
+		low := []uint64{3, 1 << 20, 1 << (63 - topBits)}[rep%3]
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = prefix + uint64(rng.Int63n(int64(low)))
+			if rep%5 == 0 {
+				keys[i] = prefix + uint64(rng.Intn(4))
 			}
+		}
+		sorted := slices.Clone(keys)
+		slices.Sort(sorted)
+		r := 1 + rng.Intn(n)
+		want := sorted[n-r]
+		wantTies := 0
+		for _, key := range sorted[n-r:] {
+			if key == want {
+				wantTies++
+			}
+		}
+		if got, ties := s.kth(slices.Clone(keys), r, 63-topBits); got != want || ties != wantTies {
+			t.Fatalf("rep %d n %d r %d: got key %#x with %d ties, want %#x with %d", rep, n, r, got, ties, want, wantTies)
 		}
 	}
 }
@@ -224,10 +277,15 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 			base[i] = vals[i]
 		}
 	}
-	recon := make([]float64, len(vals))
+	debit := make([]float64, len(vals))
 	dst := make([]float64, len(vals))
 	w := wire.NewWriter(8 * len(vals))
-	topk := TopK{Frac: 0.1}
+	// A worker's codec comes from Build, which gives it its own selection
+	// scratch: nothing here depends on a pool keeping what it is given.
+	topk, _, err := Build(Config{Name: "topk", TopKFrac: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	topkPayload := EncodePayload(topk, vals, nil, nil, nil)
 	deltaPayload := EncodePayload(Delta{}, vals, base, nil, nil)
 	// Decoding goes through DecodePayload, as every receiver's does: it calls
@@ -239,9 +297,19 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
+	// A shard decodes a top-k push into entries it holds, grown once.
+	var entries sparse.Vec
+	decodeSparse := func() {
+		var err error
+		if entries, err = DecodeTopK(topkPayload, len(vals), entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decodeSparse()
 	for name, f := range map[string]func(){
-		"TopK.Encode":  func() { w.Reset(); topk.Encode(w, vals, nil, recon, nil) },
+		"TopK.Encode":  func() { w.Reset(); topk.Encode(w, vals, nil, debit, nil) },
 		"TopK.Decode":  decode(IDTopK, topkPayload),
+		"DecodeTopK":   decodeSparse,
 		"Delta.Decode": decode(IDDelta, deltaPayload),
 	} {
 		if allocs := testing.AllocsPerRun(50, f); allocs != 0 {

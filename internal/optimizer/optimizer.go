@@ -12,6 +12,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"specsync/internal/sparse"
@@ -95,8 +96,8 @@ type SGD struct {
 	clip     float64 // max gradient L2 norm, 0 = off
 	velocity tensor.Vec
 	step     int64
-	// clipped holds the scaled copy of a gradient over the clip norm, so the
-	// caller's buffer is never mutated and no push allocates.
+	// clipped holds a gradient's clipped copy or a sparse gradient's dense
+	// expansion, so no push mutates the caller's buffer or allocates.
 	clipped tensor.Vec
 }
 
@@ -165,25 +166,28 @@ func (o *SGD) scratch(vals []float64) tensor.Vec {
 	return o.clipped
 }
 
-// ApplySparse performs the sparse analogue of ApplyDense. With momentum, the
-// velocity decay is applied lazily only on touched coordinates would be the
-// fully correct treatment; for simplicity and because the MF workload runs
-// without momentum, sparse updates fold into the velocity densely when
-// momentum is enabled.
+// ApplySparse performs the sparse analogue of ApplyDense, and leaves w (and
+// the velocity) bit-identical to ApplyDense of g's dense expansion for a
+// non-negative learning rate: it clips by ApplyDense's test and factor, and
+// with momentum, which decays every coordinate anyway, it applies the
+// expansion itself. Indices must be strictly increasing (sparse.Vec.Validate).
 func (o *SGD) ApplySparse(w tensor.Vec, g sparse.Vec) {
+	if o.velocity != nil {
+		o.clipped = slices.Grow(o.clipped[:0], len(w))[:len(w)]
+		clear(o.clipped)
+		for j, ix := range g.Idx {
+			o.clipped[ix] = g.Val[j]
+		}
+		o.ApplyDense(w, o.clipped)
+		return
+	}
 	lr := o.sched.LR(o.step)
 	o.step++
 	if o.clip > 0 {
-		if n2 := g.Norm2Sq(); n2 > o.clip*o.clip {
+		if n := math.Sqrt(g.Norm2Sq()); n > o.clip {
 			g.Val = o.scratch(g.Val) // the indices are only read
-			g.Scale(o.clip / math.Sqrt(n2))
+			g.Scale(o.clip / n)
 		}
-	}
-	if o.velocity != nil {
-		tensor.Scale(o.velocity, o.momentum)
-		g.AddTo(o.velocity, 1)
-		tensor.Axpy(w, -lr, o.velocity)
-		return
 	}
 	g.AddTo(w, -lr)
 }

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,78 @@ func TestSGDSparseClip(t *testing.T) {
 	}
 	if n := tensor.Norm2(w); math.Abs(n-1) > 1e-12 {
 		t.Errorf("norm = %v", n)
+	}
+}
+
+// straddle searches for a sparse gradient whose norm, taken as the clip,
+// fails ApplyDense's clip test (√Σv² > clip) but passes a squared-norm test
+// (Σv² > clip²): the rounded square of the rounded root falls below Σv².
+func straddle(t *testing.T) sparse.Vec {
+	rng := rand.New(rand.NewSource(1))
+	for try := 0; try < 1000; try++ {
+		g := sparse.Vec{Idx: []int32{1, 4, 5, 9}, Val: make([]float64, 4)}
+		for i := range g.Val {
+			g.Val[i] = rng.NormFloat64()
+		}
+		if n2 := g.Norm2Sq(); n2 > math.Sqrt(n2)*math.Sqrt(n2) {
+			return g
+		}
+	}
+	t.Fatal("no straddling gradient found")
+	return sparse.Vec{}
+}
+
+// TestSparseMatchesDenseExpansion: a sparse gradient and its dense expansion
+// leave bit-identical parameters and velocity, signed zeros included, with
+// the norm below the clip, at it (the straddling case), one ulp above it and
+// far above it, with and without momentum.
+func TestSparseMatchesDenseExpansion(t *testing.T) {
+	g := straddle(t)
+	norm := math.Sqrt(g.Norm2Sq())
+	negZero := math.Copysign(0, -1)
+	g.Idx, g.Val = append(g.Idx, 11), append(g.Val, negZero)
+	const dim = 12
+	dense := tensor.NewVec(dim)
+	for j, ix := range g.Idx {
+		dense[ix] = g.Val[j]
+	}
+	bits := func(v tensor.Vec) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, clip := range []float64{2 * norm, norm, math.Nextafter(norm, 0), norm / 2} {
+		for _, momentum := range []float64{0, 0.9} {
+			mk := func() (*SGD, tensor.Vec) {
+				o, err := NewSGD(SGDConfig{Schedule: Const(0.1), Momentum: momentum, Clip: clip}, dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := tensor.NewVec(dim)
+				for i := range w {
+					w[i] = float64(i%3) - 1
+					if i%4 == 0 {
+						w[i] = negZero
+					}
+				}
+				for i := range o.velocity {
+					o.velocity[i] = negZero
+				}
+				return o, w
+			}
+			od, wd := mk()
+			os, ws := mk()
+			for step := 0; step < 3; step++ {
+				od.ApplyDense(wd, dense)
+				os.ApplySparse(ws, g)
+				if !reflect.DeepEqual(bits(wd), bits(ws)) || !reflect.DeepEqual(bits(od.velocity), bits(os.velocity)) {
+					t.Fatalf("clip %v (norm %v) momentum %v step %d: dense w %v v %v, sparse w %v v %v",
+						clip, norm, momentum, step, wd, od.velocity, ws, os.velocity)
+				}
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/sparse"
-	"specsync/internal/tensor"
 )
 
 // Shard replication (primary-backup). The primary forwards every applied
@@ -156,14 +155,10 @@ func (s *Server) applyRepl(req *msg.ReplApply) {
 		}
 		s.cfg.Optimizer.ApplyDense(s.params, req.Dense)
 	case msg.ReplBodyCodec:
-		if s.scratch == nil {
-			s.scratch = tensor.NewVec(s.cfg.Range.Len())
-		}
-		if err := codec.DecodePayload(codec.ID(req.Codec), req.Payload, s.scratch); err != nil {
+		if err := s.applyCodec(codec.ID(req.Codec), req.Payload); err != nil {
 			s.ctx.Logf("server: repl-apply v%d: %v; dropped", req.Version, err)
 			return
 		}
-		s.cfg.Optimizer.ApplyDense(s.params, s.scratch)
 	}
 	s.version.Store(req.Version)
 	s.pushes.Add(1)

@@ -17,6 +17,7 @@ import (
 	"specsync/internal/node"
 	"specsync/internal/obs"
 	"specsync/internal/optimizer"
+	"specsync/internal/sparse"
 	"specsync/internal/tensor"
 	"specsync/internal/wire"
 )
@@ -117,7 +118,9 @@ type Server struct {
 	// matching re-pull can be answered with just the changed entries. Lost
 	// on restart, which safely degrades the next response to a full block.
 	pullCache map[node.ID]*pullCacheEntry
-	// scratch receives decoded v2 push payloads.
+	// grad receives decoded top-k push payloads, the entries they carry;
+	// scratch receives the dense blocks of the other push codecs.
+	grad    sparse.Vec
 	scratch tensor.Vec
 	// resp is the sender-held reply to pulls and pushes, refilled for every
 	// send: Send encodes before it returns (DESIGN "Message lifetime").
@@ -247,15 +250,12 @@ func (s *Server) apply(from node.ID, req *msg.PushReq) {
 	s.acknowledge(from, req.Seq, req.PullVersion, req.Pull)
 	if wi := node.WorkerIndex(from); wi >= 0 && s.replicated() {
 		s.noteApplied(int32(wi), req.Iter)
-		if req.IsSparse {
-			s.forward(int32(wi), req.Iter, func() *msg.ReplApply {
+		s.forward(int32(wi), req.Iter, func() *msg.ReplApply {
+			if req.IsSparse {
 				return &msg.ReplApply{Body: msg.ReplBodySparse, Idx: req.SparseIdx, Grad: req.SparseVal}
-			})
-		} else {
-			s.forward(int32(wi), req.Iter, func() *msg.ReplApply {
-				return &msg.ReplApply{Body: msg.ReplBodyDense, Dense: req.Dense}
-			})
-		}
+			}
+			return &msg.ReplApply{Body: msg.ReplBodyDense, Dense: req.Dense}
+		})
 	}
 }
 
@@ -285,10 +285,8 @@ func (s *Server) reply(to node.ID, seq uint64, version int64, withBlock bool) {
 	s.ctx.Send(to, &s.resp)
 }
 
-// applyV2 decodes a codec-tagged push payload into a dense scratch block and
-// applies it through the same optimizer path as v1 pushes. Sparsifying
-// codecs (topk) zero the entries they dropped, so the dense apply touches
-// exactly the surviving coordinates.
+// applyV2 applies a codec-tagged push payload through the same optimizer
+// paths as v1 pushes.
 func (s *Server) applyV2(from node.ID, req *msg.PushReqV2) {
 	id := codec.ID(req.Codec)
 	if id == codec.IDDelta {
@@ -303,15 +301,11 @@ func (s *Server) applyV2(from node.ID, req *msg.PushReqV2) {
 	if s.cloneCheck(from, req.Seq, req.Iter, req.Pull) {
 		return
 	}
-	if s.scratch == nil {
-		s.scratch = tensor.NewVec(s.cfg.Range.Len())
-	}
-	if err := codec.DecodePayload(id, req.Payload, s.scratch); err != nil {
+	s.cfg.Optimizer.SetStep(s.version.Load())
+	if err := s.applyCodec(id, req.Payload); err != nil {
 		s.ctx.Logf("server: push from %s: %v; dropped", from, err)
 		return
 	}
-	s.cfg.Optimizer.SetStep(s.version.Load())
-	s.cfg.Optimizer.ApplyDense(s.params, s.scratch)
 	s.cloneApplied(from, req.Iter)
 	s.acknowledge(from, req.Seq, req.PullVersion, req.Pull)
 	if wi := node.WorkerIndex(from); wi >= 0 && s.replicated() {
@@ -320,6 +314,25 @@ func (s *Server) applyV2(from node.ID, req *msg.PushReqV2) {
 			return &msg.ReplApply{Body: msg.ReplBodyCodec, Codec: req.Codec, Payload: req.Payload}
 		})
 	}
+}
+
+// applyCodec decodes a push payload and applies it, a top-k payload as the
+// entries it carries (bit-identical to applying its dense decode); a payload
+// that does not decode leaves the shard untouched.
+func (s *Server) applyCodec(id codec.ID, payload []byte) (err error) {
+	if id == codec.IDTopK {
+		if s.grad, err = codec.DecodeTopK(payload, s.cfg.Range.Len(), s.grad); err == nil {
+			s.cfg.Optimizer.ApplySparse(s.params, s.grad)
+		}
+		return err
+	}
+	if s.scratch == nil {
+		s.scratch = tensor.NewVec(s.cfg.Range.Len())
+	}
+	if err = codec.DecodePayload(id, payload, s.scratch); err == nil {
+		s.cfg.Optimizer.ApplyDense(s.params, s.scratch)
+	}
+	return err
 }
 
 // pullV2 answers a codec-path pull. With DeltaPull enabled and a per-worker

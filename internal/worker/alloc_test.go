@@ -11,6 +11,7 @@ import (
 	"specsync/internal/model"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/optimizer"
 	"specsync/internal/ps"
 	"specsync/internal/scheme"
 	"specsync/internal/sparse"
@@ -40,10 +41,23 @@ type onHeldTimers struct{ *Worker }
 
 func (h onHeldTimers) Init(ctx node.Context) { h.Worker.Init(heldTimers{ctx}) }
 
+// mute is a shard's node.Context that sends nothing: its replies are the
+// test's to deliver.
+type mute struct{ node.Context }
+
+func (mute) Send(node.ID, wire.Message) {}
+
+// onMute hosts a shard on a mute context.
+type onMute struct{ *ps.Server }
+
+func (h onMute) Init(ctx node.Context) { h.Server.Init(mute{ctx}) }
+
 // TestPushRoundAllocatesNothing pins the worker's held messages and its one
 // reply handler: one push round — sendPush to two shards, both replies and
 // the notify — allocates nothing in the worker or the simulator's send path,
-// for a dense push, a raw sparse push and a top-k push. Under ASP the round
+// for a dense push, a raw sparse push and a top-k push; a top-k round also
+// hands each payload to a real shard's Receive, which decodes and applies it
+// without allocating either. Under ASP the round
 // is fused: the replies carry the blocks and the round ends computing the
 // next iteration with no PullReq sent. Under BSP it is not, and the round
 // ends parked at the gate. The simulator delivers to sinks between rounds,
@@ -88,9 +102,27 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 						t.Fatal(err)
 					}
 					pulls := 0
-					for id, h := range map[node.ID]node.Handler{
+					hosts := map[node.ID]node.Handler{
 						node.WorkerID(0): onHeldTimers{wk}, node.ServerID(0): sink{&pulls}, node.ServerID(1): sink{&pulls}, node.Scheduler: sink{},
-					} {
+					}
+					// The shards sit beside the sinks, on IDs no send goes to.
+					var shards []*ps.Server
+					if wk.pushCodec != nil {
+						for si, r := range ranges {
+							opt, err := optimizer.NewSGD(optimizer.SGDConfig{Schedule: optimizer.Const(0.01), Clip: 10}, r.Len())
+							if err != nil {
+								t.Fatal(err)
+							}
+							srv, err := ps.New(ps.Config{Range: r, Init: make([]float64, r.Len()), Optimizer: opt})
+							if err != nil {
+								t.Fatal(err)
+							}
+							shards = append(shards, srv)
+							hosts[node.ServerID(len(ranges)+si)] = onMute{srv}
+						}
+					}
+					pushes, self := make([]msg.PushReqV2, len(shards)), node.WorkerID(0)
+					for id, h := range hosts {
 						if err := sim.AddNode(id, h); err != nil {
 							t.Fatal(err)
 						}
@@ -110,6 +142,14 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 						clear(wk.answered)
 						wk.fused = wk.fusable()
 						wk.sendPush()
+						for si, srv := range shards {
+							pushes[si] = msg.PushReqV2{Seq: wk.seq, Iter: wk.iter, Codec: uint8(wk.pushCodec.ID()), Payload: wk.pushEnc[si].Bytes()}
+							version := srv.Version()
+							srv.Receive(self, &pushes[si])
+							if srv.Version() != version+1 {
+								t.Fatalf("shard %d did not apply the push", si)
+							}
+						}
 						for si := range replies {
 							replies[si].Seq = wk.seq
 							replies[si].Version = wk.pullVersions[si] + 1

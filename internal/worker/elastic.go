@@ -106,15 +106,6 @@ func (wk *Worker) installRouting(epoch int64, lo, hi, srv []int32, force bool) b
 	wk.answered = make([]bool, len(newShards))
 	if wk.pushCodec != nil {
 		wk.pushEnc = make([]wire.Writer, len(newShards))
-		maxLen := 0
-		for _, r := range newShards {
-			if r.Len() > maxLen {
-				maxLen = r.Len()
-			}
-		}
-		if maxLen > len(wk.recon) {
-			wk.recon = make([]float64, maxLen)
-		}
 	}
 	wk.ctx.Logf("worker: routing epoch %d installed (%d shards)", epoch, len(newShards))
 

@@ -295,9 +295,6 @@ type Worker struct {
 	// each push encodes gradient+residual, then keeps what the encoding
 	// dropped for the next iteration.
 	residual *codec.State
-	// recon is encode scratch: the decoder-side reconstruction of the block
-	// just encoded, sized to the largest shard.
-	recon []float64
 	// pushEnc holds this iteration's encoded per-shard payloads so retries
 	// resend identical bytes instead of re-encoding (which would
 	// double-count the residual). Each shard's writer is encoded into
@@ -490,15 +487,10 @@ func New(cfg Config) (*Worker, error) {
 	}
 	if pushCodec != nil {
 		lens := make([]int, len(shards))
-		maxLen := 0
 		for i, r := range shards {
 			lens[i] = r.Len()
-			if r.Len() > maxLen {
-				maxLen = r.Len()
-			}
 		}
 		wk.residual = codec.NewState(lens)
-		wk.recon = make([]float64, maxLen)
 		wk.pushEnc = make([]wire.Writer, len(shards))
 	}
 	return wk, nil
@@ -922,19 +914,15 @@ func (wk *Worker) encodePush() {
 }
 
 // encodeResiduals encodes one payload per shard from the residual as it
-// stands, debiting what each encoding captured. It writes into the shard's
-// own writer and hands the codec wk.recon as scratch, so nothing is
+// stands, and the codec debits from the residual, in place, what the
+// encoding captured. It writes into the shard's own writer, so nothing is
 // allocated once the writers have grown to the payload size.
 func (wk *Worker) encodeResiduals() {
 	for si, r := range wk.shards {
 		res := wk.residual.Residuals[si]
-		recon := wk.recon[:r.Len()]
 		w := &wk.pushEnc[si]
 		w.Reset()
-		wk.pushCodec.Encode(w, res, nil, recon, wk.ctx.Rand())
-		for j := range res {
-			res[j] -= recon[j]
-		}
+		wk.pushCodec.Encode(w, res, nil, res, wk.ctx.Rand())
 		if wk.cfg.CodecStats != nil {
 			wk.cfg.CodecStats.RecordEncode(wk.pushCodec.ID(), 8*r.Len(), w.Len())
 		}

@@ -415,8 +415,9 @@ func TestWorkerCodecStateCheckpointRoundTrip(t *testing.T) {
 
 // TestEncodePushSteadyStateAllocs pins the once-per-iteration encode at zero
 // heap allocations, for a dense and a sparse gradient: the codec selects in
-// the worker's recon scratch, each shard's payload is written into its own
-// retained writer, and the sparse fold walks the gradient in place.
+// its pooled scratch and debits the residual in place, each shard's payload
+// is written into its own retained writer, and the sparse fold walks the
+// gradient in place.
 func TestEncodePushSteadyStateAllocs(t *testing.T) {
 	for _, isSparse := range []bool{false, true} {
 		h := newHarness(t, func(c *Config) {
