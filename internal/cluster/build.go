@@ -310,7 +310,6 @@ func (n *Nodes) newShard(shard int, replica bool) (*ps.Server, error) {
 		Optimizer:  opt,
 		Replica:    replica,
 		Obs:        n.obs.Server(shard),
-		DeltaPull:  n.cfg.Codec.UsesDelta(),
 		CodecStats: n.codec,
 	}
 	if !replica {
@@ -331,7 +330,6 @@ func (n *Nodes) newJoiningServer(slot int) (*ps.Server, error) {
 	return ps.NewJoining(ps.Config{
 		NewOptimizer: n.newOptimizer,
 		Obs:          n.obs.Server(slot),
-		DeltaPull:    n.cfg.Codec.UsesDelta(),
 		CodecStats:   n.codec,
 	})
 }

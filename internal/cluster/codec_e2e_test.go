@@ -8,6 +8,7 @@ import (
 	"specsync/internal/codec"
 	"specsync/internal/msg"
 	"specsync/internal/scheme"
+	"specsync/internal/wire"
 )
 
 // TestTopKShrinksPushesAndShiftsTiming asserts the two observable effects a
@@ -77,6 +78,39 @@ func TestDeltaPullSavesBytes(t *testing.T) {
 	}
 	if enc >= raw {
 		t.Errorf("delta pulls encoded %d bytes for %d dense-equivalent; expected savings", enc, raw)
+	}
+}
+
+// TestTopKRepliesCarryChangedEntries: under momentum-free top-k every push
+// applies as the entries it carries, so the shards answer fused pushes with
+// only the entries written since each worker's block — under half of what
+// the full blocks would cost — and the run moves fewer reply bytes than the
+// raw run, whose replies are full blocks.
+func TestTopKRepliesCarryChangedEntries(t *testing.T) {
+	replyBytes := func(res *Result) int64 {
+		var sum int64
+		for _, k := range []wire.Kind{msg.KindPullResp, msg.KindPullRespV2} {
+			b, _ := res.Transfer.KindBytes(k)
+			sum += b
+		}
+		return sum
+	}
+	wl, err := NewMF(SizeSmall, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, rawRes := runDigest(t, wl, 3, codec.Config{})
+	wl, err = NewMF(SizeSmall, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, res := runDigest(t, wl, 3, codec.Config{Name: "topk", TopKFrac: 0.1})
+	dense, enc, blocks := res.Codec.EncodeTotals(codec.IDDelta)
+	if blocks == 0 || 2*enc >= dense {
+		t.Errorf("%d delta replies encoded %d bytes for %d dense-equivalent; want deltas under half", blocks, enc, dense)
+	}
+	if got, raw := replyBytes(res), replyBytes(rawRes); 2*got >= raw {
+		t.Errorf("top-k replies moved %d bytes, the raw run's %d; want under half", got, raw)
 	}
 }
 

@@ -14,10 +14,14 @@ import (
 
 // TestTopKDigestsPinned pins the final parameters and the full event trace of
 // three top-k runs, so any change to how a top-k push is encoded, decoded or
-// applied must reproduce them bit for bit:
+// applied, or to how its reply is built, must reproduce them bit for bit:
 //
-//   - mf: sparse MF under top-k 10 %, clip 5, no momentum;
-//   - cifar: the CIFAR-small MLP under top-k, momentum 0.9, clip 10;
+//   - mf: sparse MF under top-k 10 %, clip 5, no momentum, so its push
+//     replies are deltas of the entries written since the worker's block
+//     (the trace was re-recorded when they became so; 2 504 863 → 1 239 429
+//     data bytes, parameters unchanged);
+//   - cifar: the CIFAR-small MLP under top-k, momentum 0.9, clip 10, whose
+//     momentum writes every entry, so its replies stay full blocks;
 //   - replicated: tiny under top-k, momentum 0.5, one backup per shard,
 //     whose shard 0 crashes, so the final parameters of that shard are the
 //     promoted backup's, built by replaying the forwarded payloads.
@@ -38,7 +42,7 @@ func TestTopKDigestsPinned(t *testing.T) {
 				Workers: 4, Seed: 3, Codec: topk, MaxVirtual: 2 * time.Minute,
 			}
 		}, "e55dbf372b1881a599c007784bec3550f402b8ba578736394ba18a6845aa5320",
-			"9b7445e58218d9c301d5976b8b0d8af507813c45e2f6b784d5b5f47b42cefc89"},
+			"492823fd7979f0006a57eeb4929cf56b45b655edc5d0d4b2b526637548163110"},
 		{"cifar", func() Config {
 			wl, err := NewCIFAR(SizeSmall, 4, 5)
 			if err != nil {

@@ -42,9 +42,7 @@ func benchDecode(b *testing.B, c Codec, rng *rand.Rand) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := wire.NewReader(payload)
-		c.Decode(r, dst)
-		if err := r.Err(); err != nil {
+		if err := c.Decode(payload, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,3 +61,44 @@ func BenchmarkCodecQ8Decode(b *testing.B) {
 }
 func BenchmarkCodecDeltaEncode(b *testing.B) { benchEncode(b, Delta{}, nil) }
 func BenchmarkCodecDeltaDecode(b *testing.B) { benchDecode(b, Delta{}, nil) }
+
+// replyEntries is a fused reply on the top-k ledger workload: the union of
+// two top-k pushes, about 1 500 of an 8 192-value shard.
+func replyEntries() (vals []float64, idx []int32) {
+	rng := rand.New(rand.NewSource(3))
+	vals = make([]float64, 8192)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+		if rng.Intn(11) < 2 {
+			idx = append(idx, int32(i))
+		}
+	}
+	return vals, idx
+}
+
+func BenchmarkEncodeEntries(b *testing.B) {
+	vals, idx := replyEntries()
+	w := wire.NewWriter(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		EncodeEntries(w, vals, idx)
+	}
+	b.ReportMetric(float64(len(idx)), "entries")
+}
+
+func BenchmarkDecodeDelta(b *testing.B) {
+	vals, idx := replyEntries()
+	w := wire.NewWriter(0)
+	EncodeEntries(w, vals, idx)
+	block := make([]float64, len(vals))
+	var scratch []int32
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if scratch, err = DecodeDelta(w.Bytes(), block, scratch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(idx)), "entries")
+}

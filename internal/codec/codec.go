@@ -13,8 +13,9 @@
 //	        of a gradient block travel, as index/value pairs.
 //	q8    — stochastic 8-bit quantization with one float64 scale per block
 //	        of Q8Block values.
-//	delta — pull-side delta encoding: a shard resends only the entries that
-//	        changed since the block it last sent that worker.
+//	delta — the entries a receiver's base lacks, with their new values: a
+//	        shard's reply that lists only what was written since the block
+//	        the worker holds (see ps replies.go).
 //
 // topk and q8 are lossy; workers using them keep an error-feedback residual
 // per shard (see State) so the dropped/rounded mass re-enters later pushes
@@ -22,6 +23,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,48 +84,126 @@ type Codec interface {
 	//     deterministic codecs ignore it, and a nil rng falls back to
 	//     deterministic rounding.
 	Encode(w *wire.Writer, vals, base, debit []float64, rng *rand.Rand)
-	// Decode reads one block encoded by Encode into dst, whose length must
-	// equal the original block's. Lossy sparsifying codecs (topk) zero the
-	// entries they dropped; delta leaves unlisted entries at their base
-	// values. Failures surface through r's sticky error.
-	Decode(r *wire.Reader, dst []float64)
+	// Decode decodes one payload encoded by Encode into dst, whose length
+	// must equal the original block's. Lossy sparsifying codecs (topk) zero
+	// the entries they dropped; delta leaves unlisted entries at their base
+	// values. It rejects short or trailing bytes and length mismatches, and
+	// a payload it rejects stores nothing: every decoder checks the whole
+	// payload before its first store.
+	Decode(payload []byte, dst []float64) error
 }
 
 // DecodePayload decodes one self-contained payload produced by the codec
 // with the given ID into dst. It rejects unknown IDs, short or trailing
-// bytes, and length mismatches.
+// bytes, and length mismatches, and leaves dst untouched when it does.
 func DecodePayload(id ID, payload []byte, dst []float64) error {
-	// Concrete receivers keep the Reader on the stack; through the Codec
-	// interface it would escape, one allocation per payload.
-	r := wire.NewReader(payload)
 	switch id {
 	case IDRaw:
-		Raw{}.Decode(r, dst)
+		return Raw{}.Decode(payload, dst)
 	case IDTopK:
-		TopK{}.Decode(r, dst)
+		return TopK{}.Decode(payload, dst)
 	case IDQ8:
-		Q8{}.Decode(r, dst)
+		return Q8{}.Decode(payload, dst)
 	case IDDelta:
-		Delta{}.Decode(r, dst)
-	default:
-		return fmt.Errorf("codec: unknown codec id %d", uint8(id))
+		return Delta{}.Decode(payload, dst)
 	}
-	return payloadErr(id, r)
+	return fmt.Errorf("codec: unknown codec id %d", uint8(id))
 }
 
 // DecodeTopK decodes a top-k payload for a block of n values into the entries
 // it carries, reusing dst's storage: the sparse form of what DecodePayload
-// writes densely, accepting exactly the same payloads.
+// writes densely, accepting exactly the same payloads. It reads every index
+// once, and a refused payload leaves dst empty.
 func DecodeTopK(payload []byte, n int, dst sparse.Vec) (sparse.Vec, error) {
-	r := wire.NewReader(payload)
-	count, idx := sparseBody(r, n, "topk")
-	dst.Idx, dst.Val = slices.Grow(dst.Idx[:0], count), slices.Grow(dst.Val[:0], count)
-	for i, pos := 0, 0; i < count; i++ {
-		pos += int(idx.Uvarint())
-		dst.Idx = append(dst.Idx, int32(pos))
-		dst.Val = append(dst.Val, r.Float64())
+	_, vals, err := sparseEntries(payload, n, IDTopK, &dst.Idx)
+	dst.Val = slices.Grow(dst.Val[:0], len(dst.Idx))
+	for j := range dst.Idx {
+		dst.Val = append(dst.Val, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*j:])))
 	}
-	return dst, payloadErr(IDTopK, r)
+	return dst, err
+}
+
+// DecodeDelta decodes a delta payload over block, the base it was computed
+// against, as DecodePayload does and accepting exactly the same payloads, but
+// reads every index once: idx is scratch for the indices, returned for reuse.
+// A refused payload leaves block untouched.
+func DecodeDelta(payload []byte, block []float64, idx []int32) ([]int32, error) {
+	_, vals, err := sparseEntries(payload, len(block), IDDelta, &idx)
+	for j, i := range idx {
+		block[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*j:]))
+	}
+	return idx, err
+}
+
+// sparseEntries parses the payload topk and delta share — the block length
+// n, a count, that many delta-coded ascending indices, then that many values
+// — straight from its bytes, and checks all of it before anything is stored:
+// every index lies in the block and above the one before it (a zero delta
+// after the first would list an index twice), and exactly the values remain.
+// It returns the index deltas' bytes and the values' bytes. With idx set, it
+// also sets *idx to the indices, reusing its storage and collected as it
+// checks them, so a caller that keeps them reads every index once; on error
+// *idx is empty.
+func sparseEntries(payload []byte, n int, id ID, idx *[]int32) (deltas, vals []byte, err error) {
+	var out []int32
+	if idx != nil {
+		out = (*idx)[:0]
+		*idx = out
+	}
+	bad := func(err error) ([]byte, []byte, error) {
+		return nil, nil, fmt.Errorf("codec: decoding %s payload: %w", id, err)
+	}
+	got, k := binary.Uvarint(payload)
+	if k <= 0 {
+		return bad(wire.ErrShortBuffer)
+	}
+	if got != uint64(n) {
+		return bad(fmt.Errorf("payload is for %d values, want %d", got, n))
+	}
+	c, j := binary.Uvarint(payload[k:])
+	if j <= 0 {
+		return bad(wire.ErrShortBuffer)
+	}
+	if c > uint64(n) {
+		return bad(fmt.Errorf("%s lists %d of %d values", id, c, n))
+	}
+	deltas = payload[k+j:]
+	b := deltas
+	if idx != nil {
+		// Every index takes at least a byte, so a short payload cannot make
+		// this grow past its own length.
+		out = slices.Grow(out, int(min(c, uint64(len(b)))))
+	}
+	// Bounding each delta by what is left of the block, not the sum, keeps a
+	// delta >= 2^63 from wrapping pos negative; after the first index a delta
+	// must be at least 1, or the index would repeat.
+	pos, least := 0, uint64(0)
+	for range c {
+		var d uint64
+		if len(b) > 0 && b[0] < 0x80 {
+			d, b = uint64(b[0]), b[1:] // most deltas take one byte
+		} else {
+			if d, k = binary.Uvarint(b); k <= 0 {
+				return bad(wire.ErrShortBuffer)
+			}
+			b = b[k:]
+		}
+		if d < least || d >= uint64(n-pos) {
+			return bad(fmt.Errorf("%s index %d+%d out of range %d or repeated", id, pos, d, n))
+		}
+		pos += int(d)
+		least = 1
+		if idx != nil {
+			out = append(out, int32(pos))
+		}
+	}
+	if uint64(len(b)) != 8*c {
+		return bad(fmt.Errorf("%s block needs %d more bytes, payload has %d", id, 8*c, len(b)))
+	}
+	if idx != nil {
+		*idx = out
+	}
+	return deltas[:len(deltas)-len(b)], b, nil
 }
 
 // payloadErr reports a decode's sticky error or the bytes it left unread.
@@ -156,51 +236,47 @@ func blockLen(r *wire.Reader, n int) bool {
 	return r.Err() == nil
 }
 
-// sparseBody validates the body topk and delta share — the block length n, a
-// count, that many delta-coded ascending indices, then that many values —
-// before anything is stored: every index lies in the block and above the one
-// before it (a zero delta after the first would list an index twice), and
-// the values are all there. It returns the count (0 when r has failed) and a
-// cursor at the first index, and leaves r at the first value. name labels
-// errors.
-func sparseBody(r *wire.Reader, n int, name string) (count int, idx wire.Reader) {
-	if !blockLen(r, n) {
-		return 0, idx
+// rest checks that exactly size bytes remain in r, the rest of the block a
+// decoder is about to store.
+func rest(r *wire.Reader, size uint64, name string) bool {
+	if r.Err() == nil && uint64(r.Remaining()) != size {
+		r.Fail(fmt.Errorf("codec: %s block needs %d more bytes, payload has %d", name, size, r.Remaining()))
 	}
-	c := r.Uvarint()
-	if c > uint64(n) {
-		r.Fail(fmt.Errorf("codec: %s lists %d of %d values", name, c, n))
-	}
-	idx = *r // the second cursor: a Reader is its buffer plus an offset
-	pos := 0
-	for i := uint64(0); i < c && r.Err() == nil; i++ {
-		// Bounding the delta, not the sum, keeps a delta >= 2^63 from
-		// wrapping pos negative and slipping under the range check.
-		d := r.Uvarint()
-		if r.Err() == nil && (d >= uint64(n-pos) || (d == 0 && i > 0)) {
-			r.Fail(fmt.Errorf("codec: %s index %d+%d out of range %d or repeated", name, pos, d, n))
-		}
-		pos += int(d)
-	}
-	if r.Err() == nil && uint64(r.Remaining()) < 8*c {
-		r.Fail(fmt.Errorf("codec: %s lists %d values in %d bytes", name, c, r.Remaining()))
-	}
-	if r.Err() != nil {
-		return 0, idx
-	}
-	return int(c), idx
+	return r.Err() == nil
 }
 
-// decodeSparse stores a sparse body's values at their indices in dst, zeroed
-// first when zero is set.
-func decodeSparse(r *wire.Reader, dst []float64, name string, zero bool) {
-	count, idx := sparseBody(r, len(dst), name)
-	if zero && r.Err() == nil {
+// decodeSparse stores a sparse payload's values at their indices in dst,
+// zeroed first when zero is set.
+func decodeSparse(id ID, payload []byte, dst []float64, zero bool) error {
+	deltas, vals, err := sparseEntries(payload, len(dst), id, nil)
+	if err != nil {
+		return err
+	}
+	if zero {
 		clear(dst)
 	}
-	for i, pos := 0, 0; i < count; i++ {
-		pos += int(idx.Uvarint())
-		dst[pos] = r.Float64()
+	for j, pos := 0, 0; j < len(vals); j += 8 {
+		d, k := binary.Uvarint(deltas)
+		deltas = deltas[k:]
+		pos += int(d)
+		dst[pos] = math.Float64frombits(binary.LittleEndian.Uint64(vals[j:]))
+	}
+	return nil
+}
+
+// EncodeEntries appends a delta payload that lists vals at the indices idx,
+// which must ascend strictly: what Delta.Encode writes when exactly those
+// entries differ from the receiver's base.
+func EncodeEntries(w *wire.Writer, vals []float64, idx []int32) {
+	w.Uvarint(uint64(len(vals)))
+	w.Uvarint(uint64(len(idx)))
+	prev := int32(0)
+	for _, i := range idx {
+		w.Uvarint(uint64(i - prev))
+		prev = i
+	}
+	for _, i := range idx {
+		w.Float64(vals[i])
 	}
 }
 
@@ -229,13 +305,14 @@ func debitAll(debit, vals []float64) {
 }
 
 // Decode implements Codec.
-func (Raw) Decode(r *wire.Reader, dst []float64) {
-	if !blockLen(r, len(dst)) {
-		return
+func (Raw) Decode(payload []byte, dst []float64) error {
+	r := wire.NewReader(payload)
+	if blockLen(r, len(dst)) && rest(r, 8*uint64(len(dst)), "raw") {
+		for i := range dst {
+			dst[i] = r.Float64()
+		}
 	}
-	for i := range dst {
-		dst[i] = r.Float64()
-	}
+	return payloadErr(IDRaw, r)
 }
 
 // TopK keeps only the Frac·n entries of largest magnitude (at least one).
@@ -294,12 +371,11 @@ func (c TopK) Encode(w *wire.Writer, vals, _, debit []float64, _ *rand.Rand) {
 		frac = DefaultTopKFrac
 	}
 	n := len(vals)
-	k := min(max(int(math.Ceil(frac*float64(n))), 1), n)
-	w.Uvarint(uint64(n))
-	w.Uvarint(uint64(k))
 	if n == 0 {
+		EncodeEntries(w, vals, nil)
 		return
 	}
+	k := min(max(int(math.Ceil(frac*float64(n))), 1), n)
 	s := c.scratch
 	if s == nil {
 		s = topkPool.Get().(*topkScratch)
@@ -336,7 +412,7 @@ func (c TopK) Encode(w *wire.Writer, vals, _, debit []float64, _ *rand.Rand) {
 	t, ties := s.kth(sel[:m], k-above, shift)
 
 	// Keep, in ascending index order, every key above t and the first ties
-	// equal to it: the indices' deltas, then their values.
+	// equal to it: k entries.
 	kept := 0
 	for _, i := range cand {
 		key := magKey(vals[i])
@@ -350,16 +426,10 @@ func (c TopK) Encode(w *wire.Writer, vals, _, debit []float64, _ *rand.Rand) {
 			kept++
 		}
 	}
-	prev := 0
-	for _, i := range cand[:kept] {
-		w.Uvarint(uint64(int(i) - prev))
-		prev = int(i)
-	}
-	for _, i := range cand[:kept] {
-		v := vals[i]
-		w.Float64(v)
-		if debit != nil {
-			debit[i] -= v
+	EncodeEntries(w, vals, cand[:kept])
+	if debit != nil {
+		for _, i := range cand[:kept] {
+			debit[i] -= vals[i]
 		}
 	}
 }
@@ -406,8 +476,8 @@ func (s *topkScratch) kth(keys []uint64, r, shift int) (t uint64, ties int) {
 }
 
 // Decode implements Codec. Dropped entries are zeroed.
-func (TopK) Decode(r *wire.Reader, dst []float64) {
-	decodeSparse(r, dst, "topk", true)
+func (TopK) Decode(payload []byte, dst []float64) error {
+	return decodeSparse(IDTopK, payload, dst, true)
 }
 
 // Q8 quantizes each block of Block values to int8 with a shared float64
@@ -468,18 +538,26 @@ func (c Q8) Encode(w *wire.Writer, vals, _, debit []float64, rng *rand.Rand) {
 }
 
 // Decode implements Codec.
-func (Q8) Decode(r *wire.Reader, dst []float64) {
+func (Q8) Decode(payload []byte, dst []float64) error {
+	r := wire.NewReader(payload)
 	n := len(dst)
 	if !blockLen(r, n) {
-		return
+		return payloadErr(IDQ8, r)
 	}
 	block := int(r.Uvarint())
 	if r.Err() != nil {
-		return
+		return payloadErr(IDQ8, r)
 	}
 	if block <= 0 {
 		r.Fail(fmt.Errorf("codec: q8 block size %d", block))
-		return
+		return payloadErr(IDQ8, r)
+	}
+	blocks := 0
+	if n > 0 {
+		blocks = 1 + (n-1)/block
+	}
+	if !rest(r, 8*uint64(blocks)+uint64(n), "q8") {
+		return payloadErr(IDQ8, r)
 	}
 	for lo := 0; lo < n; lo += block {
 		hi := min(lo+block, n)
@@ -488,10 +566,8 @@ func (Q8) Decode(r *wire.Reader, dst []float64) {
 			q := int8(r.Uint8())
 			dst[i] = float64(q) * scale / 127
 		}
-		if r.Err() != nil {
-			return
-		}
 	}
+	return payloadErr(IDQ8, r)
 }
 
 // Delta encodes the entries of vals that differ from base as index/value
@@ -535,6 +611,6 @@ func (Delta) Encode(w *wire.Writer, vals, base, debit []float64, _ *rand.Rand) {
 }
 
 // Decode implements Codec.
-func (Delta) Decode(r *wire.Reader, dst []float64) {
-	decodeSparse(r, dst, "delta", false)
+func (Delta) Decode(payload []byte, dst []float64) error {
+	return decodeSparse(IDDelta, payload, dst, false)
 }

@@ -386,3 +386,32 @@ func TestStatsAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeEntriesDecodes: a payload listing some entries of vals, decoded
+// over a base, gives vals at those entries and the base everywhere else, for
+// none, some and all of them, index gaps of one and of two uvarint bytes
+// included.
+func TestEncodeEntriesDecodes(t *testing.T) {
+	vals := make([]float64, 300)
+	for i := range vals {
+		vals[i] = float64(i) + 0.5
+	}
+	vals[7] = math.Copysign(0, -1)
+	for _, idx := range [][]int32{{}, {0}, {2, 7, 299}, {1, 129, 130, 299}} {
+		base := make([]float64, len(vals))
+		w := wire.NewWriter(0)
+		EncodeEntries(w, vals, idx)
+		if err := DecodePayload(IDDelta, w.Bytes(), base); err != nil {
+			t.Fatalf("entries %v: %v", idx, err)
+		}
+		for i := range base {
+			want := 0.0
+			if slices.Contains(idx, int32(i)) {
+				want = vals[i]
+			}
+			if math.Float64bits(base[i]) != math.Float64bits(want) {
+				t.Fatalf("entries %v: value %d decodes to %v, want %v", idx, i, base[i], want)
+			}
+		}
+	}
+}

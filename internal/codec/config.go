@@ -18,9 +18,11 @@ const Names = "raw, topk, q8, delta"
 // legacy v1 message layouts, byte-identical to a build without the codec
 // subsystem.
 //
-// topk and q8 compress worker→server pushes (with error feedback) and leave
-// pulls on the legacy path; delta compresses server→worker pull responses
-// and leaves pushes on the legacy path.
+// topk and q8 compress worker→server pushes (with error feedback); delta
+// leaves pushes on the legacy path and pulls with a PullReqV2 that names the
+// block the worker holds. In every non-raw run a shard answers a push that
+// asks for the next block, or a PullReqV2, with only the entries written
+// since the block the worker holds where that is shorter (ps replies.go).
 type Config struct {
 	// Name is one of Names; empty means "raw".
 	Name string `json:"name,omitempty"`
@@ -50,7 +52,7 @@ func (c Config) Validate() error {
 // IsRaw reports whether the config selects the legacy byte-identical path.
 func (c Config) IsRaw() bool { return c.Name == "" || c.Name == "raw" }
 
-// UsesDelta reports whether pull responses are delta-encoded.
+// UsesDelta reports whether the worker pulls with PullReqV2.
 func (c Config) UsesDelta() bool { return c.Name == "delta" }
 
 // PushName returns the codec label carried by push payloads.
@@ -72,7 +74,7 @@ func (c Config) PullName() string {
 }
 
 // Build validates c and returns the push-side codec (nil when pushes use the
-// legacy raw layout) and whether pulls are delta-encoded. A top-k codec owns
+// legacy raw layout) and whether pulls are PullReqV2s. A top-k codec owns
 // its selection scratch, so it must not encode on two goroutines at once.
 func Build(c Config) (push Codec, deltaPull bool, err error) {
 	if err := c.Validate(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"specsync/internal/sparse"
@@ -59,53 +60,79 @@ func TestDecodeRejectsRepeatedIndex(t *testing.T) {
 
 // FuzzDecodePayload throws arbitrary bytes at every codec ID (and a few
 // unknown ones) with dst lengths 0..64. Payloads arrive from the network, so
-// the only acceptable outcomes are an error or a clean decode that consumed
-// the payload exactly (DecodePayload's own contract) — never a panic. A top-k
-// payload decodes to the same entries sparse (DecodeTopK) as dense, and is
-// accepted by both or by neither.
+// the only acceptable outcomes are an error that leaves dst untouched, or a
+// clean decode that consumed the payload exactly (DecodePayload's own
+// contract) — never a panic. A top-k payload decodes to the same entries
+// sparse (DecodeTopK) as dense, and the one-pass delta decode (DecodeDelta)
+// writes over a base what DecodePayload writes over it; each accepts a
+// payload exactly when DecodePayload does.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add(wrapIndexPayload(), uint8(IDTopK), uint8(4))
 	f.Add(wrapIndexPayload(), uint8(IDDelta), uint8(4))
 	f.Add(repeatedIndexPayload(), uint8(IDTopK), uint8(4))
+	f.Add(repeatedIndexPayload(), uint8(IDDelta), uint8(4))
 	vals := []float64{3, -1, 0, 2, math.Inf(-1)}
 	for _, c := range []Codec{Raw{}, TopK{Frac: 0.4}, Q8{Block: 2}, Delta{}} {
-		f.Add(EncodePayload(c, vals, nil, nil, nil), uint8(c.ID()), uint8(len(vals)))
+		p := EncodePayload(c, vals, nil, nil, nil)
+		f.Add(p, uint8(c.ID()), uint8(len(vals)))
+		f.Add(append(p, 0), uint8(c.ID()), uint8(len(vals))) // a trailing byte
+		f.Add(p[:len(p)-1], uint8(c.ID()), uint8(len(vals)))
 	}
 	f.Add([]byte{}, uint8(IDQ8), uint8(0))
 	f.Fuzz(func(t *testing.T, payload []byte, id, n uint8) {
-		dst := make([]float64, int(n)%65)
+		base := make([]float64, int(n)%65)
+		for i := range base {
+			base[i] = float64(i) + 0.5
+		}
+		dst := slices.Clone(base)
 		first := DecodePayload(ID(id%5), payload, dst)
-		if ID(id%5) == IDTopK {
+		if first != nil && !slices.Equal(dst, base) {
+			t.Fatalf("refused payload (%v) stored into dst: %v", first, dst)
+		}
+		switch ID(id % 5) {
+		case IDTopK:
 			g, err := DecodeTopK(payload, len(dst), sparse.Vec{})
 			if (err == nil) != (first == nil) {
 				t.Fatalf("dense decode error %v, sparse decode error %v", first, err)
+			}
+			if err != nil && (len(g.Idx) != 0 || len(g.Val) != 0) {
+				t.Fatalf("refused sparse decode kept %d indices, %d values", len(g.Idx), len(g.Val))
 			}
 			if err == nil {
 				expanded := make([]float64, len(dst))
 				for j, ix := range g.Idx {
 					expanded[ix] = g.Val[j]
 				}
-				for i := range dst {
-					if math.Float64bits(dst[i]) != math.Float64bits(expanded[i]) {
-						t.Fatalf("entry %d: dense decode %g, sparse decode %g", i, dst[i], expanded[i])
-					}
-				}
+				sameBits(t, "sparse decode", dst, expanded)
 			}
+		case IDDelta:
+			block := slices.Clone(base)
+			_, err := DecodeDelta(payload, block, nil)
+			if (err == nil) != (first == nil) {
+				t.Fatalf("dense decode error %v, one-pass decode error %v", first, err)
+			}
+			sameBits(t, "one-pass delta decode", dst, block)
 		}
 		if first != nil {
 			return
 		}
 		// A payload that decodes once decodes the same way again.
-		again := make([]float64, len(dst))
+		again := slices.Clone(base)
 		if err := DecodePayload(ID(id%5), payload, again); err != nil {
 			t.Fatalf("second decode of an accepted payload failed: %v", err)
 		}
-		for i := range dst {
-			if math.Float64bits(dst[i]) != math.Float64bits(again[i]) {
-				t.Fatalf("decode is not deterministic at %d: %g then %g", i, dst[i], again[i])
-			}
-		}
+		sameBits(t, "a second decode", dst, again)
 	})
+}
+
+// sameBits fails t unless got has want's bits.
+func sameBits(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("entry %d: DecodePayload %g, %s %g", i, want[i], what, got[i])
+		}
+	}
 }
 
 // FuzzCodecRoundTrip feeds randomized blocks through every codec and asserts

@@ -306,11 +306,23 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	decodeSparse()
+	// A worker decodes a delta reply over its block with index scratch it
+	// holds, grown once.
+	var idx []int32
+	decodeDelta := func() {
+		var err error
+		if idx, err = DecodeDelta(deltaPayload, dst, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decodeDelta()
 	for name, f := range map[string]func(){
-		"TopK.Encode":  func() { w.Reset(); topk.Encode(w, vals, nil, debit, nil) },
-		"TopK.Decode":  decode(IDTopK, topkPayload),
-		"DecodeTopK":   decodeSparse,
-		"Delta.Decode": decode(IDDelta, deltaPayload),
+		"TopK.Encode":   func() { w.Reset(); topk.Encode(w, vals, nil, debit, nil) },
+		"TopK.Decode":   decode(IDTopK, topkPayload),
+		"DecodeTopK":    decodeSparse,
+		"Delta.Decode":  decode(IDDelta, deltaPayload),
+		"DecodeDelta":   decodeDelta,
+		"EncodeEntries": func() { w.Reset(); EncodeEntries(w, vals, idx) },
 	} {
 		if allocs := testing.AllocsPerRun(50, f); allocs != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", name, allocs)

@@ -18,9 +18,9 @@ import (
 )
 
 // TestTCPClusterWithCodecs runs the live TCP cluster with a lossy push codec
-// (topk + error feedback) and delta pulls enabled, verifying training makes
-// progress over the real wire on the v2 message kinds and that the codec
-// stats tap sees the compressed traffic.
+// (topk + error feedback) and replies at sparse cost, verifying training
+// makes progress over the real wire on the v2 message kinds and that the
+// codec stats tap sees the compressed traffic, replies included.
 func TestTCPClusterWithCodecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP cluster")
@@ -46,7 +46,7 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 	initW := mdl.Init(rand.New(rand.NewSource(42)))
 	srv, err := ps.New(ps.Config{
 		Range: ranges[0], Init: initW, Optimizer: opt,
-		DeltaPull: true, CodecStats: stats,
+		CodecStats: stats,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +116,11 @@ func TestTCPClusterWithCodecs(t *testing.T) {
 	}
 	if r := stats.Ratio(codec.IDTopK); r >= 1 {
 		t.Errorf("topk ratio %.3f, want < 1", r)
+	}
+	// Momentum-free top-k writes only the entries a push carries, so the
+	// replies that carry the next pull are deltas of those.
+	if dense, enc, blocks := stats.EncodeTotals(codec.IDDelta); blocks == 0 || enc >= dense {
+		t.Errorf("%d delta replies, %d bytes for %d dense-equivalent; want deltas", blocks, enc, dense)
 	}
 	// Error-feedback residual must be live (nonzero somewhere after lossy
 	// pushes) on a worker that has pushed; the iteration total above may all

@@ -96,7 +96,7 @@ type SGD struct {
 	clip     float64 // max gradient L2 norm, 0 = off
 	velocity tensor.Vec
 	step     int64
-	// clipped holds a gradient's clipped copy or a sparse gradient's dense
+	// clipped holds a sparse gradient's clipped values or its dense
 	// expansion, so no push mutates the caller's buffer or allocates.
 	clipped tensor.Vec
 }
@@ -137,28 +137,42 @@ func (o *SGD) SetStep(s int64) { o.step = s }
 func (o *SGD) CurrentLR() float64 { return o.sched.LR(o.step) }
 
 // ApplyDense performs w -= lr * g (with momentum/clipping if configured) and
-// advances the step counter.
+// advances the step counter. It makes one pass: the clip factor comes from
+// g's norm, and each coordinate is then scaled, folded into the velocity and
+// applied, rounding after every operation exactly as the separate scale, add
+// and axpy passes would (the float64 conversions forbid a fused multiply-add
+// on every platform). g itself is only read: a replicated primary forwards it
+// afterwards.
 func (o *SGD) ApplyDense(w, g tensor.Vec) {
+	if len(g) != len(w) {
+		panic(fmt.Sprintf("optimizer: gradient length %d != parameters %d", len(g), len(w)))
+	}
 	lr := o.sched.LR(o.step)
 	o.step++
+	f := 1.0 // g*1 is g for every non-NaN g
 	if o.clip > 0 {
-		// Clip a copy so the caller's gradient buffer is not mutated (a
-		// replicated primary forwards it afterwards).
-		n := tensor.Norm2(g)
-		if n > o.clip {
-			g = o.scratch(g)
-			tensor.Scale(g, o.clip/n)
+		if n := tensor.Norm2(g); n > o.clip {
+			f = o.clip / n
 		}
 	}
-	if o.velocity != nil {
+	if v := o.velocity; v != nil {
 		// v <- mu*v + g ; w <- w - lr*v
-		tensor.Scale(o.velocity, o.momentum)
-		tensor.Add(o.velocity, g)
-		tensor.Axpy(w, -lr, o.velocity)
+		v = v[:len(w)]
+		for i, gi := range g {
+			vi := float64(v[i]*o.momentum) + float64(gi*f)
+			v[i] = vi
+			w[i] += float64(-lr * vi)
+		}
 		return
 	}
-	tensor.Axpy(w, -lr, g)
+	for i, gi := range g {
+		w[i] += float64(-lr * float64(gi*f))
+	}
 }
+
+// SparseInPlace reports whether ApplySparse writes only the coordinates the
+// gradient lists. With momentum it writes every coordinate.
+func (o *SGD) SparseInPlace() bool { return o.velocity == nil }
 
 // scratch returns a copy of vals in the optimizer's reused clip buffer.
 func (o *SGD) scratch(vals []float64) tensor.Vec {

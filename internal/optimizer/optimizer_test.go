@@ -223,6 +223,92 @@ func TestSparseMatchesDenseExpansion(t *testing.T) {
 	}
 }
 
+// applyDensePasses is ApplyDense as separate passes over the block: clip a
+// copy, scale the velocity, add the gradient, then step the parameters. Each
+// pass rounds every operation on its own, as the float64 conversions make
+// explicit.
+func applyDensePasses(w, velocity, g tensor.Vec, lr, momentum, clip float64) {
+	if clip > 0 {
+		if n := tensor.Norm2(g); n > clip {
+			g = g.Clone()
+			for i := range g {
+				g[i] *= clip / n
+			}
+		}
+	}
+	if velocity != nil {
+		for i := range velocity {
+			velocity[i] *= momentum
+		}
+		for i := range velocity {
+			velocity[i] += g[i]
+		}
+		g = velocity
+	}
+	for i := range w {
+		w[i] += float64(-lr * g[i])
+	}
+}
+
+// TestApplyDenseMatchesSeparatePasses: the one-pass ApplyDense leaves
+// parameters and velocity bit-identical to the separate passes, signed zeros
+// included, with the clip off, far above the norm, at a norm that rounds to
+// the clip (no clipping), one ulp below it and far below it, with and without
+// momentum.
+func TestApplyDenseMatchesSeparatePasses(t *testing.T) {
+	sp := straddle(t)
+	const dim = 12
+	g := tensor.NewVec(dim)
+	for j, ix := range sp.Idx {
+		g[ix] = sp.Val[j]
+	}
+	negZero := math.Copysign(0, -1)
+	g[0], g[11] = negZero, 1e-310
+	norm := tensor.Norm2(g)
+	bits := func(v tensor.Vec) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, clip := range []float64{0, 2 * norm, norm, math.Nextafter(norm, 0), norm / 3} {
+		for _, momentum := range []float64{0, 0.9} {
+			o, err := NewSGD(SGDConfig{Schedule: Const(0.1), Momentum: momentum, Clip: clip}, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, wantW := tensor.NewVec(dim), tensor.NewVec(dim)
+			for i := range w {
+				w[i] = float64(i%3) - 1
+				if i%4 == 0 {
+					w[i] = negZero
+				}
+			}
+			copy(wantW, w)
+			var wantV tensor.Vec
+			if momentum > 0 {
+				for i := range o.velocity {
+					o.velocity[i] = negZero
+				}
+				wantV = o.velocity.Clone()
+			}
+			in := g.Clone()
+			for step := 0; step < 3; step++ {
+				o.ApplyDense(w, g)
+				applyDensePasses(wantW, wantV, in, 0.1, momentum, clip)
+				if !reflect.DeepEqual(bits(w), bits(wantW)) || !reflect.DeepEqual(bits(o.velocity), bits(wantV)) {
+					t.Fatalf("clip %v (norm %v) momentum %v step %d: w %v v %v, separate passes give w %v v %v",
+						clip, norm, momentum, step, w, o.velocity, wantW, wantV)
+				}
+			}
+			if !reflect.DeepEqual(bits(g), bits(in)) {
+				t.Fatalf("clip %v momentum %v: the gradient was mutated", clip, momentum)
+			}
+		}
+	}
+}
+
 func TestSGDValidation(t *testing.T) {
 	if _, err := NewSGD(SGDConfig{}, 3); err == nil {
 		t.Error("expected error for nil schedule")
@@ -279,9 +365,10 @@ func clippedBlock() tensor.Vec {
 }
 
 // TestClippedApplyAllocatesNothing: every push on the dense ledger workload
-// is clipped, so the scaled copy lives in scratch the optimizer keeps. It
-// must stay a copy (a replicated primary forwards the caller's buffer after
-// the apply) and give bit-for-bit what scaling a clone gave, dense and sparse.
+// is clipped. The dense apply scales each value as it applies it, the sparse
+// one scales a copy in scratch the optimizer keeps. Neither may touch the
+// caller's buffer (a replicated primary forwards it after the apply), and
+// both give bit-for-bit what scaling a clone gave.
 func TestClippedApplyAllocatesNothing(t *testing.T) {
 	o, err := NewSGD(SGDConfig{Schedule: Const(0.01), Clip: 50}, 8192)
 	if err != nil {
@@ -323,7 +410,7 @@ func BenchmarkApplyDenseClipped(b *testing.B) {
 		b.Fatal(err)
 	}
 	g, w := clippedBlock(), tensor.NewVec(8192)
-	o.ApplyDense(w, g) // the clip scratch now exists
+	o.ApplyDense(w, g)
 	b.SetBytes(8 * 8192)
 	b.ReportAllocs()
 	b.ResetTimer()

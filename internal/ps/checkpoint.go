@@ -46,6 +46,7 @@ func (s *Server) Restore(snap Snapshot) error {
 	}
 	copy(s.params, snap.Params)
 	s.version.Store(snap.Version)
+	s.forgetHolders()
 	return nil
 }
 

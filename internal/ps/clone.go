@@ -41,7 +41,7 @@ func (s *Server) handleCloneNotice(req *msg.CloneNotice) {
 // (worker, iter) — acknowledged so the sender proceeds — or a push from a
 // spare slot with no alias yet (the CloneNotice is still in flight, or the
 // clone was retired; dropped so the sender's retry resolves the race).
-func (s *Server) cloneCheck(from node.ID, seq uint64, iter int64, pull bool) bool {
+func (s *Server) cloneCheck(from node.ID, seq uint64, iter, pullVersion int64, pull bool) bool {
 	if !s.cfg.DedupPushes {
 		return false
 	}
@@ -55,7 +55,7 @@ func (s *Server) cloneCheck(from node.ID, seq uint64, iter int64, pull bool) boo
 	}
 	if last, seen := s.lastPushIter[eff]; seen && iter <= last {
 		s.cloneDeduped.Add(1)
-		s.reply(from, seq, s.version.Load(), pull)
+		s.reply(from, seq, s.version.Load(), pullVersion, pull)
 		return true
 	}
 	return false

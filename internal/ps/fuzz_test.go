@@ -51,7 +51,8 @@ func paramBits(v tensor.Vec) []uint64 {
 
 // FuzzServerPush hands a shard one push from the network: a PushReqV2 payload
 // under any codec ID, or a PushReq body, from a known worker, a worker the
-// shard has never seen, or a node that is no worker at all. The shard must not
+// shard has never seen (of an index no run has), or a node that is no worker
+// at all. The shard must not
 // panic, must allocate no more than the payload accounts for, and must leave
 // its parameters untouched whenever it refuses the push. A codec push it
 // accepts must leave the parameters bit-equal to a dense decode of the payload
@@ -62,6 +63,8 @@ func FuzzServerPush(f *testing.F) {
 	for _, c := range []codec.Codec{codec.Raw{}, codec.TopK{Frac: 0.25}, codec.Q8{Block: 4}, codec.Delta{}} {
 		f.Add(codec.EncodePayload(c, block, nil, nil, nil), uint8(c.ID()), uint8(0), uint8(0))
 	}
+	// A top-k push asking for the block, from worker 1<<30.
+	f.Add(codec.EncodePayload(codec.TopK{Frac: 0.25}, block, nil, nil, nil), uint8(codec.IDTopK), uint8(3), uint8(4))
 	// A top-k payload listing index 2 twice.
 	repeated := binary.AppendUvarint(nil, fuzzDim)
 	repeated = append(repeated, 2, 2, 0)
@@ -77,7 +80,7 @@ func FuzzServerPush(f *testing.F) {
 		req.Encode(w)
 		f.Add(slices.Clone(w.Bytes()), uint8(0), uint8(1), uint8(1))
 	}
-	senders := []node.ID{node.WorkerID(0), node.WorkerID(7), node.ID("intruder")}
+	senders := []node.ID{node.WorkerID(0), node.WorkerID(7), node.ID("intruder"), node.WorkerID(1 << 30)}
 	f.Fuzz(func(t *testing.T, body []byte, id, sender, flags uint8) {
 		var req wire.Message
 		if flags&1 == 0 {

@@ -158,7 +158,7 @@ func (s *Server) handleRoutingCommit(u *msg.RoutingUpdate) {
 		s.retired = true
 		s.params = nil
 		s.staged = nil
-		s.pullCache = nil
+		s.replies = deltaReplies{}
 		s.scratch = nil
 		s.nextTransfer = nil
 		return
@@ -179,7 +179,7 @@ func (s *Server) handleRoutingCommit(u *msg.RoutingUpdate) {
 	s.params = s.staged
 	s.staged = nil
 	s.version.Store(s.stagedVersion)
-	s.pullCache = nil // delta bases are meaningless across a range change
+	s.forgetHolders() // delta bases are meaningless across a range change
 	s.scratch = nil
 	s.hasNew = false
 	s.frozen = false

@@ -42,6 +42,7 @@ func (s *Server) Promote(backups []node.ID) {
 	// primary's version, so nothing should be parked here; drop any leftovers
 	// defensively rather than replay them against a diverged version line.
 	s.pendingRepl = nil
+	s.forgetHolders()
 }
 
 // Replica reports whether the shard is currently a backup.
@@ -59,7 +60,7 @@ func (s *Server) ReplStats() (forwarded, applied, deduped int64) {
 // and, if so, re-acknowledges it without touching the parameters. Only
 // replicated shards track this: the plain path keeps its at-least-once
 // semantics byte-identical to before.
-func (s *Server) dedupPush(from node.ID, seq uint64, iter int64, pull bool) bool {
+func (s *Server) dedupPush(from node.ID, seq uint64, iter, pullVersion int64, pull bool) bool {
 	if !s.replicated() {
 		return false
 	}
@@ -72,7 +73,7 @@ func (s *Server) dedupPush(from node.ID, seq uint64, iter int64, pull bool) bool
 		return false
 	}
 	s.replDeduped.Add(1)
-	s.reply(from, seq, s.version.Load(), pull)
+	s.reply(from, seq, s.version.Load(), pullVersion, pull)
 	return true
 }
 

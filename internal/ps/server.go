@@ -93,13 +93,13 @@ type Config struct {
 	// CloneBase are clone traffic and resolve through CloneNotice aliases
 	// (unaliased spare pushes are dropped). Only read when DedupPushes is on.
 	CloneBase int32
-	// DeltaPull enables delta-encoded v2 pull responses: the shard caches
-	// the block it last sent each worker and answers a re-pull whose Have
-	// version matches the cache with only the changed entries. Workers on
-	// the legacy PullReq path are unaffected.
+	// DeltaPull is ignored: a shard answers every worker that speaks the
+	// codec path by the reply rule of replies at sparse cost (replies.go).
+	//
+	// Deprecated: kept only while the benchmark ledger's assembly sets it.
 	DeltaPull bool
 	// CodecStats, if non-nil, receives encode-side compression accounting
-	// for delta pulls.
+	// for codec replies.
 	CodecStats *codec.Stats
 }
 
@@ -114,10 +114,10 @@ type Server struct {
 	pulls   atomic.Int64
 	pushes  atomic.Int64
 
-	// Delta-pull cache: the block this shard last sent each worker, so a
-	// matching re-pull can be answered with just the changed entries. Lost
-	// on restart, which safely degrades the next response to a full block.
-	pullCache map[node.ID]*pullCacheEntry
+	// replies is the change log and per-worker record behind replies at
+	// sparse cost. Lost on restart, which degrades each worker's next reply
+	// to a full block.
+	replies deltaReplies
 	// grad receives decoded top-k push payloads, the entries they carry;
 	// scratch receives the dense blocks of the other push codecs.
 	grad    sparse.Vec
@@ -161,11 +161,6 @@ type Server struct {
 	cloneDropped atomic.Int64
 }
 
-type pullCacheEntry struct {
-	version int64
-	vals    []float64
-}
-
 var _ node.Handler = (*Server)(nil)
 
 // New validates cfg and builds the shard.
@@ -197,12 +192,14 @@ func (s *Server) Receive(from node.ID, m wire.Message) {
 		}
 		switch req := m.(type) {
 		case *msg.PullReq:
-			s.reply(from, req.Seq, s.version.Load(), true)
+			s.sendBlock(from, req.Seq, s.version.Load(), -1, false)
 		case *msg.PushReq:
 			s.apply(from, req)
 		case *msg.PullReqV2:
-			s.pullV2(from, req)
+			s.replies.speaksCodec(from)
+			s.sendBlock(from, req.Seq, s.version.Load(), req.Have, true)
 		case *msg.PushReqV2:
+			s.replies.speaksCodec(from)
 			s.applyV2(from, req)
 		}
 	case *msg.CloneNotice:
@@ -224,10 +221,10 @@ func (s *Server) Receive(from node.ID, m wire.Message) {
 }
 
 func (s *Server) apply(from node.ID, req *msg.PushReq) {
-	if s.dedupPush(from, req.Seq, req.Iter, req.Pull) {
+	if s.dedupPush(from, req.Seq, req.Iter, req.PullVersion, req.Pull) {
 		return
 	}
-	if s.cloneCheck(from, req.Seq, req.Iter, req.Pull) {
+	if s.cloneCheck(from, req.Seq, req.Iter, req.PullVersion, req.Pull) {
 		return
 	}
 	// Key the LR schedule on this shard's total push count.
@@ -238,6 +235,7 @@ func (s *Server) apply(from node.ID, req *msg.PushReq) {
 			return
 		}
 		s.cfg.Optimizer.ApplySparse(s.params, req.Sparse())
+		s.noteSparse(req.SparseIdx)
 	} else {
 		if len(req.Dense) != s.cfg.Range.Len() {
 			s.ctx.Logf("server: push from %s has %d values, want %d; dropped",
@@ -269,19 +267,18 @@ func (s *Server) acknowledge(from node.ID, seq uint64, pullVersion int64, pull b
 	if s.cfg.Staleness != nil {
 		s.cfg.Staleness.ObserveStaleness(from, staleness, s.ctx.Now())
 	}
-	s.reply(from, seq, version, pull)
+	s.reply(from, seq, version, pullVersion, pull)
 }
 
-// reply sends the held PullResp: with the block for a pull or a push that
-// asked for one (counted as a pull), else just Seq and Version, which is how
-// a push is acknowledged.
-func (s *Server) reply(to node.ID, seq uint64, version int64, withBlock bool) {
-	s.resp = msg.PullResp{Seq: seq, Version: version}
+// reply answers a push: with the block when the push asked for one (sendBlock,
+// against the block at have, the push's PullVersion), else with the held
+// PullResp carrying just Seq and Version.
+func (s *Server) reply(to node.ID, seq uint64, version, have int64, withBlock bool) {
 	if withBlock {
-		s.pulls.Add(1)
-		s.cfg.Obs.Pull()
-		s.resp.Values = s.params
+		s.sendBlock(to, seq, version, have, false)
+		return
 	}
+	s.resp = msg.PullResp{Seq: seq, Version: version}
 	s.ctx.Send(to, &s.resp)
 }
 
@@ -295,16 +292,19 @@ func (s *Server) applyV2(from node.ID, req *msg.PushReqV2) {
 		s.ctx.Logf("server: push from %s uses pull-only codec %s; dropped", from, id)
 		return
 	}
-	if s.dedupPush(from, req.Seq, req.Iter, req.Pull) {
+	if s.dedupPush(from, req.Seq, req.Iter, req.PullVersion, req.Pull) {
 		return
 	}
-	if s.cloneCheck(from, req.Seq, req.Iter, req.Pull) {
+	if s.cloneCheck(from, req.Seq, req.Iter, req.PullVersion, req.Pull) {
 		return
 	}
 	s.cfg.Optimizer.SetStep(s.version.Load())
 	if err := s.applyCodec(id, req.Payload); err != nil {
 		s.ctx.Logf("server: push from %s: %v; dropped", from, err)
 		return
+	}
+	if id == codec.IDTopK {
+		s.noteSparse(s.grad.Idx)
 	}
 	s.cloneApplied(from, req.Iter)
 	s.acknowledge(from, req.Seq, req.PullVersion, req.Pull)
@@ -333,45 +333,6 @@ func (s *Server) applyCodec(id codec.ID, payload []byte) (err error) {
 		s.cfg.Optimizer.ApplyDense(s.params, s.scratch)
 	}
 	return err
-}
-
-// pullV2 answers a codec-path pull. With DeltaPull enabled and a per-worker
-// cache entry matching the worker's Have version, the response carries only
-// the entries that changed since the cached block; otherwise it falls back
-// to a full raw block. Either way the cache is refreshed with what was just
-// sent, so the next matching re-pull deltas against it.
-func (s *Server) pullV2(from node.ID, req *msg.PullReqV2) {
-	s.pulls.Add(1)
-	s.cfg.Obs.Pull()
-	version := s.version.Load()
-	resp := &msg.PullRespV2{Seq: req.Seq, Version: version, Base: -1, Codec: uint8(codec.IDRaw)}
-
-	var entry *pullCacheEntry
-	if s.cfg.DeltaPull {
-		if s.pullCache == nil {
-			s.pullCache = make(map[node.ID]*pullCacheEntry)
-		}
-		entry = s.pullCache[from]
-	}
-	if entry != nil && req.Have == entry.version {
-		resp.Base = entry.version
-		resp.Codec = uint8(codec.IDDelta)
-		resp.Payload = codec.EncodePayload(codec.Delta{}, s.params, entry.vals, nil, nil)
-	} else {
-		resp.Payload = codec.EncodePayload(codec.Raw{}, s.params, nil, nil, nil)
-	}
-	if s.cfg.CodecStats != nil {
-		s.cfg.CodecStats.RecordEncode(codec.ID(resp.Codec), 8*len(s.params), len(resp.Payload))
-	}
-	if s.cfg.DeltaPull {
-		if entry == nil {
-			entry = &pullCacheEntry{vals: make([]float64, len(s.params))}
-			s.pullCache[from] = entry
-		}
-		copy(entry.vals, s.params)
-		entry.version = version
-	}
-	s.ctx.Send(from, resp)
 }
 
 // Params returns the live parameter block. Probes under the single-threaded

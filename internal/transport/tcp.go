@@ -327,7 +327,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 		} else {
 			br.Discard(frameHeaderLen) // cannot fail: Peek just buffered it
 			if int(size) > cap(buf) {
-				buf = make([]byte, size)
+				// A regrown buffer has a quarter of the old one to spare, so
+				// frames whose size varies (delta replies) do not reallocate
+				// at every new longest one; the first is exact.
+				buf = make([]byte, int(size)+cap(buf)/4)
 			}
 			payload = buf[:size]
 			if _, err := io.ReadFull(br, payload); err != nil {

@@ -299,15 +299,21 @@ func (r *Reader) String() string {
 func (r *Reader) Bytes() []byte { return r.BytesInto(nil) }
 
 // BytesInto is Bytes decoding into dst's storage when it is large enough (and
-// into a fresh slice when it is not, or dst is nil). The result never aliases
-// the Reader's input; it is nil after an error.
+// into a fresh slice when it is not, or dst is nil). A fresh slice replacing
+// dst has a quarter of dst's capacity to spare: codec payloads vary in length
+// from frame to frame, and a pooled message would otherwise reallocate at
+// every new longest one. The result never aliases the Reader's input; it is
+// nil after an error.
 func (r *Reader) BytesInto(dst []byte) []byte {
 	n := r.sliceLen()
 	b := r.take(n)
 	if b == nil {
 		return nil
 	}
-	return append(sized(dst, n), b...)
+	if dst == nil || cap(dst) < n {
+		dst = make([]byte, 0, n+cap(dst)/4)
+	}
+	return append(dst[:0], b...)
 }
 
 // sized returns dst emptied when n values fit in its storage, else an empty

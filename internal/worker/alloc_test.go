@@ -41,24 +41,32 @@ type onHeldTimers struct{ *Worker }
 
 func (h onHeldTimers) Init(ctx node.Context) { h.Worker.Init(heldTimers{ctx}) }
 
-// mute is a shard's node.Context that sends nothing: its replies are the
-// test's to deliver.
-type mute struct{ node.Context }
+// relay is a shard's node.Context that sends nothing: it keeps the last reply
+// for the test to deliver. The reply is the shard's held message, good until
+// its next send.
+type relay struct {
+	node.Context
+	last *wire.Message
+}
 
-func (mute) Send(node.ID, wire.Message) {}
+func (r relay) Send(_ node.ID, m wire.Message) { *r.last = m }
 
-// onMute hosts a shard on a mute context.
-type onMute struct{ *ps.Server }
+// onRelay hosts a shard on a relay context.
+type onRelay struct {
+	*ps.Server
+	last *wire.Message
+}
 
-func (h onMute) Init(ctx node.Context) { h.Server.Init(mute{ctx}) }
+func (h onRelay) Init(ctx node.Context) { h.Server.Init(relay{ctx, h.last}) }
 
 // TestPushRoundAllocatesNothing pins the worker's held messages and its one
 // reply handler: one push round — sendPush to two shards, both replies and
 // the notify — allocates nothing in the worker or the simulator's send path,
 // for a dense push, a raw sparse push and a top-k push; a top-k round also
 // hands each payload to a real shard's Receive, which decodes and applies it
-// without allocating either. Under ASP the round
-// is fused: the replies carry the blocks and the round ends computing the
+// and replies without allocating either, and the worker takes that reply.
+// Under ASP the round is fused: the replies carry the blocks (a top-k shard's
+// as a delta against the worker's block) and the round ends computing the
 // next iteration with no PullReq sent. Under BSP it is not, and the round
 // ends parked at the gate. The simulator delivers to sinks between rounds,
 // outside the measurement. The pin reads the cheapest of 51 rounds: an
@@ -107,6 +115,7 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 					}
 					// The shards sit beside the sinks, on IDs no send goes to.
 					var shards []*ps.Server
+					shardReplies := make([]wire.Message, len(ranges))
 					if wk.pushCodec != nil {
 						for si, r := range ranges {
 							opt, err := optimizer.NewSGD(optimizer.SGDConfig{Schedule: optimizer.Const(0.01), Clip: 10}, r.Len())
@@ -118,7 +127,7 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 								t.Fatal(err)
 							}
 							shards = append(shards, srv)
-							hosts[node.ServerID(len(ranges)+si)] = onMute{srv}
+							hosts[node.ServerID(len(ranges)+si)] = onRelay{srv, &shardReplies[si]}
 						}
 					}
 					pushes, self := make([]msg.PushReqV2, len(shards)), node.WorkerID(0)
@@ -134,6 +143,7 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 							replies[si].Values = dense[r.Lo:r.Hi]
 						}
 					}
+					deltas := 0
 					round := func() {
 						wk.pushUpdate = tc.update
 						if wk.pushCodec != nil {
@@ -143,14 +153,22 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 						wk.fused = wk.fusable()
 						wk.sendPush()
 						for si, srv := range shards {
-							pushes[si] = msg.PushReqV2{Seq: wk.seq, Iter: wk.iter, Codec: uint8(wk.pushCodec.ID()), Payload: wk.pushEnc[si].Bytes()}
+							pushes[si] = msg.PushReqV2{Seq: wk.seq, Iter: wk.iter, PullVersion: wk.pullVersions[si],
+								Codec: uint8(wk.pushCodec.ID()), Payload: wk.pushEnc[si].Bytes(), Pull: wk.fused}
 							version := srv.Version()
 							srv.Receive(self, &pushes[si])
 							if srv.Version() != version+1 {
 								t.Fatalf("shard %d did not apply the push", si)
 							}
+							if r, ok := shardReplies[si].(*msg.PullRespV2); ok && r.Base >= 0 {
+								deltas++
+							}
 						}
 						for si := range replies {
+							if shards != nil {
+								wk.Receive(wk.shardIDs[si], shardReplies[si])
+								continue
+							}
 							replies[si].Seq = wk.seq
 							replies[si].Version = wk.pullVersions[si] + 1
 							wk.Receive(wk.shardIDs[si], &replies[si])
@@ -180,6 +198,9 @@ func TestPushRoundAllocatesNothing(t *testing.T) {
 					}
 					if least := slices.Min(costs); least != 0 {
 						t.Errorf("every push round allocates (at least %d objects; all %v), want 0", least, costs)
+					}
+					if fused && shards != nil && deltas < 2*len(costs) {
+						t.Errorf("%d of %d fused top-k replies were deltas", deltas, 2*(len(costs)+3))
 					}
 				})
 			}

@@ -88,9 +88,11 @@ func (wk *Worker) installRouting(epoch int64, lo, hi, srv []int32, force bool) b
 
 	// Per-shard bookkeeping is re-derived for the new chunking. Pull versions
 	// carry over from whichever old shard contained the new shard's start —
-	// they only feed staleness accounting and the delta-pull Have, and the
-	// latter is reset anyway (migration clears the servers' delta caches, and
-	// a moved shard's version counter restarts from the staged value).
+	// they only feed staleness accounting and the version a push or pull
+	// names as held, and the latter matters only for delta replies, which
+	// start over anyway (havePulled is reset here, a migration commit makes
+	// the servers forget what each worker holds, and a moved shard's version
+	// counter restarts from the staged value).
 	wk.pullVersions = make([]int64, len(newShards))
 	for i, r := range newShards {
 		for j, o := range oldShards {
@@ -100,9 +102,7 @@ func (wk *Worker) installRouting(epoch int64, lo, hi, srv []int32, force bool) b
 			}
 		}
 	}
-	if wk.havePulled != nil {
-		wk.havePulled = make([]bool, len(newShards))
-	}
+	wk.havePulled = make([]bool, len(newShards))
 	wk.answered = make([]bool, len(newShards))
 	if wk.pushCodec != nil {
 		wk.pushEnc = make([]wire.Writer, len(newShards))

@@ -62,7 +62,8 @@ func scribble(m wire.Message) {
 // overwritten as soon as Receive returns holds the parameters, and pushes the
 // gradients, of a twin whose replies were left alone — on the v1 path, where
 // the second and third blocks ride the push replies, and on the codec path,
-// where the second pull is a delta against the block kept from the first.
+// where they ride them as deltas, each against the block kept from the one
+// before.
 // This is node.Handler's ownership rule from the worker's side.
 func TestWorkerKeepsNothingOfAPullResponse(t *testing.T) {
 	mdl := testModel(t, 1)
@@ -87,10 +88,10 @@ func TestWorkerKeepsNothingOfAPullResponse(t *testing.T) {
 			return []wire.Message{
 				&msg.PullRespV2{Seq: 1, Version: 1, Base: -1, Codec: uint8(codec.IDRaw),
 					Payload: codec.EncodePayload(codec.Raw{}, blocks[0], nil, nil, nil)},
-				&msg.PullResp{Seq: 2, Version: 2, Values: []float64{}}, // delta pulls never fuse
-				&msg.PullRespV2{Seq: 3, Version: 2, Base: 1, Codec: uint8(codec.IDDelta),
+				&msg.PullRespV2{Seq: 2, Version: 2, Base: 1, Codec: uint8(codec.IDDelta), // fused push replies
 					Payload: codec.EncodePayload(codec.Delta{}, blocks[1], blocks[0], nil, nil)},
-				&msg.PullResp{Seq: 4, Version: 3, Values: []float64{}},
+				&msg.PullRespV2{Seq: 3, Version: 3, Base: 2, Codec: uint8(codec.IDDelta),
+					Payload: codec.EncodePayload(codec.Delta{}, blocks[1], blocks[1], nil, nil)},
 			}
 		},
 	}

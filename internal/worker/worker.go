@@ -291,6 +291,9 @@ type Worker struct {
 	// false means legacy v1 pulls.
 	pushCodec codec.Codec
 	deltaPull bool
+	// deltaIdx is scratch for a delta reply's indices, which are all
+	// validated before any value is stored in w.
+	deltaIdx []int32
 	// residual holds the error-feedback state (one dense block per shard):
 	// each push encodes gradient+residual, then keeps what the encoding
 	// dropped for the next iteration.
@@ -303,8 +306,9 @@ type Worker struct {
 	// pushPart is the raw sparse path's counterpart of pushEnc: per-shard
 	// scratch the gradient's entries are rebased into on every send.
 	pushPart []sparse.Vec
-	// havePulled marks shards pulled at least once by this incarnation;
-	// until then delta pulls advertise Have = -1 (no base).
+	// havePulled marks the shards whose block this incarnation holds from a
+	// reply; until then a PullReqV2 advertises Have = -1 (no base) and a
+	// delta reply for the shard is refused.
 	havePulled []bool
 
 	// Sender-held per-iteration messages, refilled for every send: Send encodes
@@ -473,6 +477,7 @@ func New(cfg Config) (*Worker, error) {
 		shard:        shard,
 		schedID:      node.Scheduler,
 		pullVersions: make([]int64, len(shards)),
+		havePulled:   make([]bool, len(shards)),
 		answered:     make([]bool, len(shards)),
 		w:            tensor.NewVec(cfg.Model.Dim()),
 		pushCodec:    pushCodec,
@@ -482,9 +487,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	wk.computeDone = wk.finishCompute
 	wk.setShards(shards, shardSrv)
-	if deltaPull {
-		wk.havePulled = make([]bool, len(shards))
-	}
 	if pushCodec != nil {
 		lens := make([]int, len(shards))
 		for i, r := range shards {
@@ -709,82 +711,97 @@ func (wk *Worker) startPull() {
 // block, or a push's acknowledgement, which carries the block on a fused
 // round. Replies to an earlier round carry a stale Seq and are discarded.
 func (wk *Worker) handlePullResp(from node.ID, resp *msg.PullResp) {
-	pushing := wk.st == statePushing
-	if resp.Seq != wk.seq || (!pushing && wk.st != statePulling) {
+	si, block := wk.replyShard(from, resp.Seq)
+	if si < 0 {
 		return
 	}
-	si := wk.shardIndexOf(from)
+	if block != nil {
+		if len(resp.Values) != len(block) {
+			wk.ctx.Logf("worker: shard %d returned %d values, want %d", si, len(resp.Values), len(block))
+			return
+		}
+		copy(block, resp.Values)
+	}
+	wk.replied(si, resp.Version, block != nil)
+}
+
+// handlePullRespV2 is the codec-path sibling of handlePullResp: the block is
+// a codec payload, either full (Base < 0) or a delta against the block this
+// worker holds for the shard.
+func (wk *Worker) handlePullRespV2(from node.ID, resp *msg.PullRespV2) {
+	si, block := wk.replyShard(from, resp.Seq)
 	if si < 0 {
-		wk.ctx.Logf("worker: reply from unexpected node %s", from)
 		return
+	}
+	if block != nil {
+		if err := wk.decodeBlock(si, block, resp); err != nil {
+			wk.ctx.Logf("worker: shard %d reply: %v; dropped", si, err)
+			return
+		}
+	}
+	wk.replied(si, resp.Version, block != nil)
+}
+
+// replyShard resolves a reply to the round in flight: the shard it answers
+// (-1 for a reply to drop: a stale Seq, no round in flight, an unknown
+// sender, a second reply from the shard) and, when the round takes the
+// shard's block (a pull or a fused push), where the block goes in w.
+func (wk *Worker) replyShard(from node.ID, seq uint64) (si int, block tensor.Vec) {
+	pushing := wk.st == statePushing
+	if seq != wk.seq || (!pushing && wk.st != statePulling) {
+		return -1, nil
+	}
+	if si = wk.shardIndexOf(from); si < 0 {
+		wk.ctx.Logf("worker: reply from unexpected node %s", from)
+		return -1, nil
 	}
 	if wk.answered[si] {
-		return // duplicated reply
+		return -1, nil // duplicated reply
 	}
 	if r := wk.shards[si]; !pushing || wk.fused {
-		if len(resp.Values) != r.Len() {
-			wk.ctx.Logf("worker: shard %d returned %d values, want %d", si, len(resp.Values), r.Len())
-			return
-		}
-		copy(wk.w[r.Lo:r.Hi], resp.Values)
+		block = wk.w[r.Lo:r.Hi]
 	}
-	if !pushing {
-		wk.finishShardPull(si, resp.Version)
-		return
-	}
-	wk.stalenessSum += max(resp.Version-1-wk.pullVersions[si], 0) // pushes applied since the pull
-	if wk.fused {
-		wk.pullVersions[si] = resp.Version
-	}
-	if wk.answer(si) {
-		wk.finishPush()
-	}
+	return si, block
 }
 
-// handlePullRespV2 is the codec-path sibling of handlePullResp: the payload
-// is a codec block, either full (Base < 0) or a delta against the block this
-// worker last applied for the shard.
-func (wk *Worker) handlePullRespV2(from node.ID, resp *msg.PullRespV2) {
-	if wk.st != statePulling || resp.Seq != wk.seq {
-		return // stale response from before an abort
-	}
-	si := wk.shardIndexOf(from)
-	if si < 0 {
-		wk.ctx.Logf("worker: pull response from unexpected node %s", from)
-		return
-	}
-	if wk.answered[si] {
-		return // duplicated reply
-	}
-	r := wk.shards[si]
-	block := wk.w[r.Lo:r.Hi]
+// decodeBlock stores a codec reply's block, and leaves block untouched when
+// it refuses the reply. A delta only decodes against the exact block it was
+// computed from: the shard deltas only when the version the worker says it
+// holds is the one it last sent it, so a mismatch here is a protocol bug or
+// corruption, dropped for the retry path to fetch a full block.
+func (wk *Worker) decodeBlock(si int, block tensor.Vec, resp *msg.PullRespV2) (err error) {
 	id := codec.ID(resp.Codec)
-	if resp.Base >= 0 {
-		// A delta only decodes against the exact base it was computed from.
-		// The server caches what it last sent us and deltas only on a Have
-		// match, so a mismatch here means a protocol bug or corruption —
-		// drop and let the retry path re-pull a full block.
-		if wk.havePulled == nil || !wk.havePulled[si] || resp.Base != wk.pullVersions[si] {
-			wk.ctx.Logf("worker: shard %d delta against version %d, have %d; dropped",
-				si, resp.Base, wk.pullVersions[si])
-			return
+	if resp.Base < 0 {
+		if id == codec.IDDelta {
+			return fmt.Errorf("delta without a base")
 		}
+		return codec.DecodePayload(id, resp.Payload, block)
 	}
-	if err := codec.DecodePayload(id, resp.Payload, block); err != nil {
-		wk.ctx.Logf("worker: shard %d pull: %v; dropped", si, err)
-		return
+	if id != codec.IDDelta || !wk.havePulled[si] || resp.Base != wk.pullVersions[si] {
+		return fmt.Errorf("%s against version %d, have %d", id, resp.Base, wk.pullVersions[si])
 	}
-	if wk.havePulled != nil {
-		wk.havePulled[si] = true
-	}
-	wk.finishShardPull(si, resp.Version)
+	wk.deltaIdx, err = codec.DecodeDelta(resp.Payload, block, wk.deltaIdx)
+	return err
 }
 
-// finishShardPull records one shard's completed pull and starts compute once
-// every shard has answered.
-func (wk *Worker) finishShardPull(si int, version int64) {
-	wk.pullVersions[si] = version
-	if wk.answer(si) {
+// replied finishes one shard's reply to the round in flight, which stored
+// the shard's block at version when stored is set: a pull completes once
+// every shard has answered, a push round once every shard has acknowledged.
+func (wk *Worker) replied(si int, version int64, stored bool) {
+	pushing := wk.st == statePushing
+	if pushing {
+		wk.stalenessSum += max(version-1-wk.pullVersions[si], 0) // pushes applied since the pull
+	}
+	if stored {
+		wk.havePulled[si] = true
+		wk.pullVersions[si] = version
+	}
+	if !wk.answer(si) {
+		return
+	}
+	if pushing {
+		wk.finishPush()
+	} else {
 		wk.pullDone()
 	}
 }
@@ -883,10 +900,10 @@ func (wk *Worker) finishCompute() {
 // fusable reports whether the next iteration starts the moment this push
 // round is acknowledged — the gate admits it, no naive wait delays its pull,
 // and it is not past MaxIters — so the round's pushes may ask for the blocks
-// and the pull can be skipped. A delta pull keeps its explicit PullReqV2,
-// whose Have the shard needs.
+// and the pull can be skipped. The push's PullVersion names the block the
+// worker holds, as a PullReqV2's Have would.
 func (wk *Worker) fusable() bool {
-	return wk.admitted(wk.iter+1) && wk.cfg.Scheme.NaiveWait == 0 && !wk.deltaPull &&
+	return wk.admitted(wk.iter+1) && wk.cfg.Scheme.NaiveWait == 0 &&
 		(wk.cfg.MaxIters == 0 || wk.itersDone.Load()+1 < wk.cfg.MaxIters)
 }
 
