@@ -145,9 +145,8 @@ func run(args []string) error {
 			fmt.Printf("faults: %d acknowledged pushes lost to restore rollback\n", st.LostPushes)
 		}
 		if st.SchedulerCrashes > 0 {
-			fmt.Printf("scheduler: %d crashes, %d restarts (%d restored from checkpoint), %d state reports, %d degraded entries, %d recoveries\n",
-				st.SchedulerCrashes, st.SchedulerRestarts, st.SchedulerRestores,
-				st.StateReports, st.DegradedEnters, st.DegradedRecovers)
+			fmt.Printf("scheduler: %d crashes, %d restarts (%d restored from checkpoint), %d state reports\n",
+				st.SchedulerCrashes, st.SchedulerRestarts, st.SchedulerRestores, st.StateReports)
 		}
 	}
 	if rs := res.Replication; rs != nil {

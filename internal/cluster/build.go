@@ -355,18 +355,15 @@ func (n *Nodes) workerConfig(i int) worker.Config {
 			Speed:       speed,
 			JitterSigma: cfg.Workload.JitterSigma,
 		},
-		Tracer:           n.tracer,
-		Obs:              n.obs.Worker(i),
-		AbortLateFrac:    cfg.AbortLateFrac,
-		MaxIters:         cfg.MaxItersPerWorker,
-		NumWorkers:       cfg.Workers,
-		HeartbeatEvery:   cfg.HeartbeatEvery,
-		RetryAfter:       cfg.RetryAfter,
-		SchedulerTimeout: cfg.SchedulerTimeout,
-		Faults:           n.faults,
-		Codec:            cfg.Codec,
-		CodecStats:       n.codec,
-		ReportSpans:      cfg.reportSpans(),
+		Tracer:         n.tracer,
+		Obs:            n.obs.Worker(i),
+		AbortLateFrac:  cfg.AbortLateFrac,
+		MaxIters:       cfg.MaxItersPerWorker,
+		HeartbeatEvery: cfg.HeartbeatEvery,
+		RetryAfter:     cfg.RetryAfter,
+		Codec:          cfg.Codec,
+		CodecStats:     n.codec,
+		ReportSpans:    cfg.reportSpans(),
 	}
 	if i < len(cfg.Slowdowns) && cfg.Slowdowns[i].Factor >= 1 {
 		sd := cfg.Slowdowns[i]
@@ -475,11 +472,11 @@ func (n *Nodes) mitigateConfig() *core.MitigateConfig {
 				}
 			}
 			// The target's data shard, so its pushes count as the target's
-			// work, on a spare host; a clone runs no script and no failure
-			// detector of its own.
+			// work, on a spare host; a clone runs no script and sends no
+			// heartbeats of its own.
 			wcfg := n.workerConfig(target)
 			wcfg.Compute.Speed, wcfg.MaxIters, wcfg.ReportSpans = cfg.SpareSpeed, maxIters, true
-			wcfg.Slowdown, wcfg.Script, wcfg.HeartbeatEvery, wcfg.SchedulerTimeout = nil, nil, 0, 0
+			wcfg.Slowdown, wcfg.Script, wcfg.HeartbeatEvery = nil, nil, 0
 			wk, err := worker.New(wcfg)
 			if err != nil {
 				return err

@@ -219,14 +219,6 @@ func TestElasticConfigValidation(t *testing.T) {
 	if _, err := Run(badPlan); err == nil {
 		t.Error("invalid plan accepted")
 	}
-
-	decentral := base
-	decentral.Scheme.Spec = scheme.SpecAdaptive
-	decentral.Scheme.Decentralized = true
-	decentral.Scale = elastic.GrowShrink(4, 1, 1, 0, time.Second, 0)
-	if _, err := Run(decentral); err == nil {
-		t.Error("Scale + decentralized accepted")
-	}
 }
 
 // TestElasticTunerTracksMembership asserts that Algorithm 1 re-derives the

@@ -29,9 +29,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestLiveSchedulerDeathAndRecovery runs a real 2-worker loopback TCP
 // cluster, kills the scheduler mid-training, and requires the workers to (1)
-// keep iterating while it is gone, (2) flag degraded mode, and (3) return to
-// the centralized path once a restarted incarnation restores a checkpoint and
-// completes the StateReport handshake.
+// keep iterating while it is gone, and (2) each report its state to a
+// restarted incarnation that restored a checkpoint.
 func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	wl, err := NewTiny(2, 1)
 	if err != nil {
@@ -58,14 +57,11 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	workers := make([]*worker.Worker, 2)
 	for i := range workers {
 		workers[i], err = worker.New(worker.Config{
-			Index:            i,
-			Shards:           ranges,
-			Model:            wl.Model,
-			Scheme:           sc,
-			Compute:          worker.ComputeModel{Base: iterTime, Speed: 1},
-			NumWorkers:       2,
-			SchedulerTimeout: 100 * time.Millisecond,
-			Faults:           fm,
+			Index:   i,
+			Shards:  ranges,
+			Model:   wl.Model,
+			Scheme:  sc,
+			Compute: worker.ComputeModel{Base: iterTime, Speed: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -102,15 +98,11 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	lb.Stop(node.Scheduler)
 	fm.RecordSchedulerCrash()
 
-	waitFor(t, "both workers to enter degraded mode", func() bool {
-		return workers[0].Degraded() && workers[1].Degraded()
-	})
-	itersAtDegrade := workers[0].IterationsDone() + workers[1].IterationsDone()
+	// ASP training goes on without a scheduler: more iterations complete
+	// than the two that could have been in flight at the crash.
+	itersAtCrash := workers[0].IterationsDone() + workers[1].IterationsDone()
 	waitFor(t, "training progress while the scheduler is down", func() bool {
-		if !workers[0].Degraded() && !workers[1].Degraded() {
-			t.Fatal("scheduler came back before degraded-mode progress was observed")
-		}
-		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtDegrade
+		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtCrash+2
 	})
 
 	// Restart: a generation-1 incarnation restores the dead one's checkpoint
@@ -129,8 +121,8 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	}
 	fm.RecordSchedulerRestart()
 
-	waitFor(t, "both workers to recover after the scheduler restart", func() bool {
-		return !workers[0].Degraded() && !workers[1].Degraded()
+	waitFor(t, "a state report from each worker", func() bool {
+		return fm.Stats().StateReports >= 2
 	})
 	itersAtRecover := workers[0].IterationsDone() + workers[1].IterationsDone()
 	waitFor(t, "training progress under the restarted scheduler", func() bool {
@@ -142,10 +134,7 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 		t.Errorf("scheduler crashes/restarts/restores = %d/%d/%d, want 1/1/1",
 			st.SchedulerCrashes, st.SchedulerRestarts, st.SchedulerRestores)
 	}
-	if st.StateReports < 2 {
-		t.Errorf("state reports = %d, want >= 2 (one per worker)", st.StateReports)
-	}
-	if st.DegradedEnters < 2 || st.DegradedRecovers < 2 {
-		t.Errorf("degraded enters/recovers = %d/%d, want >= 2 each", st.DegradedEnters, st.DegradedRecovers)
+	if st.StateReports != 2 {
+		t.Errorf("state reports = %d, want 2 (one per worker)", st.StateReports)
 	}
 }

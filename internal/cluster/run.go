@@ -117,15 +117,12 @@ type Config struct {
 	// lost to a crashed shard are re-issued after this long). Zero means
 	// 2x IterTime when Faults is set, retries off otherwise.
 	RetryAfter time.Duration `json:"retry_after,omitempty"`
-	// SchedulerTimeout overrides the workers' scheduler failure-detector
-	// timeout (silence longer than this flips a worker into degraded mode).
-	// Zero means 4x IterTime when the fault plan crashes the scheduler,
-	// detector off otherwise — so plans that never touch the scheduler keep
-	// their exact event schedules.
-	SchedulerTimeout time.Duration `json:"scheduler_timeout,omitempty"`
-	// BeaconEvery overrides the scheduler's liveness beacon period. Zero
-	// means IterTime when the fault plan crashes the scheduler, beacons off
-	// otherwise.
+	// BeaconEvery overrides the period of the scheduler's SchedulerBeacon,
+	// which carries its generation to every worker: a worker that missed a
+	// new incarnation's Hello or LeaderAnnounce, such as one restarted after
+	// a standby election, finds the serving scheduler through it. Zero means
+	// IterTime when the fault plan crashes the scheduler or the run has
+	// standby schedulers, beacons off otherwise.
 	BeaconEvery time.Duration `json:"beacon_every,omitempty"`
 	// Obs, if non-nil, receives runtime telemetry (latency histograms, span
 	// traces, the /clusterz snapshot). Nil builds an internal registry-only
@@ -179,16 +176,15 @@ type Replication struct {
 	// StandbySchedulers is the number of standby scheduler incarnations
 	// (S). The serving leader ships its durable snapshot to all S standbys
 	// every ReplicateEvery; a crash-scheduler event then ends in a
-	// term-based election among the standbys instead of degraded broadcast
-	// mode, with workers redirected by LeaderAnnounce.
+	// term-based election among the standbys, with workers redirected by
+	// LeaderAnnounce.
 	StandbySchedulers int `json:"standby_schedulers,omitempty"`
 	// ReplicateEvery is the leader's snapshot-shipping period, which
 	// doubles as its liveness heartbeat. Zero means IterTime/2.
 	ReplicateEvery time.Duration `json:"replicate_every,omitempty"`
 	// ElectionTimeout is the standbys' election-timeout base (each standby
-	// randomizes into [T, 2T)). Zero means IterTime — short enough that a
-	// successor is elected before any worker's own SchedulerTimeout (4x
-	// IterTime) trips it into degraded mode.
+	// randomizes into [T, 2T)). Zero means IterTime, so a successor serves
+	// within two iterations of the leader's last snapshot.
 	ElectionTimeout time.Duration `json:"election_timeout,omitempty"`
 }
 
@@ -277,13 +273,8 @@ func (c *Config) applyDefaults() {
 		if c.RetryAfter == 0 {
 			c.RetryAfter = 2 * it
 		}
-		if c.Faults.HasSchedulerCrash() {
-			if c.SchedulerTimeout == 0 {
-				c.SchedulerTimeout = 4 * it
-			}
-			if c.BeaconEvery == 0 {
-				c.BeaconEvery = it
-			}
+		if c.Faults.HasSchedulerCrash() && c.BeaconEvery == 0 {
+			c.BeaconEvery = it
 		}
 	}
 	if c.Replication.Enabled() {
@@ -294,18 +285,11 @@ func (c *Config) applyDefaults() {
 			c.Replication.ReplicateEvery = it / 2
 		}
 		if c.Replication.ElectionTimeout == 0 {
-			// Fires within 2x IterTime (randomized to [T, 2T)), well before
-			// the workers' own SchedulerTimeout of 4x IterTime — failover
-			// completes without any worker entering degraded mode.
+			// Fires within 2x IterTime (randomized to [T, 2T)).
 			c.Replication.ElectionTimeout = it
 		}
-		if c.Replication.StandbySchedulers > 0 {
-			if c.SchedulerTimeout == 0 {
-				c.SchedulerTimeout = 4 * it
-			}
-			if c.BeaconEvery == 0 {
-				c.BeaconEvery = it
-			}
+		if c.Replication.StandbySchedulers > 0 && c.BeaconEvery == 0 {
+			c.BeaconEvery = it
 		}
 	}
 	zero := des.NetModel{}
@@ -482,29 +466,22 @@ func (c Config) Validate() error {
 
 	faulty := c.Faults != nil || c.Churn != nil
 	mitigating := c.Mitigation != stragglers.MitigateNone
-	sc := c.Scheme
 	switch {
 	case c.Faults != nil && c.Churn != nil:
 		return fmt.Errorf("cluster: Faults cannot be combined with Churn (churn generates the fault plan)")
 	case scaling && faulty:
 		return fmt.Errorf("cluster: Scale cannot be combined with Faults (restarts assume the static cluster shape; see DESIGN.md, Elasticity)")
-	case scaling && sc.Decentralized:
-		return fmt.Errorf("cluster: Scale cannot be combined with decentralized speculation (the peer list is static)")
 	case c.Replication.Enabled() && scaling:
 		return fmt.Errorf("cluster: Replication cannot be combined with Scale (promotion and election rebuild nodes at the static cluster shape)")
 	case c.Replication.Enabled() && c.Faults != nil && !c.Faults.CrashOnly():
 		return fmt.Errorf("cluster: Replication requires a crash-only fault plan (a dropped or partitioned replication message would silently stall a backup; see DESIGN.md, Replication)")
-	case c.Replication.StandbySchedulers > 0 && sc.Decentralized:
-		return fmt.Errorf("cluster: standby schedulers cannot be combined with decentralized speculation (there is no scheduler to replicate)")
 	case straggling && faulty:
 		return fmt.Errorf("cluster: Stragglers cannot be combined with Faults (restarts re-anchor the profile's speed windows mid-run)")
 	case straggling && scaling:
 		return fmt.Errorf("cluster: Stragglers cannot be combined with Scale (the profile indexes a fixed worker set)")
 	case mitigating && !straggling:
 		return fmt.Errorf("cluster: mitigation %q without a straggler plan", c.Mitigation)
-	case mitigating && sc.Decentralized:
-		return fmt.Errorf("cluster: straggler mitigation requires the centralized scheduler (Decentralized unsupported)")
-	case mitigating && sc.Policy == scheme.PolicyMeta:
+	case mitigating && c.Scheme.Policy == scheme.PolicyMeta:
 		return fmt.Errorf("cluster: straggler mitigation cannot be combined with the meta-scheme policy (both act on the same detector)")
 	case mitigating && c.Replication.Enabled():
 		return fmt.Errorf("cluster: straggler mitigation cannot be combined with Replication (clone dedup and the replicated-path dedup would fight over push watermarks)")

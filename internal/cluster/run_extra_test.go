@@ -81,22 +81,3 @@ func TestExpiryOnlyModeRuns(t *testing.T) {
 		t.Errorf("paper-literal mode did not converge: final %v", res.FinalLoss)
 	}
 }
-
-func TestDecentralizedClusterRuns(t *testing.T) {
-	res, err := Run(tinyConfig(t, scheme.Config{
-		Base: scheme.ASP, Spec: scheme.SpecFixed,
-		AbortTime: 200 * time.Millisecond, AbortRate: 0.3,
-		Decentralized: true,
-	}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Errorf("decentralized cluster did not converge: final %v", res.FinalLoss)
-	}
-	// Broadcast notices must appear in the transfer accounting.
-	data, control := res.Transfer.Split()
-	if control == 0 || data == 0 {
-		t.Errorf("transfer split %d/%d", data, control)
-	}
-}

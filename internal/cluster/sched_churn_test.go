@@ -24,9 +24,6 @@ func schedChurnConfig(t *testing.T, sc scheme.Config, restartAfter time.Duration
 	return tinyConfig(t, sc, func(c *Config) {
 		c.Faults = schedChurnPlan(restartAfter)
 		c.CheckpointEvery = time.Second
-		// Tight detector settings so degraded mode engages well before the
-		// tiny workload converges (~4s of silence would race the target).
-		c.SchedulerTimeout = 2 * time.Second
 		c.BeaconEvery = 500 * time.Millisecond
 	})
 }
@@ -60,10 +57,6 @@ func TestSchedulerChurnConvergesAllSchemes(t *testing.T) {
 			if st.StateReports < 4 {
 				t.Errorf("state reports = %d, want >= 4 (every worker answers the Hello)", st.StateReports)
 			}
-			if st.DegradedEnters < 1 || st.DegradedRecovers < st.DegradedEnters {
-				t.Errorf("degraded enters/recovers = %d/%d, want >= 1 and full recovery",
-					st.DegradedEnters, st.DegradedRecovers)
-			}
 			// The crash and the incarnation's recovery both carry the
 			// scheduler's trace sentinel.
 			foundCrash, foundRecover := false, false
@@ -91,55 +84,9 @@ func TestSchedulerChurnConvergesAllSchemes(t *testing.T) {
 	}
 }
 
-// TestDegradedFlightRoundTrip drives a worker through a full degraded-mode
-// round trip (scheduler silent past the timeout, then a restarted incarnation
-// re-adopts the fleet) and requires the flight recorder to hold the story in
-// order: for every worker that entered degraded mode, its degraded-enter
-// event precedes a matching degraded-exit.
-func TestDegradedFlightRoundTrip(t *testing.T) {
-	res, err := Run(schedChurnConfig(t,
-		scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}, 4*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Faults.Stats()
-	if st.DegradedEnters < 1 {
-		t.Fatalf("degraded enters = %d, want >= 1 (scenario must trip the failure detector)", st.DegradedEnters)
-	}
-	enters := res.Flight.Filter("degraded-enter")
-	exits := res.Flight.Filter("degraded-exit")
-	if int64(len(enters)) != st.DegradedEnters {
-		t.Errorf("flight recorder holds %d degraded-enter events, fault stats say %d", len(enters), st.DegradedEnters)
-	}
-	if int64(len(exits)) != st.DegradedRecovers {
-		t.Errorf("flight recorder holds %d degraded-exit events, fault stats say %d", len(exits), st.DegradedRecovers)
-	}
-	// Per worker: alternating enter/exit starting with enter, ending closed.
-	state := map[string]string{}
-	for _, ev := range res.Flight.Events {
-		switch ev.Kind {
-		case "degraded-enter":
-			if state[ev.Node] == "in" {
-				t.Errorf("%s: degraded-enter while already degraded (seq %d)", ev.Node, ev.Seq)
-			}
-			state[ev.Node] = "in"
-		case "degraded-exit":
-			if state[ev.Node] != "in" {
-				t.Errorf("%s: degraded-exit without a preceding enter (seq %d)", ev.Node, ev.Seq)
-			}
-			state[ev.Node] = "out"
-		}
-	}
-	for node, s := range state {
-		if s == "in" {
-			t.Errorf("%s: still degraded at end of run — exit event never recorded", node)
-		}
-	}
-}
-
 // TestSchedulerChurnReproducible requires byte-identical traces across two
-// same-seed runs of the scheduler-crash plan: the failure detector, beacons,
-// handshake, and degraded-mode speculation must all live in virtual time.
+// same-seed runs of the scheduler-crash plan: beacons, the handshake and the
+// checkpoint restore must all live in virtual time.
 func TestSchedulerChurnReproducible(t *testing.T) {
 	run := func() *Result {
 		res, err := Run(schedChurnConfig(t,
@@ -165,12 +112,13 @@ func TestSchedulerChurnReproducible(t *testing.T) {
 	}
 }
 
-// TestSchedulerDownDegradedSpeculation kills the scheduler permanently under
-// the adaptive scheme: workers must detect the loss, fail over to broadcast
-// speculation, and keep aborting-and-resyncing without the coordinator.
-func TestSchedulerDownDegradedSpeculation(t *testing.T) {
-	res, err := Run(schedChurnConfig(t,
-		scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}, 0))
+// TestSchedulerLostLeavesPlainASP kills the scheduler for good under ASP +
+// adaptive SpecSync. Without a scheduler nothing re-syncs a worker, so the
+// workers run plain ASP, the paper's own baseline: no re-sync or abort lands
+// later than one network delay after the crash, and the run converges.
+func TestSchedulerLostLeavesPlainASP(t *testing.T) {
+	cfg := schedChurnConfig(t, scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}, 0)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +129,6 @@ func TestSchedulerDownDegradedSpeculation(t *testing.T) {
 	if st.SchedulerCrashes != 1 || st.SchedulerRestarts != 0 {
 		t.Errorf("scheduler crashes/restarts = %d/%d, want 1/0", st.SchedulerCrashes, st.SchedulerRestarts)
 	}
-	if st.DegradedEnters != 4 {
-		t.Errorf("degraded enters = %d, want all 4 workers", st.DegradedEnters)
-	}
-	if st.DegradedRecovers != 0 {
-		t.Errorf("degraded recovers = %d, want 0 (scheduler never came back)", st.DegradedRecovers)
-	}
-	// Degraded-mode speculation: abort events recorded after the crash, when
-	// only the worker-local broadcast path could have triggered them.
 	var crashAt time.Time
 	for _, ev := range res.Trace.Events() {
 		if ev.Kind == trace.KindCrash && ev.Worker == trace.SchedulerNode {
@@ -198,13 +138,11 @@ func TestSchedulerDownDegradedSpeculation(t *testing.T) {
 	if crashAt.IsZero() {
 		t.Fatal("no scheduler crash event in trace")
 	}
-	degradedAborts := 0
+	net := cfg.WithDefaults().Net
+	quiet := crashAt.Add(net.Latency + net.Jitter)
 	for _, ev := range res.Trace.Events() {
-		if ev.Kind == trace.KindAbort && ev.At.After(crashAt) {
-			degradedAborts++
+		if (ev.Kind == trace.KindReSync || ev.Kind == trace.KindAbort) && ev.At.After(quiet) {
+			t.Errorf("%s on worker %d at %v, after the scheduler died at %v", ev.Kind, ev.Worker, ev.At, crashAt)
 		}
-	}
-	if degradedAborts == 0 {
-		t.Error("no abort events after the scheduler crash; broadcast failover never speculated")
 	}
 }

@@ -162,9 +162,6 @@ func TestConfigValidateExclusions(t *testing.T) {
 	drop := &faults.Plan{Events: []faults.Event{{Kind: faults.KindDrop, At: time.Second, Duration: time.Second}}}
 	grow := elastic.GrowShrink(4, 1, 4, 0, time.Second, 0)
 	slow := &stragglers.Plan{Events: []stragglers.Event{{Kind: stragglers.KindDegrade, At: time.Second, Worker: 1, Speed: 0.5}}}
-	cherry := scheme.Config{Base: scheme.ASP, Spec: scheme.SpecFixed, AbortTime: time.Second, AbortRate: 0.2}
-	broadcast := cherry
-	broadcast.Decentralized = true
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -174,7 +171,6 @@ func TestConfigValidateExclusions(t *testing.T) {
 		{"scale x churn", func(c *Config) {
 			c.Scale, c.Churn = grow, &faults.ChurnConfig{Crashes: 1, Horizon: time.Second}
 		}, "Scale cannot be combined with Faults"},
-		{"scale x decentralized", func(c *Config) { c.Scale, c.Scheme = grow, broadcast }, "decentralized"},
 		{"faults x churn", func(c *Config) {
 			c.Faults, c.Churn = crash, &faults.ChurnConfig{Crashes: 1, Horizon: time.Second}
 		}, "Faults cannot be combined with Churn"},
@@ -183,22 +179,12 @@ func TestConfigValidateExclusions(t *testing.T) {
 		{"stragglers x faults", func(c *Config) { c.Stragglers, c.Faults = slow, crash }, "Stragglers cannot be combined with Faults"},
 		{"stragglers x scale", func(c *Config) { c.Stragglers, c.Scale = slow, grow }, "Stragglers cannot be combined with Scale"},
 		{"mitigation without plan", func(c *Config) { c.Mitigation = stragglers.MitigateClone }, "without a straggler plan"},
-		{"mitigation x decentralized", func(c *Config) {
-			c.Stragglers, c.Mitigation, c.Scheme = slow, stragglers.MitigateClone, broadcast
-		}, "centralized scheduler"},
 		{"mitigation x meta-scheme", func(c *Config) {
 			c.Stragglers, c.Mitigation, c.Scheme = slow, stragglers.MitigateRebalance, scheme.Config{Base: scheme.BSP, Policy: scheme.PolicyMeta}
 		}, "mitigation cannot be combined with the meta-scheme"},
 		{"mitigation x replication", func(c *Config) {
 			c.Stragglers, c.Mitigation, c.Replication.StandbySchedulers = slow, stragglers.MitigateClone, 1
 		}, "mitigation cannot be combined with Replication"},
-		{"policy x decentralized", func(c *Config) {
-			c.Scheme = scheme.Config{Base: scheme.SSP, Staleness: 2, Spec: scheme.SpecFixed, AbortTime: time.Second,
-				AbortRate: 0.2, Decentralized: true, Policy: scheme.PolicyMeta}
-		}, "policy meta requires the centralized scheduler"},
-		{"standby schedulers x decentralized", func(c *Config) {
-			c.Replication.StandbySchedulers, c.Scheme = 1, broadcast
-		}, "standby schedulers cannot be combined with decentralized"},
 	}
 	for _, tc := range cases {
 		wl, err := NewTiny(5, 1)

@@ -269,8 +269,6 @@ func TestMetaSchemeConfigRejections(t *testing.T) {
 	}{
 		// Meta over the PSP gate: the policy moves the bound, the quorum stays.
 		{"meta+variant", scheme.Config{Base: scheme.BSP, Quorum: 0.5, Policy: scheme.PolicyMeta}, nil, false},
-		{"meta+decentralized", scheme.Config{Base: scheme.SSP, Staleness: 2, Spec: scheme.SpecFixed,
-			AbortTime: 100 * time.Millisecond, AbortRate: 0.22, Decentralized: true, Policy: scheme.PolicyMeta}, nil, true},
 		// Speculation idles while the meta policy holds the bound at 0.
 		{"meta+spec", scheme.Config{Base: scheme.BSP, Spec: scheme.SpecAdaptive, Policy: scheme.PolicyMeta}, nil, false},
 		{"bad-slowdown", scheme.Config{Base: scheme.BSP}, []worker.Slowdown{{Factor: 0.5, From: 0, Until: time.Second}}, true},

@@ -67,11 +67,13 @@ type SchedulerConfig struct {
 	// Generation is this scheduler's incarnation number. Zero is the
 	// original process; a positive value marks a post-crash restart, which
 	// broadcasts SchedulerHello (instead of Start) on Init so workers
-	// re-report their state and leave degraded mode.
+	// re-report their state.
 	Generation int64
-	// BeaconEvery, when positive, broadcasts a periodic SchedulerBeacon so
-	// workers' scheduler-failure detectors have a liveness signal that does
-	// not depend on re-sync or release traffic.
+	// BeaconEvery, when positive, broadcasts a periodic SchedulerBeacon
+	// carrying Generation. A worker that missed this incarnation's Hello or
+	// LeaderAnnounce, such as one restarted after a standby election, adopts
+	// the scheduler from the beacon and reports its state; without it the
+	// new leader would evict that worker as silent.
 	BeaconEvery time.Duration
 	// ActiveWorkers is how many of the Workers capacity slots start in
 	// membership (zero means all). Elastic runs size Workers to the scale
@@ -360,7 +362,7 @@ func (s *Scheduler) Init(ctx node.Context) {
 	}
 }
 
-// armBeacon schedules the periodic scheduler liveness beacon.
+// armBeacon schedules the periodic SchedulerBeacon.
 func (s *Scheduler) armBeacon() {
 	s.ctx.After(s.cfg.BeaconEvery, func() {
 		s.mu.Lock()

@@ -1,7 +1,7 @@
 package core
 
 // Tail keeps the most recent items of an append-only stream (the scheduler's
-// push history, a decentralized worker's peer-push log). Dropping from the
+// push history). Dropping from the
 // front advances a head offset instead of moving the survivors; the dead
 // prefix is reclaimed by one copy once it is at least as long as the live
 // part, so Push and Drop are O(1) amortised and a bounded stream settles into

@@ -7,14 +7,15 @@ import (
 
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
+	"specsync/internal/trace"
 	"specsync/internal/wire"
 )
 
 // AblationResult covers the design decisions DESIGN.md calls out:
 //
 //  1. Centralized scheduler vs all-to-all broadcast (paper Sec. V-A): the
-//     measured notify/re-sync bytes vs the bytes an m-to-m PushNotice
-//     broadcast of the same push events would have cost.
+//     measured notify/re-sync bytes vs a counterfactual, the bytes an
+//     m-to-m broadcast of the same pushes would have cost.
 //  2. The "too late to abort" cutoff (paper Sec. IV-A): convergence with the
 //     cutoff at its default, disabled, and aggressive.
 //  3. The bursty-arrival environment: SpecSync's edge with the transient
@@ -22,7 +23,8 @@ import (
 type AblationResult struct {
 	Workload WorkloadID
 
-	// Broadcast ablation.
+	// Broadcast ablation: measured centralized traffic, and the
+	// counterfactual broadcast traffic of the same pushes.
 	Pushes          int64
 	CentralCtlBytes int64
 	BroadcastBytes  int64
@@ -51,14 +53,12 @@ func Ablations(o Options) (*AblationResult, error) {
 	}
 	res := &AblationResult{Workload: WorkloadCIFAR}
 
-	// (1) Broadcast ablation: run the centralized design and the real
-	// decentralized (all-to-all PushNotice) implementation and compare
-	// their measured speculation-control traffic.
-	at, rate := CherrypickParams(WorkloadCIFAR, wl.IterTime)
-	central, err := runOne(o, wl, schemeConfig{
-		Base: schemeASP().Base, Spec: schemeCherry(WorkloadCIFAR, wl.IterTime).Spec,
-		AbortTime: at, AbortRate: rate,
-	}, nil)
+	// (1) Broadcast ablation: run the centralized design, measure its
+	// speculation-control traffic, and price the all-to-all alternative off
+	// the same run's push trace.
+	central, err := runOne(o, wl, schemeCherry(WorkloadCIFAR, wl.IterTime), func(c *clusterConfig) {
+		c.KeepTrace = true
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -68,16 +68,7 @@ func Ablations(o Options) (*AblationResult, error) {
 		res.CentralCtlBytes += b
 		res.CentralMsgs += m
 	}
-	broadcast, err := runOne(o, wl, schemeConfig{
-		Base: schemeASP().Base, Spec: schemeCherry(WorkloadCIFAR, wl.IterTime).Spec,
-		AbortTime: at, AbortRate: rate, Decentralized: true,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	b, m := broadcast.Transfer.KindBytes(msg.KindPushNotice)
-	res.BroadcastBytes = b
-	res.BroadcastMsgs = m
+	res.BroadcastBytes, res.BroadcastMsgs = broadcastCost(central.Trace.Events(), o.Workers)
 
 	// (2) Late-cutoff ablation.
 	res.CutoffFracs = []float64{0.5, 0.9, 1.0}
@@ -120,6 +111,22 @@ func Ablations(o Options) (*AblationResult, error) {
 	return res, nil
 }
 
+// broadcastCost prices the broadcast design of Sec. V-A, which has no
+// scheduler: a worker sends each push's iteration to every peer as a control
+// frame holding one varint. That frame is the push's Notify, so each push
+// costs workers - 1 copies of it.
+func broadcastCost(events []trace.Event, workers int) (bytes, msgs int64) {
+	peers := int64(workers - 1)
+	for _, ev := range events {
+		if ev.Kind != trace.KindPush {
+			continue
+		}
+		bytes += peers * int64(wire.EncodedSize(&msg.Notify{Iter: ev.Iter}))
+		msgs += peers
+	}
+	return bytes, msgs
+}
+
 // Render prints all three studies.
 func (r *AblationResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Ablations (%s)\n", r.Workload)
@@ -127,7 +134,7 @@ func (r *AblationResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "\n(1) Centralized scheduler vs all-to-all broadcast (paper Sec. V-A):")
 	tb := newTable("design", "control messages", "control bytes")
 	tb.addRow("centralized (measured)", fmt.Sprintf("%d", r.CentralMsgs), metrics.HumanBytes(r.CentralCtlBytes))
-	tb.addRow("broadcast (measured)", fmt.Sprintf("%d", r.BroadcastMsgs), metrics.HumanBytes(r.BroadcastBytes))
+	tb.addRow("broadcast (counterfactual)", fmt.Sprintf("%d", r.BroadcastMsgs), metrics.HumanBytes(r.BroadcastBytes))
 	tb.render(w)
 	if r.CentralCtlBytes > 0 {
 		fmt.Fprintf(w, "broadcast blowup: %.1fx the control bytes\n",

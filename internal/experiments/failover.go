@@ -12,8 +12,8 @@ import (
 // FailoverResult summarizes the replication benchmark: the zero-loss claim
 // (a crashed, replicated shard run ends on the byte-identical model as the
 // fault-free run, while checkpoint restore provably loses pushes) and the
-// scheduler-failover claim (an elected standby takes over inside the
-// workers' detection window, so degraded broadcast mode never engages).
+// scheduler-failover claim (an elected standby takes over and carries the
+// run to convergence).
 type FailoverResult struct {
 	Replicas int `json:"replicas"`
 	Standbys int `json:"standbys"`
@@ -30,12 +30,11 @@ type FailoverResult struct {
 	Promotions      int64  `json:"promotions"`
 
 	// Scheduler failover at cluster scale.
-	Elections      int64         `json:"elections"`
-	FinalTerm      int64         `json:"final_term"`
-	LeaderNode     string        `json:"leader_node"`
-	DegradedEnters int64         `json:"degraded_enters"`
-	Converged      bool          `json:"converged"`
-	ConvergeTime   time.Duration `json:"converge_time_ns"`
+	Elections    int64         `json:"elections"`
+	FinalTerm    int64         `json:"final_term"`
+	LeaderNode   string        `json:"leader_node"`
+	Converged    bool          `json:"converged"`
+	ConvergeTime time.Duration `json:"converge_time_ns"`
 
 	// Reproducible: two identical replicated crash runs produced the same
 	// final digest (replication must not perturb DES determinism).
@@ -150,9 +149,7 @@ func Failover(o Options, replicas, standbys int) (*FailoverResult, error) {
 		res.FinalTerm = rs.FinalTerm
 		res.LeaderNode = rs.LeaderNode
 	}
-	res.DegradedEnters = sched.Faults.Stats().DegradedEnters
-	o.progressf("failover: scheduler kill -> %d elections, leader %s, %d degraded entries",
-		res.Elections, res.LeaderNode, res.DegradedEnters)
+	o.progressf("failover: scheduler kill -> %d elections, leader %s", res.Elections, res.LeaderNode)
 	return res, nil
 }
 
@@ -164,8 +161,8 @@ func (r *FailoverResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  shard crash, checkpoint-only: lost pushes %d, digest match %v\n",
 		r.CheckpointLost, r.CheckpointMatch)
 	fmt.Fprintf(w, "  deterministic replay:         %v\n", r.Reproducible)
-	fmt.Fprintf(w, "  scheduler kill: %d election(s), leader %s at term %d, %d degraded entries, converged %v",
-		r.Elections, r.LeaderNode, r.FinalTerm, r.DegradedEnters, r.Converged)
+	fmt.Fprintf(w, "  scheduler kill: %d election(s), leader %s at term %d, converged %v",
+		r.Elections, r.LeaderNode, r.FinalTerm, r.Converged)
 	if r.Converged {
 		fmt.Fprintf(w, " at %v", r.ConvergeTime.Round(time.Second))
 	}

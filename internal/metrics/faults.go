@@ -27,13 +27,11 @@ type Faults struct {
 	checkpoints int64
 	restores    int64
 
-	sendFailures     int64
-	schedCrashes     int64
-	schedRestarts    int64
-	schedRestores    int64
-	stateReports     int64
-	degradedEnters   int64
-	degradedRecovers int64
+	sendFailures  int64
+	schedCrashes  int64
+	schedRestarts int64
+	schedRestores int64
+	stateReports  int64
 
 	lostPushes int64
 	promotions int64
@@ -173,21 +171,6 @@ func (f *Faults) RecordStateReport() {
 	}
 }
 
-// RecordDegraded counts one worker entering broadcast-failover degraded mode.
-func (f *Faults) RecordDegraded() {
-	if f != nil {
-		f.add(&f.degradedEnters)
-	}
-}
-
-// RecordDegradedRecover counts one worker leaving degraded mode after the
-// scheduler came back.
-func (f *Faults) RecordDegradedRecover() {
-	if f != nil {
-		f.add(&f.degradedRecovers)
-	}
-}
-
 // RecordLostPushes counts pushes irrecoverably lost by a crash: applied by
 // the dead node but absent from the state its replacement restored. A
 // checkpoint restore loses everything since the last snapshot; a replica
@@ -232,7 +215,6 @@ type FaultStats struct {
 	SchedulerCrashes, SchedulerRestarts int64
 	SchedulerRestores                   int64
 	StateReports                        int64
-	DegradedEnters, DegradedRecovers    int64
 
 	LostPushes int64
 	Promotions int64
@@ -260,8 +242,6 @@ func (f *Faults) Stats() FaultStats {
 		SchedulerRestarts: f.schedRestarts,
 		SchedulerRestores: f.schedRestores,
 		StateReports:      f.stateReports,
-		DegradedEnters:    f.degradedEnters,
-		DegradedRecovers:  f.degradedRecovers,
 
 		LostPushes: f.lostPushes,
 		Promotions: f.promotions,

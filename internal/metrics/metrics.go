@@ -128,6 +128,9 @@ func (s *Series) Downsample(n int) []Point {
 	if n <= 0 || len(points) <= n {
 		return points
 	}
+	if n == 1 {
+		return points[len(points)-1:]
+	}
 	out := make([]Point, 0, n)
 	step := float64(len(points)-1) / float64(n-1)
 	for i := 0; i < n; i++ {

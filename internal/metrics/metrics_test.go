@@ -75,6 +75,13 @@ func TestDownsample(t *testing.T) {
 	if d[0].V != 0 || d[9].V != 99 {
 		t.Errorf("endpoints: %v ... %v", d[0], d[9])
 	}
+	// One point is the last one; two are the endpoints.
+	if got := s.Downsample(1); len(got) != 1 || got[0].V != 99 {
+		t.Errorf("Downsample(1) = %v, want the last point", got)
+	}
+	if got := s.Downsample(2); len(got) != 2 || got[0].V != 0 || got[1].V != 99 {
+		t.Errorf("Downsample(2) = %v, want the endpoints", got)
+	}
 	// No-op when n >= len.
 	if got := s.Downsample(200); len(got) != 100 {
 		t.Errorf("oversized downsample len = %d", len(got))

@@ -15,8 +15,8 @@
 //
 // Kind values are part of the wire format; never renumber them. Kind 4 (the
 // retired PushAck; a push is answered by a PullResp), kind 9 (the retired BSP
-// barrier release) and kind 27 (the retired multi-tenant job envelope) are
-// reserved.
+// barrier release), kind 12 (the retired worker-to-worker push broadcast) and
+// kind 27 (the retired multi-tenant job envelope) are reserved.
 package msg
 
 import (
@@ -38,7 +38,6 @@ const (
 	KindStop            wire.Kind = 8
 	KindRelease         wire.Kind = 10
 	KindWorkerReady     wire.Kind = 11
-	KindPushNotice      wire.Kind = 12
 	KindHeartbeat       wire.Kind = 13
 	KindSchedulerHello  wire.Kind = 14
 	KindStateReport     wire.Kind = 15
@@ -259,21 +258,6 @@ func (m *WorkerReady) Encode(*wire.Writer) {}
 // Decode implements wire.Message.
 func (m *WorkerReady) Decode(*wire.Reader) {}
 
-// PushNotice is used by the decentralized (broadcast) ablation: each worker
-// announces its push directly to every peer instead of the scheduler.
-type PushNotice struct {
-	Iter int64
-}
-
-// Kind implements wire.Message.
-func (m *PushNotice) Kind() wire.Kind { return KindPushNotice }
-
-// Encode implements wire.Message.
-func (m *PushNotice) Encode(w *wire.Writer) { w.Varint(m.Iter) }
-
-// Decode implements wire.Message.
-func (m *PushNotice) Decode(r *wire.Reader) { m.Iter = r.Varint() }
-
 // Heartbeat is a worker's periodic liveness beacon to the scheduler. The
 // scheduler treats any message from a worker as proof of life; Heartbeat
 // keeps that signal flowing while a worker computes a long iteration (or
@@ -293,9 +277,7 @@ func (m *Heartbeat) Decode(r *wire.Reader) { m.Iter = r.Varint() }
 
 // SchedulerHello announces a (re)started scheduler incarnation to every
 // worker. Workers answer with a StateReport so the scheduler can rebuild
-// barrier/clock/epoch state even from a cold (or stale) checkpoint, and
-// workers that degraded to broadcast speculation flip back to the
-// centralized path.
+// barrier/clock/epoch state even from a cold (or stale) checkpoint.
 type SchedulerHello struct {
 	Gen int64 // scheduler incarnation (0 = original process)
 }
@@ -313,11 +295,10 @@ func (m *SchedulerHello) Decode(r *wire.Reader) { m.Gen = r.Varint() }
 // state for a restarted scheduler to rebuild membership, epoch progress and
 // the gate's clocks.
 type StateReport struct {
-	Iter     int64 // completed (pushed) iterations so far
-	Pushed   bool  // pushed at least once since the last observed epoch boundary
-	Clock    int64 // gate clock (== Iter)
-	Waiting  bool  // parked at the gate awaiting a release
-	Degraded bool  // was running broadcast-speculation failover when Hello arrived
+	Iter    int64 // completed (pushed) iterations so far
+	Pushed  bool  // pushed at least once since the last observed epoch boundary
+	Clock   int64 // gate clock (== Iter)
+	Waiting bool  // parked at the gate awaiting a release
 }
 
 // Kind implements wire.Message.
@@ -329,7 +310,6 @@ func (m *StateReport) Encode(w *wire.Writer) {
 	w.Bool(m.Pushed)
 	w.Varint(m.Clock)
 	w.Bool(m.Waiting)
-	w.Bool(m.Degraded)
 }
 
 // Decode implements wire.Message.
@@ -338,13 +318,13 @@ func (m *StateReport) Decode(r *wire.Reader) {
 	m.Pushed = r.Bool()
 	m.Clock = r.Varint()
 	m.Waiting = r.Bool()
-	m.Degraded = r.Bool()
 }
 
-// SchedulerBeacon is the scheduler's periodic liveness signal to workers
-// (the inverse of Heartbeat). Workers whose scheduler-failure detector has
-// gone silent past its timeout enter degraded mode; a beacon carrying a
-// newer generation than the worker has seen doubles as a late Hello.
+// SchedulerBeacon is the scheduler's periodic broadcast of its generation to
+// every worker. A beacon carrying a newer generation than the worker has seen
+// doubles as a late Hello: it is how a worker that missed the Hello or
+// LeaderAnnounce, such as one restarted after a standby election, finds the
+// serving scheduler and reports its state to it.
 type SchedulerBeacon struct {
 	Gen int64
 }
@@ -471,7 +451,6 @@ func Registry() *wire.Registry {
 		{Kind: KindStop, Name: "Stop", New: func() wire.Message { return &Stop{} }},
 		{Kind: KindRelease, Name: "Release", New: func() wire.Message { return &Release{} }},
 		{Kind: KindWorkerReady, Name: "WorkerReady", New: func() wire.Message { return &WorkerReady{} }},
-		{Kind: KindPushNotice, Name: "PushNotice", New: func() wire.Message { return &PushNotice{} }},
 		{Kind: KindHeartbeat, Name: "Heartbeat", New: func() wire.Message { return &Heartbeat{} }},
 		{Kind: KindSchedulerHello, Name: "SchedulerHello", New: func() wire.Message { return &SchedulerHello{} }},
 		{Kind: KindStateReport, Name: "StateReport", New: func() wire.Message { return &StateReport{} }},

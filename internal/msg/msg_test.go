@@ -39,10 +39,10 @@ func populatedMessages() []wire.Message {
 		&Stop{},
 		&Release{Clock: 11},
 		&WorkerReady{},
-		&PushNotice{Iter: 2},
 		&Heartbeat{Iter: 8},
 		&SchedulerHello{Gen: 2},
-		&StateReport{Iter: 12, Pushed: true, Clock: 12, Waiting: true, Degraded: true},
+		&StateReport{Iter: 12, Pushed: true, Clock: 12, Waiting: true},
+		&StateReport{Iter: 3, Clock: 3}, // false flags must overwrite a recycled report's true ones
 		&SchedulerBeacon{Gen: 3},
 		&PullReqV2{Seq: 13, Have: -1},
 		&PullRespV2{Seq: 13, Version: 9, Base: -1, Codec: 0, Payload: []byte{1, 2, 3}},
@@ -112,10 +112,10 @@ func TestUnmarshalCopiesOut(t *testing.T) {
 func TestRegistryCoversAllKinds(t *testing.T) {
 	reg := Registry()
 	kinds := reg.Kinds()
-	if len(kinds) != 33 {
-		t.Errorf("registry has %d kinds, want 33", len(kinds))
+	if len(kinds) != 32 {
+		t.Errorf("registry has %d kinds, want 32", len(kinds))
 	}
-	for _, k := range []wire.Kind{4, 9, 27} { // reserved: retired layouts
+	for _, k := range []wire.Kind{4, 9, 12, 27} { // reserved: retired layouts
 		if _, err := reg.New(k); err == nil {
 			t.Errorf("reserved kind %d is registered", k)
 		}
@@ -181,7 +181,7 @@ func TestIsControlClassification(t *testing.T) {
 			t.Errorf("kind %d misclassified as control", k)
 		}
 	}
-	control := []wire.Kind{KindNotify, KindReSync, KindStart, KindStop, KindRelease, KindWorkerReady, KindPushNotice, KindHeartbeat, KindJoinReq, KindJoinAck, KindRoutingUpdate, KindShardTransfer, KindMigrateDone, KindScaleCmd, KindLeaderAnnounce, KindVoteReq, KindVoteResp, KindReplState, KindSchemeSwitch, KindNotifyV2}
+	control := []wire.Kind{KindNotify, KindReSync, KindStart, KindStop, KindRelease, KindWorkerReady, KindHeartbeat, KindJoinReq, KindJoinAck, KindRoutingUpdate, KindShardTransfer, KindMigrateDone, KindScaleCmd, KindLeaderAnnounce, KindVoteReq, KindVoteResp, KindReplState, KindSchemeSwitch, KindNotifyV2}
 	for _, k := range control {
 		if !IsControl(k) {
 			t.Errorf("kind %d misclassified as data", k)

@@ -215,13 +215,11 @@ func (o *Obs) ClusterSnapshot() (ClusterSnapshot, bool) {
 // both stacks), while the shared histograms and counters are atomic. All
 // methods are nil-safe.
 type WorkerObs struct {
-	o        *Obs
-	index    int
-	node     string
-	iters    *Counter
-	aborts   *Counter
-	degraded *Gauge
-	isDeg    bool
+	o      *Obs
+	index  int
+	node   string
+	iters  *Counter
+	aborts *Counter
 
 	// Per-worker phase histograms (quantile-ready in /metrics, unlike the
 	// straggler detector's EWMAs).
@@ -260,30 +258,10 @@ func (o *Obs) Worker(i int) *WorkerObs {
 			"Completed (fully acknowledged) iterations.", "worker", idx),
 		aborts: o.reg.Counter("specsync_worker_aborts_total",
 			"Speculative abort-and-restart events.", "worker", idx),
-		degraded: o.reg.Gauge("specsync_degraded_workers",
-			"Workers currently in broadcast-speculation failover (scheduler unreachable)."),
 		pullPhH:    phaseH("pull"),
 		computePhH: phaseH("compute"),
 		pushPhH:    phaseH("push"),
 	}
-}
-
-// Degraded publishes this worker's scheduler-failover state; the shared
-// gauge counts workers currently running degraded and the transition lands
-// in the flight recorder.
-func (w *WorkerObs) Degraded(at time.Time, on bool) {
-	if w == nil || w.isDeg == on {
-		return
-	}
-	w.isDeg = on
-	kind := "degraded-exit"
-	if on {
-		w.degraded.Add(1)
-		kind = "degraded-enter"
-	} else {
-		w.degraded.Add(-1)
-	}
-	w.o.flight.Record(FlightEvent{At: at, Kind: kind, Node: w.node})
 }
 
 // PullStart marks the fan-out of pull requests. Re-issues of an already

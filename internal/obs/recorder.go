@@ -12,7 +12,7 @@ const DefaultFlightCapacity = 4096
 
 // FlightEvent is one structured control-plane decision retained by the
 // flight recorder: admissions, barrier releases, migrations, faults,
-// degraded-mode transitions, straggler flags. Timestamps come from
+// straggler flags. Timestamps come from
 // node.Context.Now(), so DES runs record deterministic virtual-time stamps.
 type FlightEvent struct {
 	Seq    uint64    `json:"seq"` // monotonic, assigned by the recorder

@@ -5,8 +5,8 @@
 // the leader dies. The data-plane counterpart, primary-backup parameter
 // shard replication, lives in internal/ps (replica.go); internal/faults
 // wires both into fault plans so a crash-scheduler event ends in an elected
-// standby instead of degraded broadcast mode, and a crash-server event ends
-// in a zero-loss shard promotion instead of a lossy checkpoint restore.
+// standby, and a crash-server event ends in a zero-loss shard promotion
+// instead of a lossy checkpoint restore.
 //
 // Simplifications relative to full Raft, deliberate for this system:
 //

@@ -232,13 +232,8 @@ type Config struct {
 	// AbortRate is the fixed push-rate threshold for SpecFixed, as a
 	// fraction of the worker count (paper: cnt >= m * ABORT_RATE).
 	AbortRate float64 `json:"abort_rate,omitempty"`
-	// Decentralized switches SpecFixed to the broadcast design the paper
-	// rejects (Sec. V-A): every worker announces each push to all peers and
-	// runs its own speculation check, with no scheduler involvement. It
-	// exists to measure the all-to-all control-traffic blowup.
-	Decentralized bool `json:"decentralized,omitempty"`
 	// Policy moves the gate at epoch boundaries; it needs a bounded initial
-	// gate and the centralized scheduler.
+	// gate.
 	Policy Policy `json:"policy,omitempty"`
 	// SwitchAt is the epoch at which PolicySyncSwitch releases the gate to
 	// ASP. Required (>= 1) for that policy.
@@ -297,31 +292,18 @@ func (c Config) Validate() error {
 		if c.Base == ASP {
 			return fmt.Errorf("scheme: policy %s moves a bounded gate; base must be BSP or SSP", c.Policy)
 		}
-		if c.Decentralized {
-			return fmt.Errorf("scheme: policy %s requires the centralized scheduler (Decentralized unsupported)", c.Policy)
-		}
 	}
 	if c.Spec != SpecOff && c.Policy == PolicyNone && c.Gate().Bound == 0 {
 		return fmt.Errorf("scheme: speculation never arms under a bound of 0 (%s); use a positive bound or a policy", c.Gate())
 	}
 	switch c.Spec {
-	case SpecOff:
-		if c.Decentralized {
-			return fmt.Errorf("scheme: Decentralized requires SpecFixed")
-		}
+	case SpecOff, SpecAdaptive:
 	case SpecFixed:
 		if c.AbortTime <= 0 {
 			return fmt.Errorf("scheme: SpecFixed requires positive AbortTime")
 		}
 		if c.AbortRate < 0 || c.AbortRate > 1 {
 			return fmt.Errorf("scheme: AbortRate %v outside [0,1]", c.AbortRate)
-		}
-	case SpecAdaptive:
-		if c.Decentralized {
-			// Decentralized adaptive tuning would need every worker to run
-			// Algorithm 1 on its own copy of the push history; the paper's
-			// centralized design exists precisely to avoid that redundancy.
-			return fmt.Errorf("scheme: Decentralized supports only SpecFixed")
 		}
 	default:
 		return fmt.Errorf("scheme: unknown spec mode %d", c.Spec)
@@ -349,9 +331,6 @@ func (c Config) Name() string {
 	}
 	switch c.Spec {
 	case SpecFixed:
-		if c.Decentralized {
-			return fmt.Sprintf("SpecSync-Broadcast(%s)", base)
-		}
 		return fmt.Sprintf("SpecSync-Cherrypick(%s)", base)
 	case SpecAdaptive:
 		return fmt.Sprintf("SpecSync-Adaptive(%s)", base)

@@ -51,7 +51,6 @@ func TestValidate(t *testing.T) {
 		{Base: BSP, SwitchAt: 3},              // switch_at without sync-switch
 		{Base: SSP, Policy: PolicyABS, SwitchAt: 3},
 		{Base: ASP, Policy: PolicyMeta}, // a policy needs a bounded gate
-		{Base: SSP, Staleness: 2, Policy: PolicyABS, Spec: SpecFixed, AbortTime: time.Second, Decentralized: true},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -139,7 +138,7 @@ func TestJSON(t *testing.T) {
 	}
 	for _, c := range []Config{
 		{Base: ASP, NaiveWait: time.Second},
-		{Base: ASP, Spec: SpecFixed, AbortTime: time.Second, AbortRate: 0.2, Decentralized: true},
+		{Base: ASP, Spec: SpecFixed, AbortTime: time.Second, AbortRate: 0.2},
 		{Base: BSP, Policy: PolicySyncSwitch, SwitchAt: 5},
 		{Base: SSP, Staleness: 1, Policy: PolicyABS, Spec: SpecAdaptive},
 		{Base: SSP, Staleness: 3, Quorum: 0.75},

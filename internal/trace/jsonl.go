@@ -49,7 +49,6 @@ var kindNames = map[Kind]string{
 	KindCrash:     "crash",
 	KindRecover:   "recover",
 	KindEvict:     "evict",
-	KindDegrade:   "degrade",
 	KindJoin:      "join",
 	KindLeave:     "leave",
 	KindMigrate:   "migrate",

@@ -39,10 +39,6 @@ const (
 	// KindEvict marks the scheduler removing a dead worker from membership;
 	// Value carries the new membership epoch.
 	KindEvict
-	// KindDegrade marks a worker switching speculation paths after losing
-	// (or regaining) the scheduler: Value 1 = entered broadcast-failover
-	// degraded mode, Value 0 = returned to the centralized path.
-	KindDegrade
 	// KindJoin marks the scheduler admitting a new worker (elastic scale-up);
 	// Value carries the new membership epoch.
 	KindJoin
@@ -99,8 +95,6 @@ func (k Kind) String() string {
 		return "recover"
 	case KindEvict:
 		return "evict"
-	case KindDegrade:
-		return "degrade"
 	case KindJoin:
 		return "join"
 	case KindLeave:

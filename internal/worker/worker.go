@@ -20,7 +20,6 @@ import (
 
 	"specsync/internal/codec"
 	"specsync/internal/core"
-	"specsync/internal/metrics"
 	"specsync/internal/model"
 	"specsync/internal/msg"
 	"specsync/internal/node"
@@ -171,9 +170,10 @@ type Config struct {
 	// MaxIters stops the worker after completing this many iterations;
 	// zero means run until stopped.
 	MaxIters int64
-	// NumWorkers is the cluster size m; required only by the decentralized
-	// (broadcast) speculation variant, which needs the peer list and the
-	// m x ABORT_RATE threshold locally.
+	// NumWorkers is ignored: a worker needs no peer list, because it talks
+	// only to the shards and the scheduler.
+	//
+	// Deprecated: kept only while the benchmark ledger's assembly sets it.
 	NumWorkers int
 	// HeartbeatEvery, when positive, makes the worker send a periodic
 	// msg.Heartbeat to the scheduler as proof of life between pushes, so a
@@ -189,23 +189,6 @@ type Config struct {
 	// SGD, where a duplicated gradient perturbs rather than corrupts).
 	// Zero disables retries.
 	RetryAfter time.Duration
-	// SchedulerTimeout, when positive, enables the scheduler failure
-	// detector: if no message from the scheduler (beacon, re-sync, release,
-	// clock, hello) arrives within this duration, the worker enters
-	// degraded mode — under a centralized speculation scheme it fails over
-	// to the broadcast path (PushNotice to peers, local CheckResync) until
-	// a SchedulerHello or newer-generation beacon flips it back. Zero
-	// disables the detector.
-	SchedulerTimeout time.Duration
-	// FallbackAbortTime / FallbackAbortRate are the fixed speculation
-	// hyperparameters of the degraded broadcast path (the scheduler's
-	// adaptively-tuned values are unavailable while it is down). Zero
-	// defaults to the scheme's fixed values when set, else ABORT_TIME =
-	// Compute.Base/4 and ABORT_RATE = 0.22 (the cherry-pick defaults).
-	FallbackAbortTime time.Duration
-	FallbackAbortRate float64
-	// Faults, if non-nil, receives degraded-mode transition counts.
-	Faults *metrics.Faults
 	// ReportSpans switches the end-of-iteration notify to msg.NotifyV2,
 	// carrying the worker's self-measured work span (gate-exit to push-acked,
 	// excluding gate waits). Runs with a gate policy or a straggler plan need
@@ -335,19 +318,11 @@ type Worker struct {
 	// initAt anchors the Slowdown script's window offsets.
 	initAt time.Time
 
-	// Decentralized-speculation state: local copy of peer push times. Also
-	// used by the degraded-mode failover when the scheduler is lost.
-	peerPushes core.Tail[time.Time]
-
-	// Scheduler failure-detector state. degraded is atomic only so
-	// live-mode monitors can read it; all writes happen on the worker's
-	// event loop. schedID is the node currently serving as scheduler: the
-	// well-known "scheduler" ID until a LeaderAnnounce (or a Hello/Beacon
-	// from a newer generation) redirects the worker to an elected standby.
-	degraded      atomic.Bool
-	schedID       node.ID
-	schedGen      int64 // highest scheduler incarnation seen
-	schedLastSeen time.Time
+	// schedID is the node currently serving as scheduler: the well-known
+	// "scheduler" ID until a LeaderAnnounce (or a Hello/Beacon from a newer
+	// generation) redirects the worker to an elected standby.
+	schedID  node.ID
+	schedGen int64 // highest scheduler incarnation seen
 
 	// Retry backoff state (nil when RetryAfter is zero). Each uses a
 	// dedicated RNG so jitter draws never perturb ctx.Rand()'s
@@ -406,14 +381,6 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.AbortLateFrac < 0 || cfg.AbortLateFrac > 1 {
 		return nil, fmt.Errorf("worker: AbortLateFrac %v outside (0,1]", cfg.AbortLateFrac)
 	}
-	if cfg.Scheme.Decentralized {
-		if cfg.NumWorkers < 2 {
-			return nil, fmt.Errorf("worker: decentralized speculation requires NumWorkers >= 2, got %d", cfg.NumWorkers)
-		}
-		if cfg.Index >= cfg.NumWorkers {
-			return nil, fmt.Errorf("worker: index %d >= NumWorkers %d", cfg.Index, cfg.NumWorkers)
-		}
-	}
 	var shards []ps.Range
 	var shardSrv []int
 	var routingEpoch int64
@@ -445,28 +412,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	if cfg.RetryAfter < 0 {
 		return nil, fmt.Errorf("worker: negative RetryAfter")
-	}
-	if cfg.SchedulerTimeout < 0 {
-		return nil, fmt.Errorf("worker: negative SchedulerTimeout")
-	}
-	if cfg.FallbackAbortRate < 0 || cfg.FallbackAbortRate > 1 {
-		return nil, fmt.Errorf("worker: FallbackAbortRate %v outside [0,1]", cfg.FallbackAbortRate)
-	}
-	if cfg.SchedulerTimeout > 0 && cfg.Scheme.Spec != scheme.SpecOff && !cfg.Scheme.Decentralized {
-		if cfg.FallbackAbortTime == 0 {
-			if cfg.Scheme.AbortTime > 0 {
-				cfg.FallbackAbortTime = cfg.Scheme.AbortTime
-			} else {
-				cfg.FallbackAbortTime = cfg.Compute.Base / 4
-			}
-		}
-		if cfg.FallbackAbortRate == 0 {
-			if cfg.Scheme.AbortRate > 0 {
-				cfg.FallbackAbortRate = cfg.Scheme.AbortRate
-			} else {
-				cfg.FallbackAbortRate = 0.22
-			}
-		}
 	}
 	pushCodec, deltaPull, err := codec.Build(cfg.Codec)
 	if err != nil {
@@ -529,7 +474,6 @@ func (wk *Worker) shardIndexOf(from node.ID) int {
 // Init implements node.Handler.
 func (wk *Worker) Init(ctx node.Context) {
 	wk.ctx = ctx
-	wk.schedLastSeen = ctx.Now()
 	wk.initAt = ctx.Now()
 	if wk.cfg.RetryAfter > 0 {
 		// backoffSeed is an arbitrary fixed master seed: the jitter stream
@@ -542,9 +486,6 @@ func (wk *Worker) Init(ctx node.Context) {
 	}
 	if wk.cfg.HeartbeatEvery > 0 {
 		wk.armHeartbeat()
-	}
-	if wk.cfg.SchedulerTimeout > 0 {
-		wk.armSchedulerWatch()
 	}
 	if wk.cfg.JoinOnInit {
 		wk.sendJoinReq()
@@ -569,9 +510,6 @@ func (wk *Worker) Receive(from node.ID, m wire.Message) {
 	if wk.st == stateStopped {
 		return
 	}
-	if from == wk.schedID {
-		wk.schedLastSeen = wk.ctx.Now()
-	}
 	switch mm := m.(type) {
 	case *msg.Start:
 		if !wk.started {
@@ -590,8 +528,6 @@ func (wk *Worker) Receive(from node.ID, m wire.Message) {
 		wk.handleRelease(mm.Clock)
 	case *msg.SchemeSwitch:
 		wk.handleSchemeSwitch(mm)
-	case *msg.PushNotice:
-		wk.handlePushNotice(from)
 	case *msg.SchedulerHello:
 		wk.noteSchedulerGen(from, mm.Gen)
 	case *msg.SchedulerBeacon:
@@ -851,9 +787,6 @@ func (wk *Worker) startCompute() {
 		}
 	}
 	wk.computeCancel = wk.ctx.After(wk.computeDur, wk.computeDone)
-	if wk.cfg.Scheme.Decentralized || (wk.degraded.Load() && wk.canBroadcastFailover()) {
-		wk.armLocalSpeculation()
-	}
 }
 
 // handleReSync implements the abort-and-restart path (Algorithm 2 worker
@@ -1013,23 +946,7 @@ func (wk *Worker) finishPush() {
 	wk.record(trace.KindPush, 0)
 	wk.record(trace.KindStaleness, wk.stalenessSum/int64(len(wk.shards)))
 	wk.cfg.Obs.PushDone(wk.ctx.Now(), wk.iter, wk.stalenessSum/int64(len(wk.shards)))
-	if wk.cfg.Scheme.Decentralized {
-		// Broadcast design: announce the push to every peer. Under plain
-		// ASP the scheduler is not involved at all; a bounded gate still
-		// needs the notify for its releases.
-		wk.broadcastNotices()
-		if !wk.gate.Unbounded() {
-			wk.ctx.Send(wk.schedID, &msg.Notify{Iter: wk.iter})
-		}
-	} else {
-		// Degraded failover: peers run local speculation off PushNotices
-		// while the scheduler is down. The Notify still goes out — it is
-		// lost on a dead scheduler and warms the new incarnation otherwise.
-		if wk.degraded.Load() && wk.canBroadcastFailover() {
-			wk.broadcastNotices()
-		}
-		wk.sendNotify()
-	}
+	wk.sendNotify()
 
 	wk.itersDone.Add(1)
 	wk.iter++
@@ -1076,6 +993,44 @@ func (wk *Worker) handleRelease(clock int64) {
 	if wk.st == stateBarrier {
 		wk.beginIteration()
 	}
+}
+
+// noteSchedulerGen handles SchedulerHello, SchedulerBeacon and
+// LeaderAnnounce. A generation newer than any seen means a new scheduler
+// incarnation took over, so the worker adopts the sender as its scheduler
+// (redirecting every scheduler-bound send to it: an elected standby serves
+// from its own node ID) and answers with a StateReport. The beacon reaches a
+// worker that missed the Hello or LeaderAnnounce broadcast, such as one that
+// restarted after an election. A message from the current or an older
+// generation changes nothing.
+func (wk *Worker) noteSchedulerGen(from node.ID, gen int64) {
+	if gen <= wk.schedGen {
+		return
+	}
+	wk.schedGen = gen
+	// A new incarnation re-announces the active discipline under its own
+	// (checkpoint-restored) scheme-epoch counter; resetting ours makes that
+	// re-broadcast authoritative even if its counter is behind what we
+	// applied, so the whole fleet converges on the scheduler's view.
+	wk.schemeEpoch = 0
+	if from != wk.schedID {
+		wk.ctx.Logf("worker %d: scheduler redirect %s -> %s (gen %d)",
+			wk.cfg.Index, wk.schedID, from, gen)
+		wk.schedID = from
+	}
+	wk.sendStateReport()
+}
+
+// sendStateReport tells a new scheduler incarnation where this worker
+// stands: completed iterations double as the gate clock, and Waiting flags a
+// pending release the new incarnation must resend.
+func (wk *Worker) sendStateReport() {
+	wk.ctx.Send(wk.schedID, &msg.StateReport{
+		Iter:    wk.iter,
+		Pushed:  wk.iter > 0,
+		Clock:   wk.iter,
+		Waiting: wk.st == stateBarrier,
+	})
 }
 
 func (wk *Worker) record(kind trace.Kind, value int64) {
