@@ -15,7 +15,6 @@ import (
 	"specsync/internal/faults"
 	"specsync/internal/live"
 	"specsync/internal/metrics"
-	"specsync/internal/model"
 	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/obs"
@@ -357,7 +356,6 @@ func (n *Nodes) workerConfig(i int) worker.Config {
 		},
 		Tracer:         n.tracer,
 		Obs:            n.obs.Worker(i),
-		AbortLateFrac:  cfg.AbortLateFrac,
 		MaxIters:       cfg.MaxItersPerWorker,
 		HeartbeatEvery: cfg.HeartbeatEvery,
 		RetryAfter:     cfg.RetryAfter,
@@ -400,34 +398,26 @@ func (n *Nodes) newScheduler(gen int64) (*core.Scheduler, error) {
 	if cfg.Stragglers != nil { // the detector is scored against the plan's victims
 		n.obs.Scheduler().SetStragglerTruth(cfg.Stragglers.Targets())
 	}
-	maxAbortFrac := cfg.MaxAbortFrac
-	if maxAbortFrac == 0 {
-		maxAbortFrac = 0.125
-	}
 	return core.NewScheduler(core.SchedulerConfig{
-		Workers:           n.maxWorkers,
-		ActiveWorkers:     cfg.Workers,
-		Routing:           n.routing,
-		OnRouting:         func(t *core.RoutingTable) { n.routing = t },
-		Scheme:            cfg.Scheme,
-		InitialSpan:       cfg.Workload.IterTime,
-		Tracer:            n.tracer,
-		OnTune:            cfg.OnTune,
-		RateMargin:        cfg.RateMargin,
-		CheckAtExpiryOnly: cfg.CheckAtExpiryOnly,
-		LivenessTimeout:   cfg.LivenessTimeout,
-		ReportSpans:       cfg.reportSpans(),
-		Mitigate:          n.mitigate,
-		Generation:        gen,
-		BeaconEvery:       cfg.BeaconEvery,
-		Faults:            n.faults,
-		Obs:               n.obs.Scheduler(),
+		Workers:         n.maxWorkers,
+		ActiveWorkers:   cfg.Workers,
+		Routing:         n.routing,
+		OnRouting:       func(t *core.RoutingTable) { n.routing = t },
+		Scheme:          cfg.Scheme,
+		InitialSpan:     cfg.Workload.IterTime,
+		Tracer:          n.tracer,
+		OnTune:          cfg.OnTune,
+		LivenessTimeout: cfg.LivenessTimeout,
+		ReportSpans:     cfg.reportSpans(),
+		Mitigate:        n.mitigate,
+		Generation:      gen,
+		BeaconEvery:     cfg.BeaconEvery,
+		Faults:          n.faults,
+		Obs:             n.obs.Scheduler(),
 		Tuner: core.TunerConfig{
 			MinAbort: 4 * cfg.Net.Latency,
-			// With the eager threshold check, an abort costs only the time
-			// elapsed when the push rate crosses the threshold, so windows
-			// up to the paper's grid bound (half an iteration) are usable.
-			MaxAbort:      time.Duration(maxAbortFrac * float64(cfg.Workload.IterTime)),
+			// The adaptive window's ceiling is 1/8 of the iteration time.
+			MaxAbort:      time.Duration(0.125 * float64(cfg.Workload.IterTime)),
 			MaxCandidates: 512,
 		},
 	})
@@ -548,14 +538,12 @@ func (n *Nodes) assemble() tensor.Vec {
 }
 
 // curve records a run's probe series and applies its convergence rule:
-// ConsecutiveBelow probes in a row under the target loss, then
-// RunPastConverge more.
+// ConsecutiveBelow probes in a row under the target loss.
 type curve struct {
 	n         *Nodes
 	res       *Result
 	streak    int
 	converged bool
-	stopAt    time.Duration
 }
 
 // observe records the parameters w seen at run time at and reports whether
@@ -566,9 +554,6 @@ func (c *curve) observe(at time.Duration, w tensor.Vec) bool {
 	res.Loss.Add(at, loss)
 	res.IterSeries.Add(at, float64(c.n.totalIters()))
 	res.TransferSeries.Add(at, float64(c.n.transfer.TotalBytes()))
-	if acc, ok := cfg.Workload.Model.(model.Accuracier); ok && cfg.RecordAccuracy {
-		res.Accuracy.Add(at, acc.EvalAccuracy(w))
-	}
 	if !c.converged {
 		if loss < cfg.Workload.TargetLoss {
 			c.streak++
@@ -579,10 +564,9 @@ func (c *curve) observe(at time.Duration, w tensor.Vec) bool {
 			c.converged = true
 			res.Converged = true
 			res.ItersAtConverge = c.n.totalIters()
-			c.stopAt = at + cfg.RunPastConverge
 		}
 	}
-	return c.converged && at >= c.stopAt
+	return c.converged
 }
 
 // result fills what every runner reads off the stopped nodes: counters

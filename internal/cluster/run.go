@@ -60,24 +60,8 @@ type Config struct {
 	// ConsecutiveBelow is the convergence streak length; zero means the
 	// paper's 5.
 	ConsecutiveBelow int `json:"-"`
-	// RunPastConverge keeps simulating this long after convergence is
-	// detected (to extend learning curves); zero stops immediately.
-	RunPastConverge time.Duration `json:"-"`
 	// KeepTrace retains the full event trace in the result.
 	KeepTrace bool `json:"-"`
-	// AbortLateFrac overrides the workers' too-late-to-abort threshold
-	// (zero keeps the worker default of 0.9; 1 disables the cutoff).
-	AbortLateFrac float64 `json:"-"`
-	// MaxAbortFrac caps the adaptive speculation window as a fraction of
-	// the iteration time (zero means the default 0.125; the paper grid
-	// upper bound).
-	MaxAbortFrac float64 `json:"-"`
-	// RateMargin forwards core.SchedulerConfig.RateMargin (zero = default).
-	RateMargin float64 `json:"-"`
-	// CheckAtExpiryOnly forwards the paper-literal expiry-check mode.
-	CheckAtExpiryOnly bool `json:"-"`
-	// RecordAccuracy also samples classification accuracy at each probe.
-	RecordAccuracy bool `json:"-"`
 	// MaxItersPerWorker stops each worker after completing this many
 	// iterations; zero means run until convergence or MaxVirtual. A fixed
 	// per-worker budget makes two runs end after the identical applied
@@ -319,8 +303,6 @@ type Result struct {
 	SchemeName string
 	// Loss is the eval-loss time series.
 	Loss metrics.Series
-	// Accuracy is the eval-accuracy series (if requested and supported).
-	Accuracy metrics.Series
 	// IterSeries records total completed iterations at each probe time.
 	IterSeries metrics.Series
 	// TransferSeries records accumulated wire bytes at each probe time.

@@ -9,7 +9,7 @@ import (
 
 // eagerFixture: worker 0 notifies at 1s opening a 2s window (rate 0.5 of
 // m=3 => threshold 1.5). Peers notify at the given offsets.
-func eagerFixture(t *testing.T, expiryOnly bool, peerOffsets []time.Duration) (*scriptWorker, *Scheduler, func()) {
+func eagerFixture(t *testing.T, peerOffsets []time.Duration) (*scriptWorker, *Scheduler, func()) {
 	t.Helper()
 	ws := []*scriptWorker{
 		{notifies: []time.Duration{time.Second}},
@@ -25,15 +25,14 @@ func eagerFixture(t *testing.T, expiryOnly bool, peerOffsets []time.Duration) (*
 			Base: scheme.ASP, Spec: scheme.SpecFixed,
 			AbortTime: 2 * time.Second, AbortRate: 0.5,
 		},
-		InitialSpan:       10 * time.Second,
-		CheckAtExpiryOnly: expiryOnly,
+		InitialSpan: 10 * time.Second,
 	}, ws)
 	return ws[0], sched, func() { sim.RunUntilIdle(time.Minute) }
 }
 
 func TestEagerFiresAtThresholdCrossing(t *testing.T) {
 	// Peers push at 1.2s and 1.4s: threshold (2 >= 1.5) crossed at 1.4s.
-	w0, sched, run := eagerFixture(t, false, []time.Duration{1200 * time.Millisecond, 1400 * time.Millisecond})
+	w0, sched, run := eagerFixture(t, []time.Duration{1200 * time.Millisecond, 1400 * time.Millisecond})
 	run()
 	if len(w0.resyncs) != 1 {
 		t.Fatalf("resyncs = %v", w0.resyncs)
@@ -45,7 +44,7 @@ func TestEagerFiresAtThresholdCrossing(t *testing.T) {
 
 func TestEagerFiresOnlyOncePerWindow(t *testing.T) {
 	// Four peer pushes in-window must yield exactly one re-sync.
-	w0, _, run := eagerFixture(t, false, []time.Duration{
+	w0, _, run := eagerFixture(t, []time.Duration{
 		1200 * time.Millisecond, 1300 * time.Millisecond,
 		1500 * time.Millisecond, 1700 * time.Millisecond,
 	})
@@ -58,39 +57,10 @@ func TestEagerFiresOnlyOncePerWindow(t *testing.T) {
 func TestEagerIgnoresLateArrivals(t *testing.T) {
 	// One push inside (1.2s), one after the window closes (4s): threshold
 	// never met inside the window.
-	w0, _, run := eagerFixture(t, false, []time.Duration{1200 * time.Millisecond, 4 * time.Second})
+	w0, _, run := eagerFixture(t, []time.Duration{1200 * time.Millisecond, 4 * time.Second})
 	run()
 	if len(w0.resyncs) != 0 {
 		t.Fatalf("resyncs = %v, want none", w0.resyncs)
-	}
-}
-
-func TestExpiryModeDefersDecision(t *testing.T) {
-	// Paper-literal mode: the same two early pushes trigger, but only at
-	// window expiry (t = 3s), not at the crossing.
-	w0, _, run := eagerFixture(t, true, []time.Duration{1200 * time.Millisecond, 1400 * time.Millisecond})
-	run()
-	if len(w0.resyncs) != 1 {
-		t.Fatalf("resyncs = %v, want 1", w0.resyncs)
-	}
-}
-
-func TestRateMarginScalesAdaptiveThreshold(t *testing.T) {
-	if _, err := NewScheduler(SchedulerConfig{
-		Workers: 2, Scheme: scheme.Config{Base: scheme.ASP},
-		InitialSpan: time.Second, RateMargin: 0.5,
-	}); err == nil {
-		t.Error("RateMargin < 1 must be rejected")
-	}
-	s, err := NewScheduler(SchedulerConfig{
-		Workers: 2, Scheme: scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
-		InitialSpan: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cfg.RateMargin != 2 {
-		t.Errorf("default RateMargin = %v, want 2", s.cfg.RateMargin)
 	}
 }
 
@@ -132,37 +102,25 @@ func TestSpecWindowNotArmedWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMarginReducesAborts runs the same notify script under margin 1
-// and margin 3 (after a tuned epoch) and expects fewer re-syncs with the
-// bigger margin.
+// TestAdaptiveMarginReducesAborts pins the re-syncs an adaptive scheduler
+// sends on a fixed notify script (five workers, each pushing once a second,
+// 50 ms apart) at rateMargin 2. The paper's literal margin of 1 sends 16 on
+// the same script, and a margin of 3 sends 8.
 func TestAdaptiveMarginReducesAborts(t *testing.T) {
-	script := func() []*scriptWorker {
-		mk := func(offsets ...int) []time.Duration {
-			out := make([]time.Duration, len(offsets))
-			for i, o := range offsets {
-				out[i] = time.Duration(o) * time.Millisecond
-			}
-			return out
-		}
-		return []*scriptWorker{
-			{notifies: mk(1000, 2000, 3000, 4000, 5000)},
-			{notifies: mk(1050, 2050, 3050, 4050, 5050)},
-			{notifies: mk(1100, 2100, 3100, 4100, 5100)},
+	ws := make([]*scriptWorker, 5)
+	for w := range ws {
+		ws[w] = &scriptWorker{}
+		for k := 1; k <= 5; k++ {
+			ws[w].notifies = append(ws[w].notifies, time.Duration(k*1000+w*50)*time.Millisecond)
 		}
 	}
-	count := func(margin float64) int64 {
-		ws := script()
-		sim, sched := buildSim(t, SchedulerConfig{
-			Workers:     3,
-			Scheme:      scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
-			InitialSpan: time.Second,
-			RateMargin:  margin,
-		}, ws)
-		sim.RunUntilIdle(time.Minute)
-		return sched.ReSyncsSent()
-	}
-	lo, hi := count(1), count(3)
-	if hi > lo {
-		t.Errorf("margin 3 sent %d re-syncs vs %d at margin 1", hi, lo)
+	sim, sched := buildSim(t, SchedulerConfig{
+		Workers:     5,
+		Scheme:      scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
+		InitialSpan: time.Second,
+	}, ws)
+	sim.RunUntilIdle(time.Minute)
+	if got := sched.ReSyncsSent(); got != 12 {
+		t.Errorf("re-syncs = %d, want 12", got)
 	}
 }

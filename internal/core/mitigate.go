@@ -31,7 +31,7 @@ import (
 //
 // The pass also closes the detector's blind spot: a fully paused worker
 // emits no spans at all, so the span-scoring path never flags exactly the
-// straggler that hurts most. Any live worker silent for OverdueFactor ×
+// straggler that hurts most. Any live worker silent for overdueFactor ×
 // the fleet's median notify interval is force-flagged sustained before
 // suspects are collected.
 
@@ -47,6 +47,14 @@ const (
 	MitigateRebalance = "rebalance"
 )
 
+const (
+	// mitigatePeriods × InitialSpan is the mitigation pass period.
+	mitigatePeriods = 4
+	// overdueFactor × the median notify interval of silence force-flags a
+	// worker as a sustained straggler.
+	overdueFactor = 4
+)
+
 // MitigateConfig arms the scheduler's straggler-mitigation loop.
 type MitigateConfig struct {
 	// Mode is MitigateObserve, MitigateClone, or MitigateRebalance.
@@ -58,11 +66,6 @@ type MitigateConfig struct {
 	// once: a stopped clone's slot is not recycled (its worker cannot be
 	// restarted), so Spares bounds the total mitigation actions.
 	Spares int
-	// Every is the evaluation period; zero means 4 × InitialSpan.
-	Every time.Duration
-	// OverdueFactor × median-span of silence force-flags a worker as a
-	// sustained straggler; zero means 4.
-	OverdueFactor float64
 	// OnClone builds and joins the clone node for slot, sharing target's
 	// data shard, starting from iteration fromIter (clone mode; required).
 	// The node must be receiving messages when OnClone returns.
@@ -97,12 +100,6 @@ func (c *MitigateConfig) validate(workers int) error {
 	}
 	if c.Mode == MitigateRebalance && c.OnSpawn == nil {
 		return fmt.Errorf("core: rebalance mitigation needs OnSpawn")
-	}
-	if c.OverdueFactor == 0 {
-		c.OverdueFactor = 4
-	}
-	if c.OverdueFactor < 1 {
-		return fmt.Errorf("core: OverdueFactor %v must be >= 1", c.OverdueFactor)
 	}
 	return nil
 }
@@ -142,17 +139,10 @@ func (s *Scheduler) MitigationStats() MitigationStats {
 	}
 }
 
-// mitigateEvery resolves the evaluation period.
-func (s *Scheduler) mitigateEvery() time.Duration {
-	if s.cfg.Mitigate.Every > 0 {
-		return s.cfg.Mitigate.Every
-	}
-	return 4 * s.cfg.InitialSpan
-}
-
-// armMitigate schedules the next mitigation pass.
+// armMitigate schedules the next mitigation pass, every mitigatePeriods
+// nominal iteration spans.
 func (s *Scheduler) armMitigate() {
-	s.ctx.After(s.mitigateEvery(), func() {
+	s.ctx.After(mitigatePeriods*s.cfg.InitialSpan, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.mitigateTick(s.ctx.Now())
@@ -204,7 +194,7 @@ func (s *Scheduler) mitigateTick(now time.Time) {
 }
 
 // forceOverdue flags live workers whose last notify is older than
-// OverdueFactor × the fleet's median notify interval. Silence alone is not
+// overdueFactor × the fleet's median notify interval. Silence alone is not
 // enough: under BSP (or at the SSP staleness gate) every healthy worker goes
 // silent while parked waiting for the straggler, so only workers strictly
 // behind the fleet's completed-iteration frontier are eligible — the parked
@@ -238,7 +228,7 @@ func (s *Scheduler) forceOverdue(now time.Time) {
 	if med <= 0 {
 		med = s.cfg.InitialSpan
 	}
-	limit := time.Duration(s.cfg.Mitigate.OverdueFactor * float64(med))
+	limit := time.Duration(overdueFactor * float64(med))
 	for i := 0; i < base; i++ {
 		if !s.alive[i] || s.notifyCount[i] >= frontier {
 			continue

@@ -16,6 +16,22 @@ import (
 	"specsync/internal/wire"
 )
 
+const (
+	// rateMargin scales the adaptive ABORT_RATE. The paper's Gamma = l~/m is
+	// the freshness break-even point; it prices the freshness lost by
+	// delaying the worker's push but not the computation thrown away by the
+	// restart itself. At margin 1 this substrate aborts about 0.43 times per
+	// completed iteration, against 0.24 at 2, and sends 6.2 % more bytes per
+	// iteration for the same time to target (DESIGN.md "Calibrated
+	// constants").
+	rateMargin = 2
+	// spanAlpha is the EWMA weight of a new iteration-span sample.
+	spanAlpha = 0.3
+	// historyPerWorker × Workers push records are retained for the tuner
+	// and the /clusterz rates.
+	historyPerWorker = 32
+)
+
 // SchedulerConfig configures the centralized SpecSync scheduler.
 type SchedulerConfig struct {
 	// Workers is the number of workers m.
@@ -27,31 +43,10 @@ type SchedulerConfig struct {
 	// InitialSpan seeds the per-worker iteration-span estimate before any
 	// measurement exists (use the workload's nominal iteration time).
 	InitialSpan time.Duration
-	// SpanAlpha is the EWMA weight of a new span sample; zero means 0.3.
-	SpanAlpha float64
-	// HistoryLimit caps retained push records; zero means 32 * Workers.
-	HistoryLimit int
 	// Tracer, if non-nil, receives re-sync and epoch events.
 	Tracer trace.Tracer
 	// OnTune, if non-nil, is invoked after each adaptive tuning pass.
 	OnTune func(epoch int, t Tuning)
-	// CheckAtExpiryOnly restores the paper's literal Algorithm 2, which
-	// evaluates the push count once, when the speculation window expires.
-	// The default (eager) implementation issues the re-sync the moment the
-	// count crosses the threshold, so a burst of pushes landing mid-window
-	// aborts the worker immediately instead of up to ABORT_TIME later —
-	// same trigger condition, strictly earlier refresh. The ablation bench
-	// compares both.
-	CheckAtExpiryOnly bool
-	// RateMargin scales the adaptive ABORT_RATE (>= 1; zero means the
-	// default 2). The paper's Gamma = l~/m is the freshness break-even
-	// point; it prices the freshness lost by delaying the worker's push but
-	// not the computation thrown away by the restart itself. In this
-	// substrate that break-even triggers aborts on roughly half of all
-	// iterations, and the wasted compute cancels the freshness gains, so
-	// the default demands the expected gain clear the loss estimate by 2x.
-	// Set to 1 for the paper's literal threshold (ablation).
-	RateMargin float64
 	// LivenessTimeout, when positive, enables failure detection: a worker
 	// whose last sign of life (notify or heartbeat) is older than this is
 	// evicted from membership — it stops counting toward epoch boundaries,
@@ -218,21 +213,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	}
 	if cfg.InitialSpan <= 0 {
 		return nil, fmt.Errorf("core: InitialSpan must be positive (nominal iteration time)")
-	}
-	if cfg.SpanAlpha == 0 {
-		cfg.SpanAlpha = 0.3
-	}
-	if cfg.SpanAlpha < 0 || cfg.SpanAlpha > 1 {
-		return nil, fmt.Errorf("core: SpanAlpha %v outside (0,1]", cfg.SpanAlpha)
-	}
-	if cfg.HistoryLimit == 0 {
-		cfg.HistoryLimit = 32 * cfg.Workers
-	}
-	if cfg.RateMargin == 0 {
-		cfg.RateMargin = 2
-	}
-	if cfg.RateMargin < 1 {
-		return nil, fmt.Errorf("core: RateMargin %v must be >= 1", cfg.RateMargin)
 	}
 	if cfg.ActiveWorkers == 0 {
 		cfg.ActiveWorkers = cfg.Workers
@@ -532,7 +512,7 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 	if !s.lastNotify[i].IsZero() {
 		span := now.Sub(s.lastNotify[i])
 		if span > 0 {
-			a := s.cfg.SpanAlpha
+			a := spanAlpha
 			s.spanEWMA[i] = time.Duration((1-a)*float64(s.spanEWMA[i]) + a*float64(span))
 			if s.workSpan == nil {
 				s.cfg.Obs.WorkerSpan(now, i, s.spanEWMA[i])
@@ -588,7 +568,7 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 func (s *Scheduler) recordPush(worker int, now time.Time) {
 	s.history.Push(PushRecord{At: now, Worker: worker})
 	s.histCount[worker]++
-	if drop := s.history.Len() - s.cfg.HistoryLimit; drop > 0 {
+	if drop := s.history.Len() - historyPerWorker*s.m; drop > 0 {
 		for _, rec := range s.history.Items()[:drop] {
 			s.histCount[rec.Worker]--
 		}
@@ -609,7 +589,7 @@ func (s *Scheduler) handleNotifyV2(from node.ID, n *msg.NotifyV2) {
 		return
 	}
 	if i >= 0 && i < s.m && s.workSpan != nil && n.Span > 0 {
-		a := s.cfg.SpanAlpha
+		a := spanAlpha
 		if s.workSpan[i] == 0 {
 			s.workSpan[i] = n.Span
 		} else {
@@ -715,7 +695,7 @@ func (s *Scheduler) armWindow(i int, abortIter int64, now time.Time) {
 	}
 	rate := s.rates[i]
 	if s.cfg.Scheme.Spec == scheme.SpecAdaptive {
-		rate *= s.cfg.RateMargin
+		rate *= rateMargin
 	}
 	*w = specWindow{
 		armed:     true,
@@ -732,8 +712,10 @@ func (s *Scheduler) armWindow(i int, abortIter int64, now time.Time) {
 
 // countIntoWindows is Algorithm 2's CheckResync counting, kept incrementally:
 // the push just received from `pusher` lands in every other worker's open
-// window. In eager mode the re-sync fires as soon as a window's threshold is
-// met; in expiry mode the count is merely accumulated.
+// window, and the re-sync fires as soon as a window's threshold is met. The
+// paper's Algorithm 2 checks the count once, when the window expires; the
+// eager check has the same trigger condition and refreshes strictly earlier
+// (a calibrated deviation, DESIGN.md "Calibrated constants").
 func (s *Scheduler) countIntoWindows(pusher int, now time.Time) {
 	for i := range s.windows {
 		w := &s.windows[i]
@@ -745,24 +727,19 @@ func (s *Scheduler) countIntoWindows(pusher int, now time.Time) {
 			continue
 		}
 		w.cnt++
-		if !s.cfg.CheckAtExpiryOnly && s.thresholdMet(w) {
+		if s.thresholdMet(w) {
 			s.fireResync(i, w)
 		}
 	}
 }
 
-// expireWindow is the paper's end-of-window check (and the disarm point for
-// eager mode).
+// expireWindow disarms worker i's window at its deadline; the /clusterz view
+// reads the disarmed state. The threshold was already checked on every push.
 func (s *Scheduler) expireWindow(i int, abortIter int64) {
 	w := &s.windows[i]
-	if !w.armed || w.iter != abortIter {
-		return
+	if w.armed && w.iter == abortIter {
+		w.armed = false
 	}
-	if s.cfg.CheckAtExpiryOnly && s.thresholdMet(w) {
-		s.fireResync(i, w)
-		return
-	}
-	w.armed = false
 }
 
 // thresholdMet applies cnt >= m*ABORT_RATE with the degenerate guard that

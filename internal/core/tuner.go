@@ -25,9 +25,7 @@ type TunerConfig struct {
 	// latency a speculation window cannot observe anything; zero means no
 	// floor.
 	MinAbort time.Duration
-	// MaxAbort clamps the largest candidate. The paper's grid search uses
-	// half of the iteration time as its upper bound; the cluster harness
-	// passes the same here. Zero means no ceiling.
+	// MaxAbort clamps the largest candidate. Zero means no ceiling.
 	MaxAbort time.Duration
 	// MaxCandidates caps the candidate set by even sub-sampling, bounding
 	// tuning cost on epochs with many pushes. Zero means unlimited.

@@ -97,9 +97,6 @@ type Config struct {
 	Start time.Time
 	// Transfer, if non-nil, receives a record per message sent.
 	Transfer TransferRecorder
-	// Fault, if non-nil, is consulted for every message (see also
-	// Sim.SetFault, which fault injectors use after construction).
-	Fault FaultHook
 	// Metrics, if non-nil, receives simulator-level gauges and counters
 	// (event-queue depth, steps executed, deliveries, virtual clock).
 	// Recording only reads simulator state, so it cannot perturb the run.
@@ -263,7 +260,6 @@ func New(cfg Config) (*Sim, error) {
 		links:      make(map[uint64]vtime),
 		netRand:    rand.New(rand.NewSource(cfg.Seed ^ 0x5ec5)),
 		hiccupRand: rand.New(rand.NewSource(cfg.Seed ^ 0x41cc)),
-		fault:      cfg.Fault,
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.metSteps = reg.Counter("specsync_sim_steps_total", "Simulator events executed.")

@@ -30,10 +30,11 @@ func (s *blockSink) Receive(_ node.ID, m wire.Message) {
 
 func pushSim(t *testing.T, fault FaultHook) (*Sim, node.Context, *blockSink) {
 	t.Helper()
-	s, err := New(Config{Seed: 1, Registry: msg.Registry(), Net: NetModel{Latency: time.Millisecond}, Fault: fault})
+	s, err := New(Config{Seed: 1, Registry: msg.Registry(), Net: NetModel{Latency: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetFault(fault)
 	sink := &blockSink{t: t, want: 1.5}
 	if err := s.AddNode("worker/0", &echoNode{}); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
@@ -16,9 +15,7 @@ import (
 //  1. Centralized scheduler vs all-to-all broadcast (paper Sec. V-A): the
 //     measured notify/re-sync bytes vs a counterfactual, the bytes an
 //     m-to-m broadcast of the same pushes would have cost.
-//  2. The "too late to abort" cutoff (paper Sec. IV-A): convergence with the
-//     cutoff at its default, disabled, and aggressive.
-//  3. The bursty-arrival environment: SpecSync's edge with the transient
+//  2. The bursty-arrival environment: SpecSync's edge with the transient
 //     stall process on vs off.
 type AblationResult struct {
 	Workload WorkloadID
@@ -31,12 +28,6 @@ type AblationResult struct {
 	CentralMsgs     int64
 	BroadcastMsgs   int64
 
-	// Late-cutoff ablation.
-	CutoffFracs    []float64
-	CutoffConverge []time.Duration
-	CutoffOK       []bool
-	CutoffAborts   []int64
-
 	// Hiccup ablation: speedup of Adaptive over Original with/without
 	// stalls.
 	SpeedupWithStalls    float64
@@ -44,7 +35,7 @@ type AblationResult struct {
 	StallsValid          bool
 }
 
-// Ablations runs all three studies on the CIFAR-like workload.
+// Ablations runs both studies on the CIFAR-like workload.
 func Ablations(o Options) (*AblationResult, error) {
 	o = o.normalize()
 	wl, err := o.workload(WorkloadCIFAR)
@@ -70,22 +61,7 @@ func Ablations(o Options) (*AblationResult, error) {
 	}
 	res.BroadcastBytes, res.BroadcastMsgs = broadcastCost(central.Trace.Events(), o.Workers)
 
-	// (2) Late-cutoff ablation.
-	res.CutoffFracs = []float64{0.5, 0.9, 1.0}
-	for _, frac := range res.CutoffFracs {
-		frac := frac
-		r, err := runOne(o, wl, schemeAdaptive(), func(c *clusterConfig) {
-			c.AbortLateFrac = frac
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.CutoffConverge = append(res.CutoffConverge, r.ConvergeTime)
-		res.CutoffOK = append(res.CutoffOK, r.Converged)
-		res.CutoffAborts = append(res.CutoffAborts, r.Aborts)
-	}
-
-	// (3) Hiccup ablation.
+	// (2) Hiccup ablation.
 	speedup := func(disable bool) (float64, bool, error) {
 		orig, err := runOne(o, wl, schemeASP(), func(c *clusterConfig) { c.DisableHiccups = disable })
 		if err != nil {
@@ -127,7 +103,7 @@ func broadcastCost(events []trace.Event, workers int) (bytes, msgs int64) {
 	return bytes, msgs
 }
 
-// Render prints all three studies.
+// Render prints both studies.
 func (r *AblationResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Ablations (%s)\n", r.Workload)
 
@@ -141,19 +117,7 @@ func (r *AblationResult) Render(w io.Writer) {
 			float64(r.BroadcastBytes)/float64(r.CentralCtlBytes))
 	}
 
-	fmt.Fprintln(w, "\n(2) 'Too late to abort' cutoff (fraction of planned compute):")
-	tb = newTable("cutoff", "converged", "time-to-target", "aborts")
-	for i, f := range r.CutoffFracs {
-		label := fmt.Sprintf("%.1f", f)
-		if f == 1.0 {
-			label += " (no cutoff)"
-		}
-		tb.addRow(label, fmt.Sprintf("%v", r.CutoffOK[i]), fmtDur(r.CutoffConverge[i], r.CutoffOK[i]),
-			fmt.Sprintf("%d", r.CutoffAborts[i]))
-	}
-	tb.render(w)
-
-	fmt.Fprintln(w, "\n(3) Bursty-arrival environment (transient stalls):")
+	fmt.Fprintln(w, "\n(2) Bursty-arrival environment (transient stalls):")
 	tb = newTable("environment", "Adaptive speedup over Original")
 	if r.StallsValid {
 		tb.addRow("with stalls", fmt.Sprintf("%.2fx", r.SpeedupWithStalls))

@@ -66,11 +66,10 @@ func Staleness(o Options) (*StalenessResult, error) {
 // Render prints the distribution table.
 func (r *StalenessResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Staleness distribution (%s, equal horizons): peer updates applied between\n", r.Workload)
-	fmt.Fprintln(w, "a worker's pull and its push. With the default selective thresholds, aborts")
-	fmt.Fprintln(w, "are rare and targeted at burst victims, so the global distribution barely")
-	fmt.Fprintln(w, "moves while the rescued iterations see large freshness gains; at the paper's")
-	fmt.Fprintln(w, "literal break-even threshold (RateMargin=1) the median itself drops ~25-30%")
-	fmt.Fprintln(w, "at the cost of aborting roughly half of all iterations.")
+	fmt.Fprintln(w, "a worker's pull and its push. The adaptive threshold is twice the paper's")
+	fmt.Fprintln(w, "break-even: whole cifar10 runs (40 workers, seeds 1-6, with stalls) abort")
+	fmt.Fprintln(w, "about 0.24 times per completed iteration at it, and about 0.43 at the")
+	fmt.Fprintln(w, "literal break-even.")
 	tb := newTable("scheme", "p5", "p25", "median", "p75", "p95", "pushes", "aborts")
 	for i, name := range r.Schemes {
 		b := r.Boxes[i]

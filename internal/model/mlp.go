@@ -32,7 +32,6 @@ type MLP struct {
 }
 
 var _ Model = (*MLP)(nil)
-var _ Accuracier = (*MLP)(nil)
 
 // MLPConfig configures an MLP workload.
 type MLPConfig struct {
@@ -248,20 +247,4 @@ func (m *MLP) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
 		loss += 0.5 * m.l2 * tensor.Dot(w, w)
 	}
 	return loss
-}
-
-// EvalAccuracy implements Accuracier.
-func (m *MLP) EvalAccuracy(w tensor.Vec) float64 {
-	s := m.scratch(tensor.NewVec(m.scratchLen()))
-	correct := 0
-	for i := 0; i < len(m.eval); i += block {
-		blk := m.eval[i:min(i+block, len(m.eval))]
-		m.forward(w, blk, s)
-		for j, smp := range blk {
-			if _, _, logits := s.at(m, j); tensor.Argmax(logits) == smp.Y {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(len(m.eval))
 }

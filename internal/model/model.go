@@ -121,9 +121,3 @@ type Model interface {
 	// EvalLoss computes the held-out evaluation loss at w.
 	EvalLoss(w tensor.Vec) float64
 }
-
-// Accuracier is implemented by classification models that can report
-// held-out accuracy in addition to loss.
-type Accuracier interface {
-	EvalAccuracy(w tensor.Vec) float64
-}

@@ -167,24 +167,6 @@ func TestLinRegSGDRecoverstruth(t *testing.T) {
 	}
 }
 
-func TestSoftmaxAccuracyImproves(t *testing.T) {
-	m := newTestSoftmax(t)
-	rng := rand.New(rand.NewSource(2))
-	w := m.Init(rng)
-	before := m.EvalAccuracy(w)
-	for i := 0; i < 800; i++ {
-		u := m.Grad(w, m.SampleBatch(i%m.NumShards(), rng))
-		tensor.Axpy(w, -0.1, u.Dense)
-	}
-	after := m.EvalAccuracy(w)
-	if after < before+0.2 {
-		t.Errorf("accuracy barely moved: %.3f -> %.3f", before, after)
-	}
-	if after < 0.7 {
-		t.Errorf("final accuracy %.3f too low for separable blobs", after)
-	}
-}
-
 func TestMFSparseGradientTouchesOnlyBatchRows(t *testing.T) {
 	m := newTestMF(t)
 	rng := rand.New(rand.NewSource(3))

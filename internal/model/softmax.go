@@ -24,7 +24,6 @@ type Softmax struct {
 }
 
 var _ Model = (*Softmax)(nil)
-var _ Accuracier = (*Softmax)(nil)
 
 // SoftmaxConfig configures a Softmax workload.
 type SoftmaxConfig struct {
@@ -174,22 +173,6 @@ func (s *Softmax) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
 		loss += 0.5 * s.l2 * tensor.Dot(w, w)
 	}
 	return loss
-}
-
-// EvalAccuracy implements Accuracier.
-func (s *Softmax) EvalAccuracy(w tensor.Vec) float64 {
-	out := tensor.NewVec(block * s.classes)
-	correct := 0
-	for i := 0; i < len(s.eval); i += block {
-		blk := s.eval[i:min(i+block, len(s.eval))]
-		s.logits(w, blk, out)
-		for j, smp := range blk {
-			if tensor.Argmax(out[j*s.classes:(j+1)*s.classes]) == smp.Y {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(len(s.eval))
 }
 
 // GradNormAt returns the Euclidean norm of the full-eval-set gradient at w;

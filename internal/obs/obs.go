@@ -27,10 +27,6 @@ type Options struct {
 	// spans per iteration per worker.
 	Spans bool
 
-	// FlightCapacity bounds the always-on flight recorder ring
-	// (DefaultFlightCapacity when zero).
-	FlightCapacity int
-
 	// Stragglers tunes the straggler detector; zero values pick defaults.
 	Stragglers StragglerOptions
 }
@@ -66,7 +62,7 @@ func New(opts Options) *Obs {
 	if opts.Spans {
 		o.spans = NewSpanLog()
 	}
-	o.flight = NewFlightRecorder(opts.FlightCapacity)
+	o.flight = NewFlightRecorder(DefaultFlightCapacity)
 	o.stragglers = newStragglerDetector(opts.Stragglers, reg, o.spans, o.flight)
 	o.pullH = reg.Histogram("specsync_pull_seconds",
 		"Latency of one parameter pull (request fan-out to last shard response).", LatencyBuckets)

@@ -101,7 +101,7 @@ func TestServerKeepsNothingOfAReceivedMessage(t *testing.T) {
 	}
 	variants := map[string]func(*Config){
 		"plain":      nil,
-		"replicated": func(c *Config) { c.Backups = []node.ID{node.ReplicaID(0, 1), node.ReplicaID(0, 2)} },
+		"replicated": nil,
 		"clone-dedup": func(c *Config) {
 			c.DedupPushes = true
 			c.CloneBase = 2
@@ -110,6 +110,11 @@ func TestServerKeepsNothingOfAReceivedMessage(t *testing.T) {
 	for name, mut := range variants {
 		scribbled, scribbledCtx := lifetimeServer(t, mut)
 		intact, intactCtx := lifetimeServer(t, mut)
+		if name == "replicated" {
+			backups := []node.ID{node.ReplicaID(0, 1), node.ReplicaID(0, 2)}
+			scribbled.SetBackups(backups)
+			intact.SetBackups(backups)
+		}
 		for i, m := range stream() {
 			from := node.WorkerID(1)
 			if i == 4 {

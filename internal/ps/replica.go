@@ -27,9 +27,10 @@ import (
 // primary with backups, or as a backup).
 func (s *Server) replicated() bool { return s.cfg.Replica || len(s.backups) > 0 }
 
-// SetBackups installs the ReplApply forwarding targets. Called at
-// construction time by the harness for the initial primary, and at promotion
-// time for a backup taking over (with the surviving replicas of its shard).
+// SetBackups installs the ReplApply forwarding targets (none disables
+// replication). Called at construction time by the harness for the initial
+// primary, and at promotion time for a backup taking over (with the
+// surviving replicas of its shard).
 func (s *Server) SetBackups(ids []node.ID) { s.backups = ids }
 
 // Promote turns a backup into the serving primary for its shard. The caller

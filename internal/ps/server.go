@@ -81,9 +81,6 @@ type Config struct {
 	// traffic and only replays the primary's ReplApply stream until a
 	// promotion (Promote) turns it into the serving primary.
 	Replica bool
-	// Backups are the replica node IDs this primary forwards every applied
-	// push to (empty disables replication). Also settable via SetBackups.
-	Backups []node.ID
 	// DedupPushes enables clone-mitigation push dedup (see clone.go): the
 	// first push to arrive for a logical (worker, iter) is applied, later
 	// duplicates are acknowledged without touching the parameters. Off by
@@ -174,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Optimizer == nil {
 		return nil, fmt.Errorf("ps: nil optimizer")
 	}
-	return &Server{cfg: cfg, params: cfg.Init.Clone(), backups: cfg.Backups}, nil
+	return &Server{cfg: cfg, params: cfg.Init.Clone()}, nil
 }
 
 // Init implements node.Handler.

@@ -56,20 +56,6 @@ func Softmax(v, out Vec) {
 	}
 }
 
-// Argmax returns the index of the largest element, or -1 for empty input.
-func Argmax(v Vec) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Relu writes max(0, v) into out (may alias v).
 func Relu(v, out Vec) {
 	for i, x := range v {

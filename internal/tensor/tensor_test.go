@@ -131,12 +131,6 @@ func TestLogSumExp(t *testing.T) {
 }
 
 func TestArgmaxRelu(t *testing.T) {
-	if Argmax(Vec{}) != -1 {
-		t.Error("empty Argmax should be -1")
-	}
-	if Argmax(Vec{1, 5, 3}) != 1 {
-		t.Error("Argmax wrong")
-	}
 	v := Vec{-1, 2, -3}
 	Relu(v, v)
 	if v[0] != 0 || v[1] != 2 || v[2] != 0 {

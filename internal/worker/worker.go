@@ -163,10 +163,6 @@ type Config struct {
 	// span tracing. Timestamps come from node.Context, so the same hook works
 	// under the simulator (virtual time) and live (wall time).
 	Obs *obs.WorkerObs
-	// AbortLateFrac: a re-sync arriving after this fraction of the planned
-	// compute duration is ignored ("if that is not too late yet", paper
-	// Sec. IV-A). Zero means the default of 0.9.
-	AbortLateFrac float64
 	// MaxIters stops the worker after completing this many iterations;
 	// zero means run until stopped.
 	MaxIters int64
@@ -374,12 +370,6 @@ func New(cfg Config) (*Worker, error) {
 		if err := sw.Validate(); err != nil {
 			return nil, fmt.Errorf("worker: script window %d: %w", i, err)
 		}
-	}
-	if cfg.AbortLateFrac == 0 {
-		cfg.AbortLateFrac = 0.9
-	}
-	if cfg.AbortLateFrac < 0 || cfg.AbortLateFrac > 1 {
-		return nil, fmt.Errorf("worker: AbortLateFrac %v outside (0,1]", cfg.AbortLateFrac)
 	}
 	var shards []ps.Range
 	var shardSrv []int
@@ -789,6 +779,11 @@ func (wk *Worker) startCompute() {
 	wk.computeCancel = wk.ctx.After(wk.computeDur, wk.computeDone)
 }
 
+// abortLateFrac is the "too late to abort" cutoff: a re-sync arriving after
+// this fraction of the planned compute duration is ignored ("if that is not
+// too late yet", paper Sec. IV-A).
+const abortLateFrac = 0.9
+
 // handleReSync implements the abort-and-restart path (Algorithm 2 worker
 // lines 5-7).
 func (wk *Worker) handleReSync(rs *msg.ReSync) {
@@ -796,7 +791,7 @@ func (wk *Worker) handleReSync(rs *msg.ReSync) {
 		return // too late: that iteration already completed (or never started)
 	}
 	elapsed := wk.ctx.Now().Sub(wk.computeStart)
-	if float64(elapsed) >= wk.cfg.AbortLateFrac*float64(wk.computeDur) {
+	if float64(elapsed) >= abortLateFrac*float64(wk.computeDur) {
 		// Nearly done; restarting now would cost more than the fresher
 		// parameters can recover.
 		return

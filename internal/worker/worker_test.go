@@ -146,7 +146,6 @@ func TestWorkerValidation(t *testing.T) {
 		func(c *Config) { c.Compute.Speed = 0 },
 		func(c *Config) { c.Shards = []ps.Range{{Lo: 0, Hi: 3}} }, // doesn't cover dim
 		func(c *Config) { c.Shards = []ps.Range{{Lo: 1, Hi: mdl.Dim() + 1}} },
-		func(c *Config) { c.AbortLateFrac = 2 },
 	}
 	for i, mut := range bad {
 		cfg := base
@@ -243,16 +242,27 @@ func TestWorkerIgnoresStaleReSync(t *testing.T) {
 	}
 }
 
+// TestWorkerIgnoresLateReSync pins the 0.9 "too late to abort" cutoff from
+// both sides: a re-sync landing at 95 % of iteration 1's compute is ignored,
+// one at 85 % aborts it.
 func TestWorkerIgnoresLateReSync(t *testing.T) {
-	h := newHarness(t, func(c *Config) { c.AbortLateFrac = 0.5 })
-	h.start()
-	// Iteration 1 computes during [ ~1s, ~2s ]. At 1.8s it is 80% done,
-	// beyond the 50% late threshold.
-	h.sim.RunFor(1800 * time.Millisecond)
-	h.sched.ctx.Send(node.WorkerID(0), &msg.ReSync{Iter: 1})
-	h.sim.RunFor(2 * time.Second)
-	if h.w.Aborts() != 0 {
-		t.Error("late re-sync should have been ignored")
+	for _, tc := range []struct {
+		frac   float64
+		aborts int64
+	}{{0.95, 0}, {0.85, 1}} {
+		h := newHarness(t, nil)
+		h.start()
+		h.sim.RunFor(1500 * time.Millisecond) // mid-compute of iteration 1
+		if h.w.st != stateComputing || h.w.iter != 1 {
+			t.Fatalf("worker not computing iteration 1 (state %v, iter %d)", h.w.st, h.w.iter)
+		}
+		arrive := h.w.computeStart.Add(time.Duration(tc.frac * float64(h.w.computeDur)))
+		h.sim.RunFor(arrive.Sub(h.w.ctx.Now()) - time.Millisecond) // less the link's 1 ms
+		h.sched.ctx.Send(node.WorkerID(0), &msg.ReSync{Iter: 1})
+		h.sim.RunFor(2 * time.Second)
+		if got := h.w.Aborts(); got != tc.aborts {
+			t.Errorf("re-sync at %.0f%% of compute: %d aborts, want %d", 100*tc.frac, got, tc.aborts)
+		}
 	}
 }
 
