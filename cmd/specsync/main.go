@@ -137,8 +137,7 @@ func run(args []string) error {
 	if sc.Policy != scheme.PolicyNone {
 		fmt.Printf("scheme: %d live switches, finished under %s\n", res.SchemeSwitches, res.FinalScheme)
 	}
-	if res.Faults != nil {
-		st := res.Faults.Stats()
+	if st := res.Faults; st != nil {
 		fmt.Printf("faults: %d crashes, %d restarts (%d restored from checkpoint), %d evictions, %d readmissions, %d dropped msgs\n",
 			st.Crashes, st.Restarts, st.Restores, st.Evictions, st.Readmissions, st.Drops)
 		if st.LostPushes > 0 {

@@ -44,7 +44,7 @@ type Nodes struct {
 	codec     *codec.Stats
 	collector *trace.Collector // nil unless cfg.KeepTrace
 	tracer    trace.Tracer     // collector, or nil
-	faults    *metrics.Faults  // nil unless a fault plan or replication
+	faults    *obs.FaultObs    // nil unless a fault plan or replication
 
 	ranges  []ps.Range
 	initVec tensor.Vec
@@ -67,7 +67,6 @@ type Nodes struct {
 	workers   []*worker.Worker
 	sched     *core.Scheduler // the serving scheduler
 	schedNode node.Handler    // what node.Scheduler hosts: sched, or a Leader embedding it
-	leader    *replica.Leader
 	standbys  []*replica.Standby
 
 	// Iterations and aborts of crashed worker incarnations, and re-syncs and
@@ -138,10 +137,7 @@ func Build(cfg Config) (*Nodes, error) {
 		n.codec.WritePrometheus(w, registry.Name)
 	})
 	if cfg.Faults != nil || cfg.Replication.Enabled() {
-		n.faults = metrics.NewFaults(msg.IsControl)
-		n.obs.Registry().SetCollector("faults", func(w io.Writer) {
-			n.faults.WritePrometheus(w)
-		})
+		n.faults = n.obs.Faults()
 	}
 
 	// Capacity: the slots the cluster may grow into. Neither mitigation needs
@@ -263,16 +259,17 @@ func (n *Nodes) Scheduler(gen int64) (node.Handler, error) {
 	}
 	n.sched, n.schedNode = s, s
 	if S := n.cfg.Replication.StandbySchedulers; S > 0 {
-		if n.leader, err = replica.NewLeader(replica.LeaderConfig{
+		leader, err := replica.NewLeader(replica.LeaderConfig{
 			Sched:          s,
 			Standbys:       S,
 			ReplicateEvery: n.cfg.Replication.ReplicateEvery,
 			Term:           gen,
 			Obs:            n.obs,
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
-		n.schedNode = n.leader
+		n.schedNode = leader
 	}
 	return n.schedNode, nil
 }
@@ -412,7 +409,6 @@ func (n *Nodes) newScheduler(gen int64) (*core.Scheduler, error) {
 		Mitigate:        n.mitigate,
 		Generation:      gen,
 		BeaconEvery:     cfg.BeaconEvery,
-		Faults:          n.faults,
 		Obs:             n.obs.Scheduler(),
 		Tuner: core.TunerConfig{
 			MinAbort: 4 * cfg.Net.Latency,
@@ -434,7 +430,6 @@ func (n *Nodes) newStandby(i int) (*replica.Standby, error) {
 		ReplicateEvery:  n.cfg.Replication.ReplicateEvery,
 		MakeScheduler:   n.newScheduler,
 		OnPromote:       func(_ *replica.Standby, s *core.Scheduler) { n.retireScheduler(s) },
-		Faults:          n.faults,
 		Obs:             n.obs,
 	})
 }
@@ -601,7 +596,7 @@ func (n *Nodes) result(res *Result) {
 			res.Aborts += wk.Aborts()
 		}
 	}
-	res.Faults = n.faults
+	res.Faults = n.faults.Totals()
 	res.ReSyncs = n.retiredResyncs + n.sched.ReSyncsSent()
 	res.Epochs = max(n.sched.Epoch(), n.maxEpochs)
 	res.SchemeSwitches = n.sched.SchemeSwitches()
@@ -612,7 +607,7 @@ func (n *Nodes) result(res *Result) {
 		res.Converged = true
 	}
 	if cfg.Replication.Enabled() {
-		res.Replication = n.replicationStats()
+		res.Replication = n.replicationStats(res.Faults)
 	}
 	res.Trace = n.collector
 	res.Obs = n.obs.Summary()
@@ -620,18 +615,19 @@ func (n *Nodes) result(res *Result) {
 	res.ParamsDigest = paramsDigest(n.assemble())
 }
 
-func (n *Nodes) replicationStats() *ReplicationStats {
+// replicationStats reads the replicated planes' tallies: elections,
+// promotions and snapshot ships off the fault ledger f, terms and roles off
+// the standbys, push accounting off the servers.
+func (n *Nodes) replicationStats(f *obs.FaultTotals) *ReplicationStats {
 	rs := &ReplicationStats{
 		Replicas:          n.cfg.Replication.Replicas,
 		StandbySchedulers: n.cfg.Replication.StandbySchedulers,
 		LeaderNode:        string(node.Scheduler),
-	}
-	if n.leader != nil {
-		rs.SnapshotsShipped = n.leader.Shipped()
+		Elections:         f.Elections,
+		Promotions:        f.Promotions,
+		SnapshotsShipped:  f.SnapshotsShipped,
 	}
 	for i, sb := range n.standbys {
-		rs.Elections += sb.Elections()
-		rs.SnapshotsShipped += sb.Shipped()
 		rs.FinalTerm = max(rs.FinalTerm, sb.Term())
 		if sb.Role() == replica.RoleLeader {
 			rs.LeaderNode = string(node.StandbyID(i + 1))
@@ -658,9 +654,6 @@ func (n *Nodes) replicationStats() *ReplicationStats {
 		for _, rep := range reps {
 			tally(rep)
 		}
-	}
-	if n.faults != nil {
-		rs.Promotions = n.faults.Stats().Promotions
 	}
 	return rs
 }

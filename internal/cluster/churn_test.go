@@ -38,7 +38,7 @@ func TestChurnRunConvergesAndRecovers(t *testing.T) {
 	if res.Faults == nil {
 		t.Fatal("Result.Faults is nil for a faulted run")
 	}
-	st := res.Faults.Stats()
+	st := res.Faults
 	if st.Crashes != 2 || st.Restarts != 2 {
 		t.Errorf("crashes/restarts = %d/%d, want 2/2", st.Crashes, st.Restarts)
 	}
@@ -88,7 +88,7 @@ func TestChurnRunReproducible(t *testing.T) {
 	if !reflect.DeepEqual(a.Trace.Events(), b.Trace.Events()) {
 		t.Error("event traces differ across identical faulted runs")
 	}
-	if a.Faults.Stats() != b.Faults.Stats() {
-		t.Errorf("fault stats differ: %+v vs %+v", a.Faults.Stats(), b.Faults.Stats())
+	if *a.Faults != *b.Faults {
+		t.Errorf("fault stats differ: %+v vs %+v", *a.Faults, *b.Faults)
 	}
 }

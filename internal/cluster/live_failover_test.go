@@ -7,9 +7,9 @@ import (
 
 	"specsync/internal/core"
 	"specsync/internal/live"
-	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/optimizer"
 	"specsync/internal/ps"
 	"specsync/internal/scheme"
@@ -41,7 +41,7 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := metrics.NewFaults(msg.IsControl)
+	o := obs.New(obs.Options{})
 	iterTime := 20 * time.Millisecond
 
 	initVec := wl.Model.Init(rand.New(rand.NewSource(1 ^ 0x1217)))
@@ -75,7 +75,7 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 			InitialSpan: iterTime,
 			Generation:  gen,
 			BeaconEvery: 40 * time.Millisecond,
-			Faults:      fm,
+			Obs:         o.Scheduler(),
 		})
 	}
 	sched, err := makeSched(0)
@@ -96,7 +96,6 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 
 	// Crash: the scheduler's process dies with its host.
 	lb.Stop(node.Scheduler)
-	fm.RecordSchedulerCrash()
 
 	// ASP training goes on without a scheduler: more iterations complete
 	// than the two that could have been in flight at the crash.
@@ -115,26 +114,25 @@ func TestLiveSchedulerDeathAndRecovery(t *testing.T) {
 	if err := next.Restore(sched.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	fm.RecordSchedulerRestore()
 	if _, err := lb.Start(node.Scheduler, next); err != nil {
 		t.Fatal(err)
 	}
-	fm.RecordSchedulerRestart()
 
 	waitFor(t, "a state report from each worker", func() bool {
-		return fm.Stats().StateReports >= 2
+		return o.Registry().SumCounters("specsync_scheduler_state_reports_total") >= 2
 	})
 	itersAtRecover := workers[0].IterationsDone() + workers[1].IterationsDone()
 	waitFor(t, "training progress under the restarted scheduler", func() bool {
 		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtRecover
 	})
 
-	st := fm.Stats()
-	if st.SchedulerCrashes != 1 || st.SchedulerRestarts != 1 || st.SchedulerRestores != 1 {
-		t.Errorf("scheduler crashes/restarts/restores = %d/%d/%d, want 1/1/1",
-			st.SchedulerCrashes, st.SchedulerRestarts, st.SchedulerRestores)
+	// The incarnation serving at the scheduler's own ID counts itself a
+	// restart.
+	reg := o.Registry()
+	if n := reg.SumCounters("specsync_scheduler_restarts_total"); n != 1 {
+		t.Errorf("scheduler restarts = %d, want 1", n)
 	}
-	if st.StateReports != 2 {
-		t.Errorf("state reports = %d, want 2 (one per worker)", st.StateReports)
+	if n := reg.SumCounters("specsync_scheduler_state_reports_total"); n != 2 {
+		t.Errorf("state reports = %d, want 2 (one per worker)", n)
 	}
 }

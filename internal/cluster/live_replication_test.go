@@ -7,9 +7,9 @@ import (
 
 	"specsync/internal/core"
 	"specsync/internal/live"
-	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/optimizer"
 	"specsync/internal/ps"
 	"specsync/internal/replica"
@@ -32,7 +32,7 @@ func TestLiveReplicatedFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := metrics.NewFaults(msg.IsControl)
+	o := obs.New(obs.Options{})
 	iterTime := 20 * time.Millisecond
 
 	initVec := wl.Model.Init(rand.New(rand.NewSource(1 ^ 0x1217)))
@@ -73,7 +73,7 @@ func TestLiveReplicatedFailover(t *testing.T) {
 			InitialSpan: iterTime,
 			Generation:  gen,
 			BeaconEvery: 40 * time.Millisecond,
-			Faults:      fm,
+			Obs:         o.Scheduler(),
 		})
 	}
 	sched, err := makeSched(0)
@@ -84,6 +84,7 @@ func TestLiveReplicatedFailover(t *testing.T) {
 		Sched:          sched,
 		Standbys:       1,
 		ReplicateEvery: 40 * time.Millisecond,
+		Obs:            o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestLiveReplicatedFailover(t *testing.T) {
 		ElectionTimeout: 300 * time.Millisecond,
 		ReplicateEvery:  40 * time.Millisecond,
 		MakeScheduler:   makeSched,
-		Faults:          fm,
+		Obs:             o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,6 @@ func TestLiveReplicatedFailover(t *testing.T) {
 
 	// Kill the shard primary, pinning the version it had acknowledged.
 	lb.Stop(node.ServerID(0))
-	fm.RecordCrash()
 	acked := primary.Version()
 
 	// Promote the backup once it has drained the dead primary's replication
@@ -126,14 +126,12 @@ func TestLiveReplicatedFailover(t *testing.T) {
 	}
 	lb.Stop(node.ReplicaID(0, 1))
 	if lost := acked - backup.Version(); lost > 0 {
-		fm.RecordLostPushes(lost)
+		t.Errorf("lost pushes = %d, want 0 under replication", lost)
 	}
 	backup.Promote(nil)
 	if _, err := lb.Start(node.ServerID(0), backup); err != nil {
 		t.Fatal(err)
 	}
-	fm.RecordRestart()
-	fm.RecordPromotion()
 
 	itersAtPromote := workers[0].IterationsDone() + workers[1].IterationsDone()
 	waitFor(t, "training progress on the promoted shard", func() bool {
@@ -142,7 +140,6 @@ func TestLiveReplicatedFailover(t *testing.T) {
 
 	// Kill the scheduler for good: the standby owns recovery.
 	lb.Stop(node.Scheduler)
-	fm.RecordSchedulerCrash()
 	waitFor(t, "the standby to win the election", func() bool {
 		return standby.Role() == replica.RoleLeader
 	})
@@ -151,18 +148,16 @@ func TestLiveReplicatedFailover(t *testing.T) {
 		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtElect
 	})
 
-	st := fm.Stats()
-	if st.LostPushes != 0 {
-		t.Errorf("lost pushes = %d, want 0 under replication", st.LostPushes)
-	}
-	if st.Promotions != 1 {
-		t.Errorf("promotions = %d, want 1", st.Promotions)
-	}
+	// The elected incarnation counts as an election, not a restart.
+	st := o.Faults().Totals()
 	if st.Elections < 1 {
 		t.Errorf("elections = %d, want >= 1", st.Elections)
 	}
 	if st.SchedulerRestarts != 0 {
 		t.Errorf("scheduler restarts = %d, want 0 (the standby owns recovery)", st.SchedulerRestarts)
+	}
+	if st.SnapshotsShipped == 0 {
+		t.Error("no scheduler snapshots were ever shipped")
 	}
 	if got := backup.Replica(); got {
 		t.Error("promoted backup still reports replica mode")

@@ -63,7 +63,7 @@ func TestReplicatedServerCrashZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := crashed.Faults.Stats()
+	st := crashed.Faults
 	if st.Crashes != 1 || st.Restarts != 1 {
 		t.Fatalf("crashes/restarts = %d/%d, want 1/1", st.Crashes, st.Restarts)
 	}
@@ -97,7 +97,7 @@ func TestReplicatedServerCrashZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lost := lossy.Faults.Stats().LostPushes; lost == 0 {
+	if lost := lossy.Faults.LostPushes; lost == 0 {
 		t.Error("checkpoint-restore run reported zero lost pushes; expected losses")
 	}
 	if lossy.ParamsDigest == baseline.ParamsDigest {
@@ -170,7 +170,7 @@ func TestSchedulerFailoverElectsStandby(t *testing.T) {
 			if rs.SnapshotsShipped == 0 {
 				t.Error("no scheduler snapshots were ever shipped")
 			}
-			st := res.Faults.Stats()
+			st := res.Faults
 			if st.SchedulerCrashes != 1 {
 				t.Errorf("scheduler crashes = %d, want 1", st.SchedulerCrashes)
 			}
@@ -206,7 +206,7 @@ func TestWorkerRestartedAfterElectionFindsLeader(t *testing.T) {
 	if a.Replication == nil || a.Replication.Elections < 1 {
 		t.Fatalf("no standby election: %+v", a.Replication)
 	}
-	st := a.Faults.Stats()
+	st := a.Faults
 	if st.Restarts != 1 {
 		t.Errorf("worker restarts = %d, want 1", st.Restarts)
 	}

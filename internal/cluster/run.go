@@ -333,9 +333,10 @@ type Result struct {
 	Trace *trace.Collector
 	// FinalLoss is the last probed loss.
 	FinalLoss float64
-	// Faults is the fault/recovery accounting (crashes, restarts,
-	// checkpoints, drops, evictions). Nil unless Config.Faults was set.
-	Faults *metrics.Faults
+	// Faults is the fault, recovery and failover ledger read off the
+	// registry (crashes, restarts, checkpoints, drops, evictions, elections,
+	// promotions). Nil unless Config.Faults or Config.Replication was set.
+	Faults *obs.FaultTotals
 	// Scale is the elastic-membership accounting (joins, leaves, migrations,
 	// migrated bytes, per-migration durations). Nil unless Config.Scale was
 	// set.

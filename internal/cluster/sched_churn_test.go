@@ -47,7 +47,7 @@ func TestSchedulerChurnConvergesAllSchemes(t *testing.T) {
 			if !res.Converged {
 				t.Fatalf("did not converge after scheduler crash: final loss %.4f", res.FinalLoss)
 			}
-			st := res.Faults.Stats()
+			st := res.Faults
 			if st.SchedulerCrashes != 1 || st.SchedulerRestarts != 1 {
 				t.Errorf("scheduler crashes/restarts = %d/%d, want 1/1", st.SchedulerCrashes, st.SchedulerRestarts)
 			}
@@ -107,8 +107,8 @@ func TestSchedulerChurnReproducible(t *testing.T) {
 	if !reflect.DeepEqual(a.Trace.Events(), b.Trace.Events()) {
 		t.Error("event traces differ across identical scheduler-crash runs")
 	}
-	if a.Faults.Stats() != b.Faults.Stats() {
-		t.Errorf("fault stats differ: %+v vs %+v", a.Faults.Stats(), b.Faults.Stats())
+	if *a.Faults != *b.Faults {
+		t.Errorf("fault stats differ: %+v vs %+v", *a.Faults, *b.Faults)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestSchedulerLostLeavesPlainASP(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("did not converge with the scheduler permanently down: final loss %.4f", res.FinalLoss)
 	}
-	st := res.Faults.Stats()
+	st := res.Faults
 	if st.SchedulerCrashes != 1 || st.SchedulerRestarts != 0 {
 		t.Errorf("scheduler crashes/restarts = %d/%d, want 1/0", st.SchedulerCrashes, st.SchedulerRestarts)
 	}

@@ -76,9 +76,9 @@ func TestTopKDigestsPinned(t *testing.T) {
 		if res.TotalIters == 0 {
 			t.Fatalf("%s: no iterations", cell.name)
 		}
-		if cfg.Faults != nil && (res.Faults.Stats().Promotions != 1 || res.Replication.Applied == 0) {
+		if cfg.Faults != nil && (res.Faults.Promotions != 1 || res.Replication.Applied == 0) {
 			t.Fatalf("%s: %d promotions, %d forwarded pushes applied; want a backup promoted after replaying",
-				cell.name, res.Faults.Stats().Promotions, res.Replication.Applied)
+				cell.name, res.Faults.Promotions, res.Replication.Applied)
 		}
 		var buf bytes.Buffer
 		if err := trace.WriteJSONL(&buf, res.Trace.Events()); err != nil {

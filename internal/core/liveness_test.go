@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"specsync/internal/des"
-	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/scheme"
 	"specsync/internal/trace"
 	"specsync/internal/wire"
@@ -54,7 +54,7 @@ func TestSchedulerLivenessEviction(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			collector := trace.NewCollector()
-			faults := metrics.NewFaults(msg.IsControl)
+			o := obs.New(obs.Options{})
 			ws := []*scriptWorker{
 				{notifies: []time.Duration{900 * time.Millisecond, 2 * time.Second}},
 				{notifies: []time.Duration{950 * time.Millisecond, 2200 * time.Millisecond}},
@@ -69,7 +69,7 @@ func TestSchedulerLivenessEviction(t *testing.T) {
 				InitialSpan:     10 * time.Second,
 				Tracer:          collector,
 				LivenessTimeout: tc.timeout,
-				Faults:          faults,
+				Obs:             o.Scheduler(),
 			}, ws)
 			// Stop before workers 0/1 themselves go stale (the sweep after
 			// their final notifies is at t=2.4s).
@@ -95,8 +95,8 @@ func TestSchedulerLivenessEviction(t *testing.T) {
 			if !tc.wantEvicted && evicts != 0 {
 				t.Errorf("evict trace events = %d, want 0", evicts)
 			}
-			if st := faults.Stats(); st.Evictions != boolToInt64(tc.wantEvicted) {
-				t.Errorf("eviction counter = %d, want %d", st.Evictions, boolToInt64(tc.wantEvicted))
+			if n := o.Registry().SumCounters("specsync_evictions_total"); n != boolToInt64(tc.wantEvicted) {
+				t.Errorf("eviction counter = %d, want %d", n, boolToInt64(tc.wantEvicted))
 			}
 		})
 	}
@@ -113,7 +113,7 @@ func TestSchedulerReadmission(t *testing.T) {
 	// Worker 2 is silent long enough to be evicted, then notifies at t=2s:
 	// it must rejoin membership, with one evict and one recover on record.
 	collector := trace.NewCollector()
-	faults := metrics.NewFaults(msg.IsControl)
+	o := obs.New(obs.Options{})
 	// Workers 0 and 1 notify every 200 ms (well under the timeout) so only
 	// worker 2 — silent until t=2s — trips the detector.
 	steady := func() []time.Duration {
@@ -134,7 +134,7 @@ func TestSchedulerReadmission(t *testing.T) {
 		InitialSpan:     time.Second,
 		Tracer:          collector,
 		LivenessTimeout: 300 * time.Millisecond,
-		Faults:          faults,
+		Obs:             o.Scheduler(),
 	}, ws)
 	// Stop before worker 2 goes stale a second time (next sweep past
 	// 2s+300ms is at 2.4s).
@@ -159,8 +159,8 @@ func TestSchedulerReadmission(t *testing.T) {
 	if evicts2 != 1 || recovers2 != 1 {
 		t.Errorf("worker 2 evicts/recovers = %d/%d, want 1/1", evicts2, recovers2)
 	}
-	if st := faults.Stats(); st.Readmissions < 1 {
-		t.Errorf("readmission counter = %d, want >= 1", st.Readmissions)
+	if n := o.Registry().SumCounters("specsync_readmissions_total"); n < 1 {
+		t.Errorf("readmission counter = %d, want >= 1", n)
 	}
 	if sched.MembershipEpoch() < 2 {
 		t.Errorf("membership epoch = %d, want >= 2", sched.MembershipEpoch())

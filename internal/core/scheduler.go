@@ -54,8 +54,6 @@ type SchedulerConfig struct {
 	// ignores its history. Any later message re-admits it. Zero disables
 	// liveness tracking (every worker is a permanent member).
 	LivenessTimeout time.Duration
-	// Faults, if non-nil, receives eviction/re-admission counts.
-	Faults *metrics.Faults
 	// Obs, if non-nil, receives re-sync/epoch/membership telemetry and is
 	// handed the source the /clusterz view is built from at request time.
 	Obs *obs.SchedulerObs
@@ -319,7 +317,9 @@ func (s *Scheduler) Init(ctx node.Context) {
 		s.armMitigate()
 	}
 	if s.cfg.Generation > 0 {
-		s.cfg.Obs.Restarted(now, s.cfg.Generation)
+		// At the scheduler's own node ID this incarnation replaces a crashed
+		// process: a restart. At a standby's ID it won an election.
+		s.cfg.Obs.Started(now, s.cfg.Generation, ctx.Self() == node.Scheduler)
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.Record(trace.Event{At: now, Worker: trace.SchedulerNode, Kind: trace.KindRecover, Value: s.cfg.Generation})
 		}
@@ -383,7 +383,6 @@ func (s *Scheduler) touch(i int, now time.Time) {
 	s.alive[i] = true
 	s.aliveN++
 	epoch := s.membershipEpoch.Add(1)
-	s.cfg.Faults.RecordReadmission()
 	s.cfg.Obs.Readmit(now, i, epoch)
 	s.cfg.Obs.AliveWorkers(s.aliveN)
 	if s.cfg.Tracer != nil {
@@ -416,7 +415,6 @@ func (s *Scheduler) evict(i int, now time.Time) {
 	s.alive[i] = false
 	s.aliveN--
 	epoch := s.membershipEpoch.Add(1)
-	s.cfg.Faults.RecordEviction()
 	s.cfg.Obs.Evict(now, i, epoch)
 	s.cfg.Obs.AliveWorkers(s.aliveN)
 	if s.cfg.Tracer != nil {
@@ -660,7 +658,6 @@ func (s *Scheduler) handleStateReport(i int, r *msg.StateReport) {
 	now := s.ctx.Now()
 	s.touch(i, now)
 	s.stateReports++
-	s.cfg.Faults.RecordStateReport()
 	s.cfg.Obs.StateReport()
 
 	// Pushes the scheduler never saw a Notify for happened while it was

@@ -100,7 +100,7 @@ func Failover(o Options, replicas, standbys int) (*FailoverResult, error) {
 	}
 	res.ReplicaDigest = crashed.ParamsDigest
 	res.ZeroLoss = crashed.ParamsDigest == baseline.ParamsDigest
-	res.ReplicaLost = crashed.Faults.Stats().LostPushes
+	res.ReplicaLost = crashed.Faults.LostPushes
 	if crashed.Replication != nil {
 		res.Promotions = crashed.Replication.Promotions
 	}
@@ -116,7 +116,7 @@ func Failover(o Options, replicas, standbys int) (*FailoverResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.CheckpointLost = lossy.Faults.Stats().LostPushes
+	res.CheckpointLost = lossy.Faults.LostPushes
 	res.CheckpointMatch = lossy.ParamsDigest == baseline.ParamsDigest
 	o.progressf("failover: checkpoint-only crash run lost %d pushes", res.CheckpointLost)
 

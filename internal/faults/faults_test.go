@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"specsync/internal/des"
-	"specsync/internal/metrics"
-	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 )
 
 func TestPlanValidate(t *testing.T) {
@@ -118,7 +117,7 @@ func TestFilterPartition(t *testing.T) {
 		Kind: KindPartition, At: time.Second, Duration: time.Second,
 		A: []string{"worker/0"}, B: []string{"server/0", "scheduler"},
 	}}}
-	m := metrics.NewFaults(msg.IsControl)
+	m := obs.New(obs.Options{}).Faults()
 	f := NewFilter(p, m)
 	if f.Empty() {
 		t.Fatal("filter with a partition reports Empty")
@@ -126,7 +125,7 @@ func TestFilterPartition(t *testing.T) {
 
 	check := func(from, to node.ID, elapsed time.Duration, wantDrop bool) {
 		t.Helper()
-		a := f.Action(from, to, msg.KindNotify, elapsed)
+		a := f.Action(from, to, elapsed)
 		if a.Drop != wantDrop {
 			t.Errorf("Action(%s->%s @%v).Drop = %v, want %v", from, to, elapsed, a.Drop, wantDrop)
 		}
@@ -143,7 +142,7 @@ func TestFilterPartition(t *testing.T) {
 	// After the window closes: delivered.
 	check("worker/0", "scheduler", 2500*time.Millisecond, false)
 
-	if st := m.Stats(); st.Drops != 2 {
+	if st := m.Totals(); st.Drops != 2 {
 		t.Errorf("drop counter = %d, want 2", st.Drops)
 	}
 }
@@ -157,7 +156,7 @@ func TestFilterRatesAndDeterminism(t *testing.T) {
 		f := NewFilter(p, nil)
 		var out []des.FaultAction
 		for i := 0; i < 200; i++ {
-			out = append(out, f.Action("worker/0", "server/0", msg.KindPushReq, time.Duration(i)*time.Millisecond))
+			out = append(out, f.Action("worker/0", "server/0", time.Duration(i)*time.Millisecond))
 		}
 		return out
 	}

@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"specsync/internal/des"
-	"specsync/internal/metrics"
 	"specsync/internal/node"
-	"specsync/internal/wire"
+	"specsync/internal/obs"
 )
 
 // Filter evaluates a plan's message faults (partitions, drops, duplicates,
@@ -20,7 +19,7 @@ type Filter struct {
 	rng   *rand.Rand
 	rules []msgRule
 	parts []partRule
-	m     *metrics.Faults
+	m     *obs.FaultObs
 }
 
 type msgRule struct {
@@ -36,9 +35,9 @@ type partRule struct {
 	a, b     map[node.ID]bool
 }
 
-// NewFilter compiles the plan's message-fault events. The metrics receiver
-// may be nil.
-func NewFilter(p *Plan, m *metrics.Faults) *Filter {
+// NewFilter compiles the plan's message-fault events. The ledger m may be
+// nil.
+func NewFilter(p *Plan, m *obs.FaultObs) *Filter {
 	f := &Filter{
 		rng: rand.New(rand.NewSource(p.Seed ^ 0x66696c746572)), // "filter"
 		m:   m,
@@ -81,7 +80,7 @@ func (f *Filter) Empty() bool { return len(f.rules) == 0 && len(f.parts) == 0 }
 // drops are checked first (they are deterministic); probabilistic rules draw
 // from the seeded stream only while their window is open, so rule evaluation
 // order is stable. The zero verdict delivers normally.
-func (f *Filter) Action(from, to node.ID, kind wire.Kind, elapsed time.Duration) des.FaultAction {
+func (f *Filter) Action(from, to node.ID, elapsed time.Duration) des.FaultAction {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
@@ -90,7 +89,7 @@ func (f *Filter) Action(from, to node.ID, kind wire.Kind, elapsed time.Duration)
 			continue
 		}
 		if (pr.a[from] && pr.b[to]) || (pr.b[from] && pr.a[to]) {
-			f.m.RecordDrop(kind)
+			f.m.Drop()
 			return des.FaultAction{Drop: true}
 		}
 	}
@@ -105,16 +104,16 @@ func (f *Filter) Action(from, to node.ID, kind wire.Kind, elapsed time.Duration)
 		}
 		switch r.kind {
 		case KindDrop:
-			f.m.RecordDrop(kind)
+			f.m.Drop()
 			return des.FaultAction{Drop: true}
 		case KindDuplicate:
 			if !act.Duplicate {
-				f.m.RecordDuplicate(kind)
+				f.m.Duplicate()
 				act.Duplicate = true
 			}
 		case KindDelay:
 			if act.Delay == 0 {
-				f.m.RecordDelay(kind)
+				f.m.Delay()
 				act.Delay = r.delay
 			}
 		}

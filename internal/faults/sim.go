@@ -6,9 +6,9 @@ import (
 
 	"specsync/internal/core"
 	"specsync/internal/des"
-	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/ps"
 	"specsync/internal/trace"
 	"specsync/internal/wire"
@@ -22,8 +22,9 @@ type SimOptions struct {
 	NumWorkers, NumServers int
 	// Tracer, if non-nil, records crash/recover events.
 	Tracer trace.Tracer
-	// Faults, if non-nil, counts fault activity.
-	Faults *metrics.Faults
+	// Faults, if non-nil, is the run's fault ledger: crashes, restarts,
+	// checkpoints, restores, lost pushes, promotions and message faults.
+	Faults *obs.FaultObs
 	// NewWorker builds a fresh worker handler for a restart (same config,
 	// blank state — the training state died with the old incarnation).
 	// Required when the plan restarts a worker.
@@ -149,8 +150,8 @@ func AttachSim(sim *des.Sim, opts SimOptions) (*SimInjector, error) {
 	filter := NewFilter(opts.Plan, opts.Faults)
 	if !filter.Empty() {
 		start := sim.Now()
-		sim.SetFault(func(from, to node.ID, kind wire.Kind, at time.Time) des.FaultAction {
-			return filter.Action(from, to, kind, at.Sub(start))
+		sim.SetFault(func(from, to node.ID, _ wire.Kind, at time.Time) des.FaultAction {
+			return filter.Action(from, to, at.Sub(start))
 		})
 	}
 
@@ -195,11 +196,7 @@ func (inj *SimInjector) crash(ev Event) {
 		inj.errs = append(inj.errs, err)
 		return
 	}
-	if ev.Kind == KindCrashScheduler {
-		inj.opts.Faults.RecordSchedulerCrash()
-	} else {
-		inj.opts.Faults.RecordCrash()
-	}
+	inj.opts.Faults.Crash(ev.Kind == KindCrashScheduler)
 	if inj.opts.Tracer != nil {
 		inj.opts.Tracer.Record(trace.Event{At: inj.sim.Now(), Worker: traceWorker, Kind: trace.KindCrash})
 	}
@@ -249,12 +246,12 @@ func (inj *SimInjector) restart(ev Event, id node.ID, traceWorker int) {
 				inj.errs = append(inj.errs, err)
 				return
 			}
-			inj.opts.Faults.RecordRestore()
+			inj.opts.Faults.Restore(false)
 			restored = snap.Version
 		}
 		// Everything applied after the last checkpoint died with the node.
 		if cv := inj.crashVersion[ev.Node]; cv > restored {
-			inj.opts.Faults.RecordLostPushes(cv - restored)
+			inj.opts.Faults.LostPushes(cv - restored)
 		}
 		h = srv
 		if inj.opts.OnServerRestart != nil {
@@ -265,7 +262,7 @@ func (inj *SimInjector) restart(ev Event, id node.ID, traceWorker int) {
 		inj.errs = append(inj.errs, err)
 		return
 	}
-	inj.opts.Faults.RecordRestart()
+	inj.opts.Faults.Restart()
 	if inj.opts.Tracer != nil {
 		inj.opts.Tracer.Record(trace.Event{At: inj.sim.Now(), Worker: traceWorker, Kind: trace.KindRecover, Value: restored})
 	}
@@ -325,8 +322,8 @@ func (inj *SimInjector) finishPromotion(shard, r int, id node.ID, traceWorker in
 		return
 	}
 	inj.promoted[shard] = r
-	inj.opts.Faults.RecordRestart()
-	inj.opts.Faults.RecordPromotion()
+	inj.opts.Faults.Restart()
+	inj.opts.Faults.Promotion()
 	if inj.opts.Tracer != nil {
 		inj.opts.Tracer.Record(trace.Event{At: inj.sim.Now(), Worker: traceWorker, Kind: trace.KindRecover, Value: backup.Version()})
 	}
@@ -355,15 +352,16 @@ func (inj *SimInjector) restartScheduler() {
 			inj.errs = append(inj.errs, err)
 			return
 		}
-		inj.opts.Faults.RecordSchedulerRestore()
+		inj.opts.Faults.Restore(true)
 	}
 	if err := inj.sim.Restart(node.Scheduler, sched); err != nil {
 		inj.errs = append(inj.errs, err)
 		return
 	}
-	// The scheduler's Init records the recover trace and obs span itself
-	// (it knows its generation); the injector only counts the restart.
-	inj.opts.Faults.RecordSchedulerRestart()
+	// The scheduler's Init records the recover trace and counts the
+	// scheduler restart itself (it knows its generation and node ID); the
+	// injector counts the node restart.
+	inj.opts.Faults.Restart()
 	if inj.opts.OnSchedulerRestart != nil {
 		inj.opts.OnSchedulerRestart(sched)
 	}
@@ -379,14 +377,14 @@ func (inj *SimInjector) armCheckpoint() {
 			}
 			if srv := inj.opts.Server(shard); srv != nil {
 				inj.snaps[shard] = srv.Snapshot()
-				inj.opts.Faults.RecordCheckpoint()
+				inj.opts.Faults.Checkpoint()
 			}
 		}
 		if inj.opts.Scheduler != nil && !inj.sim.Down(node.Scheduler) {
 			if s := inj.opts.Scheduler(); s != nil {
 				snap := s.Snapshot()
 				inj.schedSnap = &snap
-				inj.opts.Faults.RecordCheckpoint()
+				inj.opts.Faults.Checkpoint()
 			}
 		}
 		inj.armCheckpoint()

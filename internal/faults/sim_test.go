@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"specsync/internal/des"
-	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/optimizer"
 	"specsync/internal/ps"
 	"specsync/internal/tensor"
@@ -62,7 +62,7 @@ func TestSimInjectorCrashCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	collector := trace.NewCollector()
-	faults := metrics.NewFaults(msg.IsControl)
+	faults := obs.New(obs.Options{}).Faults()
 
 	plan := &Plan{Events: []Event{
 		// Worker crash at 1s, back at 1.5s (fresh incarnation, new Start).
@@ -116,7 +116,7 @@ func TestSimInjectorCrashCheckpointRestore(t *testing.T) {
 		t.Errorf("restored params[0] = %v, want < 1 (post-update state)", p[0])
 	}
 
-	st := faults.Stats()
+	st := faults.Totals()
 	if st.Crashes != 2 || st.Restarts != 2 {
 		t.Errorf("crashes/restarts = %d/%d, want 2/2", st.Crashes, st.Restarts)
 	}

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/wire"
 )
 
@@ -136,8 +136,8 @@ func TestLoopbackInitReachesEveryPeer(t *testing.T) {
 		}
 		handlers[id], greeters[id] = g, g
 	}
-	fm := metrics.NewFaults(msg.IsControl)
-	lb := newLoopback(t, TCPHostConfig{Faults: fm}, handlers)
+	reg := obs.NewRegistry()
+	lb := newLoopback(t, TCPHostConfig{Metrics: reg}, handlers)
 	late := &greeter{peers: ids}
 	if _, err := lb.Start(node.WorkerID(1), late); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestLoopbackInitReachesEveryPeer(t *testing.T) {
 			t.Errorf("%s received %d greetings, want %d", id, g.count(), len(ids))
 		}
 	}
-	if n := fm.Stats().SendFailures; n != 0 {
+	if n := reg.SumCounters("specsync_live_send_failures_total"); n != 0 {
 		t.Errorf("%d sends failed", n)
 	}
 }
@@ -222,14 +222,14 @@ func TestNetworkTimerAndCancel(t *testing.T) {
 // have fails without a panic and is counted.
 func TestNetworkUnknownDestinationDropped(t *testing.T) {
 	h := &pingHandler{}
-	fm := metrics.NewFaults(msg.IsControl)
-	lb := newLoopback(t, TCPHostConfig{Faults: fm}, map[node.ID]node.Handler{"worker/0": h})
+	reg := obs.NewRegistry()
+	lb := newLoopback(t, TCPHostConfig{Metrics: reg}, map[node.ID]node.Handler{"worker/0": h})
 	if lb.Host("worker/99") != nil {
 		t.Error("a node that was never started has a host")
 	}
 	initialized(lb, "worker/0")
 	h.ctx.Send("worker/99", &msg.Notify{})
-	if n := fm.Stats().SendFailures; n != 1 {
+	if n := reg.SumCounters("specsync_live_send_failures_total"); n != 1 {
 		t.Errorf("send failures = %d, want 1", n)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"specsync/internal/metrics"
 	"specsync/internal/node"
 	"specsync/internal/obs"
 	"specsync/internal/transport"
@@ -40,8 +39,6 @@ type TCPHostConfig struct {
 	// Metrics, if non-nil, receives transport counters (frames received,
 	// mailbox depth, send failures).
 	Metrics *obs.Registry
-	// Faults, if non-nil, counts failed sends.
-	Faults *metrics.Faults
 	// Debug enables stderr logging.
 	Debug bool
 }
@@ -198,7 +195,6 @@ func (h *TCPHost) Send(to node.ID, m wire.Message) {
 		return
 	}
 	if err := h.tr.Send(to, m); err != nil {
-		h.cfg.Faults.RecordSendFailure()
 		h.metSendFail.Inc()
 		h.Logf("send to %s: %v", to, err)
 	}

@@ -385,7 +385,7 @@ func (o *Obs) Scheduler() *SchedulerObs {
 		readmissions: o.reg.Counter("specsync_readmissions_total",
 			"Evicted workers re-admitted after reappearing."),
 		restarts: o.reg.Counter("specsync_scheduler_restarts_total",
-			"Scheduler incarnations started after a crash."),
+			"Scheduler processes restarted after a crash. An elected standby counts in specsync_scheduler_elections_total instead."),
 		stateReports: o.reg.Counter("specsync_scheduler_state_reports_total",
 			"Worker state reports consumed during post-restart state rebuild."),
 		specEnabled: o.reg.Gauge("specsync_spec_enabled",
@@ -545,12 +545,16 @@ func (s *SchedulerObs) ClusterSize(workers, servers int) {
 	s.clusterServers.Set(float64(servers))
 }
 
-// Restarted records the start of a post-crash scheduler incarnation.
-func (s *SchedulerObs) Restarted(at time.Time, gen int64) {
+// Started records the start of a post-crash scheduler incarnation. restart
+// is false for the incarnation an elected standby embeds: that is an
+// election, which the standby counts, not a restart.
+func (s *SchedulerObs) Started(at time.Time, gen int64, restart bool) {
 	if s == nil {
 		return
 	}
-	s.restarts.Inc()
+	if restart {
+		s.restarts.Inc()
+	}
 	s.generation.Set(float64(gen))
 	s.o.spans.Add(Span{Node: "scheduler", Name: "restart", Start: at, Value: gen})
 	s.o.flight.Record(FlightEvent{At: at, Kind: "scheduler-restart", Node: "scheduler",
@@ -699,6 +703,174 @@ func (s *ServerObs) Push(version, staleness int64) {
 	s.stale.Observe(float64(staleness))
 }
 
+// FaultObs is the run's fault, recovery and failover ledger: each fact is
+// one registry counter, recorded once at the site that makes it happen.
+// Evictions, readmissions, scheduler restarts and state reports are the
+// scheduler's own counters (SchedulerObs); Totals reads them alongside. All
+// methods are nil-safe.
+type FaultObs struct {
+	reg                                      *Registry
+	crashes, restarts, restores, checkpoints *Counter
+	lostPushes, promotions, elections        *Counter
+	schedCrashes, schedRestores, shipped     *Counter
+	drops, dups, delays                      *Counter
+}
+
+// Faults registers the fault-ledger families and returns their handle. Call
+// it only for a run with a fault plan or replication, so a fault-free run's
+// /metrics never shows them.
+func (o *Obs) Faults() *FaultObs {
+	if o == nil {
+		return nil
+	}
+	c := func(name, help string) *Counter { return o.reg.Counter(name, help) }
+	return &FaultObs{
+		reg:         o.reg,
+		crashes:     c("specsync_crashes_total", "Injected node crashes."),
+		restarts:    c("specsync_restarts_total", "Node restarts after crashes."),
+		restores:    c("specsync_restores_total", "Checkpoint restores on restart."),
+		checkpoints: c("specsync_checkpoints_total", "Completed checkpoints, one per shard or scheduler snapshot."),
+		lostPushes: c("specsync_lost_pushes_total",
+			"Pushes lost to crashes (applied but absent from the restored state). Zero under replication."),
+		promotions: c("specsync_replica_promotions_total", "Backup replicas promoted to shard primary."),
+		elections:  c("specsync_scheduler_elections_total", "Scheduler standby elections won."),
+		schedCrashes: c("specsync_scheduler_crashes_total",
+			"Injected scheduler crashes (also counted in specsync_crashes_total)."),
+		schedRestores: c("specsync_scheduler_restores_total",
+			"Scheduler checkpoint restores (also counted in specsync_restores_total)."),
+		shipped: c("specsync_scheduler_snapshots_shipped_total",
+			"Scheduler snapshots the serving leader shipped to its standbys."),
+		drops:  c("specsync_fault_dropped_messages_total", "Messages an injected fault dropped."),
+		dups:   c("specsync_fault_duplicated_messages_total", "Messages an injected fault duplicated."),
+		delays: c("specsync_fault_delayed_messages_total", "Messages an injected fault delayed."),
+	}
+}
+
+// Crash counts one injected node crash; scheduler marks the scheduler's.
+func (f *FaultObs) Crash(scheduler bool) {
+	if f == nil {
+		return
+	}
+	f.crashes.Inc()
+	if scheduler {
+		f.schedCrashes.Inc()
+	}
+}
+
+// Restart counts one node restart after a crash, a promotion included.
+func (f *FaultObs) Restart() {
+	if f != nil {
+		f.restarts.Inc()
+	}
+}
+
+// Restore counts one checkpoint restore on restart; scheduler marks the
+// scheduler's.
+func (f *FaultObs) Restore(scheduler bool) {
+	if f == nil {
+		return
+	}
+	f.restores.Inc()
+	if scheduler {
+		f.schedRestores.Inc()
+	}
+}
+
+// Checkpoint counts one completed shard or scheduler checkpoint.
+func (f *FaultObs) Checkpoint() {
+	if f != nil {
+		f.checkpoints.Inc()
+	}
+}
+
+// LostPushes counts pushes a crash lost for good: applied by the dead node
+// but absent from the state its replacement restored. A replica promotion
+// loses none.
+func (f *FaultObs) LostPushes(n int64) {
+	if f != nil && n > 0 {
+		f.lostPushes.Add(n)
+	}
+}
+
+// Promotion counts one backup replica promoted to shard primary.
+func (f *FaultObs) Promotion() {
+	if f != nil {
+		f.promotions.Inc()
+	}
+}
+
+// Election counts one scheduler standby election won.
+func (f *FaultObs) Election() {
+	if f != nil {
+		f.elections.Inc()
+	}
+}
+
+// SnapshotShipped counts one replication tick that shipped the serving
+// scheduler's snapshot.
+func (f *FaultObs) SnapshotShipped() {
+	if f != nil {
+		f.shipped.Inc()
+	}
+}
+
+// Drop, Duplicate and Delay count one message an injected fault dropped,
+// duplicated or delayed.
+func (f *FaultObs) Drop() {
+	if f != nil {
+		f.drops.Inc()
+	}
+}
+
+func (f *FaultObs) Duplicate() {
+	if f != nil {
+		f.dups.Inc()
+	}
+}
+
+func (f *FaultObs) Delay() {
+	if f != nil {
+		f.delays.Inc()
+	}
+}
+
+// FaultTotals is the fault ledger read off the registry at the end of a run.
+type FaultTotals struct {
+	Crashes, Restarts, Restores, Checkpoints, LostPushes int64
+	Drops, Duplicates, Delays                            int64
+
+	SchedulerCrashes, SchedulerRestarts, SchedulerRestores int64
+	Evictions, Readmissions, StateReports                  int64
+
+	Promotions, Elections, SnapshotsShipped int64
+}
+
+// Totals reads the ledger (nil on a nil FaultObs).
+func (f *FaultObs) Totals() *FaultTotals {
+	if f == nil {
+		return nil
+	}
+	return &FaultTotals{
+		Crashes:           f.crashes.Value(),
+		Restarts:          f.restarts.Value(),
+		Restores:          f.restores.Value(),
+		Checkpoints:       f.checkpoints.Value(),
+		LostPushes:        f.lostPushes.Value(),
+		Drops:             f.drops.Value(),
+		Duplicates:        f.dups.Value(),
+		Delays:            f.delays.Value(),
+		SchedulerCrashes:  f.schedCrashes.Value(),
+		SchedulerRestarts: f.reg.SumCounters("specsync_scheduler_restarts_total"),
+		SchedulerRestores: f.schedRestores.Value(),
+		Evictions:         f.reg.SumCounters("specsync_evictions_total"),
+		Readmissions:      f.reg.SumCounters("specsync_readmissions_total"),
+		StateReports:      f.reg.SumCounters("specsync_scheduler_state_reports_total"),
+		Promotions:        f.promotions.Value(),
+		Elections:         f.elections.Value(),
+		SnapshotsShipped:  f.shipped.Value(),
+	}
+}
+
 // Summary is the condensed end-of-run view attached to cluster.Result.
 type Summary struct {
 	Pull      HistSnapshot
@@ -707,20 +879,16 @@ type Summary struct {
 	Restart   HistSnapshot // abort-to-restart latency
 	Staleness HistSnapshot
 
-	Iterations        int64
-	Aborts            int64
-	ReSyncs           int64
-	Epochs            int64
-	Evictions         int64
-	Readmissions      int64
-	SchedulerRestarts int64
-	StateReports      int64
-	Joins             int64
-	Leaves            int64
-	Migrations        int64
-	MigrationBytes    int64
-	ServerPushes      int64
-	Spans             int
+	Iterations     int64
+	Aborts         int64
+	ReSyncs        int64
+	Epochs         int64
+	Joins          int64
+	Leaves         int64
+	Migrations     int64
+	MigrationBytes int64
+	ServerPushes   int64
+	Spans          int
 
 	// StragglerFlags counts ok→flagged transitions across all workers;
 	// FlightEvents is the total recorded by the flight recorder (including
@@ -737,27 +905,23 @@ func (o *Obs) Summary() *Summary {
 		return nil
 	}
 	return &Summary{
-		Pull:              o.pullH.Snapshot(),
-		Compute:           o.computeH.Snapshot(),
-		Push:              o.pushH.Snapshot(),
-		Restart:           o.restartH.Snapshot(),
-		Staleness:         o.staleH.Snapshot(),
-		Iterations:        o.reg.SumCounters("specsync_worker_iterations_total"),
-		Aborts:            o.reg.SumCounters("specsync_worker_aborts_total"),
-		ReSyncs:           o.reg.SumCounters("specsync_resyncs_total"),
-		Epochs:            o.reg.SumCounters("specsync_epochs_total"),
-		Evictions:         o.reg.SumCounters("specsync_evictions_total"),
-		Readmissions:      o.reg.SumCounters("specsync_readmissions_total"),
-		SchedulerRestarts: o.reg.SumCounters("specsync_scheduler_restarts_total"),
-		StateReports:      o.reg.SumCounters("specsync_scheduler_state_reports_total"),
-		Joins:             o.reg.SumCounters("specsync_joins_total"),
-		Leaves:            o.reg.SumCounters("specsync_leaves_total"),
-		Migrations:        o.reg.SumCounters("specsync_migrations_total"),
-		MigrationBytes:    o.reg.SumCounters("specsync_migration_bytes_total"),
-		ServerPushes:      o.reg.SumCounters("specsync_server_pushes_total"),
-		Spans:             o.spans.Len(),
-		StragglerFlags:    o.reg.SumCounters("specsync_straggler_flags_total"),
-		FlightEvents:      o.flight.Recorded(),
-		SchemeSwitches:    o.reg.SumCounters("specsync_scheme_switches_total"),
+		Pull:           o.pullH.Snapshot(),
+		Compute:        o.computeH.Snapshot(),
+		Push:           o.pushH.Snapshot(),
+		Restart:        o.restartH.Snapshot(),
+		Staleness:      o.staleH.Snapshot(),
+		Iterations:     o.reg.SumCounters("specsync_worker_iterations_total"),
+		Aborts:         o.reg.SumCounters("specsync_worker_aborts_total"),
+		ReSyncs:        o.reg.SumCounters("specsync_resyncs_total"),
+		Epochs:         o.reg.SumCounters("specsync_epochs_total"),
+		Joins:          o.reg.SumCounters("specsync_joins_total"),
+		Leaves:         o.reg.SumCounters("specsync_leaves_total"),
+		Migrations:     o.reg.SumCounters("specsync_migrations_total"),
+		MigrationBytes: o.reg.SumCounters("specsync_migration_bytes_total"),
+		ServerPushes:   o.reg.SumCounters("specsync_server_pushes_total"),
+		Spans:          o.spans.Len(),
+		StragglerFlags: o.reg.SumCounters("specsync_straggler_flags_total"),
+		FlightEvents:   o.flight.Recorded(),
+		SchemeSwitches: o.reg.SumCounters("specsync_scheme_switches_total"),
 	}
 }

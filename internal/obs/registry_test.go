@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -161,6 +162,76 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		}
 	}()
 	r.Gauge("requests_total", "help")
+}
+
+// TestCounterConcurrentAdds: goroutines that look one counter up by name and
+// add to it concurrently, as the live TCP hosts of one process count send
+// failures, lose no increment (run under -race).
+func TestCounterConcurrentAdds(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				r.Counter("specsync_live_send_failures_total", "help").Inc()
+				r.Counter("specsync_fault_dropped_messages_total", "help").Add(2)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.SumCounters("specsync_live_send_failures_total"); got != 800 {
+		t.Errorf("send failures = %d, want 800", got)
+	}
+	if got := r.SumCounters("specsync_fault_dropped_messages_total"); got != 1600 {
+		t.Errorf("drops = %d, want 1600", got)
+	}
+}
+
+// TestFaultLedger: each record lands in its own counter once (a scheduler
+// crash or restore in the generic total too), a nil ledger is inert, and
+// Totals reads the scheduler's counters alongside.
+func TestFaultLedger(t *testing.T) {
+	var none *FaultObs
+	none.Crash(true)
+	none.Restore(true)
+	none.LostPushes(3)
+	none.Drop()
+	if none.Totals() != nil {
+		t.Error("nil ledger has totals")
+	}
+
+	o := New(Options{})
+	f := o.Faults()
+	f.Crash(false)
+	f.Crash(true)
+	f.Restart()
+	f.Restore(true)
+	f.Checkpoint()
+	f.LostPushes(0)
+	f.LostPushes(5)
+	f.Promotion()
+	f.Election()
+	f.SnapshotShipped()
+	f.Drop()
+	f.Duplicate()
+	f.Delay()
+	s := o.Scheduler()
+	s.Evict(time.Unix(0, 0), 1, 1)
+	s.StateReport()
+	s.Started(time.Unix(0, 0), 1, true)
+	s.Started(time.Unix(0, 0), 2, false)
+	want := FaultTotals{
+		Crashes: 2, Restarts: 1, Restores: 1, Checkpoints: 1, LostPushes: 5,
+		Drops: 1, Duplicates: 1, Delays: 1,
+		SchedulerCrashes: 1, SchedulerRestarts: 1, SchedulerRestores: 1,
+		Evictions: 1, StateReports: 1,
+		Promotions: 1, Elections: 1, SnapshotsShipped: 1,
+	}
+	if got := *o.Faults().Totals(); got != want {
+		t.Errorf("Totals = %+v, want %+v", got, want)
+	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {

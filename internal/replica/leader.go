@@ -1,9 +1,7 @@
 package replica
 
 import (
-	"bytes"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"specsync/internal/core"
@@ -27,7 +25,8 @@ type LeaderConfig struct {
 	// Term is the term this leader serves under (0 for the bootstrap
 	// incarnation).
 	Term int64
-	// Obs, if non-nil, exports the role/term gauges for this node.
+	// Obs, if non-nil, exports the role/term gauges for this node and counts
+	// the snapshots it ships.
 	Obs *obs.Obs
 }
 
@@ -37,10 +36,8 @@ type LeaderConfig struct {
 // snapshot to every standby on each tick. It never steps down; failover is
 // crash-triggered.
 type Leader struct {
-	ctx     node.Context
-	cfg     LeaderConfig
-	index   int64
-	shipped atomic.Int64
+	ctx node.Context
+	cfg LeaderConfig
 }
 
 var _ node.Handler = (*Leader)(nil)
@@ -64,7 +61,7 @@ func (l *Leader) Init(ctx node.Context) {
 	l.ctx = ctx
 	l.cfg.Obs.SchedulerRole(string(ctx.Self()), RoleLeader.String(), l.cfg.Term)
 	l.cfg.Sched.Init(ctx)
-	l.armReplicate()
+	replicate(ctx, l.cfg.ReplicateEvery, l.cfg.Sched, standbyPeers(l.cfg.Standbys, 0), l.cfg.Term, 0, l.cfg.Obs.Faults())
 }
 
 // Receive implements node.Handler. Replication-protocol traffic is absorbed
@@ -84,37 +81,8 @@ func (l *Leader) Receive(from node.ID, m wire.Message) {
 	}
 }
 
-// armReplicate schedules the periodic snapshot ship. Like the scheduler's
-// own beacon, it re-arms for the life of the node.
-func (l *Leader) armReplicate() {
-	l.ctx.After(l.cfg.ReplicateEvery, func() {
-		l.ship()
-		l.armReplicate()
-	})
-}
-
-// ship replicates the scheduler's current durable state to every standby.
-func (l *Leader) ship() {
-	var buf bytes.Buffer
-	snap := l.cfg.Sched.Snapshot()
-	if _, err := snap.WriteTo(&buf); err != nil {
-		l.ctx.Logf("replica: leader snapshot encode: %v", err)
-		return
-	}
-	l.index++
-	for i := 1; i <= l.cfg.Standbys; i++ {
-		// Send marshals synchronously, so sharing buf across sends is safe.
-		l.ctx.Send(node.StandbyID(i), &msg.ReplState{Term: l.cfg.Term, Index: l.index, Snap: buf.Bytes()})
-	}
-	l.shipped.Add(1)
-}
-
 // Sched returns the embedded serving scheduler.
 func (l *Leader) Sched() *core.Scheduler { return l.cfg.Sched }
-
-// Shipped returns the number of replication ticks that shipped a snapshot.
-// Safe for concurrent use.
-func (l *Leader) Shipped() int64 { return l.shipped.Load() }
 
 // Term returns the term this leader serves under.
 func (l *Leader) Term() int64 { return l.cfg.Term }

@@ -24,10 +24,14 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
+	"specsync/internal/core"
+	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 )
 
 // Role is a scheduler incarnation's place in the replication protocol.
@@ -77,4 +81,27 @@ func standbyPeers(total, self int) []node.ID {
 // own deterministic stream so elections replay identically under the DES.
 func electionTimeout(base time.Duration, rnd interface{ Int63n(int64) int64 }) time.Duration {
 	return base + time.Duration(rnd.Int63n(int64(base)))
+}
+
+// replicate is the serving leader's snapshot-shipping loop, the bootstrap
+// Leader's and an elected Standby's alike. Every period it ships sched's
+// durable snapshot to peers as the next log entry under term, starting after
+// index; the ship doubles as the leader heartbeat. Like the scheduler's own
+// beacon, it re-arms for the life of the node.
+func replicate(ctx node.Context, every time.Duration, sched *core.Scheduler, peers []node.ID, term, index int64, faults *obs.FaultObs) {
+	ctx.After(every, func() {
+		var buf bytes.Buffer
+		snap := sched.Snapshot()
+		if _, err := snap.WriteTo(&buf); err != nil {
+			ctx.Logf("replica: snapshot encode: %v", err)
+		} else {
+			index++
+			for _, peer := range peers {
+				// Send marshals synchronously, so sharing buf across sends is safe.
+				ctx.Send(peer, &msg.ReplState{Term: term, Index: index, Snap: buf.Bytes()})
+			}
+			faults.SnapshotShipped()
+		}
+		replicate(ctx, every, sched, peers, term, index, faults)
+	})
 }

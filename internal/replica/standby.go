@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"specsync/internal/core"
-	"specsync/internal/metrics"
 	"specsync/internal/msg"
 	"specsync/internal/node"
 	"specsync/internal/obs"
@@ -36,10 +35,9 @@ type StandbyConfig struct {
 	// OnPromote, if non-nil, tells the harness this standby now embeds the
 	// serving scheduler (swap result-accounting references).
 	OnPromote func(sb *Standby, s *core.Scheduler)
-	// Faults, if non-nil, counts elections won.
-	Faults *metrics.Faults
 	// Obs, if non-nil, exports role/term gauges and the "leader-elected"
-	// flight-recorder event.
+	// flight-recorder event, and counts elections won and, once elected,
+	// the snapshots shipped.
 	Obs *obs.Obs
 }
 
@@ -70,11 +68,8 @@ type Standby struct {
 
 	electionCancel node.CancelFunc
 
-	// Leader state after winning.
-	sched     *core.Scheduler
-	shipIndex int64
-	shipped   atomic.Int64
-	elections atomic.Int64
+	// The embedded scheduler, once elected.
+	sched *core.Scheduler
 }
 
 var _ node.Handler = (*Standby)(nil)
@@ -266,8 +261,8 @@ func (sb *Standby) becomeLeader() {
 		}
 	}
 	sb.sched = sched
-	sb.elections.Add(1)
-	sb.cfg.Faults.RecordElection()
+	faults := sb.cfg.Obs.Faults()
+	faults.Election()
 	sb.cfg.Obs.SchedulerRole(string(sb.ctx.Self()), RoleLeader.String(), term)
 	sb.cfg.Obs.RecordFlight(obs.FlightEvent{
 		At: sb.ctx.Now(), Kind: "leader-elected", Node: string(sb.ctx.Self()), Value: float64(term),
@@ -288,34 +283,7 @@ func (sb *Standby) becomeLeader() {
 		announce(peer)
 	}
 	sb.sched.Init(sb.ctx)
-	sb.shipIndex = sb.lastIndex
-	sb.armReplicate()
-}
-
-// armReplicate is the elected leader's snapshot-shipping loop toward the
-// surviving standbys (mirrors Leader.armReplicate).
-func (sb *Standby) armReplicate() {
-	sb.ctx.After(sb.cfg.ReplicateEvery, func() {
-		sb.ship()
-		sb.armReplicate()
-	})
-}
-
-func (sb *Standby) ship() {
-	if sb.sched == nil {
-		return
-	}
-	var buf bytes.Buffer
-	snap := sb.sched.Snapshot()
-	if _, err := snap.WriteTo(&buf); err != nil {
-		sb.ctx.Logf("standby %d: snapshot encode: %v", sb.cfg.Index, err)
-		return
-	}
-	sb.shipIndex++
-	for _, peer := range standbyPeers(sb.cfg.Standbys, sb.cfg.Index) {
-		sb.ctx.Send(peer, &msg.ReplState{Term: sb.term.Load(), Index: sb.shipIndex, Snap: buf.Bytes()})
-	}
-	sb.shipped.Add(1)
+	replicate(sb.ctx, sb.cfg.ReplicateEvery, sched, standbyPeers(sb.cfg.Standbys, sb.cfg.Index), term, sb.lastIndex, faults)
 }
 
 // Role returns the standby's current protocol role. Safe for concurrent use.
@@ -328,11 +296,3 @@ func (sb *Standby) Term() int64 { return sb.term.Load() }
 // Sched returns the embedded scheduler once this standby has been elected,
 // nil before.
 func (sb *Standby) Sched() *core.Scheduler { return sb.sched }
-
-// Elections returns how many elections this standby has won. Safe for
-// concurrent use.
-func (sb *Standby) Elections() int64 { return sb.elections.Load() }
-
-// Shipped returns the number of post-election replication ticks that
-// shipped a snapshot. Safe for concurrent use.
-func (sb *Standby) Shipped() int64 { return sb.shipped.Load() }

@@ -8,6 +8,7 @@ import (
 	"specsync/internal/core"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/scheme"
 	"specsync/internal/wire"
 )
@@ -71,6 +72,7 @@ func newStandby(t *testing.T, index, n int) (*Standby, *fakeContext) {
 		Workers:         2,
 		ElectionTimeout: time.Second,
 		ReplicateEvery:  100 * time.Millisecond,
+		Obs:             obs.New(obs.Options{}),
 		MakeScheduler: func(gen int64) (*core.Scheduler, error) {
 			return core.NewScheduler(core.SchedulerConfig{
 				Workers: 2, InitialSpan: 100 * time.Millisecond, Generation: gen,
@@ -111,8 +113,8 @@ func TestDuplicateVoteCountsOnce(t *testing.T) {
 		t.Fatalf("elected %v on 2 distinct votes of the 3 a majority of 4 needs", sb.Role())
 	}
 	sb.Receive(node.StandbyID(3), grant)
-	if sb.Role() != RoleLeader || sb.Elections() != 1 {
-		t.Fatalf("role %v after a third distinct vote, want leader", sb.Role())
+	if n := sb.cfg.Obs.Registry().SumCounters("specsync_scheduler_elections_total"); sb.Role() != RoleLeader || n != 1 {
+		t.Fatalf("role %v and %d elections after a third distinct vote, want leader and 1", sb.Role(), n)
 	}
 }
 
