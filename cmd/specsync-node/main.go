@@ -125,28 +125,124 @@ func run(args []string) error {
 	if warning != "" {
 		fmt.Fprintln(os.Stderr, "specsync-node:", warning)
 	}
-	// One observability instance per process: the node's handles feed the
-	// registry -metrics-addr exposes.
-	o := obs.New(obs.Options{})
-	cfg.Obs = o
 	cfg = cfg.WithDefaults()
 	peers := addresses(cfg, *host, *basePort)
 	id, err := resolveID(peers, *idFlag)
 	if err != nil {
 		return err
 	}
-	nodes, err := cluster.Build(cfg)
+	p, err := boot(cfg, id, *generation, *checkpointDir)
 	if err != nil {
 		return err
 	}
+	if p.restored != "" {
+		fmt.Printf("%s: restored %s from %s\n", id, p.restored, p.ckptPath)
+	}
+
+	hcfg := p.nodes.HostConfig()
+	hcfg.ID, hcfg.Handler, hcfg.ListenAddr, hcfg.Debug = id, p.handler, peers[id], *debug
+	delete(peers, id)
+	hcfg.Peers = peers
+	h, err := live.NewTCPHost(hcfg)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	fmt.Printf("%s listening on %s (%d workers, %d servers, scheme %s, workload %s)\n",
+		id, hcfg.ListenAddr, cfg.Workers, cfg.Servers, cfg.Scheme.Name(), cfg.Workload.Name)
+
+	health := healthFunc(id, p.handler)
+	if *metricsAddr != "" {
+		cfgHTTP := obs.HTTPConfig{
+			Registry: p.o.Registry(),
+			Health:   health,
+			Flight:   p.o.FlightDump,
+			Pprof:    *pprofOn,
+		}
+		if id == node.Scheduler || node.StandbyIndex(id) >= 1 {
+			cfgHTTP.Cluster = p.o.ClusterSnapshot
+			cfgHTTP.Stragglers = p.o.StragglerSnapshot
+		}
+		srv, maddr, err := obs.Serve(*metricsAddr, obs.NewHandler(cfgHTTP))
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Printf("%s metrics on http://%s/metrics\n", id, maddr)
+	}
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
+	var ckptTick <-chan time.Time
+	if p.ckptPath != "" && cfg.CheckpointEvery > 0 {
+		ct := time.NewTicker(cfg.CheckpointEvery)
+		defer ct.Stop()
+		ckptTick = ct.C
+	}
+
+	// Periodic status for interactive runs.
+	ticker := time.NewTicker(5 * time.Second)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-sig:
+			fmt.Println("shutting down")
+			return p.stopped()
+		case <-ckptTick:
+			var snap io.WriterTo
+			var what string
+			h.Do(func() { snap, what = p.snapshot() })
+			if err := writeDurable(p.ckptPath, snap); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: checkpoint failed: %v\n", id, err)
+			} else if *debug {
+				fmt.Printf("%s: checkpointed %s\n", id, what)
+			}
+		case <-ticker.C:
+			st := health()
+			line, _ := json.Marshal(st)
+			fmt.Printf("%s: %s\n", id, line)
+			if st.Status == "stopped" {
+				fmt.Printf("%s: reached max iterations; exiting\n", id)
+				return p.stopped()
+			}
+		}
+	}
+}
+
+// process is what one specsync-node process serves: its node's handler and
+// the observability instance behind -metrics-addr, plus the node's
+// checkpoint file and what boot restored from it.
+type process struct {
+	o        *obs.Obs
+	nodes    *cluster.Nodes
+	handler  node.Handler
+	ckptPath string // "" when the node keeps no checkpoint
+	snapshot func() (io.WriterTo, string)
+	restored string // what the checkpoint held; "" when nothing was restored
+}
+
+// boot builds the node id plays in cfg, a scheduler as incarnation gen, and
+// restores its checkpoint from dir if there is one: restore runs before the
+// host serves. It counts in the fault ledger what the process can see of its
+// own recovery.
+func boot(cfg cluster.Config, id node.ID, gen int64, dir string) (*process, error) {
+	// One observability instance per process: the node's handles feed the
+	// registry -metrics-addr exposes.
+	o := obs.New(obs.Options{})
+	cfg.Obs = o
+	nodes, err := cluster.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
 	var handler node.Handler
 	if id == node.Scheduler {
-		handler, err = nodes.Scheduler(*generation)
+		handler, err = nodes.Scheduler(gen)
 	} else {
 		handler, err = nodes.Handler(id)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Durable state — a shard's parameters, the scheduler's snapshot, a
@@ -217,90 +313,50 @@ func run(args []string) error {
 		}
 	}
 
-	var ckptPath string
-	if *checkpointDir != "" && snapshot != nil {
-		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-			return err
+	p := &process{o: o, nodes: nodes, handler: handler, snapshot: snapshot}
+	clean := false // the predecessor left the clean-exit mark
+	if dir != "" && snapshot != nil {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
 		}
-		ckptPath = filepath.Join(*checkpointDir, ckptName)
-		what, err := readDurable(ckptPath, restore)
-		if err != nil {
-			return err
+		p.ckptPath = filepath.Join(dir, ckptName)
+		if p.restored, err = readDurable(p.ckptPath, restore); err != nil {
+			return nil, err
 		}
-		if what != "" {
-			fmt.Printf("%s: restored %s from %s\n", id, what, ckptPath)
-		}
+		clean = os.Remove(p.ckptPath+cleanSuffix) == nil
 	}
 
-	hcfg := nodes.HostConfig()
-	hcfg.ID, hcfg.Handler, hcfg.ListenAddr, hcfg.Debug = id, handler, peers[id], *debug
-	delete(peers, id)
-	hcfg.Peers = peers
-	h, err := live.NewTCPHost(hcfg)
-	if err != nil {
-		return err
-	}
-	defer h.Close()
-	fmt.Printf("%s listening on %s (%d workers, %d servers, scheme %s, workload %s)\n",
-		id, hcfg.ListenAddr, cfg.Workers, cfg.Servers, cfg.Scheme.Name(), cfg.Workload.Name)
-
-	health := healthFunc(id, handler)
-	if *metricsAddr != "" {
-		cfgHTTP := obs.HTTPConfig{
-			Registry: o.Registry(),
-			Health:   health,
-			Flight:   o.FlightDump,
-			Pprof:    *pprofOn,
+	// A process that restored a checkpoint, or a scheduler started at a
+	// generation above 0, replaces an earlier process of its node: it counts
+	// that node's restart, the restore, and a crash unless the predecessor
+	// exited cleanly. The scheduler incarnation counts its own restart as
+	// well (Scheduler.Init), as it does in the simulator. A first start counts
+	// nothing and registers no ledger family.
+	sched := id == node.Scheduler
+	if p.restored != "" || sched && gen > 0 {
+		f := o.Faults()
+		if !clean {
+			f.Crash(sched)
 		}
-		if id == node.Scheduler || node.StandbyIndex(id) >= 1 {
-			cfgHTTP.Cluster = o.ClusterSnapshot
-			cfgHTTP.Stragglers = o.StragglerSnapshot
-		}
-		srv, maddr, err := obs.Serve(*metricsAddr, obs.NewHandler(cfgHTTP))
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("%s metrics on http://%s/metrics\n", id, maddr)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	var ckptTick <-chan time.Time
-	if ckptPath != "" && cfg.CheckpointEvery > 0 {
-		ct := time.NewTicker(cfg.CheckpointEvery)
-		defer ct.Stop()
-		ckptTick = ct.C
-	}
-
-	// Periodic status for interactive runs.
-	ticker := time.NewTicker(5 * time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sig:
-			fmt.Println("shutting down")
-			return nil
-		case <-ckptTick:
-			var snap io.WriterTo
-			var what string
-			h.Do(func() { snap, what = snapshot() })
-			if err := writeDurable(ckptPath, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: checkpoint failed: %v\n", id, err)
-			} else if *debug {
-				fmt.Printf("%s: checkpointed %s\n", id, what)
-			}
-		case <-ticker.C:
-			st := health()
-			line, _ := json.Marshal(st)
-			fmt.Printf("%s: %s\n", id, line)
-			if st.Status == "stopped" {
-				fmt.Printf("%s: reached max iterations; exiting\n", id)
-				return nil
-			}
+		f.Restart()
+		if p.restored != "" {
+			f.Restore(sched)
 		}
 	}
+	return p, nil
+}
+
+// cleanSuffix names, beside a node's checkpoint, the mark a process leaves
+// when it exits on a signal or at the end of its run: its successor then
+// counts a restart but no crash.
+const cleanSuffix = ".clean"
+
+// stopped leaves the clean-exit mark, if the node keeps a checkpoint.
+func (p *process) stopped() error {
+	if p.ckptPath == "" {
+		return nil
+	}
+	return os.WriteFile(p.ckptPath+cleanSuffix, nil, 0o644)
 }
 
 // healthFunc builds the role-appropriate /healthz payload. All fields it

@@ -150,3 +150,85 @@ func TestWriteDurable(t *testing.T) {
 		t.Errorf("directory holds %v, want only the checkpoint", names)
 	}
 }
+
+// TestBootCountsRecovery: a process that restores a checkpoint, or a
+// scheduler started at a generation above 0, replaces an earlier one and its
+// /metrics counts the restart, the restore and — unless the predecessor left
+// the clean-exit mark — the crash; a first start registers no fault-ledger
+// family.
+func TestBootCountsRecovery(t *testing.T) {
+	cfg, err := cluster.DecodeSpec([]byte(`{
+		"workload": {"name": "tiny"}, "scheme": {"base": "ASP"},
+		"workers": 2, "servers": 1, "seed": 1, "max_virtual": 60000000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.WithDefaults()
+	dir := t.TempDir()
+	type ledger struct{ crashes, schedCrashes, restarts, restores, schedRestores int64 }
+	read := func(p *process) (ledger, bool) {
+		var buf bytes.Buffer
+		p.o.Registry().WritePrometheus(&buf)
+		reg := p.o.Registry()
+		return ledger{
+			reg.SumCounters("specsync_crashes_total"),
+			reg.SumCounters("specsync_scheduler_crashes_total"),
+			reg.SumCounters("specsync_restarts_total"),
+			reg.SumCounters("specsync_restores_total"),
+			reg.SumCounters("specsync_scheduler_restores_total"),
+		}, strings.Contains(buf.String(), "specsync_crashes_total")
+	}
+
+	// First starts: nothing to count. They leave the checkpoints the
+	// replacements restore.
+	var server *process
+	for _, id := range []node.ID{node.Scheduler, node.ServerID(0)} {
+		p, err := boot(cfg, id, 0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, exported := read(p); got != (ledger{}) || exported || p.restored != "" {
+			t.Errorf("first start of %s: ledger %+v, exported %v, restored %q; want nothing", id, got, exported, p.restored)
+		}
+		snap, _ := p.snapshot()
+		if err := writeDurable(p.ckptPath, snap); err != nil {
+			t.Fatal(err)
+		}
+		server = p
+	}
+
+	for _, tc := range []struct {
+		id   node.ID
+		gen  int64
+		dir  string
+		want ledger
+	}{
+		{node.Scheduler, 1, dir, ledger{1, 1, 1, 1, 1}},
+		{node.Scheduler, 1, "", ledger{1, 1, 1, 0, 0}},
+		{node.ServerID(0), 0, dir, ledger{1, 0, 1, 1, 0}},
+		{node.WorkerID(0), 0, dir, ledger{}}, // a raw-codec worker keeps no checkpoint
+	} {
+		p, err := boot(cfg, tc.id, tc.gen, tc.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := read(p); got != tc.want {
+			t.Errorf("%s at generation %d, checkpoint dir %q: ledger %+v, want %+v", tc.id, tc.gen, tc.dir, got, tc.want)
+		}
+	}
+	// A clean stop leaves the mark: its successor counts the restart and the
+	// restore but no crash, and takes the mark, so the next one counts a
+	// crash again.
+	if err := server.stopped(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []ledger{{0, 0, 1, 1, 0}, {1, 0, 1, 1, 0}} {
+		p, err := boot(cfg, node.ServerID(0), 0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := read(p); got != want {
+			t.Errorf("server after a clean stop: ledger %+v, want %+v", got, want)
+		}
+	}
+}

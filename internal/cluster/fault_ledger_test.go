@@ -3,6 +3,8 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -38,9 +40,9 @@ var schedulerFamilies = map[string]func(f *obs.FaultTotals) int64{
 	"specsync_scheduler_state_reports_total": func(f *obs.FaultTotals) int64 { return f.StateReports },
 }
 
-// runSpecExposition runs a committed spec and returns its Result and the
-// unlabelled series of its /metrics text.
-func runSpecExposition(t *testing.T, name string) (*Result, map[string]int64) {
+// runSpecExposition runs a committed spec and returns its Result, the
+// unlabelled series of its /metrics text and its observability instance.
+func runSpecExposition(t *testing.T, name string) (*Result, map[string]int64, *obs.Obs) {
 	t.Helper()
 	cfg, err := LoadSpec(filepath.Join("..", "..", "examples", "specs", name+".json"))
 	if err != nil {
@@ -65,7 +67,7 @@ func runSpecExposition(t *testing.T, name string) (*Result, map[string]int64) {
 			series[name] = n
 		}
 	}
-	return res, series
+	return res, series, o
 }
 
 // TestFaultLedgerMatchesResult: on every committed fault spec, each fault,
@@ -85,7 +87,7 @@ func TestFaultLedgerMatchesResult(t *testing.T) {
 		{"combined-kill", 0, 1},
 	} {
 		t.Run(tc.spec, func(t *testing.T) {
-			res, series := runSpecExposition(t, tc.spec)
+			res, series, _ := runSpecExposition(t, tc.spec)
 			if res.Faults == nil {
 				t.Fatal("Result.Faults is nil for a fault run")
 			}
@@ -115,7 +117,7 @@ func TestFaultLedgerMatchesResult(t *testing.T) {
 	}
 
 	t.Run("tiny-adaptive", func(t *testing.T) {
-		res, series := runSpecExposition(t, "tiny-adaptive")
+		res, series, _ := runSpecExposition(t, "tiny-adaptive")
 		if res.Faults != nil {
 			t.Errorf("Result.Faults = %+v for a fault-free run, want nil", *res.Faults)
 		}
@@ -125,4 +127,33 @@ func TestFaultLedgerMatchesResult(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestElectionIsOneDebugzEvent: the flight recorder /debugz serves shows an
+// elected standby as one "leader-elected" event and no "scheduler-restart",
+// and a scheduler process restarted from its checkpoint the other way round.
+func TestElectionIsOneDebugzEvent(t *testing.T) {
+	for _, tc := range []struct {
+		spec               string
+		elected, restarted int
+	}{
+		{"sched-kill", 1, 0},
+		{"chaos", 0, 1},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			_, _, o := runSpecExposition(t, tc.spec)
+			rec := httptest.NewRecorder()
+			obs.NewHandler(obs.HTTPConfig{Flight: o.FlightDump}).ServeHTTP(rec, httptest.NewRequest("GET", "/debugz", nil))
+			var dump obs.FlightDump
+			if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
+				t.Fatalf("/debugz: %v: %s", err, rec.Body.Bytes())
+			}
+			if n := len(dump.Filter("leader-elected")); n != tc.elected {
+				t.Errorf("%d leader-elected events, want %d", n, tc.elected)
+			}
+			if n := len(dump.Filter("scheduler-restart")); n != tc.restarted {
+				t.Errorf("%d scheduler-restart events, want %d", n, tc.restarted)
+			}
+		})
+	}
 }

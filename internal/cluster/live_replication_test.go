@@ -41,7 +41,7 @@ func TestLiveReplicatedFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := ps.New(ps.Config{Range: ranges[0], Init: initVec, Optimizer: opt, Replica: backup})
+		srv, err := ps.New(ps.Config{Range: ranges[0], Init: initVec, Optimizer: opt, Replica: backup, Obs: o.Server(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +132,23 @@ func TestLiveReplicatedFailover(t *testing.T) {
 	if _, err := lb.Start(node.ServerID(0), backup); err != nil {
 		t.Fatal(err)
 	}
+	// The promoted backup counts its own promotion: no injector runs here.
+	if st := o.Faults().Totals(); st.Promotions != 1 || st.Restarts != 1 || st.LostPushes != 0 {
+		t.Errorf("after the promotion the ledger reads %d promotions, %d restarts, %d lost pushes; want 1, 1, 0",
+			st.Promotions, st.Restarts, st.LostPushes)
+	}
 
 	itersAtPromote := workers[0].IterationsDone() + workers[1].IterationsDone()
 	waitFor(t, "training progress on the promoted shard", func() bool {
 		return workers[0].IterationsDone()+workers[1].IterationsDone() > itersAtPromote
 	})
 
-	// Kill the scheduler for good: the standby owns recovery.
+	// Kill the scheduler for good once it has shipped a snapshot (its first
+	// ship is one ReplicateEvery after Init, and training may reach this
+	// point sooner): the standby owns recovery.
+	waitFor(t, "the leader to ship a snapshot", func() bool {
+		return o.Registry().SumCounters("specsync_scheduler_snapshots_shipped_total") > 0
+	})
 	lb.Stop(node.Scheduler)
 	waitFor(t, "the standby to win the election", func() bool {
 		return standby.Role() == replica.RoleLeader

@@ -105,8 +105,8 @@ func (c *quietContext) After(time.Duration, func()) node.CancelFunc {
 // steadyNotifier builds an adaptive scheduler at m workers with o's telemetry
 // attached and returns a notify that advances the clock 200 us and delivers
 // the next worker's Notify. Worker m-1 never reports, which keeps the first
-// epoch open and adaptive speculation paused — arming a window allocates its
-// timer by design. The warm-up fills the history past its bound (32 m
+// epoch open and adaptive speculation paused — arming a window costs the
+// runtime's cancel handle by design. The warm-up fills the history past its bound (32 m
 // records) so trimming is in steady state, and gives every reporting worker a
 // scored span.
 func steadyNotifier(tb testing.TB, m int, o *obs.Obs) (notify func()) {
@@ -139,6 +139,24 @@ func steadyNotifier(tb testing.TB, m int, o *obs.Obs) (notify func()) {
 		tb.Fatalf("epoch %d: the warm-up was meant to leave the first epoch open", sched.Epoch())
 	}
 	return notify
+}
+
+// TestArmWindowAllocatesOnlyTheHandle: each window's expiry callback is bound
+// once, so arming a window allocates only what the runtime's After does — here
+// nothing, since quietContext hands out one static cancel func.
+func TestArmWindowAllocatesOnlyTheHandle(t *testing.T) {
+	sched, err := NewScheduler(SchedulerConfig{
+		Workers: 4, InitialSpan: 100 * time.Millisecond,
+		Scheme: scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &quietContext{now: time.Unix(1_700_000_000, 0)}
+	sched.Init(ctx)
+	if allocs := testing.AllocsPerRun(100, func() { sched.armWindow(1, 7, ctx.now) }); allocs != 0 {
+		t.Errorf("arming a window: %v allocs, want 0", allocs)
+	}
 }
 
 // TestNotifyPathDoesNotAllocate pins the cost model of the notify path at

@@ -197,6 +197,9 @@ type specWindow struct {
 	threshold float64
 	cnt       int
 	cancel    node.CancelFunc
+	// expire is expireWindow for this window, bound once so that arming
+	// the window costs only the cancel handle.
+	expire func()
 }
 
 var _ node.Handler = (*Scheduler)(nil)
@@ -240,6 +243,9 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		alive:       make([]bool, cfg.Workers),
 		joined:      make([]bool, cfg.Workers),
 		aliveN:      cfg.ActiveWorkers,
+	}
+	for i := range s.windows {
+		s.windows[i].expire = func() { s.expireWindow(i) }
 	}
 	for i := 0; i < cfg.ActiveWorkers; i++ {
 		s.alive[i] = true
@@ -699,12 +705,9 @@ func (s *Scheduler) armWindow(i int, abortIter int64, now time.Time) {
 		deadline:  now.Add(s.abortTime),
 		iter:      abortIter,
 		threshold: float64(s.aliveN) * rate,
+		expire:    w.expire,
 	}
-	w.cancel = s.ctx.After(s.abortTime, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.expireWindow(i, abortIter)
-	})
+	w.cancel = s.ctx.After(s.abortTime, w.expire)
 }
 
 // countIntoWindows is Algorithm 2's CheckResync counting, kept incrementally:
@@ -732,11 +735,12 @@ func (s *Scheduler) countIntoWindows(pusher int, now time.Time) {
 
 // expireWindow disarms worker i's window at its deadline; the /clusterz view
 // reads the disarmed state. The threshold was already checked on every push.
-func (s *Scheduler) expireWindow(i int, abortIter int64) {
-	w := &s.windows[i]
-	if w.armed && w.iter == abortIter {
-		w.armed = false
-	}
+// Re-arming or closing a window cancels its timer first, so the timer that
+// fires belongs to the window as it stands.
+func (s *Scheduler) expireWindow(i int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.windows[i].armed = false
 }
 
 // thresholdMet applies cnt >= m*ABORT_RATE with the degenerate guard that

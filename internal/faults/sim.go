@@ -321,9 +321,7 @@ func (inj *SimInjector) finishPromotion(shard, r int, id node.ID, traceWorker in
 		inj.errs = append(inj.errs, err)
 		return
 	}
-	inj.promoted[shard] = r
-	inj.opts.Faults.Restart()
-	inj.opts.Faults.Promotion()
+	inj.promoted[shard] = r // Promote counted the promotion and the restart
 	if inj.opts.Tracer != nil {
 		inj.opts.Tracer.Record(trace.Event{At: inj.sim.Now(), Worker: traceWorker, Kind: trace.KindRecover, Value: backup.Version()})
 	}

@@ -105,7 +105,7 @@ func TestNetworkCrashSilencesTimers(t *testing.T) {
 	}
 	lb.Stop("worker/0")
 	before := h.count()
-	time.Sleep(50 * time.Millisecond) // the armed timer fires into the closed mailbox
+	time.Sleep(50 * time.Millisecond) // the armed timer falls due; the closed mailbox dropped it
 	if after := h.count(); after != before {
 		t.Errorf("timers fired while down: %d -> %d", before, after)
 	}

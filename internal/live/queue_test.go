@@ -2,6 +2,8 @@ package live
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +24,7 @@ func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			q.push(item{from: "worker/0", msg: m})
 		}
-		batch, _ = q.take(batch)
+		batch, _, _ = q.take(batch)
 		if len(batch) != 8 {
 			t.Fatalf("took %d of 8 items", len(batch))
 		}
@@ -38,7 +40,7 @@ func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 func TestQueueDropsAnOversizedSpareBatch(t *testing.T) {
 	q := newQueue()
 	q.push(item{fn: func() {}})
-	batch, ok := q.take(make([]item, 0, maxSpareItems+1))
+	batch, _, ok := q.take(make([]item, 0, maxSpareItems+1))
 	if !ok || len(batch) != 1 {
 		t.Fatalf("take = %d items, ok %v", len(batch), ok)
 	}
@@ -204,18 +206,18 @@ func waitUntil(t *testing.T, cond func() bool) {
 }
 
 // TestTimerCancelledAfterFiringDoesNotRun: a cancel that loses the race with
-// the wall-clock timer but beats the mailbox must still win — handlers cancel
-// a timeout from the very callback that makes it moot.
+// the wall clock but beats the consumer must still win — handlers cancel a
+// timeout from the very callback that makes it moot.
 func TestTimerCancelledAfterFiringDoesNotRun(t *testing.T) {
 	q := newQueue()
 	ran := false
 	cancel := q.after(0, func() { ran = true })
 	deadline := time.Now().Add(5 * time.Second)
-	for { // wait for the timer to land in the mailbox
+	for { // wait for the wall-clock timer to mark the timer due
 		q.mu.Lock()
-		n := len(q.pending)
+		due := q.due
 		q.mu.Unlock()
-		if n == 1 {
+		if due {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -224,22 +226,167 @@ func TestTimerCancelledAfterFiringDoesNotRun(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	q.close()
-	q.run(nil)
+	q.runDue()
 	if ran {
 		t.Error("a cancelled timer's callback ran")
 	}
+	if len(q.timers) != 0 || len(q.free) != len(q.slab) {
+		t.Errorf("the pass left %d keys and %d of %d slots in use", len(q.timers), len(q.slab)-len(q.free), len(q.slab))
+	}
 }
 
-// TestAfterAllocations pins an armed-then-cancelled timer at four objects:
-// the timer entry, its fire and cancel funcs, and the runtime's time.Timer
-// (it was six, seven once fired, plus a slot in the host's timer map).
+// TestAfterAllocations pins a host timer at one object, its cancel handle,
+// once the heap and the slab have grown: armed, then run or cancelled, and
+// popped when due.
 func TestAfterAllocations(t *testing.T) {
 	q := newQueue()
+	defer q.close()
 	f := func() {}
-	if allocs := testing.AllocsPerRun(200, func() { q.after(time.Hour, f)() }); allocs > 4 {
-		t.Errorf("after + cancel: %.1f allocs/op, want at most 4", allocs)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"run", func() { q.after(0, f); q.runDue() }},
+		{"cancel at the deadline", func() { q.after(0, f)(); q.runDue() }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, c.op); allocs > 1 {
+			t.Errorf("after, %s: %.1f allocs/op, want at most 1", c.name, allocs)
+		}
 	}
+}
+
+// TestHostTimerHeapOrder: keys pushed in any order pop by deadline, and by
+// arming order on equal deadlines.
+func TestHostTimerHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h timerHeap
+	for round := 0; round < 20; round++ {
+		var want []timerKey
+		for seq := uint64(0); seq < 64; seq++ {
+			k := timerKey{at: time.Duration(rng.Intn(8)), seq: seq, slot: int32(seq)}
+			h.push(k)
+			want = append(want, k)
+			if rng.Intn(4) == 0 { // interleave pops with pushes
+				slices.SortFunc(want, deadlineThenArming)
+				if got := h.pop(); got != want[0] {
+					t.Fatalf("round %d: popped %+v, want %+v", round, got, want[0])
+				}
+				want = want[1:]
+			}
+		}
+		slices.SortFunc(want, deadlineThenArming)
+		for _, w := range want {
+			if got := h.pop(); got != w {
+				t.Fatalf("round %d: popped %+v, want %+v", round, got, w)
+			}
+		}
+		if len(h) != 0 {
+			t.Fatalf("round %d: %d keys left", round, len(h))
+		}
+	}
+}
+
+// deadlineThenArming is the order TestHostTimerHeapOrder expects, written
+// apart from the queue's own comparison.
+func deadlineThenArming(a, b timerKey) int {
+	switch {
+	case a.at != b.at:
+		return int(a.at - b.at)
+	case a.seq < b.seq:
+		return -1
+	case a.seq > b.seq:
+		return 1
+	}
+	return 0
+}
+
+// TestHostTimersRunInDeadlineOrder arms timers out of deadline order and with
+// equal delays on a running mailbox: they run in deadline order, first armed
+// first on equal delays; a timer cancelled before it
+// runs — by the test, or by an earlier callback of the same pass — never
+// runs; and closing the queue drops the timers still pending.
+func TestHostTimersRunInDeadlineOrder(t *testing.T) {
+	q := newQueue()
+	var got []string // consumer goroutine only, read after run returns
+	arm := func(name string, d time.Duration) node.CancelFunc {
+		return q.after(d, func() { got = append(got, name) })
+	}
+	ms := time.Millisecond
+	arm("40", 40*ms)
+	arm("10a", 10*ms)
+	arm("30", 30*ms)
+	arm("10b", 10*ms)
+	arm("20a", 20*ms)
+	cancelled := arm("15", 15*ms)
+	arm("20b", 20*ms)
+	var victim node.CancelFunc
+	q.after(20*ms, func() { got = append(got, "20c"); victim() })
+	victim = arm("20d", 20*ms)
+	arm("10c", 10*ms)
+	arm("late", time.Hour)
+	cancelled()
+
+	done := make(chan struct{})
+	go func() {
+		q.run(nil)
+		close(done)
+	}()
+	ran := make(chan struct{})
+	q.after(60*ms, func() { close(ran) })
+	select {
+	case <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the timers never ran")
+	}
+	q.close()
+	<-done
+
+	want := []string{"10a", "10b", "10c", "20a", "20b", "20c", "30", "40"}
+	if !slices.Equal(got, want) {
+		t.Errorf("timers ran as %v, want %v", got, want)
+	}
+	if cancel := q.after(0, func() { t.Error("a timer armed on a closed queue ran") }); cancel == nil {
+		t.Error("after on a closed queue returned a nil cancel")
+	}
+	if len(q.timers) != 0 {
+		t.Errorf("the closed queue still holds %d timers", len(q.timers))
+	}
+}
+
+// BenchmarkHostAfter measures a host timer on the mailbox goroutine: a chain
+// of timers each armed by the previous one's callback (arm → wall clock →
+// run, a worker's compute timer), and a timer armed, cancelled and popped
+// once it falls due (a scheduler speculation window closed early).
+func BenchmarkHostAfter(b *testing.B) {
+	b.Run("run", func(b *testing.B) {
+		host := newTestHost(b, node.ServerID(0), &signalHandler{})
+		defer host.Close()
+		done := make(chan struct{})
+		n := 0
+		var tick func()
+		tick = func() {
+			if n++; n >= b.N {
+				close(done)
+				return
+			}
+			host.After(0, tick)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		host.After(0, tick)
+		<-done
+	})
+	b.Run("cancel", func(b *testing.B) {
+		q := newQueue()
+		defer q.close()
+		f := func() {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q.after(0, f)()
+			q.runDue()
+		}
+	})
 }
 
 // BenchmarkMailboxHandoff measures TCPHost's socket-side hand-off without the

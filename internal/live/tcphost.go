@@ -165,7 +165,7 @@ func (h *TCPHost) Do(f func()) {
 }
 
 // Close stops the mailbox and the transport. Nothing is delivered after it
-// returns: a timer still pending fires into the closed mailbox.
+// returns, and a timer still pending never runs.
 func (h *TCPHost) Close() {
 	h.inbox.close()
 	h.wg.Wait()
@@ -200,7 +200,9 @@ func (h *TCPHost) Send(to node.ID, m wire.Message) {
 	}
 }
 
-// After implements node.Context.
+// After implements node.Context. The host keeps its pending timers in one
+// deadline-ordered heap behind one wall-clock timer (queue.after); callbacks
+// run on the mailbox goroutine.
 func (h *TCPHost) After(d time.Duration, f func()) node.CancelFunc {
 	return h.inbox.after(d, f)
 }

@@ -13,13 +13,13 @@ import (
 // convergence tests: SGD must reach the noise floor, and the distance to the
 // known ground-truth weights is directly measurable.
 type LinReg struct {
-	name      string
-	dim       int
-	batchSize int
-	truth     tensor.Vec
-	shards    [][]regSample
-	eval      []regSample
-	grads     densePool
+	name    string
+	dim     int
+	truth   tensor.Vec
+	shards  [][]regSample
+	batches []batch[regSample]
+	eval    []regSample
+	grads   densePool
 }
 
 var _ Model = (*LinReg)(nil)
@@ -77,12 +77,12 @@ func NewLinReg(cfg LinRegConfig) (*LinReg, error) {
 		name = "linreg"
 	}
 	return &LinReg{
-		name:      name,
-		dim:       cfg.Dim,
-		batchSize: cfg.BatchSize,
-		truth:     truth,
-		shards:    shards,
-		eval:      draw(cfg.EvalN),
+		name:    name,
+		dim:     cfg.Dim,
+		truth:   truth,
+		shards:  shards,
+		batches: batchStorage(shards, cfg.BatchSize),
+		eval:    draw(cfg.EvalN),
 	}, nil
 }
 
@@ -102,22 +102,9 @@ func (l *LinReg) Init(rng *rand.Rand) tensor.Vec {
 	return w
 }
 
-type regBatch struct {
-	samples []regSample
-}
-
 // SampleBatch implements Model.
 func (l *LinReg) SampleBatch(shard int, rng *rand.Rand) Batch {
-	sh := l.shards[shard]
-	bs := l.batchSize
-	if bs > len(sh) {
-		bs = len(sh)
-	}
-	out := make([]regSample, bs)
-	for i := range out {
-		out[i] = sh[rng.Intn(len(sh))]
-	}
-	return regBatch{samples: out}
+	return l.batches[shard].draw(l.shards[shard], rng)
 }
 
 // residuals returns w.x - y for the samples in blk, a full block through the
@@ -138,15 +125,15 @@ func residuals(w tensor.Vec, blk []regSample) (e [block]float64) {
 
 // Grad implements Model: d/dw mean (w.x - y)^2 = mean 2 (w.x - y) x.
 func (l *LinReg) Grad(w tensor.Vec, b Batch) Update {
-	rb, ok := b.(regBatch)
+	rb, ok := b.(*batch[regSample])
 	if !ok {
 		panic(fmt.Sprintf("model: linreg got batch type %T", b))
 	}
 	pooled := l.grads.get(l.dim, 0)
 	g := pooled.vec
-	inv := 1.0 / float64(len(rb.samples))
-	for i := 0; i < len(rb.samples); i += block {
-		blk := rb.samples[i:min(i+block, len(rb.samples))]
+	inv := 1.0 / float64(len(rb.items))
+	for i := 0; i < len(rb.items); i += block {
+		blk := rb.items[i:min(i+block, len(rb.items))]
 		e := residuals(w, blk)
 		if len(blk) == block {
 			tensor.Axpy4(g, 2*e[0]*inv, blk[0].x, 2*e[1]*inv, blk[1].x, 2*e[2]*inv, blk[2].x, 2*e[3]*inv, blk[3].x)
@@ -161,11 +148,11 @@ func (l *LinReg) Grad(w tensor.Vec, b Batch) Update {
 
 // BatchLoss implements Model.
 func (l *LinReg) BatchLoss(w tensor.Vec, b Batch) float64 {
-	rb, ok := b.(regBatch)
+	rb, ok := b.(*batch[regSample])
 	if !ok {
 		panic(fmt.Sprintf("model: linreg got batch type %T", b))
 	}
-	return l.mse(w, rb.samples)
+	return l.mse(w, rb.items)
 }
 
 // EvalLoss implements Model.

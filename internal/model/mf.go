@@ -24,9 +24,9 @@ type MF struct {
 	users     int
 	items     int
 	rank      int
-	batchSize int
 	l2        float64
 	shards    [][]data.Rating
+	batches   []batch[data.Rating]
 	eval      []data.Rating
 	initScale float64
 	grads     sync.Pool // of *mfGrad
@@ -76,9 +76,9 @@ func NewMF(cfg MFConfig, users, items int, shards [][]data.Rating, eval []data.R
 		users:     users,
 		items:     items,
 		rank:      cfg.Rank,
-		batchSize: cfg.BatchSize,
 		l2:        cfg.L2,
 		shards:    shards,
+		batches:   batchStorage(shards, cfg.BatchSize),
 		eval:      eval,
 		initScale: scale,
 	}, nil
@@ -106,22 +106,9 @@ func (m *MF) userRow(u int) int { return u * m.rank }
 // itemRow returns the base flat index of item i's factor row.
 func (m *MF) itemRow(i int) int { return (m.users + i) * m.rank }
 
-type ratingBatch struct {
-	ratings []data.Rating
-}
-
 // SampleBatch implements Model.
 func (m *MF) SampleBatch(shard int, rng *rand.Rand) Batch {
-	sh := m.shards[shard]
-	bs := m.batchSize
-	if bs > len(sh) {
-		bs = len(sh)
-	}
-	out := make([]data.Rating, bs)
-	for i := range out {
-		out[i] = sh[rng.Intn(len(sh))]
-	}
-	return ratingBatch{ratings: out}
+	return m.batches[shard].draw(m.shards[shard], rng)
 }
 
 // predict returns p_u . q_i under parameters w.
@@ -140,7 +127,7 @@ func (m *MF) predict(w tensor.Vec, u, i int) float64 {
 // row becomes rank consecutive entries that start at 0 and take that row's
 // contributions in batch order.
 func (m *MF) Grad(w tensor.Vec, b Batch) Update {
-	rb, ok := b.(ratingBatch)
+	rb, ok := b.(*batch[data.Rating])
 	if !ok {
 		panic(fmt.Sprintf("model: MF got batch type %T", b))
 	}
@@ -150,7 +137,7 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 		g.release = func() { m.grads.Put(g) }
 	}
 	errs, keys := g.errs[:0], g.keys[:0]
-	for i, rt := range rb.ratings {
+	for i, rt := range rb.items {
 		ub, ib := m.userRow(rt.User), m.itemRow(rt.Item)
 		errs = append(errs, tensor.Dot(w[ub:ub+m.rank], w[ib:ib+m.rank])-rt.Value)
 		keys = append(keys, uint64(ub)<<32|uint64(i), uint64(ib)<<32|uint64(i))
@@ -158,7 +145,7 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 	slices.Sort(keys)
 
 	idx, val := g.vec.Idx[:0], g.vec.Val[:0]
-	inv := 1.0 / float64(len(rb.ratings))
+	inv := 1.0 / float64(len(rb.items))
 	for _, key := range keys {
 		base, i := int(key>>32), int(uint32(key))
 		if len(idx) == 0 || idx[len(idx)-m.rank] != int32(base) {
@@ -168,9 +155,9 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 			}
 		}
 		// A user's row was multiplied with the item's, and the other way round.
-		ob := m.itemRow(rb.ratings[i].Item)
+		ob := m.itemRow(rb.items[i].Item)
 		if ob == base {
-			ob = m.userRow(rb.ratings[i].User)
+			ob = m.userRow(rb.items[i].User)
 		}
 		own, other := w[base:base+m.rank], w[ob:ob+m.rank]
 		acc, e := val[len(val)-m.rank:], errs[i]
@@ -186,11 +173,11 @@ func (m *MF) Grad(w tensor.Vec, b Batch) Update {
 
 // BatchLoss implements Model.
 func (m *MF) BatchLoss(w tensor.Vec, b Batch) float64 {
-	rb, ok := b.(ratingBatch)
+	rb, ok := b.(*batch[data.Rating])
 	if !ok {
 		panic(fmt.Sprintf("model: MF got batch type %T", b))
 	}
-	return m.meanLoss(w, rb.ratings)
+	return m.meanLoss(w, rb.items)
 }
 
 // EvalLoss implements Model. Evaluation reports plain mean squared error

@@ -20,15 +20,15 @@ import (
 //
 // where the +1 columns hold biases.
 type MLP struct {
-	name      string
-	classes   int
-	dim       int
-	hidden    int
-	batchSize int
-	l2        float64
-	shards    [][]data.Sample
-	eval      []data.Sample
-	grads     densePool
+	name    string
+	classes int
+	dim     int
+	hidden  int
+	l2      float64
+	shards  [][]data.Sample
+	batches []batch[data.Sample]
+	eval    []data.Sample
+	grads   densePool
 }
 
 var _ Model = (*MLP)(nil)
@@ -57,14 +57,14 @@ func NewMLP(cfg MLPConfig, classes, dim int, shards [][]data.Sample, eval []data
 		name = "mlp"
 	}
 	return &MLP{
-		name:      name,
-		classes:   classes,
-		dim:       dim,
-		hidden:    cfg.Hidden,
-		batchSize: cfg.BatchSize,
-		l2:        cfg.L2,
-		shards:    shards,
-		eval:      eval,
+		name:    name,
+		classes: classes,
+		dim:     dim,
+		hidden:  cfg.Hidden,
+		l2:      cfg.L2,
+		shards:  shards,
+		batches: batchStorage(shards, cfg.BatchSize),
+		eval:    eval,
 	}, nil
 }
 
@@ -108,16 +108,7 @@ func (m *MLP) Init(rng *rand.Rand) tensor.Vec {
 
 // SampleBatch implements Model.
 func (m *MLP) SampleBatch(shard int, rng *rand.Rand) Batch {
-	sh := m.shards[shard]
-	bs := m.batchSize
-	if bs > len(sh) {
-		bs = len(sh)
-	}
-	out := make([]data.Sample, bs)
-	for i := range out {
-		out[i] = sh[rng.Intn(len(sh))]
-	}
-	return sampleBatch{samples: out}
+	return m.batches[shard].draw(m.shards[shard], rng)
 }
 
 // mlpScratch holds one block's forward pass: sample j's hidden
@@ -158,7 +149,7 @@ func (m *MLP) forward(w tensor.Vec, blk []data.Sample, s mlpScratch) {
 // samples at a time, the backward pass one sample at a time in batch order,
 // which is the order the gradient's elements are summed in.
 func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
-	sb, ok := b.(sampleBatch)
+	sb, ok := b.(*batch[data.Sample])
 	if !ok {
 		panic(fmt.Sprintf("model: MLP got batch type %T", b))
 	}
@@ -169,10 +160,10 @@ func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
 	w2 := m.w2(w)
 	s := m.scratch(pooled.scratch)
 	dHidden := s.dHidden
-	inv := 1.0 / float64(len(sb.samples))
+	inv := 1.0 / float64(len(sb.items))
 
-	for i := 0; i < len(sb.samples); i += block {
-		blk := sb.samples[i:min(i+block, len(sb.samples))]
+	for i := 0; i < len(sb.items); i += block {
+		blk := sb.items[i:min(i+block, len(sb.items))]
 		m.forward(w, blk, s)
 		for j, smp := range blk {
 			hPre, hAct, logits := s.at(m, j)
@@ -221,18 +212,22 @@ func (m *MLP) Grad(w tensor.Vec, b Batch) Update {
 
 // BatchLoss implements Model.
 func (m *MLP) BatchLoss(w tensor.Vec, b Batch) float64 {
-	sb, ok := b.(sampleBatch)
+	sb, ok := b.(*batch[data.Sample])
 	if !ok {
 		panic(fmt.Sprintf("model: MLP got batch type %T", b))
 	}
-	return m.meanLoss(w, sb.samples)
+	return m.meanLoss(w, sb.items)
 }
 
 // EvalLoss implements Model.
 func (m *MLP) EvalLoss(w tensor.Vec) float64 { return m.meanLoss(w, m.eval) }
 
+// meanLoss runs its forward passes in the scratch of a pooled gradient,
+// which it hands back.
 func (m *MLP) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
-	s := m.scratch(tensor.NewVec(m.scratchLen()))
+	pooled := m.grads.get(m.Dim(), m.scratchLen())
+	defer pooled.release()
+	s := m.scratch(pooled.scratch)
 	var total float64
 	for i := 0; i < len(samples); i += block {
 		blk := samples[i:min(i+block, len(samples))]

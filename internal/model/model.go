@@ -21,6 +21,29 @@ import (
 // batch type.
 type Batch interface{}
 
+// batch is one shard's minibatch storage, allocated once when the model is
+// built. SampleBatch draws into it and hands out the pointer, so a draw
+// allocates nothing and storing it in a Batch boxes nothing.
+type batch[T any] struct{ items []T }
+
+// batchStorage allocates every shard's batch: min(size, shard length) items.
+func batchStorage[T any](shards [][]T, size int) []batch[T] {
+	out := make([]batch[T], len(shards))
+	for i, sh := range shards {
+		out[i].items = make([]T, min(size, len(sh)))
+	}
+	return out
+}
+
+// draw fills b from shard, uniformly with replacement, one rng.Intn per item
+// in item order.
+func (b *batch[T]) draw(shard []T, rng *rand.Rand) Batch {
+	for i := range b.items {
+		b.items[i] = shard[rng.Intn(len(shard))]
+	}
+	return b
+}
+
 // Update is a computed gradient, either dense or sparse (exactly one field
 // is set). Sparse updates are produced by matrix factorization, whose
 // minibatch touches only a few factor rows.
@@ -111,7 +134,10 @@ type Model interface {
 	NumShards() int
 	// Init returns a fresh parameter vector drawn with rng.
 	Init(rng *rand.Rand) tensor.Vec
-	// SampleBatch draws a minibatch from the given shard.
+	// SampleBatch draws a minibatch from the given shard. The batch is the
+	// model's storage, not the caller's: it stays valid until the next
+	// SampleBatch on the same shard, which overwrites it, so one shard must
+	// not be drawn from by two callers at once.
 	SampleBatch(shard int, rng *rand.Rand) Batch
 	// Grad computes the average minibatch gradient of the loss at w.
 	Grad(w tensor.Vec, b Batch) Update

@@ -179,9 +179,9 @@ func TestMFSparseGradientTouchesOnlyBatchRows(t *testing.T) {
 	if err := u.Sparse.Validate(m.Dim()); err != nil {
 		t.Fatalf("invalid sparse gradient: %v", err)
 	}
-	rb := b.(ratingBatch)
+	rb := b.(*batch[data.Rating])
 	allowed := map[int32]bool{}
-	for _, rt := range rb.ratings {
+	for _, rt := range rb.items {
 		for r := 0; r < m.rank; r++ {
 			allowed[int32(m.userRow(rt.User)+r)] = true
 			allowed[int32(m.itemRow(rt.Item)+r)] = true

@@ -313,8 +313,8 @@ func TestDenseModelsEqualOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 3; round++ {
 		for n := 1; n <= 9; n++ {
-			samples := softmax.SampleBatch(n%2, rng).(sampleBatch).samples[:n]
-			sb := sampleBatch{samples: samples}
+			samples := softmax.SampleBatch(n%2, rng).(*batch[data.Sample]).items[:n]
+			sb := &batch[data.Sample]{items: samples}
 
 			w := softmax.Init(rng)
 			tensor.Scale(w, 30) // logits far enough apart that some probabilities round to 0
@@ -333,8 +333,8 @@ func TestDenseModelsEqualOracle(t *testing.T) {
 			sameBits(t, "mlp BatchLoss", tensor.Vec{mlp.BatchLoss(w, sb)}, tensor.Vec{oracleMLPLoss(mlp, w, samples)})
 			sameBits(t, "mlp EvalLoss", tensor.Vec{mlp.EvalLoss(w)}, tensor.Vec{oracleMLPLoss(mlp, w, eval)})
 
-			regs := linreg.SampleBatch(n%2, rng).(regBatch).samples[:n]
-			rb := regBatch{samples: regs}
+			regs := linreg.SampleBatch(n%2, rng).(*batch[regSample]).items[:n]
+			rb := &batch[regSample]{items: regs}
 			w = linreg.Init(rng)
 			u = linreg.Grad(w, rb)
 			sameBits(t, "linreg Grad", u.Dense, oracleLinRegGrad(linreg, w, regs))
@@ -366,8 +366,8 @@ func TestMFGradEqualsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for round := 0; round < 50; round++ {
 		w := m.Init(rng)
-		ratings := m.SampleBatch(round%2, rng).(ratingBatch).ratings[:1+rng.Intn(40)]
-		u := m.Grad(w, ratingBatch{ratings: ratings})
+		ratings := m.SampleBatch(round%2, rng).(*batch[data.Rating]).items[:1+rng.Intn(40)]
+		u := m.Grad(w, &batch[data.Rating]{items: ratings})
 		want := oracleMFGrad(m, w, ratings)
 		if !slices.Equal(u.Sparse.Idx, want.Idx) {
 			t.Fatalf("round %d: indices %v, the oracle has %v", round, u.Sparse.Idx, want.Idx)

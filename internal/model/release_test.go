@@ -80,7 +80,8 @@ func TestReleasedStorageIsInvisible(t *testing.T) {
 
 // TestGradReleaseAllocatesNoBlock: with the update released, a dense gradient
 // allocates nothing — its scratch is pooled with it — and a sparse one nothing
-// the size of the parameter vector.
+// the size of the parameter vector. Drawing the batch allocates nothing for any
+// model: it fills the shard's storage.
 func TestGradReleaseAllocatesNoBlock(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a migration between Ps would miss the pool once
 	for name, m := range blockModels(t) {
@@ -88,22 +89,30 @@ func TestGradReleaseAllocatesNoBlock(t *testing.T) {
 		w := m.Init(rng)
 		b := m.SampleBatch(0, rng)
 		m.Grad(w, b).Release()
-		// The median, because sync.Pool may drop a Put (it does so at random
-		// under the race detector) and that one gradient then pays for a block.
-		var costs []uint64
-		for i := 0; i < 51; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			m.Grad(w, b).Release()
-			runtime.ReadMemStats(&after)
-			costs = append(costs, after.TotalAlloc-before.TotalAlloc)
+		if per := medianAlloc(func() { m.SampleBatch(0, rng) }); per != 0 {
+			t.Errorf("%s: SampleBatch allocates %d B/op, want 0", name, per)
 		}
-		slices.Sort(costs)
-		per := costs[len(costs)/2]
+		per := medianAlloc(func() { m.Grad(w, b).Release() })
 		if _, sparse := m.(*MF); sparse && per >= 1<<10 {
 			t.Errorf("%s (dim %d): Grad+Release allocates %d B/op, want < 1 KiB", name, m.Dim(), per)
 		} else if !sparse && per != 0 {
 			t.Errorf("%s (dim %d): Grad+Release allocates %d B/op, want 0", name, m.Dim(), per)
 		}
 	}
+}
+
+// medianAlloc returns the median bytes op allocates over 51 calls: the median,
+// because sync.Pool may drop a Put (it does so at random under the race
+// detector) and that one gradient then pays for a block.
+func medianAlloc(op func()) uint64 {
+	var costs []uint64
+	for i := 0; i < 51; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		costs = append(costs, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(costs)
+	return costs[len(costs)/2]
 }

@@ -15,9 +15,9 @@ type Softmax struct {
 	name      string
 	classes   int
 	dim       int
-	batchSize int
 	l2        float64
 	shards    [][]data.Sample
+	batches   []batch[data.Sample]
 	eval      []data.Sample
 	initScale float64
 	grads     densePool
@@ -56,9 +56,9 @@ func NewSoftmax(cfg SoftmaxConfig, classes, dim int, shards [][]data.Sample, eva
 		name:      name,
 		classes:   classes,
 		dim:       dim,
-		batchSize: cfg.BatchSize,
 		l2:        cfg.L2,
 		shards:    shards,
+		batches:   batchStorage(shards, cfg.BatchSize),
 		eval:      eval,
 		initScale: scale,
 	}, nil
@@ -80,22 +80,9 @@ func (s *Softmax) Init(rng *rand.Rand) tensor.Vec {
 	return w
 }
 
-type sampleBatch struct {
-	samples []data.Sample
-}
-
 // SampleBatch implements Model.
 func (s *Softmax) SampleBatch(shard int, rng *rand.Rand) Batch {
-	sh := s.shards[shard]
-	bs := s.batchSize
-	if bs > len(sh) {
-		bs = len(sh)
-	}
-	out := make([]data.Sample, bs)
-	for i := range out {
-		out[i] = sh[rng.Intn(len(sh))]
-	}
-	return sampleBatch{samples: out}
+	return s.batches[shard].draw(s.shards[shard], rng)
 }
 
 // logits computes W x + b for up to block samples: sample j's logits are the
@@ -111,16 +98,16 @@ func (s *Softmax) logits(w tensor.Vec, blk []data.Sample, out tensor.Vec) {
 // Grad implements Model. The gradient of cross-entropy through softmax is
 // (p - onehot(y)) x^T per sample, averaged over the batch.
 func (s *Softmax) Grad(w tensor.Vec, b Batch) Update {
-	sb, ok := b.(sampleBatch)
+	sb, ok := b.(*batch[data.Sample])
 	if !ok {
 		panic(fmt.Sprintf("model: softmax got batch type %T", b))
 	}
 	pooled := s.grads.get(s.Dim(), block*s.classes)
 	g := pooled.vec
 	stride := s.dim + 1
-	inv := 1.0 / float64(len(sb.samples))
-	for i := 0; i < len(sb.samples); i += block {
-		blk := sb.samples[i:min(i+block, len(sb.samples))]
+	inv := 1.0 / float64(len(sb.items))
+	for i := 0; i < len(sb.items); i += block {
+		blk := sb.items[i:min(i+block, len(sb.items))]
 		s.logits(w, blk, pooled.scratch)
 		for j, smp := range blk {
 			probs := pooled.scratch[j*s.classes : (j+1)*s.classes]
@@ -147,11 +134,11 @@ func (s *Softmax) Grad(w tensor.Vec, b Batch) Update {
 
 // BatchLoss implements Model.
 func (s *Softmax) BatchLoss(w tensor.Vec, b Batch) float64 {
-	sb, ok := b.(sampleBatch)
+	sb, ok := b.(*batch[data.Sample])
 	if !ok {
 		panic(fmt.Sprintf("model: softmax got batch type %T", b))
 	}
-	return s.meanLoss(w, sb.samples)
+	return s.meanLoss(w, sb.items)
 }
 
 // EvalLoss implements Model.
@@ -178,6 +165,6 @@ func (s *Softmax) meanLoss(w tensor.Vec, samples []data.Sample) float64 {
 // GradNormAt returns the Euclidean norm of the full-eval-set gradient at w;
 // used by tests to confirm optimizers approach a stationary point.
 func (s *Softmax) GradNormAt(w tensor.Vec) float64 {
-	u := s.Grad(w, sampleBatch{samples: s.eval})
+	u := s.Grad(w, &batch[data.Sample]{items: s.eval})
 	return tensor.Norm2(u.Dense)
 }

@@ -547,15 +547,17 @@ func (s *SchedulerObs) ClusterSize(workers, servers int) {
 
 // Started records the start of a post-crash scheduler incarnation. restart
 // is false for the incarnation an elected standby embeds: that is an
-// election, which the standby counts, not a restart.
+// election, which the standby counts and records as its "leader-elected"
+// flight event, so only the generation gauge moves here.
 func (s *SchedulerObs) Started(at time.Time, gen int64, restart bool) {
 	if s == nil {
 		return
 	}
-	if restart {
-		s.restarts.Inc()
-	}
 	s.generation.Set(float64(gen))
+	if !restart {
+		return
+	}
+	s.restarts.Inc()
 	s.o.spans.Add(Span{Node: "scheduler", Name: "restart", Start: at, Value: gen})
 	s.o.flight.Record(FlightEvent{At: at, Kind: "scheduler-restart", Node: "scheduler",
 		Value: float64(gen)})
@@ -650,6 +652,7 @@ func (s *SchedulerObs) ClusterSource(src func() (ClusterSnapshot, bool)) {
 
 // ServerObs instruments one parameter-server shard. Nil-safe.
 type ServerObs struct {
+	o       *Obs
 	pulls   *Counter
 	pushes  *Counter
 	version *Gauge
@@ -663,6 +666,7 @@ func (o *Obs) Server(shard int) *ServerObs {
 	}
 	idx := strconv.Itoa(shard)
 	return &ServerObs{
+		o: o,
 		pulls: o.reg.Counter("specsync_server_pulls_total",
 			"Parameter pull requests served.", "shard", idx),
 		pushes: o.reg.Counter("specsync_server_pushes_total",
@@ -690,6 +694,19 @@ func (s *ServerObs) Version(version int64) {
 		return
 	}
 	s.version.Set(float64(version))
+}
+
+// Promoted records the shard's backup promoted to primary in the fault
+// ledger: the promotion, the node restart it stands for, and lost, the
+// acknowledged pushes the backup knows it could not apply (a lower bound).
+func (s *ServerObs) Promoted(lost int64) {
+	if s == nil {
+		return
+	}
+	f := s.o.Faults()
+	f.Restart()
+	f.Promotion()
+	f.LostPushes(lost)
 }
 
 // Push records one applied push with the shard's new version and the
@@ -726,16 +743,16 @@ func (o *Obs) Faults() *FaultObs {
 	c := func(name, help string) *Counter { return o.reg.Counter(name, help) }
 	return &FaultObs{
 		reg:         o.reg,
-		crashes:     c("specsync_crashes_total", "Injected node crashes."),
-		restarts:    c("specsync_restarts_total", "Node restarts after crashes."),
+		crashes:     c("specsync_crashes_total", "Node crashes: injected, or seen by a replacement process whose predecessor did not exit cleanly."),
+		restarts:    c("specsync_restarts_total", "Node restarts, replica promotions included."),
 		restores:    c("specsync_restores_total", "Checkpoint restores on restart."),
 		checkpoints: c("specsync_checkpoints_total", "Completed checkpoints, one per shard or scheduler snapshot."),
 		lostPushes: c("specsync_lost_pushes_total",
-			"Pushes lost to crashes (applied but absent from the restored state). Zero under replication."),
+			"Acknowledged pushes lost: absent from a restored checkpoint, or forwards a promoted backup could not apply (a lower bound)."),
 		promotions: c("specsync_replica_promotions_total", "Backup replicas promoted to shard primary."),
 		elections:  c("specsync_scheduler_elections_total", "Scheduler standby elections won."),
 		schedCrashes: c("specsync_scheduler_crashes_total",
-			"Injected scheduler crashes (also counted in specsync_crashes_total)."),
+			"Scheduler crashes (also counted in specsync_crashes_total)."),
 		schedRestores: c("specsync_scheduler_restores_total",
 			"Scheduler checkpoint restores (also counted in specsync_restores_total)."),
 		shipped: c("specsync_scheduler_snapshots_shipped_total",

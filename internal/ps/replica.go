@@ -35,15 +35,26 @@ func (s *Server) SetBackups(ids []node.ID) { s.backups = ids }
 
 // Promote turns a backup into the serving primary for its shard. The caller
 // re-registers the handler under the shard's server ID afterwards; from then
-// on it answers pulls/pushes and forwards to the surviving backups.
+// on it answers pulls/pushes and forwards to the surviving backups. The
+// promotion is counted in the fault ledger (Config.Obs) here, on either
+// runtime.
 func (s *Server) Promote(backups []node.ID) {
 	s.cfg.Replica = false
 	s.backups = backups
-	// A promotion happens only after the backup caught up to the dead
+	// A promotion should wait until the backup caught up to the dead
 	// primary's version, so nothing should be parked here; drop any leftovers
-	// defensively rather than replay them against a diverged version line.
+	// rather than replay them against a diverged version line. The primary
+	// forwarded each push before acknowledging it, so every version up to the
+	// highest parked one is a push it may have acknowledged: lost. That is a
+	// lower bound: forwards that never reached the backup after its highest
+	// parked version leave no trace here, so 0 does not prove it caught up.
+	var lost int64
+	for v := range s.pendingRepl {
+		lost = max(lost, v-s.version.Load())
+	}
 	s.pendingRepl = nil
 	s.forgetHolders()
+	s.cfg.Obs.Promoted(lost)
 }
 
 // Replica reports whether the shard is currently a backup.

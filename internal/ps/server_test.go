@@ -8,6 +8,7 @@ import (
 	"specsync/internal/des"
 	"specsync/internal/msg"
 	"specsync/internal/node"
+	"specsync/internal/obs"
 	"specsync/internal/optimizer"
 	"specsync/internal/tensor"
 	"specsync/internal/wire"
@@ -270,5 +271,32 @@ func TestServerStats(t *testing.T) {
 	}
 	if srv.Range() != (Range{0, 2}) {
 		t.Errorf("Range = %+v", srv.Range())
+	}
+}
+
+// TestPromoteCountsItself: a promotion lands in the fault ledger on either
+// runtime, with the forwarded pushes a gap kept the backup from applying as
+// lost: versions 2 and 3 when 1 and 3 arrived and 2 never did.
+func TestPromoteCountsItself(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		versions []int64
+		lost     int64
+	}{
+		{"caught up", []int64{1, 2, 3}, 0},
+		{"a gap at 2", []int64{1, 3}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New(obs.Options{})
+			backup, _ := lifetimeServer(t, func(c *Config) { c.Replica, c.Obs = true, o.Server(0) })
+			for _, v := range tc.versions {
+				backup.Receive(node.ServerID(0), &msg.ReplApply{Version: v, Body: msg.ReplBodyDense, Dense: []float64{1, 1, 1, 1}})
+			}
+			backup.Promote(nil)
+			st := o.Faults().Totals()
+			if st.Promotions != 1 || st.Restarts != 1 || st.LostPushes != tc.lost {
+				t.Errorf("ledger: %d promotions, %d restarts, %d lost pushes; want 1, 1, %d", st.Promotions, st.Restarts, st.LostPushes, tc.lost)
+			}
+		})
 	}
 }
