@@ -23,7 +23,10 @@
 // processes. The scheduler ships its state to the standbys and each server
 // forwards acknowledged pushes to its replicas; if the scheduler process
 // dies, a standby elects itself, announces the new term, and the workers
-// follow it.
+// follow it. A shard replica is only a warm copy here: nothing promotes it
+// (the simulator's fault injector is the one caller of ps.Server.Promote).
+// A killed server/<i> serves again only when it is relaunched, from its
+// checkpoint if it has one.
 package main
 
 import (
@@ -150,6 +153,10 @@ func run(args []string) error {
 	defer h.Close()
 	fmt.Printf("%s listening on %s (%d workers, %d servers, scheme %s, workload %s)\n",
 		id, hcfg.ListenAddr, cfg.Workers, cfg.Servers, cfg.Scheme.Name(), cfg.Workload.Name)
+	if shard, _ := node.ReplicaOf(id); shard >= 0 {
+		fmt.Printf("%s: warm copy of %s; nothing promotes it on this runtime, so a killed %s serves again only when relaunched\n",
+			id, node.ServerID(shard), node.ServerID(shard))
+	}
 
 	health := healthFunc(id, p.handler)
 	if *metricsAddr != "" {

@@ -131,10 +131,16 @@ type Tracer interface {
 	Record(ev Event)
 }
 
-// Collector is a thread-safe in-memory event sink.
+// chunkLen is the number of events one storage chunk of a Collector holds.
+const chunkLen = 1024
+
+// Collector is a thread-safe in-memory event sink. It records into
+// fixed-length chunks, so a recorded event is written once and never copied
+// again however long the trace grows.
 type Collector struct {
 	mu     sync.Mutex
-	events []Event
+	chunks []*[chunkLen]Event // every chunk but the last is full
+	n      int                // events recorded
 }
 
 var _ Tracer = (*Collector)(nil)
@@ -149,19 +155,32 @@ func (c *Collector) Record(ev Event) {
 		return
 	}
 	c.mu.Lock()
-	c.events = append(c.events, ev)
+	if c.n%chunkLen == 0 {
+		c.chunks = append(c.chunks, new([chunkLen]Event))
+	}
+	c.chunks[c.n/chunkLen][c.n%chunkLen] = ev
+	c.n++
 	c.mu.Unlock()
 }
 
-// Events returns a copy of all recorded events in insertion order.
+// walk calls f on the recorded part of each chunk, in insertion order. c.mu
+// must be held, and f must not keep evs.
+func (c *Collector) walk(f func(evs []Event)) {
+	for i, ch := range c.chunks {
+		f(ch[:min(c.n-i*chunkLen, chunkLen)])
+	}
+}
+
+// Events returns a copy of all recorded events in insertion order, made with
+// one allocation of exactly the trace's length.
 func (c *Collector) Events() []Event {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
+	out := make([]Event, 0, c.n)
+	c.walk(func(evs []Event) { out = append(out, evs...) })
 	return out
 }
 
@@ -173,11 +192,13 @@ func (c *Collector) Count(k Kind) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, ev := range c.events {
-		if ev.Kind == k {
-			n++
+	c.walk(func(evs []Event) {
+		for _, ev := range evs {
+			if ev.Kind == k {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }
 
@@ -189,11 +210,13 @@ func (c *Collector) CountByWorker(k Kind) map[int]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[int]int)
-	for _, ev := range c.events {
-		if ev.Kind == k {
-			out[ev.Worker]++
+	c.walk(func(evs []Event) {
+		for _, ev := range evs {
+			if ev.Kind == k {
+				out[ev.Worker]++
+			}
 		}
-	}
+	})
 	return out
 }
 
@@ -216,9 +239,8 @@ type PAPResult struct {
 
 // PAP computes the pushes-after-pull distribution from the collected trace.
 func (c *Collector) PAP(cfg PAPConfig) PAPResult {
-	events := c.Events()
 	res := PAPResult{Interval: cfg.Interval, PerBucket: make([][]float64, cfg.Buckets)}
-	if cfg.Interval <= 0 || cfg.Buckets <= 0 {
+	if c == nil || cfg.Interval <= 0 || cfg.Buckets <= 0 {
 		return res
 	}
 
@@ -226,15 +248,19 @@ func (c *Collector) PAP(cfg PAPConfig) PAPResult {
 	var allPushes []time.Time
 	perWorker := map[int][]time.Time{}
 	var pulls []Event
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindPush:
-			allPushes = append(allPushes, ev.At)
-			perWorker[ev.Worker] = append(perWorker[ev.Worker], ev.At)
-		case KindPull:
-			pulls = append(pulls, ev)
+	c.mu.Lock()
+	c.walk(func(evs []Event) {
+		for _, ev := range evs {
+			switch ev.Kind {
+			case KindPush:
+				allPushes = append(allPushes, ev.At)
+				perWorker[ev.Worker] = append(perWorker[ev.Worker], ev.At)
+			case KindPull:
+				pulls = append(pulls, ev)
+			}
 		}
-	}
+	})
+	c.mu.Unlock()
 	sort.Slice(allPushes, func(i, j int) bool { return allPushes[i].Before(allPushes[j]) })
 	for _, ts := range perWorker {
 		sort.Slice(ts, func(i, j int) bool { return ts[i].Before(ts[j]) })
@@ -265,18 +291,4 @@ func (c *Collector) PAP(cfg PAPConfig) PAPResult {
 		}
 	}
 	return res
-}
-
-// PushTimeline returns all push events sorted by time; the tuner tests and
-// timeline figures use it.
-func (c *Collector) PushTimeline() []Event {
-	events := c.Events()
-	var pushes []Event
-	for _, ev := range events {
-		if ev.Kind == KindPush {
-			pushes = append(pushes, ev)
-		}
-	}
-	sort.Slice(pushes, func(i, j int) bool { return pushes[i].At.Before(pushes[j].At) })
-	return pushes
 }

@@ -20,6 +20,10 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	if c.CountByWorker(KindPull) != nil {
 		t.Error("nil collector CountByWorker should be nil")
 	}
+	if res := c.PAP(PAPConfig{Interval: time.Second, Buckets: 2}); len(res.PerBucket) != 2 ||
+		len(res.PerBucket[0]) != 0 || len(res.PerBucket[1]) != 0 {
+		t.Errorf("nil collector PAP = %v, want two empty buckets", res.PerBucket)
+	}
 }
 
 func TestCollectorCounts(t *testing.T) {
@@ -41,21 +45,106 @@ func TestCollectorCounts(t *testing.T) {
 	}
 }
 
+func TestEmptyCollector(t *testing.T) {
+	c := NewCollector()
+	if evs := c.Events(); evs == nil || len(evs) != 0 {
+		t.Errorf("empty collector Events() = %#v, want an empty non-nil slice", evs)
+	}
+	if c.Count(KindPush) != 0 {
+		t.Error("empty collector count should be 0")
+	}
+	if by := c.CountByWorker(KindPush); by == nil || len(by) != 0 {
+		t.Errorf("empty collector CountByWorker = %#v, want an empty map", by)
+	}
+}
+
 func TestCollectorConcurrentSafety(t *testing.T) {
+	const goroutines, per = 8, 400 // 3200 events: four chunks
 	c := NewCollector()
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.Record(Event{Worker: g, Kind: KindPush})
+			for i := 0; i < per; i++ {
+				c.Record(Event{Worker: g, Kind: KindPush, Iter: int64(i)})
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Count(KindPush); got != 800 {
-		t.Errorf("Count = %d, want 800", got)
+	if got := c.Count(KindPush); got != goroutines*per {
+		t.Errorf("Count = %d, want %d", got, goroutines*per)
+	}
+	// Each goroutine's events keep their order across chunk boundaries.
+	next := make([]int64, goroutines)
+	for _, ev := range c.Events() {
+		if ev.Iter != next[ev.Worker] {
+			t.Fatalf("worker %d: event %d out of order, want %d", ev.Worker, ev.Iter, next[ev.Worker])
+		}
+		next[ev.Worker]++
+	}
+}
+
+func TestEventsAcrossChunksInOrder(t *testing.T) {
+	const n = 3*chunkLen + 5 // crosses three chunk boundaries
+	c := NewCollector()
+	for i := 0; i < n; i++ {
+		c.Record(Event{At: ts(i), Worker: i % 3, Kind: KindPull + Kind(i%2), Iter: int64(i)})
+	}
+	evs := c.Events()
+	if len(evs) != n || cap(evs) != n {
+		t.Fatalf("Events() len %d cap %d, want %d", len(evs), cap(evs), n)
+	}
+	for i, ev := range evs {
+		if ev.Iter != int64(i) || !ev.At.Equal(ts(i)) {
+			t.Fatalf("event %d = %+v, want iteration %d", i, ev, i)
+		}
+	}
+	if got, want := c.Count(KindPush), n/2; got != want {
+		t.Errorf("Count(push) = %d, want %d", got, want)
+	}
+	by := c.CountByWorker(KindPull)
+	if sum := by[0] + by[1] + by[2]; sum != n-n/2 {
+		t.Errorf("CountByWorker(pull) = %v, sums to %d, want %d", by, sum, n-n/2)
+	}
+	// Events returns a copy: writing to it leaves the trace as it was.
+	evs[0].Iter = -1
+	if c.Events()[0].Iter != 0 {
+		t.Error("Events() shares storage with the collector")
+	}
+}
+
+func TestCollectorAllocs(t *testing.T) {
+	c := NewCollector()
+	ev := Event{At: ts(1), Kind: KindPush}
+	// A chunk's worth of records allocates the chunk; the slice of chunks
+	// grows by doubling, so its share rounds away over the runs.
+	fill := func() {
+		for i := 0; i < chunkLen; i++ {
+			c.Record(ev)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, fill); allocs > 1 {
+		t.Errorf("%d records allocated %.0f times per run, want at most 1", chunkLen, allocs)
+	}
+	c.Record(ev) // a partly filled last chunk
+	if allocs := testing.AllocsPerRun(20, func() { _ = c.Events() }); allocs != 1 {
+		t.Errorf("Events() allocated %.0f times, want 1", allocs)
+	}
+}
+
+func BenchmarkCollectorRecord(b *testing.B) {
+	// A fresh collector every 64 chunks bounds the benchmark's heap at
+	// ≈ 3.7 MB, about one sim_paper run's trace.
+	const perCollector = 64 * chunkLen
+	var c *Collector
+	ev := Event{At: ts(1), Worker: 3, Kind: KindPush, Iter: 7}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%perCollector == 0 {
+			c = NewCollector()
+		}
+		c.Record(ev)
 	}
 }
 
@@ -118,22 +207,5 @@ func TestPAPEmptyAndInvalidConfig(t *testing.T) {
 	res = c.PAP(PAPConfig{Interval: 0, Buckets: 0})
 	if len(res.PerBucket) != 0 {
 		t.Error("invalid config must give no buckets")
-	}
-}
-
-func TestPushTimelineSorted(t *testing.T) {
-	c := NewCollector()
-	c.Record(Event{At: ts(300), Worker: 0, Kind: KindPush})
-	c.Record(Event{At: ts(100), Worker: 1, Kind: KindPush})
-	c.Record(Event{At: ts(200), Worker: 2, Kind: KindPull}) // not a push
-	c.Record(Event{At: ts(200), Worker: 2, Kind: KindPush})
-	tl := c.PushTimeline()
-	if len(tl) != 3 {
-		t.Fatalf("timeline len = %d", len(tl))
-	}
-	for i := 1; i < len(tl); i++ {
-		if tl[i].At.Before(tl[i-1].At) {
-			t.Fatal("timeline not sorted")
-		}
 	}
 }
