@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"time"
 )
 
@@ -76,23 +77,15 @@ func Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []time.Ti
 // Rates. The zero value is ready to use; a Tuner is not safe for concurrent
 // use.
 type Tuner struct {
-	pulls   []time.Duration // live workers' last pulls, ascending
-	ats     []time.Duration // live epoch pushes, ascending
-	gaps    []time.Duration // candidate windows
-	spare   []time.Duration // the radix sort's other half
-	all     []time.Duration // every counted push, ascending
-	own     []time.Duration // the same pushes grouped by member
-	ownEnd  []int           // member i's run in own ends at ownEnd[i]
-	cursors []cursor
-}
-
-// cursor is one live worker's window (pull, pull + Delta] over the pushes.
-type cursor struct {
-	pull         time.Duration
-	span         float64
-	own          []time.Duration
-	allLo, allHi int
-	ownLo, ownHi int
+	pulls  []time.Duration // live workers' last pulls, ascending
+	ats    []time.Duration // live epoch pushes, ascending
+	gaps   []time.Duration // candidate windows
+	spare  []time.Duration // the radix sort's other half
+	all    []time.Duration // every counted push, ascending
+	own    []time.Duration // the same pushes grouped by member
+	ownEnd []int           // member i's run in own ends at ownEnd[i]
+	f      []float64       // f[j]: Eq. 7 at candidate j, summed over workers so far
+	loss   []float64       // loss[j]: candidate j's loss numerator Delta_j (m-1)
 }
 
 // Tune runs Algorithm 1. Inputs:
@@ -191,11 +184,18 @@ func (t *Tuner) Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPul
 	}
 	// next[i] is now the end of member i's run and ownEnd[m] the end of all.
 
-	// One cursor per live worker, in worker order (the order the float sum
-	// below accumulates in). The window's lower end — the pushes at or before
-	// lastPull_i — does not depend on Delta and is located once; the upper
-	// end only ever moves forward, because candidates ascend.
-	t.cursors = reserve(t.cursors, aliveN)
+	// Eq. 7, worker-major: each live worker, in worker order, adds its term
+	// to every candidate's f[j], so each f[j] still sums its terms in worker
+	// order. The window's lower end — the pushes at or before lastPull_i — does
+	// not depend on Delta and is found once; the upper ends only move forward,
+	// because candidates ascend.
+	t.f = resize(t.f, len(candidates))
+	clear(t.f)
+	t.loss = resize(t.loss, len(candidates))
+	for j, delta := range candidates {
+		t.loss[j] = float64(delta) * float64(aliveN-1)
+	}
+	all, f, loss := t.all, t.f[:len(candidates)], t.loss[:len(candidates)]
 	for i := 0; i < m; i++ {
 		if !alive(i) {
 			continue
@@ -204,40 +204,42 @@ func (t *Tuner) Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPul
 		if i > 0 {
 			start = t.ownEnd[i-1]
 		}
-		c := cursor{pull: lastPull[i].Sub(base), span: float64(iterSpan[i]), own: t.own[start:t.ownEnd[i]]}
-		c.allLo = advance(t.all, 0, c.pull)
-		c.ownLo = advance(c.own, 0, c.pull)
-		c.allHi, c.ownHi = c.allLo, c.ownLo
-		t.cursors = append(t.cursors, c)
+		own := t.own[start:t.ownEnd[i]]
+		pull, span := lastPull[i].Sub(base), float64(iterSpan[i])
+		allHi := sort.Search(len(all), func(k int) bool { return all[k] > pull })
+		ownHi := sort.Search(len(own), func(k int) bool { return own[k] > pull })
+		allLo, ownLo := allHi, ownHi
+		for j, delta := range candidates {
+			hi := pull + delta
+			if hi < pull {
+				hi = math.MaxInt64
+			}
+			for allHi < len(all) && all[allHi] <= hi {
+				allHi++
+			}
+			for ownHi < len(own) && own[ownHi] <= hi {
+				ownHi++
+			}
+			gain := (allHi - allLo) - (ownHi - ownLo)
+			f[j] += float64(gain) - loss[j]/span
+		}
 	}
 
 	best := Tuning{Enabled: false, Candidates: len(candidates)}
 	var second Candidate
 	haveSecond := false
-	for _, delta := range candidates {
-		lossNum := float64(delta) * float64(aliveN-1)
-		var f float64
-		for k := range t.cursors {
-			c := &t.cursors[k]
-			hi := c.pull + delta
-			if hi < c.pull {
-				hi = math.MaxInt64
-			}
-			c.allHi = advance(t.all, c.allHi, hi)
-			c.ownHi = advance(c.own, c.ownHi, hi)
-			gain := (c.allHi - c.allLo) - (c.ownHi - c.ownLo)
-			f += float64(gain) - lossNum/c.span
-		}
+	for j, fj := range f {
+		delta := candidates[j]
 		switch {
-		case !best.Enabled || f > best.Improvement:
+		case !best.Enabled || fj > best.Improvement:
 			if best.Enabled {
 				second, haveSecond = Candidate{AbortTime: best.AbortTime, Improvement: best.Improvement}, true
 			}
 			best.Enabled = true
-			best.Improvement = f
+			best.Improvement = fj
 			best.AbortTime = delta
-		case !haveSecond || f > second.Improvement:
-			second, haveSecond = Candidate{AbortTime: delta, Improvement: f}, true
+		case !haveSecond || fj > second.Improvement:
+			second, haveSecond = Candidate{AbortTime: delta, Improvement: fj}, true
 		}
 	}
 	if best.Improvement <= 0 {
@@ -271,37 +273,6 @@ func reserve[T any](s []T, n int) []T {
 		return make([]T, 0, n)
 	}
 	return s[:0]
-}
-
-// advance returns the first index k >= from with ts[k] > x, given ascending
-// ts and everything before from already <= x. A step that crosses no push —
-// the common one — costs a comparison, inlined at the call site.
-func advance(ts []time.Duration, from int, x time.Duration) int {
-	if from == len(ts) || ts[from] > x {
-		return from
-	}
-	return gallop(ts, from, x)
-}
-
-// gallop is advance for ts[from] <= x: it doubles its stride until it
-// overshoots, then bisects the last stride, so a jump over n entries costs
-// O(log n).
-func gallop(ts []time.Duration, from int, x time.Duration) int {
-	step := 1
-	for from+step < len(ts) && ts[from+step] <= x {
-		from += step
-		step *= 2
-	}
-	lo, hi := from+1, min(from+step, len(ts))
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ts[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // candidates produces the distinct gaps between each live epoch push and each

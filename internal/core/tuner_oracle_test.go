@@ -14,7 +14,8 @@ import (
 // oracleTune and oracleCandidateWindows are the tuner as it stood before the
 // cursor rewrite, kept verbatim as the reference the property test below
 // compares against: map-built candidate set, time.Time indexes, four binary
-// searches per (candidate, worker).
+// searches per (candidate, worker). The one addition is the runner-up, which
+// oracleTune picks by brute force over every window it evaluated.
 func oracleTune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []time.Time, iterSpan []time.Duration) (Tuning, error) {
 	m := cfg.Workers
 	if m < 2 {
@@ -69,6 +70,7 @@ func oracleTune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []t
 	}
 
 	best := Tuning{Enabled: false, Candidates: len(candidates)}
+	evals := make([]Candidate, 0, len(candidates))
 	for _, delta := range candidates {
 		var f float64
 		for i := 0; i < m; i++ {
@@ -80,6 +82,7 @@ func oracleTune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []t
 			loss := float64(delta) * float64(aliveN-1) / float64(iterSpan[i])
 			f += float64(gain) - loss
 		}
+		evals = append(evals, Candidate{AbortTime: delta, Improvement: f})
 		if !best.Enabled || f > best.Improvement {
 			best.Enabled = true
 			best.Improvement = f
@@ -91,6 +94,7 @@ func oracleTune(cfg TunerConfig, history, epochPushes []PushRecord, lastPull []t
 		// speculation for the coming epoch.
 		return Tuning{Enabled: false, Candidates: len(candidates)}, nil
 	}
+	best.RunnerUp = bestOther(evals, best.AbortTime)
 
 	best.Rates = make([]float64, m)
 	for i := 0; i < m; i++ {
@@ -146,6 +150,20 @@ func oracleCandidateWindows(cfg TunerConfig, pushes []PushRecord, lastPull []tim
 			sampled = append(sampled, out[int(float64(i)*step+0.5)])
 		}
 		out = sampled
+	}
+	return out
+}
+
+// bestOther returns the evaluated window with the highest estimate other
+// than the one at chosen, the smallest such window on ties, or the zero
+// Candidate when there is no other.
+func bestOther(evals []Candidate, chosen time.Duration) Candidate {
+	var out Candidate
+	have := false
+	for _, e := range evals {
+		if e.AbortTime != chosen && (!have || e.Improvement > out.Improvement) {
+			out, have = e, true
+		}
 	}
 	return out
 }
@@ -243,21 +261,24 @@ func genTuneCase(rng *rand.Rand, mono bool) tuneCase {
 	return c
 }
 
-// TestTuneMatchesOracle requires the cursor tuner to reproduce the reference
-// bit for bit — Improvement included, so the float accumulation order over
-// workers cannot have changed — on generated inputs, wall-clock and monotonic.
-// One Tuner serves every case, so nothing a call leaves in its buffers may
-// leak into the next.
+// TestTuneMatchesOracle requires the worker-major tuner to reproduce the
+// reference bit for bit — Improvement and RunnerUp included, so the float
+// accumulation order over workers cannot have changed — on generated inputs,
+// wall-clock and monotonic. One Tuner serves every case, so nothing a call
+// leaves in its buffers may leak into the next.
 func TestTuneMatchesOracle(t *testing.T) {
 	const cases = 3000
-	enabled := 0
+	enabled, diverged := 0, 0
 	var tu Tuner
 	for seed := int64(0); seed < cases; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := genTuneCase(rng, seed%2 == 1)
 		want, wantErr := oracleTune(c.cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
 		got, gotErr := tu.Tune(c.cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
-		got.RunnerUp = Candidate{} // not in the oracle; TestRunnerUpMatchesBruteForce checks it
+		if clampedWindowDiverges(c, got, want) {
+			diverged++
+			got.RunnerUp = want.RunnerUp
+		}
 		if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
 			t.Fatalf("seed %d: error %v, oracle %v", seed, gotErr, wantErr)
 		}
@@ -278,6 +299,29 @@ func TestTuneMatchesOracle(t *testing.T) {
 	if enabled < cases/10 {
 		t.Errorf("only %d of %d generated cases enabled speculation", enabled, cases)
 	}
+	if diverged > cases/200 {
+		t.Errorf("%d of %d cases had a clamped runner-up window that counts differently", diverged, cases)
+	}
+}
+
+// clampedWindowDiverges reports the one place the tuner and the oracle count
+// a window differently, which only RunnerUp can show. A live worker that
+// never notified has the zero time as its last pull; the tuner clamps that
+// pull's offset to math.MinInt64, so the overflowing candidate math.MaxInt64
+// ends its window at offset −1 and counts the history before the epoch, where
+// the oracle's time.Time window (year 1 to year 293) holds no push. That
+// window's loss term is about −1e13, so it is never the chosen one.
+func clampedWindowDiverges(c tuneCase, got, want Tuning) bool {
+	if got.RunnerUp == want.RunnerUp || got.RunnerUp.AbortTime != math.MaxInt64 || want.RunnerUp.AbortTime != math.MaxInt64 {
+		return false
+	}
+	base := c.epochPushes[0].At
+	for i, lp := range c.lastPull {
+		if (c.cfg.Alive == nil || c.cfg.Alive[i]) && lp.Sub(base) == math.MinInt64 {
+			return true
+		}
+	}
+	return false
 }
 
 // candidateWindowsOracle is the candidate search as it stood before the
@@ -432,5 +476,110 @@ func TestCandidatesMatchOracle(t *testing.T) {
 		if seen[corner] == 0 {
 			t.Errorf("no generated case covered %q", corner)
 		}
+	}
+}
+
+// genFleetCase draws a retune at sim_fleet's scale: m = 512 workers, rounds
+// of paced pushes on a 1 µs tick (so pushes tie, and pulls tie with them),
+// the last round as the epoch, each worker's last push as its pull, a quarter
+// or fewer of the workers evicted, and MaxCandidates sub-sampling an abort
+// range up to two iterations wide. With few candidates over that range, each
+// step from one candidate to the next crosses many pushes for every worker.
+func genFleetCase(rng *rand.Rand, rounds int) tuneCase {
+	const m = 512
+	const iterTime = 100 * time.Millisecond
+	start := time.Unix(1_700_000_000, 0)
+	c := tuneCase{cfg: TunerConfig{Workers: m}, lastPull: make([]time.Time, m), iterSpan: make([]time.Duration, m)}
+	for round := 0; round < rounds; round++ {
+		for _, w := range rng.Perm(m) {
+			at := start.Add(time.Duration(round)*iterTime + time.Duration(rng.Int63n(int64(iterTime/time.Microsecond)))*time.Microsecond)
+			c.history = append(c.history, PushRecord{At: at, Worker: w})
+		}
+	}
+	sort.SliceStable(c.history, func(i, j int) bool { return c.history[i].At.Before(c.history[j].At) })
+	c.epochPushes = c.history[(rounds-1)*m:]
+	for _, p := range c.history {
+		c.lastPull[p.Worker] = p.At
+	}
+	for i := range c.iterSpan {
+		c.iterSpan[i] = iterTime + time.Duration(rng.Int63n(int64(iterTime)))
+	}
+	c.cfg.Alive = make([]bool, m)
+	for i := range c.cfg.Alive {
+		c.cfg.Alive[i] = true
+	}
+	for _, i := range rng.Perm(m)[:1+rng.Intn(m/4)] {
+		c.cfg.Alive[i] = false
+	}
+	c.cfg.MinAbort = time.Duration(1+rng.Intn(4)) * time.Millisecond
+	c.cfg.MaxAbort = time.Duration(1+rng.Intn(4)) * iterTime / 2
+	c.cfg.MaxCandidates = []int{512, 64, 16, 5}[rng.Intn(4)]
+	return c
+}
+
+// maxCrossing returns the most pushes any live worker's window gains between
+// two consecutive candidates: the steps the tuner's upper cursors take in one
+// go.
+func maxCrossing(c tuneCase, cands []time.Duration) int {
+	base := c.epochPushes[0].At
+	var all []time.Duration
+	for _, p := range c.history {
+		if c.cfg.Alive[p.Worker] {
+			all = append(all, p.At.Sub(base))
+		}
+	}
+	upTo := func(x time.Duration) int { return sort.Search(len(all), func(k int) bool { return all[k] > x }) }
+	most := 0
+	for i, lp := range c.lastPull {
+		if !c.cfg.Alive[i] {
+			continue
+		}
+		pull := lp.Sub(base)
+		for j := 1; j < len(cands); j++ {
+			most = max(most, upTo(pull+cands[j])-upTo(pull+cands[j-1]))
+		}
+	}
+	return most
+}
+
+// TestFleetTuneMatchesOracle is TestTuneMatchesOracle at sim_fleet's m = 512,
+// with evicted workers and sub-sampled candidates, including windows whose
+// consecutive candidates lie more than a hundred pushes apart. The whole
+// Tuning, RunnerUp included, must equal the reference's. One Tuner serves
+// every case.
+func TestFleetTuneMatchesOracle(t *testing.T) {
+	var tu Tuner
+	enabled, wide := 0, 0
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := genFleetCase(rng, 32)
+		if seed < 2 {
+			c.cfg.MaxCandidates = 5 // so that some case spaces its candidates widely
+		}
+		want, err := oracleTune(c.cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tu.Tune(c.cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (cfg MinAbort %v MaxAbort %v MaxCandidates %d):\n got  %+v\n want %+v",
+				seed, c.cfg.MinAbort, c.cfg.MaxAbort, c.cfg.MaxCandidates, got, want)
+		}
+		if want.Enabled {
+			enabled++
+		}
+		cands := tu.candidates(c.cfg, c.epochPushes, c.lastPull)
+		if !slices.Equal(cands, oracleCandidateWindows(c.cfg, c.epochPushes, c.lastPull)) {
+			t.Fatalf("seed %d: candidates differ from the oracle's", seed)
+		}
+		if maxCrossing(c, cands) >= 100 {
+			wide++
+		}
+	}
+	if enabled == 0 || wide == 0 {
+		t.Errorf("%d cases enabled speculation and %d crossed 100 pushes in a step; want some of each", enabled, wide)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -85,18 +86,30 @@ func TestTuneNegativeImprovementDisables(t *testing.T) {
 	}
 }
 
-// evalF computes Eq. (7) directly for cross-checking.
-func evalF(m int, history []PushRecord, lastPull []time.Time, spans []time.Duration, delta time.Duration) float64 {
+// evalF computes Eq. (7) directly for cross-checking. alive, when non-nil,
+// marks the members; an evicted worker has no term and its pushes are no
+// one's gain.
+func evalF(alive []bool, m int, history []PushRecord, lastPull []time.Time, spans []time.Duration, delta time.Duration) float64 {
+	live := func(i int) bool { return alive == nil || alive[i] }
+	n := 0
+	for i := 0; i < m; i++ {
+		if live(i) {
+			n++
+		}
+	}
 	var f float64
 	for i := 0; i < m; i++ {
+		if !live(i) {
+			continue
+		}
 		gain := 0
 		hi := lastPull[i].Add(delta)
 		for _, p := range history {
-			if p.Worker != i && p.At.After(lastPull[i]) && !p.At.After(hi) {
+			if p.Worker != i && live(p.Worker) && p.At.After(lastPull[i]) && !p.At.After(hi) {
 				gain++
 			}
 		}
-		f += float64(gain) - float64(delta)*float64(m-1)/float64(spans[i])
+		f += float64(gain) - float64(delta)*float64(n-1)/float64(spans[i])
 	}
 	return f
 }
@@ -150,7 +163,7 @@ func TestTuneMatchesBruteForce(t *testing.T) {
 		// Dense grid search at 1ms resolution up to the history span.
 		bestF := 0.0 // F(no speculation) baseline: disabled counts as 0
 		for d := time.Millisecond; d <= 10*time.Second; d += time.Millisecond {
-			if f := evalF(m, history, lastPull, spans, d); f > bestF {
+			if f := evalF(nil, m, history, lastPull, spans, d); f > bestF {
 				bestF = f
 			}
 		}
@@ -159,7 +172,7 @@ func TestTuneMatchesBruteForce(t *testing.T) {
 		if got.Enabled {
 			gotF = got.Improvement
 			// Cross-check the tuner's own arithmetic.
-			if direct := evalF(m, history, lastPull, spans, got.AbortTime); direct < gotF-1e-9 || direct > gotF+1e-9 {
+			if direct := evalF(nil, m, history, lastPull, spans, got.AbortTime); direct < gotF-1e-9 || direct > gotF+1e-9 {
 				t.Fatalf("trial %d: tuner reports F=%v but direct eval gives %v", trial, gotF, direct)
 			}
 		}
@@ -203,7 +216,7 @@ func TestRunnerUpMatchesBruteForce(t *testing.T) {
 		evals := make([]Candidate, len(gaps))
 		first := 0
 		for i, d := range gaps {
-			evals[i] = Candidate{AbortTime: d, Improvement: evalF(c.m, c.history, c.lastPull, c.spans, d)}
+			evals[i] = Candidate{AbortTime: d, Improvement: evalF(nil, c.m, c.history, c.lastPull, c.spans, d)}
 			if evals[i].Improvement > evals[first].Improvement {
 				first = i
 			}
@@ -234,6 +247,66 @@ func TestRunnerUpMatchesBruteForce(t *testing.T) {
 	}
 	if withRunnerUp == 0 || tied == 0 {
 		t.Errorf("%d trials had a runner-up, %d of them tied with another window; want some of each", withRunnerUp, tied)
+	}
+}
+
+// TestFleetTuneMatchesBruteForce checks the worker-major sweep at sim_fleet's
+// m = 512 against Eq. 7 evaluated directly at every candidate the search
+// returns (TestFleetTuneMatchesOracle checks the search itself): with workers
+// evicted and MaxCandidates sub-sampling a range each of whose steps crosses
+// many pushes, the whole Tuning — the arg-max (the first maximum), its
+// estimate, the runner-up (the best of the rest, the smallest on ties) and the
+// rates — must be what the direct evaluation gives, bit for bit.
+func TestFleetTuneMatchesBruteForce(t *testing.T) {
+	var tu Tuner
+	enabled, withRunnerUp := 0, 0
+	for seed := int64(0); seed < 4; seed++ {
+		c := genFleetCase(rand.New(rand.NewSource(100+seed)), 4)
+		c.cfg.MaxAbort, c.cfg.MaxCandidates = 200*time.Millisecond, 12
+		cfg := c.cfg
+		got, err := tu.Tune(cfg, c.history, c.epochPushes, c.lastPull, c.iterSpan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := slices.Clone(tu.candidates(cfg, c.epochPushes, c.lastPull))
+		want := Tuning{Candidates: len(cands)}
+		evals := make([]Candidate, len(cands))
+		first := 0
+		for j, d := range cands {
+			evals[j] = Candidate{AbortTime: d, Improvement: evalF(cfg.Alive, cfg.Workers, c.history, c.lastPull, c.iterSpan, d)}
+			if evals[j].Improvement > evals[first].Improvement {
+				first = j
+			}
+		}
+		if len(evals) > 0 && evals[first].Improvement > 0 {
+			want.Enabled, want.AbortTime, want.Improvement = true, evals[first].AbortTime, evals[first].Improvement
+			want.RunnerUp = bestOther(evals, want.AbortTime)
+			aliveN := 0
+			for _, a := range cfg.Alive {
+				if a {
+					aliveN++
+				}
+			}
+			want.Rates = make([]float64, cfg.Workers)
+			for i, a := range cfg.Alive {
+				if a {
+					want.Rates[i] = float64(want.AbortTime) * float64(aliveN-1) / (float64(c.iterSpan[i]) * float64(aliveN))
+				}
+			}
+			enabled++
+			if want.RunnerUp != (Candidate{}) {
+				withRunnerUp++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d:\n got  %+v\n want %+v", seed, got, want)
+		}
+		if n := maxCrossing(c, cands); n < 64 {
+			t.Errorf("seed %d: consecutive candidates lie at most %d pushes apart, want a case of 64 or more", seed, n)
+		}
+	}
+	if enabled == 0 || withRunnerUp == 0 {
+		t.Errorf("%d cases enabled speculation, %d with a runner-up; want some of each", enabled, withRunnerUp)
 	}
 }
 

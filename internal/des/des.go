@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -204,10 +205,10 @@ type Sim struct {
 	free     []int32
 	seq      uint64
 	nodes    map[node.ID]*simContext
-	links    map[uint64]vtime // per-link busy-until for bandwidth model, keyed sender idx<<32 | receiver idx
 	netRand  *rand.Rand
 	started  bool
 	stopped  bool
+	steps    uint64      // count of executed events
 	delivers uint64      // count of delivered messages, for stats/tests
 	rd       wire.Reader // decodes every delivery; events never nest
 	fault    FaultHook
@@ -226,12 +227,19 @@ type Sim struct {
 	hiccupRand  *rand.Rand
 	hiccupFront vtime // schedule generated up to here
 
-	// Optional simulator telemetry (Config.Metrics).
+	// Optional simulator telemetry (Config.Metrics), brought up to date by
+	// publish; pubSteps and pubDelivers are the counts it last showed.
 	metSteps     *obs.Counter
 	metDelivered *obs.Counter
 	metQueue     *obs.Gauge
 	metVirtual   *obs.Gauge
+	pubSteps     uint64
+	pubDelivers  uint64
 }
+
+// publishEvery bounds how many steps a run takes between two updates of the
+// simulator telemetry.
+const publishEvery = 1024
 
 type window struct {
 	start, end vtime
@@ -257,7 +265,6 @@ func New(cfg Config) (*Sim, error) {
 		start:      start,
 		nowT:       start,
 		nodes:      make(map[node.ID]*simContext),
-		links:      make(map[uint64]vtime),
 		netRand:    rand.New(rand.NewSource(cfg.Seed ^ 0x5ec5)),
 		hiccupRand: rand.New(rand.NewSource(cfg.Seed ^ 0x41cc)),
 	}
@@ -330,7 +337,7 @@ func (s *Sim) AddNode(id node.ID, h node.Handler) error {
 }
 
 // register adds a node under the next dense index (nodes are never removed,
-// so the count so far is unique).
+// so the count so far is unique), which names it in its senders' link tables.
 func (s *Sim) register(id node.ID, h node.Handler) (*simContext, error) {
 	if _, dup := s.nodes[id]; dup {
 		return nil, fmt.Errorf("des: duplicate node %s", id)
@@ -436,10 +443,19 @@ func (s *Sim) enqueue(at vtime, ev event) int32 {
 	return slot
 }
 
-// Step executes the next pending event. It reports false when the queue is
-// empty or the simulation is stopped. A cancelled event is still an event: it
-// advances the clock and counts as a step.
+// Step executes the next pending event and brings the simulator telemetry up
+// to date. It reports false when the queue is empty or the simulation is
+// stopped. A cancelled event is still an event: it advances the clock and
+// counts as a step.
 func (s *Sim) Step() bool {
+	ok := s.step()
+	s.publish()
+	return ok
+}
+
+// step is Step without the telemetry, which it brings up to date only every
+// publishEvery steps; RunFor and RunUntilIdle publish before they return.
+func (s *Sim) step() bool {
 	if s.stopped || len(s.queue) == 0 {
 		return false
 	}
@@ -458,10 +474,25 @@ func (s *Sim) Step() bool {
 	case ev.fn != nil && (ev.ctx == nil || ev.ctx.alive(ev.gen)):
 		ev.fn()
 	}
-	s.metSteps.Inc()
+	if s.steps++; s.steps%publishEvery == 0 {
+		s.publish()
+	}
+	return true
+}
+
+// publish brings the simulator telemetry up to date. It runs only right after
+// a step or when no step was taken since it last ran, so the gauges read the
+// queue depth and clock as the latest step left them, as they would had every
+// step set them.
+func (s *Sim) publish() {
+	if s.cfg.Metrics == nil || s.steps == s.pubSteps {
+		return
+	}
+	s.metSteps.Add(int64(s.steps - s.pubSteps))
+	s.metDelivered.Add(int64(s.delivers - s.pubDelivers))
+	s.pubSteps, s.pubDelivers = s.steps, s.delivers
 	s.metQueue.Set(float64(len(s.queue)))
 	s.metVirtual.Set(s.Elapsed().Seconds())
-	return true
 }
 
 // RunFor advances virtual time by d, executing every event due in the
@@ -469,8 +500,9 @@ func (s *Sim) Step() bool {
 func (s *Sim) RunFor(d time.Duration) {
 	deadline := after(s.now, d)
 	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= deadline {
-		s.Step()
+		s.step()
 	}
+	s.publish()
 	if !s.stopped && s.now < deadline {
 		s.advance(deadline)
 	}
@@ -480,17 +512,23 @@ func (s *Sim) RunFor(d time.Duration) {
 // whichever comes first. It returns the reason it stopped.
 func (s *Sim) RunUntilIdle(maxVirtual time.Duration) string {
 	deadline := after(s.now, maxVirtual)
+	why := "stopped"
 	for !s.stopped {
 		if len(s.queue) == 0 {
-			return "idle"
+			why = "idle"
+			break
 		}
 		if s.queue[0].at > deadline {
-			s.advance(deadline)
-			return "deadline"
+			why = "deadline"
+			break
 		}
-		s.Step()
+		s.step()
 	}
-	return "stopped"
+	s.publish()
+	if why == "deadline" {
+		s.advance(deadline)
+	}
+	return why
 }
 
 // send routes a marshaled message through the fault hook and network model.
@@ -536,10 +574,10 @@ func (s *Sim) transmit(from, dst *simContext, kind wire.Kind, w *wire.Writer, ex
 	}
 	arrive := s.now
 	if bps := s.cfg.Net.BytesPerSec; bps > 0 {
-		link := uint64(from.idx)<<32 | uint64(dst.idx)
-		arrive = max(arrive, s.links[link])
+		busy := from.busyUntil(dst.idx)
+		arrive = max(arrive, *busy)
 		arrive += int64(float64(w.Len()) / bps * float64(time.Second) * mult)
-		s.links[link] = arrive
+		*busy = arrive
 	}
 	arrive += int64(float64(s.cfg.Net.Latency) * mult)
 	if j := s.cfg.Net.Jitter; j > 0 {
@@ -569,7 +607,6 @@ func (s *Sim) deliver(ev *event) {
 		panic(fmt.Sprintf("des: decode %s from %s to %s: %v", s.cfg.Registry.Name(ev.kind), ev.from, dst.id, err))
 	}
 	s.delivers++
-	s.metDelivered.Inc()
 	dst.handler.Receive(ev.from, decoded)
 	s.cfg.Registry.Recycle(decoded)
 	wire.PutWriter(ev.w)
@@ -652,7 +689,7 @@ func (s *Sim) logf(id node.ID, format string, args ...any) {
 type simContext struct {
 	sim     *Sim
 	id      node.ID
-	idx     uint32 // dense index, half of a link key
+	idx     uint32 // dense index, what a sender's link table is sorted by
 	handler node.Handler
 	rng     *rand.Rand
 	// down marks the node crashed; gen counts incarnations. Timers and
@@ -660,6 +697,29 @@ type simContext struct {
 	// restarted node never observes callbacks from a previous life.
 	down bool
 	gen  uint64
+	// links holds the busy-until of each link this node has sent on, sorted
+	// by destination index. A worker sends to a few servers and the
+	// scheduler, a server to every worker, so a table per sender stays as
+	// small as the traffic it sees. It outlives crashes: a restarted node's
+	// links are still busy with what its previous incarnation sent.
+	links []link
+}
+
+// link is one outgoing link's bandwidth-model state.
+type link struct {
+	dst   uint32 // the receiver's dense index
+	until vtime  // when the link finishes serializing what was sent on it
+}
+
+// busyUntil returns the busy-until of the link from c to the node with dense
+// index dst, adding an idle link on first use. The pointer is valid until the
+// next call.
+func (c *simContext) busyUntil(dst uint32) *vtime {
+	i := sort.Search(len(c.links), func(k int) bool { return c.links[k].dst >= dst })
+	if i == len(c.links) || c.links[i].dst != dst {
+		c.links = slices.Insert(c.links, i, link{dst: dst})
+	}
+	return &c.links[i].until
 }
 
 var _ node.Context = (*simContext)(nil)

@@ -437,10 +437,14 @@ func (m *PushReqV2) Decode(r *wire.Reader) {
 // early) past the Receive that delivered them.
 var pullRespPool, pushReqPool, pullRespV2Pool, pushReqV2Pool sync.Pool
 
-// Registry returns a fresh registry covering every protocol message. All
-// registries share the recycled kinds' pools. Each entry's New is also what
-// holds its message type to wire.Message at compile time.
-func Registry() *wire.Registry {
+// Registry returns the registry covering every protocol message. It is built
+// once, on first use, and shared: a wire.Registry is immutable and safe for
+// concurrent use, and the recycled kinds' pools are package-level anyway.
+func Registry() *wire.Registry { return registry() }
+
+// registry builds Registry's table. Each entry's New is also what holds its
+// message type to wire.Message at compile time.
+var registry = sync.OnceValue(func() *wire.Registry {
 	return wire.NewRegistry([]wire.RegistryEntry{
 		{Kind: KindPullReq, Name: "PullReq", New: func() wire.Message { return &PullReq{} }},
 		{Kind: KindPullResp, Name: "PullResp", New: func() wire.Message { return &PullResp{} }, Pool: &pullRespPool},
@@ -475,7 +479,7 @@ func Registry() *wire.Registry {
 		{Kind: KindCloneCtl, Name: "CloneCtl", New: func() wire.Message { return &CloneCtl{} }},
 		{Kind: KindCloneNotice, Name: "CloneNotice", New: func() wire.Message { return &CloneNotice{} }},
 	})
-}
+})
 
 // IsControl reports whether a message kind is SpecSync control traffic (as
 // opposed to parameter data). The overhead experiments (Fig. 13) break down

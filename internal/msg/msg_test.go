@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -128,6 +129,39 @@ func TestRegistryCoversAllKinds(t *testing.T) {
 		if m.Kind() != k {
 			t.Errorf("kind %d: message reports kind %d", k, m.Kind())
 		}
+	}
+}
+
+// stray is a message of a kind the registry does not know.
+type stray struct{ kind wire.Kind }
+
+func (m *stray) Kind() wire.Kind       { return m.kind }
+func (m *stray) Encode(w *wire.Writer) {}
+func (m *stray) Decode(r *wire.Reader) {}
+
+// TestRegistryRefusesUnregisteredKinds: kind 0, the reserved kinds, the kind
+// just past the highest registered one and the largest kind each give an
+// error from New and Unmarshal, a placeholder name, and a Recycle that does
+// nothing — never a panic. Registry is built once and shared.
+func TestRegistryRefusesUnregisteredKinds(t *testing.T) {
+	reg := Registry()
+	if Registry() != reg {
+		t.Error("Registry() built a second registry")
+	}
+	kinds := reg.Kinds()
+	top := kinds[len(kinds)-1]
+	for _, k := range []wire.Kind{0, 4, 9, 12, 27, top + 1, 1000, 65535} {
+		want := fmt.Sprintf("wire: unknown message kind %d", k)
+		if m, err := reg.New(k); err == nil || err.Error() != want {
+			t.Errorf("New(%d) = %v, %v; want error %q", k, m, err, want)
+		}
+		if m, err := reg.Unmarshal(wire.Marshal(&stray{kind: k})); err == nil || err.Error() != want {
+			t.Errorf("Unmarshal of kind %d = %v, %v; want error %q", k, m, err, want)
+		}
+		if got, want := reg.Name(k), fmt.Sprintf("kind(%d)", k); got != want {
+			t.Errorf("Name(%d) = %q, want %q", k, got, want)
+		}
+		reg.Recycle(&stray{kind: k})
 	}
 }
 

@@ -89,12 +89,12 @@ func (g *Gauge) Value() float64 {
 // count per upper bound plus an overflow (+Inf) bucket. Observe is lock-free;
 // Snapshot gives a consistent-enough copy for exposition (bucket counts and
 // sum are read without a global lock, matching Prometheus client semantics).
-// Nil-safe like Counter.
+// The total count is the sum of the bucket counts, so an observation costs
+// two atomic writes, not three. Nil-safe like Counter.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds (le semantics)
 	counts  []atomic.Int64
 	sumBits atomic.Uint64
-	n       atomic.Int64
 }
 
 // NewHistogram builds a histogram over the given ascending upper bounds.
@@ -121,7 +121,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	idx := sort.SearchFloat64s(h.bounds, v)
 	h.counts[idx].Add(1)
-	h.n.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -143,10 +142,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),
 		Sum:    math.Float64frombits(h.sumBits.Load()),
-		Count:  h.n.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"io"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +39,55 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	wantSum := 0.5 + 1 + 1.5 + 2 + 2.1 + 5 + 5.1 + 100
 	if math.Abs(s.Sum-wantSum) > 1e-9 {
 		t.Errorf("sum = %v, want %v", s.Sum, wantSum)
+	}
+}
+
+// TestHistogramObserveMatchesSearchFloat64s: Observe files every value in the
+// bucket sort.SearchFloat64s names, and counts it once — values on a bound, a
+// hair either side of one, ±0, ±Inf against bound lists with and without
+// infinite bounds, NaN (the overflow bucket) and random values.
+func TestHistogramObserveMatchesSearchFloat64s(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, bounds := range [][]float64{
+		{1}, {1, 2, 5}, LatencyBuckets, StalenessBuckets,
+		{math.Inf(-1), -1, 0, 1, math.Inf(1)},
+	} {
+		vs := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1e300, 1e300}
+		for _, b := range bounds {
+			vs = append(vs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+		}
+		for k := 0; k < 200; k++ {
+			vs = append(vs, (rng.Float64()-0.1)*2*bounds[len(bounds)/2])
+		}
+		for _, v := range vs {
+			h, err := NewHistogram(bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Observe(v)
+			want := sort.SearchFloat64s(bounds, v)
+			if snap := h.Snapshot(); snap.Counts[want] != 1 || snap.Count != 1 {
+				t.Errorf("bounds %v: Observe(%v) filled %v (count %d), want bucket %d", bounds, v, snap.Counts, snap.Count, want)
+			}
+		}
+	}
+}
+
+// BenchmarkHistogramObserve is one Observe into the latency buckets, on a
+// spread of values that visits every bucket.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h, err := NewHistogram(LatencyBuckets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vs := make([]float64, 1024)
+	for i := range vs {
+		vs[i] = math.Exp(float64(i%64)/4 - 8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(vs[i%len(vs)])
 	}
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -31,9 +30,17 @@ type Message interface {
 // reads it any more (node.Handler states when that is). A caller that never
 // recycles only leaves the message to the GC.
 type Registry struct {
-	factories map[Kind]func() Message
-	pools     map[Kind]*sync.Pool
-	names     map[Kind]string
+	// kinds is indexed by Kind, up to the largest registered one; an entry
+	// with no factory is a kind nobody registered. Kinds are small integers
+	// assigned by hand, so the table stays short and a lookup is an index.
+	kinds []kindEntry
+}
+
+// kindEntry is one registered kind.
+type kindEntry struct {
+	new  func() Message
+	pool *sync.Pool
+	name string
 }
 
 // RegistryEntry describes one message type for NewRegistry.
@@ -50,31 +57,29 @@ type RegistryEntry struct {
 // NewRegistry builds a Registry from entries. It panics on duplicate kinds,
 // which indicates a programming error in the static message table.
 func NewRegistry(entries []RegistryEntry) *Registry {
-	r := &Registry{
-		factories: make(map[Kind]func() Message, len(entries)),
-		pools:     make(map[Kind]*sync.Pool),
-		names:     make(map[Kind]string, len(entries)),
-	}
+	n := 0
 	for _, e := range entries {
-		if _, dup := r.factories[e.Kind]; dup {
+		n = max(n, int(e.Kind)+1)
+	}
+	r := &Registry{kinds: make([]kindEntry, n)}
+	for _, e := range entries {
+		if r.kinds[e.Kind].new != nil {
 			panic(fmt.Sprintf("wire: duplicate message kind %d (%s)", e.Kind, e.Name))
 		}
 		if e.New == nil {
 			panic(fmt.Sprintf("wire: nil factory for kind %d (%s)", e.Kind, e.Name))
 		}
-		r.factories[e.Kind] = e.New
-		if pool, fresh := e.Pool, e.New; pool != nil {
-			r.pools[e.Kind] = pool
-			r.factories[e.Kind] = func() Message {
-				if m, ok := pool.Get().(Message); ok {
-					return m
-				}
-				return fresh()
-			}
-		}
-		r.names[e.Kind] = e.Name
+		r.kinds[e.Kind] = kindEntry{new: e.New, pool: e.Pool, name: e.Name}
 	}
 	return r
+}
+
+// entry returns the registration of k, or nil if k is not registered.
+func (r *Registry) entry(k Kind) *kindEntry {
+	if int(k) < len(r.kinds) && r.kinds[k].new != nil {
+		return &r.kinds[k]
+	}
+	return nil
 }
 
 // Recycle takes back a message this registry decoded. The caller must be the
@@ -84,38 +89,44 @@ func NewRegistry(entries []RegistryEntry) *Registry {
 // the race detector on scribble over the message first, so a handler that
 // kept one fails loudly in every test that runs under -race.
 func (r *Registry) Recycle(m Message) {
-	if pool := r.pools[m.Kind()]; pool != nil {
+	if e := r.entry(m.Kind()); e != nil && e.pool != nil {
 		poison(m)
-		pool.Put(m)
+		e.pool.Put(m)
 	}
 }
 
 // Name returns the registered name for a kind, or a numeric placeholder.
 func (r *Registry) Name(k Kind) string {
-	if n, ok := r.names[k]; ok {
-		return n
+	if e := r.entry(k); e != nil {
+		return e.name
 	}
 	return fmt.Sprintf("kind(%d)", k)
 }
 
 // Kinds returns all registered kinds in ascending order.
 func (r *Registry) Kinds() []Kind {
-	ks := make([]Kind, 0, len(r.factories))
-	for k := range r.factories {
-		ks = append(ks, k)
+	var ks []Kind
+	for k := range r.kinds {
+		if r.kinds[k].new != nil {
+			ks = append(ks, Kind(k))
+		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 
 // New returns a message of the given kind for Decode to fill: an empty one,
 // or for a recycled kind one that may still hold what it last decoded.
 func (r *Registry) New(k Kind) (Message, error) {
-	f, ok := r.factories[k]
-	if !ok {
+	e := r.entry(k)
+	if e == nil {
 		return nil, fmt.Errorf("wire: unknown message kind %d", k)
 	}
-	return f(), nil
+	if e.pool != nil {
+		if m, ok := e.pool.Get().(Message); ok {
+			return m, nil
+		}
+	}
+	return e.new(), nil
 }
 
 // Marshal encodes m with its kind prefix into a fresh buffer. The scratch
