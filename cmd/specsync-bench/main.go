@@ -6,7 +6,7 @@
 //	specsync-bench -run all -workers 40 -seed 1
 //
 // Experiment ids: table1, timeline (figs 2/4/6), fig3, fig5, fig8, fig9,
-// fig10, fig11, fig12, fig13, table2, staleness, ablations, codecs, elastic,
+// fig10, fig11, fig12, fig13, table2, staleness, ablations, codecs,
 // failover, schemes, stragglers. The schemes id is the scheme-zoo
 // shootout and stragglers the straggler-mitigation matrix (scheme × slowdown
 // profile × {none, clone, rebalance}); both fail if any cell's double-run
@@ -46,7 +46,7 @@ func csvOpener(dir string) func(name string) (io.WriteCloser, error) {
 func run(args []string) error {
 	fs := flag.NewFlagSet("specsync-bench", flag.ContinueOnError)
 	var (
-		runWhat    = fs.String("run", "all", "experiment id (table1, timeline, fig3, fig5, fig8, fig9, fig10, fig11, fig12, fig13, table2, staleness, ablations, codecs, elastic, failover, schemes, stragglers) or 'all'")
+		runWhat    = fs.String("run", "all", "experiment id (table1, timeline, fig3, fig5, fig8, fig9, fig10, fig11, fig12, fig13, table2, staleness, ablations, codecs, failover, schemes, stragglers) or 'all'")
 		workers    = fs.Int("workers", 40, "cluster size")
 		seed       = fs.Int64("seed", 1, "master seed")
 		size       = fs.String("size", "full", "workload size: full or small")
@@ -75,7 +75,7 @@ func run(args []string) error {
 
 	ids := strings.Split(*runWhat, ",")
 	if *runWhat == "all" {
-		ids = []string{"table1", "timeline", "fig3", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table2", "staleness", "ablations", "codecs", "elastic", "failover", "schemes", "stragglers"}
+		ids = []string{"table1", "timeline", "fig3", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table2", "staleness", "ablations", "codecs", "failover", "schemes", "stragglers"}
 	}
 
 	// fig8/fig9 and fig12/fig13 share runs; cache results.
@@ -185,12 +185,6 @@ func run(args []string) error {
 			r.Render(os.Stdout)
 		case "codecs":
 			r, err := experiments.Codecs(opts)
-			if err != nil {
-				return err
-			}
-			r.Render(os.Stdout)
-		case "elastic":
-			r, err := experiments.Elastic(opts)
 			if err != nil {
 				return err
 			}

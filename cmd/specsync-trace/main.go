@@ -218,7 +218,7 @@ func summary(args []string) error {
 		trace.KindPull, trace.KindPush, trace.KindAbort, trace.KindReSync,
 		trace.KindStaleness, trace.KindEpoch,
 		trace.KindCrash, trace.KindRecover, trace.KindEvict,
-		trace.KindJoin, trace.KindLeave, trace.KindMigrate,
+		trace.KindJoin, trace.KindLeave,
 	}
 	fmt.Printf("trace %s: %d events, span %v\n", *in, len(events),
 		events[len(events)-1].At.Sub(events[0].At))
@@ -249,17 +249,9 @@ func summary(args []string) error {
 		fmt.Printf("  %-14s %-6s %12d\n", "total", "", total)
 	}
 
-	// Elastic scale activity (scale-plan runs; empty otherwise). Each migrate
-	// event carries the migrated bytes in Value.
-	if joins, leaves, migrates := c.Count(trace.KindJoin), c.Count(trace.KindLeave), c.Count(trace.KindMigrate); joins+leaves+migrates > 0 {
-		var migBytes int64
-		for _, ev := range events {
-			if ev.Kind == trace.KindMigrate {
-				migBytes += ev.Value
-			}
-		}
-		fmt.Printf("scale activity: %d joins, %d retires, %d migrations (%d bytes of parameter state moved)\n",
-			joins, leaves, migrates, migBytes)
+	// Membership changes (rebalance runs; empty otherwise).
+	if joins, leaves := c.Count(trace.KindJoin), c.Count(trace.KindLeave); joins+leaves > 0 {
+		fmt.Printf("membership: %d joins, %d leaves\n", joins, leaves)
 	}
 
 	byWorker := c.CountByWorker(trace.KindPush)

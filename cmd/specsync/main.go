@@ -170,16 +170,7 @@ func run(args []string) error {
 		}
 	}
 	if res.Scale != nil {
-		fmt.Printf("elastic: %d joins, %d leaves, %d migrations (%s moved", res.Scale.Joins, res.Scale.Leaves,
-			res.Scale.Migrations, metrics.HumanBytes(res.Scale.MigrationBytes))
-		if len(res.Scale.Durations) > 0 {
-			var total time.Duration
-			for _, d := range res.Scale.Durations {
-				total += d
-			}
-			fmt.Printf(", mean rebalance %v", (total / time.Duration(len(res.Scale.Durations))).Round(time.Millisecond))
-		}
-		fmt.Println(")")
+		fmt.Printf("membership: %d joins, %d leaves\n", res.Scale.Joins, res.Scale.Leaves)
 	}
 	data, control := res.Transfer.Split()
 	fmt.Printf("transfer: data %s, control %s (%.4f%% control)\n",

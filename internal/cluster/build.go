@@ -32,7 +32,7 @@ import (
 // RunLoopback on live.Loopback, specsync-node one node per TCPHost. Handler
 // builds a node on first use, so a process hosting one node builds (and
 // registers telemetry for) only that one. Nodes also builds what a running
-// cluster adds — restarts, elastic joins, clones, replacements, an elected
+// cluster adds — restarts, clones, rebalance replacements, an elected
 // standby's scheduler — and keeps the current incarnation of every slot and
 // the counters of retired ones, so every runner reads its Result alike.
 type Nodes struct {
@@ -51,17 +51,15 @@ type Nodes struct {
 	// scripts are the straggler plan's per-worker speed windows, measured
 	// from each worker's Init, so co-started live processes line up.
 	scripts    [][]worker.SpeedWindow
-	maxWorkers int // worker capacity: scale plan or spare slots
-	// routing is the committed routing table of elastic and rebalance runs,
-	// replaced at each migration commit so joining workers get the current
-	// layout.
+	maxWorkers int // worker capacity: the initial workers and any spare slots
+	// routing is the routing table of rebalance runs, whose replacements
+	// join the running cluster; nil otherwise.
 	routing  *core.RoutingTable
 	mitigate *core.MitigateConfig
 	join     func(node.ID, node.Handler) error // hosts a clone or replacement; set by the runner
 
 	// The handler table: the current incarnation in each slot, nil until
-	// built. Server and worker slots are sized to the capacity the plans may
-	// grow into.
+	// built. Worker slots are sized to the capacity, spare slots included.
 	servers   []*ps.Server
 	replicas  [][]*ps.Server // [shard][r-1]
 	workers   []*worker.Worker
@@ -81,18 +79,14 @@ type Nodes struct {
 // Build validates cfg and derives what every node of it shares: the shard
 // layout, the initial parameters (drawn from Seed^0x1217, identical for
 // every scheme at one seed), the straggler scripts and the run's ledgers. An
-// empty scale or straggler plan counts as absent, a churn block becomes its
-// generated fault plan, and the defaults WithDefaults documents are applied.
+// empty straggler plan counts as absent, a churn block becomes its generated
+// fault plan, and the defaults WithDefaults documents are applied.
 func Build(cfg Config) (*Nodes, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// An empty plan is indistinguishable from no plan: the run stays on the
-	// fixed-shard path with zero routing overhead, and without speed scripts,
-	// link hook or detection timer.
-	if cfg.Scale.Empty() {
-		cfg.Scale = nil
-	}
+	// An empty plan is indistinguishable from no plan: the run has no speed
+	// scripts, link hook or detection timer.
 	if cfg.Stragglers.Empty() {
 		cfg.Stragglers = nil
 	}
@@ -140,26 +134,21 @@ func Build(cfg Config) (*Nodes, error) {
 		n.faults = n.obs.Faults()
 	}
 
-	// Capacity: the slots the cluster may grow into. Neither mitigation needs
-	// extra data shards for its spare slots: a clone shares its target's
-	// shard, and a rebalance replacement inherits its retired predecessor's.
-	maxServers := cfg.Servers
+	// Capacity: the spare slots mitigation may fill. Neither mitigation needs
+	// extra data shards for them: a clone shares its target's shard, and a
+	// rebalance replacement inherits its retired predecessor's.
 	n.maxWorkers = cfg.Workers
-	if cfg.Scale != nil {
-		n.maxWorkers = cfg.Scale.MaxWorkers(cfg.Workers)
-		maxServers = cfg.Scale.MaxServers(cfg.Servers)
-	}
 	if cfg.Mitigation != stragglers.MitigateNone {
 		n.maxWorkers = cfg.Workers + cfg.Spares
 	}
-	n.servers = make([]*ps.Server, maxServers)
+	n.servers = make([]*ps.Server, cfg.Servers)
 	n.workers = make([]*worker.Worker, n.maxWorkers)
 	n.replicas = make([][]*ps.Server, cfg.Servers)
 	for shard := range n.replicas {
 		n.replicas[shard] = make([]*ps.Server, cfg.Replication.Replicas)
 	}
 	n.standbys = make([]*replica.Standby, cfg.Replication.StandbySchedulers)
-	if cfg.Scale != nil || cfg.Mitigation == stragglers.MitigateRebalance {
+	if cfg.Mitigation == stragglers.MitigateRebalance {
 		shards := make([]core.ShardRoute, len(ranges))
 		for i, r := range ranges {
 			shards[i] = core.ShardRoute{Lo: r.Lo, Hi: r.Hi, Server: i}
@@ -308,26 +297,11 @@ func (n *Nodes) newShard(shard int, replica bool) (*ps.Server, error) {
 		Obs:        n.obs.Server(shard),
 		CodecStats: n.codec,
 	}
-	if !replica {
-		if n.cfg.Scale != nil {
-			scfg.NewOptimizer = n.newOptimizer
-		}
-		if n.cfg.Mitigation == stragglers.MitigateClone {
-			scfg.DedupPushes = true
-			scfg.CloneBase = int32(n.cfg.Workers)
-		}
+	if !replica && n.cfg.Mitigation == stragglers.MitigateClone {
+		scfg.DedupPushes = true
+		scfg.CloneBase = int32(n.cfg.Workers)
 	}
 	return ps.New(scfg)
-}
-
-// newJoiningServer builds an empty, frozen shard for a slot the scale plan
-// adds; a migration hands it state before it serves anything.
-func (n *Nodes) newJoiningServer(slot int) (*ps.Server, error) {
-	return ps.NewJoining(ps.Config{
-		NewOptimizer: n.newOptimizer,
-		Obs:          n.obs.Server(slot),
-		CodecStats:   n.codec,
-	})
 }
 
 // workerConfig is slot i's worker configuration over the static shard
@@ -371,8 +345,8 @@ func (n *Nodes) workerConfig(i int) worker.Config {
 }
 
 // newWorker builds the worker for slot i: at start, for a fault-plan
-// restart (blank training state), or joining the running cluster (elastic
-// and rebalance runs). shard >= 0 overrides its data shard: a rebalance
+// restart (blank training state), or joining the running cluster (a
+// rebalance replacement). shard >= 0 overrides its data shard: a rebalance
 // replacement inherits its retired predecessor's.
 func (n *Nodes) newWorker(i int, joining bool, shard int) (*worker.Worker, error) {
 	wcfg := n.workerConfig(i)
@@ -399,7 +373,6 @@ func (n *Nodes) newScheduler(gen int64) (*core.Scheduler, error) {
 		Workers:         n.maxWorkers,
 		ActiveWorkers:   cfg.Workers,
 		Routing:         n.routing,
-		OnRouting:       func(t *core.RoutingTable) { n.routing = t },
 		Scheme:          cfg.Scheme,
 		InitialSpan:     cfg.Workload.IterTime,
 		Tracer:          n.tracer,
@@ -513,20 +486,13 @@ func (n *Nodes) totalIters() int64 {
 	return total
 }
 
-// assemble copies the current parameters out of the shards. Each live shard
-// contributes its committed range. During a migration the involved shards
-// are frozen (no updates applied), so overlapping old/staged ranges hold
-// identical values and the copy order does not matter; retired and
-// not-yet-committed shards own nothing.
+// assemble copies the current parameters out of the shards, each into its
+// range.
 func (n *Nodes) assemble() tensor.Vec {
 	for _, srv := range n.servers {
-		if srv == nil || srv.Retired() {
-			continue
-		}
-		p := srv.Params()
-		r := srv.Range()
-		if len(p) == r.Len() && r.Len() > 0 {
-			copy(n.probeVec[r.Lo:r.Hi], p)
+		if srv != nil {
+			r := srv.Range()
+			copy(n.probeVec[r.Lo:r.Hi], srv.Params())
 		}
 	}
 	return n.probeVec
@@ -571,7 +537,7 @@ func (n *Nodes) result(res *Result) {
 	cfg := &n.cfg
 	res.SchemeName = cfg.Scheme.Name()
 	res.Transfer, res.Codec = n.transfer, n.codec
-	if cfg.Scale != nil || cfg.Mitigation == stragglers.MitigateRebalance {
+	if cfg.Mitigation == stragglers.MitigateRebalance {
 		stats := n.sched.ScaleStats()
 		res.Scale = &stats
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"specsync/internal/elastic"
 	"specsync/internal/faults"
 	"specsync/internal/scheme"
 	"specsync/internal/stragglers"
@@ -18,7 +17,6 @@ import (
 // spec Validate refuses is refused first with Validate's error.
 func TestConfigValidateTCP(t *testing.T) {
 	crash := &faults.Plan{Events: []faults.Event{{Kind: faults.KindCrashWorker, At: time.Second, Node: 1}}}
-	grow := elastic.GrowShrink(4, 1, 4, 0, time.Second, 0)
 	slow := &stragglers.Plan{Events: []stragglers.Event{{Kind: stragglers.KindDegrade, At: time.Second, Worker: 1, Speed: 0.5}}}
 	congest := &stragglers.Plan{Events: []stragglers.Event{{Kind: stragglers.KindCongest, At: time.Second, Duration: time.Second, Worker: 1, Speed: 0.25}}}
 	cases := []struct {
@@ -29,7 +27,6 @@ func TestConfigValidateTCP(t *testing.T) {
 	}{
 		{"faults", func(c *Config) { c.Faults = crash }, "fault and churn plans run only on the simulator", ""},
 		{"churn", func(c *Config) { c.Churn = &faults.ChurnConfig{Crashes: 1, Horizon: time.Second} }, "fault and churn plans run only on the simulator", ""},
-		{"scale", func(c *Config) { c.Scale = grow }, "scale plans run only on the simulator", ""},
 		{"mitigation", func(c *Config) { c.Stragglers, c.Mitigation = slow, stragglers.MitigateClone }, "straggler mitigation runs only on the simulator", ""},
 		{"invalid first", func(c *Config) { c.Mitigation = stragglers.MitigateClone }, "without a straggler plan", ""},
 		{"plain", func(c *Config) {}, "", ""},

@@ -8,7 +8,6 @@ import (
 	"specsync/internal/codec"
 	"specsync/internal/core"
 	"specsync/internal/des"
-	"specsync/internal/elastic"
 	"specsync/internal/faults"
 	"specsync/internal/metrics"
 	"specsync/internal/msg"
@@ -80,14 +79,6 @@ type Config struct {
 	// quarter of the crashes on server shards). Mutually exclusive with
 	// Faults.
 	Churn *faults.ChurnConfig `json:"churn,omitempty"`
-	// Scale, if non-nil and non-empty, schedules elastic membership events:
-	// workers join and leave the running cluster, and parameter shards
-	// migrate live across a changing server set (internal/elastic). An empty
-	// plan behaves exactly like nil — the run stays on the legacy fixed-shard
-	// path, byte for byte. Mutually exclusive with Faults (restarts rebuild
-	// nodes at the static initial shape, which a migration invalidates; see
-	// DESIGN.md, Elasticity).
-	Scale *elastic.Plan `json:"scale,omitempty"`
 	// CheckpointEvery is the server snapshot period when Faults is set
 	// (zero means 4x the workload iteration time).
 	CheckpointEvery time.Duration `json:"checkpoint_every,omitempty"`
@@ -114,10 +105,9 @@ type Config struct {
 	// Options{Spans: true} to also retain span traces for export.
 	Obs *obs.Obs `json:"-"`
 	// Replication configures the replicated control and data planes. The
-	// zero value disables both. Mutually exclusive with Scale (promotion
-	// and election rebuild nodes at the static initial shape), and requires
-	// any fault plan to be crash-only (a dropped replication message would
-	// silently stall a backup; see DESIGN.md, Replication).
+	// zero value disables both. It requires any fault plan to be crash-only
+	// (a dropped replication message would silently stall a backup; see
+	// DESIGN.md, Replication).
 	Replication Replication `json:"replication"`
 	// Slowdowns scripts transient per-worker compute slowdowns: entry i
 	// applies to worker i, zero-Factor entries are ignored. A scripted
@@ -130,14 +120,14 @@ type Config struct {
 	// per-worker speed scripts, congest episodes into a deterministic
 	// link-penalty hook, and the detector is scored against the plan's
 	// ground truth in Result.Stragglers. An empty plan behaves exactly like
-	// nil. Mutually exclusive with Faults and Scale (both rebuild or resize
-	// the worker set the profile indexes into).
+	// nil. Mutually exclusive with Faults (restarts re-anchor the profile's
+	// speed windows).
 	Stragglers *stragglers.Plan `json:"stragglers,omitempty"`
 	// Mitigation selects the scheduler's response to detected stragglers
 	// (requires Stragglers): MitigateNone observes and scores only,
 	// MitigateClone races flagged workers against backup clones on spare
-	// slots, MitigateRebalance swaps them out through the elastic join /
-	// retire machinery.
+	// slots, MitigateRebalance swaps them out for replacements that join the
+	// running cluster (the scheduler's join / retire path).
 	Mitigation stragglers.Mitigation `json:"mitigation,omitempty"`
 	// Spares is the number of spare worker slots reserved for mitigation;
 	// zero means 2 when a mitigation mode is set.
@@ -225,11 +215,6 @@ func (c *Config) applyDefaults() {
 	if c.ConsecutiveBelow == 0 {
 		c.ConsecutiveBelow = 5
 	}
-	if c.Scale != nil && c.RetryAfter == 0 {
-		// Requests racing a frozen (migrating) shard are dropped; without
-		// retries the worker would wait on the lost response forever.
-		c.RetryAfter = 2 * c.Workload.IterTime
-	}
 	if c.Mitigation != stragglers.MitigateNone {
 		if c.Spares == 0 {
 			c.Spares = 2
@@ -238,8 +223,8 @@ func (c *Config) applyDefaults() {
 			c.SpareSpeed = 1
 		}
 		if c.RetryAfter == 0 {
-			// Clone pushes racing their CloneNotice are dropped, and rebalance
-			// joiners race frozen routing state; both resolve via retry.
+			// Clone pushes racing their CloneNotice are dropped, and a
+			// rebalance joiner's JoinReq may be lost; both resolve via retry.
 			c.RetryAfter = 2 * c.Workload.IterTime
 		}
 	}
@@ -337,16 +322,15 @@ type Result struct {
 	// registry (crashes, restarts, checkpoints, drops, evictions, elections,
 	// promotions). Nil unless Config.Faults or Config.Replication was set.
 	Faults *obs.FaultTotals
-	// Scale is the elastic-membership accounting (joins, leaves, migrations,
-	// migrated bytes, per-migration durations). Nil unless Config.Scale was
-	// set.
+	// Scale counts membership changes (joins and leaves). Nil unless
+	// Config.Mitigation is rebalance.
 	Scale *core.ScaleStats
 	// Obs is the condensed observability summary: pull/compute/push and
 	// abort-to-restart latency histograms, staleness distribution, and the
 	// counter totals.
 	Obs *obs.Summary
 	// Flight is the flight-recorder dump: the last control-plane decisions
-	// (barrier releases, migrations, faults, straggler flags) with virtual
+	// (barrier releases, faults, straggler flags) with virtual
 	// timestamps.
 	Flight obs.FlightDump
 	// Replication is the replicated-plane accounting (elections, terms,
@@ -385,8 +369,8 @@ type StragglerStats struct {
 
 // Validate reports configuration errors, every combination of subsystems a
 // run does not support among them: it is the one place such an exclusion
-// lives. Run calls it before it builds anything. Empty scale and straggler
-// plans count as absent.
+// lives. Run calls it before it builds anything. An empty straggler plan
+// counts as absent.
 func (c Config) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
@@ -432,12 +416,7 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	scaling, straggling := !c.Scale.Empty(), !c.Stragglers.Empty()
-	if scaling {
-		if err := c.Scale.Validate(); err != nil {
-			return err
-		}
-	}
+	straggling := !c.Stragglers.Empty()
 	if straggling {
 		if err := c.Stragglers.Validate(); err != nil {
 			return err
@@ -452,16 +431,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.Faults != nil && c.Churn != nil:
 		return fmt.Errorf("cluster: Faults cannot be combined with Churn (churn generates the fault plan)")
-	case scaling && faulty:
-		return fmt.Errorf("cluster: Scale cannot be combined with Faults (restarts assume the static cluster shape; see DESIGN.md, Elasticity)")
-	case c.Replication.Enabled() && scaling:
-		return fmt.Errorf("cluster: Replication cannot be combined with Scale (promotion and election rebuild nodes at the static cluster shape)")
 	case c.Replication.Enabled() && c.Faults != nil && !c.Faults.CrashOnly():
 		return fmt.Errorf("cluster: Replication requires a crash-only fault plan (a dropped or partitioned replication message would silently stall a backup; see DESIGN.md, Replication)")
 	case straggling && faulty:
 		return fmt.Errorf("cluster: Stragglers cannot be combined with Faults (restarts re-anchor the profile's speed windows mid-run)")
-	case straggling && scaling:
-		return fmt.Errorf("cluster: Stragglers cannot be combined with Scale (the profile indexes a fixed worker set)")
 	case mitigating && !straggling:
 		return fmt.Errorf("cluster: mitigation %q without a straggler plan", c.Mitigation)
 	case mitigating && c.Scheme.Policy == scheme.PolicyMeta:
@@ -474,20 +447,12 @@ func (c Config) Validate() error {
 	if dim < servers {
 		return fmt.Errorf("cluster: model dim %d is smaller than %d server shards; every shard needs at least one parameter (use fewer servers or a larger model)", dim, servers)
 	}
-	if scaling {
-		if maxServers := c.Scale.MaxServers(servers); dim < maxServers {
-			return fmt.Errorf("cluster: model dim %d is smaller than the %d server shards the scale plan grows to", dim, maxServers)
-		}
-		if maxWorkers := c.Scale.MaxWorkers(c.Workers); mdl.NumShards() < maxWorkers {
-			return fmt.Errorf("cluster: workload has %d data shards for the %d workers the scale plan grows to", mdl.NumShards(), maxWorkers)
-		}
-	}
 	return nil
 }
 
 // ValidateTCP is Validate for the live TCP runtime (specsync-node and
 // RunLoopback). It also refuses what only the simulator models — fault and
-// churn plans, scale plans and straggler mitigation — and returns a warning
+// churn plans and straggler mitigation — and returns a warning
 // for what TCP runs but ignores: a straggler plan's congest episodes, since
 // the TCP transport has no bandwidth model to scale.
 func (c Config) ValidateTCP() (warning string, err error) {
@@ -497,8 +462,6 @@ func (c Config) ValidateTCP() (warning string, err error) {
 	switch {
 	case c.Faults != nil || c.Churn != nil:
 		return "", fmt.Errorf("cluster: fault and churn plans run only on the simulator")
-	case !c.Scale.Empty():
-		return "", fmt.Errorf("cluster: scale plans run only on the simulator")
 	case c.Mitigation != stragglers.MitigateNone:
 		return "", fmt.Errorf("cluster: straggler mitigation runs only on the simulator")
 	}
@@ -582,21 +545,6 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	var einj *elastic.SimInjector
-	if cfg.Scale != nil {
-		einj, err = elastic.AttachSim(sim, elastic.SimOptions{
-			Plan:        cfg.Scale,
-			Workers:     cfg.Workers,
-			Servers:     cfg.Servers,
-			NewWorker:   func(i int) (node.Handler, error) { return n.newWorker(i, true, -1) },
-			NewServer:   func(slot int) (node.Handler, error) { return n.newJoiningServer(slot) },
-			OnWorkerAdd: func(i int, h node.Handler) { n.workers[i] = h.(*worker.Worker) },
-			OnServerAdd: func(slot int, h node.Handler) { n.servers[slot] = h.(*ps.Server) },
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	sim.Init()
 	res := &Result{}
@@ -615,11 +563,6 @@ func Run(cfg Config) (*Result, error) {
 	if inj != nil {
 		if errs := inj.Errs(); len(errs) > 0 {
 			return nil, fmt.Errorf("cluster: fault injector: %v", errs[0])
-		}
-	}
-	if einj != nil {
-		if errs := einj.Errs(); len(errs) > 0 {
-			return nil, fmt.Errorf("cluster: elastic injector: %v", errs[0])
 		}
 	}
 	res.Elapsed = sim.Elapsed()

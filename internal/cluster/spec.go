@@ -9,10 +9,10 @@ import (
 
 // DecodeSpec decodes a run spec, the JSON form of Config that every binary
 // loads. The workload is a name (WorkloadByName) built for the spec's
-// workers — the scale plan's capacity, when there is one — and seed; the
-// iter_time, target_loss, momentum and jitter_sigma keys beside the name
-// override the built profile, an explicit zero included. Durations are
-// nanosecond integers, as in the three plan formats. A key the document
+// workers and seed; the iter_time, target_loss, momentum and jitter_sigma
+// keys beside the name override the built profile, an explicit zero
+// included. Durations are nanosecond integers, as in the two plan formats
+// (faults and stragglers). A key the document
 // does not define is an error anywhere in it, so a misspelling cannot fall
 // back to a default. DecodeSpec does not validate; Run (Validate) does.
 func DecodeSpec(data []byte) (Config, error) {
@@ -22,11 +22,7 @@ func DecodeSpec(data []byte) (Config, error) {
 	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("spec: %w", err)
 	}
-	workers := c.Workers
-	if !c.Scale.Empty() {
-		workers = c.Scale.MaxWorkers(workers)
-	}
-	wl, err := WorkloadByName(c.Workload.Name, workers, c.Seed)
+	wl, err := WorkloadByName(c.Workload.Name, c.Workers, c.Seed)
 	if err != nil {
 		return Config{}, fmt.Errorf("spec: %w", err)
 	}

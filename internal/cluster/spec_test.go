@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"specsync/internal/elastic"
 	"specsync/internal/faults"
 	"specsync/internal/model"
 	"specsync/internal/scheme"
@@ -86,6 +85,8 @@ func TestSpecRejectsUnknownKeys(t *testing.T) {
 		{`"seed": 1`, `"seed": 1, "replication": {"replica": 1}`},
 		{`"seed": 1`, `"seed": 1, "faults": {"events": [{"kind": "crash-worker", "at": 1, "restart-after": 1}]}`},
 		{`"base": "ASP"`, `"base": "BSP", "quorom": 0.75`},
+		// The retired scale plan's key is unknown like any misspelling.
+		{`"seed": 1`, `"seed": 1, "scale": {"events": [{"kind": "add-worker", "at": 1, "node": 4}]}`},
 	} {
 		doc := strings.Replace(good, typo.from, typo.to, 1)
 		if _, err := DecodeSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
@@ -115,15 +116,6 @@ func TestSpecWorkloadOverrides(t *testing.T) {
 	}
 	if speeds := cfg.WithDefaults().Speeds; len(speeds) != 4 || speeds[0] != InstanceSpeeds(4)[0] {
 		t.Errorf("hetero spec speeds %v, want InstanceSpeeds(4)", speeds)
-	}
-	// A scale plan's capacity sizes the workload's data shards.
-	cfg, err = DecodeSpec([]byte(`{"workload": {"name": "tiny"}, "scheme": {"base": "ASP"}, "workers": 2, "seed": 1,
-		"max_virtual": 60000000000, "scale": {"events": [{"kind": "add-worker", "at": 1000000000, "node": 5}]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := cfg.Workload.Model.NumShards(); n != 6 {
-		t.Errorf("workload built with %d data shards, want the plan's 6", n)
 	}
 }
 
@@ -160,24 +152,17 @@ func (m *initCounter) Init(rng *rand.Rand) tensor.Vec {
 func TestConfigValidateExclusions(t *testing.T) {
 	crash := &faults.Plan{Events: []faults.Event{{Kind: faults.KindCrashWorker, At: time.Second, Node: 1}}}
 	drop := &faults.Plan{Events: []faults.Event{{Kind: faults.KindDrop, At: time.Second, Duration: time.Second}}}
-	grow := elastic.GrowShrink(4, 1, 4, 0, time.Second, 0)
 	slow := &stragglers.Plan{Events: []stragglers.Event{{Kind: stragglers.KindDegrade, At: time.Second, Worker: 1, Speed: 0.5}}}
 	cases := []struct {
 		name string
 		mut  func(*Config)
 		want string
 	}{
-		{"scale x faults", func(c *Config) { c.Scale, c.Faults = grow, crash }, "Scale cannot be combined with Faults"},
-		{"scale x churn", func(c *Config) {
-			c.Scale, c.Churn = grow, &faults.ChurnConfig{Crashes: 1, Horizon: time.Second}
-		}, "Scale cannot be combined with Faults"},
 		{"faults x churn", func(c *Config) {
 			c.Faults, c.Churn = crash, &faults.ChurnConfig{Crashes: 1, Horizon: time.Second}
 		}, "Faults cannot be combined with Churn"},
-		{"replication x scale", func(c *Config) { c.Replication.Replicas, c.Scale = 1, grow }, "Replication cannot be combined with Scale"},
 		{"replication x non-crash plan", func(c *Config) { c.Replication.Replicas, c.Faults = 1, drop }, "crash-only"},
 		{"stragglers x faults", func(c *Config) { c.Stragglers, c.Faults = slow, crash }, "Stragglers cannot be combined with Faults"},
-		{"stragglers x scale", func(c *Config) { c.Stragglers, c.Scale = slow, grow }, "Stragglers cannot be combined with Scale"},
 		{"mitigation without plan", func(c *Config) { c.Mitigation = stragglers.MitigateClone }, "without a straggler plan"},
 		{"mitigation x meta-scheme", func(c *Config) {
 			c.Stragglers, c.Mitigation, c.Scheme = slow, stragglers.MitigateRebalance, scheme.Config{Base: scheme.BSP, Policy: scheme.PolicyMeta}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"specsync/internal/core"
 	"specsync/internal/des"
 	"specsync/internal/scheme"
 	"specsync/internal/stragglers"
@@ -183,8 +184,8 @@ func TestCloneMitigationUnblocksPausedBarrier(t *testing.T) {
 }
 
 // TestRebalanceMitigationSwapsStraggler: the rebalance mode must retire the
-// degraded worker through the elastic machinery and admit a healthy
-// replacement from the spare slots.
+// degraded worker through the scheduler's join / retire path and admit a
+// healthy replacement from the spare slots.
 func TestRebalanceMitigationSwapsStraggler(t *testing.T) {
 	plan := &stragglers.Plan{Events: []stragglers.Event{
 		{Kind: stragglers.KindDegrade, Worker: 0, At: 5 * time.Second, Speed: 0.25},
@@ -215,6 +216,43 @@ func TestRebalanceMitigationSwapsStraggler(t *testing.T) {
 	}
 	if !sawJoin || !sawLeave {
 		t.Errorf("trace missing membership events: join=%v leave=%v", sawJoin, sawLeave)
+	}
+}
+
+// TestRebalanceTunerTracksMembership: Algorithm 1 derives the per-worker
+// ABORT_RATEs from the current membership, so once rebalance swaps the
+// straggler for a replacement on the spare slot, a tuning rates the
+// replacement and gives the retired straggler none, and no tuning ever rates
+// both at once.
+func TestRebalanceTunerTracksMembership(t *testing.T) {
+	plan := &stragglers.Plan{Events: []stragglers.Event{
+		{Kind: stragglers.KindDegrade, Worker: 0, At: 5 * time.Second, Speed: 0.25},
+	}}
+	const spare = 4 // the first spare slot: Workers + 0
+	var tunings, swapped int
+	res := stragglerRun(t, scheme.Config{Base: scheme.ASP, Spec: scheme.SpecAdaptive}, plan, stragglers.MitigateRebalance, func(c *Config) {
+		c.Spares = 1
+		wl := c.Workload
+		wl.TargetLoss = 0
+		c.Workload = wl
+		c.OnTune = func(_ int, tn core.Tuning) {
+			if !tn.Enabled {
+				return
+			}
+			tunings++
+			switch old, repl := tn.Rates[0] > 0, tn.Rates[spare] > 0; {
+			case old && repl:
+				t.Errorf("a tuning rates both the straggler and its replacement: %v", tn.Rates)
+			case repl:
+				swapped++
+			}
+		}
+	})
+	if res.Scale == nil || res.Scale.Joins != 1 || res.Scale.Leaves != 1 {
+		t.Fatalf("membership changes %+v, want 1 join and 1 leave", res.Scale)
+	}
+	if swapped == 0 {
+		t.Errorf("none of %d enabled tunings rated the replacement on slot %d", tunings, spare)
 	}
 }
 

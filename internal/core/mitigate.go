@@ -24,10 +24,10 @@ import (
 //     translated onto the target (handleCloneNotify) so the gate and the
 //     epoch both see the target progressing.
 //
-//   - rebalance: membership surgery. The straggler is retired through the
-//     elastic machinery (the planned-leave path) and a fresh worker is
-//     spawned into a spare capacity slot, which joins via the ordinary
-//     JoinReq handshake. Requires elastic membership (Routing != nil).
+//   - rebalance: membership surgery. The straggler is retired (the
+//     planned-leave path, retireWorker) and a fresh worker is spawned into
+//     a spare capacity slot, which joins via the JoinReq handshake.
+//     Requires membership changes (Routing != nil).
 //
 // The pass also closes the detector's blind spot: a fully paused worker
 // emits no spans at all, so the span-scoring path never flags exactly the

@@ -57,7 +57,7 @@ func (c *fuzzClock) advance(d time.Duration) {
 
 // fuzzScheduler builds a 4-slot scheduler of one of three shapes: ASP with
 // adaptive speculation; a restarted SSP(1) scheduler with liveness and
-// spans; a BSP scheduler over elastic membership with one slot not joined.
+// spans; a BSP scheduler with membership changes and one slot not joined.
 func fuzzScheduler(tb testing.TB, shape uint8) *Scheduler {
 	cfg := SchedulerConfig{Workers: 4, InitialSpan: 10 * time.Millisecond}
 	switch shape % 3 {

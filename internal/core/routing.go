@@ -1,16 +1,11 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Routing: the epoch-stamped shard→server map that makes the parameter-server
-// side of the cluster elastic. The scheduler owns the table; workers and
-// servers only ever see committed versions of it (via JoinAck and
-// RoutingUpdate), so a worker can always tell which server currently owns a
-// parameter range. Epochs are totally ordered: a node ignores any table whose
-// epoch is not newer than the one it holds.
+// Routing: the shard→server map a worker that joins a running cluster
+// receives in its JoinAck, so it can tell which server owns each parameter
+// range. The cluster builds the table once at start and never re-versions it;
+// the epoch stamp stays part of the JoinAck layout.
 
 // ShardRoute assigns the parameter range [Lo, Hi) to a server slot.
 type ShardRoute struct {
@@ -21,8 +16,8 @@ type ShardRoute struct {
 // Len returns the number of parameters in the route.
 func (r ShardRoute) Len() int { return r.Hi - r.Lo }
 
-// RoutingTable is a committed shard→server assignment. Shards are sorted by
-// Lo and partition [0, Dim()) exactly.
+// RoutingTable is a shard→server assignment. Shards are sorted by Lo and
+// partition [0, Dim()) exactly.
 type RoutingTable struct {
 	Epoch  int64
 	Shards []ShardRoute
@@ -38,8 +33,8 @@ func (t *RoutingTable) Dim() int {
 
 // Validate checks that the table has shards, that their ranges are non-empty
 // and contiguous from zero, and that every range goes to a distinct
-// non-negative server slot. Tables arrive from the network (JoinAck,
-// RoutingUpdate), so this is their shape check.
+// non-negative server slot. Tables arrive from the network (JoinAck), so this
+// is their shape check.
 func (t *RoutingTable) Validate() error {
 	if len(t.Shards) == 0 {
 		return fmt.Errorf("core: routing table %d has no shards", t.Epoch)
@@ -72,16 +67,6 @@ func (t *RoutingTable) Clone() *RoutingTable {
 	return out
 }
 
-// Servers returns the live server slots in ascending order.
-func (t *RoutingTable) Servers() []int {
-	out := make([]int, 0, len(t.Shards))
-	for _, r := range t.Shards {
-		out = append(out, r.Server)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // RangeOf returns the range owned by the given server slot, or ok=false when
 // the slot owns nothing under this table.
 func (t *RoutingTable) RangeOf(server int) (lo, hi int, ok bool) {
@@ -95,8 +80,7 @@ func (t *RoutingTable) RangeOf(server int) (lo, hi int, ok bool) {
 
 // SplitRoutes splits dim parameters evenly across the given server slots
 // (remainder spread over the first shards), assigning the i-th range to
-// servers[i] in slice order. The split matches ps.ShardRanges so a rebalance
-// back to the original server set reproduces the original layout.
+// servers[i] in slice order. The split matches ps.ShardRanges.
 func SplitRoutes(dim int, servers []int) ([]ShardRoute, error) {
 	n := len(servers)
 	if n < 1 || dim < n {
@@ -117,7 +101,7 @@ func SplitRoutes(dim int, servers []int) ([]ShardRoute, error) {
 }
 
 // TableToWire flattens a table into the parallel int32 slices carried by
-// JoinAck and RoutingUpdate.
+// JoinAck.
 func TableToWire(t *RoutingTable) (lo, hi, srv []int32) {
 	lo = make([]int32, len(t.Shards))
 	hi = make([]int32, len(t.Shards))

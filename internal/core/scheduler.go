@@ -69,18 +69,14 @@ type SchedulerConfig struct {
 	// new leader would evict that worker as silent.
 	BeaconEvery time.Duration
 	// ActiveWorkers is how many of the Workers capacity slots start in
-	// membership (zero means all). Elastic runs size Workers to the scale
-	// plan's maximum and start the rest unjoined: those slots are not
-	// started, not counted by the tuner/gate/epoch logic, and enter via
-	// JoinReq.
+	// membership (zero means all). Mitigation runs size Workers to include
+	// their spare slots and start those unjoined: they are not started, not
+	// counted by the tuner/gate/epoch logic, and enter via JoinReq.
 	ActiveWorkers int
-	// Routing, when non-nil, enables elastic membership: the scheduler owns
-	// this epoch-stamped shard→server table, admits JoinReqs, and drives
-	// shard migrations on ScaleCmds (see elastic.go).
+	// Routing, when non-nil, enables membership changes: the scheduler hands
+	// this shard→server table to the workers it admits on a JoinReq (see
+	// membership.go). It is built once and never re-versioned.
 	Routing *RoutingTable
-	// OnRouting, if non-nil, is invoked with a copy of the table after each
-	// commit (the harness re-aims its probe assembly).
-	OnRouting func(*RoutingTable)
 	// ReportSpans says the workers send NotifyV2 work spans (cluster.Build
 	// gives every node of a run the same rule); the scheduler then feeds the
 	// straggler detector and the gate policies those spans instead of notify
@@ -102,7 +98,7 @@ type Scheduler struct {
 	// callbacks, which the runtime already serializes — so that the one
 	// outside reader, clusterView on a /clusterz request's goroutine, sees
 	// consistent state. Uncontended unless somebody is reading. The config's
-	// hooks (OnTune, OnRouting, the Mitigate callbacks) run under it and must
+	// hooks (OnTune, the Mitigate callbacks) run under it and must
 	// not ask Obs for the cluster view.
 	mu sync.Mutex
 
@@ -150,20 +146,12 @@ type Scheduler struct {
 	lastSeen        []time.Time
 	membershipEpoch atomic.Int64
 
-	// Elastic state (cfg.Routing != nil; see elastic.go). joined
+	// Membership state (cfg.Routing != nil; see membership.go). joined
 	// distinguishes "never joined" from "evicted" so liveness re-admission
 	// cannot resurrect a slot that has not sent JoinReq yet.
-	joined      []bool
-	routing     *RoutingTable
-	nextRouting *RoutingTable
-	liveServers []int
-	migrating   bool
-	migStart    time.Time
-	migExpect   map[int]bool
-	migInvolved []int
-	migBytes    int64
-	pendingOps  []*msg.ScaleCmd
-	scale       scaleCounters
+	joined  []bool
+	routing *RoutingTable
+	scale   scaleCounters
 
 	// Gate policy state (see switch.go). Runs without a policy never
 	// switch; a policy moves cur through switchTo. metaStreak is the meta
@@ -257,7 +245,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 			return nil, err
 		}
 		if cfg.Mitigate.Mode == MitigateRebalance && cfg.Routing == nil {
-			return nil, fmt.Errorf("core: rebalance mitigation requires elastic membership (Routing)")
+			return nil, fmt.Errorf("core: rebalance mitigation requires membership changes (Routing)")
 		}
 		cfg.ReportSpans = true
 		s.cfg = cfg
@@ -274,10 +262,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.ReportSpans {
 		s.workSpan = make([]time.Duration, cfg.Workers)
 	}
-	if cfg.Routing != nil {
-		s.routing = cfg.Routing
-		s.liveServers = s.routing.Servers()
-	}
+	s.routing = cfg.Routing
 	for i := range s.spanEWMA {
 		s.spanEWMA[i] = cfg.InitialSpan
 	}
@@ -383,7 +368,7 @@ func (s *Scheduler) touch(i int, now time.Time) {
 		return
 	}
 	if !s.joined[i] {
-		// An unjoined elastic capacity slot: only JoinReq admits it.
+		// An unjoined spare slot: only JoinReq admits it.
 		return
 	}
 	s.alive[i] = true
@@ -468,10 +453,6 @@ func (s *Scheduler) Receive(from node.ID, m wire.Message) {
 		}
 	case *msg.JoinReq:
 		s.handleJoinReq(from)
-	case *msg.MigrateDone:
-		s.handleMigrateDone(from, mm)
-	case *msg.ScaleCmd:
-		s.handleScaleCmd(mm)
 	case *msg.Stop:
 		// The harness signals shutdown; nothing to tear down centrally.
 	default:
@@ -494,8 +475,8 @@ func (s *Scheduler) handleNotify(from node.ID, n *msg.Notify) {
 	now := s.ctx.Now()
 	s.touch(i, now)
 	if s.routing != nil && !s.alive[i] {
-		// A straggling notify from a retired (or not-yet-joined) elastic
-		// slot: counting it into epochs or the gate would let a non-member
+		// A straggling notify from a retired (or not-yet-joined) slot:
+		// counting it into epochs or the gate would let a non-member
 		// drive coordination.
 		return
 	}

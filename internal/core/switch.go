@@ -12,8 +12,7 @@ import (
 
 // Scheduler-side gate policies (scheme.Policy): Sync-Switch, ABS and the
 // meta policy only move the gate. Every decision point is an epoch boundary,
-// and every move follows the elastic migration's freeze→commit discipline in
-// miniature:
+// and every move is a freeze→rebuild→commit sequence:
 //
 //  1. Freeze: under an incoming bound of 0 the open speculation windows
 //     close — nothing is stale behind a barrier.

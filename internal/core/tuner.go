@@ -209,9 +209,18 @@ func (t *Tuner) Tune(cfg TunerConfig, history, epochPushes []PushRecord, lastPul
 		allHi := sort.Search(len(all), func(k int) bool { return all[k] > pull })
 		ownHi := sort.Search(len(own), func(k int) bool { return own[k] > pull })
 		allLo, ownLo := allHi, ownHi
+		// A pull too far before base for a Duration (a live worker that never
+		// notified has the zero time) has its offset clamped to math.MinInt64,
+		// and pull + delta is then no window end: the candidate math.MaxInt64
+		// would end at offset -1 and count every push before the epoch. Such a
+		// worker's window ends come from time arithmetic instead.
+		far := pull == math.MinInt64
 		for j, delta := range candidates {
 			hi := pull + delta
-			if hi < pull {
+			switch {
+			case far:
+				hi = lastPull[i].Add(delta).Sub(base)
+			case hi < pull:
 				hi = math.MaxInt64
 			}
 			for allHi < len(all) && all[allHi] <= hi {

@@ -356,9 +356,9 @@ func (s *Sim) register(id node.ID, h node.Handler) (*simContext, error) {
 	return nc, nil
 }
 
-// Join registers a handler mid-run (elastic scale-up) and Inits it
-// immediately in the caller's event context. Use AddNode before Init;
-// Join after.
+// Join registers a handler mid-run (a clone or a rebalance replacement) and
+// Inits it immediately in the caller's event context. Use AddNode before
+// Init; Join after.
 func (s *Sim) Join(id node.ID, h node.Handler) error {
 	if !s.started {
 		return fmt.Errorf("des: Join(%s) before Init; use AddNode", id)

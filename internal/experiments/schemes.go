@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"specsync/internal/cluster"
-	"specsync/internal/elastic"
 	"specsync/internal/faults"
 	"specsync/internal/scheme"
 	"specsync/internal/trace"
@@ -80,13 +79,11 @@ func schemesRoster() []schemeEntry {
 // uniformly to every scheme.
 type schemeScenario struct {
 	name string
-	// shardFor scales the workload sharding (the elastic scenario shards for
-	// the grown fleet so joiners have data).
-	shardFor func(workers int) int
-	mut      func(c *cluster.Config, wl cluster.Workload, workers int)
+	mut  func(c *cluster.Config, wl cluster.Workload, workers int)
 }
 
-// schemesScenarios returns the workload × fault × elasticity matrix columns.
+// schemesScenarios returns the matrix columns: a steady fleet, a straggler
+// and a crash.
 func schemesScenarios(seed int64) []schemeScenario {
 	return []schemeScenario{
 		{name: "steady"},
@@ -110,23 +107,6 @@ func schemesScenarios(seed int64) []schemeScenario {
 				c.Faults = &faults.Plan{Seed: seed, Events: []faults.Event{
 					{Kind: faults.KindCrashWorker, Node: 1, At: 10 * wl.IterTime, RestartAfter: 4 * wl.IterTime},
 				}}
-			},
-		},
-		{
-			// The fleet grows by half, then shrinks back.
-			name: "elastic",
-			shardFor: func(workers int) int {
-				return workers + (workers+1)/2
-			},
-			mut: func(c *cluster.Config, wl cluster.Workload, workers int) {
-				extra := (workers + 1) / 2
-				servers := workers
-				if servers > 8 {
-					servers = 8
-				}
-				c.Servers = servers
-				c.Scale = elastic.GrowShrink(workers, extra, servers, (servers+1)/2,
-					10*wl.IterTime, 30*wl.IterTime)
 			},
 		},
 	}
@@ -167,11 +147,7 @@ func Schemes(o Options) (*SchemesResult, error) {
 // trace digests.
 func runSchemeCell(o Options, se schemeEntry, sn schemeScenario) (*SchemeCell, error) {
 	run := func() (*cluster.Result, string, error) {
-		shards := o.Workers
-		if sn.shardFor != nil {
-			shards = sn.shardFor(o.Workers)
-		}
-		wl, err := cluster.NewMF(o.Size, shards, o.Seed)
+		wl, err := cluster.NewMF(o.Size, o.Workers, o.Seed)
 		if err != nil {
 			return nil, "", err
 		}

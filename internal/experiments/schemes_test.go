@@ -51,16 +51,12 @@ func TestSchemesQuick(t *testing.T) {
 	}
 	// Virtual time is deterministic, so the set of cells that converge is
 	// exact: the schemes that shed or outrun the straggler converge through
-	// it, the barrier-bound ones do not, and within this budget no scheme
-	// reaches the target on the elastic fleet. PSP(β=0.75) needs 5 of 6
+	// it and the barrier-bound ones do not. PSP(β=0.75) needs 5 of 6
 	// clocks, so the straggler bounds it too and it converges at 20m4s, just
 	// past the budget. A cell that stops converging, or starts to, fails here.
 	wantMissed := []string{
 		"BSP/straggler", "SSP(s=3)/straggler", "ABS/straggler", "PSP(β=0.75)/straggler",
 		"Meta(BSP↔SSP)/straggler", "SpecSync-Adaptive(ABS)/straggler",
-	}
-	for _, se := range schemesRoster() {
-		wantMissed = append(wantMissed, se.name+"/elastic")
 	}
 	if !slices.Equal(missed, wantMissed) {
 		t.Errorf("cells that missed the target\n %q\nwant\n %q", missed, wantMissed)

@@ -14,9 +14,9 @@ import (
 // runs, so no handler sends to a peer it cannot reach.
 //
 // A node stops when its host closes (Stop) and comes back — a restart, a
-// replica promotion, an elastic join — as a new host under the same ID on a
-// fresh port (Start). Every running host learns the new address before the
-// new handler's Init runs.
+// replica promotion, a joining replacement — as a new host under the same ID
+// on a fresh port (Start). Every running host learns the new address before
+// the new handler's Init runs.
 type Loopback struct {
 	cfg   TCPHostConfig
 	mu    sync.Mutex

@@ -302,14 +302,22 @@ func deadlineThenArming(a, b timerKey) int {
 
 // TestHostTimersRunInDeadlineOrder arms timers out of deadline order and with
 // equal delays on a running mailbox: they run in deadline order, first armed
-// first on equal delays; a timer cancelled before it
-// runs — by the test, or by an earlier callback of the same pass — never
-// runs; and closing the queue drops the timers still pending.
+// first on equal deadlines; a timer cancelled before it runs — by the test,
+// or by an earlier callback of the same pass — never runs; and closing the
+// queue drops the timers still pending. The expected order is read off the
+// keys the queue armed, not the nominal delays, so a stall between two arms
+// (which moves the later one's deadline) cannot fail the test.
 func TestHostTimersRunInDeadlineOrder(t *testing.T) {
 	q := newQueue()
 	var got []string // consumer goroutine only, read after run returns
+	names := map[uint64]string{}
+	delays := map[uint64]time.Duration{}
+	armFn := func(name string, d time.Duration, f func()) node.CancelFunc {
+		names[q.seq], delays[q.seq] = name, d // the seq after gives this timer
+		return q.after(d, f)
+	}
 	arm := func(name string, d time.Duration) node.CancelFunc {
-		return q.after(d, func() { got = append(got, name) })
+		return armFn(name, d, func() { got = append(got, name) })
 	}
 	ms := time.Millisecond
 	arm("40", 40*ms)
@@ -320,11 +328,34 @@ func TestHostTimersRunInDeadlineOrder(t *testing.T) {
 	cancelled := arm("15", 15*ms)
 	arm("20b", 20*ms)
 	var victim node.CancelFunc
-	q.after(20*ms, func() { got = append(got, "20c"); victim() })
+	armFn("20c", 20*ms, func() { got = append(got, "20c"); victim() })
 	victim = arm("20d", 20*ms)
 	arm("10c", 10*ms)
 	arm("late", time.Hour)
 	cancelled()
+
+	// Every deadline is its arming time plus its delay, and arming times
+	// never go back.
+	keys := slices.Clone(q.timers)
+	slices.SortFunc(keys, func(a, b timerKey) int { return int(a.seq) - int(b.seq) })
+	if len(keys) != len(names) {
+		t.Fatalf("%d keys armed, want %d", len(keys), len(names))
+	}
+	for i := 1; i < len(keys); i++ {
+		if prev, k := keys[i-1], keys[i]; k.at-delays[k.seq] < prev.at-delays[prev.seq] {
+			t.Fatalf("timer %s armed at %v, before timer %s (%v)", names[k.seq],
+				k.at-delays[k.seq], names[prev.seq], prev.at-delays[prev.seq])
+		}
+	}
+	slices.SortFunc(keys, deadlineThenArming)
+	var want []string
+	for _, k := range keys {
+		switch name := names[k.seq]; name {
+		case "15", "20d", "late": // cancelled by the test, by 20c, not due in the test
+		default:
+			want = append(want, name)
+		}
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -341,7 +372,6 @@ func TestHostTimersRunInDeadlineOrder(t *testing.T) {
 	q.close()
 	<-done
 
-	want := []string{"10a", "10b", "10c", "20a", "20b", "20c", "30", "40"}
 	if !slices.Equal(got, want) {
 		t.Errorf("timers ran as %v, want %v", got, want)
 	}

@@ -15,7 +15,8 @@
 //
 // Kind values are part of the wire format; never renumber them. Kind 4 (the
 // retired PushAck; a push is answered by a PullResp), kind 9 (the retired BSP
-// barrier release), kind 12 (the retired worker-to-worker push broadcast) and
+// barrier release), kind 12 (the retired worker-to-worker push broadcast),
+// kinds 22-26 (the retired shard-migration and scale-command messages) and
 // kind 27 (the retired multi-tenant job envelope) are reserved.
 package msg
 
@@ -464,11 +465,6 @@ var registry = sync.OnceValue(func() *wire.Registry {
 		{Kind: KindPushReqV2, Name: "PushReqV2", New: func() wire.Message { return &PushReqV2{} }, Pool: &pushReqV2Pool},
 		{Kind: KindJoinReq, Name: "JoinReq", New: func() wire.Message { return &JoinReq{} }},
 		{Kind: KindJoinAck, Name: "JoinAck", New: func() wire.Message { return &JoinAck{} }},
-		{Kind: KindRoutingUpdate, Name: "RoutingUpdate", New: func() wire.Message { return &RoutingUpdate{} }},
-		{Kind: KindShardTransfer, Name: "ShardTransfer", New: func() wire.Message { return &ShardTransfer{} }},
-		{Kind: KindShardState, Name: "ShardState", New: func() wire.Message { return &ShardState{} }},
-		{Kind: KindMigrateDone, Name: "MigrateDone", New: func() wire.Message { return &MigrateDone{} }},
-		{Kind: KindScaleCmd, Name: "ScaleCmd", New: func() wire.Message { return &ScaleCmd{} }},
 		{Kind: KindLeaderAnnounce, Name: "LeaderAnnounce", New: func() wire.Message { return &LeaderAnnounce{} }},
 		{Kind: KindVoteReq, Name: "VoteReq", New: func() wire.Message { return &VoteReq{} }},
 		{Kind: KindVoteResp, Name: "VoteResp", New: func() wire.Message { return &VoteResp{} }},
@@ -488,8 +484,7 @@ func IsControl(k wire.Kind) bool {
 	switch k {
 	case KindPullReq, KindPullResp, KindPushReq,
 		KindPullReqV2, KindPullRespV2, KindPushReqV2,
-		KindShardState, // migrating parameter segments are data, not control
-		KindReplApply:  // replicated push payloads are data, not control
+		KindReplApply: // replicated push payloads are data, not control
 		return false
 	default:
 		return true

@@ -100,6 +100,10 @@ func FuzzDecodeRecycled(f *testing.F) {
 		f.Add(wire.Marshal(samples[(i+1)%len(samples)]), wire.Marshal(m))
 		f.Add(wire.Marshal(m)[:2], wire.Marshal(m))
 	}
+	for _, fr := range retiredFrames {
+		f.Add([]byte(fr), []byte(fr))
+		f.Add([]byte(fr)[:2], []byte(fr))
+	}
 	reg := Registry()
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		if len(b) < 2 {

@@ -360,9 +360,6 @@ type SchedulerObs struct {
 
 	joins          *Counter
 	leaves         *Counter
-	migrations     *Counter
-	migrationBytes *Counter
-	migrationH     *Histogram
 	clusterWorkers *Gauge
 	clusterServers *Gauge
 
@@ -401,19 +398,13 @@ func (o *Obs) Scheduler() *SchedulerObs {
 		generation: o.reg.Gauge("specsync_scheduler_generation",
 			"Current scheduler incarnation (0 = original process)."),
 		joins: o.reg.Counter("specsync_joins_total",
-			"Workers admitted into a running cluster by the elastic protocol."),
+			"Workers admitted into a running cluster (rebalance replacements)."),
 		leaves: o.reg.Counter("specsync_leaves_total",
-			"Workers retired from a running cluster by a scale plan."),
-		migrations: o.reg.Counter("specsync_migrations_total",
-			"Committed shard migrations (routing-epoch bumps)."),
-		migrationBytes: o.reg.Counter("specsync_migration_bytes_total",
-			"Parameter bytes moved between servers during shard migrations."),
-		migrationH: o.reg.Histogram("specsync_migration_seconds",
-			"Duration of one shard migration (freeze to routing commit).", LatencyBuckets),
+			"Workers retired from a running cluster (rebalanced stragglers)."),
 		clusterWorkers: o.reg.Gauge("specsync_cluster_workers",
-			"Workers currently in membership (elastic runs)."),
+			"Workers currently in membership (runs with membership changes)."),
 		clusterServers: o.reg.Gauge("specsync_cluster_servers",
-			"Server shards currently in the routing table (elastic runs)."),
+			"Server shards in the routing table (runs with membership changes)."),
 		schemeSwitches: o.reg.Counter("specsync_scheme_switches_total",
 			"Live synchronization-scheme switches the scheduler made (gate policies moving the gate)."),
 	}
@@ -521,19 +512,6 @@ func (s *SchedulerObs) Leave(at time.Time, worker int, membershipEpoch int64) {
 	s.o.spans.Add(Span{Node: "scheduler", Name: "leave", Start: at, Value: membershipEpoch})
 	s.o.flight.Record(FlightEvent{At: at, Kind: "leave", Node: "scheduler",
 		Iter: membershipEpoch, Value: float64(worker)})
-}
-
-// MigrationDone records a committed shard migration.
-func (s *SchedulerObs) MigrationDone(at time.Time, epoch int64, bytes int64, dur time.Duration) {
-	if s == nil {
-		return
-	}
-	s.migrations.Inc()
-	s.migrationBytes.Add(bytes)
-	s.migrationH.Observe(dur.Seconds())
-	s.o.spans.Add(Span{Node: "scheduler", Name: "migrate", Start: at.Add(-dur), End: at, Iter: epoch, Value: bytes})
-	s.o.flight.Record(FlightEvent{At: at, Kind: "migration-commit", Node: "scheduler",
-		Iter: epoch, Value: float64(bytes)})
 }
 
 // ClusterSize publishes the current membership counts.
@@ -896,16 +874,14 @@ type Summary struct {
 	Restart   HistSnapshot // abort-to-restart latency
 	Staleness HistSnapshot
 
-	Iterations     int64
-	Aborts         int64
-	ReSyncs        int64
-	Epochs         int64
-	Joins          int64
-	Leaves         int64
-	Migrations     int64
-	MigrationBytes int64
-	ServerPushes   int64
-	Spans          int
+	Iterations   int64
+	Aborts       int64
+	ReSyncs      int64
+	Epochs       int64
+	Joins        int64
+	Leaves       int64
+	ServerPushes int64
+	Spans        int
 
 	// StragglerFlags counts ok→flagged transitions across all workers;
 	// FlightEvents is the total recorded by the flight recorder (including
@@ -933,8 +909,6 @@ func (o *Obs) Summary() *Summary {
 		Epochs:         o.reg.SumCounters("specsync_epochs_total"),
 		Joins:          o.reg.SumCounters("specsync_joins_total"),
 		Leaves:         o.reg.SumCounters("specsync_leaves_total"),
-		Migrations:     o.reg.SumCounters("specsync_migrations_total"),
-		MigrationBytes: o.reg.SumCounters("specsync_migration_bytes_total"),
 		ServerPushes:   o.reg.SumCounters("specsync_server_pushes_total"),
 		Spans:          o.spans.Len(),
 		StragglerFlags: o.reg.SumCounters("specsync_straggler_flags_total"),

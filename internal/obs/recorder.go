@@ -11,9 +11,9 @@ import (
 const DefaultFlightCapacity = 4096
 
 // FlightEvent is one structured control-plane decision retained by the
-// flight recorder: admissions, barrier releases, migrations, faults,
-// straggler flags. Timestamps come from
-// node.Context.Now(), so DES runs record deterministic virtual-time stamps.
+// flight recorder: admissions, barrier releases, faults, straggler flags.
+// Timestamps come from node.Context.Now(), so DES runs record deterministic
+// virtual-time stamps.
 type FlightEvent struct {
 	Seq    uint64    `json:"seq"` // monotonic, assigned by the recorder
 	At     time.Time `json:"at"`

@@ -287,13 +287,11 @@ func SpansFromTrace(events []trace.Event) []Span {
 		case trace.KindEvict:
 			out = append(out, Span{Node: "scheduler", Name: "evict", Start: ev.At, Value: ev.Value})
 		case trace.KindJoin:
-			// Elastic scale events live on the scheduler track (it owns
-			// membership); the worker index rides in the args via Iter.
+			// Membership changes live on the scheduler track (it owns
+			// membership); the worker index rides in the span's name.
 			out = append(out, Span{Node: "scheduler", Name: fmt.Sprintf("join worker/%d", ev.Worker), Start: ev.At, Value: ev.Value})
 		case trace.KindLeave:
 			out = append(out, Span{Node: "scheduler", Name: fmt.Sprintf("retire worker/%d", ev.Worker), Start: ev.At, Value: ev.Value})
-		case trace.KindMigrate:
-			out = append(out, Span{Node: "scheduler", Name: "migrate", Start: ev.At, Iter: ev.Iter, Value: ev.Value})
 		}
 	}
 	return out

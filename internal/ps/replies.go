@@ -107,9 +107,9 @@ func (d *deltaReplies) speaksCodec(from node.ID) {
 }
 
 // forgetHolders forgets what each worker holds, and the log: after a
-// restore, a migration commit or a promotion the version line no longer
-// names the blocks sent before, and may run back over versions the log
-// covers, so each worker's next block is a full one.
+// restore or a promotion the version line no longer names the blocks sent
+// before, and may run back over versions the log covers, so each worker's
+// next block is a full one.
 func (s *Server) forgetHolders() {
 	d := &s.replies
 	clear(d.sent)

@@ -66,13 +66,8 @@ type Config struct {
 	// harness slices one master init vector across shards so every scheme
 	// starts from identical parameters.
 	Init tensor.Vec
-	// Optimizer applies pushed gradients. Required (except for NewJoining
-	// shards, which build theirs through NewOptimizer at commit time).
+	// Optimizer applies pushed gradients. Required.
 	Optimizer *optimizer.SGD
-	// NewOptimizer builds an optimizer for n parameters. Required for elastic
-	// runs: a shard migration changes the range size, so the optimizer (and
-	// any momentum state) is rebuilt at commit.
-	NewOptimizer func(n int) (*optimizer.SGD, error)
 	// Staleness, if non-nil, observes per-push staleness.
 	Staleness StalenessObserver
 	// Obs, if non-nil, receives pull/push counters and the shard version.
@@ -123,22 +118,6 @@ type Server struct {
 	// send: Send encodes before it returns (DESIGN "Message lifetime").
 	resp msg.PullResp
 
-	// Migration state (see migrate.go). While frozen the shard drops data
-	// traffic; workers retry until the routing commit re-routes them.
-	frozen        bool
-	retired       bool
-	pendingEpoch  int64
-	hasNew        bool
-	newRange      Range
-	staged        tensor.Vec
-	stagedVersion int64
-	expect        int64
-	recvBytes     int64
-	early         []*msg.ShardState
-	// nextTransfer parks a transfer for a later epoch that overtook the
-	// pending epoch's commit in flight; it runs as soon as the commit lands.
-	nextTransfer *msg.ShardTransfer
-
 	// Replication state (see replica.go). backups receives forwarded applies
 	// on the primary; pendingRepl parks reordered ReplApplies on a backup;
 	// lastIter is the replicated per-worker duplicate-suppression watermark.
@@ -181,10 +160,9 @@ func (s *Server) Init(ctx node.Context) { s.ctx = ctx }
 func (s *Server) Receive(from node.ID, m wire.Message) {
 	switch req := m.(type) {
 	case *msg.PullReq, *msg.PushReq, *msg.PullReqV2, *msg.PushReqV2:
-		if s.frozen || s.cfg.Replica {
-			// Mid-migration (or retired/not-yet-committed) or a backup
-			// replica: drop data traffic. Workers retry until the routing
-			// commit — or a promotion — puts a serving primary back.
+		if s.cfg.Replica {
+			// A backup replica: drop data traffic. Workers retry until a
+			// promotion puts a serving primary back.
 			return
 		}
 		switch req := m.(type) {
@@ -203,12 +181,6 @@ func (s *Server) Receive(from node.ID, m wire.Message) {
 		s.handleCloneNotice(req)
 	case *msg.ReplApply:
 		s.handleReplApply(req)
-	case *msg.ShardTransfer:
-		s.handleTransfer(req)
-	case *msg.ShardState:
-		s.handleShardState(from, req)
-	case *msg.RoutingUpdate:
-		s.handleRoutingCommit(req)
 	case *msg.Stop:
 		// Servers are stateless with respect to the training loop; nothing
 		// to wind down.

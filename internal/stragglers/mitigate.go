@@ -17,10 +17,9 @@ const (
 	// and the parameter servers dedup the loser's push by (worker, iter),
 	// so the model digest is unaffected by who wins.
 	MitigateClone Mitigation = "clone"
-	// MitigateRebalance is straggler-triggered elastic rebalancing: the
-	// sustained-straggler telemetry synthesizes an elastic scale command —
-	// retire the straggler, admit a healthy spare — instead of only a
-	// scheme switch.
+	// MitigateRebalance is straggler-triggered rebalancing: on a sustained
+	// straggler the scheduler retires it and admits a healthy spare, which
+	// joins the running cluster, instead of only switching the scheme.
 	MitigateRebalance Mitigation = "rebalance"
 )
 

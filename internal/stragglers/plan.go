@@ -14,7 +14,7 @@
 //
 // The package also names the two mitigations the scheduler can deploy against
 // an active profile — backup-worker task cloning and straggler-triggered
-// elastic rebalancing — and scores the straggler detector against the plan's
+// rebalancing — and scores the straggler detector against the plan's
 // ground truth (which workers were actually slowed).
 package stragglers
 

@@ -51,7 +51,6 @@ var kindNames = map[Kind]string{
 	KindEvict:     "evict",
 	KindJoin:      "join",
 	KindLeave:     "leave",
-	KindMigrate:   "migrate",
 
 	KindStragglerFlag:  "straggler-flag",
 	KindStragglerClear: "straggler-clear",

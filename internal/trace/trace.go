@@ -39,16 +39,17 @@ const (
 	// KindEvict marks the scheduler removing a dead worker from membership;
 	// Value carries the new membership epoch.
 	KindEvict
-	// KindJoin marks the scheduler admitting a new worker (elastic scale-up);
-	// Value carries the new membership epoch.
+	// KindJoin marks the scheduler admitting a worker into the running
+	// cluster (a rebalance replacement); Value carries the new membership
+	// epoch.
 	KindJoin
-	// KindLeave marks the scheduler retiring a worker on a scale-plan event
-	// (planned scale-down, as opposed to KindEvict's failure path); Value
-	// carries the new membership epoch.
+	// KindLeave marks the scheduler retiring a worker (a rebalanced
+	// straggler; a planned departure, as opposed to KindEvict's failure
+	// path); Value carries the new membership epoch.
 	KindLeave
-	// KindMigrate marks the scheduler committing a shard migration; Worker is
-	// -1, Iter holds the new routing epoch, and Value the migrated bytes.
-	KindMigrate
+	// The retired shard-migration commit's slot, kept so the kinds after it
+	// keep their values.
+	_
 	// KindStragglerFlag marks the straggler detector flagging a worker;
 	// Value is 1 for a transient flag, 2 when promoted to sustained.
 	KindStragglerFlag
@@ -99,8 +100,6 @@ func (k Kind) String() string {
 		return "join"
 	case KindLeave:
 		return "leave"
-	case KindMigrate:
-		return "migrate"
 	case KindStragglerFlag:
 		return "straggler-flag"
 	case KindStragglerClear:

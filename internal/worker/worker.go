@@ -140,16 +140,14 @@ type Config struct {
 	// Shards lists the parameter ranges owned by server/0..server/n-1.
 	// Ignored when Routing is set.
 	Shards []ps.Range
-	// Routing, when non-nil, replaces Shards with an epoch-stamped table
-	// mapping parameter ranges to server slots; the worker then follows
-	// RoutingUpdate commits from the scheduler across live shard migrations
-	// (see elastic.go). Nil keeps the legacy fixed-shard path, byte-for-byte.
+	// Routing, when non-nil, replaces Shards with a table mapping parameter
+	// ranges to server slots (runs whose membership can change; see join.go).
 	Routing *core.RoutingTable
 	// JoinOnInit makes the worker introduce itself to the scheduler with a
 	// JoinReq instead of waiting for a Start: it begins training when the
 	// JoinAck arrives, seeded with the released clock and routing table.
 	// Requires Routing (the ack carries a table). Used by workers that join
-	// a running elastic cluster.
+	// a running cluster.
 	JoinOnInit bool
 	// Model is the workload; Grad/SampleBatch run on this worker's shard.
 	Model model.Model
@@ -232,12 +230,11 @@ type Worker struct {
 	shard int
 
 	// Routing view: the parameter ranges this worker pulls/pushes and the
-	// server owning each. Legacy runs use the identity mapping over
-	// cfg.Shards; elastic runs re-derive these on every RoutingUpdate.
-	shards       []ps.Range
-	shardIDs     []node.ID
-	srvToShard   map[int]int
-	routingEpoch int64
+	// server owning each. Static runs use the identity mapping over
+	// cfg.Shards; a joiner installs the table its JoinAck carries.
+	shards     []ps.Range
+	shardIDs   []node.ID
+	srvToShard map[int]int
 
 	// seq numbers pull and push rounds alike, so a reply can never be taken
 	// for one from the other phase. answered marks the shards that replied to
@@ -373,13 +370,11 @@ func New(cfg Config) (*Worker, error) {
 	}
 	var shards []ps.Range
 	var shardSrv []int
-	var routingEpoch int64
 	if cfg.Routing != nil {
 		if err := cfg.Routing.Validate(); err != nil {
 			return nil, fmt.Errorf("worker: %w", err)
 		}
 		shards, shardSrv = shardsFromRoutes(cfg.Routing.Shards)
-		routingEpoch = cfg.Routing.Epoch
 	} else {
 		dim := 0
 		for i, r := range cfg.Shards {
@@ -417,7 +412,6 @@ func New(cfg Config) (*Worker, error) {
 		w:            tensor.NewVec(cfg.Model.Dim()),
 		pushCodec:    pushCodec,
 		deltaPull:    deltaPull,
-		routingEpoch: routingEpoch,
 		gate:         cfg.Scheme.Gate(),
 	}
 	wk.computeDone = wk.finishCompute
@@ -447,8 +441,7 @@ func (wk *Worker) setShards(shards []ps.Range, shardSrv []int) {
 }
 
 // shardIndexOf maps a responding server to the shard index it owns under the
-// current routing view, or -1 for a node that owns nothing (e.g. a response
-// from a shard retired by a migration that committed mid-flight).
+// current routing view, or -1 for a node that owns nothing.
 func (wk *Worker) shardIndexOf(from node.ID) int {
 	srv := node.ServerIndex(from)
 	if srv < 0 {
@@ -526,8 +519,6 @@ func (wk *Worker) Receive(from node.ID, m wire.Message) {
 		wk.noteSchedulerGen(from, mm.Gen)
 	case *msg.JoinAck:
 		wk.handleJoinAck(mm)
-	case *msg.RoutingUpdate:
-		wk.handleRoutingUpdate(mm)
 	case *msg.CloneCtl:
 		wk.handleCloneCtl(mm)
 	default:
